@@ -19,6 +19,7 @@ import numpy as np
 
 from . import verify
 from .closure import (
+    ClosureOverflowError,
     ExponentPair,
     MaxIterExceededError,
     NonFiniteInputError,
@@ -33,7 +34,13 @@ from .fields import (
     total_mass,
     write_snapshot,
 )
-from .solver import PositivityLossError, ZeroDtError, Trajectory, run
+from .solver import (
+    NonFiniteStateError,
+    PositivityLossError,
+    Trajectory,
+    ZeroDtError,
+    run,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,8 +49,10 @@ EXIT_VERIFY = 4
 
 RUNTIME_ERRORS = (
     PositivityLossError,
+    NonFiniteStateError,
     ZeroDtError,
     MaxIterExceededError,
+    ClosureOverflowError,
     NonFiniteInputError,
     verify.GridMismatchError,
     verify.TimeGridMismatchError,
@@ -97,10 +106,10 @@ def _write_failure(out_dir, exc) -> None:
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(
-        os.path.join(out_dir, "failure.json"),
-        {"error": type(exc).__name__, "message": str(exc)},
-    )
+    record = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, NonFiniteStateError):
+        record.update(t=exc.t, step=exc.step, cells=exc.cells[:64], n_cells=len(exc.cells))
+    _write_json(os.path.join(out_dir, "failure.json"), record)
 
 
 def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> None:

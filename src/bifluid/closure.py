@@ -7,9 +7,17 @@ phase pressures reduces to one scalar equation for a density-like unknown Z:
 
 Z is the density of phase +, Z**gamma the density of phase -, Z**gamma_plus
 the common pressure, and R / Z the volume fraction of phase +.  The residual
-is strictly increasing in Z on [R, oo), so the root is unique and can be
-bracketed; ``solve_closure`` is a bisection-safeguarded Newton iteration on
-that bracket.
+is strictly increasing in Z on [R, oo), so the root is unique.
+
+The equation is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q.
+``solve_closure_batch`` uses this to solve for z = Z / s with
+s = max(R, Q**(1/gamma)), so every input scale from subnormal to near
+overflow becomes an O(1) problem with a closed-form bracket for z.  The
+residual is convex (gamma > 1) or concave (gamma < 1) on that bracket, so
+Newton from any start inside it, including a warm start from the Z of a
+nearby state, converges monotonically after its first step.  A root beyond
+float range raises ``ClosureOverflowError`` instead of returning inf or a
+wrong finite value.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "VACUUM_ALPHA_DEFAULT",
     "NonFiniteInputError",
     "MaxIterExceededError",
+    "ClosureOverflowError",
     "VacuumCellError",
     "DegenerateDenominatorError",
     "ExponentPair",
@@ -56,6 +65,10 @@ class MaxIterExceededError(RuntimeError):
     With the default tolerance this signals a misconfigured tolerance, not a
     missing root: the residual is monotone and bracketed.
     """
+
+
+class ClosureOverflowError(OverflowError):
+    """The closure root exceeds the largest float: Z >= Q**(1/gamma) overflows."""
 
 
 class VacuumCellError(ValueError):
@@ -149,90 +162,163 @@ def closure_residual(Z, R, Q, gamma):
     return out
 
 
+def _finite_nonneg(a):
+    # NaN fails both comparisons, so two reductions check finite and >= 0
+    return a.size == 0 or (
+        np.minimum.reduce(a, axis=None) >= 0.0
+        and np.maximum.reduce(a, axis=None) < math.inf
+    )
+
+
 def _validate_inputs(R, Q, gamma):
-    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(Q))):
-        raise NonFiniteInputError("R and Q must be finite")
-    if np.any(R < 0.0) or np.any(Q < 0.0):
+    if not (_finite_nonneg(R) and _finite_nonneg(Q)):
+        if not (np.isfinite(R).all() and np.isfinite(Q).all()):
+            raise NonFiniteInputError("R and Q must be finite")
         raise ValueError("R and Q must be nonnegative")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be a positive finite number")
 
 
-def solve_closure_batch(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER):
+def _check_overflow(a, what):
+    # a holds no NaN here, so one reduction finds an inf
+    if a.size and not np.maximum.reduce(a) < math.inf:
+        bad = np.flatnonzero(np.isinf(a))
+        raise ClosureOverflowError(
+            f"closure root {what} overflows float at cells {bad.tolist()[:8]}"
+        )
+
+
+def _newton(r, q, lo, hi, z, gamma, tol, max_iter):
+    """Newton on the scaled closure for 1-D arrays; returns (z, iterations).
+
+    lo is a scalar or an array like hi.  Converged cells are frozen and
+    dropped from the active set, so each cell runs the same iteration
+    whatever else is in the batch.
+    """
+    out = z.copy()
+    act = np.arange(z.size)
+    tol_q = tol * q
+    # the subtraction (z - r) bounds the achievable residual at a few ulps
+    # of z**gamma, scaled by the local slope factor (1 + gamma)
+    f_floor = 4.0 * (1.0 + gamma) * np.finfo(float).eps
+    for iterations in range(1, max_iter + 1):
+        zg1 = np.power(z, gamma - 1.0)
+        f = (z - r) * zg1 - q
+        conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
+        n_conv = np.count_nonzero(conv)
+        if n_conv == z.size:
+            out[act] = z
+            return out, iterations
+        if n_conv:
+            out[act[conv]] = z[conv]
+            keep = ~conv
+            act, z, r, q, hi, tol_q, zg1, f = (
+                a[keep] for a in (act, z, r, q, hi, tol_q, zg1, f)
+            )
+            if np.ndim(lo):
+                lo = lo[keep]
+        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
+        z = np.minimum(np.maximum(z - f / fp, lo), hi)
+    raise MaxIterExceededError(
+        f"closure iteration exceeded {max_iter} iterations at cells {act.tolist()[:8]}"
+    )
+
+
+def solve_closure_batch(
+    R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER, z0=None
+):
     """Vectorised closure solve; returns (Z, iterations).
 
-    Exact branches: Q == 0 gives Z = R, R == 0 gives Z = Q**(1/gamma) (zero at
-    vacuum), gamma == 1 gives Z = R + Q, and gamma == 2 is solved by the
-    quadratic formula.  Elsewhere a Newton iteration runs inside the bracket
-    [R, hi], hi found by geometric doubling from max(R, Q**(1/gamma)) until
-    the residual turns nonnegative; steps leaving the bracket fall back to
-    bisection.  Convergence: |f(Z)| <= tol * max(Q, floor) with the floor a
-    few ulps of Z**gamma, the round-off scale of the residual evaluation.
-    Since f' >= min(1, gamma) * Z**(gamma-1) on the bracket, this bounds the
-    relative error of Z by about tol / min(1, gamma).
+    Scaling.  The closure is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q,
+    so each cell is solved for z = Z / s with s = max(R, Q**(1/gamma)), on
+    r = R / s and q = (Q**(1/gamma) / s)**gamma.  Both lie in [0, 1], one of
+    them is 1, and the root z >= 1, so the iteration sees O(1) numbers at
+    every input scale.  A root beyond float range raises
+    ClosureOverflowError; a Q**(1/gamma) that underflows only perturbs Z at
+    the underflow scale.
+
+    Exact branches: vacuum R = Q = 0 gives Z = 0, gamma == 1 gives Z = R + Q,
+    and gamma == 2 is the quadratic formula in scaled variables.  Q == 0
+    gives Z = R and R == 0 gives Z = Q**(1/gamma) exactly in every branch.
+
+    Bracket.  r + q >= 1 bounds z from above for gamma > 1 (since
+    z**(gamma-1) >= 1) and from below for gamma < 1, so z lies in
+    [1, r + q] or [r + q, max(2r, (2q)**(1/gamma))]; no search is needed.
+    On the bracket the residual is convex for gamma > 1 and concave for
+    gamma < 1, so one Newton step from any point lands on the far side of
+    the root, after which the iterates approach it monotonically; every
+    iterate is clipped to the bracket.  The cold start is the root of the
+    second-order Taylor model at z = 1 for gamma > 1, the lower end r + q
+    for gamma < 1.
+
+    Warm start.  z0, an array shaped like R (typically the Z of a nearby
+    state), replaces the cold start after clipping to the bracket; a
+    non-finite entry falls back to a bracket end.  The exact branches
+    ignore it.
+
+    Convergence, per cell: |f(z)| <= tol * max(q, floor) with the floor a few
+    ulps of z**gamma, the round-off scale of the residual evaluation; in
+    unscaled terms |f(Z)| <= tol * Q or the same floor of Z**gamma.  Since
+    f' >= min(1, gamma) * z**(gamma-1) on the bracket, this bounds the
+    relative error of Z by about tol / min(1, gamma).  A converged cell is
+    frozen and leaves the active set, so its result does not depend on the
+    other cells of the batch.  The returned iteration count is the largest
+    over cells (0 for the exact branches).
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
     _validate_inputs(R, Q, gamma)
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    if R.shape != Q.shape:
+        R, Q = np.broadcast_arrays(R, Q)
+    shape = R.shape
+    R, Q = R.ravel(), Q.ravel()
 
     if gamma == 1.0:
-        return R + Q, 0
+        Z = R + Q
+        _check_overflow(Z, "R + Q")
+        return Z.reshape(shape), 0
+    t = np.sqrt(Q) if gamma == 2.0 else np.power(Q, 1.0 / gamma)
+    if gamma < 1.0:
+        _check_overflow(t, "bound Q**(1/gamma)")
+    s = np.maximum(R, t)
+    vac = None if s.all() else s == 0.0
+    if vac is not None:
+        # a vacuum cell solves the harmless r = 1, q = 0, then gets Z = 0
+        s[vac] = 1.0
+    r = R / s
+    if vac is not None:
+        r[vac] = 1.0
+    ts = t / s  # q**(1/gamma)
+
     if gamma == 2.0:
-        return 0.5 * (R + np.sqrt(R * R + 4.0 * Q)), 0
-
-    Z = np.where(Q == 0.0, R, np.power(Q, 1.0 / gamma))
-    Z = np.where((R > 0.0) & (Q > 0.0), 0.0, Z)
-    mask = (R > 0.0) & (Q > 0.0)
-    if not mask.any():
-        return Z, 0
-
-    r = R[mask]
-    q = Q[mask]
-    lo = r.copy()
-    hi = np.maximum(r, np.power(q, 1.0 / gamma))
-    # f < 0 at both bracket seeds, so at least one doubling always runs.
-    for _ in range(max_iter):
-        f_hi = (hi - r) * np.power(hi, gamma - 1.0) - q
-        grow = f_hi < 0.0
-        if not grow.any():
-            break
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, 2.0 * hi, hi)
+        z = 0.5 * (r + np.sqrt(r * r + 4.0 * (ts * ts)))
+        iterations = 0
     else:
-        raise MaxIterExceededError("bracket expansion did not terminate")
+        q = np.power(ts, gamma)
+        if gamma > 1.0:
+            lo, hi = 1.0, r + q
+            # root of the second-order Taylor model of f at z = 1, where
+            # f = 1 - r - q, f' = gamma - (gamma-1) r and
+            # f'' = (gamma-1) (gamma - (gamma-2) r) need no power
+            d1 = gamma - (gamma - 1.0) * r
+            d2 = (gamma - 1.0) * (gamma - (gamma - 2.0) * r)
+            dz = 2.0 * (hi - 1.0) / (d1 + np.sqrt(d1 * d1 + 2.0 * d2 * (hi - 1.0)))
+            start = np.minimum(1.0 + dz, hi)
+        else:
+            lo, hi = r + q, np.maximum(2.0 * r, np.exp2(1.0 / gamma) * ts)
+            start = lo
+        if z0 is not None:
+            z0 = np.ravel(np.asarray(z0, dtype=float)) / s
+            start = np.fmin(np.fmax(z0, lo), hi)
+        z, iterations = _newton(r, q, lo, hi, start, gamma, tol, max_iter)
 
-    z = hi.copy()
-    done = np.zeros(z.shape, dtype=bool)
-    f_tol_q = tol * q
-    # the subtraction (z - r) bounds the achievable residual at a few ulps
-    # of z**gamma, scaled by the local slope factor (1 + gamma)
-    f_floor = 4.0 * (1.0 + gamma) * np.finfo(float).eps
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        zg1 = np.power(z, gamma - 1.0)
-        f = (z - r) * zg1 - q
-        neg = f < 0.0
-        lo = np.where(~done & neg, z, lo)
-        hi = np.where(~done & ~neg, z, hi)
-        done |= np.abs(f) <= np.maximum(f_tol_q, f_floor * zg1 * z)
-        if done.all():
-            break
-        fp = zg1 * (gamma + (1.0 - gamma) * (r / z))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = z - f / fp
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        cand = np.where(inside, newton, 0.5 * (lo + hi))
-        z = np.where(done, z, cand)
-    else:
-        bad = np.flatnonzero(mask)[~done]
-        raise MaxIterExceededError(
-            f"closure iteration exceeded {max_iter} iterations at cells {bad.tolist()[:8]}"
-        )
-
-    Z[mask] = z
-    return Z, iterations
+    Z = s * z
+    if vac is not None:
+        Z[vac] = 0.0
+    _check_overflow(Z, "Z")
+    return Z.reshape(shape), iterations
 
 
 def solve_closure(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER) -> float:

@@ -438,9 +438,12 @@ def _convert(raw: str, default):
             raise ValueError(f"expected an integer, got '{raw}'")
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ValueError(f"expected a number, got '{raw}'")
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got '{raw}'")
+        return value
     return raw
 
 

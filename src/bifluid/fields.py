@@ -20,6 +20,7 @@ PERIODIC = "periodic"
 NOSLIP = "noslip"
 BOUNDARY_CONDITIONS = (PERIODIC, NOSLIP)
 RHO_FLOOR = 1e-12
+_TINY = np.finfo(float).smallest_subnormal
 
 SNAPSHOT_COLUMNS = ("i", "x", "R", "Q", "m", "Z", "alpha", "rho_plus", "rho_minus", "p", "u")
 
@@ -143,11 +144,17 @@ def derive(
     tol: float = closure.CLOSURE_TOL,
     vacuum_alpha: float = closure.VACUUM_ALPHA_DEFAULT,
     rho_floor: float = RHO_FLOOR,
+    z0: np.ndarray | None = None,
 ) -> DerivedFields:
-    """Cell-wise closure solve plus floored velocity recovery u = m / (R + Q)."""
-    Z, iters = closure.solve_closure_batch(state.R, state.Q, exps.gamma, tol)
+    """Cell-wise closure solve plus floored velocity recovery u = m / (R + Q).
+
+    z0, the Z of a nearby state, warm-starts the closure iteration.
+    """
+    Z, iters = closure.solve_closure_batch(state.R, state.Q, exps.gamma, tol, z0=z0)
     vac = (state.R == 0.0) & (state.Q == 0.0)
-    alpha = np.where(vac, float(vacuum_alpha), state.R / np.where(vac, 1.0, Z))
+    # Z >= R, so Z == 0 only where R == 0: vacuum, or a root below the
+    # smallest float (alpha = 0 there)
+    alpha = np.where(vac, float(vacuum_alpha), state.R / np.maximum(Z, _TINY))
     rho_minus = np.power(Z, exps.gamma)
     p = np.power(Z, exps.gamma_plus)
     u = state.m / np.maximum(state.R + state.Q, rho_floor)

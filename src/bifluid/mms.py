@@ -23,7 +23,7 @@ import numpy as np
 from .closure import ExponentPair, solve_closure_batch, CLOSURE_TOL
 from .fields import FieldState, Grid1D
 
-_GAUSS3_NODES = (-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6))
+_GAUSS3_NODES = np.array([-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 __all__ = ["ManufacturedSolution"]
@@ -69,70 +69,51 @@ class ManufacturedSolution:
         x = grid.x
         return FieldState(t=t, R=self.R(x, t), Q=self.Q(x, t), m=self.m(x, t))
 
-    # derivatives --------------------------------------------------------
-
-    def _dR(self, x, t):
-        ph = np.cos(self.k * x - t)
-        return -self.b * ph, self.k * self.b * ph  # (d/dt, d/dx)
-
-    def _dQ(self, x, t):
-        ph = np.sin(self.k * x + t)
-        return -self.d * ph, -self.k * self.d * ph
-
-    def _du(self, x, t):
-        return (
-            -self.e * np.sin(self.k * x) * math.sin(t),          # d/dt
-            self.k * self.e * np.cos(self.k * x) * math.cos(t),  # d/dx
-            -self.k**2 * self.e * np.sin(self.k * x) * math.cos(t),  # d2/dx2
-        )
-
-    def _pressure_gradient(self, x, t):
-        # dp/dx = gamma_plus * Z**(gamma_plus - 1) * dZ/dx with dZ/dx from
-        # implicit differentiation of (Z - R) Z**(gamma-1) = Q.
-        g = self.exps.gamma
-        Rv = self.R(x, t)
-        Qv = self.Q(x, t)
-        _, dR_dx = self._dR(x, t)
-        _, dQ_dx = self._dQ(x, t)
-        Z, _ = solve_closure_batch(Rv, Qv, g, self.closure_tol)
-        zg1 = np.power(Z, g - 1.0)
-        f_Z = zg1 * (g + (1.0 - g) * Rv / Z)
-        dZ_dx = (zg1 * dR_dx + dQ_dx) / f_Z
-        gp = self.exps.gamma_plus
-        return gp * np.power(Z, gp - 1.0) * dZ_dx
-
     # sources ------------------------------------------------------------
 
-    def source_R(self, x, t):
-        dR_dt, dR_dx = self._dR(x, t)
-        _, du_dx, _ = self._du(x, t)
-        return dR_dt + dR_dx * self.u(x, t) + self.R(x, t) * du_dx
-
-    def source_Q(self, x, t):
-        dQ_dt, dQ_dx = self._dQ(x, t)
-        _, du_dx, _ = self._du(x, t)
-        return dQ_dt + dQ_dx * self.u(x, t) + self.Q(x, t) * du_dx
-
-    def source_m(self, x, t):
-        uv = self.u(x, t)
-        rho = self.R(x, t) + self.Q(x, t)
-        dR_dt, dR_dx = self._dR(x, t)
-        dQ_dt, dQ_dx = self._dQ(x, t)
-        du_dt, du_dx, du_dxx = self._du(x, t)
-        dm_dt = (dR_dt + dQ_dt) * uv + rho * du_dt
-        conv = (dR_dx + dQ_dx) * uv * uv + 2.0 * rho * uv * du_dx
-        return dm_dt + conv + self._pressure_gradient(x, t) - self.nu_eff * du_dxx
-
     def cell_averages(self, grid: Grid1D, t: float):
-        """Gauss-3 cell averages of the three sources at time t."""
-        x = grid.x
-        dx = grid.dx
-        fR = np.zeros(grid.n)
-        fQ = np.zeros(grid.n)
-        fm = np.zeros(grid.n)
-        for node, w in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-            xq = x + node * dx
-            fR += w * self.source_R(xq, t)
-            fQ += w * self.source_Q(xq, t)
-            fm += w * self.source_m(xq, t)
-        return fR, fQ, fm
+        """Gauss-3 cell averages of the three sources at time t.
+
+        The three nodes of every cell form one (3, n) batch: one sin/cos pair
+        of k x (angle addition gives the phases shifted by t) serves all
+        sources, and one closure solve serves the pressure gradient.
+        """
+        k, g = self.k, self.exps.gamma
+        kx = k * (grid.x + _GAUSS3_NODES[:, None] * grid.dx)
+        sin_kx, cos_kx = np.sin(kx), np.cos(kx)
+        ct, st = math.cos(t), math.sin(t)
+        sin_m = sin_kx * ct - cos_kx * st  # sin(kx - t)
+        cos_m = cos_kx * ct + sin_kx * st  # cos(kx - t)
+        sin_p = sin_kx * ct + cos_kx * st  # sin(kx + t)
+        cos_p = cos_kx * ct - sin_kx * st  # cos(kx + t)
+
+        R = self.a + self.b * sin_m
+        Q = self.c + self.d * cos_p
+        u = self.e * ct * sin_kx
+        dR_dt, dR_dx = -self.b * cos_m, k * self.b * cos_m
+        dQ_dt, dQ_dx = -self.d * sin_p, -k * self.d * sin_p
+        du_dt = -self.e * st * sin_kx
+        du_dx = k * self.e * ct * cos_kx
+        du_dxx = -k * k * u
+
+        # dp/dx = gamma_plus * Z**(gamma_plus - 1) * dZ/dx with dZ/dx from
+        # implicit differentiation of (Z - R) Z**(gamma-1) = Q.
+        Z, _ = solve_closure_batch(R, Q, g, self.closure_tol)
+        zg1 = np.power(Z, g - 1.0)
+        dZ_dx = (zg1 * dR_dx + dQ_dx) / (zg1 * (g + (1.0 - g) * R / Z))
+        gp = self.exps.gamma_plus
+        dp_dx = gp * np.power(Z, gp - 1.0) * dZ_dx
+
+        rho = R + Q
+        sR = dR_dt + dR_dx * u + R * du_dx
+        sQ = dQ_dt + dQ_dx * u + Q * du_dx
+        sm = (
+            (dR_dt + dQ_dt) * u
+            + rho * du_dt
+            + (dR_dx + dQ_dx) * u * u
+            + 2.0 * rho * u * du_dx
+            + dp_dx
+            - self.nu_eff * du_dxx
+        )
+        w = _GAUSS3_WEIGHTS
+        return tuple(w[0] * s[0] + w[1] * s[1] + w[2] * s[2] for s in (sR, sQ, sm))

@@ -5,7 +5,8 @@ Masses and momentum are advected by first-order upwind fluxes on averaged
 face velocities; the pressure gradient of p = Z**gamma_plus is central; the
 viscous term nu_eff * u_xx (nu_eff = 2 mu + lambda in 1D) is an explicit
 central second difference.  The closure is re-solved per cell after every
-stage, which keeps it inside the verification loop.
+stage, which keeps it inside the verification loop; each solve is
+warm-started from the closure root of the previous stage.
 
 A separate diagnostic evolves the volume fraction by its own non-conservative
 equation (upwind advection plus the compression source omega * div u); the
@@ -41,6 +42,7 @@ __all__ = [
     "SSPRK2",
     "ZeroDtError",
     "PositivityLossError",
+    "NonFiniteStateError",
     "SchemeConfig",
     "StepReport",
     "Trajectory",
@@ -60,6 +62,19 @@ class ZeroDtError(RuntimeError):
 
 class PositivityLossError(RuntimeError):
     """A partial mass dropped below the positivity tolerance."""
+
+
+class NonFiniteStateError(RuntimeError):
+    """An update produced NaN or infinite values; carries t, step and cells."""
+
+    def __init__(self, t: float, cells: list[int], step: int | None = None):
+        self.t = t
+        self.cells = cells
+        self.step = step
+        at_step = f" at step {step}" if step is not None else ""
+        super().__init__(
+            f"non-finite state at t={t:.6g}{at_step} in cells {cells[:8]}"
+        )
 
 
 @dataclasses.dataclass
@@ -111,11 +126,15 @@ class SchemeConfig:
 
 @dataclasses.dataclass(frozen=True)
 class StepReport:
+    """Per-step accounting; stage_Z is the closure root of the step's last
+    derived stage, the warm start for deriving the new state."""
+
     dt: float
     max_wave_speed: float
     positivity_clips: int
     closure_iterations: int
     dissipation: float
+    stage_Z: np.ndarray | None = None
 
 
 def _sound_speed(Z, exps):
@@ -226,8 +245,20 @@ def _enforce_positivity(arr, scheme: SchemeConfig, t: float, label: str):
     return np.where(neg, 0.0, arr), clips
 
 
-def _derive(state: FieldState, scheme: SchemeConfig, exps) -> DerivedFields:
-    return derive(state, exps, scheme.closure_tol, scheme.vacuum_alpha, scheme.rho_floor)
+def _state(t, R, Q, m) -> FieldState:
+    try:
+        return FieldState(t=t, R=R, Q=Q, m=m)
+    except ValueError:
+        bad = ~(np.isfinite(R) & np.isfinite(Q) & np.isfinite(m))
+        if bad.any():
+            raise NonFiniteStateError(t, np.flatnonzero(bad).tolist()) from None
+        raise
+
+
+def _derive(state: FieldState, scheme: SchemeConfig, exps, z0=None) -> DerivedFields:
+    return derive(
+        state, exps, scheme.closure_tol, scheme.vacuum_alpha, scheme.rho_floor, z0=z0
+    )
 
 
 def step(
@@ -251,8 +282,8 @@ def step(
     iters = der0.closure_iterations
 
     if scheme.time_integrator == SSPRK2:
-        stage = FieldState(t=t1, R=R1, Q=Q1, m=m1)
-        der1 = _derive(stage, scheme, exps)
+        stage = _state(t1, R1, Q1, m1)
+        der1 = _derive(stage, scheme, exps, z0=der0.Z)
         iters = max(iters, der1.closure_iterations)
         dR1, dQ1, dm1 = _rhs(stage.R, stage.Q, stage.m, der1, grid, scheme, stage.t)
         R2 = 0.5 * (state.R + stage.R + dt * dR1)
@@ -261,9 +292,11 @@ def step(
         R2, cR = _enforce_positivity(R2, scheme, t1, "R")
         Q2, cQ = _enforce_positivity(Q2, scheme, t1, "Q")
         clips += cR + cQ
-        new = FieldState(t=t1, R=R2, Q=Q2, m=m2)
+        new = _state(t1, R2, Q2, m2)
+        stage_Z = der1.Z
     else:
-        new = FieldState(t=t1, R=R1, Q=Q1, m=m1)
+        new = _state(t1, R1, Q1, m1)
+        stage_Z = der0.Z
 
     wave = float(np.max(np.abs(der0.u) + _sound_speed(der0.Z, exps)))
     report = StepReport(
@@ -272,6 +305,7 @@ def step(
         positivity_clips=clips,
         closure_iterations=iters,
         dissipation=dt * dissipation_rate(der0.u, grid, scheme.nu_eff),
+        stage_Z=stage_Z,
     )
     return new, report
 
@@ -361,14 +395,19 @@ def run(cfg) -> Trajectory:
         a_diag = _derive(state, scheme, exps).alpha.copy()
         a_snaps = [a_diag.copy()]
 
+    z_prev = None
     for target in snap_times[1:]:
         while state.t < target:
-            der = _derive(state, scheme, exps)
+            der = _derive(state, scheme, exps, z0=z_prev)
             dt_stable = compute_dt(der, grid, scheme, exps)
             remaining = target - state.t
             landing = dt_stable >= remaining
             dt = remaining if landing else dt_stable
-            new_state, rep = step(state, grid, scheme, exps, dt, derived=der)
+            try:
+                new_state, rep = step(state, grid, scheme, exps, dt, derived=der)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(exc.t, exc.cells, len(dt_hist) + 1) from None
+            z_prev = rep.stage_Z
             if landing:
                 new_state = dataclasses.replace(new_state, t=target)
             if track:

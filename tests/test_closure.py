@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bifluid.closure import (
     AlphaSensitivity,
+    ClosureOverflowError,
     ExponentPair,
     MaxIterExceededError,
     NonFiniteInputError,
@@ -134,6 +135,98 @@ def test_solve_deterministic():
     a = solve_closure(3.7, 1.9, 2.6)
     b = solve_closure(3.7, 1.9, 2.6)
     assert a == b
+
+
+# extreme scales and warm starts -------------------------------------------
+
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _scaled_bisection_log_root(R, Q, gamma):
+    """log Z by bisection on z = Z / s, s = max(R, Q**(1/gamma)) taken in logs."""
+    log_s = max(math.log(R), math.log(Q) / gamma)
+    r = math.exp(math.log(R) - log_s)
+    q = math.exp(math.log(Q) - gamma * log_s)
+    lo, hi = 1.0, max(2.0 * r, (2.0 * q) ** (1.0 / gamma))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (mid - r) * mid ** (gamma - 1.0) < q:
+            lo = mid
+        else:
+            hi = mid
+    return math.log(0.5 * (lo + hi)) + log_s
+
+
+@pytest.mark.parametrize("gamma", [1.3, 2.14])
+def test_solve_huge_R_unit_Q(gamma):
+    # the root exceeds R by a relative Q / R**gamma, far below one ulp
+    Z, _ = solve_closure_batch([1e300], [1.0], gamma)
+    assert Z[0] == pytest.approx(1e300, rel=1e-14)
+
+
+def test_solve_gamma_two_extreme_scales():
+    Z, _ = solve_closure_batch([1e200, 5e-324, 1e-300, 0.0], [1.0, 0.0, 1e-300, 1e300], 2.0)
+    assert Z[0] == pytest.approx(1e200, rel=1e-15)
+    assert Z[1] == 5e-324
+    assert Z[2] == pytest.approx(1e-150, rel=1e-14)
+    assert Z[3] == pytest.approx(1e150, rel=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_solve_zero_Q_gives_R_exactly(gamma):
+    R = np.array([5e-324, 1e-300, 0.7, 3.0, 1e300, np.finfo(float).max])
+    Z, _ = solve_closure_batch(R, np.zeros_like(R), gamma)
+    assert np.array_equal(Z, R)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("R", [0.0, 1.0])
+def test_solve_overflowing_root_raises(R):
+    # Z >= Q**(1/gamma) = 1e616 is beyond float range
+    with pytest.raises(ClosureOverflowError):
+        solve_closure_batch([R], [1e308], 0.5)
+    with pytest.raises(ClosureOverflowError):
+        solve_closure_batch([np.finfo(float).max], [np.finfo(float).max], 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(
+    log10_R=st.floats(-300.0, 300.0),
+    log10_Q=st.floats(-300.0, 300.0),
+    gamma=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.25, 4.0)),
+)
+def test_solve_matches_scaled_bisection_over_float_range(log10_R, log10_Q, gamma):
+    R, Q = 10.0**log10_R, 10.0**log10_Q
+    log_Z = _scaled_bisection_log_root(R, Q, gamma)
+    assume(abs(log_Z - LOG_FLOAT_MAX) > 1e-6)
+    if log_Z > LOG_FLOAT_MAX:
+        with pytest.raises(ClosureOverflowError):
+            solve_closure_batch([R], [Q], gamma)
+        return
+    Z, _ = solve_closure_batch([R], [Q], gamma)
+    assert abs(math.log(Z[0]) - log_Z) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 3.0 / 1.4, 3.0])
+def test_warm_start_converges_to_cold_root(gamma):
+    rng = np.random.default_rng(11)
+    R = rng.uniform(0.0, 10.0, 256)
+    Q = rng.uniform(0.0, 10.0, 256)
+    R[:4] = 0.0
+    Q[2:6] = 0.0
+    Z, iters = solve_closure_batch(R, Q, gamma)
+    near = Z * (1.0 + 1e-6 * rng.standard_normal(Z.size))
+    Zw, iters_w = solve_closure_batch(R, Q, gamma, z0=near)
+    assert iters_w < iters
+    assert np.max(np.abs(Zw - Z) / np.maximum(Z, 1e-300)) <= 1e-11
+    # any start converges: it is clipped into the bracket first
+    for bad in (np.nan, np.inf, -1.0, 0.0, 1e300):
+        Zb, _ = solve_closure_batch(R, Q, gamma, z0=np.full(Z.size, bad))
+        assert np.max(np.abs(Zb - Z) / np.maximum(Z, 1e-300)) <= 1e-11
+    # a warm-started cell does not depend on the other cells of the batch
+    for i in (0, 3, 7, 100):
+        Zi, _ = solve_closure_batch(R[i : i + 1], Q[i : i + 1], gamma, z0=near[i : i + 1])
+        assert Zi[0] == Zw[i]
 
 
 # recover_state -------------------------------------------------------------

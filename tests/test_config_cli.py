@@ -65,6 +65,17 @@ def test_type_errors_name_the_field():
         validate_config(MINIMAL + "\n[verification]\nstrict = maybe\n")
 
 
+@pytest.mark.parametrize(
+    "section, key", [("exponents", "gamma_plus"), ("time", "t_end"), ("initial", "R_amplitude")]
+)
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_floats_rejected(tmp_path, section, key, value):
+    text = f"[{section}]\n{key} = {value}\n"
+    with pytest.raises(ValidationError, match="finite"):
+        validate_config(text)
+    assert main(["validate", "--config", write(tmp_path, "nf.ini", text)]) == 2
+
+
 def test_constraint_errors():
     with pytest.raises(ValidationError, match="cfl"):
         validate_config(MINIMAL + "\n[time]\ncfl = 1.5\n")
@@ -200,6 +211,32 @@ def test_cli_run_failure_writes_record(tmp_path):
     assert main(["run", "--config", path, "--out", out]) == 3
     rec = json.load(open(os.path.join(out, "failure.json")))
     assert rec["error"] == "ZeroDtError"
+
+
+def test_cli_run_non_finite_state_writes_record(tmp_path, capsys):
+    # the momentum flux (R + Q) u^2 overflows in the first step
+    text = MINIMAL + (
+        "\n[viscosity]\nmu = 0.0\n[grid]\nn = 16\n[time]\nt_end = 1e-150\n"
+        "n_snapshots = 2\n[initial]\nu_preset = sine\nu_amplitude = 1e155\n"
+        "[verification]\nallow_inviscid = true\n"
+    )
+    path = write(tmp_path, "blowup.ini", text)
+    out = str(tmp_path / "fail")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", path, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rec = json.load(open(os.path.join(out, "failure.json")))
+    assert rec["error"] == "NonFiniteStateError"
+    assert rec["step"] == 1
+    assert 0.0 < rec["t"] <= 1e-150
+    assert rec["cells"] and all(0 <= c < 16 for c in rec["cells"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_closure_overflow_is_runtime_failure(capsys):
+    argv = ["closure", "--gamma-plus", "1.5", "--gamma-minus", "3.0", "--q-max", "1e308"]
+    assert main(argv + ["--steps", "1"]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_cli_compare_twin_noise_floor(tmp_path):

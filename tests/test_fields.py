@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bifluid.closure import ExponentPair
 from bifluid.fields import (
@@ -85,6 +85,20 @@ def test_derive_locality():
     assert changed[3] and np.count_nonzero(changed) == 1
 
 
+def test_derive_subnormal_pure_phase():
+    # Q = 0 must give Z = R exactly, so alpha = 1 even for a subnormal R
+    d = derive(uniform_state(8, 5e-324, 0.0, 0.0), EXPS)
+    assert np.all(d.Z == 5e-324)
+    assert np.all(d.alpha == 1.0)
+
+
+def test_derive_underflowing_root_gives_pure_minus_phase():
+    # gamma = 0.5: Z = Q**2 = 1e-400 underflows to 0 in a cell that is not vacuum
+    d = derive(uniform_state(8, 0.0, 1e-200, 0.0), ExponentPair(1.5, 3.0))
+    assert np.all(d.Z == 0.0) and not d.vacuum.any()
+    assert np.all(d.alpha == 0.0)
+
+
 def test_derive_gamma_one_scaling():
     # with gamma = 1 the root is R + Q, so scaling (R, Q) scales Z linearly
     exps = ExponentPair(2.0, 2.0)
@@ -136,6 +150,7 @@ def test_total_energy_vacuum_and_velocity_sign():
     Q=st.floats(0.0, 5.0),
     u=st.floats(-3.0, 3.0),
 )
+@example(R=5e-324, Q=0.0, u=0.0)
 def test_total_energy_nonnegative(R, Q, u):
     g = Grid1D(8, 1.0)
     assert total_energy(uniform_state(8, R, Q, u), g, EXPS) >= 0.0

@@ -296,6 +296,43 @@ def test_energy_audit_forced_run_flagged():
     assert aud.skipped and not aud.passed
 
 
+# manufactured forcing ------------------------------------------------------------------
+
+
+def test_mms_forcing_is_the_pde_residual_of_the_exact_fields():
+    # independent reference: central differences of the exact fields and of
+    # the closure pressure, averaged over the same Gauss-3 nodes
+    from bifluid.closure import solve_closure_batch
+    from bifluid.mms import ManufacturedSolution
+
+    mms = ManufacturedSolution(ExponentPair(3.0, 1.4), nu_eff=0.2, length=1.3)
+    grid = Grid1D(24, 1.3)
+    t = 0.37
+    gp, g = mms.exps.gamma_plus, mms.exps.gamma
+
+    def conserved(x, t):
+        R, Q, u = mms.R(x, t), mms.Q(x, t), mms.u(x, t)
+        p = solve_closure_batch(R, Q, g)[0] ** gp
+        m = (R + Q) * u
+        return np.array([R, Q, m]), np.array([R * u, Q * u, m * u + p])
+
+    def residual(x):
+        h = 1e-5
+        dt = (conserved(x, t + h)[0] - conserved(x, t - h)[0]) / (2 * h)
+        dx = (conserved(x + h, t)[1] - conserved(x - h, t)[1]) / (2 * h)
+        hh = 1e-4
+        u_xx = (mms.u(x + hh, t) - 2 * mms.u(x, t) + mms.u(x - hh, t)) / hh**2
+        res = dt + dx
+        res[2] -= mms.nu_eff * u_xx
+        return res
+
+    offsets = np.array([-0.5, 0.0, 0.5]) * math.sqrt(0.6) * grid.dx
+    weights = np.array([5.0, 8.0, 5.0]) / 18.0
+    ref = sum(w * residual(grid.x + o) for w, o in zip(weights, offsets))
+    got = np.array(mms.cell_averages(grid, t))
+    assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
 # convergence study ---------------------------------------------------------------------
 
 
