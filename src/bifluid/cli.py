@@ -23,7 +23,7 @@ from .closure import (
     ExponentPair,
     MaxIterExceededError,
     NonFiniteInputError,
-    recover_state,
+    solve_closure_batch,
 )
 from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
@@ -62,6 +62,8 @@ RUNTIME_ERRORS = (
 )
 
 REF_MODES = ("twin", "fine", "mms")
+
+CLOSURE_BATCH_CELLS = 1 << 16  # closure table cells solved per batch
 
 
 def _fmt(v: float) -> str:
@@ -374,8 +376,12 @@ def cmd_closure(args) -> int:
     if args.steps < 1:
         print("usage error: --steps must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
-    if args.r_min < 0 or args.q_min < 0 or args.r_max < args.r_min or args.q_max < args.q_min:
-        print("usage error: ranges must be nonnegative and ordered", file=sys.stderr)
+    # NaN fails every comparison, so this also rejects non-finite bounds
+    if not (
+        0.0 <= args.r_min <= args.r_max < math.inf
+        and 0.0 <= args.q_min <= args.q_max < math.inf
+    ):
+        print("usage error: ranges must be finite, nonnegative and ordered", file=sys.stderr)
         return EXIT_CONFIG
     try:
         exps = ExponentPair(args.gamma_plus, args.gamma_minus)
@@ -385,19 +391,39 @@ def cmd_closure(args) -> int:
     rs = np.linspace(args.r_min, args.r_max, args.steps + 1)
     qs = np.linspace(args.q_min, args.q_max, args.steps + 1)
     print("R,Q,Z,alpha,rho_minus,p,vacuum")
-    for r in rs:
-        for q in qs:
-            st = recover_state(r, q, exps, vacuum_alpha=args.vacuum_alpha)
+    # one batch solve per block of table rows keeps memory bounded
+    block = max(1, CLOSURE_BATCH_CELLS // qs.size)
+    for start in range(0, rs.size, block):
+        R = np.repeat(rs[start : start + block], qs.size)  # R outer, Q inner
+        Q = np.tile(qs, R.size // qs.size)
+        with np.errstate(over="ignore"):
+            Z, _ = solve_closure_batch(R, Q, exps.gamma)
+            # numpy scalar powers round like Python's float pow, so the table
+            # keeps its digits; they overflow to inf instead of raising
+            rho_minus = [z**exps.gamma for z in Z]
+            p = [z**exps.gamma_plus for z in Z]
+        bad = np.flatnonzero(~np.isfinite(p) | ~np.isfinite(rho_minus))
+        if bad.size:
+            k = bad[0]
+            print(
+                f"closure failed: rho_minus or p overflows float at R={_fmt(R[k])}, Q={_fmt(Q[k])}",
+                file=sys.stderr,
+            )
+            return EXIT_RUNTIME
+        vacuum = Z == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(vacuum, float(args.vacuum_alpha), R / Z)
+        for k in range(Z.size):
             print(
                 ",".join(
                     (
-                        _fmt(r),
-                        _fmt(q),
-                        _fmt(st.Z),
-                        _fmt(st.alpha),
-                        _fmt(st.rho_minus),
-                        _fmt(st.p),
-                        "1" if st.vacuum_flag else "0",
+                        _fmt(R[k]),
+                        _fmt(Q[k]),
+                        _fmt(Z[k]),
+                        _fmt(alpha[k]),
+                        _fmt(rho_minus[k]),
+                        _fmt(p[k]),
+                        "1" if vacuum[k] else "0",
                     )
                 )
             )
@@ -462,6 +488,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RUNTIME_ERRORS as exc:
+        _write_failure(getattr(args, "out", None), exc)
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

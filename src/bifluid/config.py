@@ -73,7 +73,9 @@ class ProfileSpec:
         if self.preset == "uniform":
             return np.full(grid.n, self.value)
         if self.preset == "gaussian_bump":
-            arg = (x - self.center) ** 2 / (2.0 * self.width**2)
+            with np.errstate(over="ignore"):  # a huge width gives a flat profile
+                w2 = np.float64(self.width) ** 2
+            arg = (x - self.center) ** 2 / (2.0 * w2)
             return self.base + self.amplitude * np.exp(-arg)
         if self.preset == "sine":
             return self.base + self.amplitude * np.sin(

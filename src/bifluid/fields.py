@@ -1,9 +1,9 @@
 """1D grid, simulation state, per-cell derived closure fields, diagnostics.
 
 States are immutable snapshots of the conserved unknowns (R, Q, momentum) at
-cell centers.  Integral reductions use numpy's deterministic summation, so
-re-evaluation is bit-identical; invariance under index permutation is not
-promised.
+cell centers, stored as one (3, n) array.  Integral reductions use numpy's
+deterministic summation, so re-evaluation is bit-identical; invariance under
+index permutation is not promised.
 """
 
 from __future__ import annotations
@@ -69,36 +69,58 @@ class Grid1D:
         """Cell-center coordinates."""
         return (np.arange(self.n) + 0.5) * self.dx
 
+    @property
+    def n_faces(self) -> int:
+        """Distinct cell faces: n when periodic (the last one wraps), n + 1 with walls."""
+        return self.n if self.bc == PERIODIC else self.n + 1
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class FieldState:
-    """Conserved unknowns at one time: partial masses R, Q and momentum m."""
+    """Conserved unknowns at one time: partial masses R, Q and momentum m.
+
+    They are stored as the rows of one read-only (3, n) array U; R, Q and m
+    are row views of it.  Build a state from the three rows, which are
+    copied, or from a stacked U, which is frozen in place without a copy.
+    """
 
     t: float
-    R: np.ndarray
-    Q: np.ndarray
-    m: np.ndarray
+    U: np.ndarray
 
-    def __post_init__(self):
-        for name in ("R", "Q", "m"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        if not (self.R.ndim == 1 and self.R.shape == self.Q.shape == self.m.shape):
-            raise ValueError("R, Q, m must be 1D arrays of equal length")
-        for name in ("R", "Q", "m"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in {name}")
-        if (self.R < 0.0).any() or (self.Q < 0.0).any():
+    def __init__(self, t, R=None, Q=None, m=None, *, U=None):
+        if U is None:
+            rows = [np.asarray(a, dtype=float) for a in (R, Q, m)]
+            if not (rows[0].ndim == 1 and rows[0].shape == rows[1].shape == rows[2].shape):
+                raise ValueError("R, Q, m must be 1D arrays of equal length")
+            U = np.stack(rows)
+        else:
+            U = np.asarray(U, dtype=float)
+            if not (U.ndim == 2 and U.shape[0] == 3):
+                raise ValueError("U must have shape (3, n)")
+        if not np.isfinite(U).all():
+            row = int(np.flatnonzero(~np.isfinite(U).all(axis=1))[0])
+            raise ValueError(f"non-finite values in {'RQm'[row]}")
+        if (U[:2] < 0.0).any():
             raise ValueError("partial masses must be nonnegative")
+        U.setflags(write=False)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "U", U)
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.U[0]
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self.U[1]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.U[2]
 
     @property
     def n(self) -> int:
-        return self.R.shape[0]
+        return self.U.shape[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,15 +259,16 @@ def _fmt(v: float) -> str:
 def write_snapshot(path, grid: Grid1D, state: FieldState, derived: DerivedFields) -> None:
     """Write one CSV row per cell with 17 significant digits."""
     x = grid.x
+    R, Q, m = state.U
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
         for i in range(grid.n):
             row = (
                 str(i),
                 _fmt(x[i]),
-                _fmt(state.R[i]),
-                _fmt(state.Q[i]),
-                _fmt(state.m[i]),
+                _fmt(R[i]),
+                _fmt(Q[i]),
+                _fmt(m[i]),
                 _fmt(derived.Z[i]),
                 _fmt(derived.alpha[i]),
                 _fmt(derived.rho_plus[i]),

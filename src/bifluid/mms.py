@@ -72,7 +72,7 @@ class ManufacturedSolution:
     # sources ------------------------------------------------------------
 
     def cell_averages(self, grid: Grid1D, t: float):
-        """Gauss-3 cell averages of the three sources at time t.
+        """Gauss-3 cell averages of the three sources at time t, as (3, n).
 
         The three nodes of every cell form one (3, n) batch: one sin/cos pair
         of k x (angle addition gives the phases shifted by t) serves all
@@ -116,4 +116,5 @@ class ManufacturedSolution:
             - self.nu_eff * du_dxx
         )
         w = _GAUSS3_WEIGHTS
-        return tuple(w[0] * s[0] + w[1] * s[1] + w[2] * s[2] for s in (sR, sQ, sm))
+        nodes = np.array((sR, sQ, sm))  # (source, node, cell)
+        return w[0] * nodes[:, 0] + w[1] * nodes[:, 1] + w[2] * nodes[:, 2]

@@ -1,12 +1,15 @@
 """Explicit finite-volume time stepping of the reformulated two-fluid system.
 
-Unknowns per cell: partial masses R, Q and mixture momentum m = (R + Q) u.
+Unknowns per cell: partial masses R, Q and mixture momentum m = (R + Q) u,
+stored as the rows of one (3, n) array that the stages update as a whole.
 Masses and momentum are advected by first-order upwind fluxes on averaged
-face velocities; the pressure gradient of p = Z**gamma_plus is central; the
-viscous term nu_eff * u_xx (nu_eff = 2 mu + lambda in 1D) is an explicit
-central second difference.  The closure is re-solved per cell after every
-stage, which keeps it inside the verification loop; each solve is
-warm-started from the closure root of the previous stage.
+face velocities, with one donor selection for all three rows; the pressure
+gradient of p = Z**gamma_plus is central; the viscous term nu_eff * u_xx
+(nu_eff = 2 mu + lambda in 1D) is an explicit central second difference.
+Every stencil reads ghost-padded copies built by one helper, the only code
+that distinguishes periodic from no-slip boundaries.  The closure is
+re-solved per cell after every stage, which keeps it inside the verification
+loop; each solve is warm-started from the closure root of the previous stage.
 
 A separate diagnostic evolves the volume fraction by its own non-conservative
 equation (upwind advection plus the compression source omega * div u); the
@@ -91,7 +94,6 @@ class SchemeConfig:
     lam: float = 0.0
     cfl: float = 0.9
     time_integrator: str = SSPRK2
-    flux: str = "upwind"
     forcing: object | None = None
     flux_sign: float = 1.0
     positivity_tol: float = 1e-12
@@ -113,8 +115,6 @@ class SchemeConfig:
             raise ValueError("mu = 0 requires the inviscid-diagnostic flag")
         if self.time_integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if self.flux != "upwind":
-            raise ValueError("only the upwind flux is implemented")
         if self.flux_sign not in (1.0, -1.0):
             raise ValueError("flux_sign must be +1 or -1")
 
@@ -137,19 +137,29 @@ class StepReport:
     stage_Z: np.ndarray | None = None
 
 
-def _sound_speed(Z, exps):
-    # mixture estimate from p = Z**gamma_plus treating Z as the density
-    return np.sqrt(exps.gamma_plus * np.power(Z, exps.gamma_plus - 1.0))
+def _wave_speed(der: DerivedFields, exps) -> np.ndarray:
+    """Per-cell signal speed |u| + c, shared by the step size and the report.
+
+    c is the mixture estimate from p = Z**gamma_plus treating Z as the density.
+    """
+    gp = exps.gamma_plus
+    return np.abs(der.u) + np.sqrt(gp * np.power(der.Z, gp - 1.0))
 
 
-def compute_dt(der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, exps) -> float:
-    """Largest stable step: advective dx/(|u|+c) and explicit-viscous dx^2 rho/(2 nu)."""
+def compute_dt(
+    der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, exps, speed=None
+) -> float:
+    """Largest stable step: advective dx/(|u|+c) and explicit-viscous dx^2 rho/(2 nu).
+
+    speed, the per-cell |u| + c of der, is computed here when not given.
+    """
     rho = der.R + der.Q
     live = rho > scheme.rho_floor
     if not live.any():
         raise ZeroDtError("state is entirely vacuum")
-    speed = np.abs(der.u[live]) + _sound_speed(der.Z[live], exps)
-    bound = float(np.min(grid.dx / speed))
+    if speed is None:
+        speed = _wave_speed(der, exps)
+    bound = float(np.min(grid.dx / speed[live]))
     if scheme.nu_eff > 0.0:
         visc = float(np.min(grid.dx * grid.dx * rho[live] / (2.0 * scheme.nu_eff)))
         bound = min(bound, visc)
@@ -159,51 +169,30 @@ def compute_dt(der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, exps) -> 
     return dt
 
 
-def _upwind_divergence(phi, u, grid: Grid1D):
-    dx = grid.dx
+def _ghosted(a, grid: Grid1D, wall: float):
+    """Copy of a (..., n) with one ghost cell at each end of the last axis.
+
+    It is the only stencil code that branches on the boundary condition.
+    Periodic ghosts wrap around.  No-slip ghosts are wall times the edge cell:
+    -1 mirrors a velocity, so the wall value is zero and a wall face carries
+    no flux; +1 gives a zero gradient across the wall; 0 puts the wall
+    value itself in the ghost.
+    """
     if grid.bc == PERIODIC:
-        u_face = 0.5 * (u + np.roll(u, -1))  # face i sits between cells i and i+1
-        donor = np.where(u_face > 0.0, phi, np.roll(phi, -1))
-        flux = u_face * donor
-        return (flux - np.roll(flux, 1)) / dx
-    # no-slip walls carry zero face velocity, hence exactly zero flux
-    u_face = 0.5 * (u[:-1] + u[1:])
-    donor = np.where(u_face > 0.0, phi[:-1], phi[1:])
-    flux = np.concatenate(([0.0], u_face * donor, [0.0]))
-    return (flux[1:] - flux[:-1]) / dx
-
-
-def _pressure_gradient(p, grid: Grid1D):
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        return (np.roll(p, -1) - np.roll(p, 1)) / (2.0 * dx)
-    ext = np.concatenate(([p[0]], p, [p[-1]]))  # zero-gradient ghosts
-    return (ext[2:] - ext[:-2]) / (2.0 * dx)
-
-
-def _velocity_laplacian(u, grid: Grid1D):
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
-    ext = np.concatenate(([-u[0]], u, [-u[-1]]))  # reflection puts u = 0 on walls
-    return (ext[2:] - 2.0 * u + ext[:-2]) / (dx * dx)
+        return np.concatenate((a[..., -1:], a, a[..., :1]), axis=-1)
+    return np.concatenate((wall * a[..., :1], a, wall * a[..., -1:]), axis=-1)
 
 
 def divergence(u, grid: Grid1D):
     """Central velocity divergence honouring the boundary condition."""
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
-    ext = np.concatenate(([-u[0]], u, [-u[-1]]))
-    return (ext[2:] - ext[:-2]) / (2.0 * dx)
+    ug = _ghosted(u, grid, -1.0)
+    return (ug[2:] - ug[:-2]) / (2.0 * grid.dx)
 
 
 def velocity_face_gradient(u, grid: Grid1D):
-    """du/dx at faces; no-slip walls contribute their zero velocity."""
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        return (np.roll(u, -1) - u) / dx
-    return np.concatenate(([u[0]], np.diff(u), [-u[-1]])) / dx
+    """du/dx at the grid's faces; no-slip walls contribute their zero velocity."""
+    g = np.diff(_ghosted(u, grid, 0.0)) / grid.dx
+    return g[g.size - grid.n_faces :]
 
 
 def dissipation_rate(u, grid: Grid1D, nu_eff: float) -> float:
@@ -212,44 +201,54 @@ def dissipation_rate(u, grid: Grid1D, nu_eff: float) -> float:
     return float(nu_eff * np.sum(g * g) * grid.dx)
 
 
-def _rhs(R, Q, m, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, t: float):
-    s = scheme.flux_sign
-    dR = -s * _upwind_divergence(R, der.u, grid)
-    dQ = -s * _upwind_divergence(Q, der.u, grid)
-    dm = (
-        -s * _upwind_divergence(m, der.u, grid)
-        - _pressure_gradient(der.p, grid)
-        + scheme.nu_eff * _velocity_laplacian(der.u, grid)
-    )
+def _rhs(U, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, t: float):
+    """Time derivative of the stacked state U = (R, Q, m).
+
+    One face velocity, one donor selection and one flux difference serve all
+    three rows: first-order upwind transport.  The momentum row adds the
+    central pressure gradient and the viscous term nu_eff * u_xx.  Every
+    expression keeps the operand order of the scheme written one equation at
+    a time, so results are bit-identical to it (tests/test_solver.py).
+    """
+    dx = grid.dx
+    ug = _ghosted(der.u, grid, -1.0)
+    pg = _ghosted(der.p, grid, 1.0)
+    Ug = _ghosted(U, grid, 1.0)
+    u_face = 0.5 * (ug[:-1] + ug[1:])  # face j sits between ghosted cells j and j+1
+    flux = u_face * np.where(u_face > 0.0, Ug[:, :-1], Ug[:, 1:])
+    dU = -scheme.flux_sign * ((flux[:, 1:] - flux[:, :-1]) / dx)
+    dU[2] -= (pg[2:] - pg[:-2]) / (2.0 * dx)
+    dU[2] += scheme.nu_eff * ((ug[2:] - 2.0 * der.u + ug[:-2]) / (dx * dx))
     if scheme.forcing is not None:
-        fR, fQ, fm = scheme.forcing.cell_averages(grid, t)
-        dR = dR + fR
-        dQ = dQ + fQ
-        dm = dm + fm
-    return dR, dQ, dm
+        dU += scheme.forcing.cell_averages(grid, t)
+    return dU
 
 
-def _enforce_positivity(arr, scheme: SchemeConfig, t: float, label: str):
-    neg = arr < 0.0
+def _enforce_positivity(U, scheme: SchemeConfig, t: float) -> int:
+    """Zero the round-off negatives of R and Q in place; returns the clip count."""
+    masses = U[:2]
+    neg = masses < 0.0
     if not neg.any():
-        return arr, 0
-    bad = arr < -scheme.positivity_tol
+        return 0
+    bad = masses < -scheme.positivity_tol
     clips = int(np.count_nonzero(bad))
     if clips and scheme.strict_positivity:
-        cells = np.flatnonzero(bad)
+        row = 0 if bad[0].any() else 1
+        cells = np.flatnonzero(bad[row])
         raise PositivityLossError(
-            f"{label} fell below -{scheme.positivity_tol:g} at t={t:.6g} "
-            f"in cells {cells.tolist()[:8]} (min {float(arr.min()):.3e})"
+            f"{'RQ'[row]} fell below -{scheme.positivity_tol:g} at t={t:.6g} "
+            f"in cells {cells.tolist()[:8]} (min {float(masses[row].min()):.3e})"
         )
     # round-off negatives above the tolerance are zeroed without counting
-    return np.where(neg, 0.0, arr), clips
+    masses[neg] = 0.0
+    return clips
 
 
-def _state(t, R, Q, m) -> FieldState:
+def _state(t, U) -> FieldState:
     try:
-        return FieldState(t=t, R=R, Q=Q, m=m)
+        return FieldState(t, U=U)
     except ValueError:
-        bad = ~(np.isfinite(R) & np.isfinite(Q) & np.isfinite(m))
+        bad = ~np.isfinite(U).all(axis=0)
         if bad.any():
             raise NonFiniteStateError(t, np.flatnonzero(bad).tolist()) from None
         raise
@@ -268,40 +267,36 @@ def step(
     exps,
     dt: float,
     derived: DerivedFields | None = None,
+    speed: np.ndarray | None = None,
 ) -> tuple[FieldState, StepReport]:
-    """Advance one explicit step of size dt; returns the new state and a report."""
+    """Advance one explicit step of size dt; returns the new state and a report.
+
+    derived (the derived fields of state) and speed (their per-cell |u| + c)
+    are computed here when not given.
+    """
     der0 = derived if derived is not None else _derive(state, scheme, exps)
+    if speed is None:
+        speed = _wave_speed(der0, exps)
     t1 = state.t + dt
-    dR, dQ, dm = _rhs(state.R, state.Q, state.m, der0, grid, scheme, state.t)
-    R1 = state.R + dt * dR
-    Q1 = state.Q + dt * dQ
-    m1 = state.m + dt * dm
-    R1, cR = _enforce_positivity(R1, scheme, t1, "R")
-    Q1, cQ = _enforce_positivity(Q1, scheme, t1, "Q")
-    clips = cR + cQ
+    U1 = state.U + dt * _rhs(state.U, der0, grid, scheme, state.t)
+    clips = _enforce_positivity(U1, scheme, t1)
     iters = der0.closure_iterations
 
     if scheme.time_integrator == SSPRK2:
-        stage = _state(t1, R1, Q1, m1)
+        stage = _state(t1, U1)
         der1 = _derive(stage, scheme, exps, z0=der0.Z)
         iters = max(iters, der1.closure_iterations)
-        dR1, dQ1, dm1 = _rhs(stage.R, stage.Q, stage.m, der1, grid, scheme, stage.t)
-        R2 = 0.5 * (state.R + stage.R + dt * dR1)
-        Q2 = 0.5 * (state.Q + stage.Q + dt * dQ1)
-        m2 = 0.5 * (state.m + stage.m + dt * dm1)
-        R2, cR = _enforce_positivity(R2, scheme, t1, "R")
-        Q2, cQ = _enforce_positivity(Q2, scheme, t1, "Q")
-        clips += cR + cQ
-        new = _state(t1, R2, Q2, m2)
+        U2 = 0.5 * (state.U + U1 + dt * _rhs(U1, der1, grid, scheme, t1))
+        clips += _enforce_positivity(U2, scheme, t1)
+        new = _state(t1, U2)
         stage_Z = der1.Z
     else:
-        new = _state(t1, R1, Q1, m1)
+        new = _state(t1, U1)
         stage_Z = der0.Z
 
-    wave = float(np.max(np.abs(der0.u) + _sound_speed(der0.Z, exps)))
     report = StepReport(
         dt=dt,
-        max_wave_speed=wave,
+        max_wave_speed=float(np.max(speed)),
         positivity_clips=clips,
         closure_iterations=iters,
         dissipation=dt * dissipation_rate(der0.u, grid, scheme.nu_eff),
@@ -321,15 +316,8 @@ def alpha_diagnostic_step(alpha, u, div_u, gamma, dt, grid: Grid1D):
     exact equation preserves the bounds, so persistent clamping flags a
     scheme bug).
     """
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        gm = (alpha - np.roll(alpha, 1)) / dx
-        gp = (np.roll(alpha, -1) - alpha) / dx
-    else:
-        ext = np.concatenate(([alpha[0]], alpha, [alpha[-1]]))
-        gm = (alpha - ext[:-2]) / dx
-        gp = (ext[2:] - alpha) / dx
-    adv = u * np.where(u > 0.0, gm, gp)
+    g = np.diff(_ghosted(alpha, grid, 1.0)) / grid.dx  # one-sided slopes at faces
+    adv = u * np.where(u > 0.0, g[:-1], g[1:])
     new = alpha - dt * (adv + closure.omega_of_alpha(alpha, gamma) * div_u)
     clamps = int(np.count_nonzero((new < -_CLAMP_EPS) | (new > 1.0 + _CLAMP_EPS)))
     return np.clip(new, 0.0, 1.0), clamps
@@ -399,12 +387,15 @@ def run(cfg) -> Trajectory:
     for target in snap_times[1:]:
         while state.t < target:
             der = _derive(state, scheme, exps, z0=z_prev)
-            dt_stable = compute_dt(der, grid, scheme, exps)
+            speed = _wave_speed(der, exps)
+            dt_stable = compute_dt(der, grid, scheme, exps, speed)
             remaining = target - state.t
             landing = dt_stable >= remaining
             dt = remaining if landing else dt_stable
             try:
-                new_state, rep = step(state, grid, scheme, exps, dt, derived=der)
+                new_state, rep = step(
+                    state, grid, scheme, exps, dt, derived=der, speed=speed
+                )
             except NonFiniteStateError as exc:
                 raise NonFiniteStateError(exc.t, exc.cells, len(dt_hist) + 1) from None
             z_prev = rep.stage_Z

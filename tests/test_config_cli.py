@@ -1,10 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bifluid
+from bifluid import cli
 from bifluid.cli import main
+from bifluid.closure import ExponentPair, recover_state
 from bifluid.config import ParseError, ValidationError, validate_config
 
 MINIMAL = """
@@ -413,7 +418,48 @@ def test_cli_closure_table_degenerate_R_zero(capsys):
     assert len(vac_rows) == 3  # the Q = 0 rows are flagged vacuum
 
 
+@pytest.mark.parametrize("r", ["1e300", "1e200"])
+def test_cli_closure_overflowing_pressure_exits_3_without_traceback(r):
+    # Z is finite, but Z**gamma_plus (and at 1e300 Z**gamma) overflows
+    argv = [
+        "closure", "--gamma-plus", "3", "--gamma-minus", "1.5",
+        "--r-min", r, "--r-max", r, "--q-min", "1", "--q-max", "1", "--steps", "1",
+    ]
+    src = os.path.dirname(os.path.dirname(bifluid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bifluid.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("closure failed: rho_minus or p overflows float")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == "R,Q,Z,alpha,rho_minus,p,vacuum\n"
+
+
+def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(capsys, monkeypatch):
+    argv = [
+        "closure", "--gamma-plus", "3.0", "--gamma-minus", "1.4",
+        "--r-max", "2", "--q-max", "3", "--steps", "10", "--vacuum-alpha", "0.25",
+    ]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    monkeypatch.setattr(cli, "CLOSURE_BATCH_CELLS", 7)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+    exps = ExponentPair(3.0, 1.4)
+    for line in table.splitlines()[1:]:
+        r, q = (float(v) for v in line.split(",")[:2])
+        st = recover_state(r, q, exps, vacuum_alpha=0.25)
+        want = (r, q, st.Z, st.alpha, st.rho_minus, st.p)
+        assert line == ",".join(format(v, ".17g") for v in want) + (",1" if st.vacuum_flag else ",0")
+
+
 def test_cli_closure_table_usage_errors(capsys):
     assert main(["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", "--steps", "0"]) == 2
     assert main(["closure", "--gamma-plus", "1.0", "--gamma-minus", "1.5"]) == 2
     assert main(["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", "--r-min", "-1.0"]) == 2
+    for bound in ("--r-min", "--r-max", "--q-min", "--q-max"):
+        for value in ("nan", "inf"):
+            argv = ["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", bound, value]
+            assert main(argv) == 2
