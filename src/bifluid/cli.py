@@ -114,23 +114,32 @@ def _write_failure(out_dir, exc) -> None:
     _write_json(os.path.join(out_dir, "failure.json"), record)
 
 
-def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> None:
-    """Snapshots plus report.json for one finished trajectory."""
+def write_run_outputs(
+    traj: Trajectory, out_dir, cfg: SimConfig, derived=None, energies=None
+) -> None:
+    """Snapshots plus report.json for one finished trajectory.
+
+    derived and energies, when given, are the derived fields and total
+    energies of traj.states; otherwise each snapshot is derived once, for
+    both its CSV and its energy.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    if derived is None:
+        derived = map(traj.derived, range(len(traj.states)))
     names = []
-    for k, state in enumerate(traj.states):
+    energy_series = []
+    for k, (state, der) in enumerate(zip(traj.states, derived)):
         name = f"snapshot_{k:04d}.csv"
-        der = traj.derived(k)
         write_snapshot(os.path.join(out_dir, name), traj.grid, state, der)
         names.append(name)
+        if energies is None:
+            energy_series.append(total_energy(state, traj.grid, traj.exps, derived=der))
+    if energies is None:
+        energies = energy_series
     masses = [total_mass(s, traj.grid) for s in traj.states]
     mr0, mq0 = masses[0]
     drift_r = max(abs(mr - mr0) for mr, _ in masses) / max(abs(mr0), 1e-300)
     drift_q = max(abs(mq - mq0) for _, mq in masses) / max(abs(mq0), 1e-300)
-    energies = [
-        total_energy(s, traj.grid, traj.exps, derived=traj.derived(i))
-        for i, s in enumerate(traj.states)
-    ]
     report = {
         "config": dataclasses.asdict(cfg),
         "snapshots": names,
@@ -160,25 +169,16 @@ def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> None:
     _write_json(os.path.join(out_dir, "report.json"), report)
 
 
+_RE_ROW = ",".join(["%.17g"] * 7) + "\n"
+
+
 def write_re_report(path, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("t,E_kin,E_alpha,E_breg_plus,E_breg_minus,E_total,D\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.t,
-                        r.E_kin,
-                        r.E_alpha,
-                        r.E_breg_plus,
-                        r.E_breg_minus,
-                        r.E_total,
-                        r.D,
-                    )
-                )
-                + "\n"
-            )
+        fh.writelines(
+            _RE_ROW % (r.t, r.E_kin, r.E_alpha, r.E_breg_plus, r.E_breg_minus, r.E_total, r.D)
+            for r in rows
+        )
 
 
 def _load_config(path, strict_flag: bool):
@@ -293,7 +293,7 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
         verify.coercivity_check(da, db, grid, exps, window[0], window[1])
         for da, db in zip(der_a, der_b)
     ]
-    audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
+    audit = verify.energy_audit(traj_a, cfg_a.energy_eps, derived=der_a)
 
     payload = {
         "ref_mode": ref_mode,
@@ -315,7 +315,9 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
         os.makedirs(out_dir, exist_ok=True)
         write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
         _write_json(os.path.join(out_dir, "verify.json"), payload)
-        write_run_outputs(traj_a, os.path.join(out_dir, "run_a"), cfg_a)
+        write_run_outputs(
+            traj_a, os.path.join(out_dir, "run_a"), cfg_a, derived=der_a, energies=audit.E
+        )
         if traj_b is not None:
             write_run_outputs(traj_b, os.path.join(out_dir, "run_b"), cfg_b)
     return rows, payload

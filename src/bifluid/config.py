@@ -68,7 +68,8 @@ class ProfileSpec:
         if self.preset == "from_file" and not self.path:
             raise ValidationError(f"initial.{name}_path required for from_file")
 
-    def build(self, grid: Grid1D, column: str) -> np.ndarray:
+    def build(self, grid: Grid1D, column: str, snapshots: dict) -> np.ndarray:
+        """The profile on the grid; snapshots caches the files read, by path."""
         x = grid.x
         if self.preset == "uniform":
             return np.full(grid.n, self.value)
@@ -81,8 +82,9 @@ class ProfileSpec:
             return self.base + self.amplitude * np.sin(
                 2.0 * math.pi * self.waves * x / grid.length
             )
-        data = read_snapshot(self.path)
-        values = data[column]
+        if self.path not in snapshots:
+            snapshots[self.path] = read_snapshot(self.path)
+        values = snapshots[self.path][column]
         if values.shape[0] != grid.n:
             raise ValidationError(
                 f"initial.{column}_path has {values.shape[0]} cells, grid has {grid.n}"
@@ -195,9 +197,10 @@ class SimConfig:
         """Initial data on the grid; manufactured runs start on the exact fields."""
         if self.mms_enabled:
             return self.manufactured().state(grid, 0.0)
-        R0 = self.r_init.build(grid, "R")
-        Q0 = self.q_init.build(grid, "Q")
-        u0 = self.u_init.build(grid, "u")
+        snapshots = {}  # one read of a file that R, Q and u share
+        R0 = self.r_init.build(grid, "R", snapshots)
+        Q0 = self.q_init.build(grid, "Q", snapshots)
+        u0 = self.u_init.build(grid, "u", snapshots)
         if self.perturb_epsilon != 0.0:
             pr, pq, pu = self._perturbations(grid.x)
             R0 = R0 + self.perturb_epsilon * pr
@@ -218,7 +221,9 @@ class SimConfig:
 
     # validation ------------------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self) -> FieldState:
+        """Raise ValidationError on the first bad field; return the initial state."""
+
         def need(cond: bool, field: str, constraint: str):
             if not cond:
                 raise ValidationError(f"{field}: {constraint}")
@@ -248,17 +253,18 @@ class SimConfig:
             spec.validate(name)
         # building the initial data checks pointwise nonnegativity
         try:
-            self.initial_state(self.grid())
+            return self.initial_state(self.grid())
         except ValidationError:
             raise
         except (ValueError, OSError) as exc:
             raise ValidationError(f"initial data: {exc}") from exc
 
-    def admissibility_warnings(self) -> list[str]:
+    def admissibility_warnings(self, state: FieldState | None = None) -> list[str]:
         """Conditions for global weak existence that this data does not meet.
 
         These are hypotheses of the known existence theory, not requirements
-        of the scheme, hence warnings rather than errors.
+        of the scheme, hence warnings rather than errors.  state is the
+        initial state when the caller has already built it.
         """
         out = []
         if self.gamma_plus < 9.0 / 5.0:
@@ -266,7 +272,8 @@ class SimConfig:
                 f"gamma_plus = {self.gamma_plus:g} < 9/5: outside the weak-existence "
                 "hypothesis on the adiabatic exponents"
             )
-        state = self.initial_state(self.grid())
+        if state is None:
+            state = self.initial_state(self.grid())
         R0, Q0 = state.R, state.Q
         unbounded = bool(((R0 == 0.0) & (Q0 > 0.0)).any())
         if unbounded:
@@ -310,29 +317,7 @@ class SimConfig:
 
     @staticmethod
     def from_text(text: str) -> "SimConfig":
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.optionxform = str
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            line = getattr(exc, "lineno", None)
-            where = f" (line {line})" if line is not None else ""
-            raise ParseError(f"config parse failure{where}: {exc}") from exc
-        known = dict(_schema())
-        cfg = SimConfig()
-        for section in parser.sections():
-            if section not in known:
-                raise ValidationError(f"unknown config section [{section}]")
-            keys = dict(known[section])
-            for key, raw in parser[section].items():
-                if key not in keys:
-                    raise ValidationError(f"unknown key '{key}' in section [{section}]")
-                attr = keys[key]
-                try:
-                    value = _convert(raw, _get_attr(cfg, attr))
-                except ValueError as exc:
-                    raise ValidationError(f"[{section}] {key}: {exc}") from exc
-                _set_attr(cfg, attr, value)
+        cfg = _parse(text)
         cfg.validate()
         return cfg
 
@@ -340,6 +325,34 @@ class SimConfig:
     def from_file(path) -> "SimConfig":
         with open(path, "r") as fh:
             return SimConfig.from_text(fh.read())
+
+
+def _parse(text: str) -> SimConfig:
+    """Config text to a SimConfig with defaults filled in, not yet validated."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None)
+        where = f" (line {line})" if line is not None else ""
+        raise ParseError(f"config parse failure{where}: {exc}") from exc
+    known = dict(_schema())
+    cfg = SimConfig()
+    for section in parser.sections():
+        if section not in known:
+            raise ValidationError(f"unknown config section [{section}]")
+        keys = dict(known[section])
+        for key, raw in parser[section].items():
+            if key not in keys:
+                raise ValidationError(f"unknown key '{key}' in section [{section}]")
+            attr = keys[key]
+            try:
+                value = _convert(raw, _get_attr(cfg, attr))
+            except ValueError as exc:
+                raise ValidationError(f"[{section}] {key}: {exc}") from exc
+            _set_attr(cfg, attr, value)
+    return cfg
 
 
 def _schema():
@@ -459,5 +472,6 @@ def _render(value) -> str:
 
 def validate_config(text: str) -> tuple[SimConfig, list[str]]:
     """Parse + validate config text; returns (config, admissibility warnings)."""
-    cfg = SimConfig.from_text(text)
-    return cfg, cfg.admissibility_warnings()
+    cfg = _parse(text)
+    state = cfg.validate()
+    return cfg, cfg.admissibility_warnings(state)

@@ -9,6 +9,7 @@ index permutation is not promised.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -252,31 +253,32 @@ def restrict(state: FieldState, factor: int) -> FieldState:
     return FieldState(t=state.t, R=avg(state.R), Q=avg(state.Q), m=avg(state.m))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+SNAPSHOT_BLOCK_ROWS = 4096  # rows per `%` call; bounds the text held in memory
+
+
+@functools.lru_cache(maxsize=4)
+def _snapshot_templates(grid: Grid1D) -> tuple[str, ...]:
+    """One `%` template per block of rows, with the i and x columns baked in."""
+    values = ",%.17g" * (len(SNAPSHOT_COLUMNS) - 2)
+    rows = [f"{i},{x:.17g}{values}\n" for i, x in enumerate(grid.x.tolist())]
+    step = SNAPSHOT_BLOCK_ROWS
+    return tuple("".join(rows[k : k + step]) for k in range(0, grid.n, step))
 
 
 def write_snapshot(path, grid: Grid1D, state: FieldState, derived: DerivedFields) -> None:
-    """Write one CSV row per cell with 17 significant digits."""
-    x = grid.x
-    R, Q, m = state.U
+    """Write one CSV row per cell with 17 significant digits (`%.17g`).
+
+    Each block of rows is one `%` format of a cached per-grid template (one
+    block up to SNAPSHOT_BLOCK_ROWS cells), so the digits are those of
+    format(v, ".17g"), including -0, subnormals, inf and nan.
+    """
+    d = derived
+    table = np.stack((*state.U, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u), axis=1)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        for i in range(grid.n):
-            row = (
-                str(i),
-                _fmt(x[i]),
-                _fmt(R[i]),
-                _fmt(Q[i]),
-                _fmt(m[i]),
-                _fmt(derived.Z[i]),
-                _fmt(derived.alpha[i]),
-                _fmt(derived.rho_plus[i]),
-                _fmt(derived.rho_minus[i]),
-                _fmt(derived.p[i]),
-                _fmt(derived.u[i]),
-            )
-            fh.write(",".join(row) + "\n")
+        for k, template in enumerate(_snapshot_templates(grid)):
+            block = table[k * SNAPSHOT_BLOCK_ROWS : (k + 1) * SNAPSHOT_BLOCK_ROWS]
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def read_snapshot(path) -> dict[str, np.ndarray]:

@@ -164,14 +164,18 @@ class EnergyAudit:
     dissipation_cum: list[float]
 
 
-def energy_audit(traj: Trajectory, eps_E: float = 1e-3) -> EnergyAudit:
+def energy_audit(traj: Trajectory, eps_E: float = 1e-3, derived=None) -> EnergyAudit:
     """Check E(tau) + cumulative dissipation <= E(0) * (1 + eps_E) at snapshots.
 
-    Skipped (and flagged) for forced runs, where sources inject energy.
+    derived, when given, holds the derived fields of traj.states, so no
+    snapshot is derived again.  Skipped (and flagged) for forced runs, where
+    sources inject energy.
     """
+    if derived is None:
+        derived = map(traj.derived, range(len(traj.states)))
     energies = [
-        total_energy(s, traj.grid, traj.exps, derived=traj.derived(i))
-        for i, s in enumerate(traj.states)
+        total_energy(s, traj.grid, traj.exps, derived=d)
+        for s, d in zip(traj.states, derived)
     ]
     if traj.forced:
         return EnergyAudit(

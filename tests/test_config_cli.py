@@ -141,6 +141,36 @@ def test_from_file_preset(tmp_path):
     assert np.array_equal(s2.R, state.R)
 
 
+def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
+    from bifluid import config
+    from bifluid.fields import derive, write_snapshot
+
+    cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
+    state = cfg.initial_state(cfg.grid())
+    snap = tmp_path / "init.csv"
+    write_snapshot(snap, cfg.grid(), state, derive(state, cfg.exponents()))
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    real_read = config.read_snapshot
+    monkeypatch.setattr(config, "read_snapshot", counting_read)
+    # gamma_plus below 9/5 gives warnings, which must not rebuild the state;
+    # R, Q and u restart from one file, which is read once
+    text = (
+        MINIMAL.replace("gamma_plus = 3.0", "gamma_plus = 1.6")
+        + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n[initial]\n"
+        + "".join(f"{f}_preset = from_file\n{f}_path = {snap}\n" for f in "RQu")
+    )
+    cfg2, warnings = validate_config(text)
+    assert reads == [str(snap)]
+    assert warnings and warnings == cfg2.admissibility_warnings()
+    restart = cfg2.initial_state(cfg2.grid())
+    assert np.array_equal(restart.U, state.U)
+
+
 def test_snapshot_times_and_resolution_helpers():
     cfg, _ = validate_config(MINIMAL + "\n[time]\nt_end = 1.0\nn_snapshots = 5\n")
     assert cfg.snapshot_times() == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -269,6 +299,69 @@ def test_cli_compare_outputs_reproducible(tmp_path):
         b1 = open(os.path.join(outs[0], rel), "rb").read()
         b2 = open(os.path.join(outs[1], rel), "rb").read()
         assert b1 == b2
+
+
+def _spy_write_derives(monkeypatch):
+    """Per cli.write_run_outputs call: (trajectory, derive calls per state id)."""
+    from collections import Counter
+
+    from bifluid import fields, solver
+
+    writes, active = [], []
+    real_derive, real_write = fields.derive, cli.write_run_outputs
+
+    def spy_derive(state, *args, **kwargs):
+        if active:
+            active[-1][id(state)] += 1
+        return real_derive(state, *args, **kwargs)
+
+    def spy_write(traj, *args, **kwargs):
+        active.append(Counter())
+        try:
+            return real_write(traj, *args, **kwargs)
+        finally:
+            writes.append((traj, active.pop()))
+
+    for module in (fields, solver, cli):
+        monkeypatch.setattr(module, "derive", spy_derive)
+    monkeypatch.setattr(cli, "write_run_outputs", spy_write)
+    return writes
+
+
+def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeypatch):
+    writes = _spy_write_derives(monkeypatch)
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    (traj, counts), = writes
+    assert len(traj.states) == 3
+    assert counts == {id(s): 1 for s in traj.states}
+
+
+def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
+    writes = _spy_write_derives(monkeypatch)
+    a = write(tmp_path, "a.ini", RUN_CFG + "\n[perturbation]\nepsilon = 0.01\n")
+    b = write(tmp_path, "b.ini", RUN_CFG)
+    assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
+    # run_a reuses the fields compare derived; run_b derives each snapshot once
+    (_, counts_a), (traj_b, counts_b) = writes
+    assert counts_a == {}
+    assert counts_b == {id(s): 1 for s in traj_b.states}
+
+
+def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
+    from bifluid.solver import run
+    from bifluid.verify import energy_audit
+
+    text_a = PAIR_BASE + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
+    a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", PAIR_BASE)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
+    for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
+        report = json.loads((out / side / "report.json").read_text())
+        audit = energy_audit(run(validate_config(text)[0]))
+        assert report["energy"]["E"] == audit.E  # exact: JSON floats round-trip
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["energy_audit"]["passed"] is True
 
 
 PAIR_BASE = """

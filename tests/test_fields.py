@@ -1,9 +1,14 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from bifluid.closure import ExponentPair
 from bifluid.fields import (
+    SNAPSHOT_BLOCK_ROWS,
     FieldState,
     Grid1D,
     classify_ess_res,
@@ -243,3 +248,91 @@ def test_snapshot_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u"
+
+
+def _reference_write_snapshot(path, grid, state, derived):
+    """The per-cell writer the template writer replaced: one format() per value."""
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    x = grid.x
+    d = derived
+    with open(path, "w", newline="\n") as fh:
+        fh.write("i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u\n")
+        for i in range(grid.n):
+            row = [str(i), fmt(x[i])] + [
+                fmt(a[i])
+                for a in (state.R, state.Q, state.m, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u)
+            ]
+            fh.write(",".join(row) + "\n")
+
+
+def _assert_same_bytes(tmp_path, grid, state, derived):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_snapshot(got, grid, state, derived)
+    _reference_write_snapshot(want, grid, state, derived)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_snapshot_bytes_match_per_cell_reference_on_edge_values(tmp_path):
+    g = Grid1D(8, 1.0, "noslip")
+    R = np.array([5e-324, 1.0, 0.0, 1e300, 2.0, 1e-310, 0.5, 1.0])
+    Q = np.array([5e-324, 0.0, 0.0, 1e300, 1.0, 0.0, 1e-300, 3.0])
+    m = np.array([-0.0, -0.0, 0.0, 1e300, -1.5, 0.0, -1e-320, 0.1])
+    s = FieldState(0.0, R, Q, m)
+    with np.errstate(over="ignore"):
+        d = derive(s, EXPS, vacuum_alpha=0.7)
+    assert d.vacuum[2] and d.alpha[2] == 0.7  # vacuum cell with the sentinel
+    assert np.isinf(d.p[3])  # Z = O(1e300) overflows Z**3
+    assert np.signbit(d.u[0]) and d.Q[0] == 5e-324
+    _assert_same_bytes(tmp_path, g, s, d)
+    text = (tmp_path / "got.csv").read_text()
+    assert ",-0," in text and ",4.9406564584124654e-324," in text and ",inf," in text
+
+
+def test_snapshot_bytes_match_reference_on_non_finite_derived_fields(tmp_path):
+    g = Grid1D(6, 2.0)
+    s = uniform_state(6, 1.0, 2.0, -0.25)
+    d = derive(s, EXPS)
+    odd = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308])
+    d = dataclasses.replace(d, Z=odd, p=-odd, u=odd[::-1].copy())
+    _assert_same_bytes(tmp_path, g, s, d)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1e300),
+            st.floats(min_value=0.0, max_value=1e300),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=4,
+        max_size=12,
+    )
+)
+def test_snapshot_bytes_match_reference_for_any_state(cells):
+    R, Q, m = (np.array(c) for c in zip(*cells))
+    s = FieldState(0.0, R, Q, m)
+    g = Grid1D(len(cells), 3.0)
+    with np.errstate(all="ignore"):
+        d = derive(s, EXPS)
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_same_bytes(Path(tmp), g, s, d)
+
+
+def test_snapshot_bytes_match_reference_across_row_blocks(tmp_path):
+    n = SNAPSHOT_BLOCK_ROWS + 5
+    rng = np.random.default_rng(4)
+    s = FieldState(0.0, rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n), rng.uniform(-1, 1, n))
+    _assert_same_bytes(tmp_path, Grid1D(n, 1.0), s, derive(s, EXPS))
+
+
+def test_snapshot_template_is_keyed_by_the_whole_grid(tmp_path):
+    # same n, different length or bc, written one after the other: a
+    # template cached by n alone would repeat the first grid's x column
+    s = uniform_state(8, 1.0, 2.0, 0.25)
+    d = derive(s, EXPS)
+    for g in (Grid1D(8, 1.0), Grid1D(8, 2.5), Grid1D(8, 2.5, "noslip"), Grid1D(8, 1.0)):
+        _assert_same_bytes(tmp_path, g, s, d)
+        assert np.array_equal(read_snapshot(tmp_path / "got.csv")["x"], g.x)
