@@ -7,7 +7,6 @@ from .closure import (
     AlphaSensitivity,
     ClosureState,
     ExponentPair,
-    PartialMasses,
     alpha_partials,
     closure_residual,
     omega_of_alpha,

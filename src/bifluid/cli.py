@@ -319,7 +319,14 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
             traj_a, os.path.join(out_dir, "run_a"), cfg_a, derived=der_a, energies=audit.E
         )
         if traj_b is not None:
-            write_run_outputs(traj_b, os.path.join(out_dir, "run_b"), cfg_b)
+            # a twin's reference fields are its own when derived with its settings
+            same = ref_mode == "twin" and all(
+                getattr(cfg_a, k) == getattr(cfg_b, k)
+                for k in ("closure_tol", "vacuum_alpha", "rho_floor")
+            )
+            write_run_outputs(
+                traj_b, os.path.join(out_dir, "run_b"), cfg_b, derived=der_b if same else None
+            )
     return rows, payload
 
 

@@ -30,6 +30,7 @@ import numpy as np
 CLOSURE_TOL = 1e-12
 CLOSURE_MAX_ITER = 200
 VACUUM_ALPHA_DEFAULT = 0.5
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "CLOSURE_TOL",
@@ -41,7 +42,6 @@ __all__ = [
     "VacuumCellError",
     "DegenerateDenominatorError",
     "ExponentPair",
-    "PartialMasses",
     "ClosureState",
     "AlphaSensitivity",
     "closure_residual",
@@ -51,7 +51,6 @@ __all__ = [
     "alpha_partials",
     "alpha_partials_batch",
     "omega_of_alpha",
-    "omega_bound",
 ]
 
 
@@ -96,20 +95,6 @@ class ExponentPair:
     def gamma(self) -> float:
         """Exponent ratio gamma_plus / gamma_minus, always recomputed."""
         return self.gamma_plus / self.gamma_minus
-
-
-@dataclasses.dataclass(frozen=True)
-class PartialMasses:
-    """Conserved pair: R = alpha * rho_plus, Q = (1 - alpha) * rho_minus."""
-
-    R: float
-    Q: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.R) and math.isfinite(self.Q)):
-            raise NonFiniteInputError("partial masses must be finite")
-        if self.R < 0.0 or self.Q < 0.0:
-            raise ValueError("partial masses must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,7 +185,7 @@ def _newton(r, q, lo, hi, z, gamma, tol, max_iter):
     tol_q = tol * q
     # the subtraction (z - r) bounds the achievable residual at a few ulps
     # of z**gamma, scaled by the local slope factor (1 + gamma)
-    f_floor = 4.0 * (1.0 + gamma) * np.finfo(float).eps
+    f_floor = 4.0 * (1.0 + gamma) * _EPS
     for iterations in range(1, max_iter + 1):
         zg1 = np.power(z, gamma - 1.0)
         f = (z - r) * zg1 - q
@@ -252,9 +237,9 @@ def solve_closure_batch(
     for gamma < 1.
 
     Warm start.  z0, an array shaped like R (typically the Z of a nearby
-    state), replaces the cold start after clipping to the bracket; a
-    non-finite entry falls back to a bracket end.  The exact branches
-    ignore it.
+    state), replaces the cold start after clipping to the bracket, and the
+    cold start is then not computed; a non-finite entry falls back to a
+    bracket end.  The exact branches ignore it.
 
     Convergence, per cell: |f(z)| <= tol * max(q, floor) with the floor a few
     ulps of z**gamma, the round-off scale of the residual evaluation; in
@@ -299,6 +284,12 @@ def solve_closure_batch(
         q = np.power(ts, gamma)
         if gamma > 1.0:
             lo, hi = 1.0, r + q
+        else:
+            lo, hi = r + q, np.maximum(2.0 * r, np.exp2(1.0 / gamma) * ts)
+        if z0 is not None:
+            z0 = np.ravel(np.asarray(z0, dtype=float)) / s
+            start = np.fmin(np.fmax(z0, lo), hi)
+        elif gamma > 1.0:
             # root of the second-order Taylor model of f at z = 1, where
             # f = 1 - r - q, f' = gamma - (gamma-1) r and
             # f'' = (gamma-1) (gamma - (gamma-2) r) need no power
@@ -307,11 +298,7 @@ def solve_closure_batch(
             dz = 2.0 * (hi - 1.0) / (d1 + np.sqrt(d1 * d1 + 2.0 * d2 * (hi - 1.0)))
             start = np.minimum(1.0 + dz, hi)
         else:
-            lo, hi = r + q, np.maximum(2.0 * r, np.exp2(1.0 / gamma) * ts)
             start = lo
-        if z0 is not None:
-            z0 = np.ravel(np.asarray(z0, dtype=float)) / s
-            start = np.fmin(np.fmax(z0, lo), hi)
         z, iterations = _newton(r, q, lo, hi, start, gamma, tol, max_iter)
 
     Z = s * z
@@ -372,11 +359,6 @@ def omega_of_alpha(alpha, gamma):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def omega_bound(gamma: float) -> float:
-    """Sharp uniform bound on |omega_of_alpha| over alpha in [0, 1]."""
-    return abs(gamma - 1.0) / (4.0 * min(1.0, gamma))
 
 
 def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):

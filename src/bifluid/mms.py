@@ -11,11 +11,19 @@ manufactured: the momentum source absorbs the gradient of the true closure
 pressure of (R, Q), with dZ/dx obtained by implicit differentiation of the
 closure equation.  Cell averages of the sources use 3-point Gauss quadrature
 so the forcing is not the accuracy bottleneck of a first-order scheme.
+
+The solver evaluates the forcing once per time level: an SSPRK2 step hands
+its stage forcing at t + dt on to the next step, which starts at that time.
+A step that lands on a snapshot time can end a round-off away from it; t is
+then set to the snapshot time and the next step evaluates the forcing afresh.
+The node phases sin(k x) and cos(k x) do not depend on t and are computed
+once per wavenumber and grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -27,6 +35,16 @@ _GAUSS3_NODES = np.array([-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 __all__ = ["ManufacturedSolution"]
+
+
+@functools.lru_cache(maxsize=4)
+def _node_phases(k: float, grid: Grid1D):
+    """Read-only sin(k x) and cos(k x) at the three Gauss nodes of every cell."""
+    kx = k * (grid.x + _GAUSS3_NODES[:, None] * grid.dx)
+    phases = np.sin(kx), np.cos(kx)
+    for a in phases:
+        a.flags.writeable = False
+    return phases
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,13 +92,13 @@ class ManufacturedSolution:
     def cell_averages(self, grid: Grid1D, t: float):
         """Gauss-3 cell averages of the three sources at time t, as (3, n).
 
-        The three nodes of every cell form one (3, n) batch: one sin/cos pair
-        of k x (angle addition gives the phases shifted by t) serves all
-        sources, and one closure solve serves the pressure gradient.
+        The three nodes of every cell form one (3, n) batch: one cached
+        sin/cos pair of k x (angle addition gives the phases shifted by t)
+        serves all sources, and one closure solve serves the pressure
+        gradient.
         """
         k, g = self.k, self.exps.gamma
-        kx = k * (grid.x + _GAUSS3_NODES[:, None] * grid.dx)
-        sin_kx, cos_kx = np.sin(kx), np.cos(kx)
+        sin_kx, cos_kx = _node_phases(k, grid)
         ct, st = math.cos(t), math.sin(t)
         sin_m = sin_kx * ct - cos_kx * st  # sin(kx - t)
         cos_m = cos_kx * ct + sin_kx * st  # cos(kx - t)

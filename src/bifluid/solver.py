@@ -10,6 +10,11 @@ Every stencil reads ghost-padded copies built by one helper, the only code
 that distinguishes periodic from no-slip boundaries.  The closure is
 re-solved per cell after every stage, which keeps it inside the verification
 loop; each solve is warm-started from the closure root of the previous stage.
+A manufactured forcing is evaluated once per time level: an SSPRK2 step
+hands its stage forcing at t + dt on to the next step, as it hands on the
+stage closure root.  A step that lands on a snapshot time can end a
+round-off away from it; t is then set to the snapshot time and the next
+step evaluates the forcing afresh.
 
 A separate diagnostic evolves the volume fraction by its own non-conservative
 equation (upwind advection plus the compression source omega * div u); the
@@ -127,7 +132,12 @@ class SchemeConfig:
 @dataclasses.dataclass(frozen=True)
 class StepReport:
     """Per-step accounting; stage_Z is the closure root of the step's last
-    derived stage, the warm start for deriving the new state."""
+    derived stage, the warm start for deriving the new state.
+
+    stage_forcing is the read-only SSPRK2 stage forcing at the new time, the
+    forcing of the next step when it starts there; None for forward Euler
+    and for unforced runs.
+    """
 
     dt: float
     max_wave_speed: float
@@ -135,6 +145,7 @@ class StepReport:
     closure_iterations: int
     dissipation: float
     stage_Z: np.ndarray | None = None
+    stage_forcing: np.ndarray | None = None
 
 
 def _wave_speed(der: DerivedFields, exps) -> np.ndarray:
@@ -201,8 +212,8 @@ def dissipation_rate(u, grid: Grid1D, nu_eff: float) -> float:
     return float(nu_eff * np.sum(g * g) * grid.dx)
 
 
-def _rhs(U, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, t: float):
-    """Time derivative of the stacked state U = (R, Q, m).
+def _rhs(U, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, forcing):
+    """Time derivative of the stacked state U = (R, Q, m) plus forcing, if any.
 
     One face velocity, one donor selection and one flux difference serve all
     three rows: first-order upwind transport.  The momentum row adds the
@@ -219,8 +230,8 @@ def _rhs(U, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, t: float):
     dU = -scheme.flux_sign * ((flux[:, 1:] - flux[:, :-1]) / dx)
     dU[2] -= (pg[2:] - pg[:-2]) / (2.0 * dx)
     dU[2] += scheme.nu_eff * ((ug[2:] - 2.0 * der.u + ug[:-2]) / (dx * dx))
-    if scheme.forcing is not None:
-        dU += scheme.forcing.cell_averages(grid, t)
+    if forcing is not None:
+        dU += forcing
     return dU
 
 
@@ -268,25 +279,34 @@ def step(
     dt: float,
     derived: DerivedFields | None = None,
     speed: np.ndarray | None = None,
+    forcing0: np.ndarray | None = None,
 ) -> tuple[FieldState, StepReport]:
     """Advance one explicit step of size dt; returns the new state and a report.
 
-    derived (the derived fields of state) and speed (their per-cell |u| + c)
-    are computed here when not given.
+    derived (the derived fields of state), speed (their per-cell |u| + c)
+    and forcing0 (the forcing at state.t of a forced scheme) are computed
+    here when not given.
     """
     der0 = derived if derived is not None else _derive(state, scheme, exps)
     if speed is None:
         speed = _wave_speed(der0, exps)
+    sol = scheme.forcing
+    if forcing0 is None and sol is not None:
+        forcing0 = sol.cell_averages(grid, state.t)
     t1 = state.t + dt
-    U1 = state.U + dt * _rhs(state.U, der0, grid, scheme, state.t)
+    U1 = state.U + dt * _rhs(state.U, der0, grid, scheme, forcing0)
     clips = _enforce_positivity(U1, scheme, t1)
     iters = der0.closure_iterations
 
+    stage_forcing = None
     if scheme.time_integrator == SSPRK2:
         stage = _state(t1, U1)
         der1 = _derive(stage, scheme, exps, z0=der0.Z)
         iters = max(iters, der1.closure_iterations)
-        U2 = 0.5 * (state.U + U1 + dt * _rhs(U1, der1, grid, scheme, t1))
+        if sol is not None:
+            stage_forcing = sol.cell_averages(grid, t1)
+            stage_forcing.flags.writeable = False
+        U2 = 0.5 * (state.U + U1 + dt * _rhs(U1, der1, grid, scheme, stage_forcing))
         clips += _enforce_positivity(U2, scheme, t1)
         new = _state(t1, U2)
         stage_Z = der1.Z
@@ -301,6 +321,7 @@ def step(
         closure_iterations=iters,
         dissipation=dt * dissipation_rate(der0.u, grid, scheme.nu_eff),
         stage_Z=stage_Z,
+        stage_forcing=stage_forcing,
     )
     return new, report
 
@@ -384,6 +405,7 @@ def run(cfg) -> Trajectory:
         a_snaps = [a_diag.copy()]
 
     z_prev = None
+    forcing = None  # the forcing at state.t, when a step handed it on
     for target in snap_times[1:]:
         while state.t < target:
             der = _derive(state, scheme, exps, z0=z_prev)
@@ -394,13 +416,16 @@ def run(cfg) -> Trajectory:
             dt = remaining if landing else dt_stable
             try:
                 new_state, rep = step(
-                    state, grid, scheme, exps, dt, derived=der, speed=speed
+                    state, grid, scheme, exps, dt,
+                    derived=der, speed=speed, forcing0=forcing,
                 )
             except NonFiniteStateError as exc:
                 raise NonFiniteStateError(exc.t, exc.cells, len(dt_hist) + 1) from None
             z_prev = rep.stage_Z
-            if landing:
+            forcing = rep.stage_forcing
+            if landing and new_state.t != target:
                 new_state = dataclasses.replace(new_state, t=target)
+                forcing = None
             if track:
                 div_u = divergence(der.u, grid)
                 a_diag, cl = alpha_diagnostic_step(

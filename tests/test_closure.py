@@ -10,12 +10,10 @@ from bifluid.closure import (
     ExponentPair,
     MaxIterExceededError,
     NonFiniteInputError,
-    PartialMasses,
     VacuumCellError,
     alpha_partials,
     alpha_partials_batch,
     closure_residual,
-    omega_bound,
     omega_of_alpha,
     recover_state,
     solve_closure,
@@ -344,11 +342,16 @@ def test_omega_examples():
     assert omega_of_alpha(0.3, 1.0) == 0.0
 
 
+def _omega_bound(gamma: float) -> float:
+    """Sharp uniform bound on |omega_of_alpha| over alpha in [0, 1]."""
+    return abs(gamma - 1.0) / (4.0 * min(1.0, gamma))
+
+
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_omega_bound_on_fine_grid(gamma):
     alphas = np.linspace(0.0, 1.0, 20001)
     w = omega_of_alpha(alphas, gamma)
-    assert np.all(np.abs(w) <= omega_bound(gamma) + 1e-15)
+    assert np.all(np.abs(w) <= _omega_bound(gamma) + 1e-15)
     assert np.all(np.abs(w) < (gamma + 1.0) / min(1.0, gamma))
 
 
@@ -364,15 +367,6 @@ def test_exponent_pair_validation_and_ratio():
         ExponentPair(2.0, 0.9)
     with pytest.raises(NonFiniteInputError):
         ExponentPair(float("nan"), 2.0)
-
-
-def test_partial_masses_validation():
-    pm = PartialMasses(1.0, 0.0)
-    assert pm.R == 1.0
-    with pytest.raises(ValueError):
-        PartialMasses(-0.1, 1.0)
-    with pytest.raises(NonFiniteInputError):
-        PartialMasses(float("nan"), 1.0)
 
 
 def test_alpha_sensitivity_is_plain_record():

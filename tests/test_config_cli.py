@@ -337,14 +337,36 @@ def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeyp
     assert counts == {id(s): 1 for s in traj.states}
 
 
-def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
+def _same_dir_bytes(d1, d2):
+    names = sorted(os.listdir(d1))
+    assert names == sorted(os.listdir(d2))
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def _compare_twin_run_b(tmp_path, monkeypatch, text_b):
+    """Derive counts of run_b's writer in a twin compare; checks its bytes
+    against a plain run of the same config."""
     writes = _spy_write_derives(monkeypatch)
     a = write(tmp_path, "a.ini", RUN_CFG + "\n[perturbation]\nepsilon = 0.01\n")
-    b = write(tmp_path, "b.ini", RUN_CFG)
+    b = write(tmp_path, "b.ini", text_b)
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
-    # run_a reuses the fields compare derived; run_b derives each snapshot once
     (_, counts_a), (traj_b, counts_b) = writes
-    assert counts_a == {}
+    assert counts_a == {}  # run_a reuses the fields compare derived
+    assert main(["run", "--config", b, "--out", str(tmp_path / "plain")]) == 0
+    _same_dir_bytes(tmp_path / "c" / "run_b", tmp_path / "plain")
+    return traj_b, counts_b
+
+
+def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
+    # same closure settings: run_b reuses its reference fields der_b
+    _, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, RUN_CFG)
+    assert counts_b == {}
+
+
+def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monkeypatch):
+    text_b = RUN_CFG + "\n[tolerances]\nclosure_tol = 1e-11\n"
+    traj_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, text_b)
     assert counts_b == {id(s): 1 for s in traj_b.states}
 
 
@@ -454,6 +476,16 @@ def test_cli_mms_passes_and_usage_error(tmp_path):
     assert main(["mms", "--config", path, "--levels", "2"]) == 2
     plain = write(tmp_path, "plain.ini", RUN_CFG)
     assert main(["mms", "--config", plain, "--levels", "3"]) == 2
+
+
+def test_cli_mms_outputs_reproducible(tmp_path):
+    # the forced run hands each stage forcing on to the next step
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "mms.ini")
+    outs = [tmp_path / name for name in ("m1", "m2")]
+    for out in outs:
+        assert main(["mms", "--config", path, "--levels", "3", "--out", str(out)]) == 0
+    assert os.listdir(outs[0]) == ["verify.json"]
+    _same_dir_bytes(*outs)
 
 
 def test_cli_mms_ref_mode_compare(tmp_path):

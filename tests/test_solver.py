@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -497,3 +499,103 @@ def test_run_noslip_end_to_end():
     assert mE[0] == pytest.approx(m0[0], rel=1e-13)
     assert mE[1] == pytest.approx(m0[1], rel=1e-13)
     assert traj.positivity_clips == 0
+
+
+# manufactured forcing handed on between steps -----------------------------------
+
+
+@dataclasses.dataclass
+class UnevenSnapshots(SimConfig):
+    """A config with an explicit snapshot grid."""
+
+    snaps: tuple = ()
+
+    def snapshot_times(self):
+        return list(self.snaps)
+
+
+def mms_cfg(**kw):
+    d = dict(n=32, gamma_minus=1.4, mu=0.02, t_end=0.01, n_snapshots=4, mms_enabled=True)
+    d.update(kw)
+    return (UnevenSnapshots if "snaps" in kw else SimConfig)(**d)
+
+
+# 0.0011 + (0.0031 - 0.0011) != 0.0031: the one step from the first snapshot
+# to the second lands at a time that differs from the snapshot time
+SHIFTING_SNAPS = (0.0, 0.0011, 0.0031, 0.01)
+
+
+def _ref_run(cfg):
+    """run with every step evaluating its own forcing; returns (trajectory
+    states, dt history, landings that moved t)."""
+    grid, exps, sch = cfg.grid(), cfg.exponents(), cfg.scheme()
+    state = cfg.initial_state(grid)
+    states, dts, shifted, z = [state], [], 0, None
+    for target in cfg.snapshot_times()[1:]:
+        while state.t < target:
+            d = derive(state, exps, sch.closure_tol, sch.vacuum_alpha, sch.rho_floor, z0=z)
+            remaining = target - state.t
+            dt = min(compute_dt(d, grid, sch, exps), remaining)
+            state, rep = step(state, grid, sch, exps, dt, derived=d)
+            z = rep.stage_Z
+            dts.append(dt)
+            if dt == remaining:
+                shifted += state.t != target
+                state = dataclasses.replace(state, t=target)
+        states.append(state)
+    return states, dts, shifted
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(bc=PERIODIC), dict(bc=NOSLIP), dict(bc=PERIODIC, snaps=SHIFTING_SNAPS)]
+)
+def test_forced_run_is_bit_identical_to_fresh_forcing_every_step(kw):
+    cfg = mms_cfg(**kw)
+    traj = run(cfg)
+    states, dts, shifted = _ref_run(cfg)
+    assert shifted == ("snaps" in kw)  # a landing that moved t: its successor recomputes
+    assert _same_bits(traj.dt_history, np.asarray(dts))
+    assert [s.t for s in traj.states] == [s.t for s in states]
+    for got, want in zip(traj.states, states, strict=True):
+        assert _same_bits(got.U, want.U)
+
+
+def _spy_cell_averages(monkeypatch):
+    calls = []
+    real = ManufacturedSolution.cell_averages
+
+    def spy(self, grid, t):
+        calls.append((grid, t))
+        return real(self, grid, t)
+
+    monkeypatch.setattr(ManufacturedSolution, "cell_averages", spy)
+    return calls
+
+
+def test_forced_ssprk2_run_evaluates_the_forcing_once_per_time_level(monkeypatch):
+    calls = _spy_cell_averages(monkeypatch)
+    traj = run(mms_cfg(snaps=SHIFTING_SNAPS))
+    assert max(Counter(calls).values()) == 1
+    # the landing's stage time and the snapshot time it was moved to
+    a, b = SHIFTING_SNAPS[1:3]
+    assert {a + (b - a), b} <= {t for _, t in calls}
+    # one evaluation per step, the first, and at most one after each landing
+    assert traj.n_steps < len(calls) <= traj.n_steps + len(traj.times) - 1
+
+
+def test_forced_forward_euler_evaluates_the_forcing_once_per_step(monkeypatch):
+    calls = _spy_cell_averages(monkeypatch)
+    traj = run(mms_cfg(integrator="forward_euler", cfl=0.5))
+    assert len(calls) == traj.n_steps
+
+
+def test_handed_on_forcing_is_read_only():
+    grid = Grid1D(32, 1.0)
+    sol = ManufacturedSolution(EXPS, nu_eff=0.2)
+    st = sol.state(grid, 0.0)
+    _, rep = step(st, grid, scheme(forcing=sol), EXPS, 1e-4)
+    assert rep.stage_forcing.shape == (3, 32)
+    with pytest.raises(ValueError):
+        rep.stage_forcing[2, 0] += 1.0
+    for sch in (scheme(forcing=sol, time_integrator="forward_euler"), scheme()):
+        assert step(st, grid, sch, EXPS, 1e-4)[1].stage_forcing is None
