@@ -28,7 +28,7 @@ from .fields import (
 )
 from .mms import ManufacturedSolution
 from .solver import SchemeConfig, StepReport, Trajectory, compute_dt, run, step
-from .thermo import PhaseLaw, bregman, helmholtz, pressure, pressure_bregman
+from .thermo import PhaseLaw, bregman, helmholtz, pressure
 from .verify import (
     alpha_stability_check,
     coercivity_check,

@@ -114,28 +114,87 @@ def _write_failure(out_dir, exc) -> None:
     _write_json(os.path.join(out_dir, "failure.json"), record)
 
 
+SNAPSHOT_WRITERS = 2  # forked processes that format one run's snapshot CSVs
+
+
+def _writer_child(jobs) -> None:
+    """Body of a forked snapshot writer: format and write, never return."""
+    code = 1
+    try:
+        for job in jobs:
+            write_snapshot(*job)
+        code = 0
+    except BaseException as exc:
+        print(f"snapshot writer failed: {exc}", file=sys.stderr)
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+class SnapshotWriters:
+    """Join handle of one run's snapshot writers."""
+
+    def __init__(self, procs):
+        self._procs = procs  # (pid, paths it writes)
+
+    def join(self, check: bool = True) -> None:
+        """Reap every writer; with check, raise RuntimeError naming the files
+        of any that failed."""
+        failed = []
+        while self._procs:
+            pid, paths = self._procs.pop(0)
+            _, status = os.waitpid(pid, 0)
+            if status != 0:
+                failed.extend(paths)
+        if failed and check:
+            raise RuntimeError(f"snapshot writer failed on {', '.join(failed)}")
+
+
+def _start_writers(jobs) -> SnapshotWriters:
+    """Write (path, grid, state, derived) snapshot jobs, split between
+    SNAPSHOT_WRITERS forked processes by index parity; inline without fork."""
+    if not hasattr(os, "fork"):
+        for job in jobs:
+            write_snapshot(*job)
+        return SnapshotWriters([])
+    procs = []
+    for k in range(min(SNAPSHOT_WRITERS, len(jobs))):
+        share = jobs[k::SNAPSHOT_WRITERS]
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            SnapshotWriters(procs).join(check=False)
+            raise RuntimeError(f"cannot start a snapshot writer: {exc}") from None
+        if pid == 0:
+            _writer_child(share)
+        procs.append((pid, [job[0] for job in share]))
+    return SnapshotWriters(procs)
+
+
 def write_run_outputs(
     traj: Trajectory, out_dir, cfg: SimConfig, derived=None, energies=None
-) -> None:
+) -> SnapshotWriters:
     """Snapshots plus report.json for one finished trajectory.
 
     derived and energies, when given, are the derived fields and total
     energies of traj.states; otherwise each snapshot is derived once, for
-    both its CSV and its energy.
+    both its CSV and its energy.  report.json is written here; the CSVs are
+    written by forked writers, whose join handle is returned.
     """
     os.makedirs(out_dir, exist_ok=True)
     if derived is None:
-        derived = map(traj.derived, range(len(traj.states)))
-    names = []
-    energy_series = []
-    for k, (state, der) in enumerate(zip(traj.states, derived)):
-        name = f"snapshot_{k:04d}.csv"
-        write_snapshot(os.path.join(out_dir, name), traj.grid, state, der)
-        names.append(name)
-        if energies is None:
-            energy_series.append(total_energy(state, traj.grid, traj.exps, derived=der))
+        derived = [traj.derived(k) for k in range(len(traj.states))]
     if energies is None:
-        energies = energy_series
+        energies = [
+            total_energy(s, traj.grid, traj.exps, derived=d)
+            for s, d in zip(traj.states, derived)
+        ]
+    names = [f"snapshot_{k:04d}.csv" for k in range(len(traj.states))]
     masses = [total_mass(s, traj.grid) for s in traj.states]
     mr0, mq0 = masses[0]
     drift_r = max(abs(mr - mr0) for mr, _ in masses) / max(abs(mr0), 1e-300)
@@ -167,6 +226,12 @@ def write_run_outputs(
         "forced": traj.forced,
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
+    return _start_writers(
+        [
+            (os.path.join(out_dir, name), traj.grid, state, der)
+            for name, state, der in zip(names, traj.states, derived)
+        ]
+    )
 
 
 _RE_ROW = ",".join(["%.17g"] * 7) + "\n"
@@ -182,13 +247,14 @@ def write_re_report(path, rows) -> None:
 
 
 def _load_config(path, strict_flag: bool):
+    """The validated config and the initial state its validation built."""
     with open(path, "r") as fh:
-        cfg, warnings = validate_config(fh.read())
+        cfg, warnings, state = validate_config(fh.read(), with_state=True)
     if strict_flag:
         cfg.strict = True
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return cfg
+    return cfg, state
 
 
 def cmd_validate(args) -> int:
@@ -201,14 +267,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.strict)
+    cfg, state = _load_config(args.config, args.strict)
     try:
-        traj = run(cfg)
+        traj = run(cfg, initial=state)
     except RUNTIME_ERRORS as exc:
         _write_failure(args.out, exc)
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    write_run_outputs(traj, args.out, cfg)
+    write_run_outputs(traj, args.out, cfg).join()
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return EXIT_OK
 
@@ -242,97 +308,108 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
     if ref_mode == "mms" and not cfg_a.mms_enabled:
         raise ValidationError("mms reference mode requires mms.enabled = true")
 
-    traj_a = run(cfg_a)
-    grid = traj_a.grid
-    exps = traj_a.exps
-    times = traj_a.times
-    scheme_a = traj_a.scheme
+    writers = []  # join handles of the runs' snapshot writers
+    try:
+        traj_a = run(cfg_a)
+        grid = traj_a.grid
+        exps = traj_a.exps
+        times = traj_a.times
+        scheme_a = traj_a.scheme
+        der_a = [traj_a.derived(i) for i in range(len(traj_a.states))]
+        audit = verify.energy_audit(traj_a, cfg_a.energy_eps, derived=der_a)
+        if out_dir is not None:
+            writers.append(
+                write_run_outputs(
+                    traj_a, os.path.join(out_dir, "run_a"), cfg_a, derived=der_a, energies=audit.E
+                )
+            )
 
-    traj_b = None
-    if ref_mode == "twin":
-        traj_b = run(cfg_b)
-        states_b = traj_b.states
-    elif ref_mode == "fine":
-        traj_b = run(cfg_b)
-        factor = cfg_b.n // cfg_a.n
-        states_b = [restrict(s, factor) for s in traj_b.states]
-    else:
-        sol = cfg_a.manufactured()
-        states_b = [sol.state(grid, t) for t in times]
-    if traj_b is not None and traj_b.times != times:
-        raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-
-    der_a = [traj_a.derived(i) for i in range(len(traj_a.states))]
-    der_b = [
-        derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
-        for s in states_b
-    ]
-    rows = verify.relative_entropy_series(
-        der_a, der_b, times, grid, exps, nu_eff=scheme_a.nu_eff
-    )
-
-    e_scale = total_energy(states_b[0], grid, exps, derived=der_b[0])
-    noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
-    fit = verify.gronwall_check(
-        times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
-    )
-    stab = verify.alpha_stability_check(
-        [d.alpha for d in der_a],
-        [d.alpha for d in der_b],
-        [d.u for d in der_a],
-        [d.u for d in der_b],
-        times,
-        grid,
-        delta if delta is not None else cfg_a.stability_delta,
-    )
-    if cfg_a.ess_lower or cfg_a.ess_upper:
-        window = (cfg_a.ess_lower, cfg_a.ess_upper)
-    else:
-        window = default_ess_window(der_b)
-    coer = [
-        verify.coercivity_check(da, db, grid, exps, window[0], window[1])
-        for da, db in zip(der_a, der_b)
-    ]
-    audit = verify.energy_audit(traj_a, cfg_a.energy_eps, derived=der_a)
-
-    payload = {
-        "ref_mode": ref_mode,
-        "times": times,
-        "e_scale": e_scale,
-        "noise_floor": noise_floor,
-        "gronwall": dataclasses.asdict(fit),
-        "alpha_stability": dataclasses.asdict(stab),
-        "ess_window": list(window),
-        "coercivity": [dataclasses.asdict(c) for c in coer],
-        "energy_audit": {
-            "passed": audit.passed,
-            "skipped": audit.skipped,
-            "eps_E": audit.eps_E,
-            "worst_margin": audit.worst_margin,
-        },
-    }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
-        _write_json(os.path.join(out_dir, "verify.json"), payload)
-        write_run_outputs(
-            traj_a, os.path.join(out_dir, "run_a"), cfg_a, derived=der_a, energies=audit.E
-        )
-        if traj_b is not None:
+        traj_b = None
+        if ref_mode == "twin":
+            traj_b = run(cfg_b)
+            states_b = traj_b.states
+        elif ref_mode == "fine":
+            traj_b = run(cfg_b)
+            factor = cfg_b.n // cfg_a.n
+            states_b = [restrict(s, factor) for s in traj_b.states]
+        else:
+            sol = cfg_a.manufactured()
+            states_b = [sol.state(grid, t) for t in times]
+        if traj_b is not None and traj_b.times != times:
+            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+        der_b = [
+            derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
+            for s in states_b
+        ]
+        if out_dir is not None and traj_b is not None:
             # a twin's reference fields are its own when derived with its settings
             same = ref_mode == "twin" and all(
                 getattr(cfg_a, k) == getattr(cfg_b, k)
                 for k in ("closure_tol", "vacuum_alpha", "rho_floor")
             )
-            write_run_outputs(
-                traj_b, os.path.join(out_dir, "run_b"), cfg_b, derived=der_b if same else None
+            writers.append(
+                write_run_outputs(
+                    traj_b, os.path.join(out_dir, "run_b"), cfg_b, derived=der_b if same else None
+                )
             )
-    return rows, payload
+
+        rows = verify.relative_entropy_series(
+            der_a, der_b, times, grid, exps, nu_eff=scheme_a.nu_eff
+        )
+        e_scale = total_energy(states_b[0], grid, exps, derived=der_b[0])
+        noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
+        fit = verify.gronwall_check(
+            times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
+        )
+        stab = verify.alpha_stability_check(
+            [d.alpha for d in der_a],
+            [d.alpha for d in der_b],
+            [d.u for d in der_a],
+            [d.u for d in der_b],
+            times,
+            grid,
+            delta if delta is not None else cfg_a.stability_delta,
+        )
+        if cfg_a.ess_lower or cfg_a.ess_upper:
+            window = (cfg_a.ess_lower, cfg_a.ess_upper)
+        else:
+            window = default_ess_window(der_b)
+        coer = [
+            verify.coercivity_check(da, db, grid, exps, window[0], window[1])
+            for da, db in zip(der_a, der_b)
+        ]
+
+        payload = {
+            "ref_mode": ref_mode,
+            "times": times,
+            "e_scale": e_scale,
+            "noise_floor": noise_floor,
+            "gronwall": dataclasses.asdict(fit),
+            "alpha_stability": dataclasses.asdict(stab),
+            "ess_window": list(window),
+            "coercivity": [dataclasses.asdict(c) for c in coer],
+            "energy_audit": {
+                "passed": audit.passed,
+                "skipped": audit.skipped,
+                "eps_E": audit.eps_E,
+                "worst_margin": audit.worst_margin,
+            },
+        }
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
+            _write_json(os.path.join(out_dir, "verify.json"), payload)
+        for w in writers:
+            w.join()
+        return rows, payload
+    finally:
+        for w in writers:  # reaped also when a run or an audit raised
+            w.join(check=False)
 
 
 def cmd_compare(args) -> int:
-    cfg_a = _load_config(args.config, args.strict)
-    cfg_b = _load_config(args.config_b, args.strict) if args.config_b else None
+    cfg_a, _ = _load_config(args.config, args.strict)
+    cfg_b = _load_config(args.config_b, args.strict)[0] if args.config_b else None
     try:
         rows, payload = compare_runs(cfg_a, cfg_b, args.ref_mode, args.out, args.delta)
     except RUNTIME_ERRORS as exc:
@@ -352,7 +429,7 @@ def cmd_mms(args) -> int:
     if args.levels < 3:
         print("usage error: --levels must be at least 3", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = _load_config(args.config, False)
+    cfg, _ = _load_config(args.config, False)
     if not cfg.mms_enabled:
         print("config error: mms.enabled must be true for the mms command", file=sys.stderr)
         return EXIT_CONFIG

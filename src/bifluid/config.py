@@ -470,8 +470,10 @@ def _render(value) -> str:
     return str(value)
 
 
-def validate_config(text: str) -> tuple[SimConfig, list[str]]:
-    """Parse + validate config text; returns (config, admissibility warnings)."""
+def validate_config(text: str, *, with_state: bool = False):
+    """Parse + validate config text; returns (config, admissibility warnings),
+    plus the initial state it built when with_state is true."""
     cfg = _parse(text)
     state = cfg.validate()
-    return cfg, cfg.admissibility_warnings(state)
+    warnings = cfg.admissibility_warnings(state)
+    return (cfg, warnings, state) if with_state else (cfg, warnings)

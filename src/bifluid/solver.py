@@ -373,8 +373,11 @@ class Trajectory:
         return _derive(self.states[index], self.scheme, self.exps)
 
 
-def run(cfg) -> Trajectory:
+def run(cfg, initial: FieldState | None = None) -> Trajectory:
     """Advance a validated configuration from t = 0 to t_end.
+
+    initial is the configuration's initial state when the caller has already
+    built it (validation does), so a restart file is not read again.
 
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
@@ -384,7 +387,7 @@ def run(cfg) -> Trajectory:
     grid = cfg.grid()
     exps = cfg.exponents()
     scheme = cfg.scheme()
-    state = cfg.initial_state(grid)
+    state = cfg.initial_state(grid) if initial is None else initial
     snap_times = cfg.snapshot_times()
     track = bool(getattr(cfg, "track_alpha", False))
 
@@ -400,15 +403,18 @@ def run(cfg) -> Trajectory:
 
     a_diag = None
     a_snaps = None
+    der = None  # the derive of state, when already made
     if track:
-        a_diag = _derive(state, scheme, exps).alpha.copy()
+        der = _derive(state, scheme, exps)  # the first step reuses it
+        a_diag = der.alpha.copy()
         a_snaps = [a_diag.copy()]
 
     z_prev = None
     forcing = None  # the forcing at state.t, when a step handed it on
     for target in snap_times[1:]:
         while state.t < target:
-            der = _derive(state, scheme, exps, z0=z_prev)
+            if der is None:
+                der = _derive(state, scheme, exps, z0=z_prev)
             speed = _wave_speed(der, exps)
             dt_stable = compute_dt(der, grid, scheme, exps, speed)
             remaining = target - state.t
@@ -438,6 +444,7 @@ def run(cfg) -> Trajectory:
             iters_max = max(iters_max, rep.closure_iterations)
             wave_max = max(wave_max, rep.max_wave_speed)
             state = new_state
+            der = None
             if len(dt_hist) > scheme.max_steps:
                 raise RuntimeError(f"step budget of {scheme.max_steps} exhausted")
         states.append(state)

@@ -20,11 +20,8 @@ import numpy as np
 __all__ = [
     "PhaseLaw",
     "pressure",
-    "dpressure",
     "helmholtz",
-    "dhelmholtz",
     "bregman",
-    "pressure_bregman",
 ]
 
 
@@ -48,19 +45,9 @@ def pressure(rho, law: PhaseLaw):
     return np.power(rho, law.gamma)
 
 
-def dpressure(rho, law: PhaseLaw):
-    """Pressure derivative gamma * rho**(gamma - 1)."""
-    return law.gamma * np.power(rho, law.gamma - 1.0)
-
-
 def helmholtz(rho, law: PhaseLaw):
     """Helmholtz potential rho**gamma / (gamma - 1)."""
     return np.power(rho, law.gamma) / (law.gamma - 1.0)
-
-
-def dhelmholtz(rho, law: PhaseLaw):
-    """H'(rho) = gamma * rho**(gamma - 1) / (gamma - 1)."""
-    return law.gamma * np.power(rho, law.gamma - 1.0) / (law.gamma - 1.0)
 
 
 def _power_gap(rho, rho_ref, gamma):
@@ -89,14 +76,3 @@ def bregman(rho, rho_ref, law: PhaseLaw):
         return float(out)
     return out
 
-
-def pressure_bregman(rho, rho_ref, law: PhaseLaw):
-    """p(ref) - p'(ref) * (ref - rho) - p(rho), the pressure-scale gap.
-
-    Equals minus the Bregman distance of the (convex) pressure itself, so it
-    is nonpositive, and O((rho - ref)**2) on compact density windows.
-    """
-    out = -np.maximum(_power_gap(rho, rho_ref, law.gamma), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out

@@ -1,3 +1,6 @@
+import os
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 # database=None: no example database, so a stale local .hypothesis/ directory
@@ -10,3 +13,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child_process():
+    """Every test reaps the processes it starts, forked snapshot writers included."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped (waitpid gave pid {pid}, status {status})")

@@ -370,6 +370,147 @@ def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monk
     assert counts_b == {id(s): 1 for s in traj_b.states}
 
 
+def _serial_snapshots(traj, derived, out):
+    """The CSVs of traj written in this process, one by one."""
+    from bifluid.fields import write_snapshot
+
+    out.mkdir()
+    for k, (state, der) in enumerate(zip(traj.states, derived, strict=True)):
+        write_snapshot(out / f"snapshot_{k:04d}.csv", traj.grid, state, der)
+
+
+def _snapshot_bytes(d):
+    return {p.name: p.read_bytes() for p in sorted(d.glob("snapshot_*.csv"))}
+
+
+def test_cli_run_csvs_equal_a_serial_in_process_write(tmp_path):
+    from bifluid.solver import run
+
+    path = write(tmp_path, "run.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 5"))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    traj = run(validate_config(open(path).read())[0])
+    _serial_snapshots(traj, map(traj.derived, range(5)), tmp_path / "serial")
+    got = _snapshot_bytes(tmp_path / "o")
+    assert len(got) == 5 and got == _snapshot_bytes(tmp_path / "serial")
+
+
+def test_cli_run_writes_inline_where_fork_is_missing(tmp_path, monkeypatch):
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "forked")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "inline")]) == 0
+    _same_dir_bytes(tmp_path / "forked", tmp_path / "inline")
+
+
+def test_cli_run_without_a_spare_process_is_a_runtime_failure(tmp_path, monkeypatch, capfd):
+    real_fork, forks = os.fork, []
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert "Traceback" not in capfd.readouterr().err
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["error"] == "RuntimeError"
+    assert "cannot start a snapshot writer" in rec["message"]
+
+
+def test_cli_twin_compare_csvs_equal_a_serial_in_process_write(tmp_path):
+    from bifluid.solver import run
+
+    text_a = PAIR_BASE + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
+    a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", PAIR_BASE)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
+    for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
+        traj = run(validate_config(text)[0])
+        serial = tmp_path / f"serial_{side}"
+        _serial_snapshots(traj, map(traj.derived, range(6)), serial)
+        got = _snapshot_bytes(out / side)
+        assert len(got) == 6 and got == _snapshot_bytes(serial)
+
+
+def _failing_write_snapshot(monkeypatch, name="snapshot_0001.csv"):
+    """Make cli's write_snapshot raise OSError on one file (in a writer)."""
+    real = cli.write_snapshot
+
+    def write_or_fail(path, *args):
+        if os.path.basename(path) == name:
+            raise OSError(f"no space left on device: {path}")
+        return real(path, *args)
+
+    monkeypatch.setattr(cli, "write_snapshot", write_or_fail)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_failed_snapshot_writer_is_a_runtime_failure(tmp_path, monkeypatch, capfd, command):
+    _failing_write_snapshot(monkeypatch)
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert "snapshot writer failed: no space left on device" in err
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["error"] == "RuntimeError"
+    assert "snapshot_0001.csv" in rec["message"]
+    assert "snapshot_0000.csv" not in rec["message"]  # the other writer's file
+
+
+@pytest.mark.parametrize("writer_fails", [False, True])
+def test_cli_compare_whose_run_b_fails_reaps_run_a_writers(tmp_path, monkeypatch, writer_fails):
+    if writer_fails:
+        _failing_write_snapshot(monkeypatch)
+    vacuum = RUN_CFG
+    for key in ("R_base = 1.5", "R_amplitude = 0.3", "Q_base = 1.5", "Q_amplitude = -0.2"):
+        vacuum = vacuum.replace(key, key.split("=")[0] + "= 0.0")
+    a, b = write(tmp_path, "a.ini", RUN_CFG), write(tmp_path, "b.ini", vacuum)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # run_b's failure is reported, never masked by a writer's
+    assert json.loads((out / "failure.json").read_text())["error"] == "ZeroDtError"
+    assert sorted(os.listdir(out)) == ["failure.json", "run_a"]
+    if not writer_fails:
+        assert main(["run", "--config", a, "--out", str(tmp_path / "plain")]) == 0
+        _same_dir_bytes(out / "run_a", tmp_path / "plain")
+
+
+def test_cli_run_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
+    from bifluid import config
+    from bifluid.fields import derive, write_snapshot
+
+    cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
+    state = cfg.initial_state(cfg.grid())
+    snap = tmp_path / "init.csv"
+    write_snapshot(snap, cfg.grid(), state, derive(state, cfg.exponents()))
+    reads = []
+    real_read = config.read_snapshot
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(config, "read_snapshot", counting_read)
+    text = (
+        MINIMAL
+        + "\n[grid]\nn = 16\n[time]\nt_end = 0.001\nn_snapshots = 2\n[initial]\n"
+        + "".join(f"{f}_preset = from_file\n{f}_path = {snap}\n" for f in "RQu")
+    )
+    path = write(tmp_path, "restart.ini", text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert reads == [str(snap)]
+    assert (out / "snapshot_0000.csv").read_bytes() == snap.read_bytes()
+
+
 def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
     from bifluid.solver import run
     from bifluid.verify import energy_audit

@@ -486,6 +486,40 @@ def test_run_tracks_alpha_diagnostic():
     assert np.array_equal(traj.alpha_diag[0], a0)
 
 
+@pytest.mark.parametrize("track", [True, False])
+def test_run_derives_twice_per_ssprk2_step(monkeypatch, track):
+    # the step's derive and its stage derive; the diagnostic reuses the first
+    from bifluid import solver
+
+    calls = []
+    real = solver.derive
+
+    def spy(state, *args, **kwargs):
+        calls.append(state)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "derive", spy)
+    traj = run(base_cfg(track_alpha=track))
+    assert traj.n_steps > 0
+    assert len(calls) == 2 * traj.n_steps
+    assert calls[0] is traj.states[0]
+    assert (traj.alpha_diag is not None) == track
+    # tracking the diagnostic leaves the trajectory bit-identical
+    monkeypatch.undo()
+    other = run(base_cfg(track_alpha=not track))
+    for s1, s2 in zip(traj.states, other.states, strict=True):
+        assert _same_bits(s1.U, s2.U)
+
+
+def test_run_starts_from_a_given_initial_state():
+    cfg = base_cfg()
+    initial = cfg.initial_state(cfg.grid())
+    traj = run(cfg, initial=initial)
+    assert traj.states[0] is initial
+    for s1, s2 in zip(traj.states, run(cfg).states, strict=True):
+        assert _same_bits(s1.U, s2.U)
+
+
 def test_run_noslip_end_to_end():
     cfg = base_cfg(
         bc=NOSLIP,

@@ -5,15 +5,33 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bifluid.thermo import (
-    PhaseLaw,
-    bregman,
-    dhelmholtz,
-    dpressure,
-    helmholtz,
-    pressure,
-    pressure_bregman,
-)
+from bifluid.thermo import PhaseLaw, _power_gap, bregman, helmholtz, pressure
+
+
+# private oracles: derivatives and the pressure-scale gap, which only tests use
+
+
+def dpressure(rho, law: PhaseLaw):
+    """Pressure derivative gamma * rho**(gamma - 1)."""
+    return law.gamma * np.power(rho, law.gamma - 1.0)
+
+
+def dhelmholtz(rho, law: PhaseLaw):
+    """H'(rho) = gamma * rho**(gamma - 1) / (gamma - 1)."""
+    return law.gamma * np.power(rho, law.gamma - 1.0) / (law.gamma - 1.0)
+
+
+def pressure_bregman(rho, rho_ref, law: PhaseLaw):
+    """p(ref) - p'(ref) * (ref - rho) - p(rho), the pressure-scale gap.
+
+    Equals minus the Bregman distance of the (convex) pressure itself, so it
+    is nonpositive, and O((rho - ref)**2) on compact density windows.
+    """
+    out = -np.maximum(_power_gap(rho, rho_ref, law.gamma), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
 
 densities = st.floats(1e-6, 100.0)
 ref_densities = st.floats(1e-6, 100.0)
