@@ -3,17 +3,7 @@ closure, plus a relative-energy harness that audits energy, weak-strong
 stability, volume-fraction stability, and coercivity inequalities between
 pairs of runs."""
 
-from .closure import (
-    AlphaSensitivity,
-    ClosureState,
-    ExponentPair,
-    alpha_partials,
-    closure_residual,
-    omega_of_alpha,
-    recover_state,
-    solve_closure,
-    solve_closure_batch,
-)
+from .closure import ExponentPair, omega_of_alpha, solve_closure_batch
 from .config import ProfileSpec, SimConfig, validate_config
 from .fields import (
     DerivedFields,
@@ -28,7 +18,7 @@ from .fields import (
 )
 from .mms import ManufacturedSolution
 from .solver import SchemeConfig, StepReport, Trajectory, compute_dt, run, step
-from .thermo import PhaseLaw, bregman, helmholtz, pressure
+from .thermo import PhaseLaw, bregman, helmholtz
 from .verify import (
     alpha_stability_check,
     coercivity_check,

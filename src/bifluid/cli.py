@@ -27,6 +27,7 @@ from .closure import (
 )
 from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
+    FieldState,
     default_ess_window,
     derive,
     restrict,
@@ -293,15 +294,27 @@ def _check_compatible(cfg_a: SimConfig, cfg_b: SimConfig, ref_mode: str) -> None
             )
 
 
-def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_dir, delta=None):
+def compare_runs(
+    cfg_a: SimConfig,
+    cfg_b: SimConfig | None,
+    ref_mode: str,
+    out_dir,
+    delta=None,
+    initial_a: FieldState | None = None,
+    initial_b: FieldState | None = None,
+):
     """Run the pair, evaluate the relative-energy series, fit the audits.
 
     Returns (rows, verify_payload).  The reference side is a twin run, a
     fine-grid run restricted by cell averaging, or the manufactured exact
-    solution, per ref_mode.
+    solution, per ref_mode.  Without cfg_b a twin is run_a itself: the runs
+    are deterministic, so a second solve would repeat it bit for bit.
+    initial_a and initial_b are the configs' initial states when the caller
+    has already built them (validation does).
     """
     if ref_mode not in REF_MODES:
         raise ValidationError(f"ref mode must be one of {REF_MODES}")
+    self_twin = cfg_b is None and ref_mode == "twin"
     if cfg_b is None:
         cfg_b = cfg_a
     _check_compatible(cfg_a, cfg_b, ref_mode)
@@ -310,7 +323,7 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
 
     writers = []  # join handles of the runs' snapshot writers
     try:
-        traj_a = run(cfg_a)
+        traj_a = run(cfg_a, initial=initial_a)
         grid = traj_a.grid
         exps = traj_a.exps
         times = traj_a.times
@@ -326,10 +339,10 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
 
         traj_b = None
         if ref_mode == "twin":
-            traj_b = run(cfg_b)
+            traj_b = traj_a if self_twin else run(cfg_b, initial=initial_b)
             states_b = traj_b.states
         elif ref_mode == "fine":
-            traj_b = run(cfg_b)
+            traj_b = run(cfg_b, initial=initial_b)
             factor = cfg_b.n // cfg_a.n
             states_b = [restrict(s, factor) for s in traj_b.states]
         else:
@@ -337,7 +350,7 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
             states_b = [sol.state(grid, t) for t in times]
         if traj_b is not None and traj_b.times != times:
             raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-        der_b = [
+        der_b = der_a if self_twin else [
             derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
             for s in states_b
         ]
@@ -408,10 +421,12 @@ def compare_runs(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str, out_d
 
 
 def cmd_compare(args) -> int:
-    cfg_a, _ = _load_config(args.config, args.strict)
-    cfg_b = _load_config(args.config_b, args.strict)[0] if args.config_b else None
+    cfg_a, state_a = _load_config(args.config, args.strict)
+    cfg_b, state_b = _load_config(args.config_b, args.strict) if args.config_b else (None, None)
     try:
-        rows, payload = compare_runs(cfg_a, cfg_b, args.ref_mode, args.out, args.delta)
+        rows, payload = compare_runs(
+            cfg_a, cfg_b, args.ref_mode, args.out, args.delta, initial_a=state_a, initial_b=state_b
+        )
     except RUNTIME_ERRORS as exc:
         _write_failure(args.out, exc)
         print(f"compare failed: {exc}", file=sys.stderr)

@@ -42,13 +42,7 @@ __all__ = [
     "VacuumCellError",
     "DegenerateDenominatorError",
     "ExponentPair",
-    "ClosureState",
-    "AlphaSensitivity",
-    "closure_residual",
-    "solve_closure",
     "solve_closure_batch",
-    "recover_state",
-    "alpha_partials",
     "alpha_partials_batch",
     "omega_of_alpha",
 ]
@@ -95,56 +89,6 @@ class ExponentPair:
     def gamma(self) -> float:
         """Exponent ratio gamma_plus / gamma_minus, always recomputed."""
         return self.gamma_plus / self.gamma_minus
-
-
-@dataclasses.dataclass(frozen=True)
-class ClosureState:
-    """Per-cell quantities recovered from (R, Q) through the closure."""
-
-    Z: float
-    alpha: float
-    rho_plus: float
-    rho_minus: float
-    p: float
-    vacuum_flag: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class AlphaSensitivity:
-    """Partial derivatives of alpha(R, Q) and the compression coefficient.
-
-    omega multiplies div(u) in the evolution equation for alpha; it satisfies
-    d_alpha_dR * R + d_alpha_dQ * Q == omega.
-    """
-
-    d_alpha_dR: float
-    d_alpha_dQ: float
-    omega: float
-
-
-def _pow_zero_safe(Z, expo):
-    # 0**0 == 1; 0**negative is mapped to 0 because the residual multiplies
-    # it by (Z - R), which vanishes whenever Z == 0 lies in the bracket.
-    if expo >= 0.0:
-        return np.power(Z, expo)
-    with np.errstate(divide="ignore"):
-        p = np.power(Z, expo)
-    return np.where(Z == 0.0, 0.0, p)
-
-
-def closure_residual(Z, R, Q, gamma):
-    """Residual f(Z) = (Z - R) * Z**(gamma - 1) - Q of the closure equation.
-
-    f is strictly increasing in Z on [R, oo): its derivative factors as
-    Z**(gamma - 2) * (gamma * Z + (1 - gamma) * R), which is positive there.
-    """
-    Z = np.asarray(Z, dtype=float)
-    Ra = np.asarray(R, dtype=float)
-    Qa = np.asarray(Q, dtype=float)
-    out = (Z - Ra) * _pow_zero_safe(Z, gamma - 1.0) - Qa
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _finite_nonneg(a):
@@ -308,46 +252,6 @@ def solve_closure_batch(
     return Z.reshape(shape), iterations
 
 
-def solve_closure(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER) -> float:
-    """Unique root Z >= R of the closure equation for scalar (R, Q)."""
-    Z, _ = solve_closure_batch(
-        np.asarray(R, dtype=float), np.asarray(Q, dtype=float), gamma, tol, max_iter
-    )
-    return float(Z)
-
-
-def recover_state(
-    R,
-    Q,
-    exps: ExponentPair,
-    tol=CLOSURE_TOL,
-    vacuum_alpha=VACUUM_ALPHA_DEFAULT,
-) -> ClosureState:
-    """Solve the closure and recover (Z, alpha, phase densities, pressure).
-
-    Vacuum cells (R = Q = 0) get Z = p = 0, a flagged sentinel alpha, and
-    vacuum_flag set; alpha has no pointwise meaning there.
-    """
-    Z = solve_closure(R, Q, exps.gamma, tol)
-    if Z == 0.0:
-        return ClosureState(
-            Z=0.0,
-            alpha=float(vacuum_alpha),
-            rho_plus=0.0,
-            rho_minus=0.0,
-            p=0.0,
-            vacuum_flag=True,
-        )
-    return ClosureState(
-        Z=Z,
-        alpha=float(R) / Z,
-        rho_plus=Z,
-        rho_minus=Z**exps.gamma,
-        p=Z**exps.gamma_plus,
-        vacuum_flag=False,
-    )
-
-
 def omega_of_alpha(alpha, gamma):
     """Compression coefficient (gamma-1) * a * (1-a) / (gamma*(1-a) + a).
 
@@ -391,13 +295,3 @@ def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
     d_dR = gamma * zg1 * (1.0 - alpha) / den
     d_dQ = -alpha / den
     return d_dR, d_dQ, omega_of_alpha(alpha, gamma)
-
-
-def alpha_partials(R, Q, gamma, tol=CLOSURE_TOL) -> AlphaSensitivity:
-    """Sensitivities of the recovered volume fraction at one (R, Q) point."""
-    if R + Q == 0.0:
-        raise VacuumCellError("alpha partials undefined at R = Q = 0")
-    d_dR, d_dQ, omega = alpha_partials_batch(
-        np.asarray(R, dtype=float), np.asarray(Q, dtype=float), gamma, tol
-    )
-    return AlphaSensitivity(float(d_dR), float(d_dQ), float(omega))

@@ -315,17 +315,6 @@ class SimConfig:
             buf.write("\n")
         return buf.getvalue()
 
-    @staticmethod
-    def from_text(text: str) -> "SimConfig":
-        cfg = _parse(text)
-        cfg.validate()
-        return cfg
-
-    @staticmethod
-    def from_file(path) -> "SimConfig":
-        with open(path, "r") as fh:
-            return SimConfig.from_text(fh.read())
-
 
 def _parse(text: str) -> SimConfig:
     """Config text to a SimConfig with defaults filled in, not yet validated."""

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "PhaseLaw",
-    "pressure",
     "helmholtz",
     "bregman",
 ]
@@ -38,11 +37,6 @@ class PhaseLaw:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 1.0):
             raise ValueError("phase law requires gamma > 1")
-
-
-def pressure(rho, law: PhaseLaw):
-    """Barotropic pressure rho**gamma."""
-    return np.power(rho, law.gamma)
 
 
 def helmholtz(rho, law: PhaseLaw):

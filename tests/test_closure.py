@@ -5,20 +5,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from bifluid.closure import (
-    AlphaSensitivity,
     ClosureOverflowError,
     ExponentPair,
     MaxIterExceededError,
     NonFiniteInputError,
     VacuumCellError,
-    alpha_partials,
     alpha_partials_batch,
-    closure_residual,
     omega_of_alpha,
-    recover_state,
-    solve_closure,
     solve_closure_batch,
 )
+from bifluid.fields import FieldState, derive
 
 GAMMAS = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 4.0]
 
@@ -27,6 +23,23 @@ gammas = st.floats(0.25, 4.0)
 
 
 # residual -----------------------------------------------------------------
+
+
+def closure_residual(Z, R, Q, gamma):
+    """Residual f(Z) = (Z - R) * Z**(gamma - 1) - Q of the closure equation.
+
+    The oracle of the bisection tests.  f is strictly increasing in Z on
+    [R, oo): its derivative factors as Z**(gamma - 2) * (gamma * Z +
+    (1 - gamma) * R), which is positive there.  0**0 == 1, and 0**negative is
+    taken as 0, since (Z - R) vanishes whenever Z == 0 lies in the bracket.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if gamma >= 1.0:
+        zg1 = np.power(Z, gamma - 1.0)
+    else:
+        with np.errstate(divide="ignore"):
+            zg1 = np.where(Z == 0.0, 0.0, np.power(Z, gamma - 1.0))
+    return float((Z - R) * zg1 - Q)
 
 
 def test_residual_closed_forms():
@@ -55,43 +68,49 @@ def test_residual_strictly_increasing(R, Q, gamma, lam):
     assert closure_residual(Z2, R, Q, gamma) > closure_residual(Z1, R, Q, gamma)
 
 
-# solve_closure ------------------------------------------------------------
+# solve_closure_batch ------------------------------------------------------
+
+
+def _root(R, Q, gamma, **kw):
+    """Z of one cell."""
+    Z, _ = solve_closure_batch([R], [Q], gamma, **kw)
+    return float(Z[0])
 
 
 def test_solve_closed_form_examples():
-    assert solve_closure(1.0, 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
-    assert solve_closure(0.0, 4.0, 2.0) == pytest.approx(2.0, rel=1e-12)
-    assert solve_closure(0.3, 0.5, 1.0) == pytest.approx(0.8, rel=1e-15)
-    assert solve_closure(2.0, 2.0, 2.0) == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-12)
+    Z, iterations = solve_closure_batch([1.0, 0.0, 2.0], [2.0, 4.0, 2.0], 2.0)
+    assert Z == pytest.approx([2.0, 2.0, 1.0 + math.sqrt(3.0)], rel=1e-12)
+    assert iterations == 0  # gamma = 2 is the quadratic formula
+    assert _root(0.3, 0.5, 1.0) == pytest.approx(0.8, rel=1e-15)
 
 
 def test_solve_special_branches():
-    assert solve_closure(0.0, 0.0, 1.7) == 0.0
-    assert solve_closure(5.0, 0.0, 3.0) == 5.0
-    assert solve_closure(0.0, 8.0, 3.0) == pytest.approx(2.0, rel=1e-14)
+    assert _root(0.0, 0.0, 1.7) == 0.0
+    assert _root(5.0, 0.0, 3.0) == 5.0
+    assert _root(0.0, 8.0, 3.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_solve_input_validation():
     with pytest.raises(NonFiniteInputError):
-        solve_closure(float("nan"), 1.0, 2.0)
+        solve_closure_batch([float("nan")], [1.0], 2.0)
     with pytest.raises(NonFiniteInputError):
-        solve_closure(1.0, float("inf"), 2.0)
+        solve_closure_batch([1.0], [float("inf")], 2.0)
     with pytest.raises(ValueError):
-        solve_closure(-1.0, 1.0, 2.0)
+        solve_closure_batch([-1.0], [1.0], 2.0)
     with pytest.raises(ValueError):
-        solve_closure(1.0, 1.0, -2.0)
+        solve_closure_batch([1.0], [1.0], -2.0)
     with pytest.raises(ValueError):
-        solve_closure(1.0, 1.0, 2.0, tol=0.0)
+        solve_closure_batch([1.0], [1.0], 2.0, tol=0.0)
 
 
 def test_solve_iteration_cap():
     with pytest.raises(MaxIterExceededError):
-        solve_closure(1.0, 2.0, 1.5, max_iter=2)
+        solve_closure_batch([1.0], [2.0], 1.5, max_iter=2)
 
 
 @given(R=positive_masses, Q=positive_masses, gamma=gammas)
 def test_solve_root_is_bracketed_with_small_residual(R, Q, gamma):
-    Z = solve_closure(R, Q, gamma)
+    Z = _root(R, Q, gamma)
     assert Z >= R
     f = closure_residual(Z, R, Q, gamma)
     floor = 4.0 * (1.0 + gamma) * np.finfo(float).eps * Z**gamma
@@ -100,14 +119,14 @@ def test_solve_root_is_bracketed_with_small_residual(R, Q, gamma):
 
 @given(R=positive_masses, Q=positive_masses, gamma=gammas, bump=st.floats(1e-3, 5.0))
 def test_solve_monotone_in_R_and_Q(R, Q, gamma, bump):
-    Z = solve_closure(R, Q, gamma)
-    assert solve_closure(R + bump, Q, gamma) >= Z * (1.0 - 1e-10)
-    assert solve_closure(R, Q + bump, gamma) >= Z * (1.0 - 1e-10)
+    Z, _ = solve_closure_batch([R, R + bump, R], [Q, Q, Q + bump], gamma)
+    assert Z[1] >= Z[0] * (1.0 - 1e-10)
+    assert Z[2] >= Z[0] * (1.0 - 1e-10)
 
 
 @given(R=positive_masses, Q=positive_masses, gamma=gammas)
 def test_solve_matches_bisection(R, Q, gamma):
-    Z = solve_closure(R, Q, gamma)
+    Z = _root(R, Q, gamma)
     lo, hi = R, max(R, Q ** (1.0 / gamma), 1e-30)
     while closure_residual(hi, R, Q, gamma) < 0.0:
         lo, hi = hi, 2.0 * hi
@@ -121,18 +140,19 @@ def test_solve_matches_bisection(R, Q, gamma):
 
 
 def test_batch_matches_scalar():
+    # each cell's root is the root of its own one-cell batch
     rng = np.random.default_rng(3)
     R = rng.uniform(0.0, 10.0, 64)
     Q = rng.uniform(0.0, 10.0, 64)
     Z, _ = solve_closure_batch(R, Q, 1.5)
     for i in range(64):
-        assert Z[i] == solve_closure(R[i], Q[i], 1.5)
+        assert Z[i] == _root(R[i], Q[i], 1.5)
 
 
 def test_solve_deterministic():
-    a = solve_closure(3.7, 1.9, 2.6)
-    b = solve_closure(3.7, 1.9, 2.6)
-    assert a == b
+    a = solve_closure_batch([3.7], [1.9], 2.6)
+    b = solve_closure_batch([3.7], [1.9], 2.6)
+    assert a[0][0] == b[0][0] and a[1] == b[1]
 
 
 # extreme scales and warm starts -------------------------------------------
@@ -227,29 +247,34 @@ def test_warm_start_converges_to_cold_root(gamma):
         assert Zi[0] == Zw[i]
 
 
-# recover_state -------------------------------------------------------------
+# state recovery (fields.derive) ---------------------------------------------
+
+
+def _recover(R, Q, exps, vacuum_alpha=0.5):
+    """The derived fields of one cell at rest."""
+    return derive(FieldState(0.0, [R], [Q], [0.0]), exps, vacuum_alpha=vacuum_alpha)
 
 
 def test_recover_state_example():
-    st_ = recover_state(1.0, 2.0, ExponentPair(3.0, 1.5))
-    assert st_.Z == pytest.approx(2.0, rel=1e-12)
-    assert st_.alpha == pytest.approx(0.5, rel=1e-12)
-    assert st_.rho_plus == pytest.approx(2.0, rel=1e-12)
-    assert st_.rho_minus == pytest.approx(4.0, rel=1e-12)
-    assert st_.p == pytest.approx(8.0, rel=1e-12)
-    assert not st_.vacuum_flag
+    d = _recover(1.0, 2.0, ExponentPair(3.0, 1.5))
+    assert d.Z[0] == pytest.approx(2.0, rel=1e-12)
+    assert d.alpha[0] == pytest.approx(0.5, rel=1e-12)
+    assert d.rho_plus[0] == pytest.approx(2.0, rel=1e-12)
+    assert d.rho_minus[0] == pytest.approx(4.0, rel=1e-12)
+    assert d.p[0] == pytest.approx(8.0, rel=1e-12)
+    assert not d.vacuum[0]
 
 
 def test_recover_state_vacuum():
-    st_ = recover_state(0.0, 0.0, ExponentPair(3.0, 1.5), vacuum_alpha=0.25)
-    assert st_.vacuum_flag
-    assert st_.Z == 0.0 and st_.p == 0.0
-    assert st_.alpha == 0.25
+    d = _recover(0.0, 0.0, ExponentPair(3.0, 1.5), vacuum_alpha=0.25)
+    assert d.vacuum[0]
+    assert d.Z[0] == 0.0 and d.p[0] == 0.0
+    assert d.alpha[0] == 0.25
 
 
 def test_recover_state_pure_plus_phase():
-    st_ = recover_state(5.0, 0.0, ExponentPair(2.0, 2.0))
-    assert st_.Z == 5.0 and st_.alpha == 1.0 and st_.p == 25.0
+    d = _recover(5.0, 0.0, ExponentPair(2.0, 2.0))
+    assert d.Z[0] == 5.0 and d.alpha[0] == 1.0 and d.p[0] == 25.0
 
 
 @given(
@@ -260,49 +285,55 @@ def test_recover_state_pure_plus_phase():
 )
 def test_recover_state_invariants(R, Q, gp, gm):
     exps = ExponentPair(gp, gm)
-    st_ = recover_state(R, Q, exps)
-    assert R <= st_.Z * (1.0 + 1e-12)
-    assert 0.0 <= st_.alpha <= 1.0
+    d = _recover(R, Q, exps)
+    Z, alpha, p = float(d.Z[0]), float(d.alpha[0]), float(d.p[0])
+    assert R <= Z * (1.0 + 1e-12)
+    assert 0.0 <= alpha <= 1.0
     # the defining constraint: both phase pressures agree
-    assert abs(st_.rho_plus**gp - st_.rho_minus**gm) <= 1e-9 * max(st_.p, 1.0)
+    assert abs(float(d.rho_plus[0]) ** gp - float(d.rho_minus[0]) ** gm) <= 1e-9 * max(p, 1.0)
     # pressure-equality identity rewritten in the partial masses
     g = exps.gamma
-    lhs = R**g * (1.0 - st_.alpha)
-    rhs = Q * st_.alpha**g
+    lhs = R**g * (1.0 - alpha)
+    rhs = Q * alpha**g
     assert abs(lhs - rhs) <= 1e-9 * max(R**g, Q, 1e-300)
 
 
 # sensitivities --------------------------------------------------------------
 
 
+def _partials(R, Q, gamma):
+    """(d_alpha_dR, d_alpha_dQ, omega) of one cell."""
+    return tuple(float(v[0]) for v in alpha_partials_batch([R], [Q], gamma))
+
+
 def test_alpha_partials_example():
-    s = alpha_partials(1.0, 2.0, 2.0)
-    assert s.d_alpha_dR == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert s.d_alpha_dQ == pytest.approx(-1.0 / 12.0, rel=1e-12)
-    assert s.omega == pytest.approx(1.0 / 6.0, rel=1e-12)
+    d_dR, d_dQ, omega = _partials(1.0, 2.0, 2.0)
+    assert d_dR == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert d_dQ == pytest.approx(-1.0 / 12.0, rel=1e-12)
+    assert omega == pytest.approx(1.0 / 6.0, rel=1e-12)
     # Euler-type identity at the example point
-    assert s.d_alpha_dR * 1.0 + s.d_alpha_dQ * 2.0 == pytest.approx(s.omega, abs=1e-15)
+    assert d_dR * 1.0 + d_dQ * 2.0 == pytest.approx(omega, abs=1e-15)
 
 
 def test_alpha_partials_pure_phase_and_vacuum():
-    s = alpha_partials(5.0, 0.0, 2.7)
-    assert s.d_alpha_dR == 0.0
-    assert s.omega == 0.0
+    d_dR, _, omega = _partials(5.0, 0.0, 2.7)
+    assert d_dR == 0.0
+    assert omega == 0.0
     # unit exponent ratio kills the compression coefficient identically
-    assert alpha_partials(1.7, 2.9, 1.0).omega == 0.0
+    assert _partials(1.7, 2.9, 1.0)[2] == 0.0
     with pytest.raises(VacuumCellError):
-        alpha_partials(0.0, 0.0, 2.0)
+        _partials(0.0, 0.0, 2.0)
     with pytest.raises(VacuumCellError):
         alpha_partials_batch(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 2.0)
 
 
 @given(R=positive_masses, Q=positive_masses, gamma=gammas)
 def test_alpha_partials_signs_and_euler_identity(R, Q, gamma):
-    s = alpha_partials(R, Q, gamma)
-    assert s.d_alpha_dR >= 0.0
-    assert s.d_alpha_dQ <= 0.0
-    assert abs(s.d_alpha_dR * R + s.d_alpha_dQ * Q - s.omega) <= 1e-9 * max(1.0, abs(s.omega))
-    assert abs(s.omega) <= (gamma + 1.0) / min(1.0, gamma)
+    d_dR, d_dQ, omega = _partials(R, Q, gamma)
+    assert d_dR >= 0.0
+    assert d_dQ <= 0.0
+    assert abs(d_dR * R + d_dQ * Q - omega) <= 1e-9 * max(1.0, abs(omega))
+    assert abs(omega) <= (gamma + 1.0) / min(1.0, gamma)
 
 
 @given(
@@ -311,25 +342,25 @@ def test_alpha_partials_signs_and_euler_identity(R, Q, gamma):
     gamma=st.floats(0.3, 3.5),
 )
 def test_alpha_partials_match_finite_differences(R, Q, gamma):
-    s = alpha_partials(R, Q, gamma)
+    d_dR, d_dQ, _ = _partials(R, Q, gamma)
     hR = 1e-6 * (1.0 + abs(R))
     hQ = 1e-6 * (1.0 + abs(Q))
 
     def alpha(r, q):
-        return r / solve_closure(r, q, gamma)
+        return r / _root(r, q, gamma)
 
     fdR = (alpha(R + hR, Q) - alpha(R - hR, Q)) / (2.0 * hR)
     fdQ = (alpha(R, Q + hQ) - alpha(R, Q - hQ)) / (2.0 * hQ)
-    assert fdR == pytest.approx(s.d_alpha_dR, rel=1e-5, abs=1e-8)
-    assert fdQ == pytest.approx(s.d_alpha_dQ, rel=1e-5, abs=1e-8)
+    assert fdR == pytest.approx(d_dR, rel=1e-5, abs=1e-8)
+    assert fdQ == pytest.approx(d_dQ, rel=1e-5, abs=1e-8)
 
 
 def test_alpha_partials_tiny_alpha_stays_finite():
     # raw quotient denominators underflow here; the rescaled form must not
-    s = alpha_partials(1e-200, 1.0, 3.0)
-    assert math.isfinite(s.d_alpha_dR) and s.d_alpha_dR > 0.0
-    assert math.isfinite(s.d_alpha_dQ)
-    assert s.omega == pytest.approx(0.0, abs=1e-100)
+    d_dR, d_dQ, omega = _partials(1e-200, 1.0, 3.0)
+    assert math.isfinite(d_dR) and d_dR > 0.0
+    assert math.isfinite(d_dQ)
+    assert omega == pytest.approx(0.0, abs=1e-100)
 
 
 # omega ----------------------------------------------------------------------
@@ -368,7 +399,3 @@ def test_exponent_pair_validation_and_ratio():
     with pytest.raises(NonFiniteInputError):
         ExponentPair(float("nan"), 2.0)
 
-
-def test_alpha_sensitivity_is_plain_record():
-    s = AlphaSensitivity(0.1, -0.2, 0.05)
-    assert (s.d_alpha_dR, s.d_alpha_dQ, s.omega) == (0.1, -0.2, 0.05)

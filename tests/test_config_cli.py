@@ -9,7 +9,7 @@ import pytest
 import bifluid
 from bifluid import cli
 from bifluid.cli import main
-from bifluid.closure import ExponentPair, recover_state
+from bifluid.closure import ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, validate_config
 
 MINIMAL = """
@@ -483,7 +483,9 @@ def test_cli_compare_whose_run_b_fails_reaps_run_a_writers(tmp_path, monkeypatch
         _same_dir_bytes(out / "run_a", tmp_path / "plain")
 
 
-def test_cli_run_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
+def _restart_config(tmp_path, monkeypatch):
+    """A config whose R, Q and u restart from one snapshot file, the file,
+    and the list of paths config.read_snapshot reads from now on."""
     from bifluid import config
     from bifluid.fields import derive, write_snapshot
 
@@ -504,11 +506,47 @@ def test_cli_run_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
         + "\n[grid]\nn = 16\n[time]\nt_end = 0.001\nn_snapshots = 2\n[initial]\n"
         + "".join(f"{f}_preset = from_file\n{f}_path = {snap}\n" for f in "RQu")
     )
+    return text, snap, reads
+
+
+def test_cli_run_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
+    text, snap, reads = _restart_config(tmp_path, monkeypatch)
     path = write(tmp_path, "restart.ini", text)
     out = tmp_path / "o"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert reads == [str(snap)]
     assert (out / "snapshot_0000.csv").read_bytes() == snap.read_bytes()
+
+
+@pytest.mark.parametrize("with_b", [False, True])
+def test_cli_compare_reads_a_from_file_snapshot_once_per_config(tmp_path, monkeypatch, with_b):
+    text, snap, reads = _restart_config(tmp_path, monkeypatch)
+    argv = ["compare", "--config", write(tmp_path, "a.ini", text), "--out", str(tmp_path / "c")]
+    if with_b:
+        argv += ["--config-b", write(tmp_path, "b.ini", text)]
+    assert main(argv) == 0
+    assert reads == [str(snap)] * (2 if with_b else 1)
+    for side in ("run_a", "run_b"):
+        assert (tmp_path / "c" / side / "snapshot_0000.csv").read_bytes() == snap.read_bytes()
+
+
+def test_cli_compare_twin_without_config_b_reuses_run_a(tmp_path, monkeypatch):
+    runs = []
+    real_run = cli.run
+
+    def counting_run(cfg, *args, **kwargs):
+        runs.append(cfg)
+        return real_run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    assert len(runs) == 1
+    # run_b's files are those of a plain run of the same config
+    assert main(["run", "--config", path, "--out", str(tmp_path / "plain")]) == 0
+    _same_dir_bytes(out / "run_b", tmp_path / "plain")
+    _same_dir_bytes(out / "run_a", out / "run_b")
 
 
 def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
@@ -703,6 +741,16 @@ def test_cli_closure_overflowing_pressure_exits_3_without_traceback(r):
     assert proc.stdout == "R,Q,Z,alpha,rho_minus,p,vacuum\n"
 
 
+def _recover_state(R, Q, exps, vacuum_alpha):
+    """(Z, alpha, rho_minus, p, vacuum) of one cell with Python float powers:
+    the digit-for-digit oracle of the closure table."""
+    Z, _ = solve_closure_batch(np.asarray(R, dtype=float), np.asarray(Q, dtype=float), exps.gamma)
+    Z = float(Z)
+    if Z == 0.0:
+        return 0.0, float(vacuum_alpha), 0.0, 0.0, True
+    return Z, float(R) / Z, Z**exps.gamma, Z**exps.gamma_plus, False
+
+
 def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(capsys, monkeypatch):
     argv = [
         "closure", "--gamma-plus", "3.0", "--gamma-minus", "1.4",
@@ -716,9 +764,9 @@ def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(capsys, mon
     exps = ExponentPair(3.0, 1.4)
     for line in table.splitlines()[1:]:
         r, q = (float(v) for v in line.split(",")[:2])
-        st = recover_state(r, q, exps, vacuum_alpha=0.25)
-        want = (r, q, st.Z, st.alpha, st.rho_minus, st.p)
-        assert line == ",".join(format(v, ".17g") for v in want) + (",1" if st.vacuum_flag else ",0")
+        Z, alpha, rho_minus, p, vacuum = _recover_state(r, q, exps, vacuum_alpha=0.25)
+        want = (r, q, Z, alpha, rho_minus, p)
+        assert line == ",".join(format(v, ".17g") for v in want) + (",1" if vacuum else ",0")
 
 
 def test_cli_closure_table_usage_errors(capsys):

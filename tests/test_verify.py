@@ -369,3 +369,29 @@ def test_convergence_order_robust_to_halved_time():
     r2 = convergence_study(dataclasses.replace(cfg, t_end=0.02), 3)
     for var in ("R", "Q", "u"):
         assert r1.orders[var][-1] == pytest.approx(r2.orders[var][-1], abs=0.2)
+
+
+def test_convergence_study_skips_the_fraction_diagnostic(monkeypatch):
+    from bifluid import solver, verify
+
+    cfg = cfg_smooth(mms_enabled=True, mu=0.02, t_end=0.04, n=32, n_snapshots=2)
+    calls = []
+    real_step, real_run = solver.alpha_diagnostic_step, verify.run
+
+    def spy_step(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "alpha_diagnostic_step", spy_step)
+    rep = convergence_study(cfg, 3)
+    assert calls == []
+    assert cfg.track_alpha  # the caller's config is untouched
+
+    # the same study with the diagnostic forced on reports the same numbers
+    def tracked_run(level):
+        level.track_alpha = True
+        return real_run(level)
+
+    monkeypatch.setattr(verify, "run", tracked_run)
+    assert convergence_study(cfg, 3) == rep
+    assert calls
