@@ -18,6 +18,14 @@ Newton from any start inside it, including a warm start from the Z of a
 nearby state, converges monotonically after its first step.  A root beyond
 float range raises ``ClosureOverflowError`` instead of returning inf or a
 wrong finite value.
+
+``solve_closure_batch`` validates its arrays (finite, nonnegative) and then
+calls the trusted solver ``_solve_closure``.  Callers whose inputs are finite
+and nonnegative by construction call the trusted solver directly:
+``fields.derive`` (``FieldState`` checks its arrays, and the solver checks
+every stage it builds) and the manufactured forcing (checked in
+``ManufacturedSolution.__post_init__``).  The scalar argument checks and the
+overflow check run on both paths.
 """
 
 from __future__ import annotations
@@ -99,13 +107,11 @@ def _finite_nonneg(a):
     )
 
 
-def _validate_inputs(R, Q, gamma):
+def _validate_inputs(R, Q):
     if not (_finite_nonneg(R) and _finite_nonneg(Q)):
         if not (np.isfinite(R).all() and np.isfinite(Q).all()):
             raise NonFiniteInputError("R and Q must be finite")
         raise ValueError("R and Q must be nonnegative")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be a positive finite number")
 
 
 def _check_overflow(a, what):
@@ -196,11 +202,19 @@ def solve_closure_batch(
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    _validate_inputs(R, Q, gamma)
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    _validate_inputs(R, Q)
     if R.shape != Q.shape:
         R, Q = np.broadcast_arrays(R, Q)
+    return _solve_closure(R, Q, gamma, tol, max_iter, z0)
+
+
+def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER, z0=None):
+    """``solve_closure_batch`` on float arrays R, Q of one shape that hold only
+    finite, nonnegative values; the caller guarantees that, nothing checks it."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be a positive finite number")
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
     shape = R.shape
     R, Q = R.ravel(), Q.ravel()
 
@@ -212,7 +226,7 @@ def solve_closure_batch(
     if gamma < 1.0:
         _check_overflow(t, "bound Q**(1/gamma)")
     s = np.maximum(R, t)
-    vac = None if s.all() else s == 0.0
+    vac = None if np.logical_and.reduce(s) else s == 0.0
     if vac is not None:
         # a vacuum cell solves the harmless r = 1, q = 0, then gets Z = 0
         s[vac] = 1.0
@@ -258,11 +272,16 @@ def omega_of_alpha(alpha, gamma):
     The denominator is bounded below by min(1, gamma) on [0, 1], so the
     coefficient is bounded: |omega| <= |gamma-1| / (4 * min(1, gamma)).
     """
-    a = np.asarray(alpha, dtype=float)
-    out = (gamma - 1.0) * a * (1.0 - a) / (gamma * (1.0 - a) + a)
+    out = _omega(np.asarray(alpha, dtype=float), gamma)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _omega(a, gamma):
+    """omega_of_alpha on a float array a."""
+    b = 1.0 - a
+    return (gamma - 1.0) * a * b / (gamma * b + a)
 
 
 def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
@@ -280,7 +299,7 @@ def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    _validate_inputs(R, Q, gamma)
+    _validate_inputs(R, Q)
     vac = (R == 0.0) & (Q == 0.0)
     if vac.any():
         raise VacuumCellError(

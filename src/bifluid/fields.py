@@ -1,7 +1,9 @@
 """1D grid, simulation state, per-cell derived closure fields, diagnostics.
 
 States are immutable snapshots of the conserved unknowns (R, Q, momentum) at
-cell centers, stored as one (3, n) array.  Integral reductions use numpy's
+cell centers, stored as one (3, n) array.  ``derive`` computes the closure
+root Z, the pressure and the velocity of a state; the volume fraction, the
+density of phase - and the vacuum mask are computed when first read.  Integral reductions use numpy's
 deterministic summation, so re-evaluation is bit-identical; invariance under
 index permutation is not promised.
 """
@@ -98,10 +100,10 @@ class FieldState:
             U = np.asarray(U, dtype=float)
             if not (U.ndim == 2 and U.shape[0] == 3):
                 raise ValueError("U must have shape (3, n)")
-        if not np.isfinite(U).all():
-            row = int(np.flatnonzero(~np.isfinite(U).all(axis=1))[0])
-            raise ValueError(f"non-finite values in {'RQm'[row]}")
-        if (U[:2] < 0.0).any():
+        if U.size and not (_finite(U) and np.minimum.reduce(U[:2], axis=None) >= 0.0):
+            if not np.isfinite(U).all():
+                row = int(np.flatnonzero(~np.isfinite(U).all(axis=1))[0])
+                raise ValueError(f"non-finite values in {'RQm'[row]}")
             raise ValueError("partial masses must be nonnegative")
         U.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -124,24 +126,56 @@ class FieldState:
         return self.U.shape[1]
 
 
+def _finite(a) -> bool:
+    """True when a holds no NaN and no inf."""
+    # NaN fails both comparisons, so two reductions decide
+    return bool(
+        -math.inf < np.minimum.reduce(a, axis=None)
+        and np.maximum.reduce(a, axis=None) < math.inf
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class DerivedFields:
-    """Closure output per cell plus velocity recovered from momentum."""
+    """Closure output per cell plus velocity recovered from momentum.
+
+    derive computes Z, p and u.  alpha, rho_minus and vacuum follow from Z,
+    the exponent ratio gamma and the vacuum sentinel vacuum_alpha; each is
+    computed on its first read and then kept.
+    """
 
     R: np.ndarray
     Q: np.ndarray
     u: np.ndarray
     Z: np.ndarray
-    alpha: np.ndarray
-    rho_plus: np.ndarray
-    rho_minus: np.ndarray
     p: np.ndarray
-    vacuum: np.ndarray
+    gamma: float
+    vacuum_alpha: float
     closure_iterations: int = 0
 
     @property
     def n(self) -> int:
         return self.Z.shape[0]
+
+    @property
+    def rho_plus(self) -> np.ndarray:
+        return self.Z
+
+    @functools.cached_property
+    def vacuum(self) -> np.ndarray:
+        return (self.R == 0.0) & (self.Q == 0.0)
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        # Z >= R, so Z == 0 only where R == 0: vacuum, or a root below the
+        # smallest float (alpha = 0 there)
+        return np.where(
+            self.vacuum, float(self.vacuum_alpha), self.R / np.maximum(self.Z, _TINY)
+        )
+
+    @functools.cached_property
+    def rho_minus(self) -> np.ndarray:
+        return np.power(self.Z, self.gamma)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,26 +207,27 @@ def derive(
 
     z0, the Z of a nearby state, warm-starts the closure iteration.
     """
-    Z, iters = closure.solve_closure_batch(state.R, state.Q, exps.gamma, tol, z0=z0)
-    vac = (state.R == 0.0) & (state.Q == 0.0)
-    # Z >= R, so Z == 0 only where R == 0: vacuum, or a root below the
-    # smallest float (alpha = 0 there)
-    alpha = np.where(vac, float(vacuum_alpha), state.R / np.maximum(Z, _TINY))
-    rho_minus = np.power(Z, exps.gamma)
-    p = np.power(Z, exps.gamma_plus)
-    u = state.m / np.maximum(state.R + state.Q, rho_floor)
+    Z, p, u, iters = _closure_fields(state.U, exps, tol, rho_floor, z0)
     return DerivedFields(
         R=state.R,
         Q=state.Q,
         u=u,
         Z=Z,
-        alpha=alpha,
-        rho_plus=Z,
-        rho_minus=rho_minus,
         p=p,
-        vacuum=vac,
+        gamma=exps.gamma,
+        vacuum_alpha=vacuum_alpha,
         closure_iterations=iters,
     )
+
+
+def _closure_fields(U, exps, tol, rho_floor, z0):
+    """Z, p, u and the closure iterations of a stacked (3, n) state U whose
+    values are finite with nonnegative masses, which is not checked here."""
+    R, Q, m = U
+    Z, iters = closure._solve_closure(R, Q, exps.gamma, tol, z0=z0)
+    p = np.power(Z, exps.gamma_plus)
+    u = m / np.maximum(R + Q, rho_floor)
+    return Z, p, u, iters
 
 
 def total_mass(state: FieldState, grid: Grid1D) -> tuple[float, float]:

@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from .closure import ExponentPair, solve_closure_batch, CLOSURE_TOL
+from .closure import CLOSURE_TOL, ExponentPair, _solve_closure
+from .closure import solve_closure_batch  # noqa: F401  (perfbench/tests checks this binding)
 from .fields import FieldState, Grid1D
 
 _GAUSS3_NODES = np.array([-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6)])
@@ -60,6 +61,10 @@ class ManufacturedSolution:
     closure_tol: float = CLOSURE_TOL
 
     def __post_init__(self):
+        # the forcing's closure solve trusts R in [a - |b|, a + |b|] and Q in
+        # [c - |d|, c + |d|] to be finite and positive; these checks ensure it
+        if not (math.isfinite(self.a + abs(self.b)) and math.isfinite(self.c + abs(self.d))):
+            raise ValueError("manufactured partial masses must stay finite")
         if self.a - abs(self.b) <= 0.0 or self.c - abs(self.d) <= 0.0:
             raise ValueError("manufactured partial masses must stay positive")
         if self.length <= 0.0:
@@ -116,7 +121,7 @@ class ManufacturedSolution:
 
         # dp/dx = gamma_plus * Z**(gamma_plus - 1) * dZ/dx with dZ/dx from
         # implicit differentiation of (Z - R) Z**(gamma-1) = Q.
-        Z, _ = solve_closure_batch(R, Q, g, self.closure_tol)
+        Z, _ = _solve_closure(R, Q, g, self.closure_tol)
         zg1 = np.power(Z, g - 1.0)
         dZ_dx = (zg1 * dR_dx + dQ_dx) / (zg1 * (g + (1.0 - g) * R / Z))
         gp = self.exps.gamma_plus

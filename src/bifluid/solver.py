@@ -7,9 +7,22 @@ face velocities, with one donor selection for all three rows; the pressure
 gradient of p = Z**gamma_plus is central; the viscous term nu_eff * u_xx
 (nu_eff = 2 mu + lambda in 1D) is an explicit central second difference.
 Every stencil reads ghost-padded copies built by one helper, the only code
-that distinguishes periodic from no-slip boundaries.  The closure is
-re-solved per cell after every stage, which keeps it inside the verification
-loop; each solve is warm-started from the closure root of the previous stage.
+that distinguishes periodic from no-slip boundaries, apart from the
+dissipation, which reuses the rhs's ghosted velocity on periodic grids.  The
+closure is re-solved per cell after every stage, which keeps it inside the
+verification loop; each solve is warm-started from the closure root of the
+previous stage.
+
+A step computes only what it reads.  The SSPRK2 stage stays a raw (3, n)
+array: after the positivity clip its masses are nonnegative, so one
+finiteness check (NonFiniteStateError with t and cells) makes it valid input
+for the trusted closure kernel that ``fields.derive`` is built on, which
+gives the stage's Z, p and u without a FieldState, DerivedFields or
+StepReport.  A step builds one FieldState, the new state, and one StepReport.
+Its ghosted starting velocity also gives the dissipation and the divergence
+that the volume-fraction diagnostic reads.  No step reads alpha, rho_minus or
+vacuum of a derived state; ``DerivedFields`` computes those on first read.
+
 A manufactured forcing is evaluated once per time level: an SSPRK2 step
 hands its stage forcing at t + dt on to the next step, as it hands on the
 stage closure root.  A step that lands on a snapshot time can end a
@@ -36,6 +49,8 @@ from .fields import (
     DerivedFields,
     FieldState,
     Grid1D,
+    _closure_fields,
+    _finite,
     derive,
 )
 
@@ -57,9 +72,7 @@ __all__ = [
     "compute_dt",
     "step",
     "alpha_diagnostic_step",
-    "divergence",
     "velocity_face_gradient",
-    "dissipation_rate",
     "run",
 ]
 
@@ -137,6 +150,9 @@ class StepReport:
     stage_forcing is the read-only SSPRK2 stage forcing at the new time, the
     forcing of the next step when it starts there; None for forward Euler
     and for unforced runs.
+
+    div_u is the central divergence of the step's starting velocity, which
+    drives the volume-fraction diagnostic.
     """
 
     dt: float
@@ -146,6 +162,7 @@ class StepReport:
     dissipation: float
     stage_Z: np.ndarray | None = None
     stage_forcing: np.ndarray | None = None
+    div_u: np.ndarray | None = None
 
 
 def _wave_speed(der: DerivedFields, exps) -> np.ndarray:
@@ -165,14 +182,21 @@ def compute_dt(
     speed, the per-cell |u| + c of der, is computed here when not given.
     """
     rho = der.R + der.Q
-    live = rho > scheme.rho_floor
-    if not live.any():
-        raise ZeroDtError("state is entirely vacuum")
     if speed is None:
         speed = _wave_speed(der, exps)
-    bound = float(np.min(grid.dx / speed[live]))
+    rho_min = np.minimum.reduce(rho)
+    if not rho_min > scheme.rho_floor:  # not every cell is live
+        live = rho > scheme.rho_floor
+        if not np.logical_or.reduce(live):
+            raise ZeroDtError("state is entirely vacuum")
+        speed, rho = speed[live], rho[live]
+        rho_min = np.minimum.reduce(rho)
+    # rounding is monotone, so the smallest bound is the bound of the largest
+    # speed and of the smallest density, bit for bit
+    dx = grid.dx
+    bound = float(dx / np.maximum.reduce(speed))
     if scheme.nu_eff > 0.0:
-        visc = float(np.min(grid.dx * grid.dx * rho[live] / (2.0 * scheme.nu_eff)))
+        visc = float(dx * dx * rho_min / (2.0 * scheme.nu_eff))
         bound = min(bound, visc)
     dt = scheme.cfl * bound
     if not (math.isfinite(dt) and dt > 0.0):
@@ -194,42 +218,54 @@ def _ghosted(a, grid: Grid1D, wall: float):
     return np.concatenate((wall * a[..., :1], a, wall * a[..., -1:]), axis=-1)
 
 
-def divergence(u, grid: Grid1D):
-    """Central velocity divergence honouring the boundary condition."""
-    ug = _ghosted(u, grid, -1.0)
-    return (ug[2:] - ug[:-2]) / (2.0 * grid.dx)
-
-
 def velocity_face_gradient(u, grid: Grid1D):
     """du/dx at the grid's faces; no-slip walls contribute their zero velocity."""
-    g = np.diff(_ghosted(u, grid, 0.0)) / grid.dx
+    ug = _ghosted(u, grid, 0.0)
+    g = (ug[1:] - ug[:-1]) / grid.dx
     return g[g.size - grid.n_faces :]
 
 
-def dissipation_rate(u, grid: Grid1D, nu_eff: float) -> float:
-    """Instantaneous viscous dissipation integral nu_eff * sum dx (du/dx)^2."""
-    g = velocity_face_gradient(u, grid)
-    return float(nu_eff * np.sum(g * g) * grid.dx)
+def _dissipation_rate(ug, grid: Grid1D, nu_eff: float) -> float:
+    """Instantaneous viscous dissipation integral nu_eff * sum dx (du/dx)^2.
+
+    ug is the velocity ghosted for the rhs (wall -1); periodic ghosts do not
+    depend on the wall, so periodic faces reuse it.
+    """
+    if grid.bc == PERIODIC:
+        g = (ug[2:] - ug[1:-1]) / grid.dx
+    else:
+        g = velocity_face_gradient(ug[1:-1], grid)
+    return float(nu_eff * np.add.reduce(g * g) * grid.dx)
 
 
-def _rhs(U, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, forcing):
+def _rhs(U, ug, p, grid: Grid1D, scheme: SchemeConfig, forcing):
     """Time derivative of the stacked state U = (R, Q, m) plus forcing, if any.
 
-    One face velocity, one donor selection and one flux difference serve all
+    ug is the velocity u of U ghosted with wall -1 and p its pressure.  One
+    face velocity, one donor selection and one flux difference serve all
     three rows: first-order upwind transport.  The momentum row adds the
     central pressure gradient and the viscous term nu_eff * u_xx.  Every
     expression keeps the operand order of the scheme written one equation at
-    a time, so results are bit-identical to it (tests/test_solver.py).
+    a time, so results are bit-identical to it (tests/test_solver.py); the
+    in-place operations only save temporaries (a *= b is b * a, bit for bit).
     """
     dx = grid.dx
-    ug = _ghosted(der.u, grid, -1.0)
-    pg = _ghosted(der.p, grid, 1.0)
+    pg = _ghosted(p, grid, 1.0)
     Ug = _ghosted(U, grid, 1.0)
-    u_face = 0.5 * (ug[:-1] + ug[1:])  # face j sits between ghosted cells j and j+1
-    flux = u_face * np.where(u_face > 0.0, Ug[:, :-1], Ug[:, 1:])
-    dU = -scheme.flux_sign * ((flux[:, 1:] - flux[:, :-1]) / dx)
-    dU[2] -= (pg[2:] - pg[:-2]) / (2.0 * dx)
-    dU[2] += scheme.nu_eff * ((ug[2:] - 2.0 * der.u + ug[:-2]) / (dx * dx))
+    u_face = ug[:-1] + ug[1:]  # face j sits between ghosted cells j and j+1
+    u_face *= 0.5
+    flux = np.where(u_face > 0.0, Ug[:, :-1], Ug[:, 1:])
+    flux *= u_face
+    dU = flux[:, 1:] - flux[:, :-1]
+    dU /= -scheme.flux_sign * dx  # x / (-dx) is -(x / dx), signed zeros included
+    grad_p = pg[2:] - pg[:-2]
+    grad_p /= 2.0 * dx
+    dU[2] -= grad_p
+    lap = ug[2:] - 2.0 * ug[1:-1]
+    lap += ug[:-2]
+    lap /= dx * dx
+    lap *= scheme.nu_eff
+    dU[2] += lap
     if forcing is not None:
         dU += forcing
     return dU
@@ -238,6 +274,8 @@ def _rhs(U, der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, forcing):
 def _enforce_positivity(U, scheme: SchemeConfig, t: float) -> int:
     """Zero the round-off negatives of R and Q in place; returns the clip count."""
     masses = U[:2]
+    if np.minimum.reduce(masses, axis=None) >= 0.0:
+        return 0
     neg = masses < 0.0
     if not neg.any():
         return 0
@@ -255,14 +293,11 @@ def _enforce_positivity(U, scheme: SchemeConfig, t: float) -> int:
     return clips
 
 
-def _state(t, U) -> FieldState:
-    try:
-        return FieldState(t, U=U)
-    except ValueError:
+def _check_finite(t: float, U) -> None:
+    """Raise NonFiniteStateError naming the cells where U holds NaN or inf."""
+    if not _finite(U):
         bad = ~np.isfinite(U).all(axis=0)
-        if bad.any():
-            raise NonFiniteStateError(t, np.flatnonzero(bad).tolist()) from None
-        raise
+        raise NonFiniteStateError(t, np.flatnonzero(bad).tolist()) from None
 
 
 def _derive(state: FieldState, scheme: SchemeConfig, exps, z0=None) -> DerivedFields:
@@ -294,34 +329,50 @@ def step(
     if forcing0 is None and sol is not None:
         forcing0 = sol.cell_averages(grid, state.t)
     t1 = state.t + dt
-    U1 = state.U + dt * _rhs(state.U, der0, grid, scheme, forcing0)
+    U0 = state.U
+    ug0 = _ghosted(der0.u, grid, -1.0)
+    U1 = _rhs(U0, ug0, der0.p, grid, scheme, forcing0)
+    U1 *= dt
+    U1 += U0
     clips = _enforce_positivity(U1, scheme, t1)
     iters = der0.closure_iterations
 
     stage_forcing = None
     if scheme.time_integrator == SSPRK2:
-        stage = _state(t1, U1)
-        der1 = _derive(stage, scheme, exps, z0=der0.Z)
-        iters = max(iters, der1.closure_iterations)
+        # the stage stays a raw array: after the clip its masses are >= 0, so
+        # one finiteness check makes it valid input for the trusted closure
+        _check_finite(t1, U1)
+        stage_Z, p1, u1, iters1 = _closure_fields(
+            U1, exps, scheme.closure_tol, scheme.rho_floor, der0.Z
+        )
+        iters = max(iters, iters1)
         if sol is not None:
             stage_forcing = sol.cell_averages(grid, t1)
             stage_forcing.flags.writeable = False
-        U2 = 0.5 * (state.U + U1 + dt * _rhs(U1, der1, grid, scheme, stage_forcing))
+        ug1 = _ghosted(u1, grid, -1.0)
+        U2 = _rhs(U1, ug1, p1, grid, scheme, stage_forcing)
+        U2 *= dt
+        U2 += U0 + U1
+        U2 *= 0.5
         clips += _enforce_positivity(U2, scheme, t1)
-        new = _state(t1, U2)
-        stage_Z = der1.Z
     else:
-        new = _state(t1, U1)
+        U2 = U1
         stage_Z = der0.Z
+    try:
+        new = FieldState(t1, U=U2)
+    except ValueError:
+        _check_finite(t1, U2)  # the clip left no negative mass: a NaN or inf
+        raise
 
     report = StepReport(
         dt=dt,
-        max_wave_speed=float(np.max(speed)),
+        max_wave_speed=float(np.maximum.reduce(speed)),
         positivity_clips=clips,
         closure_iterations=iters,
-        dissipation=dt * dissipation_rate(der0.u, grid, scheme.nu_eff),
+        dissipation=dt * _dissipation_rate(ug0, grid, scheme.nu_eff),
         stage_Z=stage_Z,
         stage_forcing=stage_forcing,
+        div_u=(ug0[2:] - ug0[:-2]) / (2.0 * grid.dx),
     )
     return new, report
 
@@ -337,9 +388,13 @@ def alpha_diagnostic_step(alpha, u, div_u, gamma, dt, grid: Grid1D):
     exact equation preserves the bounds, so persistent clamping flags a
     scheme bug).
     """
-    g = np.diff(_ghosted(alpha, grid, 1.0)) / grid.dx  # one-sided slopes at faces
+    ag = _ghosted(alpha, grid, 1.0)
+    g = (ag[1:] - ag[:-1]) / grid.dx  # one-sided slopes at faces
     adv = u * np.where(u > 0.0, g[:-1], g[1:])
-    new = alpha - dt * (adv + closure.omega_of_alpha(alpha, gamma) * div_u)
+    new = alpha - dt * (adv + closure._omega(alpha, gamma) * div_u)
+    # inside [0, 1] the clip changes no bit (it keeps -0.0); NaN fails both tests
+    if np.minimum.reduce(new) >= 0.0 and np.maximum.reduce(new) <= 1.0:
+        return new, 0
     clamps = int(np.count_nonzero((new < -_CLAMP_EPS) | (new > 1.0 + _CLAMP_EPS)))
     return np.clip(new, 0.0, 1.0), clamps
 
@@ -413,6 +468,11 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
     forcing = None  # the forcing at state.t, when a step handed it on
     for target in snap_times[1:]:
         while state.t < target:
+            if len(dt_hist) >= scheme.max_steps:
+                raise RuntimeError(
+                    f"step budget of {scheme.max_steps} exhausted at t={state.t:.6g}, "
+                    f"before step {len(dt_hist) + 1}"
+                )
             if der is None:
                 der = _derive(state, scheme, exps, z0=z_prev)
             speed = _wave_speed(der, exps)
@@ -433,9 +493,8 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
                 new_state = dataclasses.replace(new_state, t=target)
                 forcing = None
             if track:
-                div_u = divergence(der.u, grid)
                 a_diag, cl = alpha_diagnostic_step(
-                    a_diag, der.u, div_u, exps.gamma, dt, grid
+                    a_diag, der.u, rep.div_u, exps.gamma, dt, grid
                 )
                 clamps += cl
             cum += rep.dissipation
@@ -445,8 +504,6 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
             wave_max = max(wave_max, rep.max_wave_speed)
             state = new_state
             der = None
-            if len(dt_hist) > scheme.max_steps:
-                raise RuntimeError(f"step budget of {scheme.max_steps} exhausted")
         states.append(state)
         times.append(state.t)
         diss.append(cum)

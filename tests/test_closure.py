@@ -208,6 +208,39 @@ def test_solve_overflowing_root_raises(R):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "R, Q, exps",
+    [(0.0, 1e308, ExponentPair(1.5, 3.0)), (1.7e308, 1.7e308, ExponentPair(2.0, 2.0))],
+)
+def test_derive_overflowing_root_raises(R, Q, exps):
+    # derive solves on the trusted path, which keeps the overflow check
+    s = FieldState(0.0, [1.0, R], [1.0, Q], [0.0, 0.0])
+    with pytest.raises(ClosureOverflowError, match=r"cells \[1\]"):
+        derive(s, exps)
+
+
+def test_only_the_public_solve_validates_its_arrays(monkeypatch):
+    from bifluid import closure
+
+    checked = []
+    real = closure._validate_inputs
+
+    def spy(R, Q):
+        checked.append(R)
+        return real(R, Q)
+
+    monkeypatch.setattr(closure, "_validate_inputs", spy)
+    with pytest.raises(NonFiniteInputError):
+        solve_closure_batch([1.0, float("nan")], [1.0, 1.0], 2.0)
+    with pytest.raises(ValueError):
+        solve_closure_batch([1.0, 1.0], [1.0, -1.0], 2.0)
+    assert len(checked) == 2
+    # FieldState has checked derive's arrays, so derive solves without a second check
+    derive(FieldState(0.0, [1.0, 2.0], [1.0, 0.5], [0.0, 0.0]), ExponentPair(3.0, 1.4))
+    assert len(checked) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(
     log10_R=st.floats(-300.0, 300.0),
     log10_Q=st.floats(-300.0, 300.0),

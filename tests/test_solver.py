@@ -10,12 +10,12 @@ from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive, total_mass
 from bifluid.mms import ManufacturedSolution
 from bifluid.solver import (
+    NonFiniteStateError,
     PositivityLossError,
     SchemeConfig,
     ZeroDtError,
     alpha_diagnostic_step,
     compute_dt,
-    divergence,
     run,
     step,
     velocity_face_gradient,
@@ -163,6 +163,44 @@ def test_positivity_strict_raises_exploratory_clips():
     new, rep = step(st, grid, sch, EXPS, dt=0.5)
     assert rep.positivity_clips > 0
     assert (new.R >= 0.0).all()
+
+
+def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
+    from bifluid import solver
+
+    grid = Grid1D(8, 1.0)
+    R, Q, u = np.ones(8), np.ones(8), np.zeros(8)
+    u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
+    st = FieldState(0.0, R, Q, (R + Q) * u)
+    solved = []
+    real = solver._closure_fields
+
+    def spy(U, *args):
+        # the stage closure trusts its input: finite, with masses >= 0
+        assert np.isfinite(U).all() and (U[:2] >= 0.0).all()
+        solved.append(U)
+        return real(U, *args)
+
+    monkeypatch.setattr(solver, "_closure_fields", spy)
+    with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
+        step(st, grid, scheme(), EXPS, dt=0.5)
+    assert solved == []
+    _, rep = step(st, grid, scheme(strict_positivity=False), EXPS, dt=0.5)
+    assert len(solved) == 1 and rep.positivity_clips > 0
+
+
+@pytest.mark.parametrize("integrator", ["forward_euler", "ssprk2"])
+def test_stage_blow_up_names_time_and_cells(integrator):
+    # the momentum flux out of cell 5 overflows; only cells 5 and 6 see it
+    grid = Grid1D(16, 1.0)
+    R, Q, u = np.ones(16), np.ones(16), np.zeros(16)
+    u[5] = 1e155
+    st = FieldState(0.25, R, Q, (R + Q) * u)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
+        step(st, grid, scheme(time_integrator=integrator), EXPS, dt=1e-160)
+    assert exc.value.t == 0.25 + 1e-160
+    assert exc.value.cells == [5, 6]
+    assert exc.value.step is None  # run adds the step number
 
 
 def test_conservation_short_run_periodic():
@@ -365,14 +403,16 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(bc, flux_sign, fo
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
 def test_ghost_cell_stencils_are_bit_identical_to_reference(bc):
     grid = Grid1D(32, 1.0, bc=bc)
-    d = derive(_tricky_state(grid), EXPS)
+    st = _tricky_state(grid)
+    d = derive(st, EXPS)
     u = d.u
-    assert _same_bits(divergence(u, grid), _ref_divergence(u, grid))
+    # the step reports the divergence of its starting velocity
+    div_u = step(st, grid, scheme(), EXPS, 1e-4, derived=d)[1].div_u
+    assert _same_bits(div_u, _ref_divergence(u, grid))
     g, g_ref = velocity_face_gradient(u, grid), _ref_velocity_face_gradient(u, grid)
     assert g.shape == g_ref.shape == (grid.n_faces,)
     assert np.array_equal(g, g_ref)  # a zero wall gradient may differ in sign only
     a = np.clip(d.alpha + 0.05 * np.cos(6 * np.pi * grid.x), 0.0, 1.0)
-    div_u = divergence(u, grid)
     new, _ = alpha_diagnostic_step(a, u, div_u, 2.0, 1e-3, grid)
     assert _same_bits(new, _ref_alpha_step(a, u, div_u, 2.0, 1e-3, grid))
 
@@ -383,7 +423,7 @@ def test_ghost_cell_stencils_are_bit_identical_to_reference(bc):
 def test_alpha_diagnostic_fixed_points():
     grid = Grid1D(32, 1.0)
     u = np.sin(2 * np.pi * grid.x)
-    div_u = divergence(u, grid)
+    div_u = _ref_divergence(u, grid)
     for a0 in (0.0, 1.0):
         a = np.full(32, a0)
         new, clamps = alpha_diagnostic_step(a, u, div_u, 2.0, 1e-3, grid)
@@ -395,7 +435,7 @@ def test_alpha_diagnostic_divergence_free_uniform():
     grid = Grid1D(32, 1.0)
     a = np.full(32, 0.37)
     u = np.full(32, 0.9)  # constant velocity: div u = 0
-    new, clamps = alpha_diagnostic_step(a, u, divergence(u, grid), 2.0, 1e-3, grid)
+    new, clamps = alpha_diagnostic_step(a, u, _ref_divergence(u, grid), 2.0, 1e-3, grid)
     assert np.allclose(new, a, atol=1e-16)
     assert clamps == 0
 
@@ -408,6 +448,21 @@ def test_alpha_diagnostic_clamps_counted():
     new, clamps = alpha_diagnostic_step(a, u, div_u, 2.0, 0.1, grid)
     assert clamps > 0
     assert np.all(new <= 1.0)
+
+
+def test_alpha_diagnostic_clip_matches_reference_bitwise():
+    grid = Grid1D(32, 1.0)
+    a = np.full(32, 0.4)
+    a[3] = -0.0  # np.clip keeps a negative zero, so the in-range path must too
+    u = np.zeros(32)
+    still = np.zeros(32)
+    expand = still.copy()
+    expand[10:12] = 50.0  # strong expansion drives alpha below 0 in two cells
+    for div_u, want_clamps in ((still, 0), (expand, 2)):
+        new, clamps = alpha_diagnostic_step(a, u, div_u, 2.0, 0.1, grid)
+        assert clamps == want_clamps
+        assert _same_bits(new, _ref_alpha_step(a, u, div_u, 2.0, 0.1, grid))
+    assert np.signbit(new[3]) and new.min() == 0.0
 
 
 # run ---------------------------------------------------------------------------
@@ -487,8 +542,9 @@ def test_run_tracks_alpha_diagnostic():
 
 
 @pytest.mark.parametrize("track", [True, False])
-def test_run_derives_twice_per_ssprk2_step(monkeypatch, track):
-    # the step's derive and its stage derive; the diagnostic reuses the first
+def test_run_derives_once_per_ssprk2_step(monkeypatch, track):
+    # each step derives the state it starts from; its stage is a raw array
+    # that never goes through derive, and the diagnostic reuses the first
     from bifluid import solver
 
     calls = []
@@ -501,7 +557,7 @@ def test_run_derives_twice_per_ssprk2_step(monkeypatch, track):
     monkeypatch.setattr(solver, "derive", spy)
     traj = run(base_cfg(track_alpha=track))
     assert traj.n_steps > 0
-    assert len(calls) == 2 * traj.n_steps
+    assert len(calls) == traj.n_steps
     assert calls[0] is traj.states[0]
     assert (traj.alpha_diag is not None) == track
     # tracking the diagnostic leaves the trajectory bit-identical
@@ -509,6 +565,40 @@ def test_run_derives_twice_per_ssprk2_step(monkeypatch, track):
     other = run(base_cfg(track_alpha=not track))
     for s1, s2 in zip(traj.states, other.states, strict=True):
         assert _same_bits(s1.U, s2.U)
+
+
+def test_run_stage_blow_up_names_the_step():
+    cfg = base_cfg(
+        mu=0.0,
+        allow_inviscid=True,
+        t_end=1e-150,
+        n_snapshots=2,
+        u_init=ProfileSpec(preset="sine", base=0.0, amplitude=1e155),
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
+        run(cfg)
+    assert exc.value.step == 1
+    assert 0.0 < exc.value.t <= 1e-150
+    assert exc.value.cells and all(0 <= c < cfg.n for c in exc.value.cells)
+
+
+def test_run_stops_at_the_step_budget_before_stepping_past_it(monkeypatch):
+    from bifluid import solver
+
+    calls = []
+    real_step, real_scheme = solver.step, SimConfig.scheme
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].t)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", spy)
+    monkeypatch.setattr(
+        SimConfig, "scheme", lambda cfg: dataclasses.replace(real_scheme(cfg), max_steps=5)
+    )
+    with pytest.raises(RuntimeError, match=r"step budget of 5 exhausted at t=\S+, before step 6"):
+        run(base_cfg())
+    assert len(calls) == 5
 
 
 def test_run_starts_from_a_given_initial_state():
@@ -621,6 +711,13 @@ def test_forced_forward_euler_evaluates_the_forcing_once_per_step(monkeypatch):
     calls = _spy_cell_averages(monkeypatch)
     traj = run(mms_cfg(integrator="forward_euler", cfl=0.5))
     assert len(calls) == traj.n_steps
+
+
+@pytest.mark.parametrize("kw", [dict(a=np.inf), dict(d=np.nan), dict(c=1e308, d=1e308)])
+def test_manufactured_masses_must_stay_finite(kw):
+    # the forcing's closure solve trusts R and Q to be finite
+    with pytest.raises(ValueError, match="finite"):
+        ManufacturedSolution(EXPS, nu_eff=0.2, **kw)
 
 
 def test_handed_on_forcing_is_read_only():

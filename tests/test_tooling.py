@@ -7,6 +7,8 @@ import pkgutil
 from pathlib import Path
 
 import bifluid
+from bifluid import solver
+from bifluid.config import SimConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +36,24 @@ def test_every_all_name_exists():
         module = importlib.import_module(f"bifluid.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], f"bifluid.{info.name}.__all__ names missing objects"
+
+
+def test_full_trace_covers_the_hot_loop():
+    # a refactor must not move the per-step work out of the traced entry points
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(full=True)
+    try:
+        traj = solver.run(SimConfig(n=16, t_end=0.01, n_snapshots=2))
+    finally:
+        tracer.uninstall()
+    assert not hasattr(solver.run, "__wrapped__")  # uninstalled
+    assert traj.n_steps > 0 and tracer.counts["solver.steps"] == traj.n_steps
+    for name in (
+        "solver.run",
+        "solver.step",
+        "solver.compute_dt",
+        "solver.alpha_diag",
+        "fields.derive",
+    ):
+        assert tracer.spans[name][0] > 0, f"{name} is not traced"
