@@ -177,24 +177,15 @@ def _start_writers(jobs) -> SnapshotWriters:
     return SnapshotWriters(procs)
 
 
-def write_run_outputs(
-    traj: Trajectory, out_dir, cfg: SimConfig, derived=None, energies=None
-) -> SnapshotWriters:
+def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> SnapshotWriters:
     """Snapshots plus report.json for one finished trajectory.
 
-    derived and energies, when given, are the derived fields and total
-    energies of traj.states; otherwise each snapshot is derived once, for
-    both its CSV and its energy.  report.json is written here; the CSVs are
-    written by forked writers, whose join handle is returned.
+    The CSV columns and energies come from the run's own derived fields,
+    traj.derived.  report.json is written here; the CSVs are written by
+    forked writers, whose join handle is returned.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if derived is None:
-        derived = [traj.derived(k) for k in range(len(traj.states))]
-    if energies is None:
-        energies = [
-            total_energy(s, traj.grid, traj.exps, derived=d)
-            for s, d in zip(traj.states, derived)
-        ]
+    energies = [total_energy(d, traj.grid, traj.exps) for d in traj.derived]
     names = [f"snapshot_{k:04d}.csv" for k in range(len(traj.states))]
     masses = [total_mass(s, traj.grid) for s in traj.states]
     mr0, mq0 = masses[0]
@@ -230,7 +221,7 @@ def write_run_outputs(
     return _start_writers(
         [
             (os.path.join(out_dir, name), traj.grid, state, der)
-            for name, state, der in zip(names, traj.states, derived)
+            for name, state, der in zip(names, traj.states, traj.derived)
         ]
     )
 
@@ -307,8 +298,12 @@ def compare_runs(
 
     Returns (rows, verify_payload).  The reference side is a twin run, a
     fine-grid run restricted by cell averaging, or the manufactured exact
-    solution, per ref_mode.  Without cfg_b a twin is run_a itself: the runs
-    are deterministic, so a second solve would repeat it bit for bit.
+    solution, per ref_mode.  A run's snapshots are audited and written with
+    the fields the run derived itself (Trajectory.derived), so a twin is
+    compared on the fields of its run_b CSVs, made with cfg_b's closure
+    settings; the restricted and the exact states are derived here, with
+    cfg_a's.  Without cfg_b a twin is run_a itself: the runs are
+    deterministic, so a second solve would repeat it bit for bit.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
     """
@@ -327,49 +322,35 @@ def compare_runs(
         grid = traj_a.grid
         exps = traj_a.exps
         times = traj_a.times
-        scheme_a = traj_a.scheme
-        der_a = [traj_a.derived(i) for i in range(len(traj_a.states))]
-        audit = verify.energy_audit(traj_a, cfg_a.energy_eps, derived=der_a)
+        der_a = traj_a.derived
+        audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
         if out_dir is not None:
-            writers.append(
-                write_run_outputs(
-                    traj_a, os.path.join(out_dir, "run_a"), cfg_a, derived=der_a, energies=audit.E
-                )
-            )
+            writers.append(write_run_outputs(traj_a, os.path.join(out_dir, "run_a"), cfg_a))
 
         traj_b = None
-        if ref_mode == "twin":
+        if ref_mode != "mms":
             traj_b = traj_a if self_twin else run(cfg_b, initial=initial_b)
-            states_b = traj_b.states
-        elif ref_mode == "fine":
-            traj_b = run(cfg_b, initial=initial_b)
-            factor = cfg_b.n // cfg_a.n
-            states_b = [restrict(s, factor) for s in traj_b.states]
+            if traj_b.times != times:
+                raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+        if ref_mode == "twin":
+            der_b = traj_b.derived
         else:
-            sol = cfg_a.manufactured()
-            states_b = [sol.state(grid, t) for t in times]
-        if traj_b is not None and traj_b.times != times:
-            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-        der_b = der_a if self_twin else [
-            derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
-            for s in states_b
-        ]
+            if ref_mode == "fine":
+                states_b = [restrict(s, cfg_b.n // cfg_a.n) for s in traj_b.states]
+            else:
+                sol = cfg_a.manufactured()
+                states_b = [sol.state(grid, t) for t in times]
+            der_b = [
+                derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
+                for s in states_b
+            ]
         if out_dir is not None and traj_b is not None:
-            # a twin's reference fields are its own when derived with its settings
-            same = ref_mode == "twin" and all(
-                getattr(cfg_a, k) == getattr(cfg_b, k)
-                for k in ("closure_tol", "vacuum_alpha", "rho_floor")
-            )
-            writers.append(
-                write_run_outputs(
-                    traj_b, os.path.join(out_dir, "run_b"), cfg_b, derived=der_b if same else None
-                )
-            )
+            writers.append(write_run_outputs(traj_b, os.path.join(out_dir, "run_b"), cfg_b))
 
         rows = verify.relative_entropy_series(
-            der_a, der_b, times, grid, exps, nu_eff=scheme_a.nu_eff
+            der_a, der_b, times, grid, exps, nu_eff=traj_a.scheme.nu_eff
         )
-        e_scale = total_energy(states_b[0], grid, exps, derived=der_b[0])
+        e_scale = total_energy(der_b[0], grid, exps)
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
         fit = verify.gronwall_check(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
@@ -421,6 +402,10 @@ def compare_runs(
 
 
 def cmd_compare(args) -> int:
+    # NaN fails the comparison, so this also rejects a non-finite delta
+    if args.delta is not None and not (0.0 < args.delta < math.inf):
+        print("usage error: --delta must be positive and finite", file=sys.stderr)
+        return EXIT_CONFIG
     cfg_a, state_a = _load_config(args.config, args.strict)
     cfg_b, state_b = _load_config(args.config_b, args.strict) if args.config_b else (None, None)
     try:
@@ -483,6 +468,9 @@ def cmd_closure(args) -> int:
         and 0.0 <= args.q_min <= args.q_max < math.inf
     ):
         print("usage error: ranges must be finite, nonnegative and ordered", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (0.0 <= args.vacuum_alpha <= 1.0):
+        print("usage error: --vacuum-alpha must lie in [0, 1]", file=sys.stderr)
         return EXIT_CONFIG
     try:
         exps = ExponentPair(args.gamma_plus, args.gamma_minus)

@@ -235,23 +235,18 @@ def total_mass(state: FieldState, grid: Grid1D) -> tuple[float, float]:
     return float(np.sum(state.R) * grid.dx), float(np.sum(state.Q) * grid.dx)
 
 
-def total_energy(
-    state: FieldState,
-    grid: Grid1D,
-    exps: closure.ExponentPair,
-    derived: DerivedFields | None = None,
-) -> float:
-    """Kinetic plus weighted Helmholtz energy of the mixture.
+def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -> float:
+    """Kinetic plus weighted Helmholtz energy of the mixture, from the derived
+    fields der of a state.
 
     E = sum dx * [ (R+Q) u^2 / 2 + alpha H_plus(rho_plus)
                    + (1-alpha) H_minus(rho_minus) ].
     Vacuum cells contribute zero regardless of the alpha sentinel.
     """
-    der = derived if derived is not None else derive(state, exps)
     law_p = thermo.PhaseLaw(exps.gamma_plus)
     law_m = thermo.PhaseLaw(exps.gamma_minus)
     e = (
-        0.5 * (state.R + state.Q) * der.u**2
+        0.5 * (der.R + der.Q) * der.u**2
         + der.alpha * thermo.helmholtz(der.rho_plus, law_p)
         + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, law_m)
     )

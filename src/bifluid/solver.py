@@ -13,6 +13,11 @@ closure is re-solved per cell after every stage, which keeps it inside the
 verification loop; each solve is warm-started from the closure root of the
 previous stage.
 
+The run keeps the derived fields it made for each snapshot state: the derive
+of a snapshot state is the one that starts the next step (warm-started from
+the stage root), and the final state gets one more warm derive.  Outputs and
+audits read these fields from the trajectory and derive nothing again.
+
 A step computes only what it reads.  The SSPRK2 stage stays a raw (3, n)
 array: after the positivity clip its masses are nonnegative, so one
 finiteness check (NonFiniteStateError with t and cells) makes it valid input
@@ -401,13 +406,20 @@ def alpha_diagnostic_step(alpha, u, div_u, gamma, dt, grid: Grid1D):
 
 @dataclasses.dataclass
 class Trajectory:
-    """Snapshots at the configured times plus per-run accounting."""
+    """Snapshots at the configured times plus per-run accounting.
+
+    derived[k] holds the derived fields the run made for states[k], with the
+    run's closure settings and warm-started like every derive of the run: it
+    equals a cold derive bit for bit where the closure has a closed form
+    (gamma = 2 or 1) and to within the closure tolerance otherwise.
+    """
 
     grid: Grid1D
     exps: object
     scheme: SchemeConfig
     times: list[float]
     states: list[FieldState]
+    derived: list[DerivedFields]
     diss_cum: list[float]
     alpha_diag: list[np.ndarray] | None
     dt_history: np.ndarray
@@ -423,9 +435,6 @@ class Trajectory:
     @property
     def forced(self) -> bool:
         return self.scheme.forcing is not None
-
-    def derived(self, index: int) -> DerivedFields:
-        return _derive(self.states[index], self.scheme, self.exps)
 
 
 def run(cfg, initial: FieldState | None = None) -> Trajectory:
@@ -446,7 +455,9 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
     snap_times = cfg.snapshot_times()
     track = bool(getattr(cfg, "track_alpha", False))
 
+    der = _derive(state, scheme, exps)  # the first step reuses it
     states = [state]
+    derived = [der]
     times = [state.t]
     diss = [0.0]
     cum = 0.0
@@ -458,9 +469,7 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
 
     a_diag = None
     a_snaps = None
-    der = None  # the derive of state, when already made
     if track:
-        der = _derive(state, scheme, exps)  # the first step reuses it
         a_diag = der.alpha.copy()
         a_snaps = [a_diag.copy()]
 
@@ -504,7 +513,10 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
             wave_max = max(wave_max, rep.max_wave_speed)
             state = new_state
             der = None
+        if der is None:  # a later step, if any, starts from this derive
+            der = _derive(state, scheme, exps, z0=z_prev)
         states.append(state)
+        derived.append(der)
         times.append(state.t)
         diss.append(cum)
         if track:
@@ -516,6 +528,7 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
         scheme=scheme,
         times=times,
         states=states,
+        derived=derived,
         diss_cum=diss,
         alpha_diag=a_snaps,
         dt_history=np.asarray(dt_hist),

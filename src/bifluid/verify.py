@@ -164,19 +164,13 @@ class EnergyAudit:
     dissipation_cum: list[float]
 
 
-def energy_audit(traj: Trajectory, eps_E: float = 1e-3, derived=None) -> EnergyAudit:
+def energy_audit(traj: Trajectory, eps_E: float = 1e-3) -> EnergyAudit:
     """Check E(tau) + cumulative dissipation <= E(0) * (1 + eps_E) at snapshots.
 
-    derived, when given, holds the derived fields of traj.states, so no
-    snapshot is derived again.  Skipped (and flagged) for forced runs, where
-    sources inject energy.
+    The energies come from the run's own derived fields, traj.derived.
+    Skipped (and flagged) for forced runs, where sources inject energy.
     """
-    if derived is None:
-        derived = map(traj.derived, range(len(traj.states)))
-    energies = [
-        total_energy(s, traj.grid, traj.exps, derived=d)
-        for s, d in zip(traj.states, derived)
-    ]
+    energies = [total_energy(d, traj.grid, traj.exps) for d in traj.derived]
     if traj.forced:
         return EnergyAudit(
             passed=False,
@@ -409,7 +403,7 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
         grid = traj.grid
         sol = traj.scheme.forcing
         final = traj.states[-1]
-        der = traj.derived(len(traj.states) - 1)
+        der = traj.derived[-1]
         t = traj.times[-1]
         x = grid.x
         errors["R"].append(_l2_error(final.R, sol.R(x, t), grid.dx))

@@ -255,7 +255,7 @@ def test_criterion_6_alpha_evolution_consistency():
     for n in (32, 64, 128, 256):
         traj = run(_smooth_cfg(n, track_alpha=True, n_snapshots=2))
         a_transport = traj.alpha_diag[-1]
-        a_closure = traj.derived(len(traj.states) - 1).alpha
+        a_closure = traj.derived[len(traj.states) - 1].alpha
         gaps.append(float(np.sum(np.abs(a_transport - a_closure)) * traj.grid.dx))
     ok = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     _report(6, ok, "L1 gaps " + ", ".join(f"{g:.3e}" for g in gaps))
@@ -276,7 +276,7 @@ def test_criterion_7_weak_strong_stability(fine_reference):
         tc = run(_smooth_cfg(nc))
         factor = 512 // nc
         states_b = [restrict(s, factor) for s in tf.states]
-        da = [tc.derived(i) for i in range(len(tc.states))]
+        da = [tc.derived[i] for i in range(len(tc.states))]
         db = [derive(s, tc.exps) for s in states_b]
         rows = relative_entropy_series(da, db, tc.times, tc.grid, tc.exps, nu_eff=tc.scheme.nu_eff)
         max_es.append(max(r.E_total for r in rows))
@@ -284,11 +284,11 @@ def test_criterion_7_weak_strong_stability(fine_reference):
 
     # quadratic response to initial-data perturbations of size eps, eps/2, eps/4
     ref = run(_smooth_cfg(128))
-    db = [ref.derived(i) for i in range(len(ref.states))]
+    db = [ref.derived[i] for i in range(len(ref.states))]
     peaks = []
     for eps in (0.08, 0.04, 0.02):
         ta = run(_smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3))
-        da = [ta.derived(i) for i in range(len(ta.states))]
+        da = [ta.derived[i] for i in range(len(ta.states))]
         rows = relative_entropy_series(da, db, ta.times, ta.grid, ta.exps, nu_eff=ta.scheme.nu_eff)
         peaks.append(max(r.E_total for r in rows))
     ratios = [peaks[0] / peaks[1], peaks[1] / peaks[2]]
@@ -310,8 +310,8 @@ def _velocity_pair(n):
     # at zero and is generated by the run, which exercises the fitted term
     ta = run(_smooth_cfg(n, u_init=ProfileSpec(preset="sine", base=0.0, amplitude=0.25)))
     tb = run(_smooth_cfg(n))
-    da = [ta.derived(i) for i in range(len(ta.states))]
-    db = [tb.derived(i) for i in range(len(tb.states))]
+    da = [ta.derived[i] for i in range(len(ta.states))]
+    db = [tb.derived[i] for i in range(len(tb.states))]
     return ta, da, db
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bifluid
-from bifluid import cli
+from bifluid import cli, verify
 from bifluid.cli import main
 from bifluid.closure import ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, validate_config
@@ -302,15 +302,17 @@ def test_cli_compare_outputs_reproducible(tmp_path):
 
 
 def _spy_write_derives(monkeypatch):
-    """Per cli.write_run_outputs call: (trajectory, derive calls per state id)."""
+    """Derive calls per state id: (per cli.write_run_outputs call, its
+    trajectory and the derives made inside it; all derives of the process)."""
     from collections import Counter
 
     from bifluid import fields, solver
 
-    writes, active = [], []
+    writes, active, every = [], [], Counter()
     real_derive, real_write = fields.derive, cli.write_run_outputs
 
     def spy_derive(state, *args, **kwargs):
+        every[id(state)] += 1
         if active:
             active[-1][id(state)] += 1
         return real_derive(state, *args, **kwargs)
@@ -325,16 +327,19 @@ def _spy_write_derives(monkeypatch):
     for module in (fields, solver, cli):
         monkeypatch.setattr(module, "derive", spy_derive)
     monkeypatch.setattr(cli, "write_run_outputs", spy_write)
-    return writes
+    return writes, every
 
 
 def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeypatch):
-    writes = _spy_write_derives(monkeypatch)
+    writes, every = _spy_write_derives(monkeypatch)
     path = write(tmp_path, "run.ini", RUN_CFG)
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
     (traj, counts), = writes
     assert len(traj.states) == 3
-    assert counts == {id(s): 1 for s in traj.states}
+    assert counts == {}  # the CSVs and energies read the run's own derived fields
+    assert [every[id(s)] for s in traj.states] == [1, 1, 1]  # each derived once, in the run
+    assert len(traj.derived) == 3
+    assert all(d.R.base is s.U and d.Q.base is s.U for d, s in zip(traj.derived, traj.states))
 
 
 def _same_dir_bytes(d1, d2):
@@ -347,27 +352,30 @@ def _same_dir_bytes(d1, d2):
 def _compare_twin_run_b(tmp_path, monkeypatch, text_b):
     """Derive counts of run_b's writer in a twin compare; checks its bytes
     against a plain run of the same config."""
-    writes = _spy_write_derives(monkeypatch)
+    writes, every = _spy_write_derives(monkeypatch)
     a = write(tmp_path, "a.ini", RUN_CFG + "\n[perturbation]\nepsilon = 0.01\n")
     b = write(tmp_path, "b.ini", text_b)
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
-    (_, counts_a), (traj_b, counts_b) = writes
-    assert counts_a == {}  # run_a reuses the fields compare derived
+    (traj_a, counts_a), (traj_b, counts_b) = writes
+    assert counts_a == {}  # run_a writes the fields its run derived
+    # every snapshot state of both runs is derived once, in its run
+    assert [every[id(s)] for s in traj_a.states + traj_b.states] == [1] * 6
     assert main(["run", "--config", b, "--out", str(tmp_path / "plain")]) == 0
     _same_dir_bytes(tmp_path / "c" / "run_b", tmp_path / "plain")
     return traj_b, counts_b
 
 
 def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
-    # same closure settings: run_b reuses its reference fields der_b
     _, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, RUN_CFG)
     assert counts_b == {}
 
 
 def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monkeypatch):
+    # run_b's own derived fields hold its own closure settings: no derive here
     text_b = RUN_CFG + "\n[tolerances]\nclosure_tol = 1e-11\n"
     traj_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, text_b)
-    assert counts_b == {id(s): 1 for s in traj_b.states}
+    assert counts_b == {}
+    assert len(traj_b.derived) == len(traj_b.states) == 3
 
 
 def _serial_snapshots(traj, derived, out):
@@ -389,7 +397,7 @@ def test_cli_run_csvs_equal_a_serial_in_process_write(tmp_path):
     path = write(tmp_path, "run.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 5"))
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
     traj = run(validate_config(open(path).read())[0])
-    _serial_snapshots(traj, map(traj.derived, range(5)), tmp_path / "serial")
+    _serial_snapshots(traj, traj.derived, tmp_path / "serial")
     got = _snapshot_bytes(tmp_path / "o")
     assert len(got) == 5 and got == _snapshot_bytes(tmp_path / "serial")
 
@@ -431,7 +439,7 @@ def test_cli_twin_compare_csvs_equal_a_serial_in_process_write(tmp_path):
     for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
         traj = run(validate_config(text)[0])
         serial = tmp_path / f"serial_{side}"
-        _serial_snapshots(traj, map(traj.derived, range(6)), serial)
+        _serial_snapshots(traj, traj.derived, serial)
         got = _snapshot_bytes(out / side)
         assert len(got) == 6 and got == _snapshot_bytes(serial)
 
@@ -588,6 +596,32 @@ Q_waves = 2.0
 u_preset = sine
 u_amplitude = 0.2
 """
+
+
+def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path):
+    # gamma = 3 / 1.4 takes the Newton closure, where closure_tol matters: the
+    # reference fields are run_b's own, the ones its CSVs hold
+    from bifluid.solver import run
+
+    base = PAIR_BASE.replace("gamma_minus = 1.5", "gamma_minus = 1.4")
+    text_a = base + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
+    text_b = base + "\n[tolerances]\nclosure_tol = 1e-11\n"
+    a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", text_b)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
+    traj_a = run(validate_config(text_a)[0])
+    traj_b = run(validate_config(text_b)[0])
+    rows = verify.relative_entropy_series(
+        traj_a.derived, traj_b.derived, traj_a.times, traj_a.grid, traj_a.exps,
+        nu_eff=traj_a.scheme.nu_eff,
+    )
+    want = out / "want.csv"
+    cli.write_re_report(want, rows)
+    assert (out / "re_report.csv").read_bytes() == want.read_bytes()
+    # and run_b's CSVs carry the same Z
+    for k, der in enumerate(traj_b.derived):
+        got = np.loadtxt(out / "run_b" / f"snapshot_{k:04d}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(got[:, 5], der.Z)
 
 
 def _max_E(path):
@@ -767,6 +801,39 @@ def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(capsys, mon
         Z, alpha, rho_minus, p, vacuum = _recover_state(r, q, exps, vacuum_alpha=0.25)
         want = (r, q, Z, alpha, rho_minus, p)
         assert line == ",".join(format(v, ".17g") for v in want) + (",1" if vacuum else ",0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "7", "1.0000001"])
+def test_cli_closure_rejects_vacuum_alpha_outside_unit_interval(capsys, value):
+    argv = ["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", f"--vacuum-alpha={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --vacuum-alpha must lie in [0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_cli_closure_accepts_vacuum_alpha_at_the_bounds(capsys, value):
+    argv = ["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", "--vacuum-alpha", value]
+    assert main(argv) == 0
+    vacuum_row = capsys.readouterr().out.splitlines()[1]
+    assert vacuum_row == f"0,0,0,{value},0,0,1"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_cli_compare_rejects_a_non_positive_or_non_finite_delta(tmp_path, value):
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    out = tmp_path / "o"
+    argv = ["compare", "--config", path, "--out", str(out), f"--delta={value}"]
+    src = os.path.dirname(os.path.dirname(bifluid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bifluid.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "usage error: --delta must be positive and finite\n"
+    assert not out.exists()  # nothing was run or written
 
 
 def test_cli_closure_table_usage_errors(capsys):

@@ -159,14 +159,14 @@ def test_total_energy_uniform_example():
     g = Grid1D(8, 1.0)
     s = uniform_state(8, 1.0, 2.0, 1.0)
     # kinetic 3/2 + alpha H+ = 0.5 * 4 + (1-alpha) H- = 0.5 * 16
-    assert total_energy(s, g, EXPS) == pytest.approx(11.5, rel=1e-12)
+    assert total_energy(derive(s, EXPS), g, EXPS) == pytest.approx(11.5, rel=1e-12)
 
 
 def test_total_energy_vacuum_and_velocity_sign():
     g = Grid1D(8, 1.0)
-    assert total_energy(uniform_state(8, 0.0, 0.0, 0.0), g, EXPS) == 0.0
-    e1 = total_energy(uniform_state(8, 1.0, 2.0, 1.3), g, EXPS)
-    e2 = total_energy(uniform_state(8, 1.0, 2.0, -1.3), g, EXPS)
+    assert total_energy(derive(uniform_state(8, 0.0, 0.0, 0.0), EXPS), g, EXPS) == 0.0
+    e1 = total_energy(derive(uniform_state(8, 1.0, 2.0, 1.3), EXPS), g, EXPS)
+    e2 = total_energy(derive(uniform_state(8, 1.0, 2.0, -1.3), EXPS), g, EXPS)
     assert e1 == e2
 
 
@@ -178,7 +178,7 @@ def test_total_energy_vacuum_and_velocity_sign():
 @example(R=5e-324, Q=0.0, u=0.0)
 def test_total_energy_nonnegative(R, Q, u):
     g = Grid1D(8, 1.0)
-    assert total_energy(uniform_state(8, R, Q, u), g, EXPS) >= 0.0
+    assert total_energy(derive(uniform_state(8, R, Q, u), EXPS), g, EXPS) >= 0.0
 
 
 # essential / residual classification ---------------------------------------------

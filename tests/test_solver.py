@@ -537,34 +537,59 @@ def test_run_tracks_alpha_diagnostic():
     traj = run(base_cfg(track_alpha=True))
     assert traj.alpha_diag is not None
     assert len(traj.alpha_diag) == len(traj.states)
-    a0 = traj.derived(0).alpha
+    a0 = traj.derived[0].alpha
     assert np.array_equal(traj.alpha_diag[0], a0)
 
 
 @pytest.mark.parametrize("track", [True, False])
 def test_run_derives_once_per_ssprk2_step(monkeypatch, track):
     # each step derives the state it starts from; its stage is a raw array
-    # that never goes through derive, and the diagnostic reuses the first
+    # that never goes through derive, the diagnostic reuses the first derive,
+    # and the final state is derived once more for the trajectory
     from bifluid import solver
 
-    calls = []
+    calls, made = [], []
     real = solver.derive
 
     def spy(state, *args, **kwargs):
         calls.append(state)
-        return real(state, *args, **kwargs)
+        made.append(real(state, *args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(solver, "derive", spy)
     traj = run(base_cfg(track_alpha=track))
     assert traj.n_steps > 0
-    assert len(calls) == traj.n_steps
-    assert calls[0] is traj.states[0]
+    assert len(calls) == traj.n_steps + 1
+    assert calls[0] is traj.states[0] and calls[-1] is traj.states[-1]
+    assert len(set(map(id, calls))) == len(calls)  # no state is derived twice
+    # the trajectory holds the run's own derives of its snapshot states
+    assert len(traj.derived) == len(traj.states)
+    for state, der in zip(traj.states, traj.derived):
+        k = next(i for i, d in enumerate(made) if d is der)
+        assert calls[k] is state
     assert (traj.alpha_diag is not None) == track
     # tracking the diagnostic leaves the trajectory bit-identical
     monkeypatch.undo()
     other = run(base_cfg(track_alpha=not track))
     for s1, s2 in zip(traj.states, other.states, strict=True):
         assert _same_bits(s1.U, s2.U)
+
+
+@pytest.mark.parametrize("gamma_minus", [1.5, 1.4])
+def test_run_derived_fields_match_a_cold_derive(gamma_minus):
+    # the run's derives are warm-started; gamma = 2 has a closed form that
+    # ignores the start, other exponents converge to within the tolerance
+    traj = run(base_cfg(gamma_minus=gamma_minus, n_snapshots=5))
+    tol = traj.scheme.closure_tol
+    assert len(traj.derived) == len(traj.states) == 5
+    for state, der in zip(traj.states, traj.derived):
+        cold = derive(state, traj.exps, tol, traj.scheme.vacuum_alpha, traj.scheme.rho_floor)
+        if traj.exps.gamma == 2.0:
+            for name in ("Z", "p", "u", "alpha", "rho_minus"):
+                assert _same_bits(getattr(der, name), getattr(cold, name)), name
+        else:
+            assert np.max(np.abs(der.Z - cold.Z) / cold.Z) <= tol
+            assert _same_bits(der.u, cold.u)
 
 
 def test_run_stage_blow_up_names_the_step():

@@ -7,7 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import bifluid
-from bifluid import solver
+from bifluid import cli, solver
 from bifluid.config import SimConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -57,3 +57,23 @@ def test_full_trace_covers_the_hot_loop():
         "fields.derive",
     ):
         assert tracer.spans[name][0] > 0, f"{name} is not traced"
+
+
+def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path):
+    # both runs hand their own derived fields to the outputs and the audits,
+    # so the benchmark's derive_per_state reads 1
+    tracing = _load_tracing()
+    cfg_a = SimConfig(n=16, t_end=0.01, n_snapshots=3, perturb_epsilon=0.01)
+    cfg_b = SimConfig(n=16, t_end=0.01, n_snapshots=3, closure_tol=1e-11)
+    tracer = tracing.Tracer()
+    tracer.install(full=True)
+    try:
+        cli.compare_runs(cfg_a, cfg_b, "twin", tmp_path)
+    finally:
+        tracer.uninstall()
+    steps = tracer.counts["solver.steps"]
+    assert tracer.spans["solver.run"][0] == 2 and steps > 0
+    assert tracer.spans["fields.derive"][0] == tracer.counts["fields.distinct_states"]
+    assert tracer.counts["fields.distinct_states"] == steps + 2
+    metrics = tracing.layer_metrics(tracer, tmp_path)
+    assert metrics["fields.derive_per_state"] == 1.0
