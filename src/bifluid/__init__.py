@@ -7,10 +7,8 @@ from .closure import ExponentPair, omega_of_alpha, solve_closure_batch
 from .config import ProfileSpec, SimConfig, validate_config
 from .fields import (
     DerivedFields,
-    EssentialMask,
     FieldState,
     Grid1D,
-    classify_ess_res,
     derive,
     restrict,
     total_energy,

@@ -180,12 +180,11 @@ def _start_writers(jobs) -> SnapshotWriters:
 def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> SnapshotWriters:
     """Snapshots plus report.json for one finished trajectory.
 
-    The CSV columns and energies come from the run's own derived fields,
-    traj.derived.  report.json is written here; the CSVs are written by
-    forked writers, whose join handle is returned.
+    The CSV columns come from the run's own derived fields, traj.derived,
+    and the energies from traj.energies.  report.json is written here; the
+    CSVs are written by forked writers, whose join handle is returned.
     """
     os.makedirs(out_dir, exist_ok=True)
-    energies = [total_energy(d, traj.grid, traj.exps) for d in traj.derived]
     names = [f"snapshot_{k:04d}.csv" for k in range(len(traj.states))]
     masses = [total_mass(s, traj.grid) for s in traj.states]
     mr0, mq0 = masses[0]
@@ -212,7 +211,7 @@ def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> SnapshotWrit
             "drift_Q_rel": drift_q,
         },
         "energy": {
-            "E": energies,
+            "E": traj.energies,
             "dissipation_cum": traj.diss_cum,
         },
         "forced": traj.forced,
@@ -258,14 +257,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _make_out_dir(path) -> bool:
+    """Create the output directory before any solve; False, with a usage
+    error printed, when the path cannot be one (it is a file, or lies under
+    one)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: cannot create the --out directory: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     cfg, state = _load_config(args.config, args.strict)
-    try:
-        traj = run(cfg, initial=state)
-    except RUNTIME_ERRORS as exc:
-        _write_failure(args.out, exc)
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if not _make_out_dir(args.out):
+        return EXIT_CONFIG
+    traj = run(cfg, initial=state)
     write_run_outputs(traj, args.out, cfg).join()
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return EXIT_OK
@@ -299,11 +307,15 @@ def compare_runs(
     Returns (rows, verify_payload).  The reference side is a twin run, a
     fine-grid run restricted by cell averaging, or the manufactured exact
     solution, per ref_mode.  A run's snapshots are audited and written with
-    the fields the run derived itself (Trajectory.derived), so a twin is
-    compared on the fields of its run_b CSVs, made with cfg_b's closure
-    settings; the restricted and the exact states are derived here, with
-    cfg_a's.  Without cfg_b a twin is run_a itself: the runs are
-    deterministic, so a second solve would repeat it bit for bit.
+    the fields the run derived itself (Trajectory.derived) and the energies
+    it evaluated from them (Trajectory.energies), so a twin is compared on
+    the fields of its run_b CSVs, made with cfg_b's closure settings; the
+    restricted and the exact states are derived here, with cfg_a's, and the
+    energy scale is the energy of the first of them.  Each snapshot pair's
+    relative energy is evaluated once: its row in rows, which the
+    coercivity constants read too.  Without cfg_b a twin is run_a itself:
+    the runs are deterministic, so a second solve would repeat it bit for
+    bit.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
     """
@@ -334,6 +346,7 @@ def compare_runs(
                 raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
         if ref_mode == "twin":
             der_b = traj_b.derived
+            e_scale = traj_b.energies[0]
         else:
             if ref_mode == "fine":
                 states_b = [restrict(s, cfg_b.n // cfg_a.n) for s in traj_b.states]
@@ -344,13 +357,13 @@ def compare_runs(
                 derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
                 for s in states_b
             ]
+            e_scale = total_energy(der_b[0], grid, exps)
         if out_dir is not None and traj_b is not None:
             writers.append(write_run_outputs(traj_b, os.path.join(out_dir, "run_b"), cfg_b))
 
         rows = verify.relative_entropy_series(
             der_a, der_b, times, grid, exps, nu_eff=traj_a.scheme.nu_eff
         )
-        e_scale = total_energy(der_b[0], grid, exps)
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
         fit = verify.gronwall_check(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
@@ -369,8 +382,8 @@ def compare_runs(
         else:
             window = default_ess_window(der_b)
         coer = [
-            verify.coercivity_check(da, db, grid, exps, window[0], window[1])
-            for da, db in zip(der_a, der_b)
+            verify.coercivity_check(row, da, db, grid, exps, window[0], window[1])
+            for row, da, db in zip(rows, der_a, der_b)
         ]
 
         payload = {
@@ -408,14 +421,11 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
     cfg_a, state_a = _load_config(args.config, args.strict)
     cfg_b, state_b = _load_config(args.config_b, args.strict) if args.config_b else (None, None)
-    try:
-        rows, payload = compare_runs(
-            cfg_a, cfg_b, args.ref_mode, args.out, args.delta, initial_a=state_a, initial_b=state_b
-        )
-    except RUNTIME_ERRORS as exc:
-        _write_failure(args.out, exc)
-        print(f"compare failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if not _make_out_dir(args.out):
+        return EXIT_CONFIG
+    rows, payload = compare_runs(
+        cfg_a, cfg_b, args.ref_mode, args.out, args.delta, initial_a=state_a, initial_b=state_b
+    )
     g = payload["gronwall"]
     tag = "at noise floor" if g["at_noise_floor"] else f"max_E={g['max_E']:.6g}"
     print(f"compare complete ({args.ref_mode}): {len(rows)} snapshots, {tag}")
@@ -433,18 +443,14 @@ def cmd_mms(args) -> int:
     if not cfg.mms_enabled:
         print("config error: mms.enabled must be true for the mms command", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        report = verify.convergence_study(cfg, args.levels)
-    except RUNTIME_ERRORS as exc:
-        _write_failure(args.out, exc)
-        print(f"mms study failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if args.out is not None and not _make_out_dir(args.out):
+        return EXIT_CONFIG
+    report = verify.convergence_study(cfg, args.levels)
     print("n      " + "  ".join(f"err_{v:<10s}" for v in report.errors))
     for i, n in enumerate(report.ns):
         print(f"{n:<6d} " + "  ".join(f"{report.errors[v][i]:<14.6e}" for v in report.errors))
     print("orders " + "  ".join(f"{v}: " + ",".join(f"{o:.3f}" for o in report.orders[v]) for v in report.orders))
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         _write_json(
             os.path.join(args.out, "verify.json"),
             {"convergence": dataclasses.asdict(report)},
@@ -578,7 +584,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except RUNTIME_ERRORS as exc:
         _write_failure(getattr(args, "out", None), exc)
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -1,4 +1,4 @@
-"""Plain-text run configuration: parsing, validation, canonical serialisation.
+"""Plain-text run configuration: parsing and validation.
 
 The format is INI-style `key = value` under fixed sections, chosen so
 verification campaigns can be hand-edited and diffed.  Every field has a
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -303,18 +302,6 @@ class SimConfig:
             )
         return out
 
-    # serialisation -----------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical config text; parsing it back reproduces this object."""
-        buf = io.StringIO()
-        for section, items in _schema():
-            buf.write(f"[{section}]\n")
-            for key, attr in items:
-                buf.write(f"{key} = {_render(_get_attr(self, attr))}\n")
-            buf.write("\n")
-        return buf.getvalue()
-
 
 def _parse(text: str) -> SimConfig:
     """Config text to a SimConfig with defaults filled in, not yet validated."""
@@ -449,14 +436,6 @@ def _convert(raw: str, default):
             raise ValueError(f"expected a finite number, got '{raw}'")
         return value
     return raw
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def validate_config(text: str, *, with_state: bool = False):

@@ -34,11 +34,9 @@ __all__ = [
     "Grid1D",
     "FieldState",
     "DerivedFields",
-    "EssentialMask",
     "derive",
     "total_mass",
     "total_energy",
-    "classify_ess_res",
     "default_ess_window",
     "restrict",
     "write_snapshot",
@@ -178,23 +176,6 @@ class DerivedFields:
         return np.power(self.Z, self.gamma)
 
 
-@dataclasses.dataclass(frozen=True)
-class EssentialMask:
-    """Cells whose phase densities both lie in the window [c_star, c_star_upper]."""
-
-    ess: np.ndarray
-    c_star: float
-    c_star_upper: float
-
-    @property
-    def n_ess(self) -> int:
-        return int(np.count_nonzero(self.ess))
-
-    @property
-    def n_res(self) -> int:
-        return int(self.ess.size - self.n_ess)
-
-
 def derive(
     state: FieldState,
     exps: closure.ExponentPair,
@@ -251,15 +232,6 @@ def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -
         + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, law_m)
     )
     return float(np.sum(e) * grid.dx)
-
-
-def classify_ess_res(derived: DerivedFields, c_star: float, c_star_upper: float) -> EssentialMask:
-    """Mark cells as essential when both phase densities sit inside the window."""
-    if not (0.0 < c_star < c_star_upper):
-        raise ValueError("need 0 < c_star < c_star_upper")
-    inside_p = (derived.rho_plus >= c_star) & (derived.rho_plus <= c_star_upper)
-    inside_m = (derived.rho_minus >= c_star) & (derived.rho_minus <= c_star_upper)
-    return EssentialMask(ess=inside_p & inside_m, c_star=c_star, c_star_upper=c_star_upper)
 
 
 def default_ess_window(derived_series) -> tuple[float, float]:

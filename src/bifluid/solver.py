@@ -15,8 +15,9 @@ previous stage.
 
 The run keeps the derived fields it made for each snapshot state: the derive
 of a snapshot state is the one that starts the next step (warm-started from
-the stage root), and the final state gets one more warm derive.  Outputs and
-audits read these fields from the trajectory and derive nothing again.
+the stage root), and the final state gets one more warm derive.  It also
+keeps the total energy of each snapshot, evaluated once from those fields.
+Outputs and audits read both from the trajectory and derive nothing again.
 
 A step computes only what it reads.  The SSPRK2 stage stays a raw (3, n)
 array: after the positivity clip its masses are nonnegative, so one
@@ -57,6 +58,7 @@ from .fields import (
     _closure_fields,
     _finite,
     derive,
+    total_energy,
 )
 
 FORWARD_EULER = "forward_euler"
@@ -412,6 +414,8 @@ class Trajectory:
     run's closure settings and warm-started like every derive of the run: it
     equals a cold derive bit for bit where the closure has a closed form
     (gamma = 2 or 1) and to within the closure tolerance otherwise.
+    energies[k] is fields.total_energy of derived[k], and diss_cum[k] the
+    viscous dissipation accumulated up to times[k].
     """
 
     grid: Grid1D
@@ -420,6 +424,7 @@ class Trajectory:
     times: list[float]
     states: list[FieldState]
     derived: list[DerivedFields]
+    energies: list[float]
     diss_cum: list[float]
     alpha_diag: list[np.ndarray] | None
     dt_history: np.ndarray
@@ -529,6 +534,7 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
         times=times,
         states=states,
         derived=derived,
+        energies=[total_energy(d, grid, exps) for d in derived],
         diss_cum=diss,
         alpha_diag=a_snaps,
         dt_history=np.asarray(dt_hist),

@@ -24,12 +24,7 @@ import numpy as np
 
 from . import thermo
 from .closure import ExponentPair
-from .fields import (
-    DerivedFields,
-    Grid1D,
-    classify_ess_res,
-    total_energy,
-)
+from .fields import DerivedFields, Grid1D
 from .solver import Trajectory, run, velocity_face_gradient
 
 EPS = float(np.finfo(float).eps)
@@ -167,10 +162,10 @@ class EnergyAudit:
 def energy_audit(traj: Trajectory, eps_E: float = 1e-3) -> EnergyAudit:
     """Check E(tau) + cumulative dissipation <= E(0) * (1 + eps_E) at snapshots.
 
-    The energies come from the run's own derived fields, traj.derived.
-    Skipped (and flagged) for forced runs, where sources inject energy.
+    The energies are the run's own, traj.energies.  Skipped (and flagged)
+    for forced runs, where sources inject energy.
     """
-    energies = [total_energy(d, traj.grid, traj.exps) for d in traj.derived]
+    energies = list(traj.energies)
     if traj.forced:
         return EnergyAudit(
             passed=False,
@@ -318,6 +313,7 @@ class CoercivityReport:
 
 
 def coercivity_check(
+    row: RelativeEntropyRow,
     state_a: DerivedFields,
     state_b: DerivedFields,
     grid: Grid1D,
@@ -327,16 +323,22 @@ def coercivity_check(
 ) -> CoercivityReport:
     """Largest constant with E_reduced >= C * (quadratic-on-essential + energy-on-residual).
 
-    The essential set collects cells whose phase densities (of state_a) lie in
-    [c_star, c_star_upper]; there the comparison functional is the weighted
-    quadratic density gap.  On the residual set it is 1 + alpha rho_plus^g+ +
-    (1-alpha) rho_minus^g-.  Identical states leave the constant unconstrained
-    and report an infinite sentinel.
+    row is the relative energy of state_a against state_b, as
+    relative_entropy gives it; its E_reduced does not depend on nu_eff or t.
+    The essential set collects cells where both phase densities of state_a
+    lie in the window [c_star, c_star_upper], which needs 0 < c_star <
+    c_star_upper; there the comparison functional is the weighted quadratic
+    density gap.  On the residual set it is 1 + alpha rho_plus^g+ +
+    (1-alpha) rho_minus^g-.  Identical states leave the constant
+    unconstrained and report an infinite sentinel.
     """
-    row = relative_entropy(state_a, state_b, grid, exps)
-    mask = classify_ess_res(state_a, c_star, c_star_upper)
+    if not (0.0 < c_star < c_star_upper):
+        raise ValueError("need 0 < c_star < c_star_upper")
+    rho_p, rho_m = state_a.rho_plus, state_a.rho_minus
+    ess = (rho_p >= c_star) & (rho_p <= c_star_upper)
+    ess &= (rho_m >= c_star) & (rho_m <= c_star_upper)
+    n_ess = int(np.count_nonzero(ess))
     dx = grid.dx
-    ess = mask.ess
     dp = state_a.rho_plus - state_b.rho_plus
     dm = state_a.rho_minus - state_b.rho_minus
     quad = state_a.alpha * dp * dp + (1.0 - state_a.alpha) * dm * dm
@@ -354,8 +356,8 @@ def coercivity_check(
         E_reduced=row.E_reduced,
         I_ess=i_ess,
         I_res=i_res,
-        n_ess=mask.n_ess,
-        n_res=mask.n_res,
+        n_ess=n_ess,
+        n_res=ess.size - n_ess,
         c_star=c_star,
         c_star_upper=c_star_upper,
     )

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -24,3 +25,26 @@ def no_unreaped_child_process():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left unreaped (waitpid gave pid {pid}, status {status})")
+
+
+@pytest.fixture
+def spy_calls(monkeypatch):
+    """spy_calls(fn) puts a counting wrapper in place of fn in every bifluid
+    module that binds it and returns the list of the positional arguments
+    of each call made from then on."""
+
+    def install(real):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bifluid":
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, spy)
+        return calls
+
+    return install

@@ -20,6 +20,7 @@ from bifluid.verify import (
     coercivity_check,
     convergence_study,
     energy_audit,
+    relative_entropy,
     relative_entropy_series,
 )
 
@@ -356,7 +357,8 @@ def test_criterion_9_coercivity_constant():
         pr = 0.05 * np.sin(2 * np.pi * k1 * x + rng.uniform(0, 2 * np.pi))
         pq = 0.05 * np.cos(2 * np.pi * k2 * x + rng.uniform(0, 2 * np.pi))
         da = derive(FieldState(0.0, Rb + pr, Qb + pq, np.zeros(n)), exps)
-        rep = coercivity_check(da, ref, grid, exps, c_star=0.5, c_star_upper=8.0)
+        row = relative_entropy(da, ref, grid, exps)
+        rep = coercivity_check(row, da, ref, grid, exps, c_star=0.5, c_star_upper=8.0)
         assert rep.n_res == 0  # perturbations stay inside the window
         cs.append(rep.C_lb)
     positive = all(0.0 < c < math.inf for c in cs)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bifluid
-from bifluid import cli, verify
+from bifluid import cli, solver, verify
 from bifluid.cli import main
 from bifluid.closure import ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, validate_config
@@ -97,19 +97,6 @@ def test_constraint_errors():
 def test_manufactured_amplitudes_validated():
     with pytest.raises(ValidationError, match="initial data"):
         validate_config(MINIMAL + "\n[mms]\nenabled = true\na = 0.1\nb = 0.5\n")
-
-
-def test_round_trip_is_fixed_point():
-    cfg, _ = validate_config(
-        MINIMAL
-        + "\n[grid]\nn = 48\nlength = 2.5\n[time]\nt_end = 0.125\ncfl = 0.7\n"
-        + "[initial]\nR_preset = gaussian_bump\nR_base = 1.25\nR_amplitude = 0.5\n"
-        + "[perturbation]\nepsilon = 0.01\nseed = 9\n"
-    )
-    text = cfg.to_text()
-    cfg2, _ = validate_config(text)
-    assert cfg2 == cfg
-    assert cfg2.to_text() == text
 
 
 def test_perturbation_deterministic_and_grid_independent():
@@ -573,6 +560,25 @@ def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
     assert payload["energy_audit"]["passed"] is True
 
 
+def test_twin_compare_evaluates_each_integral_once(tmp_path):
+    # the coercivity constants read the relative energy of re_report.csv, and
+    # run_a's report and energy audit read the energies the run evaluated
+    cfg_a = validate_config(PAIR_BASE + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n")[0]
+    cfg_b = validate_config(PAIR_BASE)[0]
+    out = tmp_path / "cmp"
+    cli.compare_runs(cfg_a, cfg_b, "twin", out)
+    lines = (out / "re_report.csv").read_text().splitlines()[1:]
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    coer = json.loads((out / "verify.json").read_text())["coercivity"]
+    assert len(coer) == len(rows) == 6
+    for c, (_, e_kin, _, e_bp, e_bm, _, _) in zip(coer, rows):
+        assert c["E_reduced"] == e_kin + e_bp + e_bm  # exact: %.17g and JSON round-trip
+    assert any(c["E_reduced"] > 0.0 for c in coer)
+    traj_a = solver.run(cfg_a)
+    report = json.loads((out / "run_a" / "report.json").read_text())
+    assert report["energy"]["E"] == verify.energy_audit(traj_a).E == traj_a.energies
+
+
 PAIR_BASE = """
 [exponents]
 gamma_plus = 3.0
@@ -818,6 +824,27 @@ def test_cli_closure_accepts_vacuum_alpha_at_the_bounds(capsys, value):
     assert main(argv) == 0
     vacuum_row = capsys.readouterr().out.splitlines()[1]
     assert vacuum_row == f"0,0,0,{value},0,0,1"
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "mms"])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_cli_out_that_cannot_be_a_directory_is_a_usage_error(
+    tmp_path, capsys, spy_calls, command, under_file
+):
+    runs = spy_calls(solver.run)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    out = afile / "out" if under_file else afile
+    cfg = write(tmp_path, "cfg.ini", MMS_CFG if command == "mms" else RUN_CFG)
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "mms":
+        argv += ["--levels", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("usage error: cannot create the --out directory") and err.count("\n") == 1
+    assert runs == []
+    assert afile.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])

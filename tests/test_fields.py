@@ -11,7 +11,6 @@ from bifluid.fields import (
     SNAPSHOT_BLOCK_ROWS,
     FieldState,
     Grid1D,
-    classify_ess_res,
     default_ess_window,
     derive,
     read_snapshot,
@@ -181,33 +180,7 @@ def test_total_energy_nonnegative(R, Q, u):
     assert total_energy(derive(uniform_state(8, R, Q, u), EXPS), g, EXPS) >= 0.0
 
 
-# essential / residual classification ---------------------------------------------
-
-
-def test_classify_uniform_windows():
-    g = Grid1D(8, 1.0)
-    d = derive(uniform_state(8, 1.0, 2.0, 0.0), EXPS)  # rho+ = 2, rho- = 4
-    m = classify_ess_res(d, 1.0, 5.0)
-    assert m.ess.all() and m.n_ess == 8 and m.n_res == 0
-    m2 = classify_ess_res(d, 1.0, 3.0)
-    assert not m2.ess.any()
-    with pytest.raises(ValueError):
-        classify_ess_res(d, 2.0, 1.0)
-
-
-def test_classify_matches_predicate_exactly():
-    rng = np.random.default_rng(11)
-    R = rng.uniform(0.2, 4.0, 64)
-    Q = rng.uniform(0.2, 4.0, 64)
-    d = derive(FieldState(0.0, R, Q, np.zeros(64)), EXPS)
-    m = classify_ess_res(d, 0.8, 2.5)
-    want = (
-        (d.rho_plus >= 0.8)
-        & (d.rho_plus <= 2.5)
-        & (d.rho_minus >= 0.8)
-        & (d.rho_minus <= 2.5)
-    )
-    assert np.array_equal(m.ess, want)
+# essential window ------------------------------------------------------------------
 
 
 def test_default_ess_window():

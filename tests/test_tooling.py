@@ -7,7 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import bifluid
-from bifluid import cli, solver
+from bifluid import cli, fields, solver
 from bifluid.config import SimConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -59,16 +59,19 @@ def test_full_trace_covers_the_hot_loop():
         assert tracer.spans[name][0] > 0, f"{name} is not traced"
 
 
-def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path):
-    # both runs hand their own derived fields to the outputs and the audits,
-    # so the benchmark's derive_per_state reads 1
+def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path, spy_calls):
+    # both runs hand their own derived fields and energies to the outputs and
+    # the audits, so the benchmark's derive_per_state reads 1, each snapshot
+    # pair's relative energy is evaluated once (its two Bregman gaps with
+    # it), and each snapshot's total energy once
     tracing = _load_tracing()
     cfg_a = SimConfig(n=16, t_end=0.01, n_snapshots=3, perturb_epsilon=0.01)
     cfg_b = SimConfig(n=16, t_end=0.01, n_snapshots=3, closure_tol=1e-11)
+    energies = spy_calls(fields.total_energy)
     tracer = tracing.Tracer()
     tracer.install(full=True)
     try:
-        cli.compare_runs(cfg_a, cfg_b, "twin", tmp_path)
+        _, payload = cli.compare_runs(cfg_a, cfg_b, "twin", tmp_path)
     finally:
         tracer.uninstall()
     steps = tracer.counts["solver.steps"]
@@ -77,3 +80,8 @@ def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path):
     assert tracer.counts["fields.distinct_states"] == steps + 2
     metrics = tracing.layer_metrics(tracer, tmp_path)
     assert metrics["fields.derive_per_state"] == 1.0
+    n = len(payload["times"])
+    assert n == 3
+    assert tracer.spans["verify.relative_entropy"][0] == n
+    assert tracer.spans["thermo.bregman"][0] == 2 * n
+    assert len(energies) == 2 * n

@@ -230,7 +230,7 @@ def test_alpha_stability_empty():
 
 def test_coercivity_identical_states_unconstrained():
     a = der(1.0, 2.0, 0.0)
-    rep = coercivity_check(a, a, GRID, EXPS, 1.0, 5.0)
+    rep = coercivity_check(relative_entropy(a, a, GRID, EXPS), a, a, GRID, EXPS, 1.0, 5.0)
     assert rep.C_lb == math.inf
     assert rep.I_ess == 0.0 and rep.I_res == 0.0
 
@@ -238,17 +238,58 @@ def test_coercivity_identical_states_unconstrained():
 def test_coercivity_essential_perturbation_positive():
     a = der(1.05, 2.0, 0.0)
     b = der(1.0, 2.0, 0.0)
-    rep = coercivity_check(a, b, GRID, EXPS, 1.0, 8.0)
+    rep = coercivity_check(relative_entropy(a, b, GRID, EXPS), a, b, GRID, EXPS, 1.0, 8.0)
     assert rep.n_res == 0
     assert 0.0 < rep.C_lb < math.inf
     # for small gaps the ratio approaches a weighted second-derivative scale
     assert 0.05 < rep.C_lb < 10.0
 
 
+def test_coercivity_uniform_windows():
+    a = der(1.0, 2.0, 0.0)  # rho+ = 2, rho- = 4
+    b = der(1.05, 2.0, 0.0)
+    row = relative_entropy(a, b, GRID, EXPS)
+    rep = coercivity_check(row, a, b, GRID, EXPS, 1.0, 5.0)
+    assert rep.n_ess == 16 and rep.n_res == 0
+    assert rep.I_ess > 0.0 and rep.I_res == 0.0
+    rep2 = coercivity_check(row, a, b, GRID, EXPS, 1.0, 3.0)
+    assert rep2.n_ess == 0 and rep2.n_res == 16
+    assert rep2.I_ess == 0.0 and rep2.I_res > 0.0
+    with pytest.raises(ValueError):
+        coercivity_check(row, a, b, GRID, EXPS, 2.0, 1.0)
+
+
+def test_coercivity_window_matches_predicate_exactly():
+    rng = np.random.default_rng(11)
+    n = 64
+    grid = Grid1D(n, 1.0)
+    a = derive(FieldState(0.0, rng.uniform(0.2, 4.0, n), rng.uniform(0.2, 4.0, n), np.zeros(n)), EXPS)
+    b = der(1.2, 2.0, 0.0, n)
+    rep = coercivity_check(relative_entropy(a, b, grid, EXPS), a, b, grid, EXPS, 0.8, 2.5)
+    want = (
+        (a.rho_plus >= 0.8)
+        & (a.rho_plus <= 2.5)
+        & (a.rho_minus >= 0.8)
+        & (a.rho_minus <= 2.5)
+    )
+    assert 0 < rep.n_ess < n  # both sets are populated
+    assert rep.n_ess == int(np.count_nonzero(want)) and rep.n_res == n - rep.n_ess
+    dp = a.rho_plus - b.rho_plus
+    dm = a.rho_minus - b.rho_minus
+    quad = a.alpha * dp * dp + (1.0 - a.alpha) * dm * dm
+    heavy = (
+        1.0
+        + a.alpha * np.power(a.rho_plus, EXPS.gamma_plus)
+        + (1.0 - a.alpha) * np.power(a.rho_minus, EXPS.gamma_minus)
+    )
+    assert rep.I_ess == float(np.sum(np.where(want, quad, 0.0)) * grid.dx)
+    assert rep.I_res == float(np.sum(np.where(want, 0.0, heavy)) * grid.dx)
+
+
 def test_coercivity_residual_state_positive():
     a = der(8.0, 2.0, 0.0)  # densities far outside the window
     b = der(1.0, 2.0, 0.0)
-    rep = coercivity_check(a, b, GRID, EXPS, 1.0, 4.0)
+    rep = coercivity_check(relative_entropy(a, b, GRID, EXPS), a, b, GRID, EXPS, 1.0, 4.0)
     assert rep.n_ess == 0
     assert rep.C_lb > 0.0
 
