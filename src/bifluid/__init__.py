@@ -22,6 +22,7 @@ from .verify import (
     coercivity_check,
     convergence_study,
     energy_audit,
+    fraction_terms,
     gronwall_check,
     relative_entropy,
     relative_entropy_series,

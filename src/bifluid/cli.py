@@ -4,11 +4,18 @@ Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure,
 4 verification failure.  All artifacts land under the requested output
 directory and re-running into a fresh directory reproduces them byte for
 byte (no timestamps or absolute paths are written).
+
+A run's snapshots leave it as it records them (``solver.run``'s consumer):
+two writer processes, started with the run, receive each snapshot's value
+columns through a pipe and write its CSV while the run goes on.  ``compare``
+runs run_a, then run_b, and reduces each snapshot pair as run_b records its
+half; it keeps of each pair only the arrays that a later reduction reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -27,10 +34,12 @@ from .closure import (
 )
 from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
+    SNAPSHOT_COLUMNS,
     FieldState,
     default_ess_window,
     derive,
     restrict,
+    snapshot_columns,
     total_energy,
     total_mass,
     write_snapshot,
@@ -115,15 +124,36 @@ def _write_failure(out_dir, exc) -> None:
     _write_json(os.path.join(out_dir, "failure.json"), record)
 
 
-SNAPSHOT_WRITERS = 2  # forked processes that format one run's snapshot CSVs
+SNAPSHOT_WRITERS = 2  # processes that format one run's snapshot CSVs
+# pipe capacity asked of each writer's pipe: the default 64 KiB holds less
+# than one n = 1024 snapshot, and the run would wait on the writer
+PIPE_BYTES = 1 << 20
+
+# the write ends of every open writer pipe of this process, which every
+# writer forked later must close: file descriptors are per process, so this
+# registry is too
+_WRITE_ENDS: set[int] = set()
 
 
-def _writer_child(jobs) -> None:
-    """Body of a forked snapshot writer: format and write, never return."""
+def _snapshot_name(k: int) -> str:
+    return f"snapshot_{k:04d}.csv"
+
+
+def _writer_main(fd, out_dir, grid, first: int) -> None:
+    """Body of a forked snapshot writer: write snapshots first, first +
+    SNAPSHOT_WRITERS, ... from the value columns read from fd, until EOF;
+    never return."""
     code = 1
     try:
-        for job in jobs:
-            write_snapshot(*job)
+        size = 8 * (len(SNAPSHOT_COLUMNS) - 2) * grid.n
+        with open(fd, "rb") as pipe:
+            k = first
+            while data := pipe.read(size):
+                if len(data) != size:
+                    raise EOFError(f"{_snapshot_name(k)} arrived truncated")
+                columns = np.frombuffer(data).reshape(-1, grid.n)
+                write_snapshot(os.path.join(out_dir, _snapshot_name(k)), grid, columns)
+                k += SNAPSHOT_WRITERS
         code = 0
     except BaseException as exc:
         print(f"snapshot writer failed: {exc}", file=sys.stderr)
@@ -135,58 +165,101 @@ def _writer_child(jobs) -> None:
             os._exit(code)
 
 
-class SnapshotWriters:
-    """Join handle of one run's snapshot writers."""
+class RunOutputs:
+    """One run's output directory, fed while the run goes on.
 
-    def __init__(self, procs):
-        self._procs = procs  # (pid, paths it writes)
+    It is the run's on_snapshot consumer.  For each snapshot it keeps the
+    masses, for report.json, and sends the value columns through a pipe to
+    one of SNAPSHOT_WRITERS writer processes, started with it, by index
+    parity; without fork it writes the CSV itself.  On exit from its with
+    block it closes the pipes and reaps every writer, so a failed run leaves
+    the snapshots recorded before the failure; on a clean exit it raises
+    RuntimeError naming the files of any writer that failed.
+    """
 
-    def join(self, check: bool = True) -> None:
-        """Reap every writer; with check, raise RuntimeError naming the files
-        of any that failed."""
-        failed = []
-        while self._procs:
-            pid, paths = self._procs.pop(0)
-            _, status = os.waitpid(pid, 0)
-            if status != 0:
-                failed.extend(paths)
-        if failed and check:
-            raise RuntimeError(f"snapshot writer failed on {', '.join(failed)}")
+    def __init__(self, out_dir, grid):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.grid = grid
+        self.masses = []
+        self._writers = []  # (pid, write end, paths sent)
+        if hasattr(os, "fork"):
+            try:
+                for k in range(SNAPSHOT_WRITERS):
+                    self._writers.append(self._start(k))
+            except OSError as exc:
+                self.close(check=False)
+                raise RuntimeError(f"cannot start a snapshot writer: {exc}") from None
 
+    def _start(self, k: int):
+        import fcntl  # POSIX, as fork is
 
-def _start_writers(jobs) -> SnapshotWriters:
-    """Write (path, grid, state, derived) snapshot jobs, split between
-    SNAPSHOT_WRITERS forked processes by index parity; inline without fork."""
-    if not hasattr(os, "fork"):
-        for job in jobs:
-            write_snapshot(*job)
-        return SnapshotWriters([])
-    procs = []
-    for k in range(min(SNAPSHOT_WRITERS, len(jobs))):
-        share = jobs[k::SNAPSHOT_WRITERS]
+        r, w = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+            try:
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            except OSError:  # refused: a smaller pipe only slows the run
+                pass
         sys.stdout.flush()
         sys.stderr.flush()
         try:
             pid = os.fork()
-        except OSError as exc:
-            SnapshotWriters(procs).join(check=False)
-            raise RuntimeError(f"cannot start a snapshot writer: {exc}") from None
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
         if pid == 0:
-            _writer_child(share)
-        procs.append((pid, [job[0] for job in share]))
-    return SnapshotWriters(procs)
+            # a writer holding another pipe's write end would keep that
+            # pipe's writer from ever reading EOF
+            for fd in (w, *_WRITE_ENDS):
+                os.close(fd)
+            _writer_main(r, self.out_dir, self.grid, k)
+        os.close(r)
+        _WRITE_ENDS.add(w)
+        return pid, w, []
+
+    def __call__(self, state: FieldState, derived) -> None:
+        k = len(self.masses)
+        self.masses.append(total_mass(state, self.grid))
+        path = os.path.join(self.out_dir, _snapshot_name(k))
+        columns = snapshot_columns(state, derived)
+        if not self._writers:
+            write_snapshot(path, self.grid, columns)
+            return
+        _, fd, paths = self._writers[k % SNAPSHOT_WRITERS]
+        paths.append(path)
+        view = memoryview(columns).cast("B")
+        try:
+            while view:
+                view = view[os.write(fd, view) :]
+        except OSError as exc:  # the writer is gone
+            self.close(check=True)
+            raise RuntimeError(f"snapshot writer of {path} is gone: {exc}") from None
+
+    def close(self, check: bool) -> None:
+        """Close the pipes and reap every writer; with check, raise
+        RuntimeError naming the files of any writer that failed."""
+        writers, self._writers = self._writers, []
+        for _, fd, _ in writers:  # every writer reads EOF before the first wait
+            _WRITE_ENDS.discard(fd)
+            os.close(fd)
+        failed = [paths for pid, _, paths in writers if os.waitpid(pid, 0)[1] != 0]
+        if failed and check:
+            files = ", ".join(path for paths in failed for path in paths)
+            raise RuntimeError(f"snapshot writer failed on {files or self.out_dir}")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(check=exc_type is None)
 
 
-def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> SnapshotWriters:
-    """Snapshots plus report.json for one finished trajectory.
-
-    The CSV columns come from the run's own derived fields, traj.derived,
-    and the energies from traj.energies.  report.json is written here; the
-    CSVs are written by forked writers, whose join handle is returned.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    names = [f"snapshot_{k:04d}.csv" for k in range(len(traj.states))]
-    masses = [total_mass(s, traj.grid) for s in traj.states]
+def write_run_outputs(traj: Trajectory, outputs: RunOutputs, cfg: SimConfig) -> None:
+    """report.json of one finished run, whose snapshots went to outputs
+    while it ran; the energies are the run's own, traj.energies."""
+    names = [_snapshot_name(k) for k in range(len(traj.times))]
+    masses = outputs.masses
     mr0, mq0 = masses[0]
     drift_r = max(abs(mr - mr0) for mr, _ in masses) / max(abs(mr0), 1e-300)
     drift_q = max(abs(mq - mq0) for _, mq in masses) / max(abs(mq0), 1e-300)
@@ -216,13 +289,7 @@ def write_run_outputs(traj: Trajectory, out_dir, cfg: SimConfig) -> SnapshotWrit
         },
         "forced": traj.forced,
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    return _start_writers(
-        [
-            (os.path.join(out_dir, name), traj.grid, state, der)
-            for name, state, der in zip(names, traj.states, traj.derived)
-        ]
-    )
+    _write_json(os.path.join(outputs.out_dir, "report.json"), report)
 
 
 _RE_ROW = ",".join(["%.17g"] * 7) + "\n"
@@ -273,13 +340,20 @@ def cmd_run(args) -> int:
     cfg, state = _load_config(args.config, args.strict)
     if not _make_out_dir(args.out):
         return EXIT_CONFIG
-    traj = run(cfg, initial=state)
-    write_run_outputs(traj, args.out, cfg).join()
+    with RunOutputs(args.out, cfg.grid()) as outputs:
+        traj = run(cfg, initial=state, on_snapshot=outputs)
+        write_run_outputs(traj, outputs, cfg)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return EXIT_OK
 
 
-def _check_compatible(cfg_a: SimConfig, cfg_b: SimConfig, ref_mode: str) -> None:
+def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> None:
+    """Raise ValidationError when the pair cannot be compared in ref_mode;
+    without cfg_b, run_a is compared with itself (twin) or its reference."""
+    if ref_mode not in REF_MODES:
+        raise ValidationError(f"ref mode must be one of {REF_MODES}")
+    if cfg_b is None:
+        cfg_b = cfg_a
     for attr in ("gamma_plus", "gamma_minus", "length", "t_end", "n_snapshots", "bc"):
         va, vb = getattr(cfg_a, attr), getattr(cfg_b, attr)
         if va != vb:
@@ -291,6 +365,28 @@ def _check_compatible(cfg_a: SimConfig, cfg_b: SimConfig, ref_mode: str) -> None
             raise ValidationError(
                 f"fine mode needs the reference grid to refine the coarse one: {cfg_a.n} vs {cfg_b.n}"
             )
+    if ref_mode == "mms" and not cfg_a.mms_enabled:
+        raise ValidationError("mms reference mode requires mms.enabled = true")
+
+
+@dataclasses.dataclass(frozen=True)
+class _PairFields:
+    """The arrays of one snapshot that compare's pair reductions read,
+    without the rest of its state; None where no later reduction reads the
+    field.  verify.relative_entropy reads every field of run_a's side;
+    verify.coercivity_check reads rho_plus, rho_minus, alpha and p of run_a's
+    side and rho_plus and rho_minus of the reference's."""
+
+    rho_plus: np.ndarray
+    rho_minus: np.ndarray
+    alpha: np.ndarray | None = None
+    p: np.ndarray | None = None
+    rho: np.ndarray | None = None
+    u: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.rho_plus.shape[0]
 
 
 def compare_runs(
@@ -306,84 +402,141 @@ def compare_runs(
 
     Returns (rows, verify_payload).  The reference side is a twin run, a
     fine-grid run restricted by cell averaging, or the manufactured exact
-    solution, per ref_mode.  A run's snapshots are audited and written with
-    the fields the run derived itself (Trajectory.derived) and the energies
-    it evaluated from them (Trajectory.energies), so a twin is compared on
-    the fields of its run_b CSVs, made with cfg_b's closure settings; the
-    restricted and the exact states are derived here, with cfg_a's, and the
-    energy scale is the energy of the first of them.  Each snapshot pair's
-    relative energy is evaluated once: its row in rows, which the
-    coercivity constants read too.  Without cfg_b a twin is run_a itself:
-    the runs are deterministic, so a second solve would repeat it bit for
-    bit.
+    solution, per ref_mode.  run_a runs first, then run_b; each hands its
+    snapshots to its writers as it records them.  Of run_a's snapshots only
+    the arrays the pair reductions read are kept, and each pair is reduced
+    as its reference arrives: the relative-energy row, once per pair, and
+    the fraction audit's terms.  A pair then keeps only what the coercivity
+    constants read, since the default window spans the whole reference
+    series.  The audits read the fields each run derived itself and the
+    energies it evaluated from them (Trajectory.energies), so a twin is
+    compared on the fields of its run_b CSVs, made with cfg_b's closure
+    settings; the restricted and the exact states are derived here, with
+    cfg_a's, and the energy scale is the energy of the first of them.
+    Without cfg_b a twin is run_a itself: the runs are deterministic, so a
+    second solve would repeat it bit for bit.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
     """
-    if ref_mode not in REF_MODES:
-        raise ValidationError(f"ref mode must be one of {REF_MODES}")
+    _check_pair(cfg_a, cfg_b, ref_mode)
     self_twin = cfg_b is None and ref_mode == "twin"
     if cfg_b is None:
         cfg_b = cfg_a
-    _check_compatible(cfg_a, cfg_b, ref_mode)
-    if ref_mode == "mms" and not cfg_a.mms_enabled:
-        raise ValidationError("mms reference mode requires mms.enabled = true")
+    grid, exps = cfg_a.grid(), cfg_a.exponents()
+    nu_eff = cfg_a.scheme().nu_eff
+    kept_a = []  # per run_a snapshot: the fields of it that its pair reads
+    rows = []
+    fraction = []  # per pair: the fraction audit's A_k and w_k
+    coer_fields = []  # per pair: what coercivity_check reads of each side
+    e_scale = None
 
-    writers = []  # join handles of the runs' snapshot writers
-    try:
-        traj_a = run(cfg_a, initial=initial_a)
-        grid = traj_a.grid
-        exps = traj_a.exps
-        times = traj_a.times
-        der_a = traj_a.derived
-        audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
-        if out_dir is not None:
-            writers.append(write_run_outputs(traj_a, os.path.join(out_dir, "run_a"), cfg_a))
-
-        traj_b = None
-        if ref_mode != "mms":
-            traj_b = traj_a if self_twin else run(cfg_b, initial=initial_b)
-            if traj_b.times != times:
-                raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-        if ref_mode == "twin":
-            der_b = traj_b.derived
-            e_scale = traj_b.energies[0]
-        else:
-            if ref_mode == "fine":
-                states_b = [restrict(s, cfg_b.n // cfg_a.n) for s in traj_b.states]
-            else:
-                sol = cfg_a.manufactured()
-                states_b = [sol.state(grid, t) for t in times]
-            der_b = [
-                derive(s, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
-                for s in states_b
-            ]
-            e_scale = total_energy(der_b[0], grid, exps)
-        if out_dir is not None and traj_b is not None:
-            writers.append(write_run_outputs(traj_b, os.path.join(out_dir, "run_b"), cfg_b))
-
-        rows = verify.relative_entropy_series(
-            der_a, der_b, times, grid, exps, nu_eff=traj_a.scheme.nu_eff
+    def reduce_pair(a, b, t) -> None:
+        rows.append(verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t))
+        fraction.append(verify.fraction_terms(a.alpha, b.alpha, a.u, b.u, grid))
+        coer_fields.append(
+            (
+                _PairFields(a.rho_plus, a.rho_minus, a.alpha, a.p),
+                _PairFields(b.rho_plus, b.rho_minus),
+            )
         )
+
+    def add_reference(der_b, t) -> None:
+        """Reduce the next pair with its reference side der_b at time t."""
+        nonlocal e_scale
+        k = len(rows)
+        if k >= len(times) or t != times[k]:
+            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+        if k == 0 and ref_mode != "twin":
+            e_scale = total_energy(der_b, grid, exps)
+        a, kept_a[k] = kept_a[k], None
+        reduce_pair(a, der_b, times[k])
+
+    def derive_a(state: FieldState):
+        return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
+
+    failed = []  # the first error of a pair reduction made inside a run
+
+    def in_run(reduce) -> None:
+        """Make a pair reduction inside a run's consumer.  Its error is
+        raised once the run has returned and its outputs are written, so a
+        run that fails reports its own error."""
+        if not failed:
+            try:
+                reduce()
+            except RUNTIME_ERRORS as exc:
+                failed.append(exc)
+
+    with contextlib.ExitStack() as stack:
+
+        def outputs(side, cfg):
+            """A run's snapshot consumer writing under side; None without out_dir."""
+            if out_dir is None:
+                return None
+            return stack.enter_context(RunOutputs(os.path.join(out_dir, side), cfg.grid()))
+
+        out_a = outputs("run_a", cfg_a)
+        out_b = outputs("run_b", cfg_b) if self_twin else None
+
+        def on_snapshot_a(state, der):
+            if out_a is not None:
+                out_a(state, der)
+            if self_twin:
+                if out_b is not None:
+                    out_b(state, der)
+                in_run(lambda: reduce_pair(der, der, state.t))
+            else:
+                kept_a.append(_PairFields(der.rho_plus, der.rho_minus, der.alpha, der.p, der.rho, der.u))
+
+        traj_a = run(cfg_a, initial=initial_a, on_snapshot=on_snapshot_a)
+        times = traj_a.times
+        audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
+        if out_a is not None:
+            write_run_outputs(traj_a, out_a, cfg_a)
+
+        traj_b = traj_a if self_twin else None
+        if ref_mode == "mms":
+            sol = cfg_a.manufactured()
+            for t in times:
+                add_reference(derive_a(sol.state(grid, t)), t)
+        elif not self_twin:
+            out_b = outputs("run_b", cfg_b)
+            factor = cfg_b.n // cfg_a.n
+
+            def reference(state, der):
+                return der if ref_mode == "twin" else derive_a(restrict(state, factor))
+
+            def on_snapshot_b(state, der):
+                if out_b is not None:
+                    out_b(state, der)
+                in_run(lambda: add_reference(reference(state, der), state.t))
+
+            traj_b = run(cfg_b, initial=initial_b, on_snapshot=on_snapshot_b)
+        if out_b is not None:
+            write_run_outputs(traj_b, out_b, cfg_b)
+        if failed:
+            raise failed[0]
+        if len(rows) != len(times):
+            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+        if ref_mode == "twin":
+            e_scale = traj_b.energies[0]
+
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
         fit = verify.gronwall_check(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
         )
         stab = verify.alpha_stability_check(
-            [d.alpha for d in der_a],
-            [d.alpha for d in der_b],
-            [d.u for d in der_a],
-            [d.u for d in der_b],
+            [A for A, _ in fraction],
+            [w for _, w in fraction],
             times,
-            grid,
             delta if delta is not None else cfg_a.stability_delta,
         )
         if cfg_a.ess_lower or cfg_a.ess_upper:
             window = (cfg_a.ess_lower, cfg_a.ess_upper)
         else:
-            window = default_ess_window(der_b)
+            window = default_ess_window([b for _, b in coer_fields])
         coer = [
-            verify.coercivity_check(row, da, db, grid, exps, window[0], window[1])
-            for row, da, db in zip(rows, der_a, der_b)
+            verify.coercivity_check(row, a, b, grid, exps, window[0], window[1])
+            for row, (a, b) in zip(rows, coer_fields)
         ]
 
         payload = {
@@ -403,15 +556,9 @@ def compare_runs(
             },
         }
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
             _write_json(os.path.join(out_dir, "verify.json"), payload)
-        for w in writers:
-            w.join()
-        return rows, payload
-    finally:
-        for w in writers:  # reaped also when a run or an audit raised
-            w.join(check=False)
+    return rows, payload
 
 
 def cmd_compare(args) -> int:
@@ -421,6 +568,7 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
     cfg_a, state_a = _load_config(args.config, args.strict)
     cfg_b, state_b = _load_config(args.config_b, args.strict) if args.config_b else (None, None)
+    _check_pair(cfg_a, cfg_b, args.ref_mode)  # before --out exists
     if not _make_out_dir(args.out):
         return EXIT_CONFIG
     rows, payload = compare_runs(
@@ -429,6 +577,14 @@ def cmd_compare(args) -> int:
     g = payload["gronwall"]
     tag = "at noise floor" if g["at_noise_floor"] else f"max_E={g['max_E']:.6g}"
     print(f"compare complete ({args.ref_mode}): {len(rows)} snapshots, {tag}")
+    audit = payload["energy_audit"]
+    if not (audit["skipped"] or audit["passed"]):
+        print(
+            f"verification failure: energy audit worst margin {audit['worst_margin']:.6g} "
+            f"exceeds energy_eps {audit['eps_E']:g}",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY
     return EXIT_OK
 
 

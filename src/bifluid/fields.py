@@ -39,6 +39,7 @@ __all__ = [
     "total_energy",
     "default_ess_window",
     "restrict",
+    "snapshot_columns",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -159,6 +160,11 @@ class DerivedFields:
     def rho_plus(self) -> np.ndarray:
         return self.Z
 
+    @property
+    def rho(self) -> np.ndarray:
+        """Mixture density R + Q."""
+        return self.R + self.Q
+
     @functools.cached_property
     def vacuum(self) -> np.ndarray:
         return (self.R == 0.0) & (self.Q == 0.0)
@@ -222,13 +228,13 @@ def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -
 
     E = sum dx * [ (R+Q) u^2 / 2 + alpha H_plus(rho_plus)
                    + (1-alpha) H_minus(rho_minus) ].
+    H_plus(rho_plus) is read from the pressure, p / (gamma_plus - 1).
     Vacuum cells contribute zero regardless of the alpha sentinel.
     """
-    law_p = thermo.PhaseLaw(exps.gamma_plus)
     law_m = thermo.PhaseLaw(exps.gamma_minus)
     e = (
         0.5 * (der.R + der.Q) * der.u**2
-        + der.alpha * thermo.helmholtz(der.rho_plus, law_p)
+        + der.alpha * (der.p / (exps.gamma_plus - 1.0))
         + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, law_m)
     )
     return float(np.sum(e) * grid.dx)
@@ -267,15 +273,22 @@ def _snapshot_templates(grid: Grid1D) -> tuple[str, ...]:
     return tuple("".join(rows[k : k + step]) for k in range(0, grid.n, step))
 
 
-def write_snapshot(path, grid: Grid1D, state: FieldState, derived: DerivedFields) -> None:
+def snapshot_columns(state: FieldState, derived: DerivedFields) -> np.ndarray:
+    """The value columns of a snapshot CSV, R to u, as the rows of one
+    C-contiguous (9, n) array."""
+    d = derived
+    return np.vstack((state.U, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u))
+
+
+def write_snapshot(path, grid: Grid1D, columns: np.ndarray) -> None:
     """Write one CSV row per cell with 17 significant digits (`%.17g`).
 
-    Each block of rows is one `%` format of a cached per-grid template (one
-    block up to SNAPSHOT_BLOCK_ROWS cells), so the digits are those of
+    columns holds the value columns as snapshot_columns gives them.  Each
+    block of rows is one `%` format of a cached per-grid template (one block
+    up to SNAPSHOT_BLOCK_ROWS cells), so the digits are those of
     format(v, ".17g"), including -0, subnormals, inf and nan.
     """
-    d = derived
-    table = np.stack((*state.U, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u), axis=1)
+    table = columns.T
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
         for k, template in enumerate(_snapshot_templates(grid)):

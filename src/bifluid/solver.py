@@ -13,11 +13,14 @@ closure is re-solved per cell after every stage, which keeps it inside the
 verification loop; each solve is warm-started from the closure root of the
 previous stage.
 
-The run keeps the derived fields it made for each snapshot state: the derive
-of a snapshot state is the one that starts the next step (warm-started from
-the stage root), and the final state gets one more warm derive.  It also
-keeps the total energy of each snapshot, evaluated once from those fields.
-Outputs and audits read both from the trajectory and derive nothing again.
+A run records each snapshot once, with the derived fields it made for it:
+the derive of a snapshot state is the one that starts the next step
+(warm-started from the stage root), and the final state gets one more warm
+derive.  It evaluates the total energy of each snapshot once from those
+fields.  The run either collects the snapshot states and their fields in the
+trajectory or hands each one, as it records it, to a consumer (the CLI's
+writers and pair reductions) and keeps only the scalar series; it is one
+stepping loop either way.  Outputs and audits derive nothing again.
 
 A step computes only what it reads.  The SSPRK2 stage stays a raw (3, n)
 array: after the positivity clip its masses are nonnegative, so one
@@ -415,15 +418,17 @@ class Trajectory:
     equals a cold derive bit for bit where the closure has a closed form
     (gamma = 2 or 1) and to within the closure tolerance otherwise.
     energies[k] is fields.total_energy of derived[k], and diss_cum[k] the
-    viscous dissipation accumulated up to times[k].
+    viscous dissipation accumulated up to times[k].  A run that handed its
+    snapshots to a consumer keeps only the scalar series: states, derived
+    and alpha_diag are None.
     """
 
     grid: Grid1D
     exps: object
     scheme: SchemeConfig
     times: list[float]
-    states: list[FieldState]
-    derived: list[DerivedFields]
+    states: list[FieldState] | None
+    derived: list[DerivedFields] | None
     energies: list[float]
     diss_cum: list[float]
     alpha_diag: list[np.ndarray] | None
@@ -442,11 +447,16 @@ class Trajectory:
         return self.scheme.forcing is not None
 
 
-def run(cfg, initial: FieldState | None = None) -> Trajectory:
+def run(cfg, initial: FieldState | None = None, on_snapshot=None) -> Trajectory:
     """Advance a validated configuration from t = 0 to t_end.
 
     initial is the configuration's initial state when the caller has already
     built it (validation does), so a restart file is not read again.
+
+    Each snapshot is recorded once, with the derived fields the run made for
+    it.  Without on_snapshot the trajectory collects them; with it, the run
+    calls on_snapshot(state, derived) for each snapshot as it is recorded,
+    keeps neither and returns only the scalar series and counters.
 
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
@@ -457,30 +467,27 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
     exps = cfg.exponents()
     scheme = cfg.scheme()
     state = cfg.initial_state(grid) if initial is None else initial
-    snap_times = cfg.snapshot_times()
     track = bool(getattr(cfg, "track_alpha", False))
+    collect = on_snapshot is None
 
     der = _derive(state, scheme, exps)  # the first step reuses it
-    states = [state]
-    derived = [der]
-    times = [state.t]
-    diss = [0.0]
+    states = [] if collect else None
+    derived = [] if collect else None
+    a_snaps = [] if collect and track else None
+    times: list[float] = []
+    energies: list[float] = []
+    diss: list[float] = []
     cum = 0.0
     dt_hist: list[float] = []
     clips = 0
     clamps = 0
     iters_max = 0
     wave_max = 0.0
-
-    a_diag = None
-    a_snaps = None
-    if track:
-        a_diag = der.alpha.copy()
-        a_snaps = [a_diag.copy()]
+    a_diag = der.alpha.copy() if track else None
 
     z_prev = None
     forcing = None  # the forcing at state.t, when a step handed it on
-    for target in snap_times[1:]:
+    for target in cfg.snapshot_times():
         while state.t < target:
             if len(dt_hist) >= scheme.max_steps:
                 raise RuntimeError(
@@ -520,12 +527,16 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
             der = None
         if der is None:  # a later step, if any, starts from this derive
             der = _derive(state, scheme, exps, z0=z_prev)
-        states.append(state)
-        derived.append(der)
         times.append(state.t)
+        energies.append(total_energy(der, grid, exps))
         diss.append(cum)
-        if track:
-            a_snaps.append(a_diag.copy())
+        if collect:
+            states.append(state)
+            derived.append(der)
+            if track:
+                a_snaps.append(a_diag.copy())
+        else:
+            on_snapshot(state, der)
 
     return Trajectory(
         grid=grid,
@@ -534,7 +545,7 @@ def run(cfg, initial: FieldState | None = None) -> Trajectory:
         times=times,
         states=states,
         derived=derived,
-        energies=[total_energy(d, grid, exps) for d in derived],
+        energies=energies,
         diss_cum=diss,
         alpha_diag=a_snaps,
         dt_history=np.asarray(dt_hist),

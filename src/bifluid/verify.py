@@ -45,6 +45,7 @@ __all__ = [
     "relative_entropy_series",
     "energy_audit",
     "gronwall_check",
+    "fraction_terms",
     "alpha_stability_check",
     "coercivity_check",
     "convergence_study",
@@ -106,7 +107,7 @@ def relative_entropy(
     law_p = thermo.PhaseLaw(exps.gamma_plus)
     law_m = thermo.PhaseLaw(exps.gamma_minus)
     du = state_a.u - state_b.u
-    e_kin = float(0.5 * np.sum((state_a.R + state_a.Q) * du * du) * dx)
+    e_kin = float(0.5 * np.sum(state_a.rho * du * du) * dx)
     dal = state_a.alpha - state_b.alpha
     e_alpha = float(0.5 * np.sum(dal * dal) * dx)
     e_bp = float(
@@ -258,30 +259,27 @@ class AlphaStabilityReport:
     A: list[float]
 
 
-def alpha_stability_check(
-    alpha_series_a,
-    alpha_series_b,
-    u_series,
-    v_series,
-    times,
-    grid: Grid1D,
-    delta: float,
-) -> AlphaStabilityReport:
+def fraction_terms(alpha_a, alpha_b, u, v, grid: Grid1D) -> tuple[float, float]:
+    """The fraction audit's terms of one snapshot pair: A = int (alpha -
+    beta)^2 and w = ||v - u||^2_W12."""
+    return float(np.sum((alpha_a - alpha_b) ** 2) * grid.dx), w12_norm_sq(v - u, grid)
+
+
+def alpha_stability_check(A, w, times, delta: float) -> AlphaStabilityReport:
     """Smallest constant C making the discrete fraction-stability bound hold.
 
-    With A(tau) = int (alpha - beta)^2, W(tau) = int_0^tau ||v - u||^2_W12 dt
-    and S(tau) = int_0^tau A dt (left-endpoint sums on the snapshot grid),
-    reports C_delta = max over tau of (A(tau) - A(0) - delta * W(tau)) / S(tau),
-    floored at zero, so that A(tau) - A(0) <= delta W(tau) + C_delta S(tau).
+    A and w are the fraction_terms of each snapshot pair.  With W(tau) =
+    int_0^tau w dt and S(tau) = int_0^tau A dt (left-endpoint sums on the
+    snapshot grid), reports C_delta = max over tau of (A(tau) - A(0) -
+    delta * W(tau)) / S(tau), floored at zero, so that A(tau) - A(0) <=
+    delta W(tau) + C_delta S(tau).
     """
     n = len(times)
     if n == 0:
         raise EmptySeriesError("no snapshots to audit")
-    if not (len(alpha_series_a) == len(alpha_series_b) == len(u_series) == len(v_series) == n):
+    if not (len(A) == len(w) == n):
         raise GridMismatchError("series lengths differ")
-    dx = grid.dx
-    A = [float(np.sum((a - b) ** 2) * dx) for a, b in zip(alpha_series_a, alpha_series_b)]
-    w = [w12_norm_sq(v - u, grid) for u, v in zip(u_series, v_series)]
+    A = list(A)
     c_delta = 0.0
     lhs_max = 0.0
     W = 0.0
@@ -345,7 +343,7 @@ def coercivity_check(
     i_ess = float(np.sum(np.where(ess, quad, 0.0)) * dx)
     heavy = (
         1.0
-        + state_a.alpha * np.power(state_a.rho_plus, exps.gamma_plus)
+        + state_a.alpha * state_a.p  # p = rho_plus**gamma_plus
         + (1.0 - state_a.alpha) * np.power(state_a.rho_minus, exps.gamma_minus)
     )
     i_res = float(np.sum(np.where(ess, 0.0, heavy)) * dx)

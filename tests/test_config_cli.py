@@ -112,12 +112,12 @@ def test_perturbation_deterministic_and_grid_independent():
 
 def test_from_file_preset(tmp_path):
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
-    from bifluid.fields import derive, write_snapshot
+    from bifluid.fields import derive, snapshot_columns, write_snapshot
 
     grid = cfg.grid()
     state = cfg.initial_state(grid)
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, grid, state, derive(state, cfg.exponents()))
+    write_snapshot(snap, grid, snapshot_columns(state, derive(state, cfg.exponents())))
     text = (
         MINIMAL
         + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n"
@@ -130,12 +130,12 @@ def test_from_file_preset(tmp_path):
 
 def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
     from bifluid import config
-    from bifluid.fields import derive, write_snapshot
+    from bifluid.fields import derive, snapshot_columns, write_snapshot
 
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     state = cfg.initial_state(cfg.grid())
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, cfg.grid(), state, derive(state, cfg.exponents()))
+    write_snapshot(snap, cfg.grid(), snapshot_columns(state, derive(state, cfg.exponents())))
     reads = []
 
     def counting_read(path):
@@ -288,15 +288,16 @@ def test_cli_compare_outputs_reproducible(tmp_path):
         assert b1 == b2
 
 
-def _spy_write_derives(monkeypatch):
-    """Derive calls per state id: (per cli.write_run_outputs call, its
-    trajectory and the derives made inside it; all derives of the process)."""
+def _spy_snapshot_derives(monkeypatch):
+    """Derive calls per state id: (per run of cli.run, the (state, derived)
+    pairs it handed its snapshot consumer and the derives made inside that
+    consumer; all derives of the process)."""
     from collections import Counter
 
     from bifluid import fields, solver
 
-    writes, active, every = [], [], Counter()
-    real_derive, real_write = fields.derive, cli.write_run_outputs
+    runs, active, every = [], [], Counter()
+    real_derive, real_run = fields.derive, cli.run
 
     def spy_derive(state, *args, **kwargs):
         every[id(state)] += 1
@@ -304,29 +305,35 @@ def _spy_write_derives(monkeypatch):
             active[-1][id(state)] += 1
         return real_derive(state, *args, **kwargs)
 
-    def spy_write(traj, *args, **kwargs):
-        active.append(Counter())
-        try:
-            return real_write(traj, *args, **kwargs)
-        finally:
-            writes.append((traj, active.pop()))
+    def spy_run(cfg, *args, on_snapshot, **kwargs):
+        snaps, inside = [], Counter()
+
+        def consumer(state, der):
+            snaps.append((state, der))
+            active.append(inside)
+            try:
+                on_snapshot(state, der)
+            finally:
+                active.pop()
+
+        runs.append((snaps, inside))
+        return real_run(cfg, *args, on_snapshot=consumer, **kwargs)
 
     for module in (fields, solver, cli):
         monkeypatch.setattr(module, "derive", spy_derive)
-    monkeypatch.setattr(cli, "write_run_outputs", spy_write)
-    return writes, every
+    monkeypatch.setattr(cli, "run", spy_run)
+    return runs, every
 
 
 def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeypatch):
-    writes, every = _spy_write_derives(monkeypatch)
+    runs, every = _spy_snapshot_derives(monkeypatch)
     path = write(tmp_path, "run.ini", RUN_CFG)
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    (traj, counts), = writes
-    assert len(traj.states) == 3
+    (snaps, counts), = runs
+    assert len(snaps) == 3
     assert counts == {}  # the CSVs and energies read the run's own derived fields
-    assert [every[id(s)] for s in traj.states] == [1, 1, 1]  # each derived once, in the run
-    assert len(traj.derived) == 3
-    assert all(d.R.base is s.U and d.Q.base is s.U for d, s in zip(traj.derived, traj.states))
+    assert [every[id(s)] for s, _ in snaps] == [1, 1, 1]  # each derived once, in the run
+    assert all(d.R.base is s.U and d.Q.base is s.U for s, d in snaps)
 
 
 def _same_dir_bytes(d1, d2):
@@ -337,19 +344,19 @@ def _same_dir_bytes(d1, d2):
 
 
 def _compare_twin_run_b(tmp_path, monkeypatch, text_b):
-    """Derive counts of run_b's writer in a twin compare; checks its bytes
-    against a plain run of the same config."""
-    writes, every = _spy_write_derives(monkeypatch)
+    """run_b's snapshots in a twin compare and the derives made in its
+    consumer; checks its bytes against a plain run of the same config."""
+    runs, every = _spy_snapshot_derives(monkeypatch)
     a = write(tmp_path, "a.ini", RUN_CFG + "\n[perturbation]\nepsilon = 0.01\n")
     b = write(tmp_path, "b.ini", text_b)
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
-    (traj_a, counts_a), (traj_b, counts_b) = writes
+    (snaps_a, counts_a), (snaps_b, counts_b) = runs
     assert counts_a == {}  # run_a writes the fields its run derived
     # every snapshot state of both runs is derived once, in its run
-    assert [every[id(s)] for s in traj_a.states + traj_b.states] == [1] * 6
+    assert [every[id(s)] for s, _ in snaps_a + snaps_b] == [1] * 6
     assert main(["run", "--config", b, "--out", str(tmp_path / "plain")]) == 0
     _same_dir_bytes(tmp_path / "c" / "run_b", tmp_path / "plain")
-    return traj_b, counts_b
+    return snaps_b, counts_b
 
 
 def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
@@ -360,18 +367,18 @@ def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkey
 def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monkeypatch):
     # run_b's own derived fields hold its own closure settings: no derive here
     text_b = RUN_CFG + "\n[tolerances]\nclosure_tol = 1e-11\n"
-    traj_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, text_b)
+    snaps_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, text_b)
     assert counts_b == {}
-    assert len(traj_b.derived) == len(traj_b.states) == 3
+    assert len(snaps_b) == 3
 
 
 def _serial_snapshots(traj, derived, out):
     """The CSVs of traj written in this process, one by one."""
-    from bifluid.fields import write_snapshot
+    from bifluid.fields import snapshot_columns, write_snapshot
 
     out.mkdir()
     for k, (state, der) in enumerate(zip(traj.states, derived, strict=True)):
-        write_snapshot(out / f"snapshot_{k:04d}.csv", traj.grid, state, der)
+        write_snapshot(out / f"snapshot_{k:04d}.csv", traj.grid, snapshot_columns(state, der))
 
 
 def _snapshot_bytes(d):
@@ -458,6 +465,29 @@ def test_cli_failed_snapshot_writer_is_a_runtime_failure(tmp_path, monkeypatch, 
     assert "snapshot_0000.csv" not in rec["message"]  # the other writer's file
 
 
+def test_cli_run_whose_writer_dies_is_a_runtime_failure(tmp_path, monkeypatch, capfd):
+    # the odd-index writer exits without reading: the run's next send to it
+    # breaks its pipe, or the close finds its exit status
+    real = cli._writer_main
+
+    def die_if_odd(fd, out_dir, grid, first):
+        if first == 1:
+            os._exit(1)
+        real(fd, out_dir, grid, first)
+
+    monkeypatch.setattr(cli, "_writer_main", die_if_odd)
+    path = write(tmp_path, "run.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 11"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert "Traceback" not in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["error"] == "RuntimeError"
+    assert "snapshot_0001.csv" in rec["message"]
+    assert "snapshot_0000.csv" not in rec["message"]
+
+
 @pytest.mark.parametrize("writer_fails", [False, True])
 def test_cli_compare_whose_run_b_fails_reaps_run_a_writers(tmp_path, monkeypatch, writer_fails):
     if writer_fails:
@@ -472,7 +502,10 @@ def test_cli_compare_whose_run_b_fails_reaps_run_a_writers(tmp_path, monkeypatch
         os.waitpid(-1, os.WNOHANG)
     # run_b's failure is reported, never masked by a writer's
     assert json.loads((out / "failure.json").read_text())["error"] == "ZeroDtError"
-    assert sorted(os.listdir(out)) == ["failure.json", "run_a"]
+    # run_b's writers start with run_b: it recorded its initial snapshot
+    # before its first step failed, and wrote no report
+    assert sorted(os.listdir(out)) == ["failure.json", "run_a", "run_b"]
+    assert os.listdir(out / "run_b") == ["snapshot_0000.csv"]
     if not writer_fails:
         assert main(["run", "--config", a, "--out", str(tmp_path / "plain")]) == 0
         _same_dir_bytes(out / "run_a", tmp_path / "plain")
@@ -482,12 +515,12 @@ def _restart_config(tmp_path, monkeypatch):
     """A config whose R, Q and u restart from one snapshot file, the file,
     and the list of paths config.read_snapshot reads from now on."""
     from bifluid import config
-    from bifluid.fields import derive, write_snapshot
+    from bifluid.fields import derive, snapshot_columns, write_snapshot
 
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     state = cfg.initial_state(cfg.grid())
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, cfg.grid(), state, derive(state, cfg.exponents()))
+    write_snapshot(snap, cfg.grid(), snapshot_columns(state, derive(state, cfg.exponents())))
     reads = []
     real_read = config.read_snapshot
 
@@ -655,6 +688,84 @@ def test_cli_compare_rejects_mismatched_configs(tmp_path):
     a = write(tmp_path, "a.ini", RUN_CFG)
     b = write(tmp_path, "b.ini", RUN_CFG.replace("gamma_minus = 1.5", "gamma_minus = 1.2"))
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "mode, text_b",
+    [
+        ("twin", RUN_CFG.replace("gamma_minus = 1.5", "gamma_minus = 1.2")),
+        ("fine", RUN_CFG.replace("n = 32", "n = 48")),  # does not nest
+        ("mms", None),  # the config has no manufactured solution
+    ],
+)
+def test_cli_compare_checks_the_pair_before_it_creates_out(
+    tmp_path, capsys, spy_calls, mode, text_b
+):
+    runs = spy_calls(solver.run)
+    argv = ["compare", "--config", write(tmp_path, "a.ini", RUN_CFG), "--ref-mode", mode]
+    if text_b is not None:
+        argv += ["--config-b", write(tmp_path, "b.ini", text_b)]
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+    assert runs == []
+
+
+INVISCID_EULER = (
+    RUN_CFG.replace("t_end = 0.01", "t_end = 0.01\ncfl = 1.0\nintegrator = forward_euler")
+    + "\n[viscosity]\nmu = 0.0\n\n[verification]\nallow_inviscid = true\nenergy_eps = 1e-12\n"
+)
+
+
+def test_cli_compare_whose_energy_audit_fails_exits_4_after_every_output(tmp_path, capfd):
+    # forward Euler at cfl = 1 without viscosity gains energy far beyond 1e-12
+    path = write(tmp_path, "euler.ini", INVISCID_EULER)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 4
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    audit = json.loads((out / "verify.json").read_text())["energy_audit"]
+    assert audit["passed"] is False and audit["skipped"] is False
+    assert audit["worst_margin"] > audit["eps_E"] == 1e-12
+    assert err == (
+        f"verification failure: energy audit worst margin {audit['worst_margin']:.6g} "
+        "exceeds energy_eps 1e-12\n"
+    )
+    assert sorted(os.listdir(out)) == ["re_report.csv", "run_a", "run_b", "verify.json"]
+    for side in ("run_a", "run_b"):
+        names = ["report.json"] + [f"snapshot_{k:04d}.csv" for k in range(3)]
+        assert sorted(os.listdir(out / side)) == names
+    _same_dir_bytes(out / "run_a", out / "run_b")
+
+
+MEMORY_N = 512
+
+
+def _compare_peak_bytes(tmp_path, snapshots):
+    """tracemalloc peak of a twin compare with --out at MEMORY_N cells."""
+    import tracemalloc
+
+    text = PAIR_BASE.replace("n = 64", f"n = {MEMORY_N}").replace("t_end = 0.1", "t_end = 0.002")
+    text = text.replace("n_snapshots = 6", f"n_snapshots = {snapshots}")
+    a = write(tmp_path, f"a{snapshots}.ini", text + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n")
+    b = write(tmp_path, f"b{snapshots}.ini", text)
+    argv = ["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / f"o{snapshots}")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_compare_memory_grows_by_a_few_arrays_per_snapshot_pair(tmp_path):
+    # the pair reductions keep a few of each pair's arrays; storing every
+    # snapshot state and derived field of both runs grew by about 20
+    _compare_peak_bytes(tmp_path, 3)  # first-call caches out of the measurement
+    growth = _compare_peak_bytes(tmp_path, 51) - _compare_peak_bytes(tmp_path, 11)
+    arrays_per_pair = growth / (51 - 11) / (8 * MEMORY_N)
+    assert arrays_per_pair <= 8
 
 
 def test_cli_compare_fine_mode(tmp_path):

@@ -15,6 +15,7 @@ from bifluid.fields import (
     derive,
     read_snapshot,
     restrict,
+    snapshot_columns,
     total_energy,
     total_mass,
     write_snapshot,
@@ -222,7 +223,7 @@ def test_snapshot_round_trip(tmp_path):
     s = FieldState(0.0, rng.uniform(0.5, 2, 8), rng.uniform(0.5, 2, 8), rng.uniform(-1, 1, 8))
     d = derive(s, EXPS)
     p = tmp_path / "snap.csv"
-    write_snapshot(p, g, s, d)
+    write_snapshot(p, g, snapshot_columns(s, d))
     data = read_snapshot(p)
     assert np.array_equal(data["R"], s.R)  # 17 significant digits round-trip exactly
     assert np.array_equal(data["Q"], s.Q)
@@ -236,8 +237,8 @@ def test_snapshot_bytes_deterministic(tmp_path):
     s = uniform_state(8, 1.0, 2.0, 0.25)
     d = derive(s, EXPS)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_snapshot(p1, g, s, d)
-    write_snapshot(p2, g, s, d)
+    write_snapshot(p1, g, snapshot_columns(s, d))
+    write_snapshot(p2, g, snapshot_columns(s, d))
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u"
@@ -263,7 +264,7 @@ def _reference_write_snapshot(path, grid, state, derived):
 
 def _assert_same_bytes(tmp_path, grid, state, derived):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_snapshot(got, grid, state, derived)
+    write_snapshot(got, grid, snapshot_columns(state, derived))
     _reference_write_snapshot(want, grid, state, derived)
     assert got.read_bytes() == want.read_bytes()
 

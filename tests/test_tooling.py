@@ -85,3 +85,51 @@ def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path, spy_call
     assert tracer.spans["verify.relative_entropy"][0] == n
     assert tracer.spans["thermo.bregman"][0] == 2 * n
     assert len(energies) == 2 * n
+
+
+UNTRACED_INI = """
+[exponents]
+gamma_plus = 3.0
+gamma_minus = 1.5
+
+[grid]
+n = {n}
+
+[time]
+t_end = 0.005
+n_snapshots = 3
+"""
+
+
+def test_untraced_work_count_covers_every_run(tmp_path):
+    # the untraced benchmark wraps only solver.run and reads n_steps and
+    # grid from what each run returns; a CLI path that stepped outside it
+    # would read as zero cell updates per second
+    from bifluid.config import validate_config
+
+    tracing = _load_tracing()
+    texts = {
+        "a.ini": UNTRACED_INI.format(n=32) + "\n[perturbation]\nepsilon = 0.05\n",
+        "b.ini": UNTRACED_INI.format(n=32),
+    }
+    cells = {}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        traj = solver.run(validate_config(text)[0])
+        cells[name] = traj.n_steps * traj.grid.n
+    a, b = str(tmp_path / "a.ini"), str(tmp_path / "b.ini")
+    jobs = [
+        (["run", "--config", a, "--out", str(tmp_path / "run")], cells["a.ini"]),
+        (
+            ["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "cmp")],
+            cells["a.ini"] + cells["b.ini"],
+        ),
+    ]
+    for argv, want in jobs:
+        tracer = tracing.Tracer()
+        tracer.install(full=False)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["cell_updates"] == want > 0

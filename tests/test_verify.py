@@ -16,6 +16,7 @@ from bifluid.verify import (
     coercivity_check,
     convergence_study,
     energy_audit,
+    fraction_terms,
     gronwall_check,
     relative_entropy,
     relative_entropy_series,
@@ -185,17 +186,22 @@ def test_w12_norm_includes_gradient():
     assert val == pytest.approx(0.5 + 2 * math.pi**2, rel=1e-2)
 
 
+def _stability(alpha_a, alpha_b, us, vs, times, grid, delta):
+    terms = [fraction_terms(a, b, u, v, grid) for a, b, u, v in zip(alpha_a, alpha_b, us, vs)]
+    return alpha_stability_check([A for A, _ in terms], [w for _, w in terms], times, delta)
+
+
 def test_alpha_stability_trivial_cases():
     n = 16
     grid = Grid1D(n, 1.0)
     times = [0.0, 0.1, 0.2]
     same = [np.full(n, 0.4)] * 3
     zeros = [np.zeros(n)] * 3
-    rep = alpha_stability_check(same, same, zeros, zeros, times, grid, delta=0.5)
+    rep = _stability(same, same, zeros, zeros, times, grid, delta=0.5)
     assert rep.C_delta == 0.0
     # constant-in-time gap, identical velocities: LHS = 0, C = 0 suffices
     other = [np.full(n, 0.6)] * 3
-    rep2 = alpha_stability_check(same, other, zeros, zeros, times, grid, delta=0.5)
+    rep2 = _stability(same, other, zeros, zeros, times, grid, delta=0.5)
     assert rep2.C_delta == 0.0
     assert rep2.A0 == pytest.approx(0.04, rel=1e-12)
 
@@ -210,7 +216,7 @@ def test_alpha_stability_fits_known_growth():
     alpha_b = [np.zeros(n)] * 3
     zeros = [np.zeros(n)] * 3
     delta = 0.1
-    rep = alpha_stability_check(alpha_a, alpha_b, zeros, zeros, times, grid, delta)
+    rep = _stability(alpha_a, alpha_b, zeros, zeros, times, grid, delta)
     A = [1.0, 1.5, 2.0]
     best = 0.0
     S = 0.0
@@ -222,7 +228,7 @@ def test_alpha_stability_fits_known_growth():
 
 def test_alpha_stability_empty():
     with pytest.raises(EmptySeriesError):
-        alpha_stability_check([], [], [], [], [], GRID, delta=0.1)
+        alpha_stability_check([], [], [], delta=0.1)
 
 
 # coercivity -----------------------------------------------------------------------
