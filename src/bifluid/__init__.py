@@ -25,7 +25,6 @@ from .verify import (
     fraction_terms,
     gronwall_check,
     relative_entropy,
-    relative_entropy_series,
 )
 
 __version__ = "0.1.0"

@@ -304,10 +304,22 @@ def write_re_report(path, rows) -> None:
         )
 
 
+def _read_config(path) -> str:
+    """The text of the config file at path; ParseError, naming the path,
+    when it cannot be read as UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise ParseError(f"cannot read {path}: {reason}")
+
+
 def _load_config(path, strict_flag: bool):
     """The validated config and the initial state its validation built."""
-    with open(path, "r") as fh:
-        cfg, warnings, state = validate_config(fh.read(), with_state=True)
+    cfg, warnings, state = validate_config(_read_config(path), with_state=True)
     if strict_flag:
         cfg.strict = True
     for w in warnings:
@@ -316,8 +328,7 @@ def _load_config(path, strict_flag: bool):
 
 
 def cmd_validate(args) -> int:
-    with open(args.config, "r") as fh:
-        cfg, warnings = validate_config(fh.read())
+    cfg, warnings = validate_config(_read_config(args.config))
     for w in warnings:
         print(f"warning: {w}")
     print(f"config ok: n={cfg.n}, t_end={cfg.t_end:g}, bc={cfg.bc}")
@@ -733,9 +744,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RUNTIME_ERRORS as exc:

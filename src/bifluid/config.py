@@ -39,7 +39,8 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Config text could not be parsed (message carries the line)."""
+    """A config file could not be read or its text parsed; the message
+    names the path or the line."""
 
 
 class ValidationError(ValueError):

@@ -17,10 +17,10 @@ A run records each snapshot once, with the derived fields it made for it:
 the derive of a snapshot state is the one that starts the next step
 (warm-started from the stage root), and the final state gets one more warm
 derive.  It evaluates the total energy of each snapshot once from those
-fields.  The run either collects the snapshot states and their fields in the
-trajectory or hands each one, as it records it, to a consumer (the CLI's
-writers and pair reductions) and keeps only the scalar series; it is one
-stepping loop either way.  Outputs and audits derive nothing again.
+fields.  It hands each snapshot, as it records it, to a consumer (the CLI's
+writers and pair reductions) and keeps only the scalar series, so its memory
+does not grow with the number of snapshots.  Outputs and audits derive
+nothing again.
 
 A step computes only what it reads.  The SSPRK2 stage stays a raw (3, n)
 array: after the positivity clip its masses are nonnegative, so one
@@ -411,27 +411,22 @@ def alpha_diagnostic_step(alpha, u, div_u, gamma, dt, grid: Grid1D):
 
 @dataclasses.dataclass
 class Trajectory:
-    """Snapshots at the configured times plus per-run accounting.
+    """The scalar series of a run at its snapshot times, plus accounting.
 
-    derived[k] holds the derived fields the run made for states[k], with the
-    run's closure settings and warm-started like every derive of the run: it
-    equals a cold derive bit for bit where the closure has a closed form
-    (gamma = 2 or 1) and to within the closure tolerance otherwise.
-    energies[k] is fields.total_energy of derived[k], and diss_cum[k] the
-    viscous dissipation accumulated up to times[k].  A run that handed its
-    snapshots to a consumer keeps only the scalar series: states, derived
-    and alpha_diag are None.
+    energies[k] is fields.total_energy of the derived fields the run handed
+    its consumer with the snapshot at times[k], and diss_cum[k] the viscous
+    dissipation accumulated up to times[k].  alpha_transported is the
+    volume-fraction diagnostic's own transported fraction at the last
+    snapshot, or None when the run does not track it.
     """
 
     grid: Grid1D
     exps: object
     scheme: SchemeConfig
     times: list[float]
-    states: list[FieldState] | None
-    derived: list[DerivedFields] | None
     energies: list[float]
     diss_cum: list[float]
-    alpha_diag: list[np.ndarray] | None
+    alpha_transported: np.ndarray | None
     dt_history: np.ndarray
     positivity_clips: int
     alpha_clamps: int
@@ -447,16 +442,22 @@ class Trajectory:
         return self.scheme.forcing is not None
 
 
-def run(cfg, initial: FieldState | None = None, on_snapshot=None) -> Trajectory:
+def _discard(state: FieldState, derived: DerivedFields) -> None:
+    """The snapshot consumer of a run whose caller reads only its scalars."""
+
+
+def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Trajectory:
     """Advance a validated configuration from t = 0 to t_end.
 
     initial is the configuration's initial state when the caller has already
     built it (validation does), so a restart file is not read again.
 
-    Each snapshot is recorded once, with the derived fields the run made for
-    it.  Without on_snapshot the trajectory collects them; with it, the run
-    calls on_snapshot(state, derived) for each snapshot as it is recorded,
-    keeps neither and returns only the scalar series and counters.
+    The run calls on_snapshot(state, derived) once per snapshot, as it
+    records it, with the derived fields it made for that state: warm-started
+    with the run's closure settings like every derive of the run, they equal
+    a cold derive bit for bit where the closure has a closed form (gamma = 2
+    or 1) and to within the closure tolerance otherwise.  The run keeps
+    neither and returns only the scalar series and counters.
 
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
@@ -468,12 +469,8 @@ def run(cfg, initial: FieldState | None = None, on_snapshot=None) -> Trajectory:
     scheme = cfg.scheme()
     state = cfg.initial_state(grid) if initial is None else initial
     track = bool(getattr(cfg, "track_alpha", False))
-    collect = on_snapshot is None
 
     der = _derive(state, scheme, exps)  # the first step reuses it
-    states = [] if collect else None
-    derived = [] if collect else None
-    a_snaps = [] if collect and track else None
     times: list[float] = []
     energies: list[float] = []
     diss: list[float] = []
@@ -530,24 +527,16 @@ def run(cfg, initial: FieldState | None = None, on_snapshot=None) -> Trajectory:
         times.append(state.t)
         energies.append(total_energy(der, grid, exps))
         diss.append(cum)
-        if collect:
-            states.append(state)
-            derived.append(der)
-            if track:
-                a_snaps.append(a_diag.copy())
-        else:
-            on_snapshot(state, der)
+        on_snapshot(state, der)
 
     return Trajectory(
         grid=grid,
         exps=exps,
         scheme=scheme,
         times=times,
-        states=states,
-        derived=derived,
         energies=energies,
         diss_cum=diss,
-        alpha_diag=a_snaps,
+        alpha_transported=a_diag,
         dt_history=np.asarray(dt_hist),
         positivity_clips=clips,
         alpha_clamps=clamps,

@@ -42,7 +42,6 @@ __all__ = [
     "CoercivityReport",
     "ConvergenceReport",
     "relative_entropy",
-    "relative_entropy_series",
     "energy_audit",
     "gronwall_check",
     "fraction_terms",
@@ -131,22 +130,6 @@ def relative_entropy(
         E_total=e_kin + e_alpha + e_bp + e_bm,
         D=d_rate,
     )
-
-
-def relative_entropy_series(
-    derived_a,
-    derived_b,
-    times,
-    grid: Grid1D,
-    exps: ExponentPair,
-    nu_eff: float = 0.0,
-) -> list[RelativeEntropyRow]:
-    if len(derived_a) != len(derived_b) or len(derived_a) != len(times):
-        raise GridMismatchError("snapshot series lengths differ")
-    return [
-        relative_entropy(da, db, grid, exps, nu_eff=nu_eff, t=t)
-        for da, db, t in zip(derived_a, derived_b, times)
-    ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -394,16 +377,20 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
         raise ValueError("convergence_study requires a manufactured-forcing config")
     ns: list[int] = []
     errors = {"R": [], "Q": [], "u": []}
+    last = []  # the level's latest snapshot state and its derived fields
+
+    def keep_last(state, der) -> None:
+        last[:] = (state, der)
+
     base_n = cfg.n
     for lev in range(levels):
         n = base_n * 2**lev
         level = cfg.with_resolution(n)  # a copy, so the caller's cfg is untouched
         level.track_alpha = False
-        traj = run(level)
+        traj = run(level, on_snapshot=keep_last)
         grid = traj.grid
         sol = traj.scheme.forcing
-        final = traj.states[-1]
-        der = traj.derived[-1]
+        final, der = last
         t = traj.times[-1]
         x = grid.x
         errors["R"].append(_l2_error(final.R, sol.R(x, t), grid.dx))

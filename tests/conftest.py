@@ -48,3 +48,22 @@ def spy_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture(scope="session")
+def run_collecting():
+    """run_collecting(cfg, initial=None) runs cfg through solver.run and
+    returns (trajectory, snapshot states, the derived fields the run handed
+    on with them)."""
+    from bifluid import solver
+
+    def run(cfg, initial=None):
+        states, derived = [], []
+
+        def collect(state, der):
+            states.append(state)
+            derived.append(der)
+
+        return solver.run(cfg, initial, on_snapshot=collect), states, derived
+
+    return run

@@ -14,7 +14,6 @@ from bifluid.cli import main
 from bifluid.closure import alpha_partials_batch, solve_closure_batch
 from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import derive, restrict, total_mass
-from bifluid.solver import run
 from bifluid.verify import (
     alpha_stability_check,
     coercivity_check,
@@ -22,7 +21,6 @@ from bifluid.verify import (
     convergence_study,
     energy_audit,
     relative_entropy,
-    relative_entropy_series,
 )
 
 SEED = 20260810
@@ -134,7 +132,7 @@ def test_criterion_2_closure_identities():
 
 
 @pytest.fixture(scope="module")
-def bump_run():
+def bump_run(run_collecting):
     cfg = SimConfig(
         n=512,
         gamma_plus=3.0,
@@ -149,15 +147,15 @@ def bump_run():
         u_init=ProfileSpec(preset="uniform", value=0.0),
     )
     t0 = time.perf_counter()
-    traj = run(cfg)
-    return traj, time.perf_counter() - t0
+    traj, states, _ = run_collecting(cfg)
+    return traj, states, time.perf_counter() - t0
 
 
 def test_criterion_3_conservation(bump_run):
-    traj, elapsed = bump_run
-    m0 = total_mass(traj.states[0], traj.grid)
-    drift_r = max(abs(total_mass(s, traj.grid)[0] - m0[0]) for s in traj.states) / m0[0]
-    drift_q = max(abs(total_mass(s, traj.grid)[1] - m0[1]) for s in traj.states) / m0[1]
+    traj, states, elapsed = bump_run
+    m0 = total_mass(states[0], traj.grid)
+    drift_r = max(abs(total_mass(s, traj.grid)[0] - m0[0]) for s in states) / m0[0]
+    drift_q = max(abs(total_mass(s, traj.grid)[1] - m0[1]) for s in states) / m0[1]
     ok = drift_r <= 1e-12 and drift_q <= 1e-12 and elapsed < 30.0
     _report(
         3,
@@ -168,7 +166,7 @@ def test_criterion_3_conservation(bump_run):
 
 
 def test_criterion_4_energy_inequality(bump_run):
-    traj, _ = bump_run
+    traj, _, _ = bump_run
     aud = energy_audit(traj, eps_E=1e-3)
     ok = aud.passed and not aud.skipped and traj.positivity_clips == 0
     _report(4, ok, f"worst margin {aud.worst_margin:.3e} against budget 1e-3")
@@ -252,12 +250,12 @@ def _smooth_cfg(n, **kw):
     return SimConfig(**d)
 
 
-def test_criterion_6_alpha_evolution_consistency():
+def test_criterion_6_alpha_evolution_consistency(run_collecting):
     gaps = []
     for n in (32, 64, 128, 256):
-        traj = run(_smooth_cfg(n, track_alpha=True, n_snapshots=2))
-        a_transport = traj.alpha_diag[-1]
-        a_closure = traj.derived[len(traj.states) - 1].alpha
+        traj, _, derived = run_collecting(_smooth_cfg(n, track_alpha=True, n_snapshots=2))
+        a_transport = traj.alpha_transported
+        a_closure = derived[-1].alpha
         gaps.append(float(np.sum(np.abs(a_transport - a_closure)) * traj.grid.dx))
     ok = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     _report(6, ok, "L1 gaps " + ", ".join(f"{g:.3e}" for g in gaps))
@@ -266,32 +264,40 @@ def test_criterion_6_alpha_evolution_consistency():
 # ---------------------------------------------------------------- criterion 7
 
 
+def _rows(traj, derived_a, derived_b):
+    """Relative energy of each snapshot pair, with the run's nu_eff and times."""
+    nu_eff = traj.scheme.nu_eff
+    return [
+        relative_entropy(da, db, traj.grid, traj.exps, nu_eff=nu_eff, t=t)
+        for da, db, t in zip(derived_a, derived_b, traj.times, strict=True)
+    ]
+
+
 @pytest.fixture(scope="module")
-def fine_reference():
-    return run(_smooth_cfg(512))
+def fine_reference(run_collecting):
+    return run_collecting(_smooth_cfg(512))
 
 
-def test_criterion_7_weak_strong_stability(fine_reference):
-    tf = fine_reference
+def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
+    _, states_f, _ = fine_reference
     max_es = []
     for nc in (32, 64, 128, 256):  # three coarse-grid doublings
-        tc = run(_smooth_cfg(nc))
+        tc, _, da = run_collecting(_smooth_cfg(nc))
         factor = 512 // nc
-        states_b = [restrict(s, factor) for s in tf.states]
-        da = [tc.derived[i] for i in range(len(tc.states))]
+        states_b = [restrict(s, factor) for s in states_f]
         db = [derive(s, tc.exps) for s in states_b]
-        rows = relative_entropy_series(da, db, tc.times, tc.grid, tc.exps, nu_eff=tc.scheme.nu_eff)
+        rows = _rows(tc, da, db)
         max_es.append(max(r.E_total for r in rows))
     decreasing = all(a > b for a, b in zip(max_es, max_es[1:]))
 
     # quadratic response to initial-data perturbations of size eps, eps/2, eps/4
-    ref = run(_smooth_cfg(128))
-    db = [ref.derived[i] for i in range(len(ref.states))]
+    _, _, db = run_collecting(_smooth_cfg(128))
     peaks = []
     for eps in (0.08, 0.04, 0.02):
-        ta = run(_smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3))
-        da = [ta.derived[i] for i in range(len(ta.states))]
-        rows = relative_entropy_series(da, db, ta.times, ta.grid, ta.exps, nu_eff=ta.scheme.nu_eff)
+        ta, _, da = run_collecting(
+            _smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3)
+        )
+        rows = _rows(ta, da, db)
         peaks.append(max(r.E_total for r in rows))
     ratios = [peaks[0] / peaks[1], peaks[1] / peaks[2]]
     quad = all(3.2 <= r <= 5.0 for r in ratios)
@@ -307,20 +313,20 @@ def test_criterion_7_weak_strong_stability(fine_reference):
 # ---------------------------------------------------------------- criterion 8
 
 
-def _velocity_pair(n):
+def _velocity_pair(run_collecting, n):
     # same masses, velocity amplitudes 0.25 vs 0.2: the fraction gap starts
     # at zero and is generated by the run, which exercises the fitted term
-    ta = run(_smooth_cfg(n, u_init=ProfileSpec(preset="sine", base=0.0, amplitude=0.25)))
-    tb = run(_smooth_cfg(n))
-    da = [ta.derived[i] for i in range(len(ta.states))]
-    db = [tb.derived[i] for i in range(len(tb.states))]
+    ta, _, da = run_collecting(
+        _smooth_cfg(n, u_init=ProfileSpec(preset="sine", base=0.0, amplitude=0.25))
+    )
+    _, _, db = run_collecting(_smooth_cfg(n))
     return ta, da, db
 
 
-def test_criterion_8_alpha_stability_constant():
+def test_criterion_8_alpha_stability_constant(run_collecting):
     cs = []
     for n in (128, 256):
-        ta, da, db = _velocity_pair(n)
+        ta, da, db = _velocity_pair(run_collecting, n)
         terms = [fraction_terms(a.alpha, b.alpha, a.u, b.u, ta.grid) for a, b in zip(da, db)]
         rep = alpha_stability_check(
             [A for A, _ in terms], [w for _, w in terms], ta.times, delta=1e-4

@@ -372,12 +372,12 @@ def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monk
     assert len(snaps_b) == 3
 
 
-def _serial_snapshots(traj, derived, out):
-    """The CSVs of traj written in this process, one by one."""
+def _serial_snapshots(traj, states, derived, out):
+    """The CSVs of a run's snapshots written in this process, one by one."""
     from bifluid.fields import snapshot_columns, write_snapshot
 
     out.mkdir()
-    for k, (state, der) in enumerate(zip(traj.states, derived, strict=True)):
+    for k, (state, der) in enumerate(zip(states, derived, strict=True)):
         write_snapshot(out / f"snapshot_{k:04d}.csv", traj.grid, snapshot_columns(state, der))
 
 
@@ -385,13 +385,11 @@ def _snapshot_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(d.glob("snapshot_*.csv"))}
 
 
-def test_cli_run_csvs_equal_a_serial_in_process_write(tmp_path):
-    from bifluid.solver import run
-
+def test_cli_run_csvs_equal_a_serial_in_process_write(tmp_path, run_collecting):
     path = write(tmp_path, "run.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 5"))
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    traj = run(validate_config(open(path).read())[0])
-    _serial_snapshots(traj, traj.derived, tmp_path / "serial")
+    traj, states, derived = run_collecting(validate_config(open(path).read())[0])
+    _serial_snapshots(traj, states, derived, tmp_path / "serial")
     got = _snapshot_bytes(tmp_path / "o")
     assert len(got) == 5 and got == _snapshot_bytes(tmp_path / "serial")
 
@@ -423,17 +421,15 @@ def test_cli_run_without_a_spare_process_is_a_runtime_failure(tmp_path, monkeypa
     assert "cannot start a snapshot writer" in rec["message"]
 
 
-def test_cli_twin_compare_csvs_equal_a_serial_in_process_write(tmp_path):
-    from bifluid.solver import run
-
+def test_cli_twin_compare_csvs_equal_a_serial_in_process_write(tmp_path, run_collecting):
     text_a = PAIR_BASE + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
     a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", PAIR_BASE)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
     for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
-        traj = run(validate_config(text)[0])
+        traj, states, derived = run_collecting(validate_config(text)[0])
         serial = tmp_path / f"serial_{side}"
-        _serial_snapshots(traj, traj.derived, serial)
+        _serial_snapshots(traj, states, derived, serial)
         got = _snapshot_bytes(out / side)
         assert len(got) == 6 and got == _snapshot_bytes(serial)
 
@@ -637,28 +633,28 @@ u_amplitude = 0.2
 """
 
 
-def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path):
+def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path, run_collecting):
     # gamma = 3 / 1.4 takes the Newton closure, where closure_tol matters: the
     # reference fields are run_b's own, the ones its CSVs hold
-    from bifluid.solver import run
-
     base = PAIR_BASE.replace("gamma_minus = 1.5", "gamma_minus = 1.4")
     text_a = base + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
     text_b = base + "\n[tolerances]\nclosure_tol = 1e-11\n"
     a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", text_b)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
-    traj_a = run(validate_config(text_a)[0])
-    traj_b = run(validate_config(text_b)[0])
-    rows = verify.relative_entropy_series(
-        traj_a.derived, traj_b.derived, traj_a.times, traj_a.grid, traj_a.exps,
-        nu_eff=traj_a.scheme.nu_eff,
-    )
+    traj_a, _, derived_a = run_collecting(validate_config(text_a)[0])
+    _, _, derived_b = run_collecting(validate_config(text_b)[0])
+    rows = [
+        verify.relative_entropy(
+            da, db, traj_a.grid, traj_a.exps, nu_eff=traj_a.scheme.nu_eff, t=t
+        )
+        for da, db, t in zip(derived_a, derived_b, traj_a.times, strict=True)
+    ]
     want = out / "want.csv"
     cli.write_re_report(want, rows)
     assert (out / "re_report.csv").read_bytes() == want.read_bytes()
     # and run_b's CSVs carry the same Z
-    for k, der in enumerate(traj_b.derived):
+    for k, der in enumerate(derived_b):
         got = np.loadtxt(out / "run_b" / f"snapshot_{k:04d}.csv", delimiter=",", skiprows=1)
         assert np.array_equal(got[:, 5], der.Z)
 
@@ -982,3 +978,38 @@ def test_cli_closure_table_usage_errors(capsys):
         for value in ("nan", "inf"):
             argv = ["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", bound, value]
             assert main(argv) == 2
+
+
+UNREADABLE_CONFIGS = {
+    "directory": lambda path: path.mkdir(),
+    "not_utf8": lambda path: path.write_bytes(b"\xff" + RUN_CFG.encode()),
+    "missing": lambda path: None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_CONFIGS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--config", "{bad}"],
+        ["run", "--config", "{bad}", "--out", "{out}"],
+        ["compare", "--config", "{bad}", "--out", "{out}"],
+        ["compare", "--config", "{good}", "--config-b", "{bad}", "--out", "{out}"],
+        ["mms", "--config", "{bad}", "--levels", "3", "--out", "{out}"],
+    ],
+    ids=["validate", "run", "compare", "compare-config-b", "mms"],
+)
+def test_cli_config_that_cannot_be_read_is_a_config_error(
+    tmp_path, capsys, spy_calls, kind, argv
+):
+    runs = spy_calls(solver.run)
+    bad = tmp_path / "bad.ini"
+    UNREADABLE_CONFIGS[kind](bad)
+    out = tmp_path / "out"
+    paths = {"bad": str(bad), "good": write(tmp_path, "good.ini", RUN_CFG), "out": str(out)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: cannot read {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert runs == []

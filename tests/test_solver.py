@@ -484,40 +484,40 @@ def base_cfg(**kw):
     return SimConfig(**d)
 
 
-def test_run_zero_t_end_single_snapshot():
-    traj = run(base_cfg(t_end=0.0))
+def test_run_zero_t_end_single_snapshot(run_collecting):
+    traj, states, _ = run_collecting(base_cfg(t_end=0.0))
     assert traj.times == [0.0]
-    assert len(traj.states) == 1
+    assert len(states) == 1
     assert traj.n_steps == 0
 
 
-def test_run_snapshot_times_exact():
-    traj = run(base_cfg())
+def test_run_snapshot_times_exact(run_collecting):
+    traj, states, _ = run_collecting(base_cfg())
     want = [0.02 * i / 2 for i in range(3)]
     assert traj.times == want
-    assert [s.t for s in traj.states] == want
+    assert [s.t for s in states] == want
 
 
-def test_run_deterministic_repeat():
-    t1 = run(base_cfg())
-    t2 = run(base_cfg())
-    for s1, s2 in zip(t1.states, t2.states):
+def test_run_deterministic_repeat(run_collecting):
+    t1, states1, _ = run_collecting(base_cfg())
+    t2, states2, _ = run_collecting(base_cfg())
+    for s1, s2 in zip(states1, states2):
         assert np.array_equal(s1.R, s2.R)
         assert np.array_equal(s1.Q, s2.Q)
         assert np.array_equal(s1.m, s2.m)
     assert np.array_equal(t1.dt_history, t2.dt_history)
 
 
-def test_run_mass_conservation_gaussian_bump():
+def test_run_mass_conservation_gaussian_bump(run_collecting):
     cfg = base_cfg(
         t_end=0.05,
         r_init=ProfileSpec(preset="gaussian_bump", base=1.0, amplitude=0.5, center=0.5, width=0.1),
         q_init=ProfileSpec(preset="gaussian_bump", base=1.0, amplitude=0.3, center=0.4, width=0.12),
         u_init=ProfileSpec(preset="uniform", value=0.0),
     )
-    traj = run(cfg)
-    m0 = total_mass(traj.states[0], traj.grid)
-    for s in traj.states[1:]:
+    traj, states, _ = run_collecting(cfg)
+    m0 = total_mass(states[0], traj.grid)
+    for s in states[1:]:
         m = total_mass(s, traj.grid)
         assert m[0] == pytest.approx(m0[0], rel=1e-13)
         assert m[1] == pytest.approx(m0[1], rel=1e-13)
@@ -533,19 +533,21 @@ def test_run_all_vacuum_raises_zero_dt():
         run(cfg)
 
 
-def test_run_tracks_alpha_diagnostic():
-    traj = run(base_cfg(track_alpha=True))
-    assert traj.alpha_diag is not None
-    assert len(traj.alpha_diag) == len(traj.states)
-    a0 = traj.derived[0].alpha
-    assert np.array_equal(traj.alpha_diag[0], a0)
+def test_run_tracks_alpha_diagnostic(run_collecting):
+    # with t_end = 0 the only snapshot is the initial state, so the
+    # transported fraction is the closure fraction it started from
+    traj, states, derived = run_collecting(base_cfg(track_alpha=True, t_end=0.0))
+    assert traj.alpha_transported is not None
+    assert len(derived) == len(states) == 1
+    a0 = derived[0].alpha
+    assert np.array_equal(traj.alpha_transported, a0)
 
 
 @pytest.mark.parametrize("track", [True, False])
-def test_run_derives_once_per_ssprk2_step(monkeypatch, track):
+def test_run_derives_once_per_ssprk2_step(monkeypatch, run_collecting, track):
     # each step derives the state it starts from; its stage is a raw array
     # that never goes through derive, the diagnostic reuses the first derive,
-    # and the final state is derived once more for the trajectory
+    # and the final state is derived once more for the last snapshot
     from bifluid import solver
 
     calls, made = [], []
@@ -557,32 +559,32 @@ def test_run_derives_once_per_ssprk2_step(monkeypatch, track):
         return made[-1]
 
     monkeypatch.setattr(solver, "derive", spy)
-    traj = run(base_cfg(track_alpha=track))
+    traj, states, derived = run_collecting(base_cfg(track_alpha=track))
     assert traj.n_steps > 0
     assert len(calls) == traj.n_steps + 1
-    assert calls[0] is traj.states[0] and calls[-1] is traj.states[-1]
+    assert calls[0] is states[0] and calls[-1] is states[-1]
     assert len(set(map(id, calls))) == len(calls)  # no state is derived twice
-    # the trajectory holds the run's own derives of its snapshot states
-    assert len(traj.derived) == len(traj.states)
-    for state, der in zip(traj.states, traj.derived):
+    # the consumer receives the run's own derives of its snapshot states
+    assert len(derived) == len(states)
+    for state, der in zip(states, derived):
         k = next(i for i, d in enumerate(made) if d is der)
         assert calls[k] is state
-    assert (traj.alpha_diag is not None) == track
+    assert (traj.alpha_transported is not None) == track
     # tracking the diagnostic leaves the trajectory bit-identical
     monkeypatch.undo()
-    other = run(base_cfg(track_alpha=not track))
-    for s1, s2 in zip(traj.states, other.states, strict=True):
+    _, other, _ = run_collecting(base_cfg(track_alpha=not track))
+    for s1, s2 in zip(states, other, strict=True):
         assert _same_bits(s1.U, s2.U)
 
 
 @pytest.mark.parametrize("gamma_minus", [1.5, 1.4])
-def test_run_derived_fields_match_a_cold_derive(gamma_minus):
+def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
     # the run's derives are warm-started; gamma = 2 has a closed form that
     # ignores the start, other exponents converge to within the tolerance
-    traj = run(base_cfg(gamma_minus=gamma_minus, n_snapshots=5))
+    traj, states, derived = run_collecting(base_cfg(gamma_minus=gamma_minus, n_snapshots=5))
     tol = traj.scheme.closure_tol
-    assert len(traj.derived) == len(traj.states) == 5
-    for state, der in zip(traj.states, traj.derived):
+    assert len(derived) == len(states) == 5
+    for state, der in zip(states, derived):
         cold = derive(state, traj.exps, tol, traj.scheme.vacuum_alpha, traj.scheme.rho_floor)
         if traj.exps.gamma == 2.0:
             for name in ("Z", "p", "u", "alpha", "rho_minus"):
@@ -626,28 +628,52 @@ def test_run_stops_at_the_step_budget_before_stepping_past_it(monkeypatch):
     assert len(calls) == 5
 
 
-def test_run_starts_from_a_given_initial_state():
+def test_run_starts_from_a_given_initial_state(run_collecting):
     cfg = base_cfg()
     initial = cfg.initial_state(cfg.grid())
-    traj = run(cfg, initial=initial)
-    assert traj.states[0] is initial
-    for s1, s2 in zip(traj.states, run(cfg).states, strict=True):
+    _, states, _ = run_collecting(cfg, initial=initial)
+    assert states[0] is initial
+    for s1, s2 in zip(states, run_collecting(cfg)[1], strict=True):
         assert _same_bits(s1.U, s2.U)
 
 
-def test_run_noslip_end_to_end():
+def test_run_noslip_end_to_end(run_collecting):
     cfg = base_cfg(
         bc=NOSLIP,
         u_init=ProfileSpec(preset="uniform", value=0.0),
         r_init=ProfileSpec(preset="gaussian_bump", base=1.0, amplitude=0.4, center=0.5, width=0.1),
         q_init=ProfileSpec(preset="uniform", value=1.0),
     )
-    traj = run(cfg)
-    m0 = total_mass(traj.states[0], traj.grid)
-    mE = total_mass(traj.states[-1], traj.grid)
+    traj, states, _ = run_collecting(cfg)
+    m0 = total_mass(states[0], traj.grid)
+    mE = total_mass(states[-1], traj.grid)
     assert mE[0] == pytest.approx(m0[0], rel=1e-13)
     assert mE[1] == pytest.approx(m0[1], rel=1e-13)
     assert traj.positivity_clips == 0
+
+
+MEMORY_N = 512
+
+
+def _run_peak_bytes(snapshots):
+    """tracemalloc peak of a run at MEMORY_N cells whose consumer keeps nothing."""
+    import tracemalloc
+
+    cfg = base_cfg(n=MEMORY_N, t_end=0.002, n_snapshots=snapshots, track_alpha=True)
+    tracemalloc.start()
+    try:
+        run(cfg, on_snapshot=lambda state, der: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_its_snapshots():
+    # the run keeps only scalars per snapshot; collecting each snapshot's
+    # state and derived fields grew by about 8 arrays per snapshot
+    _run_peak_bytes(3)  # first-call caches out of the measurement
+    growth = _run_peak_bytes(51) - _run_peak_bytes(11)
+    assert growth < 5 * 8 * MEMORY_N
 
 
 # manufactured forcing handed on between steps -----------------------------------
@@ -698,14 +724,14 @@ def _ref_run(cfg):
 @pytest.mark.parametrize(
     "kw", [dict(bc=PERIODIC), dict(bc=NOSLIP), dict(bc=PERIODIC, snaps=SHIFTING_SNAPS)]
 )
-def test_forced_run_is_bit_identical_to_fresh_forcing_every_step(kw):
+def test_forced_run_is_bit_identical_to_fresh_forcing_every_step(run_collecting, kw):
     cfg = mms_cfg(**kw)
-    traj = run(cfg)
+    traj, got_states, _ = run_collecting(cfg)
     states, dts, shifted = _ref_run(cfg)
     assert shifted == ("snaps" in kw)  # a landing that moved t: its successor recomputes
     assert _same_bits(traj.dt_history, np.asarray(dts))
-    assert [s.t for s in traj.states] == [s.t for s in states]
-    for got, want in zip(traj.states, states, strict=True):
+    assert [s.t for s in got_states] == [s.t for s in states]
+    for got, want in zip(got_states, states, strict=True):
         assert _same_bits(got.U, want.U)
 
 

@@ -43,11 +43,16 @@ def test_full_trace_covers_the_hot_loop():
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install(full=True)
+    snapshots = []
     try:
-        traj = solver.run(SimConfig(n=16, t_end=0.01, n_snapshots=2))
+        traj = solver.run(
+            SimConfig(n=16, t_end=0.01, n_snapshots=2),
+            on_snapshot=lambda state, der: snapshots.append(state.t),
+        )
     finally:
         tracer.uninstall()
     assert not hasattr(solver.run, "__wrapped__")  # uninstalled
+    assert snapshots == traj.times
     assert traj.n_steps > 0 and tracer.counts["solver.steps"] == traj.n_steps
     for name in (
         "solver.run",
@@ -100,6 +105,25 @@ t_end = 0.005
 n_snapshots = 3
 """
 
+UNTRACED_MMS_INI = """
+[exponents]
+gamma_plus = 3.0
+gamma_minus = 1.5
+
+[viscosity]
+mu = 0.02
+
+[grid]
+n = 64
+
+[time]
+t_end = 0.01
+n_snapshots = 2
+
+[mms]
+enabled = true
+"""
+
 
 def test_untraced_work_count_covers_every_run(tmp_path):
     # the untraced benchmark wraps only solver.run and reads n_steps and
@@ -118,12 +142,20 @@ def test_untraced_work_count_covers_every_run(tmp_path):
         traj = solver.run(validate_config(text)[0])
         cells[name] = traj.n_steps * traj.grid.n
     a, b = str(tmp_path / "a.ini"), str(tmp_path / "b.ini")
+    mms = tmp_path / "mms.ini"
+    mms.write_text(UNTRACED_MMS_INI)
+    mms_cfg = validate_config(UNTRACED_MMS_INI)[0]
+    mms_cells = 0
+    for lev in range(3):  # the study's levels: n, 2n, 4n
+        traj = solver.run(mms_cfg.with_resolution(mms_cfg.n * 2**lev))
+        mms_cells += traj.n_steps * traj.grid.n
     jobs = [
         (["run", "--config", a, "--out", str(tmp_path / "run")], cells["a.ini"]),
         (
             ["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "cmp")],
             cells["a.ini"] + cells["b.ini"],
         ),
+        (["mms", "--config", str(mms), "--levels", "3"], mms_cells),
     ]
     for argv, want in jobs:
         tracer = tracing.Tracer()

@@ -19,7 +19,6 @@ from bifluid.verify import (
     fraction_terms,
     gronwall_check,
     relative_entropy,
-    relative_entropy_series,
     w12_norm_sq,
 )
 
@@ -135,12 +134,6 @@ def test_quadratic_scaling_in_perturbation_size():
         ratios.append(row.E_total / eps**2)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
     assert ratios[1] == pytest.approx(ratios[2], rel=0.1)
-
-
-def test_series_length_checks():
-    a = der(1.0, 2.0, 0.0)
-    with pytest.raises(GridMismatchError):
-        relative_entropy_series([a], [a, a], [0.0], GRID, EXPS)
 
 
 # gronwall --------------------------------------------------------------------
@@ -435,9 +428,9 @@ def test_convergence_study_skips_the_fraction_diagnostic(monkeypatch):
     assert cfg.track_alpha  # the caller's config is untouched
 
     # the same study with the diagnostic forced on reports the same numbers
-    def tracked_run(level):
+    def tracked_run(level, **kwargs):
         level.track_alpha = True
-        return real_run(level)
+        return real_run(level, **kwargs)
 
     monkeypatch.setattr(verify, "run", tracked_run)
     assert convergence_study(cfg, 3) == rep
