@@ -255,9 +255,35 @@ class RunOutputs:
         self.close(check=exc_type is None)
 
 
-def write_run_outputs(traj: Trajectory, outputs: RunOutputs, cfg: SimConfig) -> None:
+def _audit_record(audit: verify.EnergyAudit) -> dict:
+    """The verdict of an energy audit, as report.json and verify.json hold it."""
+    return {
+        "passed": audit.passed,
+        "skipped": audit.skipped,
+        "eps_E": audit.eps_E,
+        "worst_margin": audit.worst_margin,
+    }
+
+
+def _audit_exit(record: dict) -> int:
+    """EXIT_VERIFY, naming the worst margin on stderr, when the audit
+    record says the audit ran and failed; EXIT_OK otherwise."""
+    if record["skipped"] or record["passed"]:
+        return EXIT_OK
+    print(
+        f"verification failure: energy audit worst margin {record['worst_margin']:.6g} "
+        f"exceeds energy_eps {record['eps_E']:g}",
+        file=sys.stderr,
+    )
+    return EXIT_VERIFY
+
+
+def write_run_outputs(
+    traj: Trajectory, outputs: RunOutputs, cfg: SimConfig, audit: verify.EnergyAudit
+) -> None:
     """report.json of one finished run, whose snapshots went to outputs
-    while it ran; the energies are the run's own, traj.energies."""
+    while it ran; the energies are the run's own, traj.energies, and audit
+    is verify.energy_audit of traj."""
     names = [_snapshot_name(k) for k in range(len(traj.times))]
     masses = outputs.masses
     mr0, mq0 = masses[0]
@@ -287,6 +313,7 @@ def write_run_outputs(traj: Trajectory, outputs: RunOutputs, cfg: SimConfig) -> 
             "E": traj.energies,
             "dissipation_cum": traj.diss_cum,
         },
+        "energy_audit": _audit_record(audit),
         "forced": traj.forced,
     }
     _write_json(os.path.join(outputs.out_dir, "report.json"), report)
@@ -353,9 +380,10 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     with RunOutputs(args.out, cfg.grid()) as outputs:
         traj = run(cfg, initial=state, on_snapshot=outputs)
-        write_run_outputs(traj, outputs, cfg)
+        audit = verify.energy_audit(traj, cfg.energy_eps)
+        write_run_outputs(traj, outputs, cfg, audit)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
-    return EXIT_OK
+    return _audit_exit(_audit_record(audit))
 
 
 def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> None:
@@ -502,7 +530,7 @@ def compare_runs(
         times = traj_a.times
         audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
         if out_a is not None:
-            write_run_outputs(traj_a, out_a, cfg_a)
+            write_run_outputs(traj_a, out_a, cfg_a, audit)
 
         traj_b = traj_a if self_twin else None
         if ref_mode == "mms":
@@ -523,7 +551,8 @@ def compare_runs(
 
             traj_b = run(cfg_b, initial=initial_b, on_snapshot=on_snapshot_b)
         if out_b is not None:
-            write_run_outputs(traj_b, out_b, cfg_b)
+            audit_b = audit if self_twin else verify.energy_audit(traj_b, cfg_b.energy_eps)
+            write_run_outputs(traj_b, out_b, cfg_b, audit_b)
         if failed:
             raise failed[0]
         if len(rows) != len(times):
@@ -531,6 +560,17 @@ def compare_runs(
         if ref_mode == "twin":
             e_scale = traj_b.energies[0]
 
+        if cfg_a.ess_lower or cfg_a.ess_upper:
+            window = (cfg_a.ess_lower, cfg_a.ess_upper)
+        else:
+            window = default_ess_window([b for _, b in coer_fields])
+        coer = [
+            verify.coercivity_check(row, a, b, grid, exps, window[0], window[1])
+            for row, (a, b) in zip(rows, coer_fields)
+        ]
+        # the pairs' arrays go before the Gronwall fit, whose least squares
+        # loads LAPACK: the two would otherwise add up in the peak memory
+        coer_fields.clear()
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
         fit = verify.gronwall_check(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
@@ -541,14 +581,6 @@ def compare_runs(
             times,
             delta if delta is not None else cfg_a.stability_delta,
         )
-        if cfg_a.ess_lower or cfg_a.ess_upper:
-            window = (cfg_a.ess_lower, cfg_a.ess_upper)
-        else:
-            window = default_ess_window([b for _, b in coer_fields])
-        coer = [
-            verify.coercivity_check(row, a, b, grid, exps, window[0], window[1])
-            for row, (a, b) in zip(rows, coer_fields)
-        ]
 
         payload = {
             "ref_mode": ref_mode,
@@ -559,12 +591,7 @@ def compare_runs(
             "alpha_stability": dataclasses.asdict(stab),
             "ess_window": list(window),
             "coercivity": [dataclasses.asdict(c) for c in coer],
-            "energy_audit": {
-                "passed": audit.passed,
-                "skipped": audit.skipped,
-                "eps_E": audit.eps_E,
-                "worst_margin": audit.worst_margin,
-            },
+            "energy_audit": _audit_record(audit),
         }
         if out_dir is not None:
             write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
@@ -588,15 +615,7 @@ def cmd_compare(args) -> int:
     g = payload["gronwall"]
     tag = "at noise floor" if g["at_noise_floor"] else f"max_E={g['max_E']:.6g}"
     print(f"compare complete ({args.ref_mode}): {len(rows)} snapshots, {tag}")
-    audit = payload["energy_audit"]
-    if not (audit["skipped"] or audit["passed"]):
-        print(
-            f"verification failure: energy audit worst margin {audit['worst_margin']:.6g} "
-            f"exceeds energy_eps {audit['eps_E']:g}",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _audit_exit(payload["energy_audit"])
 
 
 ORDER_THRESHOLD = 0.8

@@ -92,6 +92,72 @@ class ProfileSpec:
         return values
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_draws(seed: int, k: int) -> list[float]:
+    """The first k values of numpy's ``default_rng(seed).uniform(-1.0, 1.0)``
+    stream, bit for bit: ``SeedSequence(seed)`` pool mixing, PCG64 seeding,
+    XSL-RR 64-bit outputs and the 53-bit double of each.
+
+    Frozen here so that a seed gives the same noise whatever numpy is
+    installed (numpy does not promise stable Generator streams), and so that
+    no run imports numpy.random, whose C extensions cost a job about 6 MB of
+    resident memory.  ValueError when seed is negative, as numpy's.
+    """
+    if seed < 0:  # its words would alias those of a nonnegative seed
+        raise ValueError(f"perturbation seed must be nonnegative, got {seed}")
+    # SeedSequence: the seed's 32-bit words, least significant first,
+    # hashed and cross-mixed into a pool of 4 words
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (x * 0xCA01F9DD - y * 0x4973F715) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    # generate_state(4, uint64): 8 words cycled from the pool, paired
+    # little-endian into the 128-bit PCG64 seed and stream (high word first)
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    s_hi, s_lo, i_hi, i_lo = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    # srandom: step from 0, add the seed, step; each output steps, then
+    # xors the halves and rotates right by the top 6 bits
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    out = []
+    for _ in range(k):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append(-1.0 + 2.0 * ((x >> 11) * 2.0**-53))
+    return out
+
+
 def _default_r():
     return ProfileSpec(preset="uniform", value=1.0)
 
@@ -182,15 +248,15 @@ class SimConfig:
     def _perturbations(self, x: np.ndarray) -> list[np.ndarray]:
         # smooth low-mode noise with a resolution-independent normalisation,
         # so the same seed yields the same function on refined grids
-        rng = np.random.default_rng(self.perturb_seed)
-        modes = np.arange(1, self.perturb_modes + 1)
+        k = self.perturb_modes
+        # per field R, Q, u: k sine weights, then k cosine weights
+        weights = np.array(_uniform_draws(self.perturb_seed, 6 * k)).reshape(3, 2, k)
+        phase = 2.0 * math.pi * np.outer(np.arange(1, k + 1), x) / self.length
+        sin, cos = np.sin(phase), np.cos(phase)
         out = []
-        for _ in range(3):
-            cs = rng.uniform(-1.0, 1.0, self.perturb_modes)
-            cc = rng.uniform(-1.0, 1.0, self.perturb_modes)
+        for cs, cc in weights:
             norm = math.sqrt(float(np.sum(cs * cs + cc * cc))) or 1.0
-            phase = 2.0 * math.pi * np.outer(modes, x) / self.length
-            out.append((cs @ np.sin(phase) + cc @ np.cos(phase)) / norm)
+            out.append((cs @ sin + cc @ cos) / norm)
         return out
 
     def initial_state(self, grid: Grid1D) -> FieldState:
@@ -244,6 +310,7 @@ class SimConfig:
         need(self.positivity_tol >= 0.0, "tolerances.positivity_tol", "must be nonnegative")
         need(0.0 <= self.vacuum_alpha <= 1.0, "tolerances.vacuum_alpha", "must lie in [0, 1]")
         need(self.rho_floor > 0.0, "tolerances.rho_floor", "must be positive")
+        need(self.perturb_seed >= 0, "perturbation.seed", "must be nonnegative")
         need(self.perturb_modes >= 1, "perturbation.modes", "must be at least 1")
         need(self.energy_eps > 0.0, "verification.energy_eps", "must be positive")
         need(self.stability_delta > 0.0, "verification.stability_delta", "must be positive")

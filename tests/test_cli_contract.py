@@ -2,7 +2,9 @@
 
 Whatever the numbers in a config, `main` ends with 0 (success), 2 (config or
 usage error), 3 (runtime failure, with failure.json in the output
-directory) or 4 (verification failure), and never with a Python traceback.
+directory) or 4 (verification failure, given once every output is written:
+report.json of `run`, verify.json of `compare`), and never with a Python
+traceback.
 """
 
 import contextlib
@@ -125,3 +127,6 @@ def test_cli_exit_code_contract(command, n, bc, mms, changes):
         assert "Traceback" not in err.getvalue()
         if code == 3:
             assert os.path.isfile(os.path.join(out, "failure.json")), err.getvalue()
+        if code == 4 and command != "mms":
+            verdict = "report.json" if command == "run" else "verify.json"
+            assert os.path.isfile(os.path.join(out, verdict)), err.getvalue()

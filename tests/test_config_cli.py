@@ -10,7 +10,7 @@ import bifluid
 from bifluid import cli, solver, verify
 from bifluid.cli import main
 from bifluid.closure import ExponentPair, solve_closure_batch
-from bifluid.config import ParseError, ValidationError, validate_config
+from bifluid.config import ParseError, ValidationError, _uniform_draws, validate_config
 
 MINIMAL = """
 [exponents]
@@ -110,6 +110,42 @@ def test_perturbation_deterministic_and_grid_independent():
     assert np.allclose(sf.R[1::3], s1.R, rtol=0, atol=1e-12)
 
 
+# the benchmark's compare_dense seeds, the edges of one and of two 32-bit
+# seed words, a 30-digit seed and seeds of more than the 4 words of numpy's
+# entropy pool
+NOISE_SEEDS = (
+    list(range(280))
+    + list(range(20260810, 20260818))
+    + [2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 10**29 + 123456789, 2**128 + 3, 3**200]
+    + [(7919 * j) ** 5 for j in range(1, 16)]
+)
+
+
+def test_noise_draws_are_numpys_default_rng_uniform_stream():
+    for seed in NOISE_SEEDS:
+        k = 1 + seed % 30
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, k)
+        got = np.array(_uniform_draws(seed, k))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), seed
+    for k in range(1, 31):  # every length, and each a prefix of the next
+        want = np.random.default_rng(20260810).uniform(-1.0, 1.0, k)
+        assert _uniform_draws(20260810, k) == want.tolist()
+    with pytest.raises(ValueError, match="nonnegative"):
+        _uniform_draws(-1, 1)  # not the words of 2**32 - 1
+
+
+def test_perturbation_is_numpys_draw_order_for_r_q_u():
+    # per field, modes sine weights then modes cosine weights, from one stream
+    cfg = validate_config(MINIMAL + "\n[perturbation]\nepsilon = 0.05\nseed = 11\nmodes = 4\n")[0]
+    x = cfg.grid().x
+    rng = np.random.default_rng(11)
+    phase = 2.0 * np.pi * np.outer(np.arange(1, 5), x) / cfg.length
+    for got in cfg._perturbations(x):
+        cs, cc = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4)
+        norm = np.sqrt(np.sum(cs * cs + cc * cc))
+        assert np.array_equal(got, (cs @ np.sin(phase) + cc @ np.cos(phase)) / norm)
+
+
 def test_from_file_preset(tmp_path):
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     from bifluid.fields import derive, snapshot_columns, write_snapshot
@@ -199,6 +235,21 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ["0.05", "0.0"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_negative_perturbation_seed_is_a_config_error(tmp_path, capsys, command, epsilon):
+    # numpy's own message once leaked through: "initial data: expected
+    # non-negative integer"
+    text = RUN_CFG + f"\n[perturbation]\nepsilon = {epsilon}\nseed = -1\n"
+    out = tmp_path / "out"
+    argv = [command, "--config", write(tmp_path, "neg.ini", text)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: perturbation.seed: must be nonnegative\n"
+    assert not out.exists()
+
+
 def test_cli_run_outputs_and_determinism(tmp_path):
     path = write(tmp_path, "run.ini", RUN_CFG)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -211,6 +262,7 @@ def test_cli_run_outputs_and_determinism(tmp_path):
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2
     report = json.load(open(os.path.join(out1, "report.json")))
+    assert report["energy_audit"]["passed"] is True and report["energy_audit"]["skipped"] is False
     assert report["counters"]["positivity_clips"] == 0
     assert report["conservation"]["drift_R_rel"] < 1e-13
     assert report["config"]["n"] == 32
@@ -733,6 +785,24 @@ def test_cli_compare_whose_energy_audit_fails_exits_4_after_every_output(tmp_pat
         names = ["report.json"] + [f"snapshot_{k:04d}.csv" for k in range(3)]
         assert sorted(os.listdir(out / side)) == names
     _same_dir_bytes(out / "run_a", out / "run_b")
+    assert json.loads((out / "run_a" / "report.json").read_text())["energy_audit"] == audit
+
+
+def test_cli_run_whose_energy_audit_fails_exits_4_after_every_output(tmp_path, capfd):
+    path = write(tmp_path, "euler.ini", INVISCID_EULER)
+    out = tmp_path / "run"
+    assert main(["run", "--config", path, "--out", str(out)]) == 4
+    captured = capfd.readouterr()
+    assert captured.out.startswith("run complete: ")
+    audit = json.loads((out / "report.json").read_text())["energy_audit"]
+    assert audit["passed"] is False and audit["skipped"] is False
+    assert audit["worst_margin"] > audit["eps_E"] == 1e-12
+    assert captured.err == (
+        f"verification failure: energy audit worst margin {audit['worst_margin']:.6g} "
+        "exceeds energy_eps 1e-12\n"
+    )
+    names = ["report.json"] + [f"snapshot_{k:04d}.csv" for k in range(3)]
+    assert sorted(os.listdir(out)) == names
 
 
 MEMORY_N = 512

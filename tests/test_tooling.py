@@ -3,7 +3,10 @@ rename in the program must fail here, not only under ``perfbench --trace 1``."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import bifluid
@@ -165,3 +168,27 @@ def test_untraced_work_count_covers_every_run(tmp_path):
         finally:
             tracer.uninstall()
         assert tracer.counts["cell_updates"] == want > 0
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # importing numpy.random costs a job about 6 MB of resident memory; the
+    # perturbation noise is drawn without it, so no command may load it
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    a, b = str(configs / "perturbed_pair_a.ini"), str(configs / "perturbed_pair_b.ini")
+    out = str(tmp_path / "cmp")
+    script = "\n".join(
+        [
+            "import sys",
+            "from bifluid import cli",
+            f"assert cli.main(['validate', '--config', {a!r}]) == 0",
+            f"assert cli.main(['compare', '--config', {a!r}, '--config-b', {b!r}, '--out', {out!r}]) == 0",
+            "print('numpy.random' in sys.modules)",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(bifluid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
