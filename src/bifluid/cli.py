@@ -8,8 +8,9 @@ byte (no timestamps or absolute paths are written).
 A run's snapshots leave it as it records them (``solver.run``'s consumer):
 two writer processes, started with the run, receive each snapshot's value
 columns through a pipe and write its CSV while the run goes on.  ``compare``
-runs run_a, then run_b, and reduces each snapshot pair as run_b records its
-half; it keeps of each pair only the arrays that a later reduction reads.
+evaluates the reference side first (run_b, or the exact solution), keeping
+three arrays per snapshot, then runs run_a and reduces each snapshot pair as
+run_a records its half.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -36,7 +38,6 @@ from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
     SNAPSHOT_COLUMNS,
     FieldState,
-    default_ess_window,
     derive,
     restrict,
     snapshot_columns,
@@ -409,23 +410,34 @@ def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> Non
 
 
 @dataclasses.dataclass(frozen=True)
-class _PairFields:
-    """The arrays of one snapshot that compare's pair reductions read,
-    without the rest of its state; None where no later reduction reads the
-    field.  verify.relative_entropy reads every field of run_a's side;
-    verify.coercivity_check reads rho_plus, rho_minus, alpha and p of run_a's
-    side and rho_plus and rho_minus of the reference's."""
+class _Reference:
+    """What the pair reductions read of one reference snapshot at time t:
+    rho_plus (the closure root Z), alpha and u are kept.  rho_minus and p
+    are computed from Z when read, with the expressions of DerivedFields and
+    derive, so their bits are those of the reference's own fields.  The
+    reference pass has rejected vacuum cells."""
 
+    t: float
     rho_plus: np.ndarray
-    rho_minus: np.ndarray
-    alpha: np.ndarray | None = None
-    p: np.ndarray | None = None
-    rho: np.ndarray | None = None
-    u: np.ndarray | None = None
+    alpha: np.ndarray
+    u: np.ndarray
+    exps: ExponentPair
 
     @property
     def n(self) -> int:
         return self.rho_plus.shape[0]
+
+    @property
+    def vacuum(self) -> np.ndarray:
+        return np.zeros(self.n, dtype=bool)
+
+    @functools.cached_property
+    def rho_minus(self) -> np.ndarray:
+        return np.power(self.rho_plus, self.exps.gamma)
+
+    @property
+    def p(self) -> np.ndarray:
+        return np.power(self.rho_plus, self.exps.gamma_plus)
 
 
 def compare_runs(
@@ -441,19 +453,24 @@ def compare_runs(
 
     Returns (rows, verify_payload).  The reference side is a twin run, a
     fine-grid run restricted by cell averaging, or the manufactured exact
-    solution, per ref_mode.  run_a runs first, then run_b; each hands its
-    snapshots to its writers as it records them.  Of run_a's snapshots only
-    the arrays the pair reductions read are kept, and each pair is reduced
-    as its reference arrives: the relative-energy row, once per pair, and
-    the fraction audit's terms.  A pair then keeps only what the coercivity
-    constants read, since the default window spans the whole reference
-    series.  The audits read the fields each run derived itself and the
-    energies it evaluated from them (Trajectory.energies), so a twin is
-    compared on the fields of its run_b CSVs, made with cfg_b's closure
+    solution at cfg_a's snapshot times, per ref_mode.  It is evaluated
+    first, as the paper's method fixes the strong solution's density bounds
+    before it measures the weak one: this pass rejects vacuum, takes the
+    energy scale, folds the default coercivity window (half the minimum to
+    twice the maximum of the reference phase densities) and keeps of each
+    snapshot only rho_plus, alpha and u (_Reference).  run_a runs next and
+    reduces each pair as it records its half: the relative-energy row, once
+    per pair, the fraction audit's terms and the coercivity constants; it
+    keeps no field of run_a.  Each run hands its snapshots to its writers
+    as it records them.  The audits read the fields each run derived itself
+    and the energies it evaluated from them (Trajectory.energies), so a twin
+    is compared on the fields of its run_b CSVs, made with cfg_b's closure
     settings; the restricted and the exact states are derived here, with
     cfg_a's, and the energy scale is the energy of the first of them.
     Without cfg_b a twin is run_a itself: the runs are deterministic, so a
-    second solve would repeat it bit for bit.
+    second solve would repeat it bit for bit; its one run is the reference
+    pass and reduces each pair's row and fraction terms, and the coercivity
+    constants follow from the kept arrays once the window is fixed.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
     """
@@ -463,32 +480,29 @@ def compare_runs(
         cfg_b = cfg_a
     grid, exps = cfg_a.grid(), cfg_a.exponents()
     nu_eff = cfg_a.scheme().nu_eff
-    kept_a = []  # per run_a snapshot: the fields of it that its pair reads
+    refs = []  # per reference snapshot, until its pair is reduced
+    bounds = [math.inf, 0.0]  # min and max of the reference phase densities
+    e_scale = None
     rows = []
     fraction = []  # per pair: the fraction audit's A_k and w_k
-    coer_fields = []  # per pair: what coercivity_check reads of each side
-    e_scale = None
+    coer = []
+
+    def keep_reference(der, t) -> None:
+        nonlocal e_scale
+        if der.vacuum.any():
+            raise verify.VacuumReferenceError("reference state has vacuum cells")
+        if not refs and ref_mode != "twin":
+            e_scale = total_energy(der, grid, exps)
+        for rho in (der.rho_plus, der.rho_minus):
+            bounds[0] = min(bounds[0], float(np.min(rho)))
+            bounds[1] = max(bounds[1], float(np.max(rho)))
+        refs.append(_Reference(t, der.rho_plus, der.alpha, der.u, exps))
 
     def reduce_pair(a, b, t) -> None:
+        """The relative-energy row and the fraction terms of the pair (a, b)
+        at time t."""
         rows.append(verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t))
         fraction.append(verify.fraction_terms(a.alpha, b.alpha, a.u, b.u, grid))
-        coer_fields.append(
-            (
-                _PairFields(a.rho_plus, a.rho_minus, a.alpha, a.p),
-                _PairFields(b.rho_plus, b.rho_minus),
-            )
-        )
-
-    def add_reference(der_b, t) -> None:
-        """Reduce the next pair with its reference side der_b at time t."""
-        nonlocal e_scale
-        k = len(rows)
-        if k >= len(times) or t != times[k]:
-            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-        if k == 0 and ref_mode != "twin":
-            e_scale = total_energy(der_b, grid, exps)
-        a, kept_a[k] = kept_a[k], None
-        reduce_pair(a, der_b, times[k])
 
     def derive_a(state: FieldState):
         return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
@@ -513,31 +527,30 @@ def compare_runs(
                 return None
             return stack.enter_context(RunOutputs(os.path.join(out_dir, side), cfg.grid()))
 
-        out_a = outputs("run_a", cfg_a)
-        out_b = outputs("run_b", cfg_b) if self_twin else None
-
-        def on_snapshot_a(state, der):
-            if out_a is not None:
-                out_a(state, der)
-            if self_twin:
-                if out_b is not None:
-                    out_b(state, der)
-                in_run(lambda: reduce_pair(der, der, state.t))
-            else:
-                kept_a.append(_PairFields(der.rho_plus, der.rho_minus, der.alpha, der.p, der.rho, der.u))
-
-        traj_a = run(cfg_a, initial=initial_a, on_snapshot=on_snapshot_a)
-        times = traj_a.times
-        audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
-        if out_a is not None:
-            write_run_outputs(traj_a, out_a, cfg_a, audit)
-
-        traj_b = traj_a if self_twin else None
+        out_b = None
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
-            for t in times:
-                add_reference(derive_a(sol.state(grid, t)), t)
-        elif not self_twin:
+            for t in cfg_a.snapshot_times():
+                keep_reference(derive_a(sol.state(grid, t)), t)
+        elif self_twin:
+            out_a, out_b = outputs("run_a", cfg_a), outputs("run_b", cfg_b)
+
+            def on_snapshot_self(state, der):
+                for out in (out_a, out_b):
+                    if out is not None:
+                        out(state, der)
+
+                def reduce():
+                    keep_reference(der, state.t)
+                    reduce_pair(der, der, state.t)
+
+                in_run(reduce)
+
+            traj_a = traj_b = run(cfg_a, initial=initial_a, on_snapshot=on_snapshot_self)
+            audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
+            if out_a is not None:
+                write_run_outputs(traj_a, out_a, cfg_a, audit)
+        else:
             out_b = outputs("run_b", cfg_b)
             factor = cfg_b.n // cfg_a.n
 
@@ -547,7 +560,7 @@ def compare_runs(
             def on_snapshot_b(state, der):
                 if out_b is not None:
                     out_b(state, der)
-                in_run(lambda: add_reference(reference(state, der), state.t))
+                in_run(lambda: keep_reference(reference(state, der), state.t))
 
             traj_b = run(cfg_b, initial=initial_b, on_snapshot=on_snapshot_b)
         if out_b is not None:
@@ -555,22 +568,49 @@ def compare_runs(
             write_run_outputs(traj_b, out_b, cfg_b, audit_b)
         if failed:
             raise failed[0]
-        if len(rows) != len(times):
-            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
         if ref_mode == "twin":
             e_scale = traj_b.energies[0]
-
         if cfg_a.ess_lower or cfg_a.ess_upper:
             window = (cfg_a.ess_lower, cfg_a.ess_upper)
         else:
-            window = default_ess_window([b for _, b in coer_fields])
-        coer = [
-            verify.coercivity_check(row, a, b, grid, exps, window[0], window[1])
-            for row, (a, b) in zip(rows, coer_fields)
-        ]
-        # the pairs' arrays go before the Gronwall fit, whose least squares
-        # loads LAPACK: the two would otherwise add up in the peak memory
-        coer_fields.clear()
+            lo, hi = bounds
+            if not (lo > 0.0 and hi >= lo):
+                raise ValueError("reference densities must be positive to set a window")
+            window = (0.5 * lo, 2.0 * hi)
+
+        if self_twin:
+            times = traj_a.times
+            for k, row in enumerate(rows):
+                ref, refs[k] = refs[k], None
+                coer.append(verify.coercivity_check(row, ref, ref, grid, exps, *window))
+        else:
+            out_a = outputs("run_a", cfg_a)
+
+            def reduce_run_a(der_a, t) -> None:
+                """Reduce the next pair, whose run_a side der_a is at time
+                t, and release its reference."""
+                k = len(rows)
+                if k >= len(refs) or t != refs[k].t:
+                    raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+                ref, refs[k] = refs[k], None
+                reduce_pair(der_a, ref, t)
+                coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
+
+            def on_snapshot_a(state, der):
+                if out_a is not None:
+                    out_a(state, der)
+                in_run(lambda: reduce_run_a(der, state.t))
+
+            traj_a = run(cfg_a, initial=initial_a, on_snapshot=on_snapshot_a)
+            times = traj_a.times
+            audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
+            if out_a is not None:
+                write_run_outputs(traj_a, out_a, cfg_a, audit)
+            if failed:
+                raise failed[0]
+            if len(rows) != len(refs):
+                raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
         fit = verify.gronwall_check(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
@@ -672,11 +712,12 @@ def cmd_closure(args) -> int:
     rs = np.linspace(args.r_min, args.r_max, args.steps + 1)
     qs = np.linspace(args.q_min, args.q_max, args.steps + 1)
     print("R,Q,Z,alpha,rho_minus,p,vacuum")
-    # one batch solve per block of table rows keeps memory bounded
-    block = max(1, CLOSURE_BATCH_CELLS // qs.size)
-    for start in range(0, rs.size, block):
-        R = np.repeat(rs[start : start + block], qs.size)  # R outer, Q inner
-        Q = np.tile(qs, R.size // qs.size)
+    # one batch solve per block of table cells keeps memory bounded; a block
+    # may end inside a row, which a long row needs
+    cells = rs.size * qs.size
+    for start in range(0, cells, CLOSURE_BATCH_CELLS):
+        k = np.arange(start, min(start + CLOSURE_BATCH_CELLS, cells))
+        R, Q = rs[k // qs.size], qs[k % qs.size]  # R outer, Q inner
         with np.errstate(over="ignore"):
             Z, _ = solve_closure_batch(R, Q, exps.gamma)
             # numpy scalar powers round like Python's float pow, so the table

@@ -37,7 +37,6 @@ __all__ = [
     "derive",
     "total_mass",
     "total_energy",
-    "default_ess_window",
     "restrict",
     "snapshot_columns",
     "write_snapshot",
@@ -238,18 +237,6 @@ def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -
         + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, law_m)
     )
     return float(np.sum(e) * grid.dx)
-
-
-def default_ess_window(derived_series) -> tuple[float, float]:
-    """Heuristic window: half the min to twice the max of the reference densities."""
-    lo = math.inf
-    hi = 0.0
-    for der in derived_series:
-        lo = min(lo, float(np.min(der.rho_plus)), float(np.min(der.rho_minus)))
-        hi = max(hi, float(np.max(der.rho_plus)), float(np.max(der.rho_minus)))
-    if not (lo > 0.0 and hi >= lo):
-        raise ValueError("reference densities must be positive to set a window")
-    return 0.5 * lo, 2.0 * hi
 
 
 def restrict(state: FieldState, factor: int) -> FieldState:

@@ -186,14 +186,21 @@ class GronwallFit:
     c_exp_fit: float | None = None
 
 
+def _ls_slope(x, y) -> float:
+    """Slope of the least-squares line through the points (x, y), from the
+    centred sums: a two-parameter fit needs no linear-algebra library."""
+    dx = x - np.mean(x)
+    return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
+
+
 def gronwall_check(times, E, e0_floor: float, e_scale: float = 1.0) -> GronwallFit:
     """Fit empirical constants in E(tau) <= C * E(0) along a series.
 
     Ratio mode (E(0) >= e0_floor): C_fit is the smallest admissible constant
     max E(tau) / E(0), and c_exp_fit the least-squares exponential rate of
-    log E against t over samples above the noise floor.  Identical-data mode
-    (E(0) < e0_floor): only max E(tau) is reported, to be held against a
-    discretisation-error budget.
+    log E against t over samples above the noise floor, in closed form.
+    Identical-data mode (E(0) < e0_floor): only max E(tau) is reported, to
+    be held against a discretisation-error budget.
     """
     times = np.asarray(times, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -210,8 +217,7 @@ def gronwall_check(times, E, e0_floor: float, e_scale: float = 1.0) -> GronwallF
     keep = E > noise
     c_exp = None
     if int(np.count_nonzero(keep)) >= 2 and float(np.ptp(times[keep])) > 0.0:
-        coeffs = np.polyfit(times[keep], np.log(E[keep]), 1)
-        c_exp = float(coeffs[0])
+        c_exp = _ls_slope(times[keep], np.log(E[keep]))
     return GronwallFit(
         mode="ratio",
         E0=float(E[0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -537,26 +538,27 @@ def test_cli_run_whose_writer_dies_is_a_runtime_failure(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("writer_fails", [False, True])
-def test_cli_compare_whose_run_b_fails_reaps_run_a_writers(tmp_path, monkeypatch, writer_fails):
+def test_cli_compare_whose_run_a_fails_reaps_run_b_writers(tmp_path, monkeypatch, writer_fails):
     if writer_fails:
         _failing_write_snapshot(monkeypatch)
     vacuum = RUN_CFG
     for key in ("R_base = 1.5", "R_amplitude = 0.3", "Q_base = 1.5", "Q_amplitude = -0.2"):
         vacuum = vacuum.replace(key, key.split("=")[0] + "= 0.0")
-    a, b = write(tmp_path, "a.ini", RUN_CFG), write(tmp_path, "b.ini", vacuum)
+    a, b = write(tmp_path, "a.ini", vacuum), write(tmp_path, "b.ini", RUN_CFG)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    # run_b's failure is reported, never masked by a writer's
+    # run_a's failure is reported, never masked by a writer's
     assert json.loads((out / "failure.json").read_text())["error"] == "ZeroDtError"
-    # run_b's writers start with run_b: it recorded its initial snapshot
-    # before its first step failed, and wrote no report
+    # the reference run_b runs to the end first; run_a's writers start with
+    # run_a: it recorded its initial snapshot before its first step failed,
+    # and wrote no report
     assert sorted(os.listdir(out)) == ["failure.json", "run_a", "run_b"]
-    assert os.listdir(out / "run_b") == ["snapshot_0000.csv"]
+    assert os.listdir(out / "run_a") == ["snapshot_0000.csv"]
     if not writer_fails:
-        assert main(["run", "--config", a, "--out", str(tmp_path / "plain")]) == 0
-        _same_dir_bytes(out / "run_a", tmp_path / "plain")
+        assert main(["run", "--config", b, "--out", str(tmp_path / "plain")]) == 0
+        _same_dir_bytes(out / "run_b", tmp_path / "plain")
 
 
 def _restart_config(tmp_path, monkeypatch):
@@ -826,12 +828,14 @@ def _compare_peak_bytes(tmp_path, snapshots):
 
 
 def test_cli_compare_memory_grows_by_a_few_arrays_per_snapshot_pair(tmp_path):
-    # the pair reductions keep a few of each pair's arrays; storing every
-    # snapshot state and derived field of both runs grew by about 20
+    # the reference pass keeps 3 arrays per snapshot and run_a none: keeping
+    # 6 arrays of each run_a snapshot until the reference arrived grew by
+    # about 6.7, storing every state and derived field of both runs by
+    # about 20
     _compare_peak_bytes(tmp_path, 3)  # first-call caches out of the measurement
     growth = _compare_peak_bytes(tmp_path, 51) - _compare_peak_bytes(tmp_path, 11)
     arrays_per_pair = growth / (51 - 11) / (8 * MEMORY_N)
-    assert arrays_per_pair <= 8
+    assert arrays_per_pair <= 4
 
 
 def test_cli_compare_fine_mode(tmp_path):
@@ -891,6 +895,103 @@ def test_cli_mms_ref_mode_compare(tmp_path):
     payload = json.load(open(os.path.join(out, "verify.json")))
     assert payload["ref_mode"] == "mms"
     assert payload["energy_audit"]["skipped"] is True  # forced run
+
+
+def _default_ess_window(derived_series):
+    """The default coercivity window of a whole reference series: half the
+    minimum to twice the maximum of its phase densities."""
+    lo = min(float(np.min(rho)) for d in derived_series for rho in (d.rho_plus, d.rho_minus))
+    hi = max(float(np.max(rho)) for d in derived_series for rho in (d.rho_plus, d.rho_minus))
+    return 0.5 * lo, 2.0 * hi
+
+
+def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
+    """compare_runs' rows and payload, from the audits evaluated on the full
+    snapshot series of both sides."""
+    from bifluid.fields import derive, restrict, total_energy
+
+    traj_a, _, series_a = run_collecting(cfg_a)
+    grid, exps, times = traj_a.grid, traj_a.exps, traj_a.times
+
+    def derive_a(state):
+        return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
+
+    if ref_mode == "mms":
+        sol = cfg_a.manufactured()
+        series_b = [derive_a(sol.state(grid, t)) for t in times]
+        e_scale = total_energy(series_b[0], grid, exps)
+    elif ref_mode == "fine":
+        _, states_b, _ = run_collecting(cfg_b)
+        series_b = [derive_a(restrict(s, cfg_b.n // cfg_a.n)) for s in states_b]
+        e_scale = total_energy(series_b[0], grid, exps)
+    else:
+        traj_b, _, series_b = run_collecting(cfg_b or cfg_a)
+        e_scale = traj_b.energies[0]
+    pairs = list(zip(series_a, series_b, strict=True))
+    nu_eff = traj_a.scheme.nu_eff
+    rows = [
+        verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t)
+        for (a, b), t in zip(pairs, times, strict=True)
+    ]
+    if cfg_a.ess_lower:
+        window = (cfg_a.ess_lower, cfg_a.ess_upper)
+    else:
+        window = _default_ess_window(series_b)
+    coer = [
+        verify.coercivity_check(row, a, b, grid, exps, *window)
+        for row, (a, b) in zip(rows, pairs)
+    ]
+    terms = [verify.fraction_terms(a.alpha, b.alpha, a.u, b.u, grid) for a, b in pairs]
+    noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
+    fit = verify.gronwall_check(
+        times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
+    )
+    stab = verify.alpha_stability_check(
+        [A for A, _ in terms], [w for _, w in terms], times, cfg_a.stability_delta
+    )
+    payload = {
+        "ref_mode": ref_mode,
+        "times": times,
+        "e_scale": e_scale,
+        "noise_floor": noise_floor,
+        "gronwall": dataclasses.asdict(fit),
+        "alpha_stability": dataclasses.asdict(stab),
+        "ess_window": list(window),
+        "coercivity": [dataclasses.asdict(c) for c in coer],
+        "energy_audit": cli._audit_record(verify.energy_audit(traj_a, cfg_a.energy_eps)),
+    }
+    return rows, payload
+
+
+PERTURBED = PAIR_BASE + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
+COMPARE_MODES = {
+    "twin": (PERTURBED, PAIR_BASE),
+    "fine": (PERTURBED, PAIR_BASE.replace("n = 64", "n = 128")),
+    "mms": (MMS_CFG.replace("n_snapshots = 2", "n_snapshots = 4"), None),
+    "self-twin": (PERTURBED, None),
+}
+
+
+@pytest.mark.parametrize("window", ["default", "explicit"])
+@pytest.mark.parametrize("mode", sorted(COMPARE_MODES))
+def test_compare_runs_equals_the_audits_of_the_full_series(run_collecting, mode, window):
+    # compare_runs keeps a few arrays of each reference snapshot and none of
+    # run_a; its results are those of the audits on every snapshot of both
+    # sides, the default window being that of the whole reference series
+    text_a, text_b = COMPARE_MODES[mode]
+    if window == "explicit":
+        text_a += "\n[verification]\ness_lower = 2.0\ness_upper = 4.5\n"
+    cfg_a = validate_config(text_a)[0]
+    cfg_b = validate_config(text_b)[0] if text_b else None
+    ref_mode = "twin" if mode == "self-twin" else mode
+    rows, payload = cli.compare_runs(cfg_a, cfg_b, ref_mode, None)
+    want_rows, want_payload = _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode)
+    assert rows == want_rows
+    # exact: _jsonable keeps every finite float and maps inf and nan to None
+    assert cli._jsonable(payload) == cli._jsonable(want_payload)
+    if window == "explicit":  # a window that splits the cells
+        assert payload["ess_window"] == [2.0, 4.5]
+        assert all(c["n_ess"] > 0 and c["n_res"] > 0 for c in payload["coercivity"])
 
 
 def test_cli_closure_table(capsys):
@@ -968,16 +1069,21 @@ def _recover_state(R, Q, exps, vacuum_alpha):
     return Z, float(R) / Z, Z**exps.gamma, Z**exps.gamma_plus, False
 
 
-def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(capsys, monkeypatch):
+def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(
+    capsys, monkeypatch, spy_calls
+):
     argv = [
         "closure", "--gamma-plus", "3.0", "--gamma-minus", "1.4",
         "--r-max", "2", "--q-max", "3", "--steps", "10", "--vacuum-alpha", "0.25",
     ]
     assert main(argv) == 0
     table = capsys.readouterr().out
+    # a batch smaller than a row of 11 cells: the batches split the rows
     monkeypatch.setattr(cli, "CLOSURE_BATCH_CELLS", 7)
+    batches = spy_calls(solve_closure_batch)
     assert main(argv) == 0
     assert capsys.readouterr().out == table
+    assert [R.size for R, _, _ in batches] == [7] * 17 + [2]  # 121 cells
     exps = ExponentPair(3.0, 1.4)
     for line in table.splitlines()[1:]:
         r, q = (float(v) for v in line.split(",")[:2])

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bifluid.cli import compare_runs
 from bifluid.closure import ExponentPair
+from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import (
     SNAPSHOT_BLOCK_ROWS,
     FieldState,
     Grid1D,
-    default_ess_window,
     derive,
     read_snapshot,
     restrict,
@@ -185,8 +186,13 @@ def test_total_energy_nonnegative(R, Q, u):
 
 
 def test_default_ess_window():
-    d = derive(uniform_state(8, 1.0, 2.0, 0.0), EXPS)
-    lo, hi = default_ess_window([d])
+    # compare's default coercivity window runs from half the minimum to twice
+    # the maximum of the reference phase densities
+    cfg = SimConfig(
+        n=8, t_end=0.0, r_init=ProfileSpec(value=1.0), q_init=ProfileSpec(value=2.0)
+    )
+    _, payload = compare_runs(cfg, None, "twin", None)
+    lo, hi = payload["ess_window"]
     assert lo == pytest.approx(1.0)  # half of min(2, 4)
     assert hi == pytest.approx(8.0)  # twice max(2, 4)
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bifluid
 from bifluid import cli, fields, solver
 from bifluid.config import SimConfig
@@ -192,3 +194,21 @@ def test_no_command_imports_numpy_random(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_compare_fits_without_a_least_squares_solver(tmp_path, monkeypatch):
+    # the Gronwall rate is a closed-form slope: no command loads LAPACK for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear-algebra least-squares fit was called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    argv = [
+        "compare",
+        "--config", str(configs / "perturbed_pair_a.ini"),
+        "--config-b", str(configs / "perturbed_pair_b.ini"),
+        "--out", str(tmp_path / "cmp"),
+    ]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "cmp" / "verify.json").is_file()

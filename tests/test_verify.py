@@ -155,6 +155,20 @@ def test_gronwall_exponential_series():
     assert fit.c_exp_fit == pytest.approx(2.0, rel=1e-9)
 
 
+def test_gronwall_rate_is_the_least_squares_slope_of_polyfit():
+    # numpy's least-squares line fit is the oracle of the closed-form slope,
+    # on noisy exponential series sampled at non-uniform times
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        k = int(rng.integers(2, 40))
+        times = np.sort(rng.uniform(0.0, 2.0, k))
+        rate = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 10.0)
+        E = np.exp(rng.uniform(-5.0, 5.0) + rate * times + rng.normal(0.0, 0.05, k))
+        fit = gronwall_check(times, E, e0_floor=0.0)
+        want = np.polyfit(times, np.log(E), 1)[0]
+        assert fit.c_exp_fit == pytest.approx(want, rel=1e-12)
+
+
 def test_gronwall_identical_data_mode():
     fit = gronwall_check([0.0, 1.0], [0.0, 3e-15], e0_floor=1e-10, e_scale=1.0)
     assert fit.mode == "identical"
