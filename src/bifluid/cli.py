@@ -70,15 +70,13 @@ RUNTIME_ERRORS = (
     verify.VacuumReferenceError,
     verify.EmptySeriesError,
     RuntimeError,
+    OSError,  # an output that cannot be written; its message names the path
 )
 
 REF_MODES = ("twin", "fine", "mms")
 
 CLOSURE_BATCH_CELLS = 1 << 16  # closure table cells solved per batch
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+_CLOSURE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
 def _jsonable(obj):
@@ -116,13 +114,18 @@ def _subsample(values, cap: int = 512):
 
 
 def _write_failure(out_dir, exc) -> None:
+    """failure.json of a failed command in out_dir; a line on stderr, not
+    an exception, when it cannot be written."""
     if out_dir is None:
         return
-    os.makedirs(out_dir, exist_ok=True)
     record = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, NonFiniteStateError):
         record.update(t=exc.t, step=exc.step, cells=exc.cells[:64], n_cells=len(exc.cells))
-    _write_json(os.path.join(out_dir, "failure.json"), record)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "failure.json"), record)
+    except OSError as err:
+        print(f"cannot write failure.json: {err}", file=sys.stderr)
 
 
 SNAPSHOT_WRITERS = 2  # processes that format one run's snapshot CSVs
@@ -320,6 +323,27 @@ def write_run_outputs(
     _write_json(os.path.join(outputs.out_dir, "report.json"), report)
 
 
+def _run_into(stack: contextlib.ExitStack, out_dirs, cfg: SimConfig, initial, on_snapshot=None):
+    """Run cfg from its initial state into each of out_dirs (zero to two):
+    its snapshots go there while it runs, then its report.json.  Returns
+    (traj, audit), audit being verify.energy_audit of traj, once every
+    report.json is written.  Each directory's RunOutputs enters stack, so
+    its writers are reaped when the caller's with block ends; on_snapshot,
+    when given, gets each snapshot after the directories."""
+    outputs = [stack.enter_context(RunOutputs(path, cfg.grid())) for path in out_dirs]
+    consumers = outputs if on_snapshot is None else [*outputs, on_snapshot]
+
+    def consume(state: FieldState, derived) -> None:
+        for consumer in consumers:
+            consumer(state, derived)
+
+    traj = run(cfg, initial=initial, on_snapshot=consume)
+    audit = verify.energy_audit(traj, cfg.energy_eps)
+    for out in outputs:
+        write_run_outputs(traj, out, cfg, audit)
+    return traj, audit
+
+
 _RE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
@@ -345,11 +369,9 @@ def _read_config(path) -> str:
     raise ParseError(f"cannot read {path}: {reason}")
 
 
-def _load_config(path, strict_flag: bool):
+def _load_config(path):
     """The validated config and the initial state its validation built."""
     cfg, warnings, state = validate_config(_read_config(path), with_state=True)
-    if strict_flag:
-        cfg.strict = True
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return cfg, state
@@ -363,26 +385,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _make_out_dir(path) -> bool:
-    """Create the output directory before any solve; False, with a usage
-    error printed, when the path cannot be one (it is a file, or lies under
-    one)."""
+def _make_out_dir(path, sides=()) -> bool:
+    """Create the output directory, and the named side directories in it,
+    before any solve, and remove the failure.json an earlier failed run left
+    there; False, with a usage error printed, when a path cannot be a
+    directory (it is a file, or lies under one)."""
     try:
-        os.makedirs(path, exist_ok=True)
+        for side in ("", *sides):
+            os.makedirs(os.path.join(path, side), exist_ok=True)
     except OSError as exc:
         print(f"usage error: cannot create the --out directory: {exc}", file=sys.stderr)
         return False
+    failure = os.path.join(path, "failure.json")
+    if not os.path.isdir(failure):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(failure)
     return True
 
 
 def cmd_run(args) -> int:
-    cfg, state = _load_config(args.config, args.strict)
+    cfg, state = _load_config(args.config)
     if not _make_out_dir(args.out):
         return EXIT_CONFIG
-    with RunOutputs(args.out, cfg.grid()) as outputs:
-        traj = run(cfg, initial=state, on_snapshot=outputs)
-        audit = verify.energy_audit(traj, cfg.energy_eps)
-        write_run_outputs(traj, outputs, cfg, audit)
+    with contextlib.ExitStack() as stack:
+        traj, audit = _run_into(stack, [args.out], cfg, state)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return _audit_exit(_audit_record(audit))
 
@@ -509,63 +535,48 @@ def compare_runs(
 
     failed = []  # the first error of a pair reduction made inside a run
 
-    def in_run(reduce) -> None:
-        """Make a pair reduction inside a run's consumer.  Its error is
-        raised once the run has returned and its outputs are written, so a
-        run that fails reports its own error."""
-        if not failed:
-            try:
-                reduce()
-            except RUNTIME_ERRORS as exc:
-                failed.append(exc)
+    def in_run(reduce):
+        """The snapshot consumer making the pair reduction reduce(state,
+        derived) inside a run.  Its error is raised once the run has
+        returned and its outputs are written, so a run that fails reports
+        its own error."""
+
+        def consume(state: FieldState, der) -> None:
+            if not failed:
+                try:
+                    reduce(state, der)
+                except RUNTIME_ERRORS as exc:
+                    failed.append(exc)
+
+        return consume
+
+    def sides(*names):
+        """The output directories of the named sides; none without out_dir."""
+        return [] if out_dir is None else [os.path.join(out_dir, name) for name in names]
 
     with contextlib.ExitStack() as stack:
-
-        def outputs(side, cfg):
-            """A run's snapshot consumer writing under side; None without out_dir."""
-            if out_dir is None:
-                return None
-            return stack.enter_context(RunOutputs(os.path.join(out_dir, side), cfg.grid()))
-
-        out_b = None
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
             for t in cfg_a.snapshot_times():
                 keep_reference(derive_a(sol.state(grid, t)), t)
         elif self_twin:
-            out_a, out_b = outputs("run_a", cfg_a), outputs("run_b", cfg_b)
 
-            def on_snapshot_self(state, der):
-                for out in (out_a, out_b):
-                    if out is not None:
-                        out(state, der)
+            def keep_and_reduce(state, der) -> None:
+                keep_reference(der, state.t)
+                reduce_pair(der, der, state.t)
 
-                def reduce():
-                    keep_reference(der, state.t)
-                    reduce_pair(der, der, state.t)
-
-                in_run(reduce)
-
-            traj_a = traj_b = run(cfg_a, initial=initial_a, on_snapshot=on_snapshot_self)
-            audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
-            if out_a is not None:
-                write_run_outputs(traj_a, out_a, cfg_a, audit)
+            both = sides("run_a", "run_b")
+            traj_a, audit = _run_into(stack, both, cfg_a, initial_a, in_run(keep_and_reduce))
+            traj_b = traj_a
         else:
-            out_b = outputs("run_b", cfg_b)
             factor = cfg_b.n // cfg_a.n
 
-            def reference(state, der):
-                return der if ref_mode == "twin" else derive_a(restrict(state, factor))
+            def keep_run_b(state, der) -> None:
+                if ref_mode != "twin":
+                    der = derive_a(restrict(state, factor))
+                keep_reference(der, state.t)
 
-            def on_snapshot_b(state, der):
-                if out_b is not None:
-                    out_b(state, der)
-                in_run(lambda: keep_reference(reference(state, der), state.t))
-
-            traj_b = run(cfg_b, initial=initial_b, on_snapshot=on_snapshot_b)
-        if out_b is not None:
-            audit_b = audit if self_twin else verify.energy_audit(traj_b, cfg_b.energy_eps)
-            write_run_outputs(traj_b, out_b, cfg_b, audit_b)
+            traj_b, _ = _run_into(stack, sides("run_b"), cfg_b, initial_b, in_run(keep_run_b))
         if failed:
             raise failed[0]
         if ref_mode == "twin":
@@ -579,37 +590,27 @@ def compare_runs(
             window = (0.5 * lo, 2.0 * hi)
 
         if self_twin:
-            times = traj_a.times
             for k, row in enumerate(rows):
                 ref, refs[k] = refs[k], None
                 coer.append(verify.coercivity_check(row, ref, ref, grid, exps, *window))
         else:
-            out_a = outputs("run_a", cfg_a)
 
-            def reduce_run_a(der_a, t) -> None:
+            def reduce_run_a(state, der_a) -> None:
                 """Reduce the next pair, whose run_a side der_a is at time
-                t, and release its reference."""
-                k = len(rows)
+                state.t, and release its reference."""
+                k, t = len(rows), state.t
                 if k >= len(refs) or t != refs[k].t:
                     raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
                 ref, refs[k] = refs[k], None
                 reduce_pair(der_a, ref, t)
                 coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
 
-            def on_snapshot_a(state, der):
-                if out_a is not None:
-                    out_a(state, der)
-                in_run(lambda: reduce_run_a(der, state.t))
-
-            traj_a = run(cfg_a, initial=initial_a, on_snapshot=on_snapshot_a)
-            times = traj_a.times
-            audit = verify.energy_audit(traj_a, cfg_a.energy_eps)
-            if out_a is not None:
-                write_run_outputs(traj_a, out_a, cfg_a, audit)
+            traj_a, audit = _run_into(stack, sides("run_a"), cfg_a, initial_a, in_run(reduce_run_a))
             if failed:
                 raise failed[0]
             if len(rows) != len(refs):
                 raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+        times = traj_a.times
 
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
         fit = verify.gronwall_check(
@@ -644,10 +645,11 @@ def cmd_compare(args) -> int:
     if args.delta is not None and not (0.0 < args.delta < math.inf):
         print("usage error: --delta must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
-    cfg_a, state_a = _load_config(args.config, args.strict)
-    cfg_b, state_b = _load_config(args.config_b, args.strict) if args.config_b else (None, None)
+    cfg_a, state_a = _load_config(args.config)
+    cfg_b, state_b = _load_config(args.config_b) if args.config_b else (None, None)
     _check_pair(cfg_a, cfg_b, args.ref_mode)  # before --out exists
-    if not _make_out_dir(args.out):
+    sides = ("run_a",) if args.ref_mode == "mms" else ("run_a", "run_b")
+    if not _make_out_dir(args.out, sides):
         return EXIT_CONFIG
     rows, payload = compare_runs(
         cfg_a, cfg_b, args.ref_mode, args.out, args.delta, initial_a=state_a, initial_b=state_b
@@ -665,7 +667,7 @@ def cmd_mms(args) -> int:
     if args.levels < 3:
         print("usage error: --levels must be at least 3", file=sys.stderr)
         return EXIT_CONFIG
-    cfg, _ = _load_config(args.config, False)
+    cfg, _ = _load_config(args.config)
     if not cfg.mms_enabled:
         print("config error: mms.enabled must be true for the mms command", file=sys.stderr)
         return EXIT_CONFIG
@@ -728,27 +730,15 @@ def cmd_closure(args) -> int:
         if bad.size:
             k = bad[0]
             print(
-                f"closure failed: rho_minus or p overflows float at R={_fmt(R[k])}, Q={_fmt(Q[k])}",
+                "closure failed: rho_minus or p overflows float at R=%.17g, Q=%.17g" % (R[k], Q[k]),
                 file=sys.stderr,
             )
             return EXIT_RUNTIME
         vacuum = Z == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(vacuum, float(args.vacuum_alpha), R / Z)
-        for k in range(Z.size):
-            print(
-                ",".join(
-                    (
-                        _fmt(R[k]),
-                        _fmt(Q[k]),
-                        _fmt(Z[k]),
-                        _fmt(alpha[k]),
-                        _fmt(rho_minus[k]),
-                        _fmt(p[k]),
-                        "1" if vacuum[k] else "0",
-                    )
-                )
-            )
+        table = np.column_stack((R, Q, Z, alpha, rho_minus, p, vacuum))
+        sys.stdout.write(_CLOSURE_ROW * Z.size % tuple(table.ravel().tolist()))
     return EXIT_OK
 
 
@@ -766,7 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a simulation and write snapshots + report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict", action="store_true", help="hard-fail on positivity loss")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="dual-run relative-energy comparison")
@@ -775,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ref-mode", choices=REF_MODES, default="twin")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mms", help="manufactured-solution convergence study")
@@ -807,8 +795,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RUNTIME_ERRORS as exc:
-        _write_failure(getattr(args, "out", None), exc)
         print(f"{args.command} failed: {exc}", file=sys.stderr)
+        _write_failure(getattr(args, "out", None), exc)
         return EXIT_RUNTIME
 
 

@@ -226,6 +226,14 @@ Q_amplitude = -0.2
 """
 )
 
+# all-vacuum initial data cannot produce a stable step
+VACUUM_CFG = (
+    RUN_CFG.replace("R_base = 1.5", "R_base = 0.0")
+    .replace("R_amplitude = 0.3", "R_amplitude = 0.0")
+    .replace("Q_base = 1.5", "Q_base = 0.0")
+    .replace("Q_amplitude = -0.2", "Q_amplitude = 0.0")
+)
+
 
 def test_cli_validate(tmp_path, capsys):
     path = write(tmp_path, "ok.ini", RUN_CFG)
@@ -277,11 +285,7 @@ def test_cli_run_zero_time(tmp_path):
 
 
 def test_cli_run_failure_writes_record(tmp_path):
-    # all-vacuum initial data cannot produce a stable step
-    text = RUN_CFG.replace("R_base = 1.5", "R_base = 0.0").replace(
-        "R_amplitude = 0.3", "R_amplitude = 0.0"
-    ).replace("Q_base = 1.5", "Q_base = 0.0").replace("Q_amplitude = -0.2", "Q_amplitude = 0.0")
-    path = write(tmp_path, "vac.ini", text)
+    path = write(tmp_path, "vac.ini", VACUUM_CFG)
     out = str(tmp_path / "fail")
     assert main(["run", "--config", path, "--out", out]) == 3
     rec = json.load(open(os.path.join(out, "failure.json")))
@@ -541,10 +545,7 @@ def test_cli_run_whose_writer_dies_is_a_runtime_failure(tmp_path, monkeypatch, c
 def test_cli_compare_whose_run_a_fails_reaps_run_b_writers(tmp_path, monkeypatch, writer_fails):
     if writer_fails:
         _failing_write_snapshot(monkeypatch)
-    vacuum = RUN_CFG
-    for key in ("R_base = 1.5", "R_amplitude = 0.3", "Q_base = 1.5", "Q_amplitude = -0.2"):
-        vacuum = vacuum.replace(key, key.split("=")[0] + "= 0.0")
-    a, b = write(tmp_path, "a.ini", vacuum), write(tmp_path, "b.ini", RUN_CFG)
+    a, b = write(tmp_path, "a.ini", VACUUM_CFG), write(tmp_path, "b.ini", RUN_CFG)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 3
     with pytest.raises(ChildProcessError):
@@ -1128,6 +1129,73 @@ def test_cli_out_that_cannot_be_a_directory_is_a_usage_error(
     assert err.startswith("usage error: cannot create the --out directory") and err.count("\n") == 1
     assert runs == []
     assert afile.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("with_b", [False, True], ids=["self_twin", "twin"])
+@pytest.mark.parametrize("side", ["run_a", "run_b"])
+def test_cli_compare_side_that_is_a_file_is_a_usage_error_before_any_solve(
+    tmp_path, capsys, spy_calls, with_b, side
+):
+    runs = spy_calls(solver.run)
+    out = tmp_path / "cmp"
+    out.mkdir()
+    (out / side).write_text("not a directory\n")
+    argv = ["compare", "--config", write(tmp_path, "a.ini", RUN_CFG), "--out", str(out)]
+    if with_b:
+        argv += ["--config-b", write(tmp_path, "b.ini", RUN_CFG)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("usage error: cannot create the --out directory") and err.count("\n") == 1
+    assert runs == []
+    assert (out / side).read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("run", "report.json"),
+        ("compare", "verify.json"),
+        ("compare", "re_report.csv"),
+        ("mms", "verify.json"),
+    ],
+)
+def test_cli_output_that_cannot_be_written_is_a_runtime_failure(tmp_path, capfd, command, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    cfg = write(tmp_path, "cfg.ini", MMS_CFG if command == "mms" else RUN_CFG)
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "mms":
+        argv += ["--levels", "3"]
+    assert main(argv) == 3
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"{command} failed: ") and err.count("\n") == 1
+    assert str(out / name) in err
+    assert json.loads((out / "failure.json").read_text())["error"] == "IsADirectoryError"
+
+
+def test_cli_run_whose_failure_json_cannot_be_written_says_so(tmp_path, capfd):
+    out = tmp_path / "o"
+    (out / "failure.json").mkdir(parents=True)
+    assert main(["run", "--config", write(tmp_path, "vac.ini", VACUUM_CFG), "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 2 and err.count("failed:") == 1
+    assert lines[0].startswith("run failed: ")
+    assert lines[1].startswith("cannot write failure.json: ")
+    assert (out / "failure.json").is_dir()  # left alone
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_success_after_a_failure_removes_its_failure_json(tmp_path, command):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out), "--config"]
+    assert main(argv + [write(tmp_path, "vac.ini", VACUUM_CFG)]) == 3
+    assert (out / "failure.json").is_file()
+    assert main(argv + [write(tmp_path, "run.ini", RUN_CFG)]) == 0
+    assert not (out / "failure.json").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
