@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure,
 4 verification failure.  All artifacts land under the requested output
 directory and re-running into a fresh directory reproduces them byte for
-byte (no timestamps or absolute paths are written).
+byte (no timestamps or absolute paths are written).  Before it solves, a
+command removes from that directory the files it writes (OUT_FILES), so
+none is left there from an earlier command.
 
 A run's snapshots leave it as it records them (``solver.run``'s consumer):
 two writer processes, started with the run, receive each snapshot's value
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fnmatch
 import functools
 import json
 import math
@@ -71,6 +74,7 @@ RUNTIME_ERRORS = (
     verify.EmptySeriesError,
     RuntimeError,
     OSError,  # an output that cannot be written; its message names the path
+    MemoryError,  # arrays too large to allocate
 )
 
 REF_MODES = ("twin", "fine", "mms")
@@ -385,27 +389,42 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _make_out_dir(path, sides=()) -> bool:
-    """Create the output directory, and the named side directories in it,
-    before any solve, and remove the failure.json an earlier failed run left
-    there; False, with a usage error printed, when a path cannot be a
-    directory (it is a file, or lies under one)."""
+# the regular files each command writes in --out, by name pattern; every
+# command may write failure.json there, and each side directory of compare
+# holds the files of run
+OUT_FILES = {
+    "run": ("report.json", "snapshot_*.csv"),
+    "compare": ("verify.json", "re_report.csv"),
+    "mms": ("verify.json",),
+}
+
+
+def _make_out_dir(path, command, sides=()) -> bool:
+    """Create the output directory of command, and the named side
+    directories in it, before any solve, and remove from them the files
+    that command writes, so that none is left from an earlier command; False,
+    with a usage error printed, when a path cannot be a directory (it is a
+    file, or lies under one)."""
     try:
         for side in ("", *sides):
             os.makedirs(os.path.join(path, side), exist_ok=True)
     except OSError as exc:
         print(f"usage error: cannot create the --out directory: {exc}", file=sys.stderr)
         return False
-    failure = os.path.join(path, "failure.json")
-    if not os.path.isdir(failure):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(failure)
+    owned = [(path, (*OUT_FILES[command], "failure.json"))]
+    owned += [(os.path.join(path, side), OUT_FILES["run"]) for side in sides]
+    for folder, patterns in owned:
+        for name in os.listdir(folder):
+            stale = os.path.join(folder, name)
+            if any(fnmatch.fnmatchcase(name, p) for p in patterns) and not os.path.isdir(stale):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(stale)
     return True
 
 
 def cmd_run(args) -> int:
     cfg, state = _load_config(args.config)
-    if not _make_out_dir(args.out):
+    if not _make_out_dir(args.out, "run"):
         return EXIT_CONFIG
     with contextlib.ExitStack() as stack:
         traj, audit = _run_into(stack, [args.out], cfg, state)
@@ -649,7 +668,7 @@ def cmd_compare(args) -> int:
     cfg_b, state_b = _load_config(args.config_b) if args.config_b else (None, None)
     _check_pair(cfg_a, cfg_b, args.ref_mode)  # before --out exists
     sides = ("run_a",) if args.ref_mode == "mms" else ("run_a", "run_b")
-    if not _make_out_dir(args.out, sides):
+    if not _make_out_dir(args.out, "compare", sides):
         return EXIT_CONFIG
     rows, payload = compare_runs(
         cfg_a, cfg_b, args.ref_mode, args.out, args.delta, initial_a=state_a, initial_b=state_b
@@ -671,7 +690,7 @@ def cmd_mms(args) -> int:
     if not cfg.mms_enabled:
         print("config error: mms.enabled must be true for the mms command", file=sys.stderr)
         return EXIT_CONFIG
-    if args.out is not None and not _make_out_dir(args.out):
+    if args.out is not None and not _make_out_dir(args.out, "mms"):
         return EXIT_CONFIG
     report = verify.convergence_study(cfg, args.levels)
     print("n      " + "  ".join(f"err_{v:<10s}" for v in report.errors))

@@ -47,11 +47,8 @@ __all__ = [
     "NonFiniteInputError",
     "MaxIterExceededError",
     "ClosureOverflowError",
-    "VacuumCellError",
-    "DegenerateDenominatorError",
     "ExponentPair",
     "solve_closure_batch",
-    "alpha_partials_batch",
     "omega_of_alpha",
 ]
 
@@ -70,14 +67,6 @@ class MaxIterExceededError(RuntimeError):
 
 class ClosureOverflowError(OverflowError):
     """The closure root exceeds the largest float: Z >= Q**(1/gamma) overflows."""
-
-
-class VacuumCellError(ValueError):
-    """Operation undefined on the vacuum set R = Q = 0."""
-
-
-class DegenerateDenominatorError(ArithmeticError):
-    """Sensitivity denominator underflowed (inputs at sub-normal scale)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,7 +112,7 @@ def _check_overflow(a, what):
         )
 
 
-def _newton(r, q, lo, hi, z, gamma, tol, max_iter):
+def _newton(r, q, lo, hi, z, gamma, tol):
     """Newton on the scaled closure for 1-D arrays; returns (z, iterations).
 
     lo is a scalar or an array like hi.  Converged cells are frozen and
@@ -136,7 +125,7 @@ def _newton(r, q, lo, hi, z, gamma, tol, max_iter):
     # the subtraction (z - r) bounds the achievable residual at a few ulps
     # of z**gamma, scaled by the local slope factor (1 + gamma)
     f_floor = 4.0 * (1.0 + gamma) * _EPS
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, CLOSURE_MAX_ITER + 1):
         zg1 = np.power(z, gamma - 1.0)
         f = (z - r) * zg1 - q
         conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
@@ -155,13 +144,11 @@ def _newton(r, q, lo, hi, z, gamma, tol, max_iter):
         fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
         z = np.minimum(np.maximum(z - f / fp, lo), hi)
     raise MaxIterExceededError(
-        f"closure iteration exceeded {max_iter} iterations at cells {act.tolist()[:8]}"
+        f"closure iteration exceeded {CLOSURE_MAX_ITER} iterations at cells {act.tolist()[:8]}"
     )
 
 
-def solve_closure_batch(
-    R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER, z0=None
-):
+def solve_closure_batch(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
     """Vectorised closure solve; returns (Z, iterations).
 
     Scaling.  The closure is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q,
@@ -205,10 +192,10 @@ def solve_closure_batch(
     _validate_inputs(R, Q)
     if R.shape != Q.shape:
         R, Q = np.broadcast_arrays(R, Q)
-    return _solve_closure(R, Q, gamma, tol, max_iter, z0)
+    return _solve_closure(R, Q, gamma, tol, z0)
 
 
-def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER, z0=None):
+def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
     """``solve_closure_batch`` on float arrays R, Q of one shape that hold only
     finite, nonnegative values; the caller guarantees that, nothing checks it."""
     if not (math.isfinite(gamma) and gamma > 0.0):
@@ -257,7 +244,7 @@ def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER, z0=N
             start = np.minimum(1.0 + dz, hi)
         else:
             start = lo
-        z, iterations = _newton(r, q, lo, hi, start, gamma, tol, max_iter)
+        z, iterations = _newton(r, q, lo, hi, start, gamma, tol)
 
     Z = s * z
     if vac is not None:
@@ -266,51 +253,11 @@ def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, max_iter=CLOSURE_MAX_ITER, z0=N
     return Z.reshape(shape), iterations
 
 
-def omega_of_alpha(alpha, gamma):
+def omega_of_alpha(a, gamma):
     """Compression coefficient (gamma-1) * a * (1-a) / (gamma*(1-a) + a).
 
     The denominator is bounded below by min(1, gamma) on [0, 1], so the
     coefficient is bounded: |omega| <= |gamma-1| / (4 * min(1, gamma)).
     """
-    out = _omega(np.asarray(alpha, dtype=float), gamma)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _omega(a, gamma):
-    """omega_of_alpha on a float array a."""
     b = 1.0 - a
     return (gamma - 1.0) * a * b / (gamma * b + a)
-
-
-def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
-    """Vectorised d(alpha)/dR, d(alpha)/dQ and omega for nonvacuum (R, Q).
-
-    The textbook quotients -alpha**gamma / (Q*gamma*alpha**(gamma-1) +
-    R**gamma) and gamma*R**(gamma-1)*(1-alpha) / (same) are evaluated with
-    numerator and denominator rescaled by alpha**(1-gamma), i.e. as
-
-        d_alpha_dQ = -alpha / (gamma*Q + R*Z**(gamma-1)),
-        d_alpha_dR = gamma * Z**(gamma-1) * (1-alpha) / (gamma*Q + R*Z**(gamma-1)),
-
-    which is the analytic one-sided limit form and stays finite down to
-    alpha -> 0 where the raw denominator underflows.
-    """
-    R = np.asarray(R, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    _validate_inputs(R, Q)
-    vac = (R == 0.0) & (Q == 0.0)
-    if vac.any():
-        raise VacuumCellError(
-            f"alpha partials undefined at vacuum cells {np.flatnonzero(vac).tolist()[:8]}"
-        )
-    Z, _ = solve_closure_batch(R, Q, gamma, tol)
-    alpha = R / Z
-    zg1 = np.power(Z, gamma - 1.0)
-    den = gamma * Q + R * zg1
-    if np.any(den == 0.0) or not np.all(np.isfinite(den)):
-        raise DegenerateDenominatorError("sensitivity denominator underflowed")
-    d_dR = gamma * zg1 * (1.0 - alpha) / den
-    d_dQ = -alpha / den
-    return d_dR, d_dQ, omega_of_alpha(alpha, gamma)

@@ -318,20 +318,21 @@ class SimConfig:
             need(0.0 < self.ess_lower < self.ess_upper, "verification.ess_lower", "window needs 0 < lower < upper")
         for name, spec in (("R", self.r_init), ("Q", self.q_init), ("u", self.u_init)):
             spec.validate(name)
-        # building the initial data checks pointwise nonnegativity
+        # building the initial data checks pointwise nonnegativity; a grid
+        # too large to allocate is an error of the config too
         try:
             return self.initial_state(self.grid())
         except ValidationError:
             raise
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             raise ValidationError(f"initial data: {exc}") from exc
 
-    def admissibility_warnings(self, state: FieldState | None = None) -> list[str]:
-        """Conditions for global weak existence that this data does not meet.
+    def admissibility_warnings(self, state: FieldState) -> list[str]:
+        """Conditions for global weak existence that this config and its
+        initial state do not meet.
 
         These are hypotheses of the known existence theory, not requirements
-        of the scheme, hence warnings rather than errors.  state is the
-        initial state when the caller has already built it.
+        of the scheme, hence warnings rather than errors.
         """
         out = []
         if self.gamma_plus < 9.0 / 5.0:
@@ -339,8 +340,6 @@ class SimConfig:
                 f"gamma_plus = {self.gamma_plus:g} < 9/5: outside the weak-existence "
                 "hypothesis on the adiabatic exponents"
             )
-        if state is None:
-            state = self.initial_state(self.grid())
         R0, Q0 = state.R, state.Q
         unbounded = bool(((R0 == 0.0) & (Q0 > 0.0)).any())
         if unbounded:

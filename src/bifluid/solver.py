@@ -68,7 +68,7 @@ FORWARD_EULER = "forward_euler"
 SSPRK2 = "ssprk2"
 INTEGRATORS = (FORWARD_EULER, SSPRK2)
 
-MAX_STEPS_DEFAULT = 2_000_000
+MAX_STEPS = 2_000_000  # the step budget of one run, a stop for runaway runs
 
 __all__ = [
     "FORWARD_EULER",
@@ -130,7 +130,6 @@ class SchemeConfig:
     closure_tol: float = closure.CLOSURE_TOL
     vacuum_alpha: float = closure.VACUUM_ALPHA_DEFAULT
     rho_floor: float = RHO_FLOOR
-    max_steps: int = MAX_STEPS_DEFAULT
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -401,7 +400,7 @@ def alpha_diagnostic_step(alpha, u, div_u, gamma, dt, grid: Grid1D):
     ag = _ghosted(alpha, grid, 1.0)
     g = (ag[1:] - ag[:-1]) / grid.dx  # one-sided slopes at faces
     adv = u * np.where(u > 0.0, g[:-1], g[1:])
-    new = alpha - dt * (adv + closure._omega(alpha, gamma) * div_u)
+    new = alpha - dt * (adv + closure.omega_of_alpha(alpha, gamma) * div_u)
     # inside [0, 1] the clip changes no bit (it keeps -0.0); NaN fails both tests
     if np.minimum.reduce(new) >= 0.0 and np.maximum.reduce(new) <= 1.0:
         return new, 0
@@ -421,7 +420,6 @@ class Trajectory:
     """
 
     grid: Grid1D
-    exps: object
     scheme: SchemeConfig
     times: list[float]
     energies: list[float]
@@ -486,9 +484,9 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     forcing = None  # the forcing at state.t, when a step handed it on
     for target in cfg.snapshot_times():
         while state.t < target:
-            if len(dt_hist) >= scheme.max_steps:
+            if len(dt_hist) >= MAX_STEPS:
                 raise RuntimeError(
-                    f"step budget of {scheme.max_steps} exhausted at t={state.t:.6g}, "
+                    f"step budget of {MAX_STEPS} exhausted at t={state.t:.6g}, "
                     f"before step {len(dt_hist) + 1}"
                 )
             if der is None:
@@ -531,7 +529,6 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
 
     return Trajectory(
         grid=grid,
-        exps=exps,
         scheme=scheme,
         times=times,
         energies=energies,

@@ -138,9 +138,6 @@ class EnergyAudit:
     skipped: bool
     eps_E: float
     worst_margin: float
-    E0: float
-    E: list[float]
-    dissipation_cum: list[float]
 
 
 def energy_audit(traj: Trajectory, eps_E: float = 1e-3) -> EnergyAudit:
@@ -149,31 +146,14 @@ def energy_audit(traj: Trajectory, eps_E: float = 1e-3) -> EnergyAudit:
     The energies are the run's own, traj.energies.  Skipped (and flagged)
     for forced runs, where sources inject energy.
     """
-    energies = list(traj.energies)
     if traj.forced:
-        return EnergyAudit(
-            passed=False,
-            skipped=True,
-            eps_E=eps_E,
-            worst_margin=math.nan,
-            E0=energies[0],
-            E=energies,
-            dissipation_cum=list(traj.diss_cum),
-        )
-    e0 = energies[0]
+        return EnergyAudit(passed=False, skipped=True, eps_E=eps_E, worst_margin=math.nan)
+    e0 = traj.energies[0]
     scale = max(e0, EPS)
     worst = max(
-        (e + d - e0) / scale for e, d in zip(energies, traj.diss_cum)
+        (e + d - e0) / scale for e, d in zip(traj.energies, traj.diss_cum)
     )
-    return EnergyAudit(
-        passed=worst <= eps_E,
-        skipped=False,
-        eps_E=eps_E,
-        worst_margin=worst,
-        E0=e0,
-        E=energies,
-        dissipation_cum=list(traj.diss_cum),
-    )
+    return EnergyAudit(passed=worst <= eps_E, skipped=False, eps_E=eps_E, worst_margin=worst)
 
 
 @dataclasses.dataclass(frozen=True)

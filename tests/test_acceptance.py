@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bifluid.cli import main
-from bifluid.closure import alpha_partials_batch, solve_closure_batch
+from bifluid.closure import solve_closure_batch
 from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import derive, restrict, total_mass
 from bifluid.verify import (
@@ -22,6 +22,7 @@ from bifluid.verify import (
     energy_audit,
     relative_entropy,
 )
+from oracles import alpha_partials_batch
 
 SEED = 20260810
 GAMMA_PAIRS = {0.5: (1.5, 3.0), 1.0: (2.0, 2.0), 1.5: (3.0, 2.0), 2.0: (3.0, 1.5), 3.0: (4.5, 1.5)}
@@ -264,11 +265,11 @@ def test_criterion_6_alpha_evolution_consistency(run_collecting):
 # ---------------------------------------------------------------- criterion 7
 
 
-def _rows(traj, derived_a, derived_b):
+def _rows(traj, exps, derived_a, derived_b):
     """Relative energy of each snapshot pair, with the run's nu_eff and times."""
     nu_eff = traj.scheme.nu_eff
     return [
-        relative_entropy(da, db, traj.grid, traj.exps, nu_eff=nu_eff, t=t)
+        relative_entropy(da, db, traj.grid, exps, nu_eff=nu_eff, t=t)
         for da, db, t in zip(derived_a, derived_b, traj.times, strict=True)
     ]
 
@@ -282,11 +283,13 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
     _, states_f, _ = fine_reference
     max_es = []
     for nc in (32, 64, 128, 256):  # three coarse-grid doublings
-        tc, _, da = run_collecting(_smooth_cfg(nc))
+        cfg = _smooth_cfg(nc)
+        exps = cfg.exponents()
+        tc, _, da = run_collecting(cfg)
         factor = 512 // nc
         states_b = [restrict(s, factor) for s in states_f]
-        db = [derive(s, tc.exps) for s in states_b]
-        rows = _rows(tc, da, db)
+        db = [derive(s, exps) for s in states_b]
+        rows = _rows(tc, exps, da, db)
         max_es.append(max(r.E_total for r in rows))
     decreasing = all(a > b for a, b in zip(max_es, max_es[1:]))
 
@@ -294,10 +297,9 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
     _, _, db = run_collecting(_smooth_cfg(128))
     peaks = []
     for eps in (0.08, 0.04, 0.02):
-        ta, _, da = run_collecting(
-            _smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3)
-        )
-        rows = _rows(ta, da, db)
+        cfg = _smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3)
+        ta, _, da = run_collecting(cfg)
+        rows = _rows(ta, cfg.exponents(), da, db)
         peaks.append(max(r.E_total for r in rows))
     ratios = [peaks[0] / peaks[1], peaks[1] / peaks[2]]
     quad = all(3.2 <= r <= 5.0 for r in ratios)

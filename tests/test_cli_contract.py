@@ -8,7 +8,6 @@ traceback.
 """
 
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -19,8 +18,8 @@ import numpy as np
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 
+from bifluid import solver
 from bifluid.cli import main
-from bifluid.config import SimConfig
 
 # Keeps every example short.  An exhausted step budget is a runtime failure
 # like any other (exit 3 with failure.json), so lowering it narrows no input.
@@ -88,13 +87,6 @@ def _render(n, bc, mms, changes):
     )
 
 
-_scheme = SimConfig.scheme
-
-
-def _budgeted_scheme(cfg):
-    return dataclasses.replace(_scheme(cfg), max_steps=STEP_BUDGET)
-
-
 @example(  # a huge bump width once overflowed width**2 with a traceback
     command="run", n=4, bc="periodic", mms=False, changes={("initial", "Q_width"): 1e155}
 )
@@ -116,7 +108,7 @@ def test_cli_exit_code_contract(command, n, bc, mms, changes):
             argv += ["--levels", "3"]
         err = io.StringIO()
         with (
-            mock.patch.object(SimConfig, "scheme", _budgeted_scheme),
+            mock.patch.object(solver, "MAX_STEPS", STEP_BUDGET),
             np.errstate(all="ignore"),
             contextlib.redirect_stdout(io.StringIO()),
             contextlib.redirect_stderr(err),

@@ -190,8 +190,8 @@ def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
     )
     cfg2, warnings = validate_config(text)
     assert reads == [str(snap)]
-    assert warnings and warnings == cfg2.admissibility_warnings()
     restart = cfg2.initial_state(cfg2.grid())
+    assert warnings and warnings == cfg2.admissibility_warnings(restart)
     assert np.array_equal(restart.U, state.U)
 
 
@@ -630,7 +630,6 @@ def test_cli_compare_twin_without_config_b_reuses_run_a(tmp_path, monkeypatch):
 
 def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
     from bifluid.solver import run
-    from bifluid.verify import energy_audit
 
     text_a = PAIR_BASE + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
     a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", PAIR_BASE)
@@ -638,8 +637,8 @@ def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
     for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
         report = json.loads((out / side / "report.json").read_text())
-        audit = energy_audit(run(validate_config(text)[0]))
-        assert report["energy"]["E"] == audit.E  # exact: JSON floats round-trip
+        traj = run(validate_config(text)[0])  # energy_audit reads traj.energies
+        assert report["energy"]["E"] == traj.energies  # exact: JSON floats round-trip
     payload = json.loads((out / "verify.json").read_text())
     assert payload["energy_audit"]["passed"] is True
 
@@ -660,7 +659,7 @@ def test_twin_compare_evaluates_each_integral_once(tmp_path):
     assert any(c["E_reduced"] > 0.0 for c in coer)
     traj_a = solver.run(cfg_a)
     report = json.loads((out / "run_a" / "report.json").read_text())
-    assert report["energy"]["E"] == verify.energy_audit(traj_a).E == traj_a.energies
+    assert report["energy"]["E"] == traj_a.energies  # the series energy_audit reads
 
 
 PAIR_BASE = """
@@ -697,11 +696,12 @@ def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path, ru
     a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", text_b)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
-    traj_a, _, derived_a = run_collecting(validate_config(text_a)[0])
+    cfg_a = validate_config(text_a)[0]
+    traj_a, _, derived_a = run_collecting(cfg_a)
     _, _, derived_b = run_collecting(validate_config(text_b)[0])
     rows = [
         verify.relative_entropy(
-            da, db, traj_a.grid, traj_a.exps, nu_eff=traj_a.scheme.nu_eff, t=t
+            da, db, traj_a.grid, cfg_a.exponents(), nu_eff=traj_a.scheme.nu_eff, t=t
         )
         for da, db, t in zip(derived_a, derived_b, traj_a.times, strict=True)
     ]
@@ -912,7 +912,7 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
     from bifluid.fields import derive, restrict, total_energy
 
     traj_a, _, series_a = run_collecting(cfg_a)
-    grid, exps, times = traj_a.grid, traj_a.exps, traj_a.times
+    grid, exps, times = traj_a.grid, cfg_a.exponents(), traj_a.times
 
     def derive_a(state):
         return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
@@ -1196,6 +1196,86 @@ def test_cli_success_after_a_failure_removes_its_failure_json(tmp_path, command)
     assert (out / "failure.json").is_file()
     assert main(argv + [write(tmp_path, "run.ini", RUN_CFG)]) == 0
     assert not (out / "failure.json").exists()
+
+
+def test_cli_run_after_a_longer_run_leaves_only_its_own_snapshots(tmp_path):
+    out = tmp_path / "o"
+    longer = write(tmp_path, "six.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 6"))
+    assert main(["run", "--config", longer, "--out", str(out)]) == 0
+    assert main(["run", "--config", write(tmp_path, "run.ini", RUN_CFG), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["snapshots"]) == 3
+    assert sorted(os.listdir(out)) == ["report.json", *report["snapshots"]]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "mms"])
+def test_cli_failure_after_a_success_leaves_no_earlier_output(tmp_path, monkeypatch, command):
+    # run and a self-twin compare fail on all-vacuum data after recording
+    # their first snapshot; mms fails on its step budget before any output
+    out = tmp_path / "o"
+    text = MMS_CFG if command == "mms" else RUN_CFG
+    argv = [command, "--out", str(out), "--config", write(tmp_path, "ok.ini", text)]
+    if command == "mms":
+        argv += ["--levels", "3"]
+    assert main(argv) == 0
+    if command == "mms":
+        monkeypatch.setattr(solver, "MAX_STEPS", 1)
+    else:
+        argv[-1] = write(tmp_path, "vac.ini", VACUUM_CFG)
+    assert main(argv) == 3
+    left = {
+        os.path.relpath(os.path.join(folder, name), out)
+        for folder, _, names in os.walk(out)
+        for name in names
+    }
+    first = {
+        "run": {"snapshot_0000.csv"},
+        "compare": {"run_a/snapshot_0000.csv", "run_b/snapshot_0000.csv"},
+        "mms": set(),
+    }[command]
+    assert left == {"failure.json", *first}
+
+
+def test_cli_initial_data_too_large_to_allocate_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from bifluid.config import SimConfig
+
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+    def refuse(cfg, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(SimConfig, "initial_state", refuse)
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    out = tmp_path / "o"
+    for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: initial data: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "closure"])
+def test_cli_allocation_failure_after_validation_is_a_runtime_failure(
+    tmp_path, capsys, monkeypatch, command
+):
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    out = tmp_path / "o"
+    if command == "run":
+        monkeypatch.setattr(cli, "run", refuse)
+        argv = ["run", "--config", write(tmp_path, "run.ini", RUN_CFG), "--out", str(out)]
+    else:
+        monkeypatch.setattr(cli, "solve_closure_batch", refuse)
+        argv = ["closure", "--gamma-plus", "3", "--gamma-minus", "1.5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"{command} failed: {message}\n"
+    if command == "run":
+        assert json.loads((out / "failure.json").read_text()) == {
+            "error": "MemoryError",
+            "message": message,
+        }
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])

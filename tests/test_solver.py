@@ -581,12 +581,13 @@ def test_run_derives_once_per_ssprk2_step(monkeypatch, run_collecting, track):
 def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
     # the run's derives are warm-started; gamma = 2 has a closed form that
     # ignores the start, other exponents converge to within the tolerance
-    traj, states, derived = run_collecting(base_cfg(gamma_minus=gamma_minus, n_snapshots=5))
-    tol = traj.scheme.closure_tol
+    cfg = base_cfg(gamma_minus=gamma_minus, n_snapshots=5)
+    traj, states, derived = run_collecting(cfg)
+    exps, tol = cfg.exponents(), traj.scheme.closure_tol
     assert len(derived) == len(states) == 5
     for state, der in zip(states, derived):
-        cold = derive(state, traj.exps, tol, traj.scheme.vacuum_alpha, traj.scheme.rho_floor)
-        if traj.exps.gamma == 2.0:
+        cold = derive(state, exps, tol, traj.scheme.vacuum_alpha, traj.scheme.rho_floor)
+        if exps.gamma == 2.0:
             for name in ("Z", "p", "u", "alpha", "rho_minus"):
                 assert _same_bits(getattr(der, name), getattr(cold, name)), name
         else:
@@ -613,16 +614,14 @@ def test_run_stops_at_the_step_budget_before_stepping_past_it(monkeypatch):
     from bifluid import solver
 
     calls = []
-    real_step, real_scheme = solver.step, SimConfig.scheme
+    real_step = solver.step
 
     def spy(*args, **kwargs):
         calls.append(args[0].t)
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(solver, "step", spy)
-    monkeypatch.setattr(
-        SimConfig, "scheme", lambda cfg: dataclasses.replace(real_scheme(cfg), max_steps=5)
-    )
+    monkeypatch.setattr(solver, "MAX_STEPS", 5)
     with pytest.raises(RuntimeError, match=r"step budget of 5 exhausted at t=\S+, before step 6"):
         run(base_cfg())
     assert len(calls) == 5

@@ -1,6 +1,8 @@
 """The benchmark's tracer patches program functions by name; a deletion or a
-rename in the program must fail here, not only under ``perfbench --trace 1``."""
+rename in the program must fail here, not only under ``perfbench --trace 1``.
+Every name a module exports must be used by the program itself."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -15,7 +17,8 @@ import bifluid
 from bifluid import cli, fields, solver
 from bifluid.config import SimConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -41,6 +44,25 @@ def test_every_all_name_exists():
         module = importlib.import_module(f"bifluid.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], f"bifluid.{info.name}.__all__ names missing objects"
+
+
+def test_every_all_name_is_used_by_the_program():
+    # a public name that only tests reach is API kept for the tests alone;
+    # a use is a name read or an attribute in the package or the benchmark
+    used = set()
+    for path in [*(ROOT / "src" / "bifluid").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(bifluid.__path__)
+        for name in getattr(importlib.import_module(f"bifluid.{info.name}"), "__all__", ())
+        if name not in used
+    ]
+    assert unused == []
 
 
 def test_full_trace_covers_the_hot_loop():

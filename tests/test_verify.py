@@ -339,9 +339,10 @@ def test_energy_audit_diffusing_shear_monotone_decay():
         t_end=0.05,
         n_snapshots=6,
     )
-    aud = energy_audit(run(cfg))
-    assert aud.passed
-    assert all(e2 < e1 for e1, e2 in zip(aud.E, aud.E[1:]))
+    traj = run(cfg)
+    assert energy_audit(traj).passed
+    E = traj.energies  # the series the audit reads
+    assert all(e2 < e1 for e1, e2 in zip(E, E[1:]))
 
 
 def test_energy_audit_forced_run_flagged():
