@@ -397,14 +397,16 @@ OUT_FILES = {
     "compare": ("verify.json", "re_report.csv"),
     "mms": ("verify.json",),
 }
+COMPARE_SIDES = ("run_a", "run_b")
 
 
 def _make_out_dir(path, command, sides=()) -> bool:
     """Create the output directory of command, and the named side
-    directories in it, before any solve, and remove from them the files
-    that command writes, so that none is left from an earlier command; False,
-    with a usage error printed, when a path cannot be a directory (it is a
-    file, or lies under one)."""
+    directories in it, before any solve, and remove the files that command
+    writes, so that none is left from an earlier command; compare owns the
+    run files of both side directories, also of one it does not write.
+    False, with a usage error printed, when a path cannot be a directory (it
+    is a file, or lies under one)."""
     try:
         for side in ("", *sides):
             os.makedirs(os.path.join(path, side), exist_ok=True)
@@ -412,8 +414,11 @@ def _make_out_dir(path, command, sides=()) -> bool:
         print(f"usage error: cannot create the --out directory: {exc}", file=sys.stderr)
         return False
     owned = [(path, (*OUT_FILES[command], "failure.json"))]
-    owned += [(os.path.join(path, side), OUT_FILES["run"]) for side in sides]
+    if command == "compare":
+        owned += [(os.path.join(path, side), OUT_FILES["run"]) for side in COMPARE_SIDES]
     for folder, patterns in owned:
+        if not os.path.isdir(folder):  # a side that this compare does not write
+            continue
         for name in os.listdir(folder):
             stale = os.path.join(folder, name)
             if any(fnmatch.fnmatchcase(name, p) for p in patterns) and not os.path.isdir(stale):
@@ -437,6 +442,8 @@ def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> Non
     without cfg_b, run_a is compared with itself (twin) or its reference."""
     if ref_mode not in REF_MODES:
         raise ValidationError(f"ref mode must be one of {REF_MODES}")
+    if ref_mode == "mms" and cfg_b is not None:
+        raise ValidationError("mms reference mode takes no second config (--config-b)")
     if cfg_b is None:
         cfg_b = cfg_a
     for attr in ("gamma_plus", "gamma_minus", "length", "t_end", "n_snapshots", "bc"):
@@ -524,7 +531,7 @@ def compare_runs(
     if cfg_b is None:
         cfg_b = cfg_a
     grid, exps = cfg_a.grid(), cfg_a.exponents()
-    nu_eff = cfg_a.scheme().nu_eff
+    nu_eff = cfg_a.nu_eff
     refs = []  # per reference snapshot, until its pair is reduced
     bounds = [math.inf, 0.0]  # min and max of the reference phase densities
     e_scale = None
@@ -667,7 +674,7 @@ def cmd_compare(args) -> int:
     cfg_a, state_a = _load_config(args.config)
     cfg_b, state_b = _load_config(args.config_b) if args.config_b else (None, None)
     _check_pair(cfg_a, cfg_b, args.ref_mode)  # before --out exists
-    sides = ("run_a",) if args.ref_mode == "mms" else ("run_a", "run_b")
+    sides = COMPARE_SIDES[:1] if args.ref_mode == "mms" else COMPARE_SIDES
     if not _make_out_dir(args.out, "compare", sides):
         return EXIT_CONFIG
     rows, payload = compare_runs(

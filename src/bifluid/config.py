@@ -25,7 +25,7 @@ from .fields import (
     read_snapshot,
 )
 from .mms import ManufacturedSolution
-from .solver import INTEGRATORS, SSPRK2, SchemeConfig
+from .solver import INTEGRATORS, SSPRK2
 
 PRESETS = ("uniform", "gaussian_bump", "sine", "from_file")
 
@@ -217,10 +217,15 @@ class SimConfig:
     def exponents(self) -> ExponentPair:
         return ExponentPair(self.gamma_plus, self.gamma_minus)
 
+    @property
+    def nu_eff(self) -> float:
+        """Effective 1D viscosity 2*mu + lambda of the Newtonian stress."""
+        return 2.0 * self.mu + self.lam
+
     def manufactured(self) -> ManufacturedSolution:
         return ManufacturedSolution(
             exps=self.exponents(),
-            nu_eff=2.0 * self.mu + self.lam,
+            nu_eff=self.nu_eff,
             length=self.length,
             a=self.mms_a,
             b=self.mms_b,
@@ -228,21 +233,6 @@ class SimConfig:
             d=self.mms_d,
             e=self.mms_e,
             closure_tol=self.closure_tol,
-        )
-
-    def scheme(self) -> SchemeConfig:
-        return SchemeConfig(
-            mu=self.mu,
-            lam=self.lam,
-            cfl=self.cfl,
-            time_integrator=self.integrator,
-            forcing=self.manufactured() if self.mms_enabled else None,
-            positivity_tol=self.positivity_tol,
-            strict_positivity=self.strict,
-            allow_inviscid=self.allow_inviscid,
-            closure_tol=self.closure_tol,
-            vacuum_alpha=self.vacuum_alpha,
-            rho_floor=self.rho_floor,
         )
 
     def _perturbations(self, x: np.ndarray) -> list[np.ndarray]:

@@ -54,7 +54,6 @@ import numpy as np
 from . import closure
 from .fields import (
     PERIODIC,
-    RHO_FLOOR,
     DerivedFields,
     FieldState,
     Grid1D,
@@ -76,7 +75,6 @@ __all__ = [
     "ZeroDtError",
     "PositivityLossError",
     "NonFiniteStateError",
-    "SchemeConfig",
     "StepReport",
     "Trajectory",
     "compute_dt",
@@ -106,49 +104,6 @@ class NonFiniteStateError(RuntimeError):
         super().__init__(
             f"non-finite state at t={t:.6g}{at_step} in cells {cells[:8]}"
         )
-
-
-@dataclasses.dataclass
-class SchemeConfig:
-    """Discretisation parameters for one run.
-
-    flux_sign = -1 flips the sign with which the advective fluxes enter the
-    update, which makes the discretisation inconsistent by construction; it
-    is a negative-control hook for verification tests and must be +1 in any
-    physical run.
-    """
-
-    mu: float
-    lam: float = 0.0
-    cfl: float = 0.9
-    time_integrator: str = SSPRK2
-    forcing: object | None = None
-    flux_sign: float = 1.0
-    positivity_tol: float = 1e-12
-    strict_positivity: bool = True
-    allow_inviscid: bool = False
-    closure_tol: float = closure.CLOSURE_TOL
-    vacuum_alpha: float = closure.VACUUM_ALPHA_DEFAULT
-    rho_floor: float = RHO_FLOOR
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
-        if 2.0 * self.mu + 3.0 * self.lam < 0.0:
-            raise ValueError("need 2*mu + 3*lambda >= 0")
-        if self.mu == 0.0 and not self.allow_inviscid:
-            raise ValueError("mu = 0 requires the inviscid-diagnostic flag")
-        if self.time_integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if self.flux_sign not in (1.0, -1.0):
-            raise ValueError("flux_sign must be +1 or -1")
-
-    @property
-    def nu_eff(self) -> float:
-        """Effective 1D viscosity 2*mu + lambda of the Newtonian stress."""
-        return 2.0 * self.mu + self.lam
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,19 +138,18 @@ def _wave_speed(der: DerivedFields, exps) -> np.ndarray:
     return np.abs(der.u) + np.sqrt(gp * np.power(der.Z, gp - 1.0))
 
 
-def compute_dt(
-    der: DerivedFields, grid: Grid1D, scheme: SchemeConfig, exps, speed=None
-) -> float:
+def compute_dt(der: DerivedFields, grid: Grid1D, cfg, exps, speed=None) -> float:
     """Largest stable step: advective dx/(|u|+c) and explicit-viscous dx^2 rho/(2 nu).
 
-    speed, the per-cell |u| + c of der, is computed here when not given.
+    cfg is the run's SimConfig; speed, the per-cell |u| + c of der, is
+    computed here when not given.
     """
     rho = der.R + der.Q
     if speed is None:
         speed = _wave_speed(der, exps)
     rho_min = np.minimum.reduce(rho)
-    if not rho_min > scheme.rho_floor:  # not every cell is live
-        live = rho > scheme.rho_floor
+    if not rho_min > cfg.rho_floor:  # not every cell is live
+        live = rho > cfg.rho_floor
         if not np.logical_or.reduce(live):
             raise ZeroDtError("state is entirely vacuum")
         speed, rho = speed[live], rho[live]
@@ -204,10 +158,11 @@ def compute_dt(
     # speed and of the smallest density, bit for bit
     dx = grid.dx
     bound = float(dx / np.maximum.reduce(speed))
-    if scheme.nu_eff > 0.0:
-        visc = float(dx * dx * rho_min / (2.0 * scheme.nu_eff))
+    nu_eff = cfg.nu_eff
+    if nu_eff > 0.0:
+        visc = float(dx * dx * rho_min / (2.0 * nu_eff))
         bound = min(bound, visc)
-    dt = scheme.cfl * bound
+    dt = cfg.cfl * bound
     if not (math.isfinite(dt) and dt > 0.0):
         raise ZeroDtError(f"no positive stable step (got {dt})")
     return dt
@@ -247,7 +202,7 @@ def _dissipation_rate(ug, grid: Grid1D, nu_eff: float) -> float:
     return float(nu_eff * np.add.reduce(g * g) * grid.dx)
 
 
-def _rhs(U, ug, p, grid: Grid1D, scheme: SchemeConfig, forcing):
+def _rhs(U, ug, p, grid: Grid1D, cfg, forcing):
     """Time derivative of the stacked state U = (R, Q, m) plus forcing, if any.
 
     ug is the velocity u of U ghosted with wall -1 and p its pressure.  One
@@ -266,21 +221,21 @@ def _rhs(U, ug, p, grid: Grid1D, scheme: SchemeConfig, forcing):
     flux = np.where(u_face > 0.0, Ug[:, :-1], Ug[:, 1:])
     flux *= u_face
     dU = flux[:, 1:] - flux[:, :-1]
-    dU /= -scheme.flux_sign * dx  # x / (-dx) is -(x / dx), signed zeros included
+    dU /= -dx  # x / (-dx) is -(x / dx), signed zeros included
     grad_p = pg[2:] - pg[:-2]
     grad_p /= 2.0 * dx
     dU[2] -= grad_p
     lap = ug[2:] - 2.0 * ug[1:-1]
     lap += ug[:-2]
     lap /= dx * dx
-    lap *= scheme.nu_eff
+    lap *= cfg.nu_eff
     dU[2] += lap
     if forcing is not None:
         dU += forcing
     return dU
 
 
-def _enforce_positivity(U, scheme: SchemeConfig, t: float) -> int:
+def _enforce_positivity(U, cfg, t: float) -> int:
     """Zero the round-off negatives of R and Q in place; returns the clip count."""
     masses = U[:2]
     if np.minimum.reduce(masses, axis=None) >= 0.0:
@@ -288,13 +243,13 @@ def _enforce_positivity(U, scheme: SchemeConfig, t: float) -> int:
     neg = masses < 0.0
     if not neg.any():
         return 0
-    bad = masses < -scheme.positivity_tol
+    bad = masses < -cfg.positivity_tol
     clips = int(np.count_nonzero(bad))
-    if clips and scheme.strict_positivity:
+    if clips and cfg.strict:
         row = 0 if bad[0].any() else 1
         cells = np.flatnonzero(bad[row])
         raise PositivityLossError(
-            f"{'RQ'[row]} fell below -{scheme.positivity_tol:g} at t={t:.6g} "
+            f"{'RQ'[row]} fell below -{cfg.positivity_tol:g} at t={t:.6g} "
             f"in cells {cells.tolist()[:8]} (min {float(masses[row].min()):.3e})"
         )
     # round-off negatives above the tolerance are zeroed without counting
@@ -309,61 +264,61 @@ def _check_finite(t: float, U) -> None:
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist()) from None
 
 
-def _derive(state: FieldState, scheme: SchemeConfig, exps, z0=None) -> DerivedFields:
-    return derive(
-        state, exps, scheme.closure_tol, scheme.vacuum_alpha, scheme.rho_floor, z0=z0
-    )
+def _derive(state: FieldState, cfg, exps, z0=None) -> DerivedFields:
+    return derive(state, exps, cfg.closure_tol, cfg.vacuum_alpha, cfg.rho_floor, z0=z0)
 
 
 def step(
     state: FieldState,
     grid: Grid1D,
-    scheme: SchemeConfig,
+    cfg,
     exps,
     dt: float,
     derived: DerivedFields | None = None,
     speed: np.ndarray | None = None,
     forcing0: np.ndarray | None = None,
+    forcing=None,
 ) -> tuple[FieldState, StepReport]:
-    """Advance one explicit step of size dt; returns the new state and a report.
+    """Advance one explicit step of size dt of the SimConfig cfg's scheme;
+    returns the new state and a report.
 
-    derived (the derived fields of state), speed (their per-cell |u| + c)
-    and forcing0 (the forcing at state.t of a forced scheme) are computed
-    here when not given.
+    forcing is the manufactured solution whose cell averages force the step,
+    None for an unforced step.  derived (the derived fields of state), speed
+    (their per-cell |u| + c) and forcing0 (the forcing at state.t) are
+    computed here when not given.
     """
-    der0 = derived if derived is not None else _derive(state, scheme, exps)
+    der0 = derived if derived is not None else _derive(state, cfg, exps)
     if speed is None:
         speed = _wave_speed(der0, exps)
-    sol = scheme.forcing
-    if forcing0 is None and sol is not None:
-        forcing0 = sol.cell_averages(grid, state.t)
+    if forcing0 is None and forcing is not None:
+        forcing0 = forcing.cell_averages(grid, state.t)
     t1 = state.t + dt
     U0 = state.U
     ug0 = _ghosted(der0.u, grid, -1.0)
-    U1 = _rhs(U0, ug0, der0.p, grid, scheme, forcing0)
+    U1 = _rhs(U0, ug0, der0.p, grid, cfg, forcing0)
     U1 *= dt
     U1 += U0
-    clips = _enforce_positivity(U1, scheme, t1)
+    clips = _enforce_positivity(U1, cfg, t1)
     iters = der0.closure_iterations
 
     stage_forcing = None
-    if scheme.time_integrator == SSPRK2:
+    if cfg.integrator == SSPRK2:
         # the stage stays a raw array: after the clip its masses are >= 0, so
         # one finiteness check makes it valid input for the trusted closure
         _check_finite(t1, U1)
         stage_Z, p1, u1, iters1 = _closure_fields(
-            U1, exps, scheme.closure_tol, scheme.rho_floor, der0.Z
+            U1, exps, cfg.closure_tol, cfg.rho_floor, der0.Z
         )
         iters = max(iters, iters1)
-        if sol is not None:
-            stage_forcing = sol.cell_averages(grid, t1)
+        if forcing is not None:
+            stage_forcing = forcing.cell_averages(grid, t1)
             stage_forcing.flags.writeable = False
         ug1 = _ghosted(u1, grid, -1.0)
-        U2 = _rhs(U1, ug1, p1, grid, scheme, stage_forcing)
+        U2 = _rhs(U1, ug1, p1, grid, cfg, stage_forcing)
         U2 *= dt
         U2 += U0 + U1
         U2 *= 0.5
-        clips += _enforce_positivity(U2, scheme, t1)
+        clips += _enforce_positivity(U2, cfg, t1)
     else:
         U2 = U1
         stage_Z = der0.Z
@@ -378,7 +333,7 @@ def step(
         max_wave_speed=float(np.maximum.reduce(speed)),
         positivity_clips=clips,
         closure_iterations=iters,
-        dissipation=dt * _dissipation_rate(ug0, grid, scheme.nu_eff),
+        dissipation=dt * _dissipation_rate(ug0, grid, cfg.nu_eff),
         stage_Z=stage_Z,
         stage_forcing=stage_forcing,
         div_u=(ug0[2:] - ug0[:-2]) / (2.0 * grid.dx),
@@ -416,11 +371,12 @@ class Trajectory:
     its consumer with the snapshot at times[k], and diss_cum[k] the viscous
     dissipation accumulated up to times[k].  alpha_transported is the
     volume-fraction diagnostic's own transported fraction at the last
-    snapshot, or None when the run does not track it.
+    snapshot, or None when the run does not track it.  forcing is the
+    manufactured solution that forced the run, None for an unforced run.
     """
 
     grid: Grid1D
-    scheme: SchemeConfig
+    forcing: object | None
     times: list[float]
     energies: list[float]
     diss_cum: list[float]
@@ -437,7 +393,7 @@ class Trajectory:
 
     @property
     def forced(self) -> bool:
-        return self.scheme.forcing is not None
+        return self.forcing is not None
 
 
 def _discard(state: FieldState, derived: DerivedFields) -> None:
@@ -445,7 +401,7 @@ def _discard(state: FieldState, derived: DerivedFields) -> None:
 
 
 def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Trajectory:
-    """Advance a validated configuration from t = 0 to t_end.
+    """Advance a validated SimConfig from t = 0 to t_end.
 
     initial is the configuration's initial state when the caller has already
     built it (validation does), so a restart file is not read again.
@@ -464,11 +420,11 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     """
     grid = cfg.grid()
     exps = cfg.exponents()
-    scheme = cfg.scheme()
+    sol = cfg.manufactured() if cfg.mms_enabled else None
     state = cfg.initial_state(grid) if initial is None else initial
-    track = bool(getattr(cfg, "track_alpha", False))
+    track = cfg.track_alpha
 
-    der = _derive(state, scheme, exps)  # the first step reuses it
+    der = _derive(state, cfg, exps)  # the first step reuses it
     times: list[float] = []
     energies: list[float] = []
     diss: list[float] = []
@@ -481,7 +437,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     a_diag = der.alpha.copy() if track else None
 
     z_prev = None
-    forcing = None  # the forcing at state.t, when a step handed it on
+    forcing0 = None  # the forcing at state.t, when a step handed it on
     for target in cfg.snapshot_times():
         while state.t < target:
             if len(dt_hist) >= MAX_STEPS:
@@ -490,24 +446,24 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
                     f"before step {len(dt_hist) + 1}"
                 )
             if der is None:
-                der = _derive(state, scheme, exps, z0=z_prev)
+                der = _derive(state, cfg, exps, z0=z_prev)
             speed = _wave_speed(der, exps)
-            dt_stable = compute_dt(der, grid, scheme, exps, speed)
+            dt_stable = compute_dt(der, grid, cfg, exps, speed)
             remaining = target - state.t
             landing = dt_stable >= remaining
             dt = remaining if landing else dt_stable
             try:
                 new_state, rep = step(
-                    state, grid, scheme, exps, dt,
-                    derived=der, speed=speed, forcing0=forcing,
+                    state, grid, cfg, exps, dt,
+                    derived=der, speed=speed, forcing0=forcing0, forcing=sol,
                 )
             except NonFiniteStateError as exc:
                 raise NonFiniteStateError(exc.t, exc.cells, len(dt_hist) + 1) from None
             z_prev = rep.stage_Z
-            forcing = rep.stage_forcing
+            forcing0 = rep.stage_forcing
             if landing and new_state.t != target:
                 new_state = dataclasses.replace(new_state, t=target)
-                forcing = None
+                forcing0 = None
             if track:
                 a_diag, cl = alpha_diagnostic_step(
                     a_diag, der.u, rep.div_u, exps.gamma, dt, grid
@@ -521,7 +477,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             state = new_state
             der = None
         if der is None:  # a later step, if any, starts from this derive
-            der = _derive(state, scheme, exps, z0=z_prev)
+            der = _derive(state, cfg, exps, z0=z_prev)
         times.append(state.t)
         energies.append(total_energy(der, grid, exps))
         diss.append(cum)
@@ -529,7 +485,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
 
     return Trajectory(
         grid=grid,
-        scheme=scheme,
+        forcing=sol,
         times=times,
         energies=energies,
         diss_cum=diss,

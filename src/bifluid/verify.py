@@ -359,7 +359,7 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
     """
     if levels < 3:
         raise ValueError("a convergence study needs at least 3 levels")
-    if not getattr(cfg, "mms_enabled", False):
+    if not cfg.mms_enabled:
         raise ValueError("convergence_study requires a manufactured-forcing config")
     ns: list[int] = []
     errors = {"R": [], "Q": [], "u": []}
@@ -375,7 +375,7 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
         level.track_alpha = False
         traj = run(level, on_snapshot=keep_last)
         grid = traj.grid
-        sol = traj.scheme.forcing
+        sol = traj.forcing
         final, der = last
         t = traj.times[-1]
         x = grid.x

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from bifluid.cli import main
-from bifluid.closure import solve_closure_batch
+from bifluid import solver
+from bifluid.closure import ClosureOverflowError, MaxIterExceededError, solve_closure_batch
 from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import derive, restrict, total_mass
+from bifluid.solver import NonFiniteStateError, PositivityLossError, ZeroDtError
 from bifluid.verify import (
     alpha_stability_check,
     coercivity_check,
@@ -22,7 +24,17 @@ from bifluid.verify import (
     energy_audit,
     relative_entropy,
 )
-from oracles import alpha_partials_batch
+from oracles import alpha_partials_batch, flipped_advection_rhs
+
+# the runtime errors of a solve that blows up; any other error is a fault of
+# the test, not a diverged negative control
+CONTROL_BLOW_UPS = (
+    ZeroDtError,
+    PositivityLossError,
+    NonFiniteStateError,
+    MaxIterExceededError,
+    ClosureOverflowError,
+)
 
 SEED = 20260810
 GAMMA_PAIRS = {0.5: (1.5, 3.0), 1.0: (2.0, 2.0), 1.5: (3.0, 2.0), 2.0: (3.0, 1.5), 3.0: (4.5, 1.5)}
@@ -182,51 +194,27 @@ def _mms_cfg(**kw):
     return SimConfig(**d)
 
 
-class _BrokenFlux:
-    """Negative-control fixture: advective fluxes enter with the wrong sign."""
-
-    mms_enabled = True
-    track_alpha = False
-
-    def __init__(self, cfg):
-        self._cfg = cfg
-
-    @property
-    def n(self):
-        return self._cfg.n
-
-    def with_resolution(self, n):
-        return _BrokenFlux(self._cfg.with_resolution(n))
-
-    def grid(self):
-        return self._cfg.grid()
-
-    def exponents(self):
-        return self._cfg.exponents()
-
-    def scheme(self):
-        s = self._cfg.scheme()
-        s.flux_sign = -1.0
-        return s
-
-    def initial_state(self, grid):
-        return self._cfg.initial_state(grid)
-
-    def snapshot_times(self):
-        return self._cfg.snapshot_times()
-
-
-def test_criterion_5_mms_convergence_and_negative_control():
+def test_criterion_5_mms_convergence_and_negative_control(monkeypatch):
     rep = convergence_study(_mms_cfg(), levels=3)
     min_order = rep.min_order()
+    # the negative control: the same study with the advective fluxes
+    # entering with the wrong sign, an inconsistent scheme by construction
+    broken_calls = []
+
+    def broken_rhs(*args):
+        broken_calls.append(1)
+        return flipped_advection_rhs(*args)
+
+    monkeypatch.setattr(solver, "_rhs", broken_rhs)
     try:
         with np.errstate(all="ignore"):  # the broken scheme is expected to overflow
-            broken = convergence_study(_BrokenFlux(_mms_cfg(strict=False)), levels=3)
+            broken = convergence_study(_mms_cfg(strict=False), levels=3)
         control_fails = broken.min_order() < 0.8
         control_note = f"control min order {broken.min_order():.2f}"
-    except Exception as exc:  # blow-up counts as failing the control
+    except CONTROL_BLOW_UPS as exc:  # blow-up counts as failing the control
         control_fails = True
         control_note = f"control diverged ({type(exc).__name__})"
+    assert broken_calls, "the negative control never ran its broken rhs"
     ok = min_order >= 0.8 and control_fails
     orders = {v: [round(o, 3) for o in rep.orders[v]] for v in rep.orders}
     _report(5, ok, f"orders {orders} (min {min_order:.3f}); {control_note}")
@@ -265,9 +253,9 @@ def test_criterion_6_alpha_evolution_consistency(run_collecting):
 # ---------------------------------------------------------------- criterion 7
 
 
-def _rows(traj, exps, derived_a, derived_b):
+def _rows(traj, cfg, derived_a, derived_b):
     """Relative energy of each snapshot pair, with the run's nu_eff and times."""
-    nu_eff = traj.scheme.nu_eff
+    exps, nu_eff = cfg.exponents(), cfg.nu_eff
     return [
         relative_entropy(da, db, traj.grid, exps, nu_eff=nu_eff, t=t)
         for da, db, t in zip(derived_a, derived_b, traj.times, strict=True)
@@ -289,7 +277,7 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
         factor = 512 // nc
         states_b = [restrict(s, factor) for s in states_f]
         db = [derive(s, exps) for s in states_b]
-        rows = _rows(tc, exps, da, db)
+        rows = _rows(tc, cfg, da, db)
         max_es.append(max(r.E_total for r in rows))
     decreasing = all(a > b for a, b in zip(max_es, max_es[1:]))
 
@@ -299,7 +287,7 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
     for eps in (0.08, 0.04, 0.02):
         cfg = _smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3)
         ta, _, da = run_collecting(cfg)
-        rows = _rows(ta, cfg.exponents(), da, db)
+        rows = _rows(ta, cfg, da, db)
         peaks.append(max(r.E_total for r in rows))
     ratios = [peaks[0] / peaks[1], peaks[1] / peaks[2]]
     quad = all(3.2 <= r <= 5.0 for r in ratios)

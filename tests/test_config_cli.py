@@ -85,6 +85,12 @@ def test_non_finite_floats_rejected(tmp_path, section, key, value):
 def test_constraint_errors():
     with pytest.raises(ValidationError, match="cfl"):
         validate_config(MINIMAL + "\n[time]\ncfl = 1.5\n")
+    with pytest.raises(ValidationError, match="time.cfl"):
+        validate_config(MINIMAL + "\n[time]\ncfl = 0\n")
+    with pytest.raises(ValidationError, match="viscosity.mu"):
+        validate_config(MINIMAL + "\n[viscosity]\nmu = -0.1\n")
+    with pytest.raises(ValidationError, match="time.integrator"):
+        validate_config(MINIMAL + "\n[time]\nintegrator = rk4\n")
     with pytest.raises(ValidationError, match="lambda"):
         validate_config(MINIMAL + "\n[viscosity]\nmu = 0.1\nlambda = -1.0\n")
     with pytest.raises(ValidationError, match="allow_inviscid"):
@@ -701,7 +707,7 @@ def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path, ru
     _, _, derived_b = run_collecting(validate_config(text_b)[0])
     rows = [
         verify.relative_entropy(
-            da, db, traj_a.grid, cfg_a.exponents(), nu_eff=traj_a.scheme.nu_eff, t=t
+            da, db, traj_a.grid, cfg_a.exponents(), nu_eff=cfg_a.nu_eff, t=t
         )
         for da, db, t in zip(derived_a, derived_b, traj_a.times, strict=True)
     ]
@@ -898,6 +904,33 @@ def test_cli_mms_ref_mode_compare(tmp_path):
     assert payload["energy_audit"]["skipped"] is True  # forced run
 
 
+def test_cli_mms_ref_mode_with_a_config_b_is_a_config_error_before_out(tmp_path, capsys, spy_calls):
+    # the exact solution is the reference: a second config would go unread
+    runs = spy_calls(solver.run)
+    path, other = (write(tmp_path, name, MMS_CFG) for name in ("a.ini", "b.ini"))
+    out = tmp_path / "o"
+    argv = ["compare", "--config", path, "--config-b", other, "--ref-mode", "mms"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: mms reference mode takes no second config (--config-b)\n"
+    )
+    assert not out.exists() and runs == []
+
+
+def test_cli_mms_ref_mode_compare_removes_the_run_files_of_an_earlier_run_b(tmp_path):
+    path = write(tmp_path, "mms.ini", MMS_CFG)
+    out = tmp_path / "o"
+    argv = ["compare", "--config", path, "--out", str(out)]
+    assert main(argv) == 0  # a twin compare fills run_b
+    (out / "run_b" / "notes.txt").write_text("not a run file\n")
+    assert main(argv + ["--ref-mode", "mms"]) == 0
+    assert os.listdir(out / "run_b") == ["notes.txt"]
+    # into a fresh --out it creates only the side it writes
+    fresh = tmp_path / "fresh"
+    assert main(["compare", "--config", path, "--out", str(fresh), "--ref-mode", "mms"]) == 0
+    assert sorted(os.listdir(fresh)) == ["re_report.csv", "run_a", "verify.json"]
+
+
 def _default_ess_window(derived_series):
     """The default coercivity window of a whole reference series: half the
     minimum to twice the maximum of its phase densities."""
@@ -929,7 +962,7 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
         traj_b, _, series_b = run_collecting(cfg_b or cfg_a)
         e_scale = traj_b.energies[0]
     pairs = list(zip(series_a, series_b, strict=True))
-    nu_eff = traj_a.scheme.nu_eff
+    nu_eff = cfg_a.nu_eff
     rows = [
         verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t)
         for (a, b), t in zip(pairs, times, strict=True)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from bifluid.closure import ExponentPair, omega_of_alpha
-from bifluid.config import ProfileSpec, SimConfig
+from bifluid.config import ProfileSpec, SimConfig, ValidationError
 from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive, total_mass
 from bifluid.mms import ManufacturedSolution
 from bifluid.solver import (
     NonFiniteStateError,
     PositivityLossError,
-    SchemeConfig,
     ZeroDtError,
     alpha_diagnostic_step,
     compute_dt,
@@ -20,14 +19,16 @@ from bifluid.solver import (
     step,
     velocity_face_gradient,
 )
+from oracles import flipped_advection_rhs, per_equation_rhs
 
 EXPS = ExponentPair(3.0, 1.5)
 
 
 def scheme(**kw):
+    """The SimConfig a step reads: these tests' scheme settings, updated by kw."""
     base = dict(mu=0.1, lam=0.0, cfl=0.9)
     base.update(kw)
-    return SchemeConfig(**base)
+    return SimConfig(**base)
 
 
 def make_state(n, R, Q, u, t=0.0):
@@ -49,22 +50,23 @@ def sine_state(grid, base=1.5, amp=0.3, uamp=0.2):
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
-        scheme(cfl=0.0)
-    with pytest.raises(ValueError):
-        scheme(cfl=1.5)
-    with pytest.raises(ValueError):
-        scheme(mu=-0.1)
-    with pytest.raises(ValueError):
-        scheme(mu=1.0, lam=-1.0)  # 2mu + 3lam < 0
-    with pytest.raises(ValueError):
-        scheme(mu=0.0)  # inviscid needs the flag
-    scheme(mu=0.0, allow_inviscid=True)
-    with pytest.raises(ValueError):
-        scheme(time_integrator="rk4")
-    with pytest.raises(ValueError):
-        scheme(flux_sign=0.5)
-    assert scheme(mu=0.2, lam=0.1).nu_eff == pytest.approx(0.5)
+    with pytest.raises(ValidationError):
+        scheme(cfl=0.0).validate()
+    with pytest.raises(ValidationError):
+        scheme(cfl=1.5).validate()
+    with pytest.raises(ValidationError):
+        scheme(mu=-0.1).validate()
+    with pytest.raises(ValidationError):
+        scheme(mu=1.0, lam=-1.0).validate()  # 2mu + 3lam < 0
+    with pytest.raises(ValidationError):
+        scheme(mu=0.0).validate()  # inviscid needs the flag
+    scheme(mu=0.0, allow_inviscid=True).validate()
+    with pytest.raises(ValidationError):
+        scheme(integrator="rk4").validate()
+    cfg = scheme(mu=0.2, lam=0.1)
+    assert cfg.nu_eff == pytest.approx(0.5)
+    with pytest.raises(AttributeError):  # read-only: mu and lam define it
+        cfg.nu_eff = 1.0
 
 
 # compute_dt ----------------------------------------------------------------
@@ -111,7 +113,7 @@ def test_constant_state_is_exact_fixed_point_periodic():
     grid = Grid1D(32, 1.0)
     st = make_state(32, 1.0, 2.0, 0.7)
     for integ in ("forward_euler", "ssprk2"):
-        new, rep = step(st, grid, scheme(time_integrator=integ), EXPS, dt=1e-3)
+        new, rep = step(st, grid, scheme(integrator=integ), EXPS, dt=1e-3)
         assert np.array_equal(new.R, st.R)
         assert np.array_equal(new.Q, st.Q)
         assert np.array_equal(new.m, st.m)
@@ -124,7 +126,7 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     R = 1.0 + 0.3 * np.sin(2 * np.pi * x)
     Q = 1.2 + 0.2 * np.cos(2 * np.pi * x)
     st = FieldState(0.0, R, Q, np.zeros(32))
-    sch = scheme(time_integrator="forward_euler")
+    sch = scheme(integrator="forward_euler")
     dt = 1e-4
     new, _ = step(st, grid, sch, EXPS, dt)
     assert np.array_equal(new.R, st.R)
@@ -156,10 +158,10 @@ def test_positivity_strict_raises_exploratory_clips():
     st = FieldState(0.0, R, Q, (R + Q) * u)
     # dt far beyond the advective limit empties the cell past zero
     with pytest.raises(PositivityLossError) as exc:
-        step(st, grid, scheme(time_integrator="forward_euler"), EXPS, dt=0.5)
+        step(st, grid, scheme(integrator="forward_euler"), EXPS, dt=0.5)
     assert "cells [3]" in str(exc.value)  # the failure record names the cell
     assert "t=0.5" in str(exc.value)
-    sch = scheme(time_integrator="forward_euler", strict_positivity=False)
+    sch = scheme(integrator="forward_euler", strict=False)
     new, rep = step(st, grid, sch, EXPS, dt=0.5)
     assert rep.positivity_clips > 0
     assert (new.R >= 0.0).all()
@@ -185,7 +187,7 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
     with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
         step(st, grid, scheme(), EXPS, dt=0.5)
     assert solved == []
-    _, rep = step(st, grid, scheme(strict_positivity=False), EXPS, dt=0.5)
+    _, rep = step(st, grid, scheme(strict=False), EXPS, dt=0.5)
     assert len(solved) == 1 and rep.positivity_clips > 0
 
 
@@ -197,7 +199,7 @@ def test_stage_blow_up_names_time_and_cells(integrator):
     u[5] = 1e155
     st = FieldState(0.25, R, Q, (R + Q) * u)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
-        step(st, grid, scheme(time_integrator=integrator), EXPS, dt=1e-160)
+        step(st, grid, scheme(integrator=integrator), EXPS, dt=1e-160)
     assert exc.value.t == 0.25 + 1e-160
     assert exc.value.cells == [5, 6]
     assert exc.value.step is None  # run adds the step number
@@ -254,38 +256,10 @@ def test_translation_equivariance_bitexact():
 
 # fused stencils against the per-equation formulas ------------------------------
 #
-# The reference below is the scheme written one equation at a time with
-# np.roll / np.concatenate boundaries.  The fused stacked RHS and the shared
-# ghost-cell helper must reproduce it bit for bit, signed zeros included.
-
-
-def _ref_upwind_divergence(phi, u, grid):
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        u_face = 0.5 * (u + np.roll(u, -1))
-        donor = np.where(u_face > 0.0, phi, np.roll(phi, -1))
-        flux = u_face * donor
-        return (flux - np.roll(flux, 1)) / dx
-    u_face = 0.5 * (u[:-1] + u[1:])
-    donor = np.where(u_face > 0.0, phi[:-1], phi[1:])
-    flux = np.concatenate(([0.0], u_face * donor, [0.0]))
-    return (flux[1:] - flux[:-1]) / dx
-
-
-def _ref_pressure_gradient(p, grid):
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        return (np.roll(p, -1) - np.roll(p, 1)) / (2.0 * dx)
-    ext = np.concatenate(([p[0]], p, [p[-1]]))
-    return (ext[2:] - ext[:-2]) / (2.0 * dx)
-
-
-def _ref_velocity_laplacian(u, grid):
-    dx = grid.dx
-    if grid.bc == PERIODIC:
-        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
-    ext = np.concatenate(([-u[0]], u, [-u[-1]]))
-    return (ext[2:] - 2.0 * u + ext[:-2]) / (dx * dx)
+# The reference is the scheme written one equation at a time with np.roll /
+# np.concatenate boundaries (its rhs is oracles.per_equation_rhs).  The fused
+# stacked RHS and the shared ghost-cell helper must reproduce it bit for bit,
+# signed zeros included.
 
 
 def _ref_divergence(u, grid):
@@ -317,19 +291,9 @@ def _ref_alpha_step(alpha, u, div_u, gamma, dt, grid):
     return np.clip(new, 0.0, 1.0)
 
 
-def _ref_rhs(R, Q, m, der, grid, sch, t):
-    s = sch.flux_sign
-    dR = -s * _ref_upwind_divergence(R, der.u, grid)
-    dQ = -s * _ref_upwind_divergence(Q, der.u, grid)
-    dm = (
-        -s * _ref_upwind_divergence(m, der.u, grid)
-        - _ref_pressure_gradient(der.p, grid)
-        + sch.nu_eff * _ref_velocity_laplacian(der.u, grid)
-    )
-    if sch.forcing is not None:
-        fR, fQ, fm = sch.forcing.cell_averages(grid, t)
-        dR, dQ, dm = dR + fR, dQ + fQ, dm + fm
-    return dR, dQ, dm
+def _ref_rhs(R, Q, m, der, grid, sch, sol, t, flux_sign):
+    forcing = sol.cell_averages(grid, t) if sol is not None else None
+    return per_equation_rhs(R, Q, m, der.u, der.p, grid, sch.nu_eff, forcing, flux_sign)
 
 
 def _ref_clip(arr, tol):
@@ -337,20 +301,21 @@ def _ref_clip(arr, tol):
     return np.where(neg, 0.0, arr), int(np.count_nonzero(arr < -tol))
 
 
-def _ref_step(st, grid, sch, dt):
-    """One step of the per-equation scheme; returns (R, Q, m, clips)."""
+def _ref_step(st, grid, sch, sol, dt, flux_sign):
+    """One step of the per-equation scheme forced by sol, if not None, with
+    advection entering with flux_sign; returns (R, Q, m, clips)."""
     der0 = derive(st, EXPS)
-    dR, dQ, dm = _ref_rhs(st.R, st.Q, st.m, der0, grid, sch, st.t)
+    dR, dQ, dm = _ref_rhs(st.R, st.Q, st.m, der0, grid, sch, sol, st.t, flux_sign)
     (R1, cR), (Q1, cQ) = (
         _ref_clip(a, sch.positivity_tol) for a in (st.R + dt * dR, st.Q + dt * dQ)
     )
     m1 = st.m + dt * dm
     clips = cR + cQ
-    if sch.time_integrator == "forward_euler":
+    if sch.integrator == "forward_euler":
         return R1, Q1, m1, clips
     stage = FieldState(st.t + dt, R1, Q1, m1)
     der1 = derive(stage, EXPS, z0=der0.Z)
-    dR1, dQ1, dm1 = _ref_rhs(R1, Q1, m1, der1, grid, sch, stage.t)
+    dR1, dQ1, dm1 = _ref_rhs(R1, Q1, m1, der1, grid, sch, sol, stage.t, flux_sign)
     (R2, cR), (Q2, cQ) = (
         _ref_clip(0.5 * (a + a1 + dt * da), sch.positivity_tol)
         for a, a1, da in ((st.R, R1, dR1), (st.Q, Q1, dQ1))
@@ -378,19 +343,24 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("flux_sign", [1.0, -1.0])
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
-def test_fused_step_is_bit_identical_to_per_equation_reference(bc, flux_sign, forced, integrator):
+def test_fused_step_is_bit_identical_to_per_equation_reference(
+    monkeypatch, bc, flux_sign, forced, integrator
+):
+    # flux_sign = -1 steps with the negative control of acceptance criterion
+    # 5 in place of the fused rhs: the step around it must give the
+    # per-equation scheme with its advection flipped
+    if flux_sign < 0.0:
+        from bifluid import solver
+
+        monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
     grid = Grid1D(32, 1.0, bc=bc)
     st = _tricky_state(grid)
-    sch = scheme(
-        time_integrator=integrator,
-        flux_sign=flux_sign,
-        strict_positivity=False,
-        forcing=ManufacturedSolution(EXPS, nu_eff=0.2) if forced else None,
-    )
+    sch = scheme(integrator=integrator, strict=False)
+    sol = ManufacturedSolution(EXPS, nu_eff=0.2) if forced else None
     d = derive(st, EXPS)
     dt = 0.5 * compute_dt(d, grid, sch, EXPS)
-    new, rep = step(st, grid, sch, EXPS, dt, derived=d)
-    R, Q, m, clips = _ref_step(st, grid, sch, dt)
+    new, rep = step(st, grid, sch, EXPS, dt, derived=d, forcing=sol)
+    R, Q, m, clips = _ref_step(st, grid, sch, sol, dt, flux_sign)
     assert _same_bits(new.R, R)
     assert _same_bits(new.Q, Q)
     assert _same_bits(new.m, m)
@@ -583,10 +553,10 @@ def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
     # ignores the start, other exponents converge to within the tolerance
     cfg = base_cfg(gamma_minus=gamma_minus, n_snapshots=5)
     traj, states, derived = run_collecting(cfg)
-    exps, tol = cfg.exponents(), traj.scheme.closure_tol
+    exps, tol = cfg.exponents(), cfg.closure_tol
     assert len(derived) == len(states) == 5
     for state, der in zip(states, derived):
-        cold = derive(state, exps, tol, traj.scheme.vacuum_alpha, traj.scheme.rho_floor)
+        cold = derive(state, exps, tol, cfg.vacuum_alpha, cfg.rho_floor)
         if exps.gamma == 2.0:
             for name in ("Z", "p", "u", "alpha", "rho_minus"):
                 assert _same_bits(getattr(der, name), getattr(cold, name)), name
@@ -702,15 +672,15 @@ SHIFTING_SNAPS = (0.0, 0.0011, 0.0031, 0.01)
 def _ref_run(cfg):
     """run with every step evaluating its own forcing; returns (trajectory
     states, dt history, landings that moved t)."""
-    grid, exps, sch = cfg.grid(), cfg.exponents(), cfg.scheme()
+    grid, exps, sol = cfg.grid(), cfg.exponents(), cfg.manufactured()
     state = cfg.initial_state(grid)
     states, dts, shifted, z = [state], [], 0, None
     for target in cfg.snapshot_times()[1:]:
         while state.t < target:
-            d = derive(state, exps, sch.closure_tol, sch.vacuum_alpha, sch.rho_floor, z0=z)
+            d = derive(state, exps, cfg.closure_tol, cfg.vacuum_alpha, cfg.rho_floor, z0=z)
             remaining = target - state.t
-            dt = min(compute_dt(d, grid, sch, exps), remaining)
-            state, rep = step(state, grid, sch, exps, dt, derived=d)
+            dt = min(compute_dt(d, grid, cfg, exps), remaining)
+            state, rep = step(state, grid, cfg, exps, dt, derived=d, forcing=sol)
             z = rep.stage_Z
             dts.append(dt)
             if dt == remaining:
@@ -774,9 +744,9 @@ def test_handed_on_forcing_is_read_only():
     grid = Grid1D(32, 1.0)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
-    _, rep = step(st, grid, scheme(forcing=sol), EXPS, 1e-4)
+    _, rep = step(st, grid, scheme(), EXPS, 1e-4, forcing=sol)
     assert rep.stage_forcing.shape == (3, 32)
     with pytest.raises(ValueError):
         rep.stage_forcing[2, 0] += 1.0
-    for sch in (scheme(forcing=sol, time_integrator="forward_euler"), scheme()):
-        assert step(st, grid, sch, EXPS, 1e-4)[1].stage_forcing is None
+    for sch, forcing in ((scheme(integrator="forward_euler"), sol), (scheme(), None)):
+        assert step(st, grid, sch, EXPS, 1e-4, forcing=forcing)[1].stage_forcing is None
