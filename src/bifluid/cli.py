@@ -48,13 +48,7 @@ from .fields import (
     total_mass,
     write_snapshot,
 )
-from .solver import (
-    NonFiniteStateError,
-    PositivityLossError,
-    Trajectory,
-    ZeroDtError,
-    run,
-)
+from .solver import StepError, Trajectory, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,9 +56,7 @@ EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
 RUNTIME_ERRORS = (
-    PositivityLossError,
-    NonFiniteStateError,
-    ZeroDtError,
+    StepError,  # positivity loss, a non-finite state, no stable step
     MaxIterExceededError,
     ClosureOverflowError,
     NonFiniteInputError,
@@ -123,8 +115,10 @@ def _write_failure(out_dir, exc) -> None:
     if out_dir is None:
         return
     record = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, NonFiniteStateError):
-        record.update(t=exc.t, step=exc.step, cells=exc.cells[:64], n_cells=len(exc.cells))
+    if isinstance(exc, StepError):
+        record.update(
+            t=exc.t, step=exc.step, dt=exc.dt, cells=list(exc.cells[:64]), n_cells=len(exc.cells)
+        )
     try:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "failure.json"), record)

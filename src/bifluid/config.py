@@ -196,7 +196,7 @@ class SimConfig:
     vacuum_alpha: float = VACUUM_ALPHA_DEFAULT
     rho_floor: float = RHO_FLOOR
     strict: bool = True
-    track_alpha: bool = True
+    track_alpha: bool = False
     allow_inviscid: bool = False
     energy_eps: float = 1e-3
     stability_delta: float = 0.1

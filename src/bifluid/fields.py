@@ -193,7 +193,8 @@ def derive(
 
     z0, the Z of a nearby state, warm-starts the closure iteration.
     """
-    Z, p, u, iters = _closure_fields(state.U, exps, tol, rho_floor, z0)
+    p, u = np.empty(state.n), np.empty(state.n)
+    Z, _, iters = _closure_fields(state.U, (p, u), exps, tol, rho_floor, z0)
     return DerivedFields(
         R=state.R,
         Q=state.Q,
@@ -206,14 +207,18 @@ def derive(
     )
 
 
-def _closure_fields(U, exps, tol, rho_floor, z0):
-    """Z, p, u and the closure iterations of a stacked (3, n) state U whose
-    values are finite with nonnegative masses, which is not checked here."""
+def _closure_fields(U, out, exps, tol, rho_floor, z0):
+    """Z, the mixture density R + Q and the closure iterations of a stacked
+    (3, n) state U whose values are finite with nonnegative masses, which is
+    not checked here; its pressure and velocity go to the two rows of out."""
     R, Q, m = U
     Z, iters = closure._solve_closure(R, Q, exps.gamma, tol, z0=z0)
-    p = np.power(Z, exps.gamma_plus)
-    u = m / np.maximum(R + Q, rho_floor)
-    return Z, p, u, iters
+    p, u = out
+    np.power(Z, exps.gamma_plus, out=p)
+    rho = R + Q
+    np.maximum(rho, rho_floor, out=u)
+    np.divide(m, u, out=u)
+    return Z, rho, iters
 
 
 def total_mass(state: FieldState, grid: Grid1D) -> tuple[float, float]:

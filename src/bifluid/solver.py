@@ -1,36 +1,31 @@
 """Explicit finite-volume time stepping of the reformulated two-fluid system.
 
-Unknowns per cell: partial masses R, Q and mixture momentum m = (R + Q) u,
-stored as the rows of one (3, n) array that the stages update as a whole.
+Unknowns per cell: partial masses R, Q and mixture momentum m = (R + Q) u.
 Masses and momentum are advected by first-order upwind fluxes on averaged
 face velocities, with one donor selection for all three rows; the pressure
 gradient of p = Z**gamma_plus is central; the viscous term nu_eff * u_xx
 (nu_eff = 2 mu + lambda in 1D) is an explicit central second difference.
-Every stencil reads ghost-padded copies built by one helper, the only code
-that distinguishes periodic from no-slip boundaries, apart from the
-dissipation, which reuses the rhs's ghosted velocity on periodic grids.  The
-closure is re-solved per cell after every stage, which keeps it inside the
-verification loop; each solve is warm-started from the closure root of the
-previous stage.
+The closure is re-solved per cell after every stage, which keeps it inside
+the verification loop; each solve is warm-started from the closure root of
+the previous stage.
 
-A run records each snapshot once, with the derived fields it made for it:
-the derive of a snapshot state is the one that starts the next step
-(warm-started from the stage root), and the final state gets one more warm
-derive.  It evaluates the total energy of each snapshot once from those
-fields.  It hands each snapshot, as it records it, to a consumer (the CLI's
-writers and pair reductions) and keeps only the scalar series, so its memory
-does not grow with the number of snapshots.  Outputs and audits derive
-nothing again.
+A run steps two ghost-padded (5, n + 2) buffers, the state and its SSPRK2
+stage, with rows R, Q, m, p, u.  Each stage updates R, Q and m in place and
+admits the result with one per-row minimum and one maximum (zero the
+round-off negatives of the masses, raise PositivityLossError or
+NonFiniteStateError); the admitted masses are valid input for the trusted
+closure kernel, which writes p and u into the buffer; one ghost fill (a
+periodic wrap, or no-slip wall factors) then serves every stencil of the
+next stage.  The step size reuses the R + Q of that closure solve.  A step
+builds no FieldState, DerivedFields or report object.
 
-A step computes only what it reads.  The SSPRK2 stage stays a raw (3, n)
-array: after the positivity clip its masses are nonnegative, so one
-finiteness check (NonFiniteStateError with t and cells) makes it valid input
-for the trusted closure kernel that ``fields.derive`` is built on, which
-gives the stage's Z, p and u without a FieldState, DerivedFields or
-StepReport.  A step builds one FieldState, the new state, and one StepReport.
-Its ghosted starting velocity also gives the dissipation and the divergence
-that the volume-fraction diagnostic reads.  No step reads alpha, rho_minus or
-vacuum of a derived state; ``DerivedFields`` computes those on first read.
+A run records each snapshot once: it copies the state out of its buffer
+into a FieldState, derives it (warm-started from the stage root) and
+evaluates its total energy once from those fields; the first snapshot is
+the initial state object itself.  It hands each snapshot, as it records it,
+to a consumer (the CLI's writers and pair reductions) and keeps only the
+scalar series, so its memory does not grow with the number of snapshots.
+Outputs and audits derive nothing again.
 
 A manufactured forcing is evaluated once per time level: an SSPRK2 step
 hands its stage forcing at t + dt on to the next step, as it hands on the
@@ -38,10 +33,11 @@ stage closure root.  A step that lands on a snapshot time can end a
 round-off away from it; t is then set to the snapshot time and the next
 step evaluates the forcing afresh.
 
-A separate diagnostic evolves the volume fraction by its own non-conservative
-equation (upwind advection plus the compression source omega * div u); the
-gap against the closure-recovered fraction measures the discrete consistency
-of the two formulations.
+When the configuration asks for it (verification.track_alpha), a diagnostic
+evolves the volume fraction by its own non-conservative equation (upwind
+advection plus the compression source omega * div u); the gap against the
+closure-recovered fraction measures the discrete consistency of the two
+formulations.  It reads the state and never changes it.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from .fields import (
     FieldState,
     Grid1D,
     _closure_fields,
-    _finite,
     derive,
     total_energy,
 )
@@ -72,10 +67,10 @@ MAX_STEPS = 2_000_000  # the step budget of one run, a stop for runaway runs
 __all__ = [
     "FORWARD_EULER",
     "SSPRK2",
+    "StepError",
     "ZeroDtError",
     "PositivityLossError",
     "NonFiniteStateError",
-    "StepReport",
     "Trajectory",
     "compute_dt",
     "step",
@@ -85,101 +80,118 @@ __all__ = [
 ]
 
 
-class ZeroDtError(RuntimeError):
-    """No usable time step: the state is entirely vacuum."""
+class StepError(RuntimeError):
+    """A run that cannot go on from its state.
+
+    t is the time of the failing update and cells the sequence of the
+    offending cells (a range when every cell offends).  run adds step, the
+    number of the step it was taking, and dt, that step's size; a
+    ZeroDtError, which comes before the step has a size, gets the size of
+    the last step taken instead (None before the first step).
+    """
+
+    def __init__(self, message: str, t: float | None = None, cells=()):
+        super().__init__(message)
+        self.t = t
+        self.cells = cells
+        self.step: int | None = None
+        self.dt: float | None = None
+
+    def at(self, t: float, step: int, dt: float | None) -> None:
+        """Record where the run failed."""
+        self.t, self.step, self.dt = t, step, dt
 
 
-class PositivityLossError(RuntimeError):
+class ZeroDtError(StepError):
+    """No usable time step: the state is entirely vacuum, or the stable step
+    of some cell is not positive and finite."""
+
+
+class PositivityLossError(StepError):
     """A partial mass dropped below the positivity tolerance."""
 
 
-class NonFiniteStateError(RuntimeError):
-    """An update produced NaN or infinite values; carries t, step and cells."""
+class NonFiniteStateError(StepError):
+    """An update produced NaN or infinite values."""
 
-    def __init__(self, t: float, cells: list[int], step: int | None = None):
-        self.t = t
-        self.cells = cells
-        self.step = step
-        at_step = f" at step {step}" if step is not None else ""
-        super().__init__(
-            f"non-finite state at t={t:.6g}{at_step} in cells {cells[:8]}"
-        )
+    def __init__(self, t: float, cells):
+        super().__init__("non-finite state", t, cells)
+
+    def __str__(self) -> str:
+        at_step = f" at step {self.step}" if self.step is not None else ""
+        return f"non-finite state at t={self.t:.6g}{at_step} in cells {self.cells[:8]}"
 
 
-@dataclasses.dataclass(frozen=True)
-class StepReport:
-    """Per-step accounting; stage_Z is the closure root of the step's last
-    derived stage, the warm start for deriving the new state.
+def compute_dt(rho, u, Z, grid: Grid1D, cfg, exps) -> tuple[float, float]:
+    """Largest stable step, advective dx/(|u|+c) and explicit-viscous
+    dx^2 rho/(2 nu), and the largest signal speed |u| + c over all cells.
 
-    stage_forcing is the read-only SSPRK2 stage forcing at the new time, the
-    forcing of the next step when it starts there; None for forward Euler
-    and for unforced runs.
-
-    div_u is the central divergence of the step's starting velocity, which
-    drives the volume-fraction diagnostic.
-    """
-
-    dt: float
-    max_wave_speed: float
-    positivity_clips: int
-    closure_iterations: int
-    dissipation: float
-    stage_Z: np.ndarray | None = None
-    stage_forcing: np.ndarray | None = None
-    div_u: np.ndarray | None = None
-
-
-def _wave_speed(der: DerivedFields, exps) -> np.ndarray:
-    """Per-cell signal speed |u| + c, shared by the step size and the report.
-
-    c is the mixture estimate from p = Z**gamma_plus treating Z as the density.
+    rho, u and Z are the mixture density, velocity and closure root of a
+    state and cfg the run's SimConfig.  c is the mixture estimate from
+    p = Z**gamma_plus treating Z as the density.  Cells at or below the
+    density floor do not bound the step.
     """
     gp = exps.gamma_plus
-    return np.abs(der.u) + np.sqrt(gp * np.power(der.Z, gp - 1.0))
-
-
-def compute_dt(der: DerivedFields, grid: Grid1D, cfg, exps, speed=None) -> float:
-    """Largest stable step: advective dx/(|u|+c) and explicit-viscous dx^2 rho/(2 nu).
-
-    cfg is the run's SimConfig; speed, the per-cell |u| + c of der, is
-    computed here when not given.
-    """
-    rho = der.R + der.Q
-    if speed is None:
-        speed = _wave_speed(der, exps)
+    speed = np.abs(u) + np.sqrt(gp * np.power(Z, gp - 1.0))
+    speed_max = np.maximum.reduce(speed)
+    top = speed_max
     rho_min = np.minimum.reduce(rho)
+    live = None
     if not rho_min > cfg.rho_floor:  # not every cell is live
         live = rho > cfg.rho_floor
         if not np.logical_or.reduce(live):
-            raise ZeroDtError("state is entirely vacuum")
-        speed, rho = speed[live], rho[live]
-        rho_min = np.minimum.reduce(rho)
+            raise ZeroDtError("state is entirely vacuum", cells=range(rho.size))
+        top = np.maximum.reduce(speed[live])
+        rho_min = np.minimum.reduce(rho[live])
     # rounding is monotone, so the smallest bound is the bound of the largest
     # speed and of the smallest density, bit for bit
     dx = grid.dx
-    bound = float(dx / np.maximum.reduce(speed))
+    bound = float(dx / top)
     nu_eff = cfg.nu_eff
     if nu_eff > 0.0:
         visc = float(dx * dx * rho_min / (2.0 * nu_eff))
         bound = min(bound, visc)
     dt = cfg.cfl * bound
     if not (math.isfinite(dt) and dt > 0.0):
-        raise ZeroDtError(f"no positive stable step (got {dt})")
-    return dt
+        # the offending cells: live cells whose own bound is not positive and finite
+        with np.errstate(all="ignore"):
+            own = dx / speed
+            if nu_eff > 0.0:
+                own = np.minimum(own, dx * dx * rho / (2.0 * nu_eff))
+            own *= cfg.cfl
+            bad = ~(np.isfinite(own) & (own > 0.0))
+        if live is not None:
+            bad &= live
+        raise ZeroDtError(
+            f"no positive stable step (got {dt})", cells=np.flatnonzero(bad).tolist()
+        )
+    return dt, float(speed_max)
+
+
+# no-slip ghost factors of the buffer rows R, Q, m, p, u: masses, momentum
+# and pressure have a zero gradient across the wall; the velocity is
+# mirrored, so its wall value is zero and a wall face carries no flux
+_WALL = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+
+
+def _fill_ghosts(B, grid: Grid1D) -> None:
+    """Fill the ghost columns of a (5, n + 2) buffer from its edge cells:
+    periodic ghosts wrap around, no-slip ghosts are _WALL times the edge cell.
+    """
+    if grid.bc == PERIODIC:
+        B[:, 0] = B[:, -2]
+        B[:, -1] = B[:, 1]
+    else:
+        np.multiply(B[:, 1], _WALL, out=B[:, 0])
+        np.multiply(B[:, -2], _WALL, out=B[:, -1])
 
 
 def _ghosted(a, grid: Grid1D, wall: float):
-    """Copy of a (..., n) with one ghost cell at each end of the last axis.
-
-    It is the only stencil code that branches on the boundary condition.
-    Periodic ghosts wrap around.  No-slip ghosts are wall times the edge cell:
-    -1 mirrors a velocity, so the wall value is zero and a wall face carries
-    no flux; +1 gives a zero gradient across the wall; 0 puts the wall
-    value itself in the ghost.
-    """
+    """Copy of a 1D array with one ghost cell at each end, filled as
+    _fill_ghosts fills a buffer row whose wall factor is wall."""
     if grid.bc == PERIODIC:
-        return np.concatenate((a[..., -1:], a, a[..., :1]), axis=-1)
-    return np.concatenate((wall * a[..., :1], a, wall * a[..., -1:]), axis=-1)
+        return np.concatenate((a[-1:], a, a[:1]))
+    return np.concatenate((wall * a[:1], a, wall * a[-1:]))
 
 
 def velocity_face_gradient(u, grid: Grid1D):
@@ -190,23 +202,33 @@ def velocity_face_gradient(u, grid: Grid1D):
 
 
 def _dissipation_rate(ug, grid: Grid1D, nu_eff: float) -> float:
-    """Instantaneous viscous dissipation integral nu_eff * sum dx (du/dx)^2.
+    """Instantaneous viscous dissipation integral nu_eff * sum dx (du/dx)^2
+    over the faces of velocity_face_gradient.
 
-    ug is the velocity ghosted for the rhs (wall -1); periodic ghosts do not
-    depend on the wall, so periodic faces reuse it.
+    ug is the velocity row of a buffer.  At a no-slip wall the velocity is
+    zero, so the wall face's difference is the edge velocity, not the
+    difference to the mirrored ghost; only the sign of a zero can differ
+    from velocity_face_gradient, which the square removes.
     """
+    g = ug[1:] - ug[:-1]  # face j sits between buffer cells j and j+1
     if grid.bc == PERIODIC:
-        g = (ug[2:] - ug[1:-1]) / grid.dx
+        g = g[1:]  # face 0 is face n
     else:
-        g = velocity_face_gradient(ug[1:-1], grid)
+        g[0], g[-1] = ug[1], -ug[-2]
+    g /= grid.dx
     return float(nu_eff * np.add.reduce(g * g) * grid.dx)
 
 
-def _rhs(U, ug, p, grid: Grid1D, cfg, forcing):
-    """Time derivative of the stacked state U = (R, Q, m) plus forcing, if any.
+def _divergence(ug, grid: Grid1D):
+    """Central divergence of the velocity row ug of a buffer, per cell."""
+    return (ug[2:] - ug[:-2]) / (2.0 * grid.dx)
 
-    ug is the velocity u of U ghosted with wall -1 and p its pressure.  One
-    face velocity, one donor selection and one flux difference serve all
+
+def _rhs(B, grid: Grid1D, cfg, forcing):
+    """Time derivative of the state (R, Q, m) in the buffer B plus forcing, if
+    any, as a new (3, n) array.
+
+    One face velocity, one donor selection and one flux difference serve all
     three rows: first-order upwind transport.  The momentum row adds the
     central pressure gradient and the viscous term nu_eff * u_xx.  Every
     expression keeps the operand order of the scheme written one equation at
@@ -214,11 +236,10 @@ def _rhs(U, ug, p, grid: Grid1D, cfg, forcing):
     in-place operations only save temporaries (a *= b is b * a, bit for bit).
     """
     dx = grid.dx
-    pg = _ghosted(p, grid, 1.0)
-    Ug = _ghosted(U, grid, 1.0)
-    u_face = ug[:-1] + ug[1:]  # face j sits between ghosted cells j and j+1
+    ug, pg = B[4], B[3]
+    u_face = ug[:-1] + ug[1:]  # face j sits between buffer cells j and j+1
     u_face *= 0.5
-    flux = np.where(u_face > 0.0, Ug[:, :-1], Ug[:, 1:])
+    flux = np.where(u_face > 0.0, B[:3, :-1], B[:3, 1:])
     flux *= u_face
     dU = flux[:, 1:] - flux[:, :-1]
     dU /= -dx  # x / (-dx) is -(x / dx), signed zeros included
@@ -250,95 +271,102 @@ def _enforce_positivity(U, cfg, t: float) -> int:
         cells = np.flatnonzero(bad[row])
         raise PositivityLossError(
             f"{'RQ'[row]} fell below -{cfg.positivity_tol:g} at t={t:.6g} "
-            f"in cells {cells.tolist()[:8]} (min {float(masses[row].min()):.3e})"
+            f"in cells {cells.tolist()[:8]} (min {float(masses[row].min()):.3e})",
+            t,
+            np.flatnonzero(bad.any(axis=0)).tolist(),
         )
     # round-off negatives above the tolerance are zeroed without counting
     masses[neg] = 0.0
     return clips
 
 
-def _check_finite(t: float, U) -> None:
-    """Raise NonFiniteStateError naming the cells where U holds NaN or inf."""
-    if not _finite(U):
+def _admit(U, cfg, t: float) -> int:
+    """Admit the update U, a (3, n) state at time t, as a valid state: zero
+    the round-off negatives of its masses, raise PositivityLossError for a
+    mass below the tolerance (when strict), then NonFiniteStateError for a
+    NaN or inf; returns the clip count.  One per-row minimum and one maximum
+    admit the usual update."""
+    r_min, q_min, m_min = np.minimum.reduce(U, axis=1).tolist()
+    if r_min >= 0.0 and q_min >= 0.0 and m_min > -math.inf:
+        if np.maximum.reduce(U, axis=None) < math.inf:
+            return 0
+    clips = _enforce_positivity(U, cfg, t)
+    if not np.isfinite(U).all():
         bad = ~np.isfinite(U).all(axis=0)
-        raise NonFiniteStateError(t, np.flatnonzero(bad).tolist()) from None
+        raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
+    return clips
+
+
+def _close(B, grid: Grid1D, cfg, exps, z0):
+    """Solve the closure of the state in the buffer B, warm-started from z0,
+    into its p and u rows and fill its ghosts; returns (Z, R + Q,
+    iterations)."""
+    Z, rho, iters = _closure_fields(
+        B[:3, 1:-1], B[3:, 1:-1], exps, cfg.closure_tol, cfg.rho_floor, z0
+    )
+    _fill_ghosts(B, grid)
+    return Z, rho, iters
 
 
 def _derive(state: FieldState, cfg, exps, z0=None) -> DerivedFields:
     return derive(state, exps, cfg.closure_tol, cfg.vacuum_alpha, cfg.rho_floor, z0=z0)
 
 
-def step(
-    state: FieldState,
-    grid: Grid1D,
-    cfg,
-    exps,
-    dt: float,
-    derived: DerivedFields | None = None,
-    speed: np.ndarray | None = None,
-    forcing0: np.ndarray | None = None,
-    forcing=None,
-) -> tuple[FieldState, StepReport]:
-    """Advance one explicit step of size dt of the SimConfig cfg's scheme;
-    returns the new state and a report.
+def _load(W, state: FieldState, der: DerivedFields, grid: Grid1D) -> None:
+    """Put a state and its derived fields into the buffer W, ghosts filled."""
+    W[:3, 1:-1] = state.U
+    W[3, 1:-1] = der.p
+    W[4, 1:-1] = der.u
+    _fill_ghosts(W, grid)
 
-    forcing is the manufactured solution whose cell averages force the step,
-    None for an unforced step.  derived (the derived fields of state), speed
-    (their per-cell |u| + c) and forcing0 (the forcing at state.t) are
-    computed here when not given.
+
+def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, forcing=None):
+    """Advance the state in the buffer W by one explicit step of size dt of
+    the SimConfig cfg's scheme, in place.
+
+    W and S are (5, n + 2) arrays with rows R, Q, m, p, u and one ghost cell
+    at each end.  W holds the state at time t with its pressure, velocity
+    and ghosts (_load, _close), Z its closure root; S is the SSPRK2 stage.
+    On return W holds the new state's R, Q and m, admitted as valid; its
+    other rows and ghosts are the old state's until _close.  forcing is the
+    manufactured solution whose cell averages force the step, None for an
+    unforced step; forcing0, its averages at t, is computed when not given.
+
+    Returns (stage_Z, stage_forcing, clips, iterations, dissipation):
+    stage_Z is the closure root of the last stage, the warm start of the
+    new state's closure (Z itself for forward Euler); stage_forcing the
+    read-only SSPRK2 stage forcing at t + dt, the forcing of the next step
+    when it starts there (None for forward Euler and unforced steps);
+    clips the positivity clips, iterations the stage closure's iterations
+    and dissipation the viscous dissipation of the step.
     """
-    der0 = derived if derived is not None else _derive(state, cfg, exps)
-    if speed is None:
-        speed = _wave_speed(der0, exps)
     if forcing0 is None and forcing is not None:
-        forcing0 = forcing.cell_averages(grid, state.t)
-    t1 = state.t + dt
-    U0 = state.U
-    ug0 = _ghosted(der0.u, grid, -1.0)
-    U1 = _rhs(U0, ug0, der0.p, grid, cfg, forcing0)
-    U1 *= dt
-    U1 += U0
-    clips = _enforce_positivity(U1, cfg, t1)
-    iters = der0.closure_iterations
+        forcing0 = forcing.cell_averages(grid, t)
+    t1 = t + dt
+    dissipation = dt * _dissipation_rate(W[4], grid, cfg.nu_eff)
+    U0 = W[:3, 1:-1]
+    dU = _rhs(W, grid, cfg, forcing0)
+    dU *= dt
+    if cfg.integrator != SSPRK2:
+        U0 += dU
+        return Z, None, _admit(U0, cfg, t1), 0, dissipation
 
+    U1 = S[:3, 1:-1]
+    np.add(dU, U0, out=U1)
+    # admitted, the stage is valid input for the trusted closure kernel
+    clips = _admit(U1, cfg, t1)
+    stage_Z, _, iters = _close(S, grid, cfg, exps, Z)
     stage_forcing = None
-    if cfg.integrator == SSPRK2:
-        # the stage stays a raw array: after the clip its masses are >= 0, so
-        # one finiteness check makes it valid input for the trusted closure
-        _check_finite(t1, U1)
-        stage_Z, p1, u1, iters1 = _closure_fields(
-            U1, exps, cfg.closure_tol, cfg.rho_floor, der0.Z
-        )
-        iters = max(iters, iters1)
-        if forcing is not None:
-            stage_forcing = forcing.cell_averages(grid, t1)
-            stage_forcing.flags.writeable = False
-        ug1 = _ghosted(u1, grid, -1.0)
-        U2 = _rhs(U1, ug1, p1, grid, cfg, stage_forcing)
-        U2 *= dt
-        U2 += U0 + U1
-        U2 *= 0.5
-        clips += _enforce_positivity(U2, cfg, t1)
-    else:
-        U2 = U1
-        stage_Z = der0.Z
-    try:
-        new = FieldState(t1, U=U2)
-    except ValueError:
-        _check_finite(t1, U2)  # the clip left no negative mass: a NaN or inf
-        raise
-
-    report = StepReport(
-        dt=dt,
-        max_wave_speed=float(np.maximum.reduce(speed)),
-        positivity_clips=clips,
-        closure_iterations=iters,
-        dissipation=dt * _dissipation_rate(ug0, grid, cfg.nu_eff),
-        stage_Z=stage_Z,
-        stage_forcing=stage_forcing,
-        div_u=(ug0[2:] - ug0[:-2]) / (2.0 * grid.dx),
-    )
-    return new, report
+    if forcing is not None:
+        stage_forcing = forcing.cell_averages(grid, t1)
+        stage_forcing.flags.writeable = False
+    dU = _rhs(S, grid, cfg, stage_forcing)
+    dU *= dt
+    U0 += U1
+    U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
+    U0 *= 0.5
+    clips += _admit(U0, cfg, t1)
+    return stage_Z, stage_forcing, clips, iters, dissipation
 
 
 _CLAMP_EPS = 1e-14
@@ -371,8 +399,9 @@ class Trajectory:
     its consumer with the snapshot at times[k], and diss_cum[k] the viscous
     dissipation accumulated up to times[k].  alpha_transported is the
     volume-fraction diagnostic's own transported fraction at the last
-    snapshot, or None when the run does not track it.  forcing is the
-    manufactured solution that forced the run, None for an unforced run.
+    snapshot and alpha_clamps its clamp count, both None when the run does
+    not track it.  forcing is the manufactured solution that forced the
+    run, None for an unforced run.
     """
 
     grid: Grid1D
@@ -383,7 +412,7 @@ class Trajectory:
     alpha_transported: np.ndarray | None
     dt_history: np.ndarray
     positivity_clips: int
-    alpha_clamps: int
+    alpha_clamps: int | None
     closure_iterations_max: int
     max_wave_speed: float
 
@@ -408,10 +437,11 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
 
     The run calls on_snapshot(state, derived) once per snapshot, as it
     records it, with the derived fields it made for that state: warm-started
-    with the run's closure settings like every derive of the run, they equal
-    a cold derive bit for bit where the closure has a closed form (gamma = 2
-    or 1) and to within the closure tolerance otherwise.  The run keeps
-    neither and returns only the scalar series and counters.
+    with the run's closure settings like every closure solve of the run,
+    they equal a cold derive bit for bit where the closure has a closed form
+    (gamma = 2 or 1) and to within the closure tolerance otherwise.  The
+    first snapshot hands over the initial state object itself.  The run
+    keeps neither and returns only the scalar series and counters.
 
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
@@ -424,61 +454,70 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     state = cfg.initial_state(grid) if initial is None else initial
     track = cfg.track_alpha
 
-    der = _derive(state, cfg, exps)  # the first step reuses it
+    W = np.empty((5, grid.n + 2))  # the state, rows R, Q, m, p, u
+    S = np.empty_like(W)  # its SSPRK2 stage
+    der = _derive(state, cfg, exps)  # of the state that W is loaded from next
+    t = state.t
     times: list[float] = []
     energies: list[float] = []
     diss: list[float] = []
     cum = 0.0
     dt_hist: list[float] = []
     clips = 0
-    clamps = 0
+    clamps = 0 if track else None
     iters_max = 0
     wave_max = 0.0
     a_diag = der.alpha.copy() if track else None
 
     z_prev = None
-    forcing0 = None  # the forcing at state.t, when a step handed it on
+    forcing0 = None  # the forcing at t, when a step handed it on
     for target in cfg.snapshot_times():
-        while state.t < target:
+        while t < target:
             if len(dt_hist) >= MAX_STEPS:
                 raise RuntimeError(
-                    f"step budget of {MAX_STEPS} exhausted at t={state.t:.6g}, "
+                    f"step budget of {MAX_STEPS} exhausted at t={t:.6g}, "
                     f"before step {len(dt_hist) + 1}"
                 )
-            if der is None:
-                der = _derive(state, cfg, exps, z0=z_prev)
-            speed = _wave_speed(der, exps)
-            dt_stable = compute_dt(der, grid, cfg, exps, speed)
-            remaining = target - state.t
+            if der is not None:  # the step starts from a snapshot
+                _load(W, state, der, grid)
+                Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
+                der = None
+            try:
+                dt_stable, speed_max = compute_dt(rho, W[4, 1:-1], Z, grid, cfg, exps)
+            except ZeroDtError as exc:
+                exc.at(t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
+                raise
+            remaining = target - t
             landing = dt_stable >= remaining
             dt = remaining if landing else dt_stable
-            try:
-                new_state, rep = step(
-                    state, grid, cfg, exps, dt,
-                    derived=der, speed=speed, forcing0=forcing0, forcing=sol,
-                )
-            except NonFiniteStateError as exc:
-                raise NonFiniteStateError(exc.t, exc.cells, len(dt_hist) + 1) from None
-            z_prev = rep.stage_Z
-            forcing0 = rep.stage_forcing
-            if landing and new_state.t != target:
-                new_state = dataclasses.replace(new_state, t=target)
-                forcing0 = None
             if track:
                 a_diag, cl = alpha_diagnostic_step(
-                    a_diag, der.u, rep.div_u, exps.gamma, dt, grid
+                    a_diag, W[4, 1:-1], _divergence(W[4], grid), exps.gamma, dt, grid
                 )
                 clamps += cl
-            cum += rep.dissipation
+            try:
+                z_prev, forcing0, cl, iters1, step_diss = step(
+                    W, S, grid, cfg, exps, t, dt, Z, forcing0, sol
+                )
+            except StepError as exc:
+                exc.at(exc.t, len(dt_hist) + 1, dt)
+                raise
+            t1 = t + dt
+            if landing and t1 != target:
+                t1 = target
+                forcing0 = None
+            t = t1
+            cum += step_diss
             dt_hist.append(dt)
-            clips += rep.positivity_clips
-            iters_max = max(iters_max, rep.closure_iterations)
-            wave_max = max(wave_max, rep.max_wave_speed)
-            state = new_state
-            der = None
-        if der is None:  # a later step, if any, starts from this derive
+            clips += cl
+            iters_max = max(iters_max, iters0, iters1)
+            wave_max = max(wave_max, speed_max)
+            if t < target:  # the next step starts here
+                Z, rho, iters0 = _close(W, grid, cfg, exps, z_prev)
+        if der is None:  # stepped since the last snapshot
+            state = FieldState(t, U=W[:3, 1:-1].copy())
             der = _derive(state, cfg, exps, z0=z_prev)
-        times.append(state.t)
+        times.append(t)
         energies.append(total_energy(der, grid, exps))
         diss.append(cum)
         on_snapshot(state, der)

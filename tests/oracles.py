@@ -65,13 +65,13 @@ def per_equation_rhs(R, Q, m, u, p, grid, nu_eff, forcing=None, flux_sign=1.0):
     return dR, dQ, dm
 
 
-def flipped_advection_rhs(U, ug, p, grid, cfg, forcing):
-    """A stand-in for ``solver._rhs`` (same arguments: the stacked state,
-    its velocity ghosted with one cell at each end, its pressure, the grid,
-    the SimConfig and the forcing) whose advective fluxes enter with the
-    wrong sign."""
-    R, Q, m = U
-    dU = per_equation_rhs(R, Q, m, ug[1:-1], p, grid, cfg.nu_eff, forcing, flux_sign=-1.0)
+def flipped_advection_rhs(B, grid, cfg, forcing):
+    """A stand-in for ``solver._rhs`` (same arguments: the (5, n + 2) buffer
+    of R, Q, m, p, u with one ghost cell at each end, the grid, the
+    SimConfig and the forcing) whose advective fluxes enter with the wrong
+    sign."""
+    R, Q, m, p, u = B[:, 1:-1]
+    dU = per_equation_rhs(R, Q, m, u, p, grid, cfg.nu_eff, forcing, flux_sign=-1.0)
     return np.array(dU)
 
 

@@ -296,6 +296,31 @@ def test_cli_run_failure_writes_record(tmp_path):
     assert main(["run", "--config", path, "--out", out]) == 3
     rec = json.load(open(os.path.join(out, "failure.json")))
     assert rec["error"] == "ZeroDtError"
+    # the first step finds no stable size: every cell is vacuum, and no
+    # step has been taken to give a last size
+    assert (rec["t"], rec["step"], rec["dt"]) == (0.0, 1, None)
+    assert rec["cells"] == list(range(32)) and rec["n_cells"] == 32
+
+
+# manufactured R = 1 + 0.99 sin(kx - t) nearly empties; on 8 cells the
+# scheme's R falls below zero before t = 1
+POSITIVITY_LOSS_CFG = MINIMAL + (
+    "\n[viscosity]\nmu = 0.01\n[grid]\nn = 8\n[time]\nt_end = 1.0\nn_snapshots = 2\n"
+    "[mms]\nenabled = true\na = 1.0\nb = 0.99\n"
+)
+
+
+def test_cli_run_positivity_loss_writes_record(tmp_path, capsys):
+    path = write(tmp_path, "loss.ini", POSITIVITY_LOSS_CFG)
+    out = str(tmp_path / "fail")
+    assert main(["run", "--config", path, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rec = json.load(open(os.path.join(out, "failure.json")))
+    assert rec["error"] == "PositivityLossError"
+    assert rec["step"] > 1 and 0.0 < rec["dt"] < rec["t"] < 1.0
+    assert f"at t={rec['t']:.6g} in cells [" in rec["message"]
+    assert rec["cells"] and all(0 <= c < 8 for c in rec["cells"])
+    assert rec["n_cells"] == len(rec["cells"])
 
 
 def test_cli_run_non_finite_state_writes_record(tmp_path, capsys):
@@ -314,7 +339,9 @@ def test_cli_run_non_finite_state_writes_record(tmp_path, capsys):
     assert rec["error"] == "NonFiniteStateError"
     assert rec["step"] == 1
     assert 0.0 < rec["t"] <= 1e-150
+    assert rec["dt"] == rec["t"]  # the first step starts at t = 0
     assert rec["cells"] and all(0 <= c < 16 for c in rec["cells"])
+    assert rec["n_cells"] == len(rec["cells"])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -397,6 +424,35 @@ def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeyp
     assert counts == {}  # the CSVs and energies read the run's own derived fields
     assert [every[id(s)] for s, _ in snaps] == [1, 1, 1]  # each derived once, in the run
     assert all(d.R.base is s.U and d.Q.base is s.U for s, d in snaps)
+
+
+def test_cli_run_computes_the_fraction_diagnostic_only_when_asked(tmp_path, spy_calls):
+    # the diagnostic only reads the state: a default run skips it, and its
+    # snapshots are byte-identical to those of the same run with it on
+    from bifluid import solver
+
+    calls = spy_calls(solver.alpha_diagnostic_step)
+    plain = write(tmp_path, "plain.ini", RUN_CFG)
+    tracked = write(tmp_path, "tracked.ini", RUN_CFG + "\n[verification]\ntrack_alpha = true\n")
+    assert main(["run", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    assert calls == []
+    assert main(["run", "--config", tracked, "--out", str(tmp_path / "tracked")]) == 0
+    assert calls
+    reports = []
+    for name in ("plain", "tracked"):
+        snaps = sorted(p.name for p in (tmp_path / name).glob("snapshot_*.csv"))
+        assert len(snaps) == 3
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for snap in snaps:
+        plain_bytes = (tmp_path / "plain" / snap).read_bytes()
+        assert plain_bytes == (tmp_path / "tracked" / snap).read_bytes()
+    # the reports differ in the echo of the key and in the clamp counter,
+    # which an untracked run does not have
+    assert [r["counters"]["alpha_clamps"] for r in reports] == [None, 0]
+    assert [r["config"]["track_alpha"] for r in reports] == [False, True]
+    for r in reports:
+        del r["counters"]["alpha_clamps"], r["config"]["track_alpha"]
+    assert reports[0] == reports[1]
 
 
 def _same_dir_bytes(d1, d2):

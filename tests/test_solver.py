@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bifluid import solver
 from bifluid.closure import ExponentPair, omega_of_alpha
 from bifluid.config import ProfileSpec, SimConfig, ValidationError
 from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive, total_mass
@@ -36,6 +37,23 @@ def make_state(n, R, Q, u, t=0.0):
     Q = np.asarray(Q, float) * np.ones(n)
     u = np.asarray(u, float) * np.ones(n)
     return FieldState(t=t, R=R, Q=Q, m=(R + Q) * u)
+
+
+def stable_dt(d, grid, sch, exps=EXPS):
+    """compute_dt of the derived fields d: the step size alone."""
+    return compute_dt(d.rho, d.u, d.Z, grid, sch, exps)[0]
+
+
+def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS):
+    """One solver.step from the state st, in the buffers a run steps (d,
+    the derived fields of st, is derived here when not given); returns the
+    new state and what the step returns: (stage_Z, stage_forcing, clips,
+    iterations, dissipation)."""
+    d = derived if derived is not None else derive(st, exps)
+    W = np.empty((5, grid.n + 2))
+    solver._load(W, st, d, grid)
+    rep = step(W, np.empty_like(W), grid, sch, exps, st.t, dt, d.Z, forcing=forcing)
+    return FieldState(st.t + dt, U=W[:3, 1:-1].copy()), rep
 
 
 def sine_state(grid, base=1.5, amp=0.3, uamp=0.2):
@@ -79,14 +97,14 @@ def test_compute_dt_advective_example():
     d = derive(st, EXPS)
     sch = scheme(mu=0.0, allow_inviscid=True, cfl=0.5)
     want = 0.5 * 0.01 / (1.0 + math.sqrt(12.0))
-    assert compute_dt(d, grid, sch, EXPS) == pytest.approx(want, rel=1e-12)
+    assert stable_dt(d, grid, sch) == pytest.approx(want, rel=1e-12)
 
 
 def test_compute_dt_cfl_linearity():
     grid = Grid1D(64, 1.0)
     d = derive(make_state(64, 1.0, 2.0, 0.5), EXPS)
-    dt1 = compute_dt(d, grid, scheme(cfl=0.4), EXPS)
-    dt2 = compute_dt(d, grid, scheme(cfl=0.8), EXPS)
+    dt1 = stable_dt(d, grid, scheme(cfl=0.4))
+    dt2 = stable_dt(d, grid, scheme(cfl=0.8))
     assert dt2 == pytest.approx(2.0 * dt1, rel=1e-14)
 
 
@@ -95,15 +113,29 @@ def test_compute_dt_viscous_scaling():
     sch = scheme(mu=5.0)
     d1 = derive(make_state(64, 1.0, 2.0, 0.0), EXPS)
     d2 = derive(make_state(128, 1.0, 2.0, 0.0), EXPS)
-    dt1 = compute_dt(d1, Grid1D(64, 1.0), sch, EXPS)
-    dt2 = compute_dt(d2, Grid1D(128, 1.0), sch, EXPS)
+    dt1 = stable_dt(d1, Grid1D(64, 1.0), sch)
+    dt2 = stable_dt(d2, Grid1D(128, 1.0), sch)
     assert dt1 == pytest.approx(4.0 * dt2, rel=1e-12)
 
 
 def test_compute_dt_vacuum():
     d = derive(make_state(16, 0.0, 0.0, 0.0), EXPS)
-    with pytest.raises(ZeroDtError):
-        compute_dt(d, Grid1D(16, 1.0), scheme(), EXPS)
+    with pytest.raises(ZeroDtError) as exc:
+        stable_dt(d, Grid1D(16, 1.0), scheme())
+    assert list(exc.value.cells) == list(range(16))  # every cell is vacuum
+    assert exc.value.t is exc.value.step is exc.value.dt is None  # run adds them
+
+
+def test_compute_dt_names_the_cells_without_a_stable_step():
+    # cells 3 and 9 are vacuum, cell 5's sound speed overflows: only the
+    # live cell 5 bounds the step to 0
+    R = np.ones(16)
+    R[3] = R[9] = 0.0
+    R[5] = 1e160
+    st = FieldState(0.0, R, np.where(R > 0.0, 1.0, 0.0), np.zeros(16))
+    with np.errstate(over="ignore"), pytest.raises(ZeroDtError, match="no positive") as exc:
+        stable_dt(derive(st, EXPS), Grid1D(16, 1.0), scheme())
+    assert exc.value.cells == [5]
 
 
 # step ------------------------------------------------------------------------
@@ -113,11 +145,11 @@ def test_constant_state_is_exact_fixed_point_periodic():
     grid = Grid1D(32, 1.0)
     st = make_state(32, 1.0, 2.0, 0.7)
     for integ in ("forward_euler", "ssprk2"):
-        new, rep = step(st, grid, scheme(integrator=integ), EXPS, dt=1e-3)
+        new, rep = step_from(st, grid, scheme(integrator=integ), 1e-3)
         assert np.array_equal(new.R, st.R)
         assert np.array_equal(new.Q, st.Q)
         assert np.array_equal(new.m, st.m)
-        assert rep.positivity_clips == 0
+        assert rep[2] == 0  # positivity clips
 
 
 def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
@@ -128,7 +160,7 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     st = FieldState(0.0, R, Q, np.zeros(32))
     sch = scheme(integrator="forward_euler")
     dt = 1e-4
-    new, _ = step(st, grid, sch, EXPS, dt)
+    new, _ = step_from(st, grid, sch, dt)
     assert np.array_equal(new.R, st.R)
     assert np.array_equal(new.Q, st.Q)
     d = derive(st, EXPS)
@@ -141,12 +173,12 @@ def test_step_report_fields():
     st = sine_state(grid)
     d = derive(st, EXPS)
     sch = scheme()
-    dt = compute_dt(d, grid, sch, EXPS)
-    new, rep = step(st, grid, sch, EXPS, dt, derived=d)
-    assert rep.dt == dt
-    assert rep.max_wave_speed == pytest.approx(float(np.max(np.abs(d.u) + np.sqrt(3.0 * d.Z**2))), rel=1e-12)
-    assert rep.dissipation >= 0.0
-    assert new.t == pytest.approx(st.t + dt)
+    dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
+    assert speed_max == pytest.approx(float(np.max(np.abs(d.u) + np.sqrt(3.0 * d.Z**2))), rel=1e-12)
+    _, (stage_Z, stage_forcing, clips, iters, dissipation) = step_from(st, grid, sch, dt, d)
+    assert stage_Z.shape == (32,) and stage_forcing is None
+    assert clips == 0 and iters == 0  # gamma = 2 has a closed form
+    assert dissipation >= 0.0
 
 
 def test_positivity_strict_raises_exploratory_clips():
@@ -158,18 +190,18 @@ def test_positivity_strict_raises_exploratory_clips():
     st = FieldState(0.0, R, Q, (R + Q) * u)
     # dt far beyond the advective limit empties the cell past zero
     with pytest.raises(PositivityLossError) as exc:
-        step(st, grid, scheme(integrator="forward_euler"), EXPS, dt=0.5)
+        step_from(st, grid, scheme(integrator="forward_euler"), 0.5)
     assert "cells [3]" in str(exc.value)  # the failure record names the cell
     assert "t=0.5" in str(exc.value)
+    assert exc.value.cells == [3] and exc.value.t == 0.5
+    assert exc.value.step is exc.value.dt is None  # run adds them
     sch = scheme(integrator="forward_euler", strict=False)
-    new, rep = step(st, grid, sch, EXPS, dt=0.5)
-    assert rep.positivity_clips > 0
+    new, rep = step_from(st, grid, sch, 0.5)
+    assert rep[2] > 0  # positivity clips
     assert (new.R >= 0.0).all()
 
 
 def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
-    from bifluid import solver
-
     grid = Grid1D(8, 1.0)
     R, Q, u = np.ones(8), np.ones(8), np.zeros(8)
     u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
@@ -185,10 +217,10 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
 
     monkeypatch.setattr(solver, "_closure_fields", spy)
     with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
-        step(st, grid, scheme(), EXPS, dt=0.5)
+        step_from(st, grid, scheme(), 0.5)
     assert solved == []
-    _, rep = step(st, grid, scheme(strict=False), EXPS, dt=0.5)
-    assert len(solved) == 1 and rep.positivity_clips > 0
+    _, rep = step_from(st, grid, scheme(strict=False), 0.5)
+    assert len(solved) == 1 and rep[2] > 0
 
 
 @pytest.mark.parametrize("integrator", ["forward_euler", "ssprk2"])
@@ -199,7 +231,7 @@ def test_stage_blow_up_names_time_and_cells(integrator):
     u[5] = 1e155
     st = FieldState(0.25, R, Q, (R + Q) * u)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
-        step(st, grid, scheme(integrator=integrator), EXPS, dt=1e-160)
+        step_from(st, grid, scheme(integrator=integrator), 1e-160)
     assert exc.value.t == 0.25 + 1e-160
     assert exc.value.cells == [5, 6]
     assert exc.value.step is None  # run adds the step number
@@ -212,8 +244,7 @@ def test_conservation_short_run_periodic():
     masses0 = total_mass(st, grid)
     for _ in range(50):
         d = derive(st, EXPS)
-        dt = compute_dt(d, grid, sch, EXPS)
-        st, _ = step(st, grid, sch, EXPS, dt, derived=d)
+        st, _ = step_from(st, grid, sch, stable_dt(d, grid, sch), d)
     mr, mq = total_mass(st, grid)
     assert mr == pytest.approx(masses0[0], rel=1e-13)
     assert mq == pytest.approx(masses0[1], rel=1e-13)
@@ -226,8 +257,7 @@ def test_conservation_noslip_zero_flux_walls():
     masses0 = total_mass(st, grid)
     for _ in range(50):
         d = derive(st, EXPS)
-        dt = compute_dt(d, grid, sch, EXPS)
-        st, _ = step(st, grid, sch, EXPS, dt, derived=d)
+        st, _ = step_from(st, grid, sch, stable_dt(d, grid, sch), d)
     mr, mq = total_mass(st, grid)
     assert mr == pytest.approx(masses0[0], rel=1e-13)
     assert mq == pytest.approx(masses0[1], rel=1e-13)
@@ -242,8 +272,7 @@ def test_translation_equivariance_bitexact():
     def advance(state, nsteps):
         for _ in range(nsteps):
             d = derive(state, EXPS)
-            dt = compute_dt(d, grid, sch, EXPS)
-            state, _ = step(state, grid, sch, EXPS, dt, derived=d)
+            state, _ = step_from(state, grid, sch, stable_dt(d, grid, sch), d)
         return state
 
     shifted = FieldState(0.0, np.roll(st.R, k), np.roll(st.Q, k), np.roll(st.m, k))
@@ -350,24 +379,62 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     # 5 in place of the fused rhs: the step around it must give the
     # per-equation scheme with its advection flipped
     if flux_sign < 0.0:
-        from bifluid import solver
-
         monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
     grid = Grid1D(32, 1.0, bc=bc)
     st = _tricky_state(grid)
     sch = scheme(integrator=integrator, strict=False)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2) if forced else None
     d = derive(st, EXPS)
-    dt = 0.5 * compute_dt(d, grid, sch, EXPS)
-    new, rep = step(st, grid, sch, EXPS, dt, derived=d, forcing=sol)
-    R, Q, m, clips = _ref_step(st, grid, sch, sol, dt, flux_sign)
+    dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
+    dt *= 0.5
+    new, (_, _, clips, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
+    R, Q, m, ref_clips = _ref_step(st, grid, sch, sol, dt, flux_sign)
     assert _same_bits(new.R, R)
     assert _same_bits(new.Q, Q)
     assert _same_bits(new.m, m)
-    assert rep.positivity_clips == clips
+    assert clips == ref_clips
     g = _ref_velocity_face_gradient(d.u, grid)
-    assert rep.dissipation == dt * float(sch.nu_eff * np.sum(g * g) * grid.dx)
-    assert rep.max_wave_speed == float(np.max(np.abs(d.u) + np.sqrt(3.0 * np.power(d.Z, 2.0))))
+    assert dissipation == dt * float(sch.nu_eff * np.sum(g * g) * grid.dx)
+    assert speed_max == float(np.max(np.abs(d.u) + np.sqrt(3.0 * np.power(d.Z, 2.0))))
+
+
+def _ref_snapshots(cfg, dts):
+    """The snapshot states of the per-equation scheme stepped from cfg's
+    initial state with the step sizes dts; a step of exactly the time left
+    to a snapshot lands on it."""
+    grid = cfg.grid()
+    sol = cfg.manufactured() if cfg.mms_enabled else None
+    st = cfg.initial_state(grid)
+    states, targets = [st], iter(cfg.snapshot_times()[1:])
+    target = next(targets)
+    for dt in dts:
+        R, Q, m, _ = _ref_step(st, grid, cfg, sol, dt, 1.0)
+        t = target if dt == target - st.t else st.t + dt
+        st = FieldState(t, R, Q, m)
+        if t == target:
+            states.append(st)
+            target = next(targets, None)
+    return states
+
+
+@pytest.mark.parametrize("integrator", ["forward_euler", "ssprk2"])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
+def test_run_snapshots_are_bit_identical_to_per_equation_steps(
+    run_collecting, bc, forced, integrator
+):
+    # the run's buffers, ghost fills, admission checks and handed-on stage
+    # roots and forcings give the per-equation scheme, step after step
+    cfg = base_cfg(
+        bc=bc, integrator=integrator, t_end=0.1, n_snapshots=7, mms_enabled=forced,
+        cfl=0.9 if integrator == "ssprk2" else 0.4,
+    )
+    traj, states, _ = run_collecting(cfg)
+    assert traj.n_steps > 60
+    want = _ref_snapshots(cfg, traj.dt_history.tolist())
+    assert [s.t for s in states] == [s.t for s in want] == cfg.snapshot_times()
+    for got, ref in zip(states, want, strict=True):
+        assert _same_bits(got.U, ref.U)
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
@@ -376,8 +443,10 @@ def test_ghost_cell_stencils_are_bit_identical_to_reference(bc):
     st = _tricky_state(grid)
     d = derive(st, EXPS)
     u = d.u
-    # the step reports the divergence of its starting velocity
-    div_u = step(st, grid, scheme(), EXPS, 1e-4, derived=d)[1].div_u
+    # the divergence that drives the fraction diagnostic, from a loaded buffer
+    W = np.empty((5, grid.n + 2))
+    solver._load(W, st, d, grid)
+    div_u = solver._divergence(W[4], grid)
     assert _same_bits(div_u, _ref_divergence(u, grid))
     g, g_ref = velocity_face_gradient(u, grid), _ref_velocity_face_gradient(u, grid)
     assert g.shape == g_ref.shape == (grid.n_faces,)
@@ -514,12 +583,10 @@ def test_run_tracks_alpha_diagnostic(run_collecting):
 
 
 @pytest.mark.parametrize("track", [True, False])
-def test_run_derives_once_per_ssprk2_step(monkeypatch, run_collecting, track):
-    # each step derives the state it starts from; its stage is a raw array
-    # that never goes through derive, the diagnostic reuses the first derive,
-    # and the final state is derived once more for the last snapshot
-    from bifluid import solver
-
+def test_run_derives_each_snapshot_state_once(monkeypatch, run_collecting, track):
+    # a run derives the states it hands on as snapshots, once each; every
+    # other state and every stage stays in its buffers and never goes
+    # through derive, and the diagnostic reuses the initial derive
     calls, made = [], []
     real = solver.derive
 
@@ -530,9 +597,9 @@ def test_run_derives_once_per_ssprk2_step(monkeypatch, run_collecting, track):
 
     monkeypatch.setattr(solver, "derive", spy)
     traj, states, derived = run_collecting(base_cfg(track_alpha=track))
-    assert traj.n_steps > 0
-    assert len(calls) == traj.n_steps + 1
-    assert calls[0] is states[0] and calls[-1] is states[-1]
+    assert traj.n_steps > len(states) == 3
+    assert len(calls) == len(states)
+    assert all(c is s for c, s in zip(calls, states))  # in snapshot order, each once
     assert len(set(map(id, calls))) == len(calls)  # no state is derived twice
     # the consumer receives the run's own derives of its snapshot states
     assert len(derived) == len(states)
@@ -540,6 +607,7 @@ def test_run_derives_once_per_ssprk2_step(monkeypatch, run_collecting, track):
         k = next(i for i, d in enumerate(made) if d is der)
         assert calls[k] is state
     assert (traj.alpha_transported is not None) == track
+    assert (traj.alpha_clamps is not None) == track
     # tracking the diagnostic leaves the trajectory bit-identical
     monkeypatch.undo()
     _, other, _ = run_collecting(base_cfg(track_alpha=not track))
@@ -581,13 +649,11 @@ def test_run_stage_blow_up_names_the_step():
 
 
 def test_run_stops_at_the_step_budget_before_stepping_past_it(monkeypatch):
-    from bifluid import solver
-
     calls = []
     real_step = solver.step
 
     def spy(*args, **kwargs):
-        calls.append(args[0].t)
+        calls.append(args)
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(solver, "step", spy)
@@ -679,9 +745,9 @@ def _ref_run(cfg):
         while state.t < target:
             d = derive(state, exps, cfg.closure_tol, cfg.vacuum_alpha, cfg.rho_floor, z0=z)
             remaining = target - state.t
-            dt = min(compute_dt(d, grid, cfg, exps), remaining)
-            state, rep = step(state, grid, cfg, exps, dt, derived=d, forcing=sol)
-            z = rep.stage_Z
+            dt = min(stable_dt(d, grid, cfg, exps), remaining)
+            state, rep = step_from(state, grid, cfg, dt, d, forcing=sol, exps=exps)
+            z = rep[0]  # the stage closure root
             dts.append(dt)
             if dt == remaining:
                 shifted += state.t != target
@@ -744,9 +810,9 @@ def test_handed_on_forcing_is_read_only():
     grid = Grid1D(32, 1.0)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
-    _, rep = step(st, grid, scheme(), EXPS, 1e-4, forcing=sol)
-    assert rep.stage_forcing.shape == (3, 32)
+    _, (_, stage_forcing, _, _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
+    assert stage_forcing.shape == (3, 32)
     with pytest.raises(ValueError):
-        rep.stage_forcing[2, 0] += 1.0
+        stage_forcing[2, 0] += 1.0
     for sch, forcing in ((scheme(integrator="forward_euler"), sol), (scheme(), None)):
-        assert step(st, grid, sch, EXPS, 1e-4, forcing=forcing)[1].stage_forcing is None
+        assert step_from(st, grid, sch, 1e-4, forcing=forcing)[1][1] is None

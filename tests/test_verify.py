@@ -429,7 +429,9 @@ def test_convergence_order_robust_to_halved_time():
 def test_convergence_study_skips_the_fraction_diagnostic(monkeypatch):
     from bifluid import solver, verify
 
-    cfg = cfg_smooth(mms_enabled=True, mu=0.02, t_end=0.04, n=32, n_snapshots=2)
+    cfg = cfg_smooth(
+        mms_enabled=True, mu=0.02, t_end=0.04, n=32, n_snapshots=2, track_alpha=True
+    )
     calls = []
     real_step, real_run = solver.alpha_diagnostic_step, verify.run
 
