@@ -115,12 +115,10 @@ def _check_overflow(a, what):
 def _newton(r, q, lo, hi, z, gamma, tol):
     """Newton on the scaled closure for 1-D arrays; returns (z, iterations).
 
-    lo is a scalar or an array like hi.  Converged cells are frozen and
-    dropped from the active set, so each cell runs the same iteration
-    whatever else is in the batch.
+    lo is a scalar or an array like hi.  Converged cells are frozen in
+    place: the whole batch is iterated, but a converged cell keeps its z, so
+    each cell runs the same iteration whatever else is in the batch.
     """
-    out = z.copy()
-    act = np.arange(z.size)
     tol_q = tol * q
     # the subtraction (z - r) bounds the achievable residual at a few ulps
     # of z**gamma, scaled by the local slope factor (1 + gamma)
@@ -131,20 +129,13 @@ def _newton(r, q, lo, hi, z, gamma, tol):
         conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
         n_conv = np.count_nonzero(conv)
         if n_conv == z.size:
-            out[act] = z
-            return out, iterations
-        if n_conv:
-            out[act[conv]] = z[conv]
-            keep = ~conv
-            act, z, r, q, hi, tol_q, zg1, f = (
-                a[keep] for a in (act, z, r, q, hi, tol_q, zg1, f)
-            )
-            if np.ndim(lo):
-                lo = lo[keep]
+            return z, iterations
         fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
-        z = np.minimum(np.maximum(z - f / fp, lo), hi)
+        step = np.minimum(np.maximum(z - f / fp, lo), hi)
+        z = np.where(conv, z, step) if n_conv else step
     raise MaxIterExceededError(
-        f"closure iteration exceeded {CLOSURE_MAX_ITER} iterations at cells {act.tolist()[:8]}"
+        f"closure iteration exceeded {CLOSURE_MAX_ITER} iterations at cells "
+        f"{np.flatnonzero(~conv).tolist()[:8]}"
     )
 
 
@@ -183,9 +174,9 @@ def solve_closure_batch(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
     unscaled terms |f(Z)| <= tol * Q or the same floor of Z**gamma.  Since
     f' >= min(1, gamma) * z**(gamma-1) on the bracket, this bounds the
     relative error of Z by about tol / min(1, gamma).  A converged cell is
-    frozen and leaves the active set, so its result does not depend on the
-    other cells of the batch.  The returned iteration count is the largest
-    over cells (0 for the exact branches).
+    frozen in place, so its result does not depend on the other cells of
+    the batch.  The returned iteration count is the largest over cells (0
+    for the exact branches).
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)

@@ -9,11 +9,20 @@ needs them, so they live here.
 The scheme's time derivative, written one equation at a time, checks the
 solver's fused stacked rhs bit for bit; with its advection flipped it is the
 deliberately inconsistent negative control of the convergence study.
+
+The closure's Newton iteration with an active set that drops converged
+cells checks the frozen-in-place iteration bit for bit.  The manufactured
+forcing with every term, the pressure gradient included, Gauss-3 averaged
+and dZ/dx from implicit differentiation of the closure checks the forcing
+whose pressure term is a difference of face pressures.
 """
+
+import math
 
 import numpy as np
 
-from bifluid.closure import CLOSURE_TOL, omega_of_alpha, solve_closure_batch
+from bifluid import closure
+from bifluid.closure import CLOSURE_TOL, _solve_closure, omega_of_alpha, solve_closure_batch
 from bifluid.fields import PERIODIC
 
 
@@ -113,3 +122,68 @@ def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
     d_dR = gamma * zg1 * (1.0 - alpha) / den
     d_dQ = -alpha / den
     return d_dR, d_dQ, omega_of_alpha(alpha, gamma)
+
+
+def compacting_newton(r, q, lo, hi, z, gamma, tol):
+    """A stand-in for ``closure._newton`` (same arguments and result) that
+    drops converged cells from the active set and iterates the rest."""
+    out = z.copy()
+    act = np.arange(z.size)
+    tol_q = tol * q
+    f_floor = 4.0 * (1.0 + gamma) * closure._EPS
+    for iterations in range(1, closure.CLOSURE_MAX_ITER + 1):
+        zg1 = np.power(z, gamma - 1.0)
+        f = (z - r) * zg1 - q
+        conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
+        n_conv = np.count_nonzero(conv)
+        if n_conv == z.size:
+            out[act] = z
+            return out, iterations
+        if n_conv:
+            out[act[conv]] = z[conv]
+            keep = ~conv
+            act, z, r, q, hi, tol_q, zg1, f = (
+                a[keep] for a in (act, z, r, q, hi, tol_q, zg1, f)
+            )
+            if np.ndim(lo):
+                lo = lo[keep]
+        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
+        z = np.minimum(np.maximum(z - f / fp, lo), hi)
+    raise closure.MaxIterExceededError(
+        f"closure iteration exceeded {closure.CLOSURE_MAX_ITER} iterations at cells {act.tolist()[:8]}"
+    )
+
+
+def gauss3_forcing(sol, grid, t):
+    """The (3, n) cell averages of ``ManufacturedSolution`` sol's sources at
+    time t, each by 3-point Gauss quadrature, with dp/dx at the nodes from
+    implicit differentiation of the closure equation."""
+    k, g, gp = sol.k, sol.exps.gamma, sol.exps.gamma_plus
+    x = grid.x + np.array([-0.5, 0.0, 0.5])[:, None] * math.sqrt(0.6) * grid.dx
+    R, Q, u = sol.R(x, t), sol.Q(x, t), sol.u(x, t)
+    dR_dt, dR_dx = -sol.b * np.cos(k * x - t), k * sol.b * np.cos(k * x - t)
+    dQ_dt, dQ_dx = -sol.d * np.sin(k * x + t), -k * sol.d * np.sin(k * x + t)
+    du_dt = -sol.e * math.sin(t) * np.sin(k * x)
+    du_dx = k * sol.e * math.cos(t) * np.cos(k * x)
+    du_dxx = -k * k * u
+
+    # dp/dx = gamma_plus Z**(gamma_plus - 1) dZ/dx, with dZ/dx from
+    # differentiating (Z - R) Z**(gamma - 1) = Q
+    Z, _ = _solve_closure(R, Q, g, sol.closure_tol)
+    zg1 = np.power(Z, g - 1.0)
+    dZ_dx = (zg1 * dR_dx + dQ_dx) / (zg1 * (g + (1.0 - g) * R / Z))
+    dp_dx = gp * np.power(Z, gp - 1.0) * dZ_dx
+
+    rho = R + Q
+    sR = dR_dt + dR_dx * u + R * du_dx
+    sQ = dQ_dt + dQ_dx * u + Q * du_dx
+    sm = (
+        (dR_dt + dQ_dt) * u
+        + rho * du_dt
+        + (dR_dx + dQ_dx) * u * u
+        + 2.0 * rho * u * du_dx
+        + dp_dx
+        - sol.nu_eff * du_dxx
+    )
+    w = np.array([5.0, 8.0, 5.0]) / 18.0
+    return np.array([w @ sR, w @ sQ, w @ sm])

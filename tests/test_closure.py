@@ -282,6 +282,56 @@ def test_warm_start_converges_to_cold_root(gamma):
         assert Zi[0] == Zw[i]
 
 
+def _newton_batch(rng, gamma, n=200):
+    """R, Q over many decades with vacuum and one-phase cells, and a warm
+    start near the root with non-finite and out-of-bracket entries."""
+    R = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    Q = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    R[rng.random(n) < 0.05] = 0.0
+    Q[rng.random(n) < 0.05] = 0.0
+    Z, _ = solve_closure_batch(R, Q, gamma)
+    z0 = Z * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0, n) * rng.standard_normal(n))
+    z0[rng.integers(0, n, 8)] = rng.choice([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e300], 8)
+    return R, Q, z0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("gamma", [0.5, 1.3, 2.14, 3.0, 7.0])
+def test_frozen_newton_is_bit_identical_to_active_set_compaction(gamma, monkeypatch):
+    from bifluid import closure
+    from oracles import compacting_newton
+
+    rng = np.random.default_rng(int(gamma * 100))
+    cases = []
+    for _ in range(20):
+        R, Q, z0 = _newton_batch(rng, gamma)
+        cases += [(R, Q, None), (R, Q, z0)]
+    got = [closure._solve_closure(R, Q, gamma, z0=z0) for R, Q, z0 in cases]
+    monkeypatch.setattr(closure, "_newton", compacting_newton)
+    for (R, Q, z0), (Z, iters) in zip(cases, got):
+        Z_ref, iters_ref = closure._solve_closure(R, Q, gamma, z0=z0)
+        assert iters == iters_ref > 0
+        assert Z.tobytes() == Z_ref.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.3, 2.14, 3.0, 7.0])
+def test_frozen_newton_names_the_same_unconverged_cells(gamma, monkeypatch):
+    from bifluid import closure
+    from oracles import compacting_newton
+
+    R, Q, z0 = _newton_batch(np.random.default_rng(7), gamma, n=64)
+    monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
+    for start in (None, z0):
+        with pytest.raises(MaxIterExceededError) as frozen:
+            closure._solve_closure(R, Q, gamma, z0=start)
+        with monkeypatch.context() as m:
+            m.setattr(closure, "_newton", compacting_newton)
+            with pytest.raises(MaxIterExceededError) as compacted:
+                closure._solve_closure(R, Q, gamma, z0=start)
+        assert str(frozen.value) == str(compacted.value)
+        assert "at cells [" in str(frozen.value)
+
+
 # state recovery (fields.derive) ---------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from bifluid.closure import ExponentPair
 from bifluid.config import ProfileSpec, SimConfig
-from bifluid.fields import FieldState, Grid1D, derive
+from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive
 from bifluid.solver import run
 from bifluid.verify import (
     EmptySeriesError,
@@ -386,6 +386,25 @@ def test_mms_forcing_is_the_pde_residual_of_the_exact_fields():
     ref = sum(w * residual(grid.x + o) for w, o in zip(weights, offsets))
     got = np.array(mms.cell_averages(grid, t))
     assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("exps", [ExponentPair(3.0, 1.4), ExponentPair(3.0, 1.5), ExponentPair(1.4, 3.0)])
+@pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
+@pytest.mark.parametrize("length", [1.0, 1.3])
+def test_mms_forcing_matches_gauss3_with_implicit_differentiation(exps, bc, length):
+    from bifluid.mms import ManufacturedSolution
+    from oracles import gauss3_forcing
+
+    # Gauss-3's error on the pressure term is below 1e-11 relative from
+    # n = 64, and the face difference's round-off grows like n * eps
+    sol = ManufacturedSolution(exps, nu_eff=0.2, length=length)
+    for n in (64, 256, 1024):
+        grid = Grid1D(n, length, bc)
+        for t in (0.0, 0.37, 2.5, 11.0):
+            got = sol.cell_averages(grid, t)
+            ref = gauss3_forcing(sol, grid, t)
+            gap = np.max(np.abs(got - ref), axis=1)
+            assert np.all(gap <= 1e-11 * np.max(np.abs(ref), axis=1))
 
 
 # convergence study ---------------------------------------------------------------------
