@@ -10,8 +10,9 @@ none is left there from an earlier command.
 A run's snapshots leave it as it records them (``solver.run``'s consumer):
 two writer processes, started with the run, receive each snapshot's value
 columns through a pipe and write its CSV while the run goes on.  ``compare``
-evaluates the reference side first (run_b, or the exact solution), keeping
-three arrays per snapshot, then runs run_a and reduces each snapshot pair as
+evaluates the reference side first (run_b, a second run of run_a's config
+when no second config is given, or the exact solution), keeping three
+arrays per snapshot, then runs run_a and reduces each snapshot pair as
 run_a records its half.
 """
 
@@ -321,15 +322,15 @@ def write_run_outputs(
     _write_json(os.path.join(outputs.out_dir, "report.json"), report)
 
 
-def _run_into(stack: contextlib.ExitStack, out_dirs, cfg: SimConfig, initial, on_snapshot=None):
-    """Run cfg from its initial state into each of out_dirs (zero to two):
-    its snapshots go there while it runs, then its report.json.  Returns
-    (traj, audit), audit being verify.energy_audit of traj, once every
-    report.json is written.  Each directory's RunOutputs enters stack, so
-    its writers are reaped when the caller's with block ends; on_snapshot,
-    when given, gets each snapshot after the directories."""
-    outputs = [stack.enter_context(RunOutputs(path, cfg.grid())) for path in out_dirs]
-    consumers = outputs if on_snapshot is None else [*outputs, on_snapshot]
+def _run_into(stack: contextlib.ExitStack, out_dir, cfg: SimConfig, initial, on_snapshot=None):
+    """Run cfg from its initial state into out_dir, or into no directory
+    when it is None: its snapshots go there while it runs, then its
+    report.json.  Returns (traj, audit), audit being verify.energy_audit of
+    traj, once report.json is written.  The directory's RunOutputs enters
+    stack, so its writers are reaped when the caller's with block ends;
+    on_snapshot, when given, gets each snapshot after the directory."""
+    outputs = None if out_dir is None else stack.enter_context(RunOutputs(out_dir, cfg.grid()))
+    consumers = [c for c in (outputs, on_snapshot) if c is not None]
 
     def consume(state: FieldState, derived) -> None:
         for consumer in consumers:
@@ -337,8 +338,8 @@ def _run_into(stack: contextlib.ExitStack, out_dirs, cfg: SimConfig, initial, on
 
     traj = run(cfg, initial=initial, on_snapshot=consume)
     audit = verify.energy_audit(traj, cfg.energy_eps)
-    for out in outputs:
-        write_run_outputs(traj, out, cfg, audit)
+    if outputs is not None:
+        write_run_outputs(traj, outputs, cfg, audit)
     return traj, audit
 
 
@@ -426,14 +427,14 @@ def cmd_run(args) -> int:
     if not _make_out_dir(args.out, "run"):
         return EXIT_CONFIG
     with contextlib.ExitStack() as stack:
-        traj, audit = _run_into(stack, [args.out], cfg, state)
+        traj, audit = _run_into(stack, args.out, cfg, state)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return _audit_exit(_audit_record(audit))
 
 
 def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> None:
     """Raise ValidationError when the pair cannot be compared in ref_mode;
-    without cfg_b, run_a is compared with itself (twin) or its reference."""
+    without cfg_b, cfg_a is the config of both sides."""
     if ref_mode not in REF_MODES:
         raise ValidationError(f"ref mode must be one of {REF_MODES}")
     if ref_mode == "mms" and cfg_b is not None:
@@ -506,31 +507,27 @@ def compare_runs(
     twice the maximum of the reference phase densities) and keeps of each
     snapshot only rho_plus, alpha and u (_Reference).  run_a runs next and
     reduces each pair as it records its half: the relative-energy row, once
-    per pair, the fraction audit's terms and the coercivity constants; it
-    keeps no field of run_a.  Each run hands its snapshots to its writers
-    as it records them.  The audits read the fields each run derived itself
-    and the energies it evaluated from them (Trajectory.energies), so a twin
-    is compared on the fields of its run_b CSVs, made with cfg_b's closure
-    settings; the restricted and the exact states are derived here, with
-    cfg_a's, and the energy scale is the energy of the first of them.
-    Without cfg_b a twin is run_a itself: the runs are deterministic, so a
-    second solve would repeat it bit for bit; its one run is the reference
-    pass and reduces each pair's row and fraction terms, and the coercivity
-    constants follow from the kept arrays once the window is fixed.
+    per pair, which holds the fraction audit's terms too, and the
+    coercivity constants; it keeps no field of run_a.  Each run hands its
+    snapshots to its writers as it records them.  The audits read the
+    fields each run derived itself and the energies it evaluated from them
+    (Trajectory.energies), so a twin is compared on the fields of its run_b
+    CSVs, made with cfg_b's closure settings; the restricted and the exact
+    states are derived here, with cfg_a's, and the energy scale is the
+    energy of the first of them.
+    Without cfg_b the twin run_b is a second run of cfg_a from initial_a.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
     """
     _check_pair(cfg_a, cfg_b, ref_mode)
-    self_twin = cfg_b is None and ref_mode == "twin"
     if cfg_b is None:
-        cfg_b = cfg_a
+        cfg_b, initial_b = cfg_a, initial_a
     grid, exps = cfg_a.grid(), cfg_a.exponents()
     nu_eff = cfg_a.nu_eff
     refs = []  # per reference snapshot, until its pair is reduced
     bounds = [math.inf, 0.0]  # min and max of the reference phase densities
     e_scale = None
     rows = []
-    fraction = []  # per pair: the fraction audit's A_k and w_k
     coer = []
 
     def keep_reference(der, t) -> None:
@@ -543,12 +540,6 @@ def compare_runs(
             bounds[0] = min(bounds[0], float(np.min(rho)))
             bounds[1] = max(bounds[1], float(np.max(rho)))
         refs.append(_Reference(t, der.rho_plus, der.alpha, der.u, exps))
-
-    def reduce_pair(a, b, t) -> None:
-        """The relative-energy row and the fraction terms of the pair (a, b)
-        at time t."""
-        rows.append(verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t))
-        fraction.append(verify.fraction_terms(a.alpha, b.alpha, a.u, b.u, grid))
 
     def derive_a(state: FieldState):
         return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
@@ -570,24 +561,15 @@ def compare_runs(
 
         return consume
 
-    def sides(*names):
-        """The output directories of the named sides; none without out_dir."""
-        return [] if out_dir is None else [os.path.join(out_dir, name) for name in names]
+    def side(name):
+        """The output directory of the named side; None without out_dir."""
+        return None if out_dir is None else os.path.join(out_dir, name)
 
     with contextlib.ExitStack() as stack:
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
             for t in cfg_a.snapshot_times():
                 keep_reference(derive_a(sol.state(grid, t)), t)
-        elif self_twin:
-
-            def keep_and_reduce(state, der) -> None:
-                keep_reference(der, state.t)
-                reduce_pair(der, der, state.t)
-
-            both = sides("run_a", "run_b")
-            traj_a, audit = _run_into(stack, both, cfg_a, initial_a, in_run(keep_and_reduce))
-            traj_b = traj_a
         else:
             factor = cfg_b.n // cfg_a.n
 
@@ -596,7 +578,7 @@ def compare_runs(
                     der = derive_a(restrict(state, factor))
                 keep_reference(der, state.t)
 
-            traj_b, _ = _run_into(stack, sides("run_b"), cfg_b, initial_b, in_run(keep_run_b))
+            traj_b, _ = _run_into(stack, side("run_b"), cfg_b, initial_b, in_run(keep_run_b))
         if failed:
             raise failed[0]
         if ref_mode == "twin":
@@ -609,27 +591,21 @@ def compare_runs(
                 raise ValueError("reference densities must be positive to set a window")
             window = (0.5 * lo, 2.0 * hi)
 
-        if self_twin:
-            for k, row in enumerate(rows):
-                ref, refs[k] = refs[k], None
-                coer.append(verify.coercivity_check(row, ref, ref, grid, exps, *window))
-        else:
-
-            def reduce_run_a(state, der_a) -> None:
-                """Reduce the next pair, whose run_a side der_a is at time
-                state.t, and release its reference."""
-                k, t = len(rows), state.t
-                if k >= len(refs) or t != refs[k].t:
-                    raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-                ref, refs[k] = refs[k], None
-                reduce_pair(der_a, ref, t)
-                coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
-
-            traj_a, audit = _run_into(stack, sides("run_a"), cfg_a, initial_a, in_run(reduce_run_a))
-            if failed:
-                raise failed[0]
-            if len(rows) != len(refs):
+        def reduce_run_a(state, der_a) -> None:
+            """Reduce the next pair, whose run_a side der_a is at time
+            state.t, and release its reference."""
+            k, t = len(rows), state.t
+            if k >= len(refs) or t != refs[k].t:
                 raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
+            ref, refs[k] = refs[k], None
+            rows.append(verify.relative_entropy(der_a, ref, grid, exps, nu_eff=nu_eff, t=t))
+            coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
+
+        traj_a, audit = _run_into(stack, side("run_a"), cfg_a, initial_a, in_run(reduce_run_a))
+        if failed:
+            raise failed[0]
+        if len(rows) != len(refs):
+            raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
         times = traj_a.times
 
         noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
@@ -637,8 +613,8 @@ def compare_runs(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
         )
         stab = verify.alpha_stability_check(
-            [A for A, _ in fraction],
-            [w for _, w in fraction],
+            [r.A for r in rows],
+            [r.w for r in rows],
             times,
             delta if delta is not None else cfg_a.stability_delta,
         )

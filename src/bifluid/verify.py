@@ -44,11 +44,9 @@ __all__ = [
     "relative_entropy",
     "energy_audit",
     "gronwall_check",
-    "fraction_terms",
     "alpha_stability_check",
     "coercivity_check",
     "convergence_study",
-    "w12_norm_sq",
 ]
 
 
@@ -70,6 +68,14 @@ class EmptySeriesError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RelativeEntropyRow:
+    """The relative energy of one snapshot pair and the terms read with it.
+
+    A = int (alpha - beta)^2, twice E_alpha, and w = ||u - v||^2_W12 =
+    int (u - v)^2 + int (d(u - v)/dx)^2, on the faces of D's gradient
+    (no-slip walls extend the gap by zero), are the fraction audit's terms
+    of the pair (alpha_stability_check).
+    """
+
     t: float
     E_kin: float
     E_alpha: float
@@ -77,6 +83,8 @@ class RelativeEntropyRow:
     E_breg_minus: float
     E_total: float
     D: float
+    A: float
+    w: float
 
     @property
     def E_reduced(self) -> float:
@@ -108,7 +116,8 @@ def relative_entropy(
     du = state_a.u - state_b.u
     e_kin = float(0.5 * np.sum(state_a.rho * du * du) * dx)
     dal = state_a.alpha - state_b.alpha
-    e_alpha = float(0.5 * np.sum(dal * dal) * dx)
+    dal_sq = np.sum(dal * dal)
+    e_alpha = float(0.5 * dal_sq * dx)
     e_bp = float(
         np.sum(state_a.alpha * thermo.bregman(state_a.rho_plus, state_b.rho_plus, law_p)) * dx
     )
@@ -120,7 +129,7 @@ def relative_entropy(
         * dx
     )
     g = velocity_face_gradient(du, grid)
-    d_rate = float(nu_eff * np.sum(g * g) * dx)
+    g_sq = np.sum(g * g)
     return RelativeEntropyRow(
         t=t,
         E_kin=e_kin,
@@ -128,7 +137,9 @@ def relative_entropy(
         E_breg_plus=e_bp,
         E_breg_minus=e_bm,
         E_total=e_kin + e_alpha + e_bp + e_bm,
-        D=d_rate,
+        D=float(nu_eff * g_sq * dx),
+        A=float(dal_sq * dx),
+        w=float((np.sum(du * du) + g_sq) * dx),
     )
 
 
@@ -208,17 +219,6 @@ def gronwall_check(times, E, e0_floor: float, e_scale: float = 1.0) -> GronwallF
     )
 
 
-def w12_norm_sq(f, grid: Grid1D) -> float:
-    """Discrete squared W^{1,2} norm: sum dx (f^2 + (df/dx)^2), forward differences.
-
-    No-slip grids extend f by zero at the walls (valid for velocities and
-    their differences, which vanish there).
-    """
-    f = np.asarray(f, dtype=float)
-    g = velocity_face_gradient(f, grid)
-    return float((np.sum(f * f) + np.sum(g * g)) * grid.dx)
-
-
 @dataclasses.dataclass(frozen=True)
 class AlphaStabilityReport:
     delta: float
@@ -228,20 +228,14 @@ class AlphaStabilityReport:
     A: list[float]
 
 
-def fraction_terms(alpha_a, alpha_b, u, v, grid: Grid1D) -> tuple[float, float]:
-    """The fraction audit's terms of one snapshot pair: A = int (alpha -
-    beta)^2 and w = ||v - u||^2_W12."""
-    return float(np.sum((alpha_a - alpha_b) ** 2) * grid.dx), w12_norm_sq(v - u, grid)
-
-
 def alpha_stability_check(A, w, times, delta: float) -> AlphaStabilityReport:
     """Smallest constant C making the discrete fraction-stability bound hold.
 
-    A and w are the fraction_terms of each snapshot pair.  With W(tau) =
-    int_0^tau w dt and S(tau) = int_0^tau A dt (left-endpoint sums on the
-    snapshot grid), reports C_delta = max over tau of (A(tau) - A(0) -
-    delta * W(tau)) / S(tau), floored at zero, so that A(tau) - A(0) <=
-    delta W(tau) + C_delta S(tau).
+    A and w are the terms A and w of each snapshot pair's
+    RelativeEntropyRow.  With W(tau) = int_0^tau w dt and S(tau) =
+    int_0^tau A dt (left-endpoint sums on the snapshot grid), reports
+    C_delta = max over tau of (A(tau) - A(0) - delta * W(tau)) / S(tau),
+    floored at zero, so that A(tau) - A(0) <= delta W(tau) + C_delta S(tau).
     """
     n = len(times)
     if n == 0:

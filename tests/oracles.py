@@ -15,6 +15,9 @@ cells checks the frozen-in-place iteration bit for bit.  The manufactured
 forcing with every term, the pressure gradient included, Gauss-3 averaged
 and dZ/dx from implicit differentiation of the closure checks the forcing
 whose pressure term is a difference of face pressures.
+
+The fraction audit's terms of one snapshot pair, evaluated on their own,
+check the terms A and w that the relative-energy row carries bit for bit.
 """
 
 import math
@@ -23,7 +26,8 @@ import numpy as np
 
 from bifluid import closure
 from bifluid.closure import CLOSURE_TOL, _solve_closure, omega_of_alpha, solve_closure_batch
-from bifluid.fields import PERIODIC
+from bifluid.fields import PERIODIC, Grid1D
+from bifluid.solver import velocity_face_gradient
 
 
 def _upwind_divergence(phi, u, grid):
@@ -187,3 +191,20 @@ def gauss3_forcing(sol, grid, t):
     )
     w = np.array([5.0, 8.0, 5.0]) / 18.0
     return np.array([w @ sR, w @ sQ, w @ sm])
+
+
+def w12_norm_sq(f, grid: Grid1D) -> float:
+    """Discrete squared W^{1,2} norm: sum dx (f^2 + (df/dx)^2), forward differences.
+
+    No-slip grids extend f by zero at the walls (valid for velocities and
+    their differences, which vanish there).
+    """
+    f = np.asarray(f, dtype=float)
+    g = velocity_face_gradient(f, grid)
+    return float((np.sum(f * f) + np.sum(g * g)) * grid.dx)
+
+
+def fraction_terms(alpha_a, alpha_b, u, v, grid: Grid1D) -> tuple[float, float]:
+    """The fraction audit's terms of one snapshot pair: A = int (alpha -
+    beta)^2 and w = ||v - u||^2_W12."""
+    return float(np.sum((alpha_a - alpha_b) ** 2) * grid.dx), w12_norm_sq(v - u, grid)

@@ -19,12 +19,11 @@ from bifluid.solver import NonFiniteStateError, PositivityLossError, ZeroDtError
 from bifluid.verify import (
     alpha_stability_check,
     coercivity_check,
-    fraction_terms,
     convergence_study,
     energy_audit,
     relative_entropy,
 )
-from oracles import alpha_partials_batch, flipped_advection_rhs
+from oracles import alpha_partials_batch, flipped_advection_rhs, fraction_terms
 
 # the runtime errors of a solve that blows up; any other error is a fault of
 # the test, not a diverged negative control

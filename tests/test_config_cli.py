@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bifluid import cli, solver, verify
 from bifluid.cli import main
 from bifluid.closure import ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, _uniform_draws, validate_config
+from oracles import fraction_terms
 
 MINIMAL = """
 [exponents]
@@ -671,7 +673,7 @@ def test_cli_compare_reads_a_from_file_snapshot_once_per_config(tmp_path, monkey
         assert (tmp_path / "c" / side / "snapshot_0000.csv").read_bytes() == snap.read_bytes()
 
 
-def test_cli_compare_twin_without_config_b_reuses_run_a(tmp_path, monkeypatch):
+def test_cli_compare_twin_without_config_b_runs_run_b_as_a_twin(tmp_path, monkeypatch):
     runs = []
     real_run = cli.run
 
@@ -683,11 +685,23 @@ def test_cli_compare_twin_without_config_b_reuses_run_a(tmp_path, monkeypatch):
     path = write(tmp_path, "run.ini", RUN_CFG)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", path, "--out", str(out)]) == 0
-    assert len(runs) == 1
+    assert len(runs) == 2
     # run_b's files are those of a plain run of the same config
     assert main(["run", "--config", path, "--out", str(tmp_path / "plain")]) == 0
     _same_dir_bytes(out / "run_b", tmp_path / "plain")
     _same_dir_bytes(out / "run_a", out / "run_b")
+    # and every output is that of the twin compare naming the config twice
+    named = tmp_path / "named"
+    assert main(["compare", "--config", path, "--config-b", path, "--out", str(named)]) == 0
+
+    def files(root):
+        return {
+            os.path.relpath(os.path.join(folder, name), root): (Path(folder) / name).read_bytes()
+            for folder, _, names in os.walk(root)
+            for name in names
+        }
+
+    assert files(out) == files(named)
 
 
 def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
@@ -1031,7 +1045,7 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
         verify.coercivity_check(row, a, b, grid, exps, *window)
         for row, (a, b) in zip(rows, pairs)
     ]
-    terms = [verify.fraction_terms(a.alpha, b.alpha, a.u, b.u, grid) for a, b in pairs]
+    terms = [fraction_terms(a.alpha, b.alpha, a.u, b.u, grid) for a, b in pairs]
     noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
     fit = verify.gronwall_check(
         times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
@@ -1299,8 +1313,9 @@ def test_cli_run_after_a_longer_run_leaves_only_its_own_snapshots(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "compare", "mms"])
 def test_cli_failure_after_a_success_leaves_no_earlier_output(tmp_path, monkeypatch, command):
-    # run and a self-twin compare fail on all-vacuum data after recording
-    # their first snapshot; mms fails on its step budget before any output
+    # run fails on all-vacuum data after recording its first snapshot, and
+    # compare in its reference pass, before run_a starts; mms fails on its
+    # step budget before any output
     out = tmp_path / "o"
     text = MMS_CFG if command == "mms" else RUN_CFG
     argv = [command, "--out", str(out), "--config", write(tmp_path, "ok.ini", text)]
@@ -1319,7 +1334,7 @@ def test_cli_failure_after_a_success_leaves_no_earlier_output(tmp_path, monkeypa
     }
     first = {
         "run": {"snapshot_0000.csv"},
-        "compare": {"run_a/snapshot_0000.csv", "run_b/snapshot_0000.csv"},
+        "compare": {"run_b/snapshot_0000.csv"},
         "mms": set(),
     }[command]
     assert left == {"failure.json", *first}

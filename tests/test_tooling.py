@@ -183,6 +183,7 @@ def test_untraced_work_count_covers_every_run(tmp_path):
             ["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "cmp")],
             cells["a.ini"] + cells["b.ini"],
         ),
+        (["compare", "--config", a, "--out", str(tmp_path / "self")], 2 * cells["a.ini"]),
         (["mms", "--config", str(mms), "--levels", "3"], mms_cells),
     ]
     for argv, want in jobs:

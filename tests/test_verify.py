@@ -16,11 +16,10 @@ from bifluid.verify import (
     coercivity_check,
     convergence_study,
     energy_audit,
-    fraction_terms,
     gronwall_check,
     relative_entropy,
-    w12_norm_sq,
 )
+from oracles import fraction_terms
 
 EXPS = ExponentPair(3.0, 1.5)
 GRID = Grid1D(16, 1.0)
@@ -186,11 +185,32 @@ def test_gronwall_empty_series():
 
 
 def test_w12_norm_includes_gradient():
+    # a velocity gap f between states of equal fractions: A = 0, and w =
+    # int f^2 + int (f')^2 = 1/2 + 2 pi^2 at this resolution
     grid = Grid1D(64, 1.0)
     f = np.sin(2 * np.pi * grid.x)
-    # int f^2 = 1/2, int (f')^2 = 2 pi^2 at this resolution
-    val = w12_norm_sq(f, grid)
-    assert val == pytest.approx(0.5 + 2 * math.pi**2, rel=1e-2)
+    row = relative_entropy(der(1.0, 2.0, f, 64), der(1.0, 2.0, 0.0, 64), grid, EXPS)
+    assert row.A == 0.0
+    assert row.w == pytest.approx(0.5 + 2 * math.pi**2, rel=1e-2)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
+def test_row_fraction_terms_equal_the_oracle_bit_for_bit(bc):
+    # run_a's side with vacuum cells (alpha = vacuum_alpha, u = 0 there)
+    # against a vacuum-free reference, on a grid of either boundary
+    n = 32
+    grid = Grid1D(n, 1.0, bc)
+    x = grid.x
+    R = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+    Q = 1.2 + 0.3 * np.cos(4 * np.pi * x)
+    R[3:6] = Q[3:6] = 0.0
+    u = 0.3 * np.sin(np.pi * x) ** 2
+    a = derive(FieldState(0.0, R, Q, (R + Q) * u), EXPS, vacuum_alpha=0.25)
+    assert a.vacuum.any()
+    b = der(1.1 + 0.2 * np.cos(2 * np.pi * x), 1.3, 0.1 * np.sin(2 * np.pi * x), n)
+    row = relative_entropy(a, b, grid, EXPS, nu_eff=0.05)
+    assert (row.A, row.w) == fraction_terms(a.alpha, b.alpha, a.u, b.u, grid)
+    assert row.A > 0.0 and row.w > 0.0
 
 
 def _stability(alpha_a, alpha_b, us, vs, times, grid, delta):
