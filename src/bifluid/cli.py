@@ -258,24 +258,14 @@ class RunOutputs:
         self.close(check=exc_type is None)
 
 
-def _audit_record(audit: verify.EnergyAudit) -> dict:
-    """The verdict of an energy audit, as report.json and verify.json hold it."""
-    return {
-        "passed": audit.passed,
-        "skipped": audit.skipped,
-        "eps_E": audit.eps_E,
-        "worst_margin": audit.worst_margin,
-    }
-
-
-def _audit_exit(record: dict) -> int:
-    """EXIT_VERIFY, naming the worst margin on stderr, when the audit
-    record says the audit ran and failed; EXIT_OK otherwise."""
-    if record["skipped"] or record["passed"]:
+def _audit_exit(audit: verify.EnergyAudit) -> int:
+    """EXIT_VERIFY, naming the worst margin on stderr, when the audit ran
+    and failed; EXIT_OK otherwise."""
+    if audit.skipped or audit.passed:
         return EXIT_OK
     print(
-        f"verification failure: energy audit worst margin {record['worst_margin']:.6g} "
-        f"exceeds energy_eps {record['eps_E']:g}",
+        f"verification failure: energy audit worst margin {audit.worst_margin:.6g} "
+        f"exceeds energy_eps {audit.eps_E:g}",
         file=sys.stderr,
     )
     return EXIT_VERIFY
@@ -298,10 +288,7 @@ def write_run_outputs(
         "times": traj.times,
         "n_steps": traj.n_steps,
         "dt_series": _subsample(traj.dt_history.tolist()),
-        "counters": {
-            "positivity_clips": traj.positivity_clips,
-            "alpha_clamps": traj.alpha_clamps,
-        },
+        "counters": {"alpha_clamps": traj.alpha_clamps},
         "closure_iterations_max": traj.closure_iterations_max,
         "max_wave_speed": traj.max_wave_speed,
         "conservation": {
@@ -316,7 +303,7 @@ def write_run_outputs(
             "E": traj.energies,
             "dissipation_cum": traj.diss_cum,
         },
-        "energy_audit": _audit_record(audit),
+        "energy_audit": audit,
         "forced": traj.forced,
     }
     _write_json(os.path.join(outputs.out_dir, "report.json"), report)
@@ -429,7 +416,7 @@ def cmd_run(args) -> int:
     with contextlib.ExitStack() as stack:
         traj, audit = _run_into(stack, args.out, cfg, state)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
-    return _audit_exit(_audit_record(audit))
+    return _audit_exit(audit)
 
 
 def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> None:
@@ -459,10 +446,10 @@ def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> Non
 @dataclasses.dataclass(frozen=True)
 class _Reference:
     """What the pair reductions read of one reference snapshot at time t:
-    rho_plus (the closure root Z), alpha and u are kept.  rho_minus and p
-    are computed from Z when read, with the expressions of DerivedFields and
-    derive, so their bits are those of the reference's own fields.  The
-    reference pass has rejected vacuum cells."""
+    rho_plus (the closure root Z), alpha and u are kept.  rho_minus is
+    computed from Z when read, with the expression of DerivedFields, so its
+    bits are those of the reference's own field.  The reference pass has
+    rejected vacuum cells."""
 
     t: float
     rho_plus: np.ndarray
@@ -482,17 +469,12 @@ class _Reference:
     def rho_minus(self) -> np.ndarray:
         return np.power(self.rho_plus, self.exps.gamma)
 
-    @property
-    def p(self) -> np.ndarray:
-        return np.power(self.rho_plus, self.exps.gamma_plus)
-
 
 def compare_runs(
     cfg_a: SimConfig,
     cfg_b: SimConfig | None,
     ref_mode: str,
     out_dir,
-    delta=None,
     initial_a: FieldState | None = None,
     initial_b: FieldState | None = None,
 ):
@@ -503,8 +485,8 @@ def compare_runs(
     solution at cfg_a's snapshot times, per ref_mode.  It is evaluated
     first, as the paper's method fixes the strong solution's density bounds
     before it measures the weak one: this pass rejects vacuum, takes the
-    energy scale, folds the default coercivity window (half the minimum to
-    twice the maximum of the reference phase densities) and keeps of each
+    energy scale, folds the coercivity window (half the minimum to twice
+    the maximum of the reference phase densities) and keeps of each
     snapshot only rho_plus, alpha and u (_Reference).  run_a runs next and
     reduces each pair as it records its half: the relative-energy row, once
     per pair, which holds the fraction audit's terms too, and the
@@ -583,13 +565,10 @@ def compare_runs(
             raise failed[0]
         if ref_mode == "twin":
             e_scale = traj_b.energies[0]
-        if cfg_a.ess_lower or cfg_a.ess_upper:
-            window = (cfg_a.ess_lower, cfg_a.ess_upper)
-        else:
-            lo, hi = bounds
-            if not (lo > 0.0 and hi >= lo):
-                raise ValueError("reference densities must be positive to set a window")
-            window = (0.5 * lo, 2.0 * hi)
+        lo, hi = bounds
+        if not (lo > 0.0 and hi >= lo):
+            raise ValueError("reference densities must be positive to set a window")
+        window = (0.5 * lo, 2.0 * hi)
 
         def reduce_run_a(state, der_a) -> None:
             """Reduce the next pair, whose run_a side der_a is at time
@@ -613,10 +592,7 @@ def compare_runs(
             times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
         )
         stab = verify.alpha_stability_check(
-            [r.A for r in rows],
-            [r.w for r in rows],
-            times,
-            delta if delta is not None else cfg_a.stability_delta,
+            [r.A for r in rows], [r.w for r in rows], times, cfg_a.stability_delta
         )
 
         payload = {
@@ -628,7 +604,7 @@ def compare_runs(
             "alpha_stability": dataclasses.asdict(stab),
             "ess_window": list(window),
             "coercivity": [dataclasses.asdict(c) for c in coer],
-            "energy_audit": _audit_record(audit),
+            "energy_audit": audit,
         }
         if out_dir is not None:
             write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
@@ -637,10 +613,6 @@ def compare_runs(
 
 
 def cmd_compare(args) -> int:
-    # NaN fails the comparison, so this also rejects a non-finite delta
-    if args.delta is not None and not (0.0 < args.delta < math.inf):
-        print("usage error: --delta must be positive and finite", file=sys.stderr)
-        return EXIT_CONFIG
     cfg_a, state_a = _load_config(args.config)
     cfg_b, state_b = _load_config(args.config_b) if args.config_b else (None, None)
     _check_pair(cfg_a, cfg_b, args.ref_mode)  # before --out exists
@@ -648,7 +620,7 @@ def cmd_compare(args) -> int:
     if not _make_out_dir(args.out, "compare", sides):
         return EXIT_CONFIG
     rows, payload = compare_runs(
-        cfg_a, cfg_b, args.ref_mode, args.out, args.delta, initial_a=state_a, initial_b=state_b
+        cfg_a, cfg_b, args.ref_mode, args.out, initial_a=state_a, initial_b=state_b
     )
     g = payload["gronwall"]
     tag = "at noise floor" if g["at_noise_floor"] else f"max_E={g['max_E']:.6g}"
@@ -759,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config-b", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--ref-mode", choices=REF_MODES, default="twin")
-    p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mms", help="manufactured-solution convergence study")

@@ -58,14 +58,11 @@ from .fields import (
     total_energy,
 )
 
-FORWARD_EULER = "forward_euler"
-SSPRK2 = "ssprk2"
-INTEGRATORS = (FORWARD_EULER, SSPRK2)
+SSPRK2 = "ssprk2"  # the one integrator
 
 MAX_STEPS = 2_000_000  # the step budget of one run, a stop for runaway runs
 
 __all__ = [
-    "FORWARD_EULER",
     "SSPRK2",
     "StepError",
     "ZeroDtError",
@@ -256,17 +253,18 @@ def _rhs(B, grid: Grid1D, cfg, forcing):
     return dU
 
 
-def _enforce_positivity(U, cfg, t: float) -> int:
-    """Zero the round-off negatives of R and Q in place; returns the clip count."""
+def _admit(U, cfg, t: float) -> None:
+    """Admit the update U, a (3, n) state at time t, as a valid state: raise
+    PositivityLossError for a mass below the tolerance, zero the round-off
+    negatives of the masses, then raise NonFiniteStateError for a NaN or
+    inf.  One per-row minimum and one maximum admit the usual update."""
+    r_min, q_min, m_min = np.minimum.reduce(U, axis=1).tolist()
+    if r_min >= 0.0 and q_min >= 0.0 and m_min > -math.inf:
+        if np.maximum.reduce(U, axis=None) < math.inf:
+            return
     masses = U[:2]
-    if np.minimum.reduce(masses, axis=None) >= 0.0:
-        return 0
-    neg = masses < 0.0
-    if not neg.any():
-        return 0
     bad = masses < -cfg.positivity_tol
-    clips = int(np.count_nonzero(bad))
-    if clips and cfg.strict:
+    if bad.any():
         row = 0 if bad[0].any() else 1
         cells = np.flatnonzero(bad[row])
         raise PositivityLossError(
@@ -275,26 +273,10 @@ def _enforce_positivity(U, cfg, t: float) -> int:
             t,
             np.flatnonzero(bad.any(axis=0)).tolist(),
         )
-    # round-off negatives above the tolerance are zeroed without counting
-    masses[neg] = 0.0
-    return clips
-
-
-def _admit(U, cfg, t: float) -> int:
-    """Admit the update U, a (3, n) state at time t, as a valid state: zero
-    the round-off negatives of its masses, raise PositivityLossError for a
-    mass below the tolerance (when strict), then NonFiniteStateError for a
-    NaN or inf; returns the clip count.  One per-row minimum and one maximum
-    admit the usual update."""
-    r_min, q_min, m_min = np.minimum.reduce(U, axis=1).tolist()
-    if r_min >= 0.0 and q_min >= 0.0 and m_min > -math.inf:
-        if np.maximum.reduce(U, axis=None) < math.inf:
-            return 0
-    clips = _enforce_positivity(U, cfg, t)
+    masses[masses < 0.0] = 0.0
     if not np.isfinite(U).all():
         bad = ~np.isfinite(U).all(axis=0)
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
-    return clips
 
 
 def _close(B, grid: Grid1D, cfg, exps, z0):
@@ -321,7 +303,7 @@ def _load(W, state: FieldState, der: DerivedFields, grid: Grid1D) -> None:
 
 
 def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, forcing=None):
-    """Advance the state in the buffer W by one explicit step of size dt of
+    """Advance the state in the buffer W by one SSPRK2 step of size dt of
     the SimConfig cfg's scheme, in place.
 
     W and S are (5, n + 2) arrays with rows R, Q, m, p, u and one ghost cell
@@ -332,13 +314,12 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     manufactured solution whose cell averages force the step, None for an
     unforced step; forcing0, its averages at t, is computed when not given.
 
-    Returns (stage_Z, stage_forcing, clips, iterations, dissipation):
-    stage_Z is the closure root of the last stage, the warm start of the
-    new state's closure (Z itself for forward Euler); stage_forcing the
-    read-only SSPRK2 stage forcing at t + dt, the forcing of the next step
-    when it starts there (None for forward Euler and unforced steps);
-    clips the positivity clips, iterations the stage closure's iterations
-    and dissipation the viscous dissipation of the step.
+    Returns (stage_Z, stage_forcing, iterations, dissipation): stage_Z is
+    the closure root of the stage, the warm start of the new state's
+    closure; stage_forcing the read-only stage forcing at t + dt, the
+    forcing of the next step when it starts there (None for an unforced
+    step); iterations the stage closure's iterations and dissipation the
+    viscous dissipation of the step.
     """
     if forcing0 is None and forcing is not None:
         forcing0 = forcing.cell_averages(grid, t)
@@ -347,14 +328,10 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     U0 = W[:3, 1:-1]
     dU = _rhs(W, grid, cfg, forcing0)
     dU *= dt
-    if cfg.integrator != SSPRK2:
-        U0 += dU
-        return Z, None, _admit(U0, cfg, t1), 0, dissipation
-
     U1 = S[:3, 1:-1]
     np.add(dU, U0, out=U1)
     # admitted, the stage is valid input for the trusted closure kernel
-    clips = _admit(U1, cfg, t1)
+    _admit(U1, cfg, t1)
     stage_Z, _, iters = _close(S, grid, cfg, exps, Z)
     stage_forcing = None
     if forcing is not None:
@@ -365,8 +342,8 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     U0 += U1
     U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
     U0 *= 0.5
-    clips += _admit(U0, cfg, t1)
-    return stage_Z, stage_forcing, clips, iters, dissipation
+    _admit(U0, cfg, t1)
+    return stage_Z, stage_forcing, iters, dissipation
 
 
 _CLAMP_EPS = 1e-14
@@ -411,7 +388,6 @@ class Trajectory:
     diss_cum: list[float]
     alpha_transported: np.ndarray | None
     dt_history: np.ndarray
-    positivity_clips: int
     alpha_clamps: int | None
     closure_iterations_max: int
     max_wave_speed: float
@@ -463,7 +439,6 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     diss: list[float] = []
     cum = 0.0
     dt_hist: list[float] = []
-    clips = 0
     clamps = 0 if track else None
     iters_max = 0
     wave_max = 0.0
@@ -496,7 +471,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
                 )
                 clamps += cl
             try:
-                z_prev, forcing0, cl, iters1, step_diss = step(
+                z_prev, forcing0, iters1, step_diss = step(
                     W, S, grid, cfg, exps, t, dt, Z, forcing0, sol
                 )
             except StepError as exc:
@@ -509,7 +484,6 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             t = t1
             cum += step_diss
             dt_hist.append(dt)
-            clips += cl
             iters_max = max(iters_max, iters0, iters1)
             wave_max = max(wave_max, speed_max)
             if t < target:  # the next step starts here
@@ -530,7 +504,6 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
         diss_cum=diss,
         alpha_transported=a_diag,
         dt_history=np.asarray(dt_hist),
-        positivity_clips=clips,
         alpha_clamps=clamps,
         closure_iterations_max=iters_max,
         max_wave_speed=wave_max,

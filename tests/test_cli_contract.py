@@ -58,8 +58,6 @@ FLOAT_KEYS = (
     ("tolerances", "rho_floor"),
     ("verification", "energy_eps"),
     ("verification", "stability_delta"),
-    ("verification", "ess_lower"),
-    ("verification", "ess_upper"),
     *(("mms", k) for k in "abcde"),
 )
 

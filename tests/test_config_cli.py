@@ -3,17 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bifluid
-from bifluid import cli, solver, verify
+from bifluid import cli, config, solver, verify
 from bifluid.cli import main
 from bifluid.closure import ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, _uniform_draws, validate_config
-from oracles import fraction_terms
+from oracles import flipped_advection_rhs, fraction_terms
 
 MINIMAL = """
 [exponents]
@@ -70,7 +71,7 @@ def test_type_errors_name_the_field():
     with pytest.raises(ValidationError, match="grid.*n|n.*integer"):
         validate_config(MINIMAL + "\n[grid]\nn = many\n")
     with pytest.raises(ValidationError, match="boolean"):
-        validate_config(MINIMAL + "\n[verification]\nstrict = maybe\n")
+        validate_config(MINIMAL + "\n[verification]\ntrack_alpha = maybe\n")
 
 
 @pytest.mark.parametrize(
@@ -153,6 +154,23 @@ def test_perturbation_is_numpys_draw_order_for_r_q_u():
         cs, cc = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4)
         norm = np.sqrt(np.sum(cs * cs + cc * cc))
         assert np.array_equal(got, (cs @ np.sin(phase) + cc @ np.cos(phase)) / norm)
+
+
+def test_perturbation_modes_above_half_the_grid_fail_fast(monkeypatch):
+    # a mode above n // 2 aliases onto a lower one on the grid; the check
+    # comes before the draws and the (modes, n) tables, which grow with modes
+    draws = []
+    monkeypatch.setattr(config, "_uniform_draws", lambda *a: draws.append(a))
+    text = MINIMAL + "\n[grid]\nn = 64\n[perturbation]\nepsilon = 0.01\nmodes = {}\n"
+    t0 = time.perf_counter()
+    for modes in (33, 2_000_000):
+        with pytest.raises(ValidationError, match=r"^perturbation\.modes: must be at most n // 2 = 32"):
+            validate_config(text.format(modes))
+    assert time.perf_counter() - t0 < 1.0
+    assert draws == []
+    monkeypatch.undo()
+    validate_config(text.format(32))
+    validate_config(text.format(2_000_000).replace("epsilon = 0.01", "epsilon = 0.0"))
 
 
 def test_from_file_preset(tmp_path):
@@ -280,7 +298,7 @@ def test_cli_run_outputs_and_determinism(tmp_path):
         assert b1 == b2
     report = json.load(open(os.path.join(out1, "report.json")))
     assert report["energy_audit"]["passed"] is True and report["energy_audit"]["skipped"] is False
-    assert report["counters"]["positivity_clips"] == 0
+    assert report["counters"] == {"alpha_clamps": None}
     assert report["conservation"]["drift_R_rel"] < 1e-13
     assert report["config"]["n"] == 32
 
@@ -839,15 +857,18 @@ def test_cli_compare_checks_the_pair_before_it_creates_out(
     assert runs == []
 
 
-INVISCID_EULER = (
-    RUN_CFG.replace("t_end = 0.01", "t_end = 0.01\ncfl = 1.0\nintegrator = forward_euler")
-    + "\n[viscosity]\nmu = 0.0\n\n[verification]\nallow_inviscid = true\nenergy_eps = 1e-12\n"
+INVISCID = RUN_CFG + (
+    "\n[viscosity]\nmu = 0.0\n\n[verification]\nallow_inviscid = true\nenergy_eps = 1e-12\n"
 )
 
 
-def test_cli_compare_whose_energy_audit_fails_exits_4_after_every_output(tmp_path, capfd):
-    # forward Euler at cfl = 1 without viscosity gains energy far beyond 1e-12
-    path = write(tmp_path, "euler.ini", INVISCID_EULER)
+def test_cli_compare_whose_energy_audit_fails_exits_4_after_every_output(
+    tmp_path, capfd, monkeypatch
+):
+    # advection of the wrong sign without viscosity gains energy far beyond
+    # 1e-12 (a margin of about 3.4e-4), without blowing up
+    monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
+    path = write(tmp_path, "inviscid.ini", INVISCID)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", path, "--out", str(out)]) == 4
     err = capfd.readouterr().err
@@ -867,8 +888,9 @@ def test_cli_compare_whose_energy_audit_fails_exits_4_after_every_output(tmp_pat
     assert json.loads((out / "run_a" / "report.json").read_text())["energy_audit"] == audit
 
 
-def test_cli_run_whose_energy_audit_fails_exits_4_after_every_output(tmp_path, capfd):
-    path = write(tmp_path, "euler.ini", INVISCID_EULER)
+def test_cli_run_whose_energy_audit_fails_exits_4_after_every_output(tmp_path, capfd, monkeypatch):
+    monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
+    path = write(tmp_path, "inviscid.ini", INVISCID)
     out = tmp_path / "run"
     assert main(["run", "--config", path, "--out", str(out)]) == 4
     captured = capfd.readouterr()
@@ -1001,9 +1023,9 @@ def test_cli_mms_ref_mode_compare_removes_the_run_files_of_an_earlier_run_b(tmp_
     assert sorted(os.listdir(fresh)) == ["re_report.csv", "run_a", "verify.json"]
 
 
-def _default_ess_window(derived_series):
-    """The default coercivity window of a whole reference series: half the
-    minimum to twice the maximum of its phase densities."""
+def _ess_window(derived_series):
+    """The coercivity window of a whole reference series: half the minimum
+    to twice the maximum of its phase densities."""
     lo = min(float(np.min(rho)) for d in derived_series for rho in (d.rho_plus, d.rho_minus))
     hi = max(float(np.max(rho)) for d in derived_series for rho in (d.rho_plus, d.rho_minus))
     return 0.5 * lo, 2.0 * hi
@@ -1037,10 +1059,7 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
         verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t)
         for (a, b), t in zip(pairs, times, strict=True)
     ]
-    if cfg_a.ess_lower:
-        window = (cfg_a.ess_lower, cfg_a.ess_upper)
-    else:
-        window = _default_ess_window(series_b)
+    window = _ess_window(series_b)
     coer = [
         verify.coercivity_check(row, a, b, grid, exps, *window)
         for row, (a, b) in zip(rows, pairs)
@@ -1062,7 +1081,7 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
         "alpha_stability": dataclasses.asdict(stab),
         "ess_window": list(window),
         "coercivity": [dataclasses.asdict(c) for c in coer],
-        "energy_audit": cli._audit_record(verify.energy_audit(traj_a, cfg_a.energy_eps)),
+        "energy_audit": verify.energy_audit(traj_a, cfg_a.energy_eps),
     }
     return rows, payload
 
@@ -1076,15 +1095,13 @@ COMPARE_MODES = {
 }
 
 
-@pytest.mark.parametrize("window", ["default", "explicit"])
+@pytest.mark.parametrize("window", ["default"])
 @pytest.mark.parametrize("mode", sorted(COMPARE_MODES))
 def test_compare_runs_equals_the_audits_of_the_full_series(run_collecting, mode, window):
     # compare_runs keeps a few arrays of each reference snapshot and none of
     # run_a; its results are those of the audits on every snapshot of both
-    # sides, the default window being that of the whole reference series
+    # sides, the window being that of the whole reference series
     text_a, text_b = COMPARE_MODES[mode]
-    if window == "explicit":
-        text_a += "\n[verification]\ness_lower = 2.0\ness_upper = 4.5\n"
     cfg_a = validate_config(text_a)[0]
     cfg_b = validate_config(text_b)[0] if text_b else None
     ref_mode = "twin" if mode == "self-twin" else mode
@@ -1093,9 +1110,6 @@ def test_compare_runs_equals_the_audits_of_the_full_series(run_collecting, mode,
     assert rows == want_rows
     # exact: _jsonable keeps every finite float and maps inf and nan to None
     assert cli._jsonable(payload) == cli._jsonable(want_payload)
-    if window == "explicit":  # a window that splits the cells
-        assert payload["ess_window"] == [2.0, 4.5]
-        assert all(c["n_ess"] > 0 and c["n_res"] > 0 for c in payload["coercivity"])
 
 
 def test_cli_closure_table(capsys):
@@ -1382,8 +1396,10 @@ def test_cli_allocation_failure_after_validation_is_a_runtime_failure(
         }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "0.1"])
 def test_cli_compare_rejects_a_non_positive_or_non_finite_delta(tmp_path, value):
+    # compare takes no --delta: verification.stability_delta is the one
+    # setting, so every value is a usage error of argparse
     path = write(tmp_path, "run.ini", RUN_CFG)
     out = tmp_path / "o"
     argv = ["compare", "--config", path, "--out", str(out), f"--delta={value}"]
@@ -1394,8 +1410,28 @@ def test_cli_compare_rejects_a_non_positive_or_non_finite_delta(tmp_path, value)
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == "usage error: --delta must be positive and finite\n"
+    assert proc.stderr.startswith("usage: bifluid")
+    assert proc.stderr.endswith(f"error: unrecognized arguments: --delta={value}\n")
     assert not out.exists()  # nothing was run or written
+
+
+@pytest.mark.parametrize("key, value", [("strict", "false"), ("ess_lower", "2.0"), ("ess_upper", "4.5")])
+def test_cli_rejects_the_removed_verification_keys(tmp_path, capsys, key, value):
+    path = write(tmp_path, "run.ini", RUN_CFG + f"\n[verification]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown key '{key}' in section [verification]\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_rejects_any_integrator_but_ssprk2(tmp_path, capsys):
+    text = RUN_CFG.replace("t_end = 0.01", "t_end = 0.01\nintegrator = forward_euler")
+    out = tmp_path / "o"
+    assert main(["run", "--config", write(tmp_path, "run.ini", text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: time.integrator: must be 'ssprk2'\n"
+    assert not out.exists()
 
 
 def test_cli_closure_table_usage_errors(capsys):

@@ -186,7 +186,7 @@ def test_total_energy_nonnegative(R, Q, u):
 
 
 def test_default_ess_window():
-    # compare's default coercivity window runs from half the minimum to twice
+    # compare's coercivity window runs from half the minimum to twice
     # the maximum of the reference phase densities
     cfg = SimConfig(
         n=8, t_end=0.0, r_init=ProfileSpec(value=1.0), q_init=ProfileSpec(value=2.0)

@@ -47,7 +47,7 @@ def stable_dt(d, grid, sch, exps=EXPS):
 def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS):
     """One solver.step from the state st, in the buffers a run steps (d,
     the derived fields of st, is derived here when not given); returns the
-    new state and what the step returns: (stage_Z, stage_forcing, clips,
+    new state and what the step returns: (stage_Z, stage_forcing,
     iterations, dissipation)."""
     d = derived if derived is not None else derive(st, exps)
     W = np.empty((5, grid.n + 2))
@@ -144,12 +144,10 @@ def test_compute_dt_names_the_cells_without_a_stable_step():
 def test_constant_state_is_exact_fixed_point_periodic():
     grid = Grid1D(32, 1.0)
     st = make_state(32, 1.0, 2.0, 0.7)
-    for integ in ("forward_euler", "ssprk2"):
-        new, rep = step_from(st, grid, scheme(integrator=integ), 1e-3)
-        assert np.array_equal(new.R, st.R)
-        assert np.array_equal(new.Q, st.Q)
-        assert np.array_equal(new.m, st.m)
-        assert rep[2] == 0  # positivity clips
+    new, _ = step_from(st, grid, scheme(), 1e-3)
+    assert np.array_equal(new.R, st.R)
+    assert np.array_equal(new.Q, st.Q)
+    assert np.array_equal(new.m, st.m)
 
 
 def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
@@ -158,14 +156,13 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     R = 1.0 + 0.3 * np.sin(2 * np.pi * x)
     Q = 1.2 + 0.2 * np.cos(2 * np.pi * x)
     st = FieldState(0.0, R, Q, np.zeros(32))
-    sch = scheme(integrator="forward_euler")
-    dt = 1e-4
-    new, _ = step_from(st, grid, sch, dt)
-    assert np.array_equal(new.R, st.R)
-    assert np.array_equal(new.Q, st.Q)
     d = derive(st, EXPS)
+    W = np.empty((5, grid.n + 2))
+    solver._load(W, st, d, grid)
+    dU = solver._rhs(W, grid, scheme(), None)
+    assert not dU[:2].any()
     grad_p = (np.roll(d.p, -1) - np.roll(d.p, 1)) / (2 * grid.dx)
-    assert np.allclose(new.m, -dt * grad_p, rtol=0, atol=1e-18)
+    assert np.array_equal(dU[2], -grad_p)
 
 
 def test_step_report_fields():
@@ -175,30 +172,10 @@ def test_step_report_fields():
     sch = scheme()
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
     assert speed_max == pytest.approx(float(np.max(np.abs(d.u) + np.sqrt(3.0 * d.Z**2))), rel=1e-12)
-    _, (stage_Z, stage_forcing, clips, iters, dissipation) = step_from(st, grid, sch, dt, d)
+    _, (stage_Z, stage_forcing, iters, dissipation) = step_from(st, grid, sch, dt, d)
     assert stage_Z.shape == (32,) and stage_forcing is None
-    assert clips == 0 and iters == 0  # gamma = 2 has a closed form
+    assert iters == 0  # gamma = 2 has a closed form
     assert dissipation >= 0.0
-
-
-def test_positivity_strict_raises_exploratory_clips():
-    grid = Grid1D(8, 1.0)
-    R = np.ones(8)
-    Q = np.ones(8)
-    u = np.zeros(8)
-    u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
-    st = FieldState(0.0, R, Q, (R + Q) * u)
-    # dt far beyond the advective limit empties the cell past zero
-    with pytest.raises(PositivityLossError) as exc:
-        step_from(st, grid, scheme(integrator="forward_euler"), 0.5)
-    assert "cells [3]" in str(exc.value)  # the failure record names the cell
-    assert "t=0.5" in str(exc.value)
-    assert exc.value.cells == [3] and exc.value.t == 0.5
-    assert exc.value.step is exc.value.dt is None  # run adds them
-    sch = scheme(integrator="forward_euler", strict=False)
-    new, rep = step_from(st, grid, sch, 0.5)
-    assert rep[2] > 0  # positivity clips
-    assert (new.R >= 0.0).all()
 
 
 def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
@@ -216,14 +193,30 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
         return real(U, *args)
 
     monkeypatch.setattr(solver, "_closure_fields", spy)
-    with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
+    # dt far beyond the advective limit empties the cell past zero
+    with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]") as exc:
         step_from(st, grid, scheme(), 0.5)
     assert solved == []
-    _, rep = step_from(st, grid, scheme(strict=False), 0.5)
-    assert len(solved) == 1 and rep[2] > 0
+    assert exc.value.cells == [3] and exc.value.t == 0.5
+    assert exc.value.step is exc.value.dt is None  # run adds them
 
 
-@pytest.mark.parametrize("integrator", ["forward_euler", "ssprk2"])
+def test_admit_zeroes_round_off_negatives_and_rejects_the_rest():
+    sch = scheme()  # positivity_tol = 1e-12
+    U = np.ones((3, 6))
+    U[0, 2], U[1, 4], U[2, 1] = -1e-13, -0.0, -5.0
+    solver._admit(U, sch, 0.5)
+    assert U[0, 2] == 0.0 and U[2, 1] == -5.0  # momentum keeps its sign
+    U[1, 3] = -1e-9
+    with pytest.raises(PositivityLossError, match=r"Q fell below -1e-12 at t=0\.5 in cells \[3\]"):
+        solver._admit(U, sch, 0.5)
+    U[1, 3], U[2, 5] = 1.0, np.nan
+    with pytest.raises(NonFiniteStateError) as exc:
+        solver._admit(U, sch, 0.5)
+    assert exc.value.cells == [5]
+
+
+@pytest.mark.parametrize("integrator", [solver.SSPRK2])
 def test_stage_blow_up_names_time_and_cells(integrator):
     # the momentum flux out of cell 5 overflows; only cells 5 and 6 see it
     grid = Grid1D(16, 1.0)
@@ -325,31 +318,23 @@ def _ref_rhs(R, Q, m, der, grid, sch, sol, t, flux_sign):
     return per_equation_rhs(R, Q, m, der.u, der.p, grid, sch.nu_eff, forcing, flux_sign)
 
 
-def _ref_clip(arr, tol):
-    neg = arr < 0.0
-    return np.where(neg, 0.0, arr), int(np.count_nonzero(arr < -tol))
+def _ref_clip(arr):
+    """arr with its round-off negatives zeroed."""
+    return np.where(arr < 0.0, 0.0, arr)
 
 
 def _ref_step(st, grid, sch, sol, dt, flux_sign):
-    """One step of the per-equation scheme forced by sol, if not None, with
-    advection entering with flux_sign; returns (R, Q, m, clips)."""
+    """One SSPRK2 step of the per-equation scheme forced by sol, if not
+    None, with advection entering with flux_sign; returns (R, Q, m)."""
     der0 = derive(st, EXPS)
     dR, dQ, dm = _ref_rhs(st.R, st.Q, st.m, der0, grid, sch, sol, st.t, flux_sign)
-    (R1, cR), (Q1, cQ) = (
-        _ref_clip(a, sch.positivity_tol) for a in (st.R + dt * dR, st.Q + dt * dQ)
-    )
+    R1, Q1 = _ref_clip(st.R + dt * dR), _ref_clip(st.Q + dt * dQ)
     m1 = st.m + dt * dm
-    clips = cR + cQ
-    if sch.integrator == "forward_euler":
-        return R1, Q1, m1, clips
     stage = FieldState(st.t + dt, R1, Q1, m1)
     der1 = derive(stage, EXPS, z0=der0.Z)
     dR1, dQ1, dm1 = _ref_rhs(R1, Q1, m1, der1, grid, sch, sol, stage.t, flux_sign)
-    (R2, cR), (Q2, cQ) = (
-        _ref_clip(0.5 * (a + a1 + dt * da), sch.positivity_tol)
-        for a, a1, da in ((st.R, R1, dR1), (st.Q, Q1, dQ1))
-    )
-    return R2, Q2, 0.5 * (st.m + m1 + dt * dm1), clips + cR + cQ
+    R2, Q2 = (_ref_clip(0.5 * (a + a1 + dt * da)) for a, a1, da in ((st.R, R1, dR1), (st.Q, Q1, dQ1)))
+    return R2, Q2, 0.5 * (st.m + m1 + dt * dm1)
 
 
 def _tricky_state(grid):
@@ -368,7 +353,7 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.mark.parametrize("integrator", ["forward_euler", "ssprk2"])
+@pytest.mark.parametrize("integrator", [solver.SSPRK2])
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("flux_sign", [1.0, -1.0])
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
@@ -382,17 +367,16 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
         monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
     grid = Grid1D(32, 1.0, bc=bc)
     st = _tricky_state(grid)
-    sch = scheme(integrator=integrator, strict=False)
+    sch = scheme(integrator=integrator)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2) if forced else None
     d = derive(st, EXPS)
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
     dt *= 0.5
-    new, (_, _, clips, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
-    R, Q, m, ref_clips = _ref_step(st, grid, sch, sol, dt, flux_sign)
+    new, (_, _, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
+    R, Q, m = _ref_step(st, grid, sch, sol, dt, flux_sign)
     assert _same_bits(new.R, R)
     assert _same_bits(new.Q, Q)
     assert _same_bits(new.m, m)
-    assert clips == ref_clips
     g = _ref_velocity_face_gradient(d.u, grid)
     assert dissipation == dt * float(sch.nu_eff * np.sum(g * g) * grid.dx)
     assert speed_max == float(np.max(np.abs(d.u) + np.sqrt(3.0 * np.power(d.Z, 2.0))))
@@ -408,7 +392,7 @@ def _ref_snapshots(cfg, dts):
     states, targets = [st], iter(cfg.snapshot_times()[1:])
     target = next(targets)
     for dt in dts:
-        R, Q, m, _ = _ref_step(st, grid, cfg, sol, dt, 1.0)
+        R, Q, m = _ref_step(st, grid, cfg, sol, dt, 1.0)
         t = target if dt == target - st.t else st.t + dt
         st = FieldState(t, R, Q, m)
         if t == target:
@@ -417,7 +401,7 @@ def _ref_snapshots(cfg, dts):
     return states
 
 
-@pytest.mark.parametrize("integrator", ["forward_euler", "ssprk2"])
+@pytest.mark.parametrize("integrator", [solver.SSPRK2])
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
 def test_run_snapshots_are_bit_identical_to_per_equation_steps(
@@ -425,10 +409,7 @@ def test_run_snapshots_are_bit_identical_to_per_equation_steps(
 ):
     # the run's buffers, ghost fills, admission checks and handed-on stage
     # roots and forcings give the per-equation scheme, step after step
-    cfg = base_cfg(
-        bc=bc, integrator=integrator, t_end=0.1, n_snapshots=7, mms_enabled=forced,
-        cfl=0.9 if integrator == "ssprk2" else 0.4,
-    )
+    cfg = base_cfg(bc=bc, integrator=integrator, t_end=0.1, n_snapshots=7, mms_enabled=forced)
     traj, states, _ = run_collecting(cfg)
     assert traj.n_steps > 60
     want = _ref_snapshots(cfg, traj.dt_history.tolist())
@@ -684,7 +665,6 @@ def test_run_noslip_end_to_end(run_collecting):
     mE = total_mass(states[-1], traj.grid)
     assert mE[0] == pytest.approx(m0[0], rel=1e-13)
     assert mE[1] == pytest.approx(m0[1], rel=1e-13)
-    assert traj.positivity_clips == 0
 
 
 MEMORY_N = 512
@@ -793,12 +773,6 @@ def test_forced_ssprk2_run_evaluates_the_forcing_once_per_time_level(monkeypatch
     assert traj.n_steps < len(calls) <= traj.n_steps + len(traj.times) - 1
 
 
-def test_forced_forward_euler_evaluates_the_forcing_once_per_step(monkeypatch):
-    calls = _spy_cell_averages(monkeypatch)
-    traj = run(mms_cfg(integrator="forward_euler", cfl=0.5))
-    assert len(calls) == traj.n_steps
-
-
 @pytest.mark.parametrize("kw", [dict(a=np.inf), dict(d=np.nan), dict(c=1e308, d=1e308)])
 def test_manufactured_masses_must_stay_finite(kw):
     # the forcing's closure solve trusts R and Q to be finite
@@ -810,9 +784,8 @@ def test_handed_on_forcing_is_read_only():
     grid = Grid1D(32, 1.0)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
-    _, (_, stage_forcing, _, _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
+    _, (_, stage_forcing, _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
     assert stage_forcing.shape == (3, 32)
     with pytest.raises(ValueError):
         stage_forcing[2, 0] += 1.0
-    for sch, forcing in ((scheme(integrator="forward_euler"), sol), (scheme(), None)):
-        assert step_from(st, grid, sch, 1e-4, forcing=forcing)[1][1] is None
+    assert step_from(st, grid, scheme(), 1e-4)[1][1] is None  # unforced

@@ -15,10 +15,11 @@ import numpy as np
 
 import bifluid
 from bifluid import cli, fields, solver
-from bifluid.config import SimConfig
+from bifluid.config import SimConfig, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _load_tracing():
@@ -26,6 +27,26 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_shipped_and_benchmark_config_validates(monkeypatch):
+    # a removed or renamed config key must fail here, not only in the
+    # benchmark's gate
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    texts = {path.name: path.read_text() for path in sorted((ROOT / "configs").glob("*.ini"))}
+    assert texts
+    for name, workload in workloads.WORKLOADS.items():
+        for variant in range(workloads.N_VARIANTS):
+            for file_name, text in workload.configs(variant).items():
+                texts[f"{name} variant {variant}: {file_name}"] = text
+    for label, text in texts.items():
+        try:
+            validate_config(text)
+        except ValueError as exc:
+            raise AssertionError(f"{label}: {exc}") from None
 
 
 def test_every_tracer_target_resolves():
