@@ -178,6 +178,23 @@ def test_step_report_fields():
     assert dissipation >= 0.0
 
 
+def test_positivity_strict_raises_exploratory_clips():
+    # no policy clips a real positivity loss any more: it always raises
+    grid = Grid1D(8, 1.0)
+    R = np.ones(8)
+    Q = np.ones(8)
+    u = np.zeros(8)
+    u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
+    st = FieldState(0.0, R, Q, (R + Q) * u)
+    # dt far beyond the advective limit empties the cell past zero
+    with pytest.raises(PositivityLossError) as exc:
+        step_from(st, grid, scheme(), 0.5)
+    assert "cells [3]" in str(exc.value)  # the failure record names the cell
+    assert "t=0.5" in str(exc.value)
+    assert exc.value.cells == [3] and exc.value.t == 0.5
+    assert exc.value.step is exc.value.dt is None  # run adds them
+
+
 def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
     grid = Grid1D(8, 1.0)
     R, Q, u = np.ones(8), np.ones(8), np.zeros(8)
@@ -193,12 +210,9 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
         return real(U, *args)
 
     monkeypatch.setattr(solver, "_closure_fields", spy)
-    # dt far beyond the advective limit empties the cell past zero
-    with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]") as exc:
+    with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
         step_from(st, grid, scheme(), 0.5)
     assert solved == []
-    assert exc.value.cells == [3] and exc.value.t == 0.5
-    assert exc.value.step is exc.value.dt is None  # run adds them
 
 
 def test_admit_zeroes_round_off_negatives_and_rejects_the_rest():
