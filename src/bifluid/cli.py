@@ -32,6 +32,7 @@ import numpy as np
 
 from . import verify
 from .closure import (
+    VACUUM_ALPHA,
     ClosureOverflowError,
     ExponentPair,
     MaxIterExceededError,
@@ -494,9 +495,9 @@ def compare_runs(
     snapshots to its writers as it records them.  The audits read the
     fields each run derived itself and the energies it evaluated from them
     (Trajectory.energies), so a twin is compared on the fields of its run_b
-    CSVs, made with cfg_b's closure settings; the restricted and the exact
-    states are derived here, with cfg_a's, and the energy scale is the
-    energy of the first of them.
+    CSVs, warm-started within run_b; the restricted and the exact states are
+    derived here, cold, and the energy scale is the energy of the first of
+    them.
     Without cfg_b the twin run_b is a second run of cfg_a from initial_a.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
@@ -523,9 +524,6 @@ def compare_runs(
             bounds[1] = max(bounds[1], float(np.max(rho)))
         refs.append(_Reference(t, der.rho_plus, der.alpha, der.u, exps))
 
-    def derive_a(state: FieldState):
-        return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
-
     failed = []  # the first error of a pair reduction made inside a run
 
     def in_run(reduce):
@@ -551,13 +549,13 @@ def compare_runs(
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
             for t in cfg_a.snapshot_times():
-                keep_reference(derive_a(sol.state(grid, t)), t)
+                keep_reference(derive(sol.state(grid, t), exps), t)
         else:
             factor = cfg_b.n // cfg_a.n
 
             def keep_run_b(state, der) -> None:
                 if ref_mode != "twin":
-                    der = derive_a(restrict(state, factor))
+                    der = derive(restrict(state, factor), exps)
                 keep_reference(der, state.t)
 
             traj_b, _ = _run_into(stack, side("run_b"), cfg_b, initial_b, in_run(keep_run_b))
@@ -639,6 +637,9 @@ def cmd_mms(args) -> int:
     if not cfg.mms_enabled:
         print("config error: mms.enabled must be true for the mms command", file=sys.stderr)
         return EXIT_CONFIG
+    if not cfg.t_end > 0.0:
+        print("config error: time.t_end must be positive for the mms command", file=sys.stderr)
+        return EXIT_CONFIG
     if args.out is not None and not _make_out_dir(args.out, "mms"):
         return EXIT_CONFIG
     report = verify.convergence_study(cfg, args.levels)
@@ -671,9 +672,6 @@ def cmd_closure(args) -> int:
     ):
         print("usage error: ranges must be finite, nonnegative and ordered", file=sys.stderr)
         return EXIT_CONFIG
-    if not (0.0 <= args.vacuum_alpha <= 1.0):
-        print("usage error: --vacuum-alpha must lie in [0, 1]", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         exps = ExponentPair(args.gamma_plus, args.gamma_minus)
     except ValueError as exc:
@@ -704,7 +702,7 @@ def cmd_closure(args) -> int:
             return EXIT_RUNTIME
         vacuum = Z == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(vacuum, float(args.vacuum_alpha), R / Z)
+            alpha = np.where(vacuum, VACUUM_ALPHA, R / Z)
         table = np.column_stack((R, Q, Z, alpha, rho_minus, p, vacuum))
         sys.stdout.write(_CLOSURE_ROW * Z.size % tuple(table.ravel().tolist()))
     return EXIT_OK
@@ -747,7 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=float, default=0.0)
     p.add_argument("--q-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--vacuum-alpha", type=float, default=0.0)
     p.set_defaults(func=cmd_closure)
 
     return parser

@@ -37,13 +37,13 @@ import numpy as np
 
 CLOSURE_TOL = 1e-12
 CLOSURE_MAX_ITER = 200
-VACUUM_ALPHA_DEFAULT = 0.5
+VACUUM_ALPHA = 0.5  # the volume fraction reported in a vacuum cell R = Q = 0
 _EPS = np.finfo(float).eps
 
 __all__ = [
     "CLOSURE_TOL",
     "CLOSURE_MAX_ITER",
-    "VACUUM_ALPHA_DEFAULT",
+    "VACUUM_ALPHA",
     "NonFiniteInputError",
     "MaxIterExceededError",
     "ClosureOverflowError",
@@ -60,8 +60,8 @@ class NonFiniteInputError(ValueError):
 class MaxIterExceededError(RuntimeError):
     """Root iteration did not converge within the iteration cap.
 
-    With the default tolerance this signals a misconfigured tolerance, not a
-    missing root: the residual is monotone and bracketed.
+    With CLOSURE_TOL this signals a defect, not a missing root: the residual
+    is monotone and bracketed.
     """
 
 
@@ -112,14 +112,14 @@ def _check_overflow(a, what):
         )
 
 
-def _newton(r, q, lo, hi, z, gamma, tol):
+def _newton(r, q, lo, hi, z, gamma):
     """Newton on the scaled closure for 1-D arrays; returns (z, iterations).
 
     lo is a scalar or an array like hi.  Converged cells are frozen in
     place: the whole batch is iterated, but a converged cell keeps its z, so
     each cell runs the same iteration whatever else is in the batch.
     """
-    tol_q = tol * q
+    tol_q = CLOSURE_TOL * q
     # the subtraction (z - r) bounds the achievable residual at a few ulps
     # of z**gamma, scaled by the local slope factor (1 + gamma)
     f_floor = 4.0 * (1.0 + gamma) * _EPS
@@ -139,7 +139,7 @@ def _newton(r, q, lo, hi, z, gamma, tol):
     )
 
 
-def solve_closure_batch(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
+def solve_closure_batch(R, Q, gamma, z0=None):
     """Vectorised closure solve; returns (Z, iterations).
 
     Scaling.  The closure is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q,
@@ -169,30 +169,29 @@ def solve_closure_batch(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
     cold start is then not computed; a non-finite entry falls back to a
     bracket end.  The exact branches ignore it.
 
-    Convergence, per cell: |f(z)| <= tol * max(q, floor) with the floor a few
-    ulps of z**gamma, the round-off scale of the residual evaluation; in
-    unscaled terms |f(Z)| <= tol * Q or the same floor of Z**gamma.  Since
-    f' >= min(1, gamma) * z**(gamma-1) on the bracket, this bounds the
-    relative error of Z by about tol / min(1, gamma).  A converged cell is
-    frozen in place, so its result does not depend on the other cells of
-    the batch.  The returned iteration count is the largest over cells (0
-    for the exact branches).
+    Convergence, per cell: |f(z)| <= CLOSURE_TOL * max(q, floor) with the
+    floor a few ulps of z**gamma, the round-off scale of the residual
+    evaluation; in unscaled terms |f(Z)| <= CLOSURE_TOL * Q or the same floor
+    of Z**gamma.  Since f' >= min(1, gamma) * z**(gamma-1) on the bracket,
+    this bounds the relative error of Z by about CLOSURE_TOL / min(1, gamma).
+    A converged cell is frozen in place, so its result does not depend on
+    the other cells of the batch.  The returned iteration count is the
+    largest over cells (0 for the exact branches).  The kernel reads
+    CLOSURE_TOL and CLOSURE_MAX_ITER when it runs.
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
     _validate_inputs(R, Q)
     if R.shape != Q.shape:
         R, Q = np.broadcast_arrays(R, Q)
-    return _solve_closure(R, Q, gamma, tol, z0)
+    return _solve_closure(R, Q, gamma, z0)
 
 
-def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
+def _solve_closure(R, Q, gamma, z0=None):
     """``solve_closure_batch`` on float arrays R, Q of one shape that hold only
     finite, nonnegative values; the caller guarantees that, nothing checks it."""
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be a positive finite number")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
     shape = R.shape
     R, Q = R.ravel(), Q.ravel()
 
@@ -235,7 +234,7 @@ def _solve_closure(R, Q, gamma, tol=CLOSURE_TOL, z0=None):
             start = np.minimum(1.0 + dz, hi)
         else:
             start = lo
-        z, iterations = _newton(r, q, lo, hi, start, gamma, tol)
+        z, iterations = _newton(r, q, lo, hi, start, gamma)
 
     Z = s * z
     if vac is not None:

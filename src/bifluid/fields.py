@@ -22,7 +22,7 @@ from . import thermo
 PERIODIC = "periodic"
 NOSLIP = "noslip"
 BOUNDARY_CONDITIONS = (PERIODIC, NOSLIP)
-RHO_FLOOR = 1e-12
+RHO_FLOOR = 1e-12  # velocity recovery divides by max(R + Q, RHO_FLOOR)
 _TINY = np.finfo(float).smallest_subnormal
 
 SNAPSHOT_COLUMNS = ("i", "x", "R", "Q", "m", "Z", "alpha", "rho_plus", "rho_minus", "p", "u")
@@ -137,9 +137,9 @@ def _finite(a) -> bool:
 class DerivedFields:
     """Closure output per cell plus velocity recovered from momentum.
 
-    derive computes Z, p and u.  alpha, rho_minus and vacuum follow from Z,
-    the exponent ratio gamma and the vacuum sentinel vacuum_alpha; each is
-    computed on its first read and then kept.
+    derive computes Z, p and u.  alpha, rho_minus and vacuum follow from Z
+    and the exponent ratio gamma; each is computed on its first read and
+    then kept.  A vacuum cell's alpha is the sentinel closure.VACUUM_ALPHA.
     """
 
     R: np.ndarray
@@ -148,7 +148,6 @@ class DerivedFields:
     Z: np.ndarray
     p: np.ndarray
     gamma: float
-    vacuum_alpha: float
     closure_iterations: int = 0
 
     @property
@@ -173,7 +172,7 @@ class DerivedFields:
         # Z >= R, so Z == 0 only where R == 0: vacuum, or a root below the
         # smallest float (alpha = 0 there)
         return np.where(
-            self.vacuum, float(self.vacuum_alpha), self.R / np.maximum(self.Z, _TINY)
+            self.vacuum, closure.VACUUM_ALPHA, self.R / np.maximum(self.Z, _TINY)
         )
 
     @functools.cached_property
@@ -182,19 +181,14 @@ class DerivedFields:
 
 
 def derive(
-    state: FieldState,
-    exps: closure.ExponentPair,
-    tol: float = closure.CLOSURE_TOL,
-    vacuum_alpha: float = closure.VACUUM_ALPHA_DEFAULT,
-    rho_floor: float = RHO_FLOOR,
-    z0: np.ndarray | None = None,
+    state: FieldState, exps: closure.ExponentPair, z0: np.ndarray | None = None
 ) -> DerivedFields:
     """Cell-wise closure solve plus floored velocity recovery u = m / (R + Q).
 
     z0, the Z of a nearby state, warm-starts the closure iteration.
     """
     p, u = np.empty(state.n), np.empty(state.n)
-    Z, _, iters = _closure_fields(state.U, (p, u), exps, tol, rho_floor, z0)
+    Z, _, iters = _closure_fields(state.U, (p, u), exps, z0)
     return DerivedFields(
         R=state.R,
         Q=state.Q,
@@ -202,21 +196,20 @@ def derive(
         Z=Z,
         p=p,
         gamma=exps.gamma,
-        vacuum_alpha=vacuum_alpha,
         closure_iterations=iters,
     )
 
 
-def _closure_fields(U, out, exps, tol, rho_floor, z0):
+def _closure_fields(U, out, exps, z0):
     """Z, the mixture density R + Q and the closure iterations of a stacked
     (3, n) state U whose values are finite with nonnegative masses, which is
     not checked here; its pressure and velocity go to the two rows of out."""
     R, Q, m = U
-    Z, iters = closure._solve_closure(R, Q, exps.gamma, tol, z0=z0)
+    Z, iters = closure._solve_closure(R, Q, exps.gamma, z0)
     p, u = out
     np.power(Z, exps.gamma_plus, out=p)
     rho = R + Q
-    np.maximum(rho, rho_floor, out=u)
+    np.maximum(rho, RHO_FLOOR, out=u)
     np.divide(m, u, out=u)
     return Z, rho, iters
 

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .closure import CLOSURE_TOL, ExponentPair, _solve_closure
+from .closure import ExponentPair, _solve_closure
 from .closure import solve_closure_batch  # noqa: F401  (perfbench/tests checks this binding)
 from .fields import FieldState, Grid1D
 
@@ -64,7 +64,6 @@ class ManufacturedSolution:
     c: float = 1.5
     d: float = 0.25
     e: float = 0.3
-    closure_tol: float = CLOSURE_TOL
 
     def __post_init__(self):
         # the forcing's closure solve trusts R in [a - |b|, a + |b|] and Q in
@@ -143,7 +142,6 @@ class ManufacturedSolution:
             self.a + self.b * (sin_kf * ct - cos_kf * st),
             self.c + self.d * (cos_kf * ct - sin_kf * st),
             self.exps.gamma,
-            self.closure_tol,
         )
         pf = np.power(Zf, self.exps.gamma_plus)
         avg[2] += (pf[1:] - pf[:-1]) / grid.dx

@@ -50,6 +50,7 @@ import numpy as np
 from . import closure
 from .fields import (
     PERIODIC,
+    RHO_FLOOR,
     DerivedFields,
     FieldState,
     Grid1D,
@@ -61,9 +62,11 @@ from .fields import (
 SSPRK2 = "ssprk2"  # the one integrator
 
 MAX_STEPS = 2_000_000  # the step budget of one run, a stop for runaway runs
+POSITIVITY_TOL = 1e-12  # a stage mass below -POSITIVITY_TOL is a positivity loss
 
 __all__ = [
     "SSPRK2",
+    "POSITIVITY_TOL",
     "StepError",
     "ZeroDtError",
     "PositivityLossError",
@@ -105,7 +108,7 @@ class ZeroDtError(StepError):
 
 
 class PositivityLossError(StepError):
-    """A partial mass dropped below the positivity tolerance."""
+    """A partial mass dropped below -POSITIVITY_TOL."""
 
 
 class NonFiniteStateError(StepError):
@@ -126,7 +129,7 @@ def compute_dt(rho, u, Z, grid: Grid1D, cfg, exps) -> tuple[float, float]:
     rho, u and Z are the mixture density, velocity and closure root of a
     state and cfg the run's SimConfig.  c is the mixture estimate from
     p = Z**gamma_plus treating Z as the density.  Cells at or below the
-    density floor do not bound the step.
+    density floor RHO_FLOOR do not bound the step.
     """
     gp = exps.gamma_plus
     speed = np.abs(u) + np.sqrt(gp * np.power(Z, gp - 1.0))
@@ -134,8 +137,8 @@ def compute_dt(rho, u, Z, grid: Grid1D, cfg, exps) -> tuple[float, float]:
     top = speed_max
     rho_min = np.minimum.reduce(rho)
     live = None
-    if not rho_min > cfg.rho_floor:  # not every cell is live
-        live = rho > cfg.rho_floor
+    if not rho_min > RHO_FLOOR:  # not every cell is live
+        live = rho > RHO_FLOOR
         if not np.logical_or.reduce(live):
             raise ZeroDtError("state is entirely vacuum", cells=range(rho.size))
         top = np.maximum.reduce(speed[live])
@@ -253,9 +256,9 @@ def _rhs(B, grid: Grid1D, cfg, forcing):
     return dU
 
 
-def _admit(U, cfg, t: float) -> None:
+def _admit(U, t: float) -> None:
     """Admit the update U, a (3, n) state at time t, as a valid state: raise
-    PositivityLossError for a mass below the tolerance, zero the round-off
+    PositivityLossError for a mass below -POSITIVITY_TOL, zero the round-off
     negatives of the masses, then raise NonFiniteStateError for a NaN or
     inf.  One per-row minimum and one maximum admit the usual update."""
     r_min, q_min, m_min = np.minimum.reduce(U, axis=1).tolist()
@@ -263,12 +266,12 @@ def _admit(U, cfg, t: float) -> None:
         if np.maximum.reduce(U, axis=None) < math.inf:
             return
     masses = U[:2]
-    bad = masses < -cfg.positivity_tol
+    bad = masses < -POSITIVITY_TOL
     if bad.any():
         row = 0 if bad[0].any() else 1
         cells = np.flatnonzero(bad[row])
         raise PositivityLossError(
-            f"{'RQ'[row]} fell below -{cfg.positivity_tol:g} at t={t:.6g} "
+            f"{'RQ'[row]} fell below -{POSITIVITY_TOL:g} at t={t:.6g} "
             f"in cells {cells.tolist()[:8]} (min {float(masses[row].min()):.3e})",
             t,
             np.flatnonzero(bad.any(axis=0)).tolist(),
@@ -279,19 +282,13 @@ def _admit(U, cfg, t: float) -> None:
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
 
 
-def _close(B, grid: Grid1D, cfg, exps, z0):
+def _close(B, grid: Grid1D, exps, z0):
     """Solve the closure of the state in the buffer B, warm-started from z0,
     into its p and u rows and fill its ghosts; returns (Z, R + Q,
     iterations)."""
-    Z, rho, iters = _closure_fields(
-        B[:3, 1:-1], B[3:, 1:-1], exps, cfg.closure_tol, cfg.rho_floor, z0
-    )
+    Z, rho, iters = _closure_fields(B[:3, 1:-1], B[3:, 1:-1], exps, z0)
     _fill_ghosts(B, grid)
     return Z, rho, iters
-
-
-def _derive(state: FieldState, cfg, exps, z0=None) -> DerivedFields:
-    return derive(state, exps, cfg.closure_tol, cfg.vacuum_alpha, cfg.rho_floor, z0=z0)
 
 
 def _load(W, state: FieldState, der: DerivedFields, grid: Grid1D) -> None:
@@ -331,8 +328,8 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     U1 = S[:3, 1:-1]
     np.add(dU, U0, out=U1)
     # admitted, the stage is valid input for the trusted closure kernel
-    _admit(U1, cfg, t1)
-    stage_Z, _, iters = _close(S, grid, cfg, exps, Z)
+    _admit(U1, t1)
+    stage_Z, _, iters = _close(S, grid, exps, Z)
     stage_forcing = None
     if forcing is not None:
         stage_forcing = forcing.cell_averages(grid, t1)
@@ -342,7 +339,7 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     U0 += U1
     U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
     U0 *= 0.5
-    _admit(U0, cfg, t1)
+    _admit(U0, t1)
     return stage_Z, stage_forcing, iters, dissipation
 
 
@@ -413,11 +410,11 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
 
     The run calls on_snapshot(state, derived) once per snapshot, as it
     records it, with the derived fields it made for that state: warm-started
-    with the run's closure settings like every closure solve of the run,
-    they equal a cold derive bit for bit where the closure has a closed form
-    (gamma = 2 or 1) and to within the closure tolerance otherwise.  The
-    first snapshot hands over the initial state object itself.  The run
-    keeps neither and returns only the scalar series and counters.
+    like every closure solve of the run, they equal a cold derive bit for
+    bit where the closure has a closed form (gamma = 2 or 1) and to within
+    the closure tolerance otherwise.  The first snapshot hands over the
+    initial state object itself.  The run keeps neither and returns only
+    the scalar series and counters.
 
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
@@ -432,7 +429,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
 
     W = np.empty((5, grid.n + 2))  # the state, rows R, Q, m, p, u
     S = np.empty_like(W)  # its SSPRK2 stage
-    der = _derive(state, cfg, exps)  # of the state that W is loaded from next
+    der = derive(state, exps)  # of the state that W is loaded from next
     t = state.t
     times: list[float] = []
     energies: list[float] = []
@@ -487,10 +484,10 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             iters_max = max(iters_max, iters0, iters1)
             wave_max = max(wave_max, speed_max)
             if t < target:  # the next step starts here
-                Z, rho, iters0 = _close(W, grid, cfg, exps, z_prev)
+                Z, rho, iters0 = _close(W, grid, exps, z_prev)
         if der is None:  # stepped since the last snapshot
             state = FieldState(t, U=W[:3, 1:-1].copy())
-            der = _derive(state, cfg, exps, z0=z_prev)
+            der = derive(state, exps, z0=z_prev)
         times.append(t)
         energies.append(total_energy(der, grid, exps))
         diss.append(cum)

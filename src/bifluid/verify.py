@@ -346,15 +346,18 @@ def _l2_error(a, b, dx: float) -> float:
 def convergence_study(cfg, levels: int) -> ConvergenceReport:
     """Run the manufactured-solution problem at n, 2n, 4n, ... and extract orders.
 
-    The configuration must have the manufactured forcing enabled; errors are
-    discrete L2 gaps against the exact fields at t_end, per variable.  The
-    levels run without the volume-fraction diagnostic, which the study does
-    not read; the states do not depend on it.
+    The configuration must have the manufactured forcing enabled and a
+    positive t_end; errors are discrete L2 gaps against the exact fields at
+    t_end, per variable.  The levels run without the volume-fraction
+    diagnostic, which the study does not read; the states do not depend on
+    it.
     """
     if levels < 3:
         raise ValueError("a convergence study needs at least 3 levels")
     if not cfg.mms_enabled:
         raise ValueError("convergence_study requires a manufactured-forcing config")
+    if not cfg.t_end > 0.0:
+        raise ValueError("a convergence study needs time.t_end > 0")
     ns: list[int] = []
     errors = {"R": [], "Q": [], "u": []}
     last = []  # the level's latest snapshot state and its derived fields

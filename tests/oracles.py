@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from bifluid import closure
-from bifluid.closure import CLOSURE_TOL, _solve_closure, omega_of_alpha, solve_closure_batch
+from bifluid.closure import _solve_closure, omega_of_alpha, solve_closure_batch
 from bifluid.fields import PERIODIC, Grid1D
 from bifluid.solver import velocity_face_gradient
 
@@ -96,7 +96,7 @@ class DegenerateDenominatorError(ArithmeticError):
     """Sensitivity denominator underflowed (inputs at sub-normal scale)."""
 
 
-def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
+def alpha_partials_batch(R, Q, gamma):
     """Vectorised d(alpha)/dR, d(alpha)/dQ and omega for nonvacuum (R, Q).
 
     The textbook quotients -alpha**gamma / (Q*gamma*alpha**(gamma-1) +
@@ -117,7 +117,7 @@ def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
         raise VacuumCellError(
             f"alpha partials undefined at vacuum cells {np.flatnonzero(vac).tolist()[:8]}"
         )
-    Z, _ = solve_closure_batch(R, Q, gamma, tol)
+    Z, _ = solve_closure_batch(R, Q, gamma)
     alpha = R / Z
     zg1 = np.power(Z, gamma - 1.0)
     den = gamma * Q + R * zg1
@@ -128,12 +128,12 @@ def alpha_partials_batch(R, Q, gamma, tol=CLOSURE_TOL):
     return d_dR, d_dQ, omega_of_alpha(alpha, gamma)
 
 
-def compacting_newton(r, q, lo, hi, z, gamma, tol):
+def compacting_newton(r, q, lo, hi, z, gamma):
     """A stand-in for ``closure._newton`` (same arguments and result) that
     drops converged cells from the active set and iterates the rest."""
     out = z.copy()
     act = np.arange(z.size)
-    tol_q = tol * q
+    tol_q = closure.CLOSURE_TOL * q
     f_floor = 4.0 * (1.0 + gamma) * closure._EPS
     for iterations in range(1, closure.CLOSURE_MAX_ITER + 1):
         zg1 = np.power(z, gamma - 1.0)
@@ -173,7 +173,7 @@ def gauss3_forcing(sol, grid, t):
 
     # dp/dx = gamma_plus Z**(gamma_plus - 1) dZ/dx, with dZ/dx from
     # differentiating (Z - R) Z**(gamma - 1) = Q
-    Z, _ = _solve_closure(R, Q, g, sol.closure_tol)
+    Z, _ = _solve_closure(R, Q, g)
     zg1 = np.power(Z, g - 1.0)
     dZ_dx = (zg1 * dR_dx + dQ_dx) / (zg1 * (g + (1.0 - g) * R / Z))
     dp_dx = gp * np.power(Z, gp - 1.0) * dZ_dx

@@ -52,10 +52,6 @@ FLOAT_KEYS = (
         for k in ("value", "base", "amplitude", "center", "width", "waves")
     ),
     ("perturbation", "epsilon"),
-    ("tolerances", "closure_tol"),
-    ("tolerances", "positivity_tol"),
-    ("tolerances", "vacuum_alpha"),
-    ("tolerances", "rho_floor"),
     ("verification", "energy_eps"),
     ("verification", "stability_delta"),
     *(("mms", k) for k in "abcde"),

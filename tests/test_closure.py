@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from bifluid.closure import (
+    VACUUM_ALPHA,
     ClosureOverflowError,
     ExponentPair,
     MaxIterExceededError,
@@ -98,8 +99,6 @@ def test_solve_input_validation():
         solve_closure_batch([-1.0], [1.0], 2.0)
     with pytest.raises(ValueError):
         solve_closure_batch([1.0], [1.0], -2.0)
-    with pytest.raises(ValueError):
-        solve_closure_batch([1.0], [1.0], 2.0, tol=0.0)
 
 
 def test_solve_iteration_cap(monkeypatch):
@@ -108,6 +107,19 @@ def test_solve_iteration_cap(monkeypatch):
     monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
     with pytest.raises(MaxIterExceededError):
         solve_closure_batch([1.0], [2.0], 1.5)
+
+
+def test_solve_reads_the_tolerance_when_called(monkeypatch):
+    # the tolerance is a constant, not an argument; a test that needs
+    # another one patches it, and every kernel call sees the patch
+    from bifluid import closure
+
+    R, Q = np.linspace(0.1, 3.0, 50), np.linspace(3.0, 0.1, 50)
+    Z, tight = solve_closure_batch(R, Q, 1.5)
+    monkeypatch.setattr(closure, "CLOSURE_TOL", 1e-3)
+    Z_loose, loose = solve_closure_batch(R, Q, 1.5)
+    assert loose < tight
+    assert np.max(np.abs(Z_loose - Z) / Z) <= 1e-3
 
 
 @given(R=positive_masses, Q=positive_masses, gamma=gammas)
@@ -335,9 +347,9 @@ def test_frozen_newton_names_the_same_unconverged_cells(gamma, monkeypatch):
 # state recovery (fields.derive) ---------------------------------------------
 
 
-def _recover(R, Q, exps, vacuum_alpha=0.5):
+def _recover(R, Q, exps):
     """The derived fields of one cell at rest."""
-    return derive(FieldState(0.0, [R], [Q], [0.0]), exps, vacuum_alpha=vacuum_alpha)
+    return derive(FieldState(0.0, [R], [Q], [0.0]), exps)
 
 
 def test_recover_state_example():
@@ -351,10 +363,10 @@ def test_recover_state_example():
 
 
 def test_recover_state_vacuum():
-    d = _recover(0.0, 0.0, ExponentPair(3.0, 1.5), vacuum_alpha=0.25)
+    d = _recover(0.0, 0.0, ExponentPair(3.0, 1.5))
     assert d.vacuum[0]
     assert d.Z[0] == 0.0 and d.p[0] == 0.0
-    assert d.alpha[0] == 0.25
+    assert d.alpha[0] == VACUUM_ALPHA == 0.5
 
 
 def test_recover_state_pure_plus_phase():

@@ -12,7 +12,7 @@ import pytest
 import bifluid
 from bifluid import cli, config, solver, verify
 from bifluid.cli import main
-from bifluid.closure import ExponentPair, solve_closure_batch
+from bifluid.closure import VACUUM_ALPHA, ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, _uniform_draws, validate_config
 from oracles import flipped_advection_rhs, fraction_terms
 
@@ -60,6 +60,33 @@ def test_unknown_section_and_key_rejected():
         validate_config(MINIMAL + "\n[turbulence]\nmodel = k-epsilon\n")
     with pytest.raises(ValidationError, match="unknown key"):
         validate_config(MINIMAL + "\n[grid]\ncells = 32\n")
+
+
+def test_cli_tolerances_section_is_a_config_error(tmp_path, capsys):
+    # the closure tolerance, the positivity tolerance, the vacuum sentinel and
+    # the density floor are constants of the program, not settings of a run
+    path = write(tmp_path, "tol.ini", MINIMAL + "\n[tolerances]\nclosure_tol = 1e-12\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config section [tolerances]\n"
+    assert not out.exists()
+
+
+def test_every_config_field_has_exactly_one_ini_key():
+    # a field that no key sets is a dead knob; a key that sets no field, or
+    # a field that two keys set, is one value with two spellings
+    schema = config._schema()
+    keys = [(section, key) for section, items in schema for key, _ in items]
+    targets = [attr for _, items in schema for _, attr in items]
+    defaults = config.SimConfig()
+    fields = []  # a ProfileSpec's fields as (profile, field) pairs
+    for f in dataclasses.fields(defaults):
+        if isinstance(getattr(defaults, f.name), config.ProfileSpec):
+            fields += [(f.name, g.name) for g in dataclasses.fields(config.ProfileSpec)]
+        else:
+            fields.append(f.name)
+    assert len(set(keys)) == len(keys) == len(set(targets)) == len(targets) == 48
+    assert set(targets) == set(fields) and len(fields) == 48
 
 
 def test_parse_error_carries_line():
@@ -171,6 +198,20 @@ def test_perturbation_modes_above_half_the_grid_fail_fast(monkeypatch):
     monkeypatch.undo()
     validate_config(text.format(32))
     validate_config(text.format(2_000_000).replace("epsilon = 0.01", "epsilon = 0.0"))
+
+
+def test_perturbation_memory_does_not_grow_with_modes_times_cells():
+    # the modes are summed in blocks; (modes, n) tables took 192 MB here
+    import tracemalloc
+
+    text = MINIMAL + "\n[grid]\nn = 4096\n[perturbation]\nepsilon = 0.01\nmodes = 2048\n"
+    tracemalloc.start()
+    try:
+        validate_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_from_file_preset(tmp_path):
@@ -482,12 +523,12 @@ def _same_dir_bytes(d1, d2):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def _compare_twin_run_b(tmp_path, monkeypatch, text_b):
+def _compare_twin_run_b(tmp_path, monkeypatch):
     """run_b's snapshots in a twin compare and the derives made in its
     consumer; checks its bytes against a plain run of the same config."""
     runs, every = _spy_snapshot_derives(monkeypatch)
     a = write(tmp_path, "a.ini", RUN_CFG + "\n[perturbation]\nepsilon = 0.01\n")
-    b = write(tmp_path, "b.ini", text_b)
+    b = write(tmp_path, "b.ini", RUN_CFG)
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
     (snaps_a, counts_a), (snaps_b, counts_b) = runs
     assert counts_a == {}  # run_a writes the fields its run derived
@@ -499,14 +540,7 @@ def _compare_twin_run_b(tmp_path, monkeypatch, text_b):
 
 
 def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
-    _, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, RUN_CFG)
-    assert counts_b == {}
-
-
-def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monkeypatch):
-    # run_b's own derived fields hold its own closure settings: no derive here
-    text_b = RUN_CFG + "\n[tolerances]\nclosure_tol = 1e-11\n"
-    snaps_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, text_b)
+    snaps_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch)
     assert counts_b == {}
     assert len(snaps_b) == 3
 
@@ -782,11 +816,12 @@ u_amplitude = 0.2
 
 
 def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path, run_collecting):
-    # gamma = 3 / 1.4 takes the Newton closure, where closure_tol matters: the
-    # reference fields are run_b's own, the ones its CSVs hold
+    # gamma = 3 / 1.4 takes the Newton closure, where run_b's warm-started
+    # fields differ from a cold derive: the reference fields are run_b's own,
+    # the ones its CSVs hold
     base = PAIR_BASE.replace("gamma_minus = 1.5", "gamma_minus = 1.4")
     text_a = base + "\n[perturbation]\nepsilon = 0.05\nseed = 7\n"
-    text_b = base + "\n[tolerances]\nclosure_tol = 1e-11\n"
+    text_b = base
     a, b = write(tmp_path, "a.ini", text_a), write(tmp_path, "b.ini", text_b)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
@@ -977,6 +1012,19 @@ def test_cli_mms_passes_and_usage_error(tmp_path):
     assert main(["mms", "--config", plain, "--levels", "3"]) == 2
 
 
+def test_cli_mms_with_zero_t_end_is_a_config_error_before_any_solve(tmp_path, capsys, spy_calls):
+    # a study with no time step observes no order; it once ran three levels
+    # and exited 4 on NaN orders
+    runs = spy_calls(solver.run)
+    path = write(tmp_path, "mms.ini", MMS_CFG.replace("t_end = 0.05", "t_end = 0"))
+    out = tmp_path / "o"
+    assert main(["mms", "--config", path, "--levels", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: time.t_end must be positive for the mms command\n"
+    )
+    assert runs == [] and not out.exists()
+
+
 def test_cli_mms_outputs_reproducible(tmp_path):
     # the forced run hands each stage forcing on to the next step
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "mms.ini")
@@ -1039,16 +1087,13 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
     traj_a, _, series_a = run_collecting(cfg_a)
     grid, exps, times = traj_a.grid, cfg_a.exponents(), traj_a.times
 
-    def derive_a(state):
-        return derive(state, exps, cfg_a.closure_tol, cfg_a.vacuum_alpha, cfg_a.rho_floor)
-
     if ref_mode == "mms":
         sol = cfg_a.manufactured()
-        series_b = [derive_a(sol.state(grid, t)) for t in times]
+        series_b = [derive(sol.state(grid, t), exps) for t in times]
         e_scale = total_energy(series_b[0], grid, exps)
     elif ref_mode == "fine":
         _, states_b, _ = run_collecting(cfg_b)
-        series_b = [derive_a(restrict(s, cfg_b.n // cfg_a.n)) for s in states_b]
+        series_b = [derive(restrict(s, cfg_b.n // cfg_a.n), exps) for s in states_b]
         e_scale = total_energy(series_b[0], grid, exps)
     else:
         traj_b, _, series_b = run_collecting(cfg_b or cfg_a)
@@ -1151,11 +1196,12 @@ def test_cli_closure_table_degenerate_R_zero(capsys):
     )
     lines = capsys.readouterr().out.splitlines()[1:]
     assert len(lines) == 9
-    for line in lines:
-        parts = line.split(",")
-        assert float(parts[3]) == 0.0  # alpha column all zero
     vac_rows = [l for l in lines if l.endswith(",1")]
     assert len(vac_rows) == 3  # the Q = 0 rows are flagged vacuum
+    for line in lines:
+        # alpha is zero on the pure-minus rows, the snapshots' sentinel on vacuum
+        want = VACUUM_ALPHA if line in vac_rows else 0.0
+        assert float(line.split(",")[3]) == want
 
 
 @pytest.mark.parametrize("r", ["1e300", "1e200"])
@@ -1177,13 +1223,13 @@ def test_cli_closure_overflowing_pressure_exits_3_without_traceback(r):
     assert proc.stdout == "R,Q,Z,alpha,rho_minus,p,vacuum\n"
 
 
-def _recover_state(R, Q, exps, vacuum_alpha):
+def _recover_state(R, Q, exps):
     """(Z, alpha, rho_minus, p, vacuum) of one cell with Python float powers:
     the digit-for-digit oracle of the closure table."""
     Z, _ = solve_closure_batch(np.asarray(R, dtype=float), np.asarray(Q, dtype=float), exps.gamma)
     Z = float(Z)
     if Z == 0.0:
-        return 0.0, float(vacuum_alpha), 0.0, 0.0, True
+        return 0.0, VACUUM_ALPHA, 0.0, 0.0, True
     return Z, float(R) / Z, Z**exps.gamma, Z**exps.gamma_plus, False
 
 
@@ -1192,7 +1238,7 @@ def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(
 ):
     argv = [
         "closure", "--gamma-plus", "3.0", "--gamma-minus", "1.4",
-        "--r-max", "2", "--q-max", "3", "--steps", "10", "--vacuum-alpha", "0.25",
+        "--r-max", "2", "--q-max", "3", "--steps", "10",
     ]
     assert main(argv) == 0
     table = capsys.readouterr().out
@@ -1205,26 +1251,34 @@ def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(
     exps = ExponentPair(3.0, 1.4)
     for line in table.splitlines()[1:]:
         r, q = (float(v) for v in line.split(",")[:2])
-        Z, alpha, rho_minus, p, vacuum = _recover_state(r, q, exps, vacuum_alpha=0.25)
+        Z, alpha, rho_minus, p, vacuum = _recover_state(r, q, exps)
         want = (r, q, Z, alpha, rho_minus, p)
         assert line == ",".join(format(v, ".17g") for v in want) + (",1" if vacuum else ",0")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "7", "1.0000001"])
-def test_cli_closure_rejects_vacuum_alpha_outside_unit_interval(capsys, value):
+def _closure_vacuum_alpha_usage_error(capsys, value):
     argv = ["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", f"--vacuum-alpha={value}"]
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage error: --vacuum-alpha must lie in [0, 1]" in captured.err
+    assert captured.err.startswith("usage: bifluid ")
+    assert "unrecognized arguments: --vacuum-alpha" in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "1"])
-def test_cli_closure_accepts_vacuum_alpha_at_the_bounds(capsys, value):
-    argv = ["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", "--vacuum-alpha", value]
-    assert main(argv) == 0
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "7", "1.0000001"])
+def test_cli_closure_rejects_vacuum_alpha_outside_unit_interval(capsys, value):
+    _closure_vacuum_alpha_usage_error(capsys, value)
+
+
+@pytest.mark.parametrize("value", ["0", "0.25", "1"])
+def test_cli_closure_rejects_the_removed_vacuum_alpha_flag(capsys, value):
+    # the vacuum rows print the sentinel of the snapshot CSVs; no flag sets it
+    _closure_vacuum_alpha_usage_error(capsys, value)
+    assert main(["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5"]) == 0
     vacuum_row = capsys.readouterr().out.splitlines()[1]
-    assert vacuum_row == f"0,0,0,{value},0,0,1"
+    assert vacuum_row == "0,0,0,0.5,0,0,1"
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "mms"])

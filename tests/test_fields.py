@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bifluid.cli import compare_runs
-from bifluid.closure import ExponentPair
+from bifluid.closure import VACUUM_ALPHA, ExponentPair
 from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import (
     SNAPSHOT_BLOCK_ROWS,
@@ -119,10 +119,10 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     R = np.array([1.3, 0.0, 5e-324, 0.0, 2.0])
     Q = np.array([0.4, 0.0, 0.0, 2.0, 1e-3])
     s = FieldState(0.0, R, Q, np.array([0.1, 0.0, -0.0, 0.5, -2.0]))
-    d = derive(s, exps, vacuum_alpha=0.7)
+    d = derive(s, exps)
     vac = (R == 0.0) & (Q == 0.0)
     tiny = np.finfo(float).smallest_subnormal
-    alpha = np.where(vac, 0.7, R / np.maximum(d.Z, tiny))
+    alpha = np.where(vac, VACUUM_ALPHA, R / np.maximum(d.Z, tiny))
     for got, want in ((d.vacuum, vac), (d.alpha, alpha), (d.rho_minus, np.power(d.Z, exps.gamma))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert d.alpha[2] == 1.0 and d.alpha[3] == 0.0 and d.rho_plus is d.Z
@@ -282,9 +282,9 @@ def test_snapshot_bytes_match_per_cell_reference_on_edge_values(tmp_path):
     m = np.array([-0.0, -0.0, 0.0, 1e300, -1.5, 0.0, -1e-320, 0.1])
     s = FieldState(0.0, R, Q, m)
     with np.errstate(over="ignore"):
-        d = derive(s, EXPS, vacuum_alpha=0.7)
+        d = derive(s, EXPS)
         assert np.isinf(d.rho_minus[3])  # Z = O(1e300) overflows Z**2 on first read
-    assert d.vacuum[2] and d.alpha[2] == 0.7  # vacuum cell with the sentinel
+    assert d.vacuum[2] and d.alpha[2] == VACUUM_ALPHA == 0.5  # vacuum cell with the sentinel
     assert np.isinf(d.p[3])  # Z = O(1e300) overflows Z**3
     assert np.signbit(d.u[0]) and d.Q[0] == 5e-324
     _assert_same_bytes(tmp_path, g, s, d)

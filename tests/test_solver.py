@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bifluid import solver
-from bifluid.closure import ExponentPair, omega_of_alpha
+from bifluid.closure import CLOSURE_TOL, ExponentPair, omega_of_alpha
 from bifluid.config import ProfileSpec, SimConfig, ValidationError
 from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive, total_mass
 from bifluid.mms import ManufacturedSolution
@@ -216,17 +216,17 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
 
 
 def test_admit_zeroes_round_off_negatives_and_rejects_the_rest():
-    sch = scheme()  # positivity_tol = 1e-12
+    assert solver.POSITIVITY_TOL == 1e-12
     U = np.ones((3, 6))
     U[0, 2], U[1, 4], U[2, 1] = -1e-13, -0.0, -5.0
-    solver._admit(U, sch, 0.5)
+    solver._admit(U, 0.5)
     assert U[0, 2] == 0.0 and U[2, 1] == -5.0  # momentum keeps its sign
     U[1, 3] = -1e-9
     with pytest.raises(PositivityLossError, match=r"Q fell below -1e-12 at t=0\.5 in cells \[3\]"):
-        solver._admit(U, sch, 0.5)
+        solver._admit(U, 0.5)
     U[1, 3], U[2, 5] = 1.0, np.nan
     with pytest.raises(NonFiniteStateError) as exc:
-        solver._admit(U, sch, 0.5)
+        solver._admit(U, 0.5)
     assert exc.value.cells == [5]
 
 
@@ -616,15 +616,15 @@ def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
     # ignores the start, other exponents converge to within the tolerance
     cfg = base_cfg(gamma_minus=gamma_minus, n_snapshots=5)
     traj, states, derived = run_collecting(cfg)
-    exps, tol = cfg.exponents(), cfg.closure_tol
+    exps = cfg.exponents()
     assert len(derived) == len(states) == 5
     for state, der in zip(states, derived):
-        cold = derive(state, exps, tol, cfg.vacuum_alpha, cfg.rho_floor)
+        cold = derive(state, exps)
         if exps.gamma == 2.0:
             for name in ("Z", "p", "u", "alpha", "rho_minus"):
                 assert _same_bits(getattr(der, name), getattr(cold, name)), name
         else:
-            assert np.max(np.abs(der.Z - cold.Z) / cold.Z) <= tol
+            assert np.max(np.abs(der.Z - cold.Z) / cold.Z) <= CLOSURE_TOL
             assert _same_bits(der.u, cold.u)
 
 
@@ -737,7 +737,7 @@ def _ref_run(cfg):
     states, dts, shifted, z = [state], [], 0, None
     for target in cfg.snapshot_times()[1:]:
         while state.t < target:
-            d = derive(state, exps, cfg.closure_tol, cfg.vacuum_alpha, cfg.rho_floor, z0=z)
+            d = derive(state, exps, z0=z)
             remaining = target - state.t
             dt = min(stable_dt(d, grid, cfg, exps), remaining)
             state, rep = step_from(state, grid, cfg, dt, d, forcing=sol, exps=exps)

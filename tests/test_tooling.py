@@ -119,7 +119,7 @@ def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path, spy_call
     # it), and each snapshot's total energy once
     tracing = _load_tracing()
     cfg_a = SimConfig(n=16, t_end=0.01, n_snapshots=3, perturb_epsilon=0.01)
-    cfg_b = SimConfig(n=16, t_end=0.01, n_snapshots=3, closure_tol=1e-11)
+    cfg_b = SimConfig(n=16, t_end=0.01, n_snapshots=3)
     energies = spy_calls(fields.total_energy)
     tracer = tracing.Tracer()
     tracer.install(full=True)

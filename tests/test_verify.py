@@ -196,7 +196,7 @@ def test_w12_norm_includes_gradient():
 
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
 def test_row_fraction_terms_equal_the_oracle_bit_for_bit(bc):
-    # run_a's side with vacuum cells (alpha = vacuum_alpha, u = 0 there)
+    # run_a's side with vacuum cells (alpha = VACUUM_ALPHA, u = 0 there)
     # against a vacuum-free reference, on a grid of either boundary
     n = 32
     grid = Grid1D(n, 1.0, bc)
@@ -205,7 +205,7 @@ def test_row_fraction_terms_equal_the_oracle_bit_for_bit(bc):
     Q = 1.2 + 0.3 * np.cos(4 * np.pi * x)
     R[3:6] = Q[3:6] = 0.0
     u = 0.3 * np.sin(np.pi * x) ** 2
-    a = derive(FieldState(0.0, R, Q, (R + Q) * u), EXPS, vacuum_alpha=0.25)
+    a = derive(FieldState(0.0, R, Q, (R + Q) * u), EXPS)
     assert a.vacuum.any()
     b = der(1.1 + 0.2 * np.cos(2 * np.pi * x), 1.3, 0.1 * np.sin(2 * np.pi * x), n)
     row = relative_entropy(a, b, grid, EXPS, nu_eff=0.05)
@@ -438,11 +438,20 @@ def test_convergence_study_needs_three_levels_and_forcing():
         convergence_study(cfg_smooth(), 3)
 
 
-def test_convergence_study_zero_time_is_exact():
+def test_convergence_study_needs_a_positive_t_end(spy_calls):
+    # with no time step there is no order to observe; the run itself is exact
     cfg = cfg_smooth(mms_enabled=True, mu=0.02, t_end=0.0, n=32)
-    rep = convergence_study(cfg, 3)
-    for errs in rep.errors.values():
-        assert max(errs) < 1e-13
+    runs = spy_calls(run)
+    with pytest.raises(ValueError, match=r"time\.t_end > 0"):
+        convergence_study(cfg, 3)
+    assert runs == []
+    final = []
+    traj = run(cfg, on_snapshot=lambda state, der: final.append((state, der)))
+    (state, der), = final
+    sol, x = traj.forcing, traj.grid.x
+    assert traj.times == [0.0] and traj.n_steps == 0
+    for got, want in ((state.R, sol.R(x, 0.0)), (state.Q, sol.Q(x, 0.0)), (der.u, sol.u(x, 0.0))):
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_convergence_study_first_order():
