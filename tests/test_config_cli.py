@@ -523,12 +523,12 @@ def _same_dir_bytes(d1, d2):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def _compare_twin_run_b(tmp_path, monkeypatch):
-    """run_b's snapshots in a twin compare and the derives made in its
-    consumer; checks its bytes against a plain run of the same config."""
+def _compare_twin_run_b(tmp_path, monkeypatch, base=RUN_CFG):
+    """run_b's snapshots in a twin compare of `base` and the derives made in
+    its consumer; checks its bytes against a plain run of the same config."""
     runs, every = _spy_snapshot_derives(monkeypatch)
-    a = write(tmp_path, "a.ini", RUN_CFG + "\n[perturbation]\nepsilon = 0.01\n")
-    b = write(tmp_path, "b.ini", RUN_CFG)
+    a = write(tmp_path, "a.ini", base + "\n[perturbation]\nepsilon = 0.01\n")
+    b = write(tmp_path, "b.ini", base)
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
     (snaps_a, counts_a), (snaps_b, counts_b) = runs
     assert counts_a == {}  # run_a writes the fields its run derived
@@ -541,6 +541,16 @@ def _compare_twin_run_b(tmp_path, monkeypatch):
 
 def test_cli_compare_derives_each_written_snapshot_at_most_once(tmp_path, monkeypatch):
     snaps_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch)
+    assert counts_b == {}
+    assert len(snaps_b) == 3
+
+
+def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monkeypatch):
+    # gamma = 3 / 1.4 takes the Newton closure, where run_b's warm-started
+    # fields differ from a cold derive: its CSVs hold its own derived fields,
+    # so its consumer derives nothing
+    base = RUN_CFG.replace("gamma_minus = 1.5", "gamma_minus = 1.4")
+    snaps_b, counts_b = _compare_twin_run_b(tmp_path, monkeypatch, base)
     assert counts_b == {}
     assert len(snaps_b) == 3
 
