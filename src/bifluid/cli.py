@@ -14,6 +14,9 @@ evaluates the reference side first (run_b, a second run of run_a's config
 when no second config is given, or the exact solution), keeping three
 arrays per snapshot, then runs run_a and reduces each snapshot pair as
 run_a records its half.
+
+Every error is raised where it happens and leaves through ``main``, which
+alone maps it to its exit code and its stderr line.
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ RUNTIME_ERRORS = (
 )
 
 REF_MODES = ("twin", "fine", "mms")
+
+
+class UsageError(Exception):
+    """A command line that argparse accepts but the command cannot run;
+    main reports it as a usage error, exit 2."""
+
 
 CLOSURE_BATCH_CELLS = 1 << 16  # closure table cells solved per batch
 _CLOSURE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
@@ -311,23 +320,23 @@ def write_run_outputs(
 
 
 def _run_into(stack: contextlib.ExitStack, out_dir, cfg: SimConfig, initial, on_snapshot=None):
-    """Run cfg from its initial state into out_dir, or into no directory
-    when it is None: its snapshots go there while it runs, then its
-    report.json.  Returns (traj, audit), audit being verify.energy_audit of
-    traj, once report.json is written.  The directory's RunOutputs enters
-    stack, so its writers are reaped when the caller's with block ends;
-    on_snapshot, when given, gets each snapshot after the directory."""
-    outputs = None if out_dir is None else stack.enter_context(RunOutputs(out_dir, cfg.grid()))
-    consumers = [c for c in (outputs, on_snapshot) if c is not None]
+    """Run cfg from its initial state into out_dir: its snapshots go there
+    while it runs, then its report.json.  Returns (traj, audit), audit being
+    verify.energy_audit of traj, once report.json is written.  The
+    directory's RunOutputs enters stack, so its writers are reaped when the
+    caller's with block ends.  on_snapshot, when given, gets each snapshot
+    after the directory; an error it raises stops the run at that snapshot,
+    before its report.json."""
+    outputs = stack.enter_context(RunOutputs(out_dir, cfg.grid()))
 
     def consume(state: FieldState, derived) -> None:
-        for consumer in consumers:
-            consumer(state, derived)
+        outputs(state, derived)
+        if on_snapshot is not None:
+            on_snapshot(state, derived)
 
     traj = run(cfg, initial=initial, on_snapshot=consume)
     audit = verify.energy_audit(traj, cfg.energy_eps)
-    if outputs is not None:
-        write_run_outputs(traj, outputs, cfg, audit)
+    write_run_outputs(traj, outputs, cfg, audit)
     return traj, audit
 
 
@@ -383,19 +392,18 @@ OUT_FILES = {
 COMPARE_SIDES = ("run_a", "run_b")
 
 
-def _make_out_dir(path, command, sides=()) -> bool:
+def _make_out_dir(path, command, sides=()) -> None:
     """Create the output directory of command, and the named side
     directories in it, before any solve, and remove the files that command
     writes, so that none is left from an earlier command; compare owns the
     run files of both side directories, also of one it does not write.
-    False, with a usage error printed, when a path cannot be a directory (it
-    is a file, or lies under one)."""
+    UsageError when a path cannot be a directory (it is a file, or lies
+    under one)."""
     try:
         for side in ("", *sides):
             os.makedirs(os.path.join(path, side), exist_ok=True)
     except OSError as exc:
-        print(f"usage error: cannot create the --out directory: {exc}", file=sys.stderr)
-        return False
+        raise UsageError(f"cannot create the --out directory: {exc}") from None
     owned = [(path, (*OUT_FILES[command], "failure.json"))]
     if command == "compare":
         owned += [(os.path.join(path, side), OUT_FILES["run"]) for side in COMPARE_SIDES]
@@ -407,13 +415,11 @@ def _make_out_dir(path, command, sides=()) -> bool:
             if any(fnmatch.fnmatchcase(name, p) for p in patterns) and not os.path.isdir(stale):
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(stale)
-    return True
 
 
 def cmd_run(args) -> int:
     cfg, state = _load_config(args.config)
-    if not _make_out_dir(args.out, "run"):
-        return EXIT_CONFIG
+    _make_out_dir(args.out, "run")
     with contextlib.ExitStack() as stack:
         traj, audit = _run_into(stack, args.out, cfg, state)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
@@ -498,6 +504,11 @@ def compare_runs(
     CSVs, warm-started within run_b; the restricted and the exact states are
     derived here, cold, and the energy scale is the energy of the first of
     them.
+    The outputs go to out_dir: each run's to its side directory in it
+    (COMPARE_SIDES), then re_report.csv and verify.json.  An error of the
+    reference pass or of a pair reduction is raised in the run that meets
+    it, which stops at that snapshot and writes no report.json; when the
+    reference fails, run_a does not start.
     Without cfg_b the twin run_b is a second run of cfg_a from initial_a.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
@@ -507,6 +518,7 @@ def compare_runs(
         cfg_b, initial_b = cfg_a, initial_a
     grid, exps = cfg_a.grid(), cfg_a.exponents()
     nu_eff = cfg_a.nu_eff
+    dir_a, dir_b = (os.path.join(out_dir, side) for side in COMPARE_SIDES)
     refs = []  # per reference snapshot, until its pair is reduced
     bounds = [math.inf, 0.0]  # min and max of the reference phase densities
     e_scale = None
@@ -524,27 +536,6 @@ def compare_runs(
             bounds[1] = max(bounds[1], float(np.max(rho)))
         refs.append(_Reference(t, der.rho_plus, der.alpha, der.u, exps))
 
-    failed = []  # the first error of a pair reduction made inside a run
-
-    def in_run(reduce):
-        """The snapshot consumer making the pair reduction reduce(state,
-        derived) inside a run.  Its error is raised once the run has
-        returned and its outputs are written, so a run that fails reports
-        its own error."""
-
-        def consume(state: FieldState, der) -> None:
-            if not failed:
-                try:
-                    reduce(state, der)
-                except RUNTIME_ERRORS as exc:
-                    failed.append(exc)
-
-        return consume
-
-    def side(name):
-        """The output directory of the named side; None without out_dir."""
-        return None if out_dir is None else os.path.join(out_dir, name)
-
     with contextlib.ExitStack() as stack:
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
@@ -558,9 +549,7 @@ def compare_runs(
                     der = derive(restrict(state, factor), exps)
                 keep_reference(der, state.t)
 
-            traj_b, _ = _run_into(stack, side("run_b"), cfg_b, initial_b, in_run(keep_run_b))
-        if failed:
-            raise failed[0]
+            traj_b, _ = _run_into(stack, dir_b, cfg_b, initial_b, keep_run_b)
         if ref_mode == "twin":
             e_scale = traj_b.energies[0]
         lo, hi = bounds
@@ -578,9 +567,7 @@ def compare_runs(
             rows.append(verify.relative_entropy(der_a, ref, grid, exps, nu_eff=nu_eff, t=t))
             coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
 
-        traj_a, audit = _run_into(stack, side("run_a"), cfg_a, initial_a, in_run(reduce_run_a))
-        if failed:
-            raise failed[0]
+        traj_a, audit = _run_into(stack, dir_a, cfg_a, initial_a, reduce_run_a)
         if len(rows) != len(refs):
             raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
         times = traj_a.times
@@ -604,9 +591,8 @@ def compare_runs(
             "coercivity": [dataclasses.asdict(c) for c in coer],
             "energy_audit": audit,
         }
-        if out_dir is not None:
-            write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
-            _write_json(os.path.join(out_dir, "verify.json"), payload)
+        write_re_report(os.path.join(out_dir, "re_report.csv"), rows)
+        _write_json(os.path.join(out_dir, "verify.json"), payload)
     return rows, payload
 
 
@@ -615,8 +601,7 @@ def cmd_compare(args) -> int:
     cfg_b, state_b = _load_config(args.config_b) if args.config_b else (None, None)
     _check_pair(cfg_a, cfg_b, args.ref_mode)  # before --out exists
     sides = COMPARE_SIDES[:1] if args.ref_mode == "mms" else COMPARE_SIDES
-    if not _make_out_dir(args.out, "compare", sides):
-        return EXIT_CONFIG
+    _make_out_dir(args.out, "compare", sides)
     rows, payload = compare_runs(
         cfg_a, cfg_b, args.ref_mode, args.out, initial_a=state_a, initial_b=state_b
     )
@@ -631,17 +616,14 @@ ORDER_THRESHOLD = 0.8
 
 def cmd_mms(args) -> int:
     if args.levels < 3:
-        print("usage error: --levels must be at least 3", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("--levels must be at least 3")
     cfg, _ = _load_config(args.config)
     if not cfg.mms_enabled:
-        print("config error: mms.enabled must be true for the mms command", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValidationError("mms.enabled must be true for the mms command")
     if not cfg.t_end > 0.0:
-        print("config error: time.t_end must be positive for the mms command", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.out is not None and not _make_out_dir(args.out, "mms"):
-        return EXIT_CONFIG
+        raise ValidationError("time.t_end must be positive for the mms command")
+    if args.out is not None:
+        _make_out_dir(args.out, "mms")
     report = verify.convergence_study(cfg, args.levels)
     print("n      " + "  ".join(f"err_{v:<10s}" for v in report.errors))
     for i, n in enumerate(report.ns):
@@ -663,20 +645,17 @@ def cmd_mms(args) -> int:
 
 def cmd_closure(args) -> int:
     if args.steps < 1:
-        print("usage error: --steps must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("--steps must be at least 1")
     # NaN fails every comparison, so this also rejects non-finite bounds
     if not (
         0.0 <= args.r_min <= args.r_max < math.inf
         and 0.0 <= args.q_min <= args.q_max < math.inf
     ):
-        print("usage error: ranges must be finite, nonnegative and ordered", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("ranges must be finite, nonnegative and ordered")
     try:
         exps = ExponentPair(args.gamma_plus, args.gamma_minus)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValidationError(str(exc)) from None
     rs = np.linspace(args.r_min, args.r_max, args.steps + 1)
     qs = np.linspace(args.q_min, args.q_max, args.steps + 1)
     print("R,Q,Z,alpha,rho_minus,p,vacuum")
@@ -695,11 +674,9 @@ def cmd_closure(args) -> int:
         bad = np.flatnonzero(~np.isfinite(p) | ~np.isfinite(rho_minus))
         if bad.size:
             k = bad[0]
-            print(
-                "closure failed: rho_minus or p overflows float at R=%.17g, Q=%.17g" % (R[k], Q[k]),
-                file=sys.stderr,
+            raise ClosureOverflowError(
+                "rho_minus or p overflows float at R=%.17g, Q=%.17g" % (R[k], Q[k])
             )
-            return EXIT_RUNTIME
         vacuum = Z == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(vacuum, VACUUM_ALPHA, R / Z)
@@ -715,29 +692,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a config file")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help):
+        # parser: the subcommand's own, whose usage line reports its errors
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("run", help="run a simulation and write snapshots + report")
+    p = command("validate", cmd_validate, "parse and validate a config file")
+    p.add_argument("--config", required=True)
+
+    p = command("run", cmd_run, "run a simulation and write snapshots + report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="dual-run relative-energy comparison")
+    p = command("compare", cmd_compare, "dual-run relative-energy comparison")
     p.add_argument("--config", required=True)
     p.add_argument("--config-b", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--ref-mode", choices=REF_MODES, default="twin")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("mms", help="manufactured-solution convergence study")
+    p = command("mms", cmd_mms, "manufactured-solution convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mms)
 
-    p = sub.add_parser("closure", help="tabulate the pressure closure to stdout")
+    p = command("closure", cmd_closure, "tabulate the pressure closure to stdout")
     p.add_argument("--gamma-plus", type=float, required=True)
     p.add_argument("--gamma-minus", type=float, required=True)
     p.add_argument("--r-min", type=float, default=0.0)
@@ -745,16 +724,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=float, default=0.0)
     p.add_argument("--q-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
-    p.set_defaults(func=cmd_closure)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command of argv; every error it raises is mapped here to its
+    exit code and a line on stderr."""
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # under the usage line of the subcommand that was given them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -228,11 +228,10 @@ def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -
     H_plus(rho_plus) is read from the pressure, p / (gamma_plus - 1).
     Vacuum cells contribute zero regardless of the alpha sentinel.
     """
-    law_m = thermo.PhaseLaw(exps.gamma_minus)
     e = (
         0.5 * (der.R + der.Q) * der.u**2
         + der.alpha * (der.p / (exps.gamma_plus - 1.0))
-        + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, law_m)
+        + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, exps.gamma_minus)
     )
     return float(np.sum(e) * grid.dx)
 

@@ -1,4 +1,4 @@
-"""Barotropic pressure laws, Helmholtz potentials, and Bregman distances.
+"""Helmholtz potentials and Bregman distances of power-law phase pressures.
 
 For a power-law phase with exponent g > 1 the pressure is p(rho) = rho**g
 and the Helmholtz potential is H(rho) = rho**g / (g - 1), which satisfies
@@ -12,36 +12,18 @@ the density-discrepancy integrand of the relative-energy functional.
 
 from __future__ import annotations
 
-import dataclasses
-import math
-
 import numpy as np
 
 __all__ = [
-    "PhaseLaw",
     "helmholtz",
     "bregman",
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class PhaseLaw:
-    """Power-law phase pressure p(rho) = rho**gamma with gamma > 1 strictly.
-
-    gamma == 1 is rejected: H(rho) = rho**gamma / (gamma - 1) has no
-    logarithmic branch here.
-    """
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
-            raise ValueError("phase law requires gamma > 1")
-
-
-def helmholtz(rho, law: PhaseLaw):
-    """Helmholtz potential rho**gamma / (gamma - 1)."""
-    return np.power(rho, law.gamma) / (law.gamma - 1.0)
+def helmholtz(rho, gamma: float):
+    """Helmholtz potential rho**gamma / (gamma - 1) of the power law with
+    exponent gamma > 1."""
+    return np.power(rho, gamma) / (gamma - 1.0)
 
 
 def _power_gap(rho, rho_ref, gamma):
@@ -58,14 +40,15 @@ def _power_gap(rho, rho_ref, gamma):
     return np.power(ref, gamma) * g
 
 
-def bregman(rho, rho_ref, law: PhaseLaw):
-    """Convexity gap H(rho) - H'(ref) * (rho - ref) - H(ref), clamped at 0.
+def bregman(rho, rho_ref, gamma: float):
+    """Convexity gap H(rho) - H'(ref) * (rho - ref) - H(ref), clamped at 0,
+    of the power law with exponent gamma > 1.
 
     Exactly zero when rho == ref; the clamp removes sub-ulp negative
     round-off, since the gap is nonnegative by convexity.  Requires ref > 0;
     rho = 0 is allowed and gives H'(ref) * ref - H(ref) = p(ref) exactly.
     """
-    out = np.maximum(_power_gap(rho, rho_ref, law.gamma) / (law.gamma - 1.0), 0.0)
+    out = np.maximum(_power_gap(rho, rho_ref, gamma) / (gamma - 1.0), 0.0)
     if out.ndim == 0:
         return float(out)
     return out

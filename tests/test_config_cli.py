@@ -688,6 +688,56 @@ def test_cli_compare_whose_run_a_fails_reaps_run_b_writers(tmp_path, monkeypatch
         _same_dir_bytes(out / "run_b", tmp_path / "plain")
 
 
+def _bump_pair_cfg(base):
+    """gamma 3/1.5 Gaussian bumps of width 0.005 in R and Q on top of base:
+    at base 0, exp underflows and R = Q = 0 exactly away from the centre."""
+    return MINIMAL + (
+        "\n[grid]\nn = 64\n[time]\nt_end = 1e-7\nn_snapshots = 5\n[initial]\n"
+        f"R_preset = gaussian_bump\nR_base = {base}\nR_amplitude = 1.0\nR_width = 0.005\n"
+        f"Q_preset = gaussian_bump\nQ_base = {base}\nQ_amplitude = 1.0\nQ_width = 0.005\n"
+    )
+
+
+def test_cli_compare_with_a_vacuum_reference_stops_at_its_first_snapshot(tmp_path, capfd):
+    # the reference must stay away from vacuum: its first snapshot fails the
+    # compare, before run_b steps on (and fails later for another reason)
+    # and before run_a starts
+    a = write(tmp_path, "a.ini", _bump_pair_cfg(1.0))
+    b = write(tmp_path, "b.ini", _bump_pair_cfg(0.0))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 3
+    assert capfd.readouterr().err == "compare failed: reference state has vacuum cells\n"
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["error"] == "VacuumReferenceError"
+    assert os.listdir(out / "run_b") == ["snapshot_0000.csv"]
+    assert os.listdir(out / "run_a") == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_compare_whose_pair_reduction_fails_stops_run_a_there(tmp_path, monkeypatch, capfd):
+    real, calls = verify.relative_entropy, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise verify.GridMismatchError("cell counts differ: 32 vs 16")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "relative_entropy", fail_second)
+    path = write(tmp_path, "run.ini", RUN_CFG)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 3
+    assert capfd.readouterr().err == "compare failed: cell counts differ: 32 vs 16\n"
+    assert json.loads((out / "failure.json").read_text())["error"] == "GridMismatchError"
+    assert len(calls) == 2
+    assert sorted(os.listdir(out / "run_a")) == ["snapshot_0000.csv", "snapshot_0001.csv"]
+    assert len(os.listdir(out / "run_b")) == 4  # run_b ran to the end first
+    assert not (out / "verify.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _restart_config(tmp_path, monkeypatch):
     """A config whose R, Q and u restart from one snapshot file, the file,
     and the list of paths config.read_snapshot reads from now on."""
@@ -1152,7 +1202,7 @@ COMPARE_MODES = {
 
 @pytest.mark.parametrize("window", ["default"])
 @pytest.mark.parametrize("mode", sorted(COMPARE_MODES))
-def test_compare_runs_equals_the_audits_of_the_full_series(run_collecting, mode, window):
+def test_compare_runs_equals_the_audits_of_the_full_series(tmp_path, run_collecting, mode, window):
     # compare_runs keeps a few arrays of each reference snapshot and none of
     # run_a; its results are those of the audits on every snapshot of both
     # sides, the window being that of the whole reference series
@@ -1160,7 +1210,7 @@ def test_compare_runs_equals_the_audits_of_the_full_series(run_collecting, mode,
     cfg_a = validate_config(text_a)[0]
     cfg_b = validate_config(text_b)[0] if text_b else None
     ref_mode = "twin" if mode == "self-twin" else mode
-    rows, payload = cli.compare_runs(cfg_a, cfg_b, ref_mode, None)
+    rows, payload = cli.compare_runs(cfg_a, cfg_b, ref_mode, tmp_path)
     want_rows, want_payload = _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode)
     assert rows == want_rows
     # exact: _jsonable keeps every finite float and maps inf and nan to None
@@ -1273,7 +1323,7 @@ def _closure_vacuum_alpha_usage_error(capsys, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: bifluid ")
+    assert captured.err.startswith("usage: bifluid closure ")
     assert "unrecognized arguments: --vacuum-alpha" in captured.err
 
 
@@ -1289,6 +1339,25 @@ def test_cli_closure_rejects_the_removed_vacuum_alpha_flag(capsys, value):
     assert main(["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5"]) == 0
     vacuum_row = capsys.readouterr().out.splitlines()[1]
     assert vacuum_row == "0,0,0,0.5,0,0,1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "c.ini", "--out", "o"],
+        ["compare", "--config", "c.ini", "--out", "o"],
+        ["mms", "--config", "c.ini", "--levels", "3"],
+    ],
+    ids=["run", "compare", "mms"],
+)
+def test_cli_unknown_option_is_reported_under_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--bogus=0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: bifluid {argv[0]} ")
+    assert captured.err.endswith("error: unrecognized arguments: --bogus=0\n")
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "mms"])

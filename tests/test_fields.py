@@ -185,13 +185,13 @@ def test_total_energy_nonnegative(R, Q, u):
 # essential window ------------------------------------------------------------------
 
 
-def test_default_ess_window():
+def test_default_ess_window(tmp_path):
     # compare's coercivity window runs from half the minimum to twice
     # the maximum of the reference phase densities
     cfg = SimConfig(
         n=8, t_end=0.0, r_init=ProfileSpec(value=1.0), q_init=ProfileSpec(value=2.0)
     )
-    _, payload = compare_runs(cfg, None, "twin", None)
+    _, payload = compare_runs(cfg, None, "twin", tmp_path)
     lo, hi = payload["ess_window"]
     assert lo == pytest.approx(1.0)  # half of min(2, 4)
     assert hi == pytest.approx(8.0)  # twice max(2, 4)
