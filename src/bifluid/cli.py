@@ -36,6 +36,7 @@ import numpy as np
 from . import verify
 from .closure import (
     VACUUM_ALPHA,
+    CellError,
     ClosureOverflowError,
     ExponentPair,
     MaxIterExceededError,
@@ -126,7 +127,7 @@ def _write_failure(out_dir, exc) -> None:
     if out_dir is None:
         return
     record = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, StepError):
+    if isinstance(exc, CellError) and exc.step is not None:  # located by a run
         record.update(
             t=exc.t, step=exc.step, dt=exc.dt, cells=list(exc.cells[:64]), n_cells=len(exc.cells)
         )

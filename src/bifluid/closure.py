@@ -45,6 +45,7 @@ __all__ = [
     "CLOSURE_MAX_ITER",
     "VACUUM_ALPHA",
     "NonFiniteInputError",
+    "CellError",
     "MaxIterExceededError",
     "ClosureOverflowError",
     "ExponentPair",
@@ -57,16 +58,41 @@ class NonFiniteInputError(ValueError):
     """An input to the closure is NaN or infinite."""
 
 
-class MaxIterExceededError(RuntimeError):
-    """Root iteration did not converge within the iteration cap.
+class CellError(Exception):
+    """An error at some cells of a state, which a run can locate.
+
+    cells is the sequence of the offending cells (a range when every cell
+    offends) and t the time of the failing update, when the raise knows it.
+    A run that meets the error records where it failed (at; solver.run says
+    how): step, a step number, and dt, a step size.  Both stay None for an
+    error raised outside a run.
+    """
+
+    def __init__(self, message: str, t: float | None = None, cells=()):
+        super().__init__(message)
+        self.t = t
+        self.cells = cells
+        self.step: int | None = None
+        self.dt: float | None = None
+
+    def at(self, t: float, step: int, dt: float | None) -> None:
+        """Record where the run failed; a t known at the raise is kept."""
+        if self.t is None:
+            self.t = t
+        self.step, self.dt = step, dt
+
+
+class MaxIterExceededError(CellError, RuntimeError):
+    """Root iteration did not converge within the iteration cap at cells.
 
     With CLOSURE_TOL this signals a defect, not a missing root: the residual
     is monotone and bracketed.
     """
 
 
-class ClosureOverflowError(OverflowError):
-    """The closure root exceeds the largest float: Z >= Q**(1/gamma) overflows."""
+class ClosureOverflowError(CellError, OverflowError):
+    """The closure root exceeds the largest float at cells: Z >= Q**(1/gamma)
+    overflows."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,9 +132,9 @@ def _validate_inputs(R, Q):
 def _check_overflow(a, what):
     # a holds no NaN here, so one reduction finds an inf
     if a.size and not np.maximum.reduce(a) < math.inf:
-        bad = np.flatnonzero(np.isinf(a))
+        bad = np.flatnonzero(np.isinf(a)).tolist()
         raise ClosureOverflowError(
-            f"closure root {what} overflows float at cells {bad.tolist()[:8]}"
+            f"closure root {what} overflows float at cells {bad[:8]}", cells=bad
         )
 
 
@@ -133,9 +159,10 @@ def _newton(r, q, lo, hi, z, gamma):
         fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
         step = np.minimum(np.maximum(z - f / fp, lo), hi)
         z = np.where(conv, z, step) if n_conv else step
+    bad = np.flatnonzero(~conv).tolist()
     raise MaxIterExceededError(
-        f"closure iteration exceeded {CLOSURE_MAX_ITER} iterations at cells "
-        f"{np.flatnonzero(~conv).tolist()[:8]}"
+        f"closure iteration exceeded {CLOSURE_MAX_ITER} iterations at cells {bad[:8]}",
+        cells=bad,
     )
 
 

@@ -10,18 +10,31 @@ The mass sources are the exact transport residuals.  The pressure is NOT
 manufactured: the momentum source absorbs the gradient of the true closure
 pressure p = Z**gamma_plus of (R, Q).  Its cell average is exact, the
 difference of p at the two faces of the cell over dx, so the forcing
-solves the closure once, on the n + 1 faces.  The terms that need no
-closure are cell-averaged by 3-point Gauss quadrature, so the forcing is not
-the accuracy bottleneck of a first-order scheme.  The face difference loses
+solves the closure once, on the n + 1 faces.  The face difference loses
 about n * eps of the pressure term to round-off (a few 1e-12 relative
 at n = 4096), far below the scheme's error at any n.
+
+The terms that need no closure are cell-averaged by 3-point Gauss
+quadrature, so the forcing is not the accuracy bottleneck of a first-order
+scheme.  By angle addition R, Q, u and their derivatives are affine in
+s = sin(k x) and c = cos(k x), with coefficients that depend on t alone,
+so the mass sources are quadratic in (s, c) and the momentum source,
+viscous term included, is cubic.  Every term carries a factor without a
+constant, u or a derivative, and every momentum term one of u, u_t and
+u_xx, which are multiples of s; so eight monomials s**i * c**j span the
+sources, with no constant and no c**3.  Their Gauss-3 cell averages depend
+on the grid only and are computed once per wavenumber and grid, as are
+sin(k x) and cos(k x) at the faces.  One forcing call builds the (3, 8)
+coefficients at t from floats and contracts them with the cached averages
+in one ``np.einsum``, which sums over the monomials in order (a BLAS
+product could reorder the sum with the memory alignment), so reruns are
+bit-identical.  The result is the node-wise quadrature to within a few
+ulps.
 
 The solver evaluates the forcing once per time level: an SSPRK2 step hands
 its stage forcing at t + dt on to the next step, which starts at that time.
 A step that lands on a snapshot time can end a round-off away from it; t is
 then set to the snapshot time and the next step evaluates the forcing afresh.
-The phases sin(k x) and cos(k x) at the nodes and the faces do not depend on
-t and are computed once per wavenumber and grid.
 """
 
 from __future__ import annotations
@@ -38,17 +51,33 @@ from .fields import FieldState, Grid1D
 
 _GAUSS3_NODES = np.array([-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+# the exponents (i, j) of the monomials s**i * c**j that the closure-free
+# sources span: s, c, s^2, s c, c^2, s^3, s^2 c and s c^2
+_MONOMIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2))
 
 __all__ = ["ManufacturedSolution"]
 
 
 @functools.lru_cache(maxsize=4)
-def _phases(k: float, grid: Grid1D):
-    """Read-only sin(k x) and cos(k x) at the three Gauss nodes of every cell,
-    as (3, n), then at the n + 1 cell faces."""
+def _basis(k: float, grid: Grid1D):
+    """Read-only Gauss-3 cell averages of the monomials s**i * c**j of
+    _MONOMIALS, s = sin(k x) and c = cos(k x), as (8, n)."""
     kx = k * (grid.x + _GAUSS3_NODES[:, None] * grid.dx)
+    s, c = np.sin(kx), np.cos(kx)
+    w = _GAUSS3_WEIGHTS
+    G = np.empty((len(_MONOMIALS), grid.n))
+    for row, (i, j) in zip(G, _MONOMIALS):
+        m = s**i * c**j
+        row[:] = w[0] * m[0] + w[1] * m[1] + w[2] * m[2]
+    G.flags.writeable = False
+    return G
+
+
+@functools.lru_cache(maxsize=4)
+def _phases(k: float, grid: Grid1D):
+    """Read-only sin(k x) and cos(k x) at the n + 1 cell faces."""
     kf = k * (np.arange(grid.n + 1) * grid.dx)
-    phases = np.sin(kx), np.cos(kx), np.sin(kf), np.cos(kf)
+    phases = np.sin(kf), np.cos(kf)
     for a in phases:
         a.flags.writeable = False
     return phases
@@ -102,42 +131,17 @@ class ManufacturedSolution:
     def cell_averages(self, grid: Grid1D, t: float):
         """Cell averages of the three sources at time t, as (3, n).
 
-        The pressure term is the difference of the face pressures over dx;
-        Gauss-3 averages the rest, the three nodes of every cell forming one
-        (3, n) batch.  The cached sin/cos of k x at the nodes and the faces
-        (angle addition gives the phases shifted by t) serve all sources.
+        The closure-free terms are one contraction of their coefficients at
+        t with the cached Gauss-3 averages of the monomials in sin(k x) and
+        cos(k x); the pressure term is the difference of the face pressures
+        over dx.
         """
-        k = self.k
-        sin_kx, cos_kx, sin_kf, cos_kf = _phases(k, grid)
         ct, st = math.cos(t), math.sin(t)
-        sc, cs = sin_kx * ct, cos_kx * st
-        cc, ss = cos_kx * ct, sin_kx * st
-        sin_m, sin_p = sc - cs, sc + cs  # sin(kx - t), sin(kx + t)
-        cos_m, cos_p = cc + ss, cc - ss  # cos(kx - t), cos(kx + t)
-
-        R = self.a + self.b * sin_m
-        Q = self.c + self.d * cos_p
-        u = self.e * ct * sin_kx
-        dR_dt, dR_dx = -self.b * cos_m, k * self.b * cos_m
-        dQ_dt, dQ_dx = -self.d * sin_p, -k * self.d * sin_p
-        du_dt = -self.e * st * sin_kx
-        du_dx = k * self.e * ct * cos_kx
-        du_dxx = -k * k * u
-
-        # sources per (source, node, cell); the momentum source uses the
-        # identity (rho u)_t + (rho u^2)_x = u (sR + sQ) + rho (u_t + u u_x)
-        S = np.empty((3,) + R.shape)
-        np.add(dR_dt + dR_dx * u, R * du_dx, out=S[0])
-        np.add(dQ_dt + dQ_dx * u, Q * du_dx, out=S[1])
-        np.subtract(
-            u * (S[0] + S[1]) + (R + Q) * (du_dt + u * du_dx),
-            self.nu_eff * du_dxx,
-            out=S[2],
-        )
-        w = _GAUSS3_WEIGHTS
-        avg = w[0] * S[:, 0] + w[1] * S[:, 1] + w[2] * S[:, 2]
+        coef = self._coefficients(ct, st)
+        avg = np.einsum("ik,kn->in", coef, _basis(self.k, grid), optimize=False)
 
         # p = Z**gamma_plus at the faces, with (Z - R) Z**(gamma-1) = Q
+        sin_kf, cos_kf = _phases(self.k, grid)
         Zf, _ = _solve_closure(
             self.a + self.b * (sin_kf * ct - cos_kf * st),
             self.c + self.d * (cos_kf * ct - sin_kf * st),
@@ -146,3 +150,32 @@ class ManufacturedSolution:
         pf = np.power(Zf, self.exps.gamma_plus)
         avg[2] += (pf[1:] - pf[:-1]) / grid.dx
         return avg
+
+    def _coefficients(self, ct: float, st: float):
+        """The closure-free parts of the three sources at the time t with
+        cos t = ct and sin t = st, as polynomials in s = sin(k x) and
+        c = cos(k x): their (3, 8) coefficients over _MONOMIALS."""
+        k, a, b, c, d = self.k, self.a, self.b, self.c, self.d
+        # u = U s, u_t = W s, u_x = K c, u_xx = -k K s and u u_x = X s c;
+        # by angle addition R = a + bc s - bs c and Q = c - ds s + dc c
+        U, W = self.e * ct, -self.e * st
+        K = k * U
+        X = U * K
+        bs, bc, ds, dc = b * st, b * ct, d * st, d * ct
+        # S_R = R_t + R_x u + R u_x and S_Q alike, quadratic
+        sR = [-bs, a * K - bc, bs * K, 2.0 * bc * K, -bs * K, 0.0, 0.0, 0.0]
+        sQ = [-dc, c * K - ds, -dc * K, -2.0 * ds * K, dc * K, 0.0, 0.0, 0.0]
+        # S_m = u (S_R + S_Q) + (R + Q) (u_t + u u_x) - nu_eff u_xx, cubic,
+        # with R + Q = r0 + rs s + rc c
+        r0, rs, rc = a + c, bc - ds, dc - bs
+        sm = [
+            r0 * W + self.nu_eff * k * K,
+            0.0,
+            U * (sR[0] + sQ[0]) + rs * W,
+            U * (sR[1] + sQ[1]) + r0 * X + rc * W,
+            0.0,
+            U * (sR[2] + sQ[2]),
+            U * (sR[3] + sQ[3]) + rs * X,
+            U * (sR[4] + sQ[4]) + rc * X,
+        ]
+        return np.array([sR, sQ, sm])

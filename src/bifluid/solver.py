@@ -80,26 +80,8 @@ __all__ = [
 ]
 
 
-class StepError(RuntimeError):
-    """A run that cannot go on from its state.
-
-    t is the time of the failing update and cells the sequence of the
-    offending cells (a range when every cell offends).  run adds step, the
-    number of the step it was taking, and dt, that step's size; a
-    ZeroDtError, which comes before the step has a size, gets the size of
-    the last step taken instead (None before the first step).
-    """
-
-    def __init__(self, message: str, t: float | None = None, cells=()):
-        super().__init__(message)
-        self.t = t
-        self.cells = cells
-        self.step: int | None = None
-        self.dt: float | None = None
-
-    def at(self, t: float, step: int, dt: float | None) -> None:
-        """Record where the run failed."""
-        self.t, self.step, self.dt = t, step, dt
+class StepError(closure.CellError, RuntimeError):
+    """A run that cannot go on from its state; run records where (see run)."""
 
 
 class ZeroDtError(StepError):
@@ -402,6 +384,16 @@ def _discard(state: FieldState, derived: DerivedFields) -> None:
     """The snapshot consumer of a run whose caller reads only its scalars."""
 
 
+def _derive_at(state: FieldState, exps, z0, step: int, dt: float | None) -> DerivedFields:
+    """derive(state, exps, z0) for run, which reaches state before the step
+    numbered step, the last step taken having size dt."""
+    try:
+        return derive(state, exps, z0=z0)
+    except closure.CellError as exc:
+        exc.at(state.t, step, dt)
+        raise
+
+
 def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Trajectory:
     """Advance a validated SimConfig from t = 0 to t_end.
 
@@ -420,6 +412,14 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     hit them), so two runs sharing the snapshot grid can be compared without
     interpolation.  The result is deterministic: identical configurations
     produce bit-identical trajectories.
+
+    A StepError or closure error (closure.CellError) that stops the run
+    records where.  One in a step's update, its stage, forcing or admission,
+    gets the number of that step, its size and the time it steps to.  One in
+    the closure of a state the run has reached (the initial state, a state
+    between steps, a snapshot) or in the size of the next step gets the
+    number of that next step, the size of the last step taken (None before
+    the first) and the state's time.
     """
     grid = cfg.grid()
     exps = cfg.exponents()
@@ -429,7 +429,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
 
     W = np.empty((5, grid.n + 2))  # the state, rows R, Q, m, p, u
     S = np.empty_like(W)  # its SSPRK2 stage
-    der = derive(state, exps)  # of the state that W is loaded from next
+    der = _derive_at(state, exps, None, 1, None)  # of the state W is loaded from next
     t = state.t
     times: list[float] = []
     energies: list[float] = []
@@ -450,13 +450,15 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
                     f"step budget of {MAX_STEPS} exhausted at t={t:.6g}, "
                     f"before step {len(dt_hist) + 1}"
                 )
-            if der is not None:  # the step starts from a snapshot
-                _load(W, state, der, grid)
-                Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
-                der = None
             try:
+                if der is not None:  # the step starts from a snapshot
+                    _load(W, state, der, grid)
+                    Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
+                    der = None
+                else:  # from the state of the last step
+                    Z, rho, iters0 = _close(W, grid, exps, z_prev)
                 dt_stable, speed_max = compute_dt(rho, W[4, 1:-1], Z, grid, cfg, exps)
-            except ZeroDtError as exc:
+            except closure.CellError as exc:
                 exc.at(t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
                 raise
             remaining = target - t
@@ -471,8 +473,8 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
                 z_prev, forcing0, iters1, step_diss = step(
                     W, S, grid, cfg, exps, t, dt, Z, forcing0, sol
                 )
-            except StepError as exc:
-                exc.at(exc.t, len(dt_hist) + 1, dt)
+            except closure.CellError as exc:
+                exc.at(t + dt, len(dt_hist) + 1, dt)
                 raise
             t1 = t + dt
             if landing and t1 != target:
@@ -483,11 +485,9 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             dt_hist.append(dt)
             iters_max = max(iters_max, iters0, iters1)
             wave_max = max(wave_max, speed_max)
-            if t < target:  # the next step starts here
-                Z, rho, iters0 = _close(W, grid, exps, z_prev)
         if der is None:  # stepped since the last snapshot
             state = FieldState(t, U=W[:3, 1:-1].copy())
-            der = derive(state, exps, z0=z_prev)
+            der = _derive_at(state, exps, z_prev, len(dt_hist) + 1, dt_hist[-1])
         times.append(t)
         energies.append(total_energy(der, grid, exps))
         diss.append(cum)

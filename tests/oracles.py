@@ -14,7 +14,10 @@ The closure's Newton iteration with an active set that drops converged
 cells checks the frozen-in-place iteration bit for bit.  The manufactured
 forcing with every term, the pressure gradient included, Gauss-3 averaged
 and dZ/dx from implicit differentiation of the closure checks the forcing
-whose pressure term is a difference of face pressures.
+whose pressure term is a difference of face pressures.  The same forcing
+with its closure-free sources evaluated at every Gauss node checks the
+contraction over the cached monomial averages, and its pressure term bit
+for bit.
 
 The fraction audit's terms of one snapshot pair, evaluated on their own,
 check the terms A and w that the relative-energy row carries bit for bit.
@@ -191,6 +194,58 @@ def gauss3_forcing(sol, grid, t):
     )
     w = np.array([5.0, 8.0, 5.0]) / 18.0
     return np.array([w @ sR, w @ sQ, w @ sm])
+
+
+_GAUSS3_NODES = np.array([-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6)])
+_GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+
+
+def nodewise_forcing(self, grid, t):
+    """A stand-in for ``ManufacturedSolution.cell_averages`` (self is the
+    manufactured solution) that evaluates every closure-free source at the
+    three Gauss nodes of every cell and averages them there, with the same
+    face-pressure difference."""
+    k = self.k
+    kx = k * (grid.x + _GAUSS3_NODES[:, None] * grid.dx)
+    kf = k * (np.arange(grid.n + 1) * grid.dx)
+    sin_kx, cos_kx, sin_kf, cos_kf = np.sin(kx), np.cos(kx), np.sin(kf), np.cos(kf)
+    ct, st = math.cos(t), math.sin(t)
+    sc, cs = sin_kx * ct, cos_kx * st
+    cc, ss = cos_kx * ct, sin_kx * st
+    sin_m, sin_p = sc - cs, sc + cs  # sin(kx - t), sin(kx + t)
+    cos_m, cos_p = cc + ss, cc - ss  # cos(kx - t), cos(kx + t)
+
+    R = self.a + self.b * sin_m
+    Q = self.c + self.d * cos_p
+    u = self.e * ct * sin_kx
+    dR_dt, dR_dx = -self.b * cos_m, k * self.b * cos_m
+    dQ_dt, dQ_dx = -self.d * sin_p, -k * self.d * sin_p
+    du_dt = -self.e * st * sin_kx
+    du_dx = k * self.e * ct * cos_kx
+    du_dxx = -k * k * u
+
+    # sources per (source, node, cell); the momentum source uses the
+    # identity (rho u)_t + (rho u^2)_x = u (sR + sQ) + rho (u_t + u u_x)
+    S = np.empty((3,) + R.shape)
+    np.add(dR_dt + dR_dx * u, R * du_dx, out=S[0])
+    np.add(dQ_dt + dQ_dx * u, Q * du_dx, out=S[1])
+    np.subtract(
+        u * (S[0] + S[1]) + (R + Q) * (du_dt + u * du_dx),
+        self.nu_eff * du_dxx,
+        out=S[2],
+    )
+    w = _GAUSS3_WEIGHTS
+    avg = w[0] * S[:, 0] + w[1] * S[:, 1] + w[2] * S[:, 2]
+
+    # p = Z**gamma_plus at the faces, with (Z - R) Z**(gamma-1) = Q
+    Zf, _ = _solve_closure(
+        self.a + self.b * (sin_kf * ct - cos_kf * st),
+        self.c + self.d * (cos_kf * ct - sin_kf * st),
+        self.exps.gamma,
+    )
+    pf = np.power(Zf, self.exps.gamma_plus)
+    avg[2] += (pf[1:] - pf[:-1]) / grid.dx
+    return avg
 
 
 def w12_norm_sq(f, grid: Grid1D) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bifluid
-from bifluid import cli, config, solver, verify
+from bifluid import cli, closure, config, solver, verify
 from bifluid.cli import main
 from bifluid.closure import VACUUM_ALPHA, ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, _uniform_draws, validate_config
@@ -403,6 +403,80 @@ def test_cli_run_non_finite_state_writes_record(tmp_path, capsys):
     assert rec["dt"] == rec["t"]  # the first step starts at t = 0
     assert rec["cells"] and all(0 <= c < 16 for c in rec["cells"])
     assert rec["n_cells"] == len(rec["cells"])
+
+
+# gamma = 3/1.4 takes the closure's Newton iteration, here with a forcing
+NEWTON_MMS_CFG = (
+    "[exponents]\ngamma_plus = 3.0\ngamma_minus = 1.4\n[viscosity]\nmu = 0.01\n"
+    "[grid]\nn = 16\n[time]\nt_end = 0.05\nn_snapshots = 2\n[mms]\nenabled = true\n"
+)
+
+
+@pytest.mark.parametrize("capped_from", [0, 3])
+def test_cli_run_closure_iteration_failure_writes_located_record(
+    tmp_path, capsys, monkeypatch, capped_from
+):
+    # the Newton cap drops to one iteration before the run (the cold solve of
+    # the initial state fails) or as step 3 starts (a warm solve of it fails)
+    taken = []
+    real_step = solver.step
+
+    def spy(W, S, grid, cfg, exps, t, dt, *args):
+        taken.append((t, dt))
+        if len(taken) == capped_from:
+            monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
+        return real_step(W, S, grid, cfg, exps, t, dt, *args)
+
+    monkeypatch.setattr(solver, "step", spy)
+    if capped_from == 0:
+        monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
+    path = write(tmp_path, "newton.ini", NEWTON_MMS_CFG)
+    out = str(tmp_path / "fail")
+    assert main(["run", "--config", path, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rec = json.load(open(os.path.join(out, "failure.json")))
+    assert rec["error"] == "MaxIterExceededError"
+    assert rec["message"].startswith("closure iteration exceeded 1 iterations at cells [")
+    if capped_from == 0:
+        assert (rec["t"], rec["step"], rec["dt"]) == (0.0, 1, None)
+    else:
+        t, dt = taken[2]
+        assert (rec["t"], rec["step"], rec["dt"]) == (t + dt, 3, dt)
+    assert rec["cells"] and all(0 <= c < 17 for c in rec["cells"])  # cells, or faces
+    assert rec["n_cells"] == len(rec["cells"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys):
+    # gamma = 1.4/3 < 1: the root Z >= Q**(3/1.4) of Q = 1e150 overflows
+    text = (
+        "[exponents]\ngamma_plus = 1.4\ngamma_minus = 3.0\n[grid]\nn = 16\n"
+        "[time]\nt_end = 0.01\nn_snapshots = 2\n[initial]\nQ_value = 1e150\n"
+    )
+    path = write(tmp_path, "overflow.ini", text)
+    out = str(tmp_path / "fail")
+    assert main(["run", "--config", path, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rec = json.load(open(os.path.join(out, "failure.json")))
+    assert rec == {
+        "error": "ClosureOverflowError",
+        "message": "closure root bound Q**(1/gamma) overflows float at cells "
+        "[0, 1, 2, 3, 4, 5, 6, 7]",
+        "t": 0.0,
+        "step": 1,
+        "dt": None,
+        "cells": list(range(16)),
+        "n_cells": 16,
+    }
+
+
+def test_failure_record_of_a_closure_error_outside_a_run_has_no_location(tmp_path):
+    exc = closure.ClosureOverflowError("closure root Z overflows float at cells [1]", cells=[1])
+    cli._write_failure(str(tmp_path), exc)
+    assert json.loads((tmp_path / "failure.json").read_text()) == {
+        "error": "ClosureOverflowError",
+        "message": "closure root Z overflows float at cells [1]",
+    }
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

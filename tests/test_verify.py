@@ -427,6 +427,45 @@ def test_mms_forcing_matches_gauss3_with_implicit_differentiation(exps, bc, leng
             assert np.all(gap <= 1e-11 * np.max(np.abs(ref), axis=1))
 
 
+@pytest.mark.parametrize("exps", [ExponentPair(3.0, 1.4), ExponentPair(3.0, 1.5), ExponentPair(1.4, 3.0)])
+@pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
+@pytest.mark.parametrize("length", [1.0, 1.3])
+def test_mms_forcing_matches_the_nodewise_quadrature(exps, bc, length):
+    from bifluid.mms import ManufacturedSolution
+    from oracles import nodewise_forcing
+
+    # the contraction over the cached monomial averages reorders the
+    # node-wise sums, which moves each source by a few ulps of its scale
+    sol = ManufacturedSolution(exps, nu_eff=0.2, length=length)
+    for n in (64, 256, 1024):
+        grid = Grid1D(n, length, bc)
+        for t in (0.0, 0.37, 2.5, 11.0):
+            got = sol.cell_averages(grid, t)
+            ref = nodewise_forcing(sol, grid, t)
+            gap = np.max(np.abs(got - ref), axis=1)
+            assert np.all(gap <= 1e-14 * np.max(np.abs(ref), axis=1))
+
+
+@pytest.mark.parametrize("exps", [ExponentPair(3.0, 1.4), ExponentPair(3.0, 1.5), ExponentPair(1.4, 3.0)])
+@pytest.mark.parametrize("length", [1.0, 1.3])
+def test_mms_forcing_pressure_term_is_the_nodewise_one_bit_for_bit(exps, length, monkeypatch):
+    import oracles
+    from bifluid import mms
+
+    # with the quadrature of the closure-free terms zeroed on both sides,
+    # each forcing is its face-pressure difference alone
+    sol = mms.ManufacturedSolution(exps, nu_eff=0.2, length=length)
+    monkeypatch.setattr(mms, "_basis", lambda k, grid: np.zeros((8, grid.n)))
+    monkeypatch.setattr(oracles, "_GAUSS3_WEIGHTS", (0.0, 0.0, 0.0))
+    for n in (64, 256, 1024):
+        grid = Grid1D(n, length, PERIODIC)
+        for t in (0.0, 0.37, 2.5, 11.0):
+            got = sol.cell_averages(grid, t)
+            ref = oracles.nodewise_forcing(sol, grid, t)
+            assert not got[:2].any() and not ref[:2].any() and np.any(got[2] != 0.0)
+            assert got[2].tobytes() == ref[2].tobytes()
+
+
 # convergence study ---------------------------------------------------------------------
 
 
