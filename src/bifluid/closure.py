@@ -23,7 +23,8 @@ wrong finite value.
 calls the trusted solver ``_solve_closure``.  Callers whose inputs are finite
 and nonnegative by construction call the trusted solver directly:
 ``fields.derive`` (``FieldState`` checks its arrays, and the solver checks
-every stage it builds) and the manufactured forcing (checked in
+every stage it builds) and the solver's closure of the manufactured
+forcing's face masses, alone or with a stage (checked in
 ``ManufacturedSolution.__post_init__``).  The scalar argument checks and the
 overflow check run on both paths.
 """
@@ -39,6 +40,7 @@ CLOSURE_TOL = 1e-12
 CLOSURE_MAX_ITER = 200
 VACUUM_ALPHA = 0.5  # the volume fraction reported in a vacuum cell R = Q = 0
 _EPS = np.finfo(float).eps
+_HALF_MAX = np.finfo(float).max / 2.0
 
 __all__ = [
     "CLOSURE_TOL",
@@ -222,13 +224,19 @@ def _solve_closure(R, Q, gamma, z0=None):
     shape = R.shape
     R, Q = R.ravel(), Q.ravel()
 
+    # every overflow that can occur raises in _check_overflow; np.errstate
+    # keeps numpy from also warning of it
     if gamma == 1.0:
-        Z = R + Q
+        with np.errstate(over="ignore"):
+            Z = R + Q
         _check_overflow(Z, "R + Q")
         return Z.reshape(shape), 0
-    t = np.sqrt(Q) if gamma == 2.0 else np.power(Q, 1.0 / gamma)
     if gamma < 1.0:
+        with np.errstate(over="ignore"):
+            t = np.power(Q, 1.0 / gamma)
         _check_overflow(t, "bound Q**(1/gamma)")
+    else:  # t <= max(Q, 1) cannot overflow
+        t = np.sqrt(Q) if gamma == 2.0 else np.power(Q, 1.0 / gamma)
     s = np.maximum(R, t)
     vac = None if np.logical_and.reduce(s) else s == 0.0
     if vac is not None:
@@ -263,10 +271,14 @@ def _solve_closure(R, Q, gamma, z0=None):
             start = lo
         z, iterations = _newton(r, q, lo, hi, start, gamma)
 
-    Z = s * z
+    if gamma < 1.0 or (s.size and np.maximum.reduce(s) > _HALF_MAX):
+        with np.errstate(over="ignore"):
+            Z = s * z
+        _check_overflow(Z, "Z")
+    else:  # for gamma > 1, z <= r + q <= 2: s * z is finite
+        Z = s * z
     if vac is not None:
         Z[vac] = 0.0
-    _check_overflow(Z, "Z")
     return Z.reshape(shape), iterations
 
 

@@ -10,9 +10,13 @@ The mass sources are the exact transport residuals.  The pressure is NOT
 manufactured: the momentum source absorbs the gradient of the true closure
 pressure p = Z**gamma_plus of (R, Q).  Its cell average is exact, the
 difference of p at the two faces of the cell over dx, so the forcing
-solves the closure once, on the n + 1 faces.  The face difference loses
-about n * eps of the pressure term to round-off (a few 1e-12 relative
-at n = 4096), far below the scheme's error at any n.
+needs the closure roots at the n + 1 faces only: ``face_masses`` gives
+their R and Q, and ``cell_averages`` takes their roots.  The solver solves
+them in the closure call of its SSPRK2 stage, warm-started from the face
+roots of the previous time level, so they meet the closure tolerance as
+its warm-started cell roots do.  The face difference loses about n * eps
+of the pressure term to round-off (a few 1e-12 relative at n = 4096), far
+below the scheme's error at any n.
 
 The terms that need no closure are cell-averaged by 3-point Gauss
 quadrature, so the forcing is not the accuracy bottleneck of a first-order
@@ -32,9 +36,11 @@ bit-identical.  The result is the node-wise quadrature to within a few
 ulps.
 
 The solver evaluates the forcing once per time level: an SSPRK2 step hands
-its stage forcing at t + dt on to the next step, which starts at that time.
-A step that lands on a snapshot time can end a round-off away from it; t is
-then set to the snapshot time and the next step evaluates the forcing afresh.
+its stage forcing at t + dt and its face roots on to the next step, which
+starts at that time.  A step that lands on a snapshot time can end a
+round-off away from it; t is then set to the snapshot time and the next
+step evaluates the forcing afresh, from a cold solve of its face roots, as
+a run's first step does.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import math
 
 import numpy as np
 
-from .closure import ExponentPair, _solve_closure
+from .closure import ExponentPair
 from .closure import solve_closure_batch  # noqa: F401  (perfbench/tests checks this binding)
 from .fields import FieldState, Grid1D
 
@@ -95,8 +101,8 @@ class ManufacturedSolution:
     e: float = 0.3
 
     def __post_init__(self):
-        # the forcing's closure solve trusts R in [a - |b|, a + |b|] and Q in
-        # [c - |d|, c + |d|] to be finite and positive; these checks ensure it
+        # the trusted closure solve of face_masses needs R in [a - |b|, a + |b|]
+        # and Q in [c - |d|, c + |d|] finite and positive; these checks ensure it
         if not (math.isfinite(self.a + abs(self.b)) and math.isfinite(self.c + abs(self.d))):
             raise ValueError("manufactured partial masses must stay finite")
         if self.a - abs(self.b) <= 0.0 or self.c - abs(self.d) <= 0.0:
@@ -128,25 +134,26 @@ class ManufacturedSolution:
 
     # sources ------------------------------------------------------------
 
-    def cell_averages(self, grid: Grid1D, t: float):
-        """Cell averages of the three sources at time t, as (3, n).
-
-        The closure-free terms are one contraction of their coefficients at
-        t with the cached Gauss-3 averages of the monomials in sin(k x) and
-        cos(k x); the pressure term is the difference of the face pressures
-        over dx.
-        """
+    def face_masses(self, grid: Grid1D, t: float):
+        """R and Q at the n + 1 cell faces at time t."""
         ct, st = math.cos(t), math.sin(t)
-        coef = self._coefficients(ct, st)
-        avg = np.einsum("ik,kn->in", coef, _basis(self.k, grid), optimize=False)
-
-        # p = Z**gamma_plus at the faces, with (Z - R) Z**(gamma-1) = Q
         sin_kf, cos_kf = _phases(self.k, grid)
-        Zf, _ = _solve_closure(
+        return (
             self.a + self.b * (sin_kf * ct - cos_kf * st),
             self.c + self.d * (cos_kf * ct - sin_kf * st),
-            self.exps.gamma,
         )
+
+    def cell_averages(self, grid: Grid1D, t: float, Zf):
+        """Cell averages of the three sources at time t, as (3, n).
+
+        Zf holds the closure roots of face_masses(grid, t), (Z - R) *
+        Z**(gamma-1) = Q at each face.  The closure-free terms are one
+        contraction of their coefficients at t with the cached Gauss-3
+        averages of the monomials in sin(k x) and cos(k x); the pressure
+        term is the difference of the face pressures Zf**gamma_plus over dx.
+        """
+        coef = self._coefficients(math.cos(t), math.sin(t))
+        avg = np.einsum("ik,kn->in", coef, _basis(self.k, grid), optimize=False)
         pf = np.power(Zf, self.exps.gamma_plus)
         avg[2] += (pf[1:] - pf[:-1]) / grid.dx
         return avg

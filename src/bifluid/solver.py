@@ -28,10 +28,15 @@ scalar series, so its memory does not grow with the number of snapshots.
 Outputs and audits derive nothing again.
 
 A manufactured forcing is evaluated once per time level: an SSPRK2 step
-hands its stage forcing at t + dt on to the next step, as it hands on the
-stage closure root.  A step that lands on a snapshot time can end a
-round-off away from it; t is then set to the snapshot time and the next
-step evaluates the forcing afresh.
+hands its stage forcing at t + dt on to the next step, with the closure
+roots at the forcing's n + 1 faces it is made from, as it hands on the
+stage closure root.  A forced stage solves its closure and the forcing's
+face roots at t + dt in one kernel call, each part warm-started from the
+roots handed on; the kernel freezes converged points, so the stage's roots
+are those of its own solve, bit for bit.  A step that lands on a snapshot
+time can end a round-off away from it; t is then set to the snapshot time
+and the next step evaluates the forcing afresh, with a cold face solve, as
+a run's first step does.
 
 When the configuration asks for it (verification.track_alpha), a diagnostic
 evolves the volume fraction by its own non-conservative equation (upwind
@@ -273,6 +278,37 @@ def _close(B, grid: Grid1D, exps, z0):
     return Z, rho, iters
 
 
+def _close_with_faces(B, grid: Grid1D, exps, z0, Rf, Qf, zf0):
+    """_close of the state in the buffer B, with the n + 1 faces of a
+    manufactured forcing, masses Rf and Qf, in the same closure solve,
+    their roots warm-started from zf0; returns (Z, the face roots,
+    iterations), the iterations those of the joint solve.
+
+    The kernel solves each point on its own, so a failing joint solve is
+    repeated as the state's and the faces' solves apart: these raise its
+    error for the state's cells if any of them failed, otherwise for the
+    faces, numbered as faces.
+    """
+    start = np.concatenate((z0, zf0))
+    try:
+        Z, _, iters = _closure_fields(B[:3, 1:-1], B[3:, 1:-1], exps, start, (Rf, Qf))
+    except closure.CellError:
+        _close(B, grid, exps, z0)
+        closure._solve_closure(Rf, Qf, exps.gamma, zf0)
+        raise
+    _fill_ghosts(B, grid)
+    return Z[: grid.n], Z[grid.n :], iters
+
+
+def _forcing_level(forcing, grid: Grid1D, t: float, Zf):
+    """The read-only forcing of a step at time t: the cell averages of the
+    manufactured solution forcing and the face roots Zf they are made from."""
+    averages = forcing.cell_averages(grid, t, Zf)
+    averages.flags.writeable = False
+    Zf.flags.writeable = False
+    return averages, Zf
+
+
 def _load(W, state: FieldState, der: DerivedFields, grid: Grid1D) -> None:
     """Put a state and its derived fields into the buffer W, ghosts filled."""
     W[:3, 1:-1] = state.U
@@ -289,34 +325,42 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     at each end.  W holds the state at time t with its pressure, velocity
     and ghosts (_load, _close), Z its closure root; S is the SSPRK2 stage.
     On return W holds the new state's R, Q and m, admitted as valid; its
-    other rows and ghosts are the old state's until _close.  forcing is the
-    manufactured solution whose cell averages force the step, None for an
-    unforced step; forcing0, its averages at t, is computed when not given.
+    other rows and ghosts are the old state's until _close.
+
+    forcing is the manufactured solution, of the exponents exps, whose cell
+    averages force the step, None for an unforced step.  forcing0 is its
+    forcing at t as a step hands it on: the read-only pair (cell averages,
+    face roots).  When not given it is computed with a cold face solve.
+    The stage's closure solve takes the forcing's faces at t + dt with it,
+    warm-started from the face roots at t.
 
     Returns (stage_Z, stage_forcing, iterations, dissipation): stage_Z is
     the closure root of the stage, the warm start of the new state's
-    closure; stage_forcing the read-only stage forcing at t + dt, the
-    forcing of the next step when it starts there (None for an unforced
-    step); iterations the stage closure's iterations and dissipation the
-    viscous dissipation of the step.
+    closure; stage_forcing the forcing at t + dt in the form of forcing0,
+    the forcing of the next step when it starts there (None for an unforced
+    step); iterations those of the stage's closure solve and dissipation
+    the viscous dissipation of the step.
     """
     if forcing0 is None and forcing is not None:
-        forcing0 = forcing.cell_averages(grid, t)
+        Zf, _ = closure._solve_closure(*forcing.face_masses(grid, t), exps.gamma)
+        forcing0 = _forcing_level(forcing, grid, t, Zf)
     t1 = t + dt
     dissipation = dt * _dissipation_rate(W[4], grid, cfg.nu_eff)
     U0 = W[:3, 1:-1]
-    dU = _rhs(W, grid, cfg, forcing0)
+    dU = _rhs(W, grid, cfg, None if forcing is None else forcing0[0])
     dU *= dt
     U1 = S[:3, 1:-1]
     np.add(dU, U0, out=U1)
     # admitted, the stage is valid input for the trusted closure kernel
     _admit(U1, t1)
-    stage_Z, _, iters = _close(S, grid, exps, Z)
-    stage_forcing = None
-    if forcing is not None:
-        stage_forcing = forcing.cell_averages(grid, t1)
-        stage_forcing.flags.writeable = False
-    dU = _rhs(S, grid, cfg, stage_forcing)
+    if forcing is None:
+        stage_Z, _, iters = _close(S, grid, exps, Z)
+        stage_forcing = None
+    else:
+        Rf, Qf = forcing.face_masses(grid, t1)
+        stage_Z, Zf, iters = _close_with_faces(S, grid, exps, Z, Rf, Qf, forcing0[1])
+        stage_forcing = _forcing_level(forcing, grid, t1, Zf)
+    dU = _rhs(S, grid, cfg, None if forcing is None else stage_forcing[0])
     dU *= dt
     U0 += U1
     U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
@@ -442,7 +486,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     a_diag = der.alpha.copy() if track else None
 
     z_prev = None
-    forcing0 = None  # the forcing at t, when a step handed it on
+    forcing0 = None  # the forcing at t and its face roots, when a step handed them on
     for target in cfg.snapshot_times():
         while t < target:
             if len(dt_hist) >= MAX_STEPS:

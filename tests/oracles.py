@@ -201,10 +201,10 @@ _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 
 def nodewise_forcing(self, grid, t):
-    """A stand-in for ``ManufacturedSolution.cell_averages`` (self is the
-    manufactured solution) that evaluates every closure-free source at the
-    three Gauss nodes of every cell and averages them there, with the same
-    face-pressure difference."""
+    """A stand-in for ``ManufacturedSolution.cell_averages`` of cold face
+    roots (self is the manufactured solution) that evaluates every
+    closure-free source at the three Gauss nodes of every cell and averages
+    them there, with the same face-pressure difference."""
     k = self.k
     kx = k * (grid.x + _GAUSS3_NODES[:, None] * grid.dx)
     kf = k * (np.arange(grid.n + 1) * grid.dx)

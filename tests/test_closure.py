@@ -221,16 +221,21 @@ def test_solve_overflowing_root_raises(R):
         solve_closure_batch([np.finfo(float).max], [np.finfo(float).max], 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "R, Q, exps",
-    [(0.0, 1e308, ExponentPair(1.5, 3.0)), (1.7e308, 1.7e308, ExponentPair(2.0, 2.0))],
+    [
+        (0.0, 1e308, ExponentPair(1.5, 3.0)),  # the bound Q**(1/gamma)
+        (1.7e308, 1.7e308, ExponentPair(2.0, 2.0)),  # R + Q
+        (1.7e308, 1.7e308, ExponentPair(2.002, 2.0)),  # Z = s * z
+    ],
 )
-def test_derive_overflowing_root_raises(R, Q, exps):
-    # derive solves on the trusted path, which keeps the overflow check
+def test_derive_overflowing_root_raises(R, Q, exps, recwarn):
+    # derive solves on the trusted path, which keeps the overflow check;
+    # the overflow raises and does not also warn
     s = FieldState(0.0, [1.0, R], [1.0, Q], [0.0, 0.0])
     with pytest.raises(ClosureOverflowError, match=r"cells \[1\]"):
         derive(s, exps)
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_only_the_public_solve_validates_its_arrays(monkeypatch):

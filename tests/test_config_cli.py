@@ -446,9 +446,9 @@ def test_cli_run_closure_iteration_failure_writes_located_record(
     assert rec["n_cells"] == len(rec["cells"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys):
-    # gamma = 1.4/3 < 1: the root Z >= Q**(3/1.4) of Q = 1e150 overflows
+def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys, recwarn):
+    # gamma = 1.4/3 < 1: the root Z >= Q**(3/1.4) of Q = 1e150 overflows,
+    # which raises and does not also warn
     text = (
         "[exponents]\ngamma_plus = 1.4\ngamma_minus = 3.0\n[grid]\nn = 16\n"
         "[time]\nt_end = 0.01\nn_snapshots = 2\n[initial]\nQ_value = 1e150\n"
@@ -468,6 +468,7 @@ def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys):
         "cells": list(range(16)),
         "n_cells": 16,
     }
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_failure_record_of_a_closure_error_outside_a_run_has_no_location(tmp_path):

@@ -5,9 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bifluid import solver
-from bifluid.closure import CLOSURE_TOL, ExponentPair, omega_of_alpha
-from bifluid.config import ProfileSpec, SimConfig, ValidationError
+from bifluid import closure, solver
+from bifluid.closure import CLOSURE_TOL, ExponentPair, omega_of_alpha, solve_closure_batch
+from bifluid.config import ProfileSpec, SimConfig, ValidationError, validate_config
 from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive, total_mass
 from bifluid.mms import ManufacturedSolution
 from bifluid.solver import (
@@ -44,7 +44,7 @@ def stable_dt(d, grid, sch, exps=EXPS):
     return compute_dt(d.rho, d.u, d.Z, grid, sch, exps)[0]
 
 
-def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS):
+def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0=None):
     """One solver.step from the state st, in the buffers a run steps (d,
     the derived fields of st, is derived here when not given); returns the
     new state and what the step returns: (stage_Z, stage_forcing,
@@ -52,7 +52,7 @@ def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS):
     d = derived if derived is not None else derive(st, exps)
     W = np.empty((5, grid.n + 2))
     solver._load(W, st, d, grid)
-    rep = step(W, np.empty_like(W), grid, sch, exps, st.t, dt, d.Z, forcing=forcing)
+    rep = step(W, np.empty_like(W), grid, sch, exps, st.t, dt, d.Z, forcing0, forcing)
     return FieldState(st.t + dt, U=W[:3, 1:-1].copy()), rep
 
 
@@ -327,8 +327,13 @@ def _ref_alpha_step(alpha, u, div_u, gamma, dt, grid):
     return np.clip(new, 0.0, 1.0)
 
 
-def _ref_rhs(R, Q, m, der, grid, sch, sol, t, flux_sign):
-    forcing = sol.cell_averages(grid, t) if sol is not None else None
+def _ref_face_roots(sol, grid, t, z0=None):
+    """The closure roots of sol's face masses at time t, solved on their own
+    and warm-started from z0 (cold when None)."""
+    return solve_closure_batch(*sol.face_masses(grid, t), sol.exps.gamma, z0)[0]
+
+
+def _ref_rhs(R, Q, m, der, grid, sch, forcing, flux_sign):
     return per_equation_rhs(R, Q, m, der.u, der.p, grid, sch.nu_eff, forcing, flux_sign)
 
 
@@ -337,18 +342,28 @@ def _ref_clip(arr):
     return np.where(arr < 0.0, 0.0, arr)
 
 
-def _ref_step(st, grid, sch, sol, dt, flux_sign):
+def _ref_step(st, grid, sch, sol, dt, flux_sign, zf=None):
     """One SSPRK2 step of the per-equation scheme forced by sol, if not
-    None, with advection entering with flux_sign; returns (R, Q, m)."""
+    None, with advection entering with flux_sign; returns (R, Q, m) and the
+    forcing's face roots at the stage time.  zf, the face roots at st.t that
+    a step handed on, is solved cold when None; the stage's face roots are
+    warm-started from it, as the stage's cell roots are from der0.Z."""
     der0 = derive(st, EXPS)
-    dR, dQ, dm = _ref_rhs(st.R, st.Q, st.m, der0, grid, sch, sol, st.t, flux_sign)
+    forcing0 = forcing1 = zf1 = None
+    if sol is not None:
+        zf0 = _ref_face_roots(sol, grid, st.t) if zf is None else zf
+        forcing0 = sol.cell_averages(grid, st.t, zf0)
+    dR, dQ, dm = _ref_rhs(st.R, st.Q, st.m, der0, grid, sch, forcing0, flux_sign)
     R1, Q1 = _ref_clip(st.R + dt * dR), _ref_clip(st.Q + dt * dQ)
     m1 = st.m + dt * dm
     stage = FieldState(st.t + dt, R1, Q1, m1)
     der1 = derive(stage, EXPS, z0=der0.Z)
-    dR1, dQ1, dm1 = _ref_rhs(R1, Q1, m1, der1, grid, sch, sol, stage.t, flux_sign)
+    if sol is not None:
+        zf1 = _ref_face_roots(sol, grid, stage.t, zf0)
+        forcing1 = sol.cell_averages(grid, stage.t, zf1)
+    dR1, dQ1, dm1 = _ref_rhs(R1, Q1, m1, der1, grid, sch, forcing1, flux_sign)
     R2, Q2 = (_ref_clip(0.5 * (a + a1 + dt * da)) for a, a1, da in ((st.R, R1, dR1), (st.Q, Q1, dQ1)))
-    return R2, Q2, 0.5 * (st.m + m1 + dt * dm1)
+    return (R2, Q2, 0.5 * (st.m + m1 + dt * dm1)), zf1
 
 
 def _tricky_state(grid):
@@ -387,7 +402,7 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
     dt *= 0.5
     new, (_, _, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
-    R, Q, m = _ref_step(st, grid, sch, sol, dt, flux_sign)
+    (R, Q, m), _ = _ref_step(st, grid, sch, sol, dt, flux_sign)
     assert _same_bits(new.R, R)
     assert _same_bits(new.Q, Q)
     assert _same_bits(new.m, m)
@@ -399,15 +414,19 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
 def _ref_snapshots(cfg, dts):
     """The snapshot states of the per-equation scheme stepped from cfg's
     initial state with the step sizes dts; a step of exactly the time left
-    to a snapshot lands on it."""
+    to a snapshot lands on it.  Each step hands its stage's face roots on
+    to the next, except across a landing that moved t."""
     grid = cfg.grid()
     sol = cfg.manufactured() if cfg.mms_enabled else None
     st = cfg.initial_state(grid)
     states, targets = [st], iter(cfg.snapshot_times()[1:])
     target = next(targets)
+    zf = None
     for dt in dts:
-        R, Q, m = _ref_step(st, grid, cfg, sol, dt, 1.0)
-        t = target if dt == target - st.t else st.t + dt
+        (R, Q, m), zf = _ref_step(st, grid, cfg, sol, dt, 1.0, zf)
+        t = st.t + dt
+        if dt == target - st.t and t != target:
+            t, zf = target, None
         st = FieldState(t, R, Q, m)
         if t == target:
             states.append(st)
@@ -730,21 +749,25 @@ SHIFTING_SNAPS = (0.0, 0.0011, 0.0031, 0.01)
 
 
 def _ref_run(cfg):
-    """run with every step evaluating its own forcing; returns (trajectory
-    states, dt history, landings that moved t)."""
+    """run with every step evaluating its own forcing at its start time from
+    the face roots the last step handed on (cold after a landing that moved
+    t); returns (trajectory states, dt history, landings that moved t)."""
     grid, exps, sol = cfg.grid(), cfg.exponents(), cfg.manufactured()
     state = cfg.initial_state(grid)
-    states, dts, shifted, z = [state], [], 0, None
+    states, dts, shifted, z, zf = [state], [], 0, None, None
     for target in cfg.snapshot_times()[1:]:
         while state.t < target:
             d = derive(state, exps, z0=z)
             remaining = target - state.t
             dt = min(stable_dt(d, grid, cfg, exps), remaining)
-            state, rep = step_from(state, grid, cfg, dt, d, forcing=sol, exps=exps)
-            z = rep[0]  # the stage closure root
+            forcing0 = None if zf is None else (sol.cell_averages(grid, state.t, zf), zf)
+            state, rep = step_from(state, grid, cfg, dt, d, sol, exps, forcing0)
+            z, zf = rep[0], rep[1][1]  # the stage's closure roots, cells and faces
             dts.append(dt)
             if dt == remaining:
                 shifted += state.t != target
+                if state.t != target:
+                    zf = None
                 state = dataclasses.replace(state, t=target)
         states.append(state)
     return states, dts, shifted
@@ -768,9 +791,9 @@ def _spy_cell_averages(monkeypatch):
     calls = []
     real = ManufacturedSolution.cell_averages
 
-    def spy(self, grid, t):
+    def spy(self, grid, t, Zf):
         calls.append((grid, t))
-        return real(self, grid, t)
+        return real(self, grid, t, Zf)
 
     monkeypatch.setattr(ManufacturedSolution, "cell_averages", spy)
     return calls
@@ -787,6 +810,116 @@ def test_forced_ssprk2_run_evaluates_the_forcing_once_per_time_level(monkeypatch
     assert traj.n_steps < len(calls) <= traj.n_steps + len(traj.times) - 1
 
 
+def _spy_closure_kernel(monkeypatch):
+    """The sizes of the batches that closure._solve_closure solves."""
+    sizes = []
+    real = closure._solve_closure
+
+    def spy(R, *args):
+        sizes.append(R.size)
+        return real(R, *args)
+
+    monkeypatch.setattr(closure, "_solve_closure", spy)
+    return sizes
+
+
+NEWTON_EXPS = ExponentPair(3.0, 1.4)  # gamma ~ 2.14: every closure root is a Newton root
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
+def test_forced_step_solves_stage_and_faces_in_one_call_as_apart(monkeypatch, bc):
+    grid = Grid1D(32, 1.0, bc=bc)
+    sol = ManufacturedSolution(NEWTON_EXPS, nu_eff=0.2)
+    st = sol.state(grid, 0.3)
+    d = derive(st, NEWTON_EXPS)
+    sch = scheme()
+    dt = 0.5 * stable_dt(d, grid, sch, NEWTON_EXPS)
+    zf0, _ = solve_closure_batch(*sol.face_masses(grid, st.t), NEWTON_EXPS.gamma)
+    W = np.empty((5, grid.n + 2))
+    S = np.empty_like(W)
+    solver._load(W, st, d, grid)
+    sizes = _spy_closure_kernel(monkeypatch)
+    forcing0 = (sol.cell_averages(grid, st.t, zf0), zf0)
+    stage_Z, (forcing1, zf1), iters, _ = step(
+        W, S, grid, sch, NEWTON_EXPS, st.t, dt, d.Z, forcing0, sol
+    )
+    assert sizes == [2 * grid.n + 1]  # one kernel call: the n cells and n + 1 faces
+    monkeypatch.undo()
+    # the stage's roots, pressure and velocity are those of its own solve
+    stage = FieldState(st.t + dt, U=S[:3, 1:-1].copy())
+    apart = derive(stage, NEWTON_EXPS, z0=d.Z)
+    assert _same_bits(stage_Z, apart.Z)
+    assert _same_bits(S[3, 1:-1], apart.p) and _same_bits(S[4, 1:-1], apart.u)
+    # the face roots are those of their own solve from the handed-on roots,
+    # and within the closure tolerance of a cold solve
+    Rf, Qf = sol.face_masses(grid, stage.t)
+    warm, warm_iters = solve_closure_batch(Rf, Qf, NEWTON_EXPS.gamma, zf0)
+    assert _same_bits(zf1, warm)
+    assert iters == max(apart.closure_iterations, warm_iters)
+    cold, cold_iters = solve_closure_batch(Rf, Qf, NEWTON_EXPS.gamma)
+    assert np.max(np.abs(zf1 - cold) / cold) <= 2.0 * CLOSURE_TOL
+    assert warm_iters < cold_iters
+    assert _same_bits(forcing1, sol.cell_averages(grid, stage.t, zf1))
+
+
+# the benchmark's mms_newton workload, input variant 0, at n = 16
+MMS_NEWTON_16 = """\
+[exponents]
+gamma_plus = 3.0
+gamma_minus = 1.4
+[viscosity]
+mu = 0.02
+[grid]
+n = 16
+[time]
+t_end = 0.05
+n_snapshots = 2
+[mms]
+enabled = true
+b = 0.245
+d = 0.245
+"""
+
+
+def test_forced_run_solves_the_closure_once_per_stage(monkeypatch):
+    cfg, _ = validate_config(MMS_NEWTON_16)
+    sizes = _spy_closure_kernel(monkeypatch)
+    traj = run(cfg)
+    assert traj.n_steps == 4
+    # the initial state, the first step's cold faces, then per step the
+    # stage with the faces and the state after it (the last one a snapshot);
+    # solved apart, the stages and forcings took 14 calls
+    n = 16
+    assert sizes == [n, n + 1] + [2 * n + 1, n] * 4
+
+
+@pytest.mark.parametrize("stage_fails", [True, False])
+def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
+    monkeypatch, stage_fails
+):
+    grid = Grid1D(16, 1.0)
+    sol = ManufacturedSolution(NEWTON_EXPS, nu_eff=0.2)
+    st = sol.state(grid, 0.0)
+    d = derive(st, NEWTON_EXPS)
+    B = np.empty((5, grid.n + 2))
+    solver._load(B, st, d, grid)
+    Rf, Qf = sol.face_masses(grid, 0.2)
+    zf0 = np.full(grid.n + 1, 1e3)  # a poor start, clipped to the bracket
+    # the cells' own roots converge at once; from a poor start they cannot
+    z0 = np.full(grid.n, 1e3) if stage_fails else d.Z
+    monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
+    with pytest.raises(closure.MaxIterExceededError) as joint:
+        solver._close_with_faces(B, grid, NEWTON_EXPS, z0, Rf, Qf, zf0)
+    with pytest.raises(closure.MaxIterExceededError) as apart:
+        if stage_fails:
+            solve_closure_batch(st.R, st.Q, NEWTON_EXPS.gamma, z0)
+        else:
+            solve_closure_batch(Rf, Qf, NEWTON_EXPS.gamma, zf0)
+    assert joint.value.cells == apart.value.cells
+    assert str(joint.value) == str(apart.value)
+    assert max(joint.value.cells) == (grid.n - 1 if stage_fails else grid.n)
+
+
 @pytest.mark.parametrize("kw", [dict(a=np.inf), dict(d=np.nan), dict(c=1e308, d=1e308)])
 def test_manufactured_masses_must_stay_finite(kw):
     # the forcing's closure solve trusts R and Q to be finite
@@ -798,8 +931,10 @@ def test_handed_on_forcing_is_read_only():
     grid = Grid1D(32, 1.0)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
-    _, (_, stage_forcing, _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
-    assert stage_forcing.shape == (3, 32)
+    _, (_, (averages, face_Z), _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
+    assert averages.shape == (3, 32) and face_Z.shape == (33,)
     with pytest.raises(ValueError):
-        stage_forcing[2, 0] += 1.0
+        averages[2, 0] += 1.0
+    with pytest.raises(ValueError):
+        face_Z[0] += 1.0
     assert step_from(st, grid, scheme(), 1e-4)[1][1] is None  # unforced
