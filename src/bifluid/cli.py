@@ -11,8 +11,8 @@ A run's snapshots leave it as it records them (``solver.run``'s consumer):
 two writer processes, started with the run, receive each snapshot's value
 columns through a pipe and write its CSV while the run goes on.  ``compare``
 evaluates the reference side first (run_b, a second run of run_a's config
-when no second config is given, or the exact solution), keeping three
-arrays per snapshot, then runs run_a and reduces each snapshot pair as
+when no second config is given, or the exact solution), keeping each
+snapshot's (4, n) record, then runs run_a and reduces each snapshot pair as
 run_a records its half.
 
 Every error is raised where it happens and leaves through ``main``, which
@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import dataclasses
 import fnmatch
-import functools
 import json
 import math
 import os
@@ -46,6 +45,7 @@ from .closure import (
 from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
     SNAPSHOT_COLUMNS,
+    DerivedFields,
     FieldState,
     derive,
     restrict,
@@ -236,7 +236,7 @@ class RunOutputs:
         k = len(self.masses)
         self.masses.append(total_mass(state, self.grid))
         path = os.path.join(self.out_dir, _snapshot_name(k))
-        columns = snapshot_columns(state, derived)
+        columns = snapshot_columns(derived)
         if not self._writers:
             write_snapshot(path, self.grid, columns)
             return
@@ -451,33 +451,6 @@ def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> Non
         raise ValidationError("mms reference mode requires mms.enabled = true")
 
 
-@dataclasses.dataclass(frozen=True)
-class _Reference:
-    """What the pair reductions read of one reference snapshot at time t:
-    rho_plus (the closure root Z), alpha and u are kept.  rho_minus is
-    computed from Z when read, with the expression of DerivedFields, so its
-    bits are those of the reference's own field.  The reference pass has
-    rejected vacuum cells."""
-
-    t: float
-    rho_plus: np.ndarray
-    alpha: np.ndarray
-    u: np.ndarray
-    exps: ExponentPair
-
-    @property
-    def n(self) -> int:
-        return self.rho_plus.shape[0]
-
-    @property
-    def vacuum(self) -> np.ndarray:
-        return np.zeros(self.n, dtype=bool)
-
-    @functools.cached_property
-    def rho_minus(self) -> np.ndarray:
-        return np.power(self.rho_plus, self.exps.gamma)
-
-
 def compare_runs(
     cfg_a: SimConfig,
     cfg_b: SimConfig | None,
@@ -495,7 +468,8 @@ def compare_runs(
     before it measures the weak one: this pass rejects vacuum, takes the
     energy scale, folds the coercivity window (half the minimum to twice
     the maximum of the reference phase densities) and keeps of each
-    snapshot only rho_plus, alpha and u (_Reference).  run_a runs next and
+    snapshot a DerivedFields over its (4, n) record alone, none of the
+    columns computed from it for this pass.  run_a runs next and
     reduces each pair as it records its half: the relative-energy row, once
     per pair, which holds the fraction audit's terms too, and the
     coercivity constants; it keeps no field of run_a.  Each run hands its
@@ -520,7 +494,7 @@ def compare_runs(
     grid, exps = cfg_a.grid(), cfg_a.exponents()
     nu_eff = cfg_a.nu_eff
     dir_a, dir_b = (os.path.join(out_dir, side) for side in COMPARE_SIDES)
-    refs = []  # per reference snapshot, until its pair is reduced
+    refs = []  # (t, record) per reference snapshot, until its pair is reduced
     bounds = [math.inf, 0.0]  # min and max of the reference phase densities
     e_scale = None
     rows = []
@@ -535,7 +509,9 @@ def compare_runs(
         for rho in (der.rho_plus, der.rho_minus):
             bounds[0] = min(bounds[0], float(np.min(rho)))
             bounds[1] = max(bounds[1], float(np.max(rho)))
-        refs.append(_Reference(t, der.rho_plus, der.alpha, der.u, exps))
+        # a fresh record over the same V keeps 4 rows: the columns read
+        # above stay with der, and the pair reduction reads its own
+        refs.append((t, DerivedFields(der.V, exps)))
 
     with contextlib.ExitStack() as stack:
         if ref_mode == "mms":
@@ -562,9 +538,9 @@ def compare_runs(
             """Reduce the next pair, whose run_a side der_a is at time
             state.t, and release its reference."""
             k, t = len(rows), state.t
-            if k >= len(refs) or t != refs[k].t:
+            if k >= len(refs) or t != refs[k][0]:
                 raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-            ref, refs[k] = refs[k], None
+            (_, ref), refs[k] = refs[k], None
             rows.append(verify.relative_entropy(der_a, ref, grid, exps, nu_eff=nu_eff, t=t))
             coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
 

@@ -1,11 +1,12 @@
 """1D grid, simulation state, per-cell derived closure fields, diagnostics.
 
 States are immutable snapshots of the conserved unknowns (R, Q, momentum) at
-cell centers, stored as one (3, n) array.  ``derive`` computes the closure
-root Z, the pressure and the velocity of a state; the volume fraction, the
-density of phase - and the vacuum mask are computed when first read.  Integral reductions use numpy's
-deterministic summation, so re-evaluation is bit-identical; invariance under
-index permutation is not promised.
+cell centers, stored as one (3, n) array.  ``derive`` solves the closure
+root Z of a state and records it with the state as one read-only (4, n)
+array; the pressure, the velocity, the volume fraction, the density of
+phase - and the vacuum mask are computed when first read.  Integral
+reductions use numpy's deterministic summation, so re-evaluation is
+bit-identical; invariance under index permutation is not promised.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 
@@ -135,33 +137,54 @@ def _finite(a) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class DerivedFields:
-    """Closure output per cell plus velocity recovered from momentum.
+    """A state with its closure root: the rows R, Q, m and Z of one
+    read-only (4, n) array V, plus the exponents and the closure iterations.
 
-    derive computes Z, p and u.  alpha, rho_minus and vacuum follow from Z
-    and the exponent ratio gamma; each is computed on its first read and
-    then kept.  A vacuum cell's alpha is the sentinel closure.VACUUM_ALPHA.
+    derive solves Z only.  R, Q, m, Z and rho_plus = Z are row views of V;
+    p, u, alpha, rho_minus and vacuum are computed on their first read and
+    then kept, so a record built over the V of another starts with none of
+    them.  A vacuum cell's alpha is the sentinel closure.VACUUM_ALPHA.
     """
 
-    R: np.ndarray
-    Q: np.ndarray
-    u: np.ndarray
-    Z: np.ndarray
-    p: np.ndarray
-    gamma: float
+    V: np.ndarray
+    exps: closure.ExponentPair
     closure_iterations: int = 0
 
     @property
     def n(self) -> int:
-        return self.Z.shape[0]
+        return self.V.shape[1]
 
     @property
-    def rho_plus(self) -> np.ndarray:
-        return self.Z
+    def R(self) -> np.ndarray:
+        return self.V[0]
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self.V[1]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.V[2]
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.V[3]
+
+    rho_plus = Z
 
     @property
     def rho(self) -> np.ndarray:
         """Mixture density R + Q."""
         return self.R + self.Q
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return np.power(self.Z, self.exps.gamma_plus)
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        """Velocity m / (R + Q), the density floored at RHO_FLOOR."""
+        return self.m / np.maximum(self.R + self.Q, RHO_FLOOR)
 
     @functools.cached_property
     def vacuum(self) -> np.ndarray:
@@ -177,53 +200,20 @@ class DerivedFields:
 
     @functools.cached_property
     def rho_minus(self) -> np.ndarray:
-        return np.power(self.Z, self.gamma)
+        return np.power(self.Z, self.exps.gamma)
 
 
 def derive(
     state: FieldState, exps: closure.ExponentPair, z0: np.ndarray | None = None
 ) -> DerivedFields:
-    """Cell-wise closure solve plus floored velocity recovery u = m / (R + Q).
+    """The closure root Z of a state, with the state, as one DerivedFields.
 
     z0, the Z of a nearby state, warm-starts the closure iteration.
     """
-    p, u = np.empty(state.n), np.empty(state.n)
-    Z, _, iters = _closure_fields(state.U, (p, u), exps, z0)
-    return DerivedFields(
-        R=state.R,
-        Q=state.Q,
-        u=u,
-        Z=Z,
-        p=p,
-        gamma=exps.gamma,
-        closure_iterations=iters,
-    )
-
-
-def _closure_fields(U, out, exps, z0, extra=None):
-    """Z, the mixture density R + Q and the closure iterations of a stacked
-    (3, n) state U whose values are finite with nonnegative masses, which is
-    not checked here; its pressure and velocity go to the two rows of out.
-
-    extra, the masses (R, Q) of further points, finite and nonnegative as
-    well, joins the one closure solve: z0 then holds their warm start after
-    the cells', and Z their roots after the cells'.  R + Q, p and u stay
-    the cells'.
-    """
-    R, Q, m = U
-    if extra is None:
-        Z, iters = closure._solve_closure(R, Q, exps.gamma, z0)
-        Zc = Z
-    else:
-        RQ = np.concatenate((R, extra[0])), np.concatenate((Q, extra[1]))
-        Z, iters = closure._solve_closure(*RQ, exps.gamma, z0)
-        Zc = Z[: R.size]
-    p, u = out
-    np.power(Zc, exps.gamma_plus, out=p)
-    rho = R + Q
-    np.maximum(rho, RHO_FLOOR, out=u)
-    np.divide(m, u, out=u)
-    return Z, rho, iters
+    Z, iters = closure._solve_closure(state.R, state.Q, exps.gamma, z0)
+    V = np.vstack((state.U, Z))
+    V.setflags(write=False)
+    return DerivedFields(V, exps, iters)
 
 
 def total_mass(state: FieldState, grid: Grid1D) -> tuple[float, float]:
@@ -269,11 +259,11 @@ def _snapshot_templates(grid: Grid1D) -> tuple[str, ...]:
     return tuple("".join(rows[k : k + step]) for k in range(0, grid.n, step))
 
 
-def snapshot_columns(state: FieldState, derived: DerivedFields) -> np.ndarray:
+def snapshot_columns(derived: DerivedFields) -> np.ndarray:
     """The value columns of a snapshot CSV, R to u, as the rows of one
     C-contiguous (9, n) array."""
     d = derived
-    return np.vstack((state.U, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u))
+    return np.vstack((d.V, d.alpha, d.Z, d.rho_minus, d.p, d.u))
 
 
 def write_snapshot(path, grid: Grid1D, columns: np.ndarray) -> None:
@@ -293,10 +283,17 @@ def write_snapshot(path, grid: Grid1D, columns: np.ndarray) -> None:
 
 
 def read_snapshot(path) -> dict[str, np.ndarray]:
-    """Read a snapshot CSV back into column arrays."""
-    with open(path, "r") as fh:
+    """Read a snapshot CSV, as write_snapshot writes it, back into column
+    arrays; ValueError, naming the file, for any other header or shape."""
+    with open(path, "r") as fh, warnings.catch_warnings():
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if tuple(header) != SNAPSHOT_COLUMNS:
-        raise ValueError(f"unexpected snapshot header {header}")
+        if tuple(header) != SNAPSHOT_COLUMNS:
+            raise ValueError(f"{path}: unexpected snapshot header {header}")
+        warnings.simplefilter("ignore", UserWarning)  # an empty table fails below
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # rows of unequal length, or a value that is no number
+            raise ValueError(f"{path}: {exc}") from None
+    if not (data.size and data.shape[1] == len(header)):
+        raise ValueError(f"{path}: rows of {len(header)} values expected after the header")
     return {name: data[:, j].copy() for j, name in enumerate(header)}

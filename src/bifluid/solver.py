@@ -59,7 +59,6 @@ from .fields import (
     DerivedFields,
     FieldState,
     Grid1D,
-    _closure_fields,
     derive,
     total_energy,
 )
@@ -267,6 +266,33 @@ def _admit(U, t: float) -> None:
     if not np.isfinite(U).all():
         bad = ~np.isfinite(U).all(axis=0)
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
+
+
+def _closure_fields(U, out, exps, z0, extra=None):
+    """Z, the mixture density R + Q and the closure iterations of a stacked
+    (3, n) state U whose values are finite with nonnegative masses, which is
+    not checked here; its pressure and velocity go to the two rows of out,
+    with the expressions of DerivedFields.p and DerivedFields.u.
+
+    extra, the masses (R, Q) of further points, finite and nonnegative as
+    well, joins the one closure solve: z0 then holds their warm start after
+    the cells', and Z their roots after the cells'.  R + Q, p and u stay
+    the cells'.
+    """
+    R, Q, m = U
+    if extra is None:
+        Z, iters = closure._solve_closure(R, Q, exps.gamma, z0)
+        Zc = Z
+    else:
+        RQ = np.concatenate((R, extra[0])), np.concatenate((Q, extra[1]))
+        Z, iters = closure._solve_closure(*RQ, exps.gamma, z0)
+        Zc = Z[: R.size]
+    p, u = out
+    np.power(Zc, exps.gamma_plus, out=p)
+    rho = R + Q
+    np.maximum(rho, RHO_FLOOR, out=u)
+    np.divide(m, u, out=u)
+    return Z, rho, iters
 
 
 def _close(B, grid: Grid1D, exps, z0):

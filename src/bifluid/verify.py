@@ -352,10 +352,10 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
         raise ValueError("a convergence study needs time.t_end > 0")
     ns: list[int] = []
     errors = {"R": [], "Q": [], "u": []}
-    last = []  # the level's latest snapshot state and its derived fields
+    last = []  # the level's latest snapshot record
 
     def keep_last(state, der) -> None:
-        last[:] = (state, der)
+        last[:] = (der,)
 
     base_n = cfg.n
     for lev in range(levels):
@@ -365,11 +365,11 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
         traj = run(level, on_snapshot=keep_last)
         grid = traj.grid
         sol = traj.forcing
-        final, der = last
+        (der,) = last
         t = traj.times[-1]
         x = grid.x
-        errors["R"].append(_l2_error(final.R, sol.R(x, t), grid.dx))
-        errors["Q"].append(_l2_error(final.Q, sol.Q(x, t), grid.dx))
+        errors["R"].append(_l2_error(der.R, sol.R(x, t), grid.dx))
+        errors["Q"].append(_l2_error(der.Q, sol.Q(x, t), grid.dx))
         errors["u"].append(_l2_error(der.u, sol.u(x, t), grid.dx))
         ns.append(n)
     orders = {}

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,13 +393,13 @@ def test_criterion_10_determinism(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", out2]) == 0
     identical = True
     for name in sorted(os.listdir(out1)):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(os.path.join(out1, name)).read_bytes()
+        b2 = Path(os.path.join(out2, name)).read_bytes()
         identical = identical and b1 == b2
 
     out_cmp = str(tmp_path / "cmp")
     assert main(["compare", "--config", str(cfg_path), "--out", out_cmp, "--ref-mode", "twin"]) == 0
-    payload = json.load(open(os.path.join(out_cmp, "verify.json")))
+    payload = json.loads(Path(os.path.join(out_cmp, "verify.json")).read_text())
     at_floor = payload["gronwall"]["at_noise_floor"]
     max_e = payload["gronwall"]["max_E"]
     noise = payload["noise_floor"]

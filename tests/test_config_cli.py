@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +222,7 @@ def test_from_file_preset(tmp_path):
     grid = cfg.grid()
     state = cfg.initial_state(grid)
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, grid, snapshot_columns(state, derive(state, cfg.exponents())))
+    write_snapshot(snap, grid, snapshot_columns(derive(state, cfg.exponents())))
     text = (
         MINIMAL
         + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n"
@@ -239,7 +240,7 @@ def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     state = cfg.initial_state(cfg.grid())
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, cfg.grid(), snapshot_columns(state, derive(state, cfg.exponents())))
+    write_snapshot(snap, cfg.grid(), snapshot_columns(derive(state, cfg.exponents())))
     reads = []
 
     def counting_read(path):
@@ -334,10 +335,10 @@ def test_cli_run_outputs_and_determinism(tmp_path):
     names = sorted(os.listdir(out1))
     assert names == ["report.json", "snapshot_0000.csv", "snapshot_0001.csv", "snapshot_0002.csv"]
     for name in names:
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(os.path.join(out1, name)).read_bytes()
+        b2 = Path(os.path.join(out2, name)).read_bytes()
         assert b1 == b2
-    report = json.load(open(os.path.join(out1, "report.json")))
+    report = json.loads(Path(os.path.join(out1, "report.json")).read_text())
     assert report["energy_audit"]["passed"] is True and report["energy_audit"]["skipped"] is False
     assert report["counters"] == {"alpha_clamps": None}
     assert report["conservation"]["drift_R_rel"] < 1e-13
@@ -355,7 +356,7 @@ def test_cli_run_failure_writes_record(tmp_path):
     path = write(tmp_path, "vac.ini", VACUUM_CFG)
     out = str(tmp_path / "fail")
     assert main(["run", "--config", path, "--out", out]) == 3
-    rec = json.load(open(os.path.join(out, "failure.json")))
+    rec = json.loads(Path(os.path.join(out, "failure.json")).read_text())
     assert rec["error"] == "ZeroDtError"
     # the first step finds no stable size: every cell is vacuum, and no
     # step has been taken to give a last size
@@ -376,7 +377,7 @@ def test_cli_run_positivity_loss_writes_record(tmp_path, capsys):
     out = str(tmp_path / "fail")
     assert main(["run", "--config", path, "--out", out]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    rec = json.load(open(os.path.join(out, "failure.json")))
+    rec = json.loads(Path(os.path.join(out, "failure.json")).read_text())
     assert rec["error"] == "PositivityLossError"
     assert rec["step"] > 1 and 0.0 < rec["dt"] < rec["t"] < 1.0
     assert f"at t={rec['t']:.6g} in cells [" in rec["message"]
@@ -396,7 +397,7 @@ def test_cli_run_non_finite_state_writes_record(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", "--config", path, "--out", out]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    rec = json.load(open(os.path.join(out, "failure.json")))
+    rec = json.loads(Path(os.path.join(out, "failure.json")).read_text())
     assert rec["error"] == "NonFiniteStateError"
     assert rec["step"] == 1
     assert 0.0 < rec["t"] <= 1e-150
@@ -434,7 +435,7 @@ def test_cli_run_closure_iteration_failure_writes_located_record(
     out = str(tmp_path / "fail")
     assert main(["run", "--config", path, "--out", out]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    rec = json.load(open(os.path.join(out, "failure.json")))
+    rec = json.loads(Path(os.path.join(out, "failure.json")).read_text())
     assert rec["error"] == "MaxIterExceededError"
     assert rec["message"].startswith("closure iteration exceeded 1 iterations at cells [")
     if capped_from == 0:
@@ -448,7 +449,7 @@ def test_cli_run_closure_iteration_failure_writes_located_record(
 
 def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys, recwarn):
     # gamma = 1.4/3 < 1: the root Z >= Q**(3/1.4) of Q = 1e150 overflows,
-    # which raises and does not also warn
+    # which raises and does not also warn, nor leaves a file open
     text = (
         "[exponents]\ngamma_plus = 1.4\ngamma_minus = 3.0\n[grid]\nn = 16\n"
         "[time]\nt_end = 0.01\nn_snapshots = 2\n[initial]\nQ_value = 1e150\n"
@@ -457,7 +458,7 @@ def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys, recwar
     out = str(tmp_path / "fail")
     assert main(["run", "--config", path, "--out", out]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    rec = json.load(open(os.path.join(out, "failure.json")))
+    rec = json.loads(Path(os.path.join(out, "failure.json")).read_text())
     assert rec == {
         "error": "ClosureOverflowError",
         "message": "closure root bound Q**(1/gamma) overflows float at cells "
@@ -468,7 +469,7 @@ def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys, recwar
         "cells": list(range(16)),
         "n_cells": 16,
     }
-    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_failure_record_of_a_closure_error_outside_a_run_has_no_location(tmp_path):
@@ -491,12 +492,12 @@ def test_cli_compare_twin_noise_floor(tmp_path):
     path = write(tmp_path, "run.ini", RUN_CFG)
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", path, "--out", out, "--ref-mode", "twin"]) == 0
-    rows = open(os.path.join(out, "re_report.csv")).read().splitlines()
+    rows = Path(os.path.join(out, "re_report.csv")).read_text().splitlines()
     assert rows[0] == "t,E_kin,E_alpha,E_breg_plus,E_breg_minus,E_total,D"
     for line in rows[1:]:
         parts = [float(v) for v in line.split(",")]
         assert all(v == 0.0 for v in parts[1:])
-    payload = json.load(open(os.path.join(out, "verify.json")))
+    payload = json.loads(Path(os.path.join(out, "verify.json")).read_text())
     assert payload["gronwall"]["at_noise_floor"] is True
     assert payload["gronwall"]["mode"] == "identical"
 
@@ -509,8 +510,8 @@ def test_cli_compare_outputs_reproducible(tmp_path):
         assert main(["compare", "--config", path, "--out", out, "--ref-mode", "twin"]) == 0
         outs.append(out)
     for rel in ("re_report.csv", "verify.json", os.path.join("run_a", "report.json")):
-        b1 = open(os.path.join(outs[0], rel), "rb").read()
-        b2 = open(os.path.join(outs[1], rel), "rb").read()
+        b1 = Path(os.path.join(outs[0], rel)).read_bytes()
+        b2 = Path(os.path.join(outs[1], rel)).read_bytes()
         assert b1 == b2
 
 
@@ -559,7 +560,7 @@ def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeyp
     assert len(snaps) == 3
     assert counts == {}  # the CSVs and energies read the run's own derived fields
     assert [every[id(s)] for s, _ in snaps] == [1, 1, 1]  # each derived once, in the run
-    assert all(d.R.base is s.U and d.Q.base is s.U for s, d in snaps)
+    assert all(d.V[:3].tobytes() == s.U.tobytes() for s, d in snaps)  # of that state
 
 
 def test_cli_run_computes_the_fraction_diagnostic_only_when_asked(tmp_path, spy_calls):
@@ -630,13 +631,13 @@ def test_cli_compare_run_b_with_own_closure_settings_derives_once(tmp_path, monk
     assert len(snaps_b) == 3
 
 
-def _serial_snapshots(traj, states, derived, out):
+def _serial_snapshots(traj, derived, out):
     """The CSVs of a run's snapshots written in this process, one by one."""
     from bifluid.fields import snapshot_columns, write_snapshot
 
     out.mkdir()
-    for k, (state, der) in enumerate(zip(states, derived, strict=True)):
-        write_snapshot(out / f"snapshot_{k:04d}.csv", traj.grid, snapshot_columns(state, der))
+    for k, der in enumerate(derived):
+        write_snapshot(out / f"snapshot_{k:04d}.csv", traj.grid, snapshot_columns(der))
 
 
 def _snapshot_bytes(d):
@@ -646,8 +647,8 @@ def _snapshot_bytes(d):
 def test_cli_run_csvs_equal_a_serial_in_process_write(tmp_path, run_collecting):
     path = write(tmp_path, "run.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 5"))
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    traj, states, derived = run_collecting(validate_config(open(path).read())[0])
-    _serial_snapshots(traj, states, derived, tmp_path / "serial")
+    traj, _, derived = run_collecting(validate_config(Path(path).read_text())[0])
+    _serial_snapshots(traj, derived, tmp_path / "serial")
     got = _snapshot_bytes(tmp_path / "o")
     assert len(got) == 5 and got == _snapshot_bytes(tmp_path / "serial")
 
@@ -685,9 +686,9 @@ def test_cli_twin_compare_csvs_equal_a_serial_in_process_write(tmp_path, run_col
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
     for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
-        traj, states, derived = run_collecting(validate_config(text)[0])
+        traj, _, derived = run_collecting(validate_config(text)[0])
         serial = tmp_path / f"serial_{side}"
-        _serial_snapshots(traj, states, derived, serial)
+        _serial_snapshots(traj, derived, serial)
         got = _snapshot_bytes(out / side)
         assert len(got) == 6 and got == _snapshot_bytes(serial)
 
@@ -822,7 +823,7 @@ def _restart_config(tmp_path, monkeypatch):
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     state = cfg.initial_state(cfg.grid())
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, cfg.grid(), snapshot_columns(state, derive(state, cfg.exponents())))
+    write_snapshot(snap, cfg.grid(), snapshot_columns(derive(state, cfg.exponents())))
     reads = []
     real_read = config.read_snapshot
 
@@ -858,6 +859,41 @@ def test_cli_compare_reads_a_from_file_snapshot_once_per_config(tmp_path, monkey
     assert reads == [str(snap)] * (2 if with_b else 1)
     for side in ("run_a", "run_b"):
         assert (tmp_path / "c" / side / "snapshot_0000.csv").read_bytes() == snap.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        ["0,0.0625,1,1,0"] * 8,
+        ["0,0.0625" + ",1" * 11] * 8,
+        ["0,0.0625" + ",1" * 9] * 4 + ["0,0.0625,1,1,0"] * 4,
+    ],
+    ids=["header_only", "short_rows", "long_rows", "mixed_rows"],
+)
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_cli_restart_file_of_another_shape_is_a_config_error(tmp_path, capfd, command, rows):
+    # a restart file is an 11-column snapshot CSV of n rows; any other shape
+    # is one config error naming the file, without a warning or a traceback
+    snap = tmp_path / "init.csv"
+    snap.write_text("\n".join(["i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u", *rows]) + "\n")
+    grid = "\n[grid]\nn = 8\n"
+    good = write(tmp_path, "good.ini", MINIMAL + grid)
+    bad = write(tmp_path, "bad.ini", MINIMAL + grid + f"[initial]\nR_preset = from_file\nR_path = {snap}\n")
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", "--config", bad],
+        "run": ["run", "--config", bad, "--out", str(out)],
+        "compare": ["compare", "--config", good, "--config-b", bad, "--out", str(out)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert str(snap) in captured.err
+    assert not out.exists()
 
 
 def test_cli_compare_twin_without_config_b_runs_run_b_as_a_twin(tmp_path, monkeypatch):
@@ -979,7 +1015,7 @@ def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path, ru
 
 
 def _max_E(path):
-    rows = open(path).read().splitlines()[1:]
+    rows = Path(path).read_text().splitlines()[1:]
     return max(float(line.split(",")[5]) for line in rows)
 
 
@@ -1097,14 +1133,15 @@ def _compare_peak_bytes(tmp_path, snapshots):
 
 
 def test_cli_compare_memory_grows_by_a_few_arrays_per_snapshot_pair(tmp_path):
-    # the reference pass keeps 3 arrays per snapshot and run_a none: keeping
-    # 6 arrays of each run_a snapshot until the reference arrived grew by
-    # about 6.7, storing every state and derived field of both runs by
-    # about 20
+    # the reference pass keeps one (4, n) record per snapshot, 4 arrays, and
+    # run_a none: keeping a reference's computed columns as well would add
+    # 5 more, keeping 6 arrays of each run_a snapshot until the reference
+    # arrived grew by about 6.7 over 3 kept, storing every state and derived
+    # field of both runs by about 20
     _compare_peak_bytes(tmp_path, 3)  # first-call caches out of the measurement
     growth = _compare_peak_bytes(tmp_path, 51) - _compare_peak_bytes(tmp_path, 11)
     arrays_per_pair = growth / (51 - 11) / (8 * MEMORY_N)
-    assert arrays_per_pair <= 4
+    assert arrays_per_pair <= 5
 
 
 def test_cli_compare_fine_mode(tmp_path):
@@ -1112,7 +1149,7 @@ def test_cli_compare_fine_mode(tmp_path):
     b = write(tmp_path, "b.ini", RUN_CFG.replace("n = 32", "n = 64"))
     out = str(tmp_path / "fine")
     assert main(["compare", "--config", a, "--config-b", b, "--out", out, "--ref-mode", "fine"]) == 0
-    payload = json.load(open(os.path.join(out, "verify.json")))
+    payload = json.loads(Path(os.path.join(out, "verify.json")).read_text())
     assert payload["ref_mode"] == "fine"
     assert payload["gronwall"]["max_E"] > 0.0
     # refinement must nest
@@ -1174,7 +1211,7 @@ def test_cli_mms_ref_mode_compare(tmp_path):
     path = write(tmp_path, "mms.ini", MMS_CFG)
     out = str(tmp_path / "mcmp")
     assert main(["compare", "--config", path, "--out", out, "--ref-mode", "mms"]) == 0
-    payload = json.load(open(os.path.join(out, "verify.json")))
+    payload = json.loads(Path(os.path.join(out, "verify.json")).read_text())
     assert payload["ref_mode"] == "mms"
     assert payload["energy_audit"]["skipped"] is True  # forced run
 

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bifluid import closure, solver
 from bifluid.cli import compare_runs
 from bifluid.closure import VACUUM_ALPHA, ExponentPair
 from bifluid.config import ProfileSpec, SimConfig
 from bifluid.fields import (
+    RHO_FLOOR,
     SNAPSHOT_BLOCK_ROWS,
+    DerivedFields,
     FieldState,
     Grid1D,
     derive,
@@ -21,6 +24,7 @@ from bifluid.fields import (
     total_mass,
     write_snapshot,
 )
+from bifluid.verify import relative_entropy
 
 EXPS = ExponentPair(3.0, 1.5)
 
@@ -115,22 +119,50 @@ def test_derive_gamma_one_scaling():
 
 @pytest.mark.parametrize("exps", [EXPS, ExponentPair(3.0, 1.4)])
 def test_lazy_derived_fields_equal_the_eager_formulas(exps):
-    # regular, vacuum, subnormal pure-plus and pure-minus cells
+    # gamma = 2 and gamma != 2; regular, vacuum, subnormal pure-plus and
+    # pure-minus cells
     R = np.array([1.3, 0.0, 5e-324, 0.0, 2.0])
     Q = np.array([0.4, 0.0, 0.0, 2.0, 1e-3])
-    s = FieldState(0.0, R, Q, np.array([0.1, 0.0, -0.0, 0.5, -2.0]))
+    m = np.array([0.1, 0.0, -0.0, 0.5, -2.0])
+    s = FieldState(0.0, R, Q, m)
     d = derive(s, exps)
+    # one read-only (4, n) record: the state's rows, bit for bit, and Z
+    assert d.V.shape == (4, 5) and not d.V.flags.writeable
+    assert d.V[:3].tobytes() == s.U.tobytes()
+    assert d.Z.tobytes() == closure._solve_closure(R, Q, exps.gamma)[0].tobytes()
+    assert all(a.base is d.V for a in (d.R, d.Q, d.m, d.Z, d.rho_plus))
     vac = (R == 0.0) & (Q == 0.0)
     tiny = np.finfo(float).smallest_subnormal
     alpha = np.where(vac, VACUUM_ALPHA, R / np.maximum(d.Z, tiny))
-    for got, want in ((d.vacuum, vac), (d.alpha, alpha), (d.rho_minus, np.power(d.Z, exps.gamma))):
+    # the run's buffer gets p and u from the closure of its stage
+    pu = np.empty((2, 5))
+    solver._closure_fields(s.U, pu, exps, None)
+    for got, want in (
+        (d.vacuum, vac),
+        (d.alpha, alpha),
+        (d.rho_minus, np.power(d.Z, exps.gamma)),
+        (d.p, np.power(d.Z, exps.gamma_plus)),
+        (d.u, m / np.maximum(R + Q, RHO_FLOOR)),
+        (d.p, pu[0]),
+        (d.u, pu[1]),
+    ):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert d.alpha[2] == 1.0 and d.alpha[3] == 0.0 and d.rho_plus is d.Z
+    assert d.alpha[2] == 1.0 and d.alpha[3] == 0.0 and d.u[1] == 0.0
     # a second read returns the array of the first, and the record stays frozen
-    assert d.alpha is d.alpha and d.rho_minus is d.rho_minus and d.vacuum is d.vacuum
-    for name in ("alpha", "rho_minus", "vacuum", "Z"):
+    for name in ("alpha", "rho_minus", "vacuum", "p", "u"):
+        assert getattr(d, name) is getattr(d, name)
+    for name in ("alpha", "rho_minus", "vacuum", "p", "u", "Z", "V"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(d, name, np.zeros(5))
+    # a reference re-wrapped over the V of a record whose columns were read
+    # starts with none of them and reduces to the same row
+    grid = Grid1D(5, 1.0, "noslip")
+    own = derive(FieldState(0.0, R + 0.5, Q + 0.25, m), exps)
+    total_energy(own, grid, exps)
+    again = DerivedFields(own.V, exps)
+    assert again.V is own.V and set(vars(again)) == {"V", "exps", "closure_iterations"}
+    rows = [relative_entropy(d, ref, grid, exps, nu_eff=0.3) for ref in (own, again)]
+    assert rows[0] == rows[1]
 
 
 # integrals ----------------------------------------------------------------------
@@ -229,7 +261,7 @@ def test_snapshot_round_trip(tmp_path):
     s = FieldState(0.0, rng.uniform(0.5, 2, 8), rng.uniform(0.5, 2, 8), rng.uniform(-1, 1, 8))
     d = derive(s, EXPS)
     p = tmp_path / "snap.csv"
-    write_snapshot(p, g, snapshot_columns(s, d))
+    write_snapshot(p, g, snapshot_columns(d))
     data = read_snapshot(p)
     assert np.array_equal(data["R"], s.R)  # 17 significant digits round-trip exactly
     assert np.array_equal(data["Q"], s.Q)
@@ -243,14 +275,14 @@ def test_snapshot_bytes_deterministic(tmp_path):
     s = uniform_state(8, 1.0, 2.0, 0.25)
     d = derive(s, EXPS)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_snapshot(p1, g, snapshot_columns(s, d))
-    write_snapshot(p2, g, snapshot_columns(s, d))
+    write_snapshot(p1, g, snapshot_columns(d))
+    write_snapshot(p2, g, snapshot_columns(d))
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u"
 
 
-def _reference_write_snapshot(path, grid, state, derived):
+def _reference_write_snapshot(path, grid, derived):
     """The per-cell writer the template writer replaced: one format() per value."""
 
     def fmt(v):
@@ -263,15 +295,15 @@ def _reference_write_snapshot(path, grid, state, derived):
         for i in range(grid.n):
             row = [str(i), fmt(x[i])] + [
                 fmt(a[i])
-                for a in (state.R, state.Q, state.m, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u)
+                for a in (d.R, d.Q, d.m, d.Z, d.alpha, d.rho_plus, d.rho_minus, d.p, d.u)
             ]
             fh.write(",".join(row) + "\n")
 
 
-def _assert_same_bytes(tmp_path, grid, state, derived):
+def _assert_same_bytes(tmp_path, grid, derived):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_snapshot(got, grid, snapshot_columns(state, derived))
-    _reference_write_snapshot(want, grid, state, derived)
+    write_snapshot(got, grid, snapshot_columns(derived))
+    _reference_write_snapshot(want, grid, derived)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -281,13 +313,12 @@ def test_snapshot_bytes_match_per_cell_reference_on_edge_values(tmp_path):
     Q = np.array([5e-324, 0.0, 0.0, 1e300, 1.0, 0.0, 1e-300, 3.0])
     m = np.array([-0.0, -0.0, 0.0, 1e300, -1.5, 0.0, -1e-320, 0.1])
     s = FieldState(0.0, R, Q, m)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # Z = O(1e300) overflows Z**2 and Z**3 on first read
         d = derive(s, EXPS)
-        assert np.isinf(d.rho_minus[3])  # Z = O(1e300) overflows Z**2 on first read
+        assert np.isinf(d.rho_minus[3]) and np.isinf(d.p[3])
     assert d.vacuum[2] and d.alpha[2] == VACUUM_ALPHA == 0.5  # vacuum cell with the sentinel
-    assert np.isinf(d.p[3])  # Z = O(1e300) overflows Z**3
     assert np.signbit(d.u[0]) and d.Q[0] == 5e-324
-    _assert_same_bytes(tmp_path, g, s, d)
+    _assert_same_bytes(tmp_path, g, d)
     text = (tmp_path / "got.csv").read_text()
     assert ",-0," in text and ",4.9406564584124654e-324," in text and ",inf," in text
 
@@ -295,11 +326,10 @@ def test_snapshot_bytes_match_per_cell_reference_on_edge_values(tmp_path):
 def test_snapshot_bytes_match_reference_on_non_finite_derived_fields(tmp_path):
     g = Grid1D(6, 2.0)
     s = uniform_state(6, 1.0, 2.0, -0.25)
-    d = derive(s, EXPS)
     odd = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308])
-    d = dataclasses.replace(d, Z=odd, p=-odd, u=odd[::-1].copy())
-    with np.errstate(all="ignore"):  # alpha and rho_minus follow the odd Z
-        _assert_same_bytes(tmp_path, g, s, d)
+    d = DerivedFields(np.vstack((s.R, s.Q, odd[::-1], odd)), EXPS)
+    with np.errstate(all="ignore"):  # the computed columns follow the odd m and Z
+        _assert_same_bytes(tmp_path, g, d)
 
 
 @given(
@@ -319,14 +349,14 @@ def test_snapshot_bytes_match_reference_for_any_state(cells):
     g = Grid1D(len(cells), 3.0)
     # alpha and rho_minus are derived on first read, by the writer
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
-        _assert_same_bytes(Path(tmp), g, s, derive(s, EXPS))
+        _assert_same_bytes(Path(tmp), g, derive(s, EXPS))
 
 
 def test_snapshot_bytes_match_reference_across_row_blocks(tmp_path):
     n = SNAPSHOT_BLOCK_ROWS + 5
     rng = np.random.default_rng(4)
     s = FieldState(0.0, rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n), rng.uniform(-1, 1, n))
-    _assert_same_bytes(tmp_path, Grid1D(n, 1.0), s, derive(s, EXPS))
+    _assert_same_bytes(tmp_path, Grid1D(n, 1.0), derive(s, EXPS))
 
 
 def test_snapshot_template_is_keyed_by_the_whole_grid(tmp_path):
@@ -335,5 +365,5 @@ def test_snapshot_template_is_keyed_by_the_whole_grid(tmp_path):
     s = uniform_state(8, 1.0, 2.0, 0.25)
     d = derive(s, EXPS)
     for g in (Grid1D(8, 1.0), Grid1D(8, 2.5), Grid1D(8, 2.5, "noslip"), Grid1D(8, 1.0)):
-        _assert_same_bytes(tmp_path, g, s, d)
+        _assert_same_bytes(tmp_path, g, d)
         assert np.array_equal(read_snapshot(tmp_path / "got.csv")["x"], g.x)
