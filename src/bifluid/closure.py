@@ -9,7 +9,10 @@ Z is the density of phase +, Z**gamma the density of phase -, Z**gamma_plus
 the common pressure, and R / Z the volume fraction of phase +.  The residual
 is strictly increasing in Z on [R, oo), so the root is unique.
 
-The equation is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q.
+At gamma = 2 the equation is a quadratic, and its root is the closed form
+Z = R + (hypot(R/2, sqrt(Q)) - R/2), which neither overflows nor loses
+precision at any float input scale.  For every other gamma, the equation is
+invariant under Z -> sZ, R -> sR, Q -> s**gamma Q.
 ``solve_closure_batch`` uses this to solve for z = Z / s with
 s = max(R, Q**(1/gamma)), so every input scale from subnormal to near
 overflow becomes an O(1) problem with a closed-form bracket for z.  The
@@ -172,16 +175,19 @@ def solve_closure_batch(R, Q, gamma, z0=None):
     """Vectorised closure solve; returns (Z, iterations).
 
     Scaling.  The closure is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q,
-    so each cell is solved for z = Z / s with s = max(R, Q**(1/gamma)), on
-    r = R / s and q = (Q**(1/gamma) / s)**gamma.  Both lie in [0, 1], one of
-    them is 1, and the root z >= 1, so the iteration sees O(1) numbers at
-    every input scale.  A root beyond float range raises
+    so outside the exact branches below each cell is solved for z = Z / s
+    with s = max(R, Q**(1/gamma)), on r = R / s and
+    q = (Q**(1/gamma) / s)**gamma.  Both lie in [0, 1], one of them is 1,
+    and the root z >= 1, so the iteration sees O(1) numbers at every input
+    scale.  A root beyond float range raises
     ClosureOverflowError; a Q**(1/gamma) that underflows only perturbs Z at
     the underflow scale.
 
     Exact branches: vacuum R = Q = 0 gives Z = 0, gamma == 1 gives Z = R + Q,
-    and gamma == 2 is the quadratic formula in scaled variables.  Q == 0
-    gives Z = R and R == 0 gives Z = Q**(1/gamma) exactly in every branch.
+    and gamma == 2 is the unscaled quadratic formula
+    Z = R + (hypot(h, sqrt(Q)) - h) with h = R / 2, which never overflows:
+    Z <= R + sqrt(Q) rounds to at most the largest float.  Q == 0 gives
+    Z = R and R == 0 gives Z = Q**(1/gamma) exactly in every branch.
 
     Bracket.  r + q >= 1 bounds z from above for gamma > 1 (since
     z**(gamma-1) >= 1) and from below for gamma < 1, so z lies in
@@ -224,6 +230,12 @@ def _solve_closure(R, Q, gamma, z0=None):
     shape = R.shape
     R, Q = R.ravel(), Q.ravel()
 
+    if gamma == 2.0:
+        # Z = h + sqrt(h**2 + Q) with h = R/2: hypot neither overflows nor
+        # underflows, Z <= R + sqrt(Q) rounds to at most the largest float,
+        # and the form R + (... - h) gives Z = R at Q = 0 even where R/2 rounds
+        h = 0.5 * R
+        return (R + (np.hypot(h, np.sqrt(Q)) - h)).reshape(shape), 0
     # every overflow that can occur raises in _check_overflow; np.errstate
     # keeps numpy from also warning of it
     if gamma == 1.0:
@@ -236,7 +248,7 @@ def _solve_closure(R, Q, gamma, z0=None):
             t = np.power(Q, 1.0 / gamma)
         _check_overflow(t, "bound Q**(1/gamma)")
     else:  # t <= max(Q, 1) cannot overflow
-        t = np.sqrt(Q) if gamma == 2.0 else np.power(Q, 1.0 / gamma)
+        t = np.power(Q, 1.0 / gamma)
     s = np.maximum(R, t)
     vac = None if np.logical_and.reduce(s) else s == 0.0
     if vac is not None:
@@ -247,29 +259,25 @@ def _solve_closure(R, Q, gamma, z0=None):
         r[vac] = 1.0
     ts = t / s  # q**(1/gamma)
 
-    if gamma == 2.0:
-        z = 0.5 * (r + np.sqrt(r * r + 4.0 * (ts * ts)))
-        iterations = 0
+    q = np.power(ts, gamma)
+    if gamma > 1.0:
+        lo, hi = 1.0, r + q
     else:
-        q = np.power(ts, gamma)
-        if gamma > 1.0:
-            lo, hi = 1.0, r + q
-        else:
-            lo, hi = r + q, np.maximum(2.0 * r, np.exp2(1.0 / gamma) * ts)
-        if z0 is not None:
-            z0 = np.ravel(np.asarray(z0, dtype=float)) / s
-            start = np.fmin(np.fmax(z0, lo), hi)
-        elif gamma > 1.0:
-            # root of the second-order Taylor model of f at z = 1, where
-            # f = 1 - r - q, f' = gamma - (gamma-1) r and
-            # f'' = (gamma-1) (gamma - (gamma-2) r) need no power
-            d1 = gamma - (gamma - 1.0) * r
-            d2 = (gamma - 1.0) * (gamma - (gamma - 2.0) * r)
-            dz = 2.0 * (hi - 1.0) / (d1 + np.sqrt(d1 * d1 + 2.0 * d2 * (hi - 1.0)))
-            start = np.minimum(1.0 + dz, hi)
-        else:
-            start = lo
-        z, iterations = _newton(r, q, lo, hi, start, gamma)
+        lo, hi = r + q, np.maximum(2.0 * r, np.exp2(1.0 / gamma) * ts)
+    if z0 is not None:
+        z0 = np.ravel(np.asarray(z0, dtype=float)) / s
+        start = np.fmin(np.fmax(z0, lo), hi)
+    elif gamma > 1.0:
+        # root of the second-order Taylor model of f at z = 1, where
+        # f = 1 - r - q, f' = gamma - (gamma-1) r and
+        # f'' = (gamma-1) (gamma - (gamma-2) r) need no power
+        d1 = gamma - (gamma - 1.0) * r
+        d2 = (gamma - 1.0) * (gamma - (gamma - 2.0) * r)
+        dz = 2.0 * (hi - 1.0) / (d1 + np.sqrt(d1 * d1 + 2.0 * d2 * (hi - 1.0)))
+        start = np.minimum(1.0 + dz, hi)
+    else:
+        start = lo
+    z, iterations = _newton(r, q, lo, hi, start, gamma)
 
     if gamma < 1.0 or (s.size and np.maximum.reduce(s) > _HALF_MAX):
         with np.errstate(over="ignore"):

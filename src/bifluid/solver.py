@@ -10,7 +10,12 @@ the verification loop; each solve is warm-started from the closure root of
 the previous stage.
 
 A run steps two ghost-padded (5, n + 2) buffers, the state and its SSPRK2
-stage, with rows R, Q, m, p, u.  Each stage updates R, Q and m in place and
+stage, with rows R, Q, m, p, u.  It binds them once, in one workspace, with
+every view of them that the stencils, the closure, the ghost fill, the
+dissipation, the step size and the fraction diagnostic read, and with the
+run's constants (dx, -dx, 2 dx, dx**2, nu_eff, cfl, the exponents and the
+boundary condition); a step reads these instead of slicing the buffers
+again.  Each stage updates R, Q and m in place and
 admits the result with one per-row minimum and one maximum (zero the
 round-off negatives of the masses, raise PositivityLossError or
 NonFiniteStateError); the admitted masses are valid input for the trusted
@@ -108,16 +113,60 @@ class NonFiniteStateError(StepError):
         return f"non-finite state at t={self.t:.6g}{at_step} in cells {self.cells[:8]}"
 
 
-def compute_dt(rho, u, Z, grid: Grid1D, cfg, exps) -> tuple[float, float]:
+# no-slip ghost factors of the buffer rows R, Q, m, p, u: masses, momentum
+# and pressure have a zero gradient across the wall; the velocity is
+# mirrored, so its wall value is zero and a wall face carries no flux
+_WALL = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+
+
+class _Buffer:
+    """The views of a ghost-padded (5, n + 2) array with rows R, Q, m, p, u
+    that a step reads, sliced once.
+
+    U is the state (R, Q, m) and R, Q, m, p, u are the rows, all without
+    ghosts.  Face j sits between buffer cells j and j + 1: left and right
+    are the rows R, Q, m of the cells on either side of every face, u_left
+    and u_right their velocities.  u_prev and u_next (p_prev, p_next) are
+    the velocities (pressures) of the two neighbours of every cell.
+    """
+
+    def __init__(self, n: int):
+        B = np.empty((5, n + 2))
+        self.U = B[:3, 1:-1]
+        self.R, self.Q, self.m, self.p, self.u = B[:, 1:-1]
+        self.left, self.right = B[:3, :-1], B[:3, 1:]
+        ug, pg = B[4], B[3]
+        self.u_left, self.u_right = ug[:-1], ug[1:]
+        self.u_prev, self.u_next = ug[:-2], ug[2:]
+        self.p_prev, self.p_next = pg[:-2], pg[2:]
+        self.ghost_first, self.ghost_last = B[:, 0], B[:, -1]
+        self.edge_first, self.edge_last = B[:, 1], B[:, -2]
+
+
+class _Workspace:
+    """What the steps of one run read: the state buffer W, its SSPRK2 stage
+    S, and the run's grid, exponents and scheme settings as plain floats."""
+
+    def __init__(self, grid: Grid1D, cfg, exps):
+        self.grid, self.n = grid, grid.n
+        self.W, self.S = _Buffer(grid.n), _Buffer(grid.n)
+        dx = grid.dx
+        self.dx, self.neg_dx, self.two_dx, self.dx2 = dx, -dx, 2.0 * dx, dx * dx
+        self.nu_eff, self.cfl = cfg.nu_eff, cfg.cfl
+        self.gamma, self.gamma_plus = exps.gamma, exps.gamma_plus
+        self.periodic = grid.bc == PERIODIC
+
+
+def compute_dt(rho, u, Z, ws: _Workspace) -> tuple[float, float]:
     """Largest stable step, advective dx/(|u|+c) and explicit-viscous
     dx^2 rho/(2 nu), and the largest signal speed |u| + c over all cells.
 
     rho, u and Z are the mixture density, velocity and closure root of a
-    state and cfg the run's SimConfig.  c is the mixture estimate from
+    state and ws the workspace of its run.  c is the mixture estimate from
     p = Z**gamma_plus treating Z as the density.  Cells at or below the
     density floor RHO_FLOOR do not bound the step.
     """
-    gp = exps.gamma_plus
+    gp = ws.gamma_plus
     speed = np.abs(u) + np.sqrt(gp * np.power(Z, gp - 1.0))
     speed_max = np.maximum.reduce(speed)
     top = speed_max
@@ -131,20 +180,20 @@ def compute_dt(rho, u, Z, grid: Grid1D, cfg, exps) -> tuple[float, float]:
         rho_min = np.minimum.reduce(rho[live])
     # rounding is monotone, so the smallest bound is the bound of the largest
     # speed and of the smallest density, bit for bit
-    dx = grid.dx
+    dx = ws.dx
     bound = float(dx / top)
-    nu_eff = cfg.nu_eff
+    nu_eff = ws.nu_eff
     if nu_eff > 0.0:
-        visc = float(dx * dx * rho_min / (2.0 * nu_eff))
+        visc = float(ws.dx2 * rho_min / (2.0 * nu_eff))
         bound = min(bound, visc)
-    dt = cfg.cfl * bound
+    dt = ws.cfl * bound
     if not (math.isfinite(dt) and dt > 0.0):
         # the offending cells: live cells whose own bound is not positive and finite
         with np.errstate(all="ignore"):
             own = dx / speed
             if nu_eff > 0.0:
-                own = np.minimum(own, dx * dx * rho / (2.0 * nu_eff))
-            own *= cfg.cfl
+                own = np.minimum(own, ws.dx2 * rho / (2.0 * nu_eff))
+            own *= ws.cfl
             bad = ~(np.isfinite(own) & (own > 0.0))
         if live is not None:
             bad &= live
@@ -154,22 +203,15 @@ def compute_dt(rho, u, Z, grid: Grid1D, cfg, exps) -> tuple[float, float]:
     return dt, float(speed_max)
 
 
-# no-slip ghost factors of the buffer rows R, Q, m, p, u: masses, momentum
-# and pressure have a zero gradient across the wall; the velocity is
-# mirrored, so its wall value is zero and a wall face carries no flux
-_WALL = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
-
-
-def _fill_ghosts(B, grid: Grid1D) -> None:
-    """Fill the ghost columns of a (5, n + 2) buffer from its edge cells:
-    periodic ghosts wrap around, no-slip ghosts are _WALL times the edge cell.
-    """
-    if grid.bc == PERIODIC:
-        B[:, 0] = B[:, -2]
-        B[:, -1] = B[:, 1]
+def _fill_ghosts(b: _Buffer, ws: _Workspace) -> None:
+    """Fill the ghost columns of the buffer b from its edge cells: periodic
+    ghosts wrap around, no-slip ghosts are _WALL times the edge cell."""
+    if ws.periodic:
+        np.copyto(b.ghost_first, b.edge_last)
+        np.copyto(b.ghost_last, b.edge_first)
     else:
-        np.multiply(B[:, 1], _WALL, out=B[:, 0])
-        np.multiply(B[:, -2], _WALL, out=B[:, -1])
+        np.multiply(b.edge_first, _WALL, out=b.ghost_first)
+        np.multiply(b.edge_last, _WALL, out=b.ghost_last)
 
 
 def _ghosted(a, grid: Grid1D, wall: float):
@@ -187,31 +229,31 @@ def velocity_face_gradient(u, grid: Grid1D):
     return g[g.size - grid.n_faces :]
 
 
-def _dissipation_rate(ug, grid: Grid1D, nu_eff: float) -> float:
+def _dissipation_rate(b: _Buffer, ws: _Workspace) -> float:
     """Instantaneous viscous dissipation integral nu_eff * sum dx (du/dx)^2
-    over the faces of velocity_face_gradient.
+    over the faces of velocity_face_gradient, of the velocity in the buffer b.
 
-    ug is the velocity row of a buffer.  At a no-slip wall the velocity is
-    zero, so the wall face's difference is the edge velocity, not the
-    difference to the mirrored ghost; only the sign of a zero can differ
-    from velocity_face_gradient, which the square removes.
+    At a no-slip wall the velocity is zero, so the wall face's difference is
+    the edge velocity, not the difference to the mirrored ghost; only the
+    sign of a zero can differ from velocity_face_gradient, which the square
+    removes.
     """
-    g = ug[1:] - ug[:-1]  # face j sits between buffer cells j and j+1
-    if grid.bc == PERIODIC:
-        g = g[1:]  # face 0 is face n
+    if ws.periodic:
+        g = b.u_next - b.u  # face 0 is face n
     else:
-        g[0], g[-1] = ug[1], -ug[-2]
-    g /= grid.dx
-    return float(nu_eff * np.add.reduce(g * g) * grid.dx)
+        g = b.u_right - b.u_left
+        g[0], g[-1] = b.u[0], -b.u[-1]
+    g /= ws.dx
+    return float(ws.nu_eff * np.add.reduce(g * g) * ws.dx)
 
 
-def _divergence(ug, grid: Grid1D):
-    """Central divergence of the velocity row ug of a buffer, per cell."""
-    return (ug[2:] - ug[:-2]) / (2.0 * grid.dx)
+def _divergence(b: _Buffer, ws: _Workspace):
+    """Central divergence of the velocity in the buffer b, per cell."""
+    return (b.u_next - b.u_prev) / ws.two_dx
 
 
-def _rhs(B, grid: Grid1D, cfg, forcing):
-    """Time derivative of the state (R, Q, m) in the buffer B plus forcing, if
+def _rhs(b: _Buffer, ws: _Workspace, forcing):
+    """Time derivative of the state (R, Q, m) in the buffer b plus forcing, if
     any, as a new (3, n) array.
 
     One face velocity, one donor selection and one flux difference serve all
@@ -221,22 +263,21 @@ def _rhs(B, grid: Grid1D, cfg, forcing):
     a time, so results are bit-identical to it (tests/test_solver.py); the
     in-place operations only save temporaries (a *= b is b * a, bit for bit).
     """
-    dx = grid.dx
-    ug, pg = B[4], B[3]
-    u_face = ug[:-1] + ug[1:]  # face j sits between buffer cells j and j+1
+    u_face = b.u_left + b.u_right
     u_face *= 0.5
-    flux = np.where(u_face > 0.0, B[:3, :-1], B[:3, 1:])
+    flux = np.where(u_face > 0.0, b.left, b.right)
     flux *= u_face
     dU = flux[:, 1:] - flux[:, :-1]
-    dU /= -dx  # x / (-dx) is -(x / dx), signed zeros included
-    grad_p = pg[2:] - pg[:-2]
-    grad_p /= 2.0 * dx
-    dU[2] -= grad_p
-    lap = ug[2:] - 2.0 * ug[1:-1]
-    lap += ug[:-2]
-    lap /= dx * dx
-    lap *= cfg.nu_eff
-    dU[2] += lap
+    dU /= ws.neg_dx  # x / (-dx) is -(x / dx), signed zeros included
+    grad_p = b.p_next - b.p_prev
+    grad_p /= ws.two_dx
+    dm = dU[2]
+    dm -= grad_p
+    lap = b.u_next - 2.0 * b.u
+    lap += b.u_prev
+    lap /= ws.dx2
+    lap *= ws.nu_eff
+    dm += lap
     if forcing is not None:
         dU += forcing
     return dU
@@ -268,44 +309,44 @@ def _admit(U, t: float) -> None:
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
 
 
-def _closure_fields(U, out, exps, z0, extra=None):
-    """Z, the mixture density R + Q and the closure iterations of a stacked
-    (3, n) state U whose values are finite with nonnegative masses, which is
-    not checked here; its pressure and velocity go to the two rows of out,
-    with the expressions of DerivedFields.p and DerivedFields.u.
+def _closure_fields(b: _Buffer, ws: _Workspace, z0, extra=None):
+    """Z, the mixture density R + Q and the closure iterations of the state
+    in the buffer b, whose values are finite with nonnegative masses, which
+    is not checked here; its pressure and velocity go to the rows p and u of
+    b, with the expressions of DerivedFields.p and DerivedFields.u.
 
     extra, the masses (R, Q) of further points, finite and nonnegative as
     well, joins the one closure solve: z0 then holds their warm start after
     the cells', and Z their roots after the cells'.  R + Q, p and u stay
     the cells'.
     """
-    R, Q, m = U
+    R, Q = b.R, b.Q
     if extra is None:
-        Z, iters = closure._solve_closure(R, Q, exps.gamma, z0)
+        Z, iters = closure._solve_closure(R, Q, ws.gamma, z0)
         Zc = Z
     else:
         RQ = np.concatenate((R, extra[0])), np.concatenate((Q, extra[1]))
-        Z, iters = closure._solve_closure(*RQ, exps.gamma, z0)
-        Zc = Z[: R.size]
-    p, u = out
-    np.power(Zc, exps.gamma_plus, out=p)
+        Z, iters = closure._solve_closure(*RQ, ws.gamma, z0)
+        Zc = Z[: ws.n]
+    np.power(Zc, ws.gamma_plus, out=b.p)
     rho = R + Q
+    u = b.u
     np.maximum(rho, RHO_FLOOR, out=u)
-    np.divide(m, u, out=u)
+    np.divide(b.m, u, out=u)
     return Z, rho, iters
 
 
-def _close(B, grid: Grid1D, exps, z0):
-    """Solve the closure of the state in the buffer B, warm-started from z0,
+def _close(b: _Buffer, ws: _Workspace, z0):
+    """Solve the closure of the state in the buffer b, warm-started from z0,
     into its p and u rows and fill its ghosts; returns (Z, R + Q,
     iterations)."""
-    Z, rho, iters = _closure_fields(B[:3, 1:-1], B[3:, 1:-1], exps, z0)
-    _fill_ghosts(B, grid)
+    Z, rho, iters = _closure_fields(b, ws, z0)
+    _fill_ghosts(b, ws)
     return Z, rho, iters
 
 
-def _close_with_faces(B, grid: Grid1D, exps, z0, Rf, Qf, zf0):
-    """_close of the state in the buffer B, with the n + 1 faces of a
+def _close_with_faces(b: _Buffer, ws: _Workspace, z0, Rf, Qf, zf0):
+    """_close of the state in the buffer b, with the n + 1 faces of a
     manufactured forcing, masses Rf and Qf, in the same closure solve,
     their roots warm-started from zf0; returns (Z, the face roots,
     iterations), the iterations those of the joint solve.
@@ -317,13 +358,14 @@ def _close_with_faces(B, grid: Grid1D, exps, z0, Rf, Qf, zf0):
     """
     start = np.concatenate((z0, zf0))
     try:
-        Z, _, iters = _closure_fields(B[:3, 1:-1], B[3:, 1:-1], exps, start, (Rf, Qf))
+        Z, _, iters = _closure_fields(b, ws, start, (Rf, Qf))
     except closure.CellError:
-        _close(B, grid, exps, z0)
-        closure._solve_closure(Rf, Qf, exps.gamma, zf0)
+        _close(b, ws, z0)
+        closure._solve_closure(Rf, Qf, ws.gamma, zf0)
         raise
-    _fill_ghosts(B, grid)
-    return Z[: grid.n], Z[grid.n :], iters
+    _fill_ghosts(b, ws)
+    n = ws.n
+    return Z[:n], Z[n:], iters
 
 
 def _forcing_level(forcing, grid: Grid1D, t: float, Zf):
@@ -335,25 +377,25 @@ def _forcing_level(forcing, grid: Grid1D, t: float, Zf):
     return averages, Zf
 
 
-def _load(W, state: FieldState, der: DerivedFields, grid: Grid1D) -> None:
-    """Put a state and its derived fields into the buffer W, ghosts filled."""
-    W[:3, 1:-1] = state.U
-    W[3, 1:-1] = der.p
-    W[4, 1:-1] = der.u
-    _fill_ghosts(W, grid)
+def _load(ws: _Workspace, state: FieldState, der: DerivedFields) -> None:
+    """Put a state and its derived fields into the buffer ws.W, ghosts filled."""
+    W = ws.W
+    np.copyto(W.U, state.U)
+    np.copyto(W.p, der.p)
+    np.copyto(W.u, der.u)
+    _fill_ghosts(W, ws)
 
 
-def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, forcing=None):
-    """Advance the state in the buffer W by one SSPRK2 step of size dt of
-    the SimConfig cfg's scheme, in place.
+def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
+    """Advance the state in the buffer ws.W by one SSPRK2 step of size dt,
+    in place, with the scheme, grid and exponents the workspace ws holds.
 
-    W and S are (5, n + 2) arrays with rows R, Q, m, p, u and one ghost cell
-    at each end.  W holds the state at time t with its pressure, velocity
-    and ghosts (_load, _close), Z its closure root; S is the SSPRK2 stage.
-    On return W holds the new state's R, Q and m, admitted as valid; its
+    ws.W holds the state at time t with its pressure, velocity and ghosts
+    (_load, _close), Z its closure root; ws.S is the SSPRK2 stage.  On
+    return ws.W holds the new state's R, Q and m, admitted as valid; its
     other rows and ghosts are the old state's until _close.
 
-    forcing is the manufactured solution, of the exponents exps, whose cell
+    forcing is the manufactured solution, of the run's exponents, whose cell
     averages force the step, None for an unforced step.  forcing0 is its
     forcing at t as a step hands it on: the read-only pair (cell averages,
     face roots).  When not given it is computed with a cold face solve.
@@ -367,26 +409,26 @@ def step(W, S, grid: Grid1D, cfg, exps, t: float, dt: float, Z, forcing0=None, f
     step); iterations those of the stage's closure solve and dissipation
     the viscous dissipation of the step.
     """
+    W, S, grid = ws.W, ws.S, ws.grid
     if forcing0 is None and forcing is not None:
-        Zf, _ = closure._solve_closure(*forcing.face_masses(grid, t), exps.gamma)
+        Zf, _ = closure._solve_closure(*forcing.face_masses(grid, t), ws.gamma)
         forcing0 = _forcing_level(forcing, grid, t, Zf)
     t1 = t + dt
-    dissipation = dt * _dissipation_rate(W[4], grid, cfg.nu_eff)
-    U0 = W[:3, 1:-1]
-    dU = _rhs(W, grid, cfg, None if forcing is None else forcing0[0])
+    dissipation = dt * _dissipation_rate(W, ws)
+    U0, U1 = W.U, S.U
+    dU = _rhs(W, ws, None if forcing is None else forcing0[0])
     dU *= dt
-    U1 = S[:3, 1:-1]
     np.add(dU, U0, out=U1)
     # admitted, the stage is valid input for the trusted closure kernel
     _admit(U1, t1)
     if forcing is None:
-        stage_Z, _, iters = _close(S, grid, exps, Z)
+        stage_Z, _, iters = _close(S, ws, Z)
         stage_forcing = None
     else:
         Rf, Qf = forcing.face_masses(grid, t1)
-        stage_Z, Zf, iters = _close_with_faces(S, grid, exps, Z, Rf, Qf, forcing0[1])
+        stage_Z, Zf, iters = _close_with_faces(S, ws, Z, Rf, Qf, forcing0[1])
         stage_forcing = _forcing_level(forcing, grid, t1, Zf)
-    dU = _rhs(S, grid, cfg, None if forcing is None else stage_forcing[0])
+    dU = _rhs(S, ws, None if forcing is None else stage_forcing[0])
     dU *= dt
     U0 += U1
     U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
@@ -497,8 +539,8 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     state = cfg.initial_state(grid) if initial is None else initial
     track = cfg.track_alpha
 
-    W = np.empty((5, grid.n + 2))  # the state, rows R, Q, m, p, u
-    S = np.empty_like(W)  # its SSPRK2 stage
+    ws = _Workspace(grid, cfg, exps)
+    W = ws.W
     der = _derive_at(state, exps, None, 1, None)  # of the state W is loaded from next
     t = state.t
     times: list[float] = []
@@ -522,12 +564,12 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
                 )
             try:
                 if der is not None:  # the step starts from a snapshot
-                    _load(W, state, der, grid)
+                    _load(ws, state, der)
                     Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
                     der = None
                 else:  # from the state of the last step
-                    Z, rho, iters0 = _close(W, grid, exps, z_prev)
-                dt_stable, speed_max = compute_dt(rho, W[4, 1:-1], Z, grid, cfg, exps)
+                    Z, rho, iters0 = _close(W, ws, z_prev)
+                dt_stable, speed_max = compute_dt(rho, W.u, Z, ws)
             except closure.CellError as exc:
                 exc.at(t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
                 raise
@@ -536,13 +578,11 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             dt = remaining if landing else dt_stable
             if track:
                 a_diag, cl = alpha_diagnostic_step(
-                    a_diag, W[4, 1:-1], _divergence(W[4], grid), exps.gamma, dt, grid
+                    a_diag, W.u, _divergence(W, ws), ws.gamma, dt, grid
                 )
                 clamps += cl
             try:
-                z_prev, forcing0, iters1, step_diss = step(
-                    W, S, grid, cfg, exps, t, dt, Z, forcing0, sol
-                )
+                z_prev, forcing0, iters1, step_diss = step(ws, t, dt, Z, forcing0, sol)
             except closure.CellError as exc:
                 exc.at(t + dt, len(dt_hist) + 1, dt)
                 raise
@@ -556,7 +596,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             iters_max = max(iters_max, iters0, iters1)
             wave_max = max(wave_max, speed_max)
         if der is None:  # stepped since the last snapshot
-            state = FieldState(t, U=W[:3, 1:-1].copy())
+            state = FieldState(t, U=W.U.copy())
             der = _derive_at(state, exps, z_prev, len(dt_hist) + 1, dt_hist[-1])
         times.append(t)
         energies.append(total_energy(der, grid, exps))

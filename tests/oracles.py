@@ -81,13 +81,12 @@ def per_equation_rhs(R, Q, m, u, p, grid, nu_eff, forcing=None, flux_sign=1.0):
     return dR, dQ, dm
 
 
-def flipped_advection_rhs(B, grid, cfg, forcing):
-    """A stand-in for ``solver._rhs`` (same arguments: the (5, n + 2) buffer
-    of R, Q, m, p, u with one ghost cell at each end, the grid, the
-    SimConfig and the forcing) whose advective fluxes enter with the wrong
+def flipped_advection_rhs(b, ws, forcing):
+    """A stand-in for ``solver._rhs`` (same arguments: a run's buffer of R,
+    Q, m, p, u with its row views, the run's workspace, which holds the grid
+    and nu_eff, and the forcing) whose advective fluxes enter with the wrong
     sign."""
-    R, Q, m, p, u = B[:, 1:-1]
-    dU = per_equation_rhs(R, Q, m, u, p, grid, cfg.nu_eff, forcing, flux_sign=-1.0)
+    dU = per_equation_rhs(b.R, b.Q, b.m, b.u, b.p, ws.grid, ws.nu_eff, forcing, flux_sign=-1.0)
     return np.array(dU)
 
 

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -196,12 +198,35 @@ def test_solve_huge_R_unit_Q(gamma):
     assert Z[0] == pytest.approx(1e300, rel=1e-14)
 
 
+def _gamma_two_ulps(Z, R, Q):
+    """The error of a computed gamma = 2 root Z in ulps of the exact root
+    R/2 + sqrt((R/2)**2 + Q), which mpmath evaluates at 40 digits."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(float(R)) / 2
+        exact = h + mpmath.sqrt(h * h + mpmath.mpf(float(Q)))
+        return float(abs(mpmath.mpf(float(Z)) - exact) / np.spacing(float(exact)))
+
+
 def test_solve_gamma_two_extreme_scales():
-    Z, _ = solve_closure_batch([1e200, 5e-324, 1e-300, 0.0], [1.0, 0.0, 1e-300, 1e300], 2.0)
+    big = np.finfo(float).max
+    odd = 3 * np.finfo(float).smallest_subnormal  # its half rounds
+    R = [1e200, 5e-324, 1e-300, 0.0, big, odd, odd]
+    Q = [1.0, 0.0, 1e-300, 1e300, 1e308, 0.0, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no floating-point warning either
+        Z, _ = solve_closure_batch(R, Q, 2.0)
     assert Z[0] == pytest.approx(1e200, rel=1e-15)
     assert Z[1] == 5e-324
     assert Z[2] == pytest.approx(1e-150, rel=1e-14)
     assert Z[3] == pytest.approx(1e150, rel=1e-15)
+    assert Z[4] == big  # rounds to the largest float: no ClosureOverflowError
+    assert Z[5] == odd
+    assert _gamma_two_ulps(Z[6], R[6], Q[6]) <= 2.0
+    # within 2 ulps of the exact root over the whole float range
+    rng = np.random.default_rng(27)
+    R, Q = np.exp(rng.uniform(math.log(1e-320), math.log(1e308), (2, 2000)))
+    Z, _ = solve_closure_batch(R, Q, 2.0)
+    assert max(map(_gamma_two_ulps, Z, R, Q)) <= 2.0
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0, 3.0])

@@ -422,11 +422,11 @@ def test_cli_run_closure_iteration_failure_writes_located_record(
     taken = []
     real_step = solver.step
 
-    def spy(W, S, grid, cfg, exps, t, dt, *args):
+    def spy(ws, t, dt, *args):
         taken.append((t, dt))
         if len(taken) == capped_from:
             monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
-        return real_step(W, S, grid, cfg, exps, t, dt, *args)
+        return real_step(ws, t, dt, *args)
 
     monkeypatch.setattr(solver, "step", spy)
     if capped_from == 0:

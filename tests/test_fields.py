@@ -135,16 +135,17 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     tiny = np.finfo(float).smallest_subnormal
     alpha = np.where(vac, VACUUM_ALPHA, R / np.maximum(d.Z, tiny))
     # the run's buffer gets p and u from the closure of its stage
-    pu = np.empty((2, 5))
-    solver._closure_fields(s.U, pu, exps, None)
+    ws = solver._Workspace(Grid1D(5, 1.0), SimConfig(), exps)
+    ws.W.U[...] = s.U
+    solver._closure_fields(ws.W, ws, None)
     for got, want in (
         (d.vacuum, vac),
         (d.alpha, alpha),
         (d.rho_minus, np.power(d.Z, exps.gamma)),
         (d.p, np.power(d.Z, exps.gamma_plus)),
         (d.u, m / np.maximum(R + Q, RHO_FLOOR)),
-        (d.p, pu[0]),
-        (d.u, pu[1]),
+        (d.p, ws.W.p),
+        (d.u, ws.W.u),
     ):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert d.alpha[2] == 1.0 and d.alpha[3] == 0.0 and d.u[1] == 0.0

@@ -41,7 +41,15 @@ def make_state(n, R, Q, u, t=0.0):
 
 def stable_dt(d, grid, sch, exps=EXPS):
     """compute_dt of the derived fields d: the step size alone."""
-    return compute_dt(d.rho, d.u, d.Z, grid, sch, exps)[0]
+    return compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, exps))[0]
+
+
+def loaded(st, d, grid, sch, exps=EXPS):
+    """A run's workspace for the scheme sch, its buffer W loaded with the
+    state st and its derived fields d."""
+    ws = solver._Workspace(grid, sch, exps)
+    solver._load(ws, st, d)
+    return ws
 
 
 def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0=None):
@@ -50,10 +58,9 @@ def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0
     new state and what the step returns: (stage_Z, stage_forcing,
     iterations, dissipation)."""
     d = derived if derived is not None else derive(st, exps)
-    W = np.empty((5, grid.n + 2))
-    solver._load(W, st, d, grid)
-    rep = step(W, np.empty_like(W), grid, sch, exps, st.t, dt, d.Z, forcing0, forcing)
-    return FieldState(st.t + dt, U=W[:3, 1:-1].copy()), rep
+    ws = loaded(st, d, grid, sch, exps)
+    rep = step(ws, st.t, dt, d.Z, forcing0, forcing)
+    return FieldState(st.t + dt, U=ws.W.U.copy()), rep
 
 
 def sine_state(grid, base=1.5, amp=0.3, uamp=0.2):
@@ -157,9 +164,8 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     Q = 1.2 + 0.2 * np.cos(2 * np.pi * x)
     st = FieldState(0.0, R, Q, np.zeros(32))
     d = derive(st, EXPS)
-    W = np.empty((5, grid.n + 2))
-    solver._load(W, st, d, grid)
-    dU = solver._rhs(W, grid, scheme(), None)
+    ws = loaded(st, d, grid, scheme())
+    dU = solver._rhs(ws.W, ws, None)
     assert not dU[:2].any()
     grad_p = (np.roll(d.p, -1) - np.roll(d.p, 1)) / (2 * grid.dx)
     assert np.array_equal(dU[2], -grad_p)
@@ -170,7 +176,7 @@ def test_step_report_fields():
     st = sine_state(grid)
     d = derive(st, EXPS)
     sch = scheme()
-    dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
+    dt, speed_max = compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, EXPS))
     assert speed_max == pytest.approx(float(np.max(np.abs(d.u) + np.sqrt(3.0 * d.Z**2))), rel=1e-12)
     _, (stage_Z, stage_forcing, iters, dissipation) = step_from(st, grid, sch, dt, d)
     assert stage_Z.shape == (32,) and stage_forcing is None
@@ -203,11 +209,11 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
     solved = []
     real = solver._closure_fields
 
-    def spy(U, *args):
+    def spy(b, *args):
         # the stage closure trusts its input: finite, with masses >= 0
-        assert np.isfinite(U).all() and (U[:2] >= 0.0).all()
-        solved.append(U)
-        return real(U, *args)
+        assert np.isfinite(b.U).all() and (b.U[:2] >= 0.0).all()
+        solved.append(b)
+        return real(b, *args)
 
     monkeypatch.setattr(solver, "_closure_fields", spy)
     with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
@@ -399,7 +405,7 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     sch = scheme(integrator=integrator)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2) if forced else None
     d = derive(st, EXPS)
-    dt, speed_max = compute_dt(d.rho, d.u, d.Z, grid, sch, EXPS)
+    dt, speed_max = compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, EXPS))
     dt *= 0.5
     new, (_, _, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
     (R, Q, m), _ = _ref_step(st, grid, sch, sol, dt, flux_sign)
@@ -458,9 +464,8 @@ def test_ghost_cell_stencils_are_bit_identical_to_reference(bc):
     d = derive(st, EXPS)
     u = d.u
     # the divergence that drives the fraction diagnostic, from a loaded buffer
-    W = np.empty((5, grid.n + 2))
-    solver._load(W, st, d, grid)
-    div_u = solver._divergence(W[4], grid)
+    ws = loaded(st, d, grid, scheme())
+    div_u = solver._divergence(ws.W, ws)
     assert _same_bits(div_u, _ref_divergence(u, grid))
     g, g_ref = velocity_face_gradient(u, grid), _ref_velocity_face_gradient(u, grid)
     assert g.shape == g_ref.shape == (grid.n_faces,)
@@ -835,21 +840,17 @@ def test_forced_step_solves_stage_and_faces_in_one_call_as_apart(monkeypatch, bc
     sch = scheme()
     dt = 0.5 * stable_dt(d, grid, sch, NEWTON_EXPS)
     zf0, _ = solve_closure_batch(*sol.face_masses(grid, st.t), NEWTON_EXPS.gamma)
-    W = np.empty((5, grid.n + 2))
-    S = np.empty_like(W)
-    solver._load(W, st, d, grid)
+    ws = loaded(st, d, grid, sch, NEWTON_EXPS)
     sizes = _spy_closure_kernel(monkeypatch)
     forcing0 = (sol.cell_averages(grid, st.t, zf0), zf0)
-    stage_Z, (forcing1, zf1), iters, _ = step(
-        W, S, grid, sch, NEWTON_EXPS, st.t, dt, d.Z, forcing0, sol
-    )
+    stage_Z, (forcing1, zf1), iters, _ = step(ws, st.t, dt, d.Z, forcing0, sol)
     assert sizes == [2 * grid.n + 1]  # one kernel call: the n cells and n + 1 faces
     monkeypatch.undo()
     # the stage's roots, pressure and velocity are those of its own solve
-    stage = FieldState(st.t + dt, U=S[:3, 1:-1].copy())
+    stage = FieldState(st.t + dt, U=ws.S.U.copy())
     apart = derive(stage, NEWTON_EXPS, z0=d.Z)
     assert _same_bits(stage_Z, apart.Z)
-    assert _same_bits(S[3, 1:-1], apart.p) and _same_bits(S[4, 1:-1], apart.u)
+    assert _same_bits(ws.S.p, apart.p) and _same_bits(ws.S.u, apart.u)
     # the face roots are those of their own solve from the handed-on roots,
     # and within the closure tolerance of a cold solve
     Rf, Qf = sol.face_masses(grid, stage.t)
@@ -901,15 +902,14 @@ def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
     sol = ManufacturedSolution(NEWTON_EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
     d = derive(st, NEWTON_EXPS)
-    B = np.empty((5, grid.n + 2))
-    solver._load(B, st, d, grid)
+    ws = loaded(st, d, grid, scheme(), NEWTON_EXPS)
     Rf, Qf = sol.face_masses(grid, 0.2)
     zf0 = np.full(grid.n + 1, 1e3)  # a poor start, clipped to the bracket
     # the cells' own roots converge at once; from a poor start they cannot
     z0 = np.full(grid.n, 1e3) if stage_fails else d.Z
     monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
     with pytest.raises(closure.MaxIterExceededError) as joint:
-        solver._close_with_faces(B, grid, NEWTON_EXPS, z0, Rf, Qf, zf0)
+        solver._close_with_faces(ws.W, ws, z0, Rf, Qf, zf0)
     with pytest.raises(closure.MaxIterExceededError) as apart:
         if stage_fails:
             solve_closure_batch(st.R, st.Q, NEWTON_EXPS.gamma, z0)
