@@ -7,13 +7,13 @@ byte (no timestamps or absolute paths are written).  Before it solves, a
 command removes from that directory the files it writes (OUT_FILES), so
 none is left there from an earlier command.
 
-A run's snapshots leave it as it records them (``solver.run``'s consumer):
-two writer processes, started with the run, receive each snapshot's value
-columns through a pipe and write its CSV while the run goes on.  ``compare``
-evaluates the reference side first (run_b, a second run of run_a's config
-when no second config is given, or the exact solution), keeping each
-snapshot's (4, n) record, then runs run_a and reduces each snapshot pair as
-run_a records its half.
+A run's snapshots leave it as it records them, each as one timed record
+(``solver.run``'s consumer): two writer processes, started with the run,
+receive each record's value columns through a pipe and write its CSV while
+the run goes on.  ``compare`` evaluates the reference side first (run_b,
+the run of the second config, or the exact solution), keeping each
+snapshot's (4, n) record, then runs run_a and reduces each pair of records
+as run_a records its half.
 
 Every error is raised where it happens and leaves through ``main``, which
 alone maps it to its exit code and its stderr line.
@@ -51,7 +51,6 @@ from .fields import (
     restrict,
     snapshot_columns,
     total_energy,
-    total_mass,
     write_snapshot,
 )
 from .solver import StepError, Trajectory, run
@@ -182,20 +181,20 @@ def _writer_main(fd, out_dir, grid, first: int) -> None:
 class RunOutputs:
     """One run's output directory, fed while the run goes on.
 
-    It is the run's on_snapshot consumer.  For each snapshot it keeps the
-    masses, for report.json, and sends the value columns through a pipe to
-    one of SNAPSHOT_WRITERS writer processes, started with it, by index
-    parity; without fork it writes the CSV itself.  On exit from its with
-    block it closes the pipes and reaps every writer, so a failed run leaves
-    the snapshots recorded before the failure; on a clean exit it raises
-    RuntimeError naming the files of any writer that failed.
+    It is the run's on_snapshot consumer.  It sends the value columns of each
+    snapshot record through a pipe to one of SNAPSHOT_WRITERS writer
+    processes, started with it, by index parity; without fork it writes the
+    CSV itself.  On exit from its with block it closes the pipes and reaps
+    every writer, so a failed run leaves the snapshots recorded before the
+    failure; on a clean exit it raises RuntimeError naming the files of any
+    writer that failed.
     """
 
     def __init__(self, out_dir, grid):
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.grid = grid
-        self.masses = []
+        self.count = 0  # snapshots received
         self._writers = []  # (pid, write end, paths sent)
         if hasattr(os, "fork"):
             try:
@@ -232,11 +231,10 @@ class RunOutputs:
         _WRITE_ENDS.add(w)
         return pid, w, []
 
-    def __call__(self, state: FieldState, derived) -> None:
-        k = len(self.masses)
-        self.masses.append(total_mass(state, self.grid))
+    def __call__(self, der: DerivedFields) -> None:
+        k, self.count = self.count, self.count + 1
         path = os.path.join(self.out_dir, _snapshot_name(k))
-        columns = snapshot_columns(derived)
+        columns = snapshot_columns(der)
         if not self._writers:
             write_snapshot(path, self.grid, columns)
             return
@@ -283,13 +281,13 @@ def _audit_exit(audit: verify.EnergyAudit) -> int:
 
 
 def write_run_outputs(
-    traj: Trajectory, outputs: RunOutputs, cfg: SimConfig, audit: verify.EnergyAudit
+    traj: Trajectory, out_dir, cfg: SimConfig, audit: verify.EnergyAudit
 ) -> None:
-    """report.json of one finished run, whose snapshots went to outputs
-    while it ran; the energies are the run's own, traj.energies, and audit
-    is verify.energy_audit of traj."""
+    """report.json of one finished run in out_dir, where its snapshots went
+    while it ran; the energies and masses are the run's own, traj.energies
+    and traj.masses, and audit is verify.energy_audit of traj."""
     names = [_snapshot_name(k) for k in range(len(traj.times))]
-    masses = outputs.masses
+    masses = traj.masses
     mr0, mq0 = masses[0]
     drift_r = max(abs(mr - mr0) for mr, _ in masses) / max(abs(mr0), 1e-300)
     drift_q = max(abs(mq - mq0) for _, mq in masses) / max(abs(mq0), 1e-300)
@@ -317,7 +315,7 @@ def write_run_outputs(
         "energy_audit": audit,
         "forced": traj.forced,
     }
-    _write_json(os.path.join(outputs.out_dir, "report.json"), report)
+    _write_json(os.path.join(out_dir, "report.json"), report)
 
 
 def _run_into(stack: contextlib.ExitStack, out_dir, cfg: SimConfig, initial, on_snapshot=None):
@@ -330,14 +328,14 @@ def _run_into(stack: contextlib.ExitStack, out_dir, cfg: SimConfig, initial, on_
     before its report.json."""
     outputs = stack.enter_context(RunOutputs(out_dir, cfg.grid()))
 
-    def consume(state: FieldState, derived) -> None:
-        outputs(state, derived)
+    def consume(der: DerivedFields) -> None:
+        outputs(der)
         if on_snapshot is not None:
-            on_snapshot(state, derived)
+            on_snapshot(der)
 
     traj = run(cfg, initial=initial, on_snapshot=consume)
     audit = verify.energy_audit(traj, cfg.energy_eps)
-    write_run_outputs(traj, outputs, cfg, audit)
+    write_run_outputs(traj, out_dir, cfg, audit)
     return traj, audit
 
 
@@ -429,12 +427,14 @@ def cmd_run(args) -> int:
 
 def _check_pair(cfg_a: SimConfig, cfg_b: SimConfig | None, ref_mode: str) -> None:
     """Raise ValidationError when the pair cannot be compared in ref_mode;
-    without cfg_b, cfg_a is the config of both sides."""
+    the mms mode takes no cfg_b, the twin and fine modes need one."""
     if ref_mode not in REF_MODES:
         raise ValidationError(f"ref mode must be one of {REF_MODES}")
     if ref_mode == "mms" and cfg_b is not None:
         raise ValidationError("mms reference mode takes no second config (--config-b)")
     if cfg_b is None:
+        if ref_mode != "mms":
+            raise ValidationError(f"{ref_mode} reference mode needs a second config (--config-b)")
         cfg_b = cfg_a
     for attr in ("gamma_plus", "gamma_minus", "length", "t_end", "n_snapshots", "bc"):
         va, vb = getattr(cfg_a, attr), getattr(cfg_b, attr)
@@ -461,70 +461,66 @@ def compare_runs(
 ):
     """Run the pair, evaluate the relative-energy series, fit the audits.
 
-    Returns (rows, verify_payload).  The reference side is a twin run, a
-    fine-grid run restricted by cell averaging, or the manufactured exact
-    solution at cfg_a's snapshot times, per ref_mode.  It is evaluated
-    first, as the paper's method fixes the strong solution's density bounds
-    before it measures the weak one: this pass rejects vacuum, takes the
-    energy scale, folds the coercivity window (half the minimum to twice
-    the maximum of the reference phase densities) and keeps of each
-    snapshot a DerivedFields over its (4, n) record alone, none of the
-    columns computed from it for this pass.  run_a runs next and
-    reduces each pair as it records its half: the relative-energy row, once
-    per pair, which holds the fraction audit's terms too, and the
-    coercivity constants; it keeps no field of run_a.  Each run hands its
-    snapshots to its writers as it records them.  The audits read the
-    fields each run derived itself and the energies it evaluated from them
-    (Trajectory.energies), so a twin is compared on the fields of its run_b
-    CSVs, warm-started within run_b; the restricted and the exact states are
-    derived here, cold, and the energy scale is the energy of the first of
-    them.
+    Returns (rows, verify_payload).  The reference side is the twin run of
+    cfg_b, the fine-grid run of cfg_b restricted by cell averaging, or (cfg_b
+    None) the manufactured exact solution at cfg_a's snapshot times, per
+    ref_mode.  It is evaluated first, as the paper's method fixes the strong
+    solution's density bounds before it measures the weak one: this pass
+    rejects vacuum, takes the energy scale, folds the coercivity window
+    (half the minimum to twice the maximum of the reference phase
+    densities) and keeps of each snapshot a fresh record over the same
+    (4, n) array, none of the columns computed from it for this pass.  run_a
+    runs next and reduces each pair of records as it records its half: the
+    relative-energy row, once per pair, which holds the fraction audit's
+    terms too, and the coercivity constants; it keeps no field of run_a.
+    Each run hands its snapshots to its writers as it records them.  The
+    audits read the fields each run derived itself and the energies it
+    evaluated from them (Trajectory.energies), so a twin is compared on the
+    fields of its run_b CSVs, warm-started within run_b; the restricted and
+    the exact states are derived here, cold, and the energy scale is the
+    energy of the first of them.
     The outputs go to out_dir: each run's to its side directory in it
     (COMPARE_SIDES), then re_report.csv and verify.json.  An error of the
     reference pass or of a pair reduction is raised in the run that meets
     it, which stops at that snapshot and writes no report.json; when the
     reference fails, run_a does not start.
-    Without cfg_b the twin run_b is a second run of cfg_a from initial_a.
     initial_a and initial_b are the configs' initial states when the caller
     has already built them (validation does).
     """
     _check_pair(cfg_a, cfg_b, ref_mode)
-    if cfg_b is None:
-        cfg_b, initial_b = cfg_a, initial_a
     grid, exps = cfg_a.grid(), cfg_a.exponents()
-    nu_eff = cfg_a.nu_eff
     dir_a, dir_b = (os.path.join(out_dir, side) for side in COMPARE_SIDES)
-    refs = []  # (t, record) per reference snapshot, until its pair is reduced
+    refs = []  # the record of each reference snapshot, until its pair is reduced
     bounds = [math.inf, 0.0]  # min and max of the reference phase densities
     e_scale = None
     rows = []
     coer = []
 
-    def keep_reference(der, t) -> None:
+    def keep_reference(der) -> None:
         nonlocal e_scale
         if der.vacuum.any():
             raise verify.VacuumReferenceError("reference state has vacuum cells")
         if not refs and ref_mode != "twin":
-            e_scale = total_energy(der, grid, exps)
+            e_scale = total_energy(der, grid)
         for rho in (der.rho_plus, der.rho_minus):
             bounds[0] = min(bounds[0], float(np.min(rho)))
             bounds[1] = max(bounds[1], float(np.max(rho)))
         # a fresh record over the same V keeps 4 rows: the columns read
         # above stay with der, and the pair reduction reads its own
-        refs.append((t, DerivedFields(der.V, exps)))
+        refs.append(dataclasses.replace(der))
 
     with contextlib.ExitStack() as stack:
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
             for t in cfg_a.snapshot_times():
-                keep_reference(derive(sol.state(grid, t), exps), t)
+                keep_reference(derive(sol.state(grid, t), exps))
         else:
             factor = cfg_b.n // cfg_a.n
 
-            def keep_run_b(state, der) -> None:
+            def keep_run_b(der) -> None:
                 if ref_mode != "twin":
-                    der = derive(restrict(state, factor), exps)
-                keep_reference(der, state.t)
+                    der = derive(restrict(der, factor), exps)
+                keep_reference(der)
 
             traj_b, _ = _run_into(stack, dir_b, cfg_b, initial_b, keep_run_b)
         if ref_mode == "twin":
@@ -534,15 +530,15 @@ def compare_runs(
             raise ValueError("reference densities must be positive to set a window")
         window = (0.5 * lo, 2.0 * hi)
 
-        def reduce_run_a(state, der_a) -> None:
-            """Reduce the next pair, whose run_a side der_a is at time
-            state.t, and release its reference."""
-            k, t = len(rows), state.t
-            if k >= len(refs) or t != refs[k][0]:
+        def reduce_run_a(der_a) -> None:
+            """Reduce the next pair, whose run_a side is the record der_a,
+            and release its reference."""
+            k = len(rows)
+            if k >= len(refs) or der_a.t != refs[k].t:
                 raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
-            (_, ref), refs[k] = refs[k], None
-            rows.append(verify.relative_entropy(der_a, ref, grid, exps, nu_eff=nu_eff, t=t))
-            coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, exps, *window))
+            ref, refs[k] = refs[k], None
+            rows.append(verify.relative_entropy(der_a, ref, grid, nu_eff=cfg_a.nu_eff))
+            coer.append(verify.coercivity_check(rows[k], der_a, ref, grid, *window))
 
         traj_a, audit = _run_into(stack, dir_a, cfg_a, initial_a, reduce_run_a)
         if len(rows) != len(refs):

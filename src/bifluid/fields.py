@@ -3,10 +3,10 @@
 States are immutable snapshots of the conserved unknowns (R, Q, momentum) at
 cell centers, stored as one (3, n) array.  ``derive`` solves the closure
 root Z of a state and records it with the state as one read-only (4, n)
-array; the pressure, the velocity, the volume fraction, the density of
-phase - and the vacuum mask are computed when first read.  Integral
-reductions use numpy's deterministic summation, so re-evaluation is
-bit-identical; invariance under index permutation is not promised.
+array, timed: the snapshot record a run hands on; p, u, alpha, rho_minus
+and the vacuum mask are computed when first read.  Integral reductions
+use numpy's deterministic summation, so re-evaluation is bit-identical;
+invariance under index permutation is not promised.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def _finite(a) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class DerivedFields:
-    """A state with its closure root: the rows R, Q, m and Z of one
-    read-only (4, n) array V, plus the exponents and the closure iterations.
+    """A state at time t with its closure root: the rows R, Q, m and Z of
+    one read-only (4, n) array V, plus the exponents and closure iterations.
 
     derive solves Z only.  R, Q, m, Z and rho_plus = Z are row views of V;
     p, u, alpha, rho_minus and vacuum are computed on their first read and
@@ -148,6 +148,7 @@ class DerivedFields:
 
     V: np.ndarray
     exps: closure.ExponentPair
+    t: float
     closure_iterations: int = 0
 
     @property
@@ -206,24 +207,24 @@ class DerivedFields:
 def derive(
     state: FieldState, exps: closure.ExponentPair, z0: np.ndarray | None = None
 ) -> DerivedFields:
-    """The closure root Z of a state, with the state, as one DerivedFields.
+    """The closure root Z of a state, with the state and its t, as one DerivedFields.
 
     z0, the Z of a nearby state, warm-starts the closure iteration.
     """
     Z, iters = closure._solve_closure(state.R, state.Q, exps.gamma, z0)
     V = np.vstack((state.U, Z))
     V.setflags(write=False)
-    return DerivedFields(V, exps, iters)
+    return DerivedFields(V, exps, state.t, iters)
 
 
-def total_mass(state: FieldState, grid: Grid1D) -> tuple[float, float]:
+def total_mass(state: FieldState | DerivedFields, grid: Grid1D) -> tuple[float, float]:
     """Discrete masses (sum R * dx, sum Q * dx) in a fixed reduction order."""
     return float(np.sum(state.R) * grid.dx), float(np.sum(state.Q) * grid.dx)
 
 
-def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -> float:
-    """Kinetic plus weighted Helmholtz energy of the mixture, from the derived
-    fields der of a state.
+def total_energy(der: DerivedFields, grid: Grid1D) -> float:
+    """Kinetic plus weighted Helmholtz energy of the mixture, from the record
+    der of a state, with its exponents.
 
     E = sum dx * [ (R+Q) u^2 / 2 + alpha H_plus(rho_plus)
                    + (1-alpha) H_minus(rho_minus) ].
@@ -232,14 +233,14 @@ def total_energy(der: DerivedFields, grid: Grid1D, exps: closure.ExponentPair) -
     """
     e = (
         0.5 * (der.R + der.Q) * der.u**2
-        + der.alpha * (der.p / (exps.gamma_plus - 1.0))
-        + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, exps.gamma_minus)
+        + der.alpha * (der.p / (der.exps.gamma_plus - 1.0))
+        + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, der.exps.gamma_minus)
     )
     return float(np.sum(e) * grid.dx)
 
 
-def restrict(state: FieldState, factor: int) -> FieldState:
-    """Block-average a fine-grid state onto a grid coarsened by `factor`."""
+def restrict(state: FieldState | DerivedFields, factor: int) -> FieldState:
+    """Block-average a fine-grid state (or record) onto a grid coarsened by `factor`."""
     if factor < 1 or state.n % factor != 0:
         raise ValueError("coarsening factor must divide the cell count")
     def avg(a):

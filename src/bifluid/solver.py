@@ -24,13 +24,13 @@ periodic wrap, or no-slip wall factors) then serves every stencil of the
 next stage.  The step size reuses the R + Q of that closure solve.  A step
 builds no FieldState, DerivedFields or report object.
 
-A run records each snapshot once: it copies the state out of its buffer
-into a FieldState, derives it (warm-started from the stage root) and
-evaluates its total energy once from those fields; the first snapshot is
-the initial state object itself.  It hands each snapshot, as it records it,
-to a consumer (the CLI's writers and pair reductions) and keeps only the
-scalar series, so its memory does not grow with the number of snapshots.
-Outputs and audits derive nothing again.
+A run records each snapshot once: it derives the state in its buffer
+(warm-started from the stage root) into one timed DerivedFields record and
+evaluates the record's total energy and masses once.  The record alone
+leaves the run: it hands each one, as it records it, to a consumer (the
+CLI's writers and pair reductions) and keeps only the scalar series, so
+its memory does not grow with the number of snapshots.  Outputs and
+audits derive nothing again.
 
 A manufactured forcing is evaluated once per time level: an SSPRK2 step
 hands its stage forcing at t + dt on to the next step, with the closure
@@ -66,6 +66,7 @@ from .fields import (
     Grid1D,
     derive,
     total_energy,
+    total_mass,
 )
 
 SSPRK2 = "ssprk2"  # the one integrator
@@ -377,10 +378,10 @@ def _forcing_level(forcing, grid: Grid1D, t: float, Zf):
     return averages, Zf
 
 
-def _load(ws: _Workspace, state: FieldState, der: DerivedFields) -> None:
-    """Put a state and its derived fields into the buffer ws.W, ghosts filled."""
+def _load(ws: _Workspace, der: DerivedFields) -> None:
+    """Put the record der, state and fields, into the buffer ws.W, ghosts filled."""
     W = ws.W
-    np.copyto(W.U, state.U)
+    np.copyto(W.U, der.V[:3])
     np.copyto(W.p, der.p)
     np.copyto(W.u, der.u)
     _fill_ghosts(W, ws)
@@ -463,10 +464,10 @@ def alpha_diagnostic_step(alpha, u, div_u, gamma, dt, grid: Grid1D):
 class Trajectory:
     """The scalar series of a run at its snapshot times, plus accounting.
 
-    energies[k] is fields.total_energy of the derived fields the run handed
-    its consumer with the snapshot at times[k], and diss_cum[k] the viscous
-    dissipation accumulated up to times[k].  alpha_transported is the
-    volume-fraction diagnostic's own transported fraction at the last
+    energies[k] and masses[k] are fields.total_energy and fields.total_mass
+    of the record the run handed its consumer at times[k], and diss_cum[k]
+    the viscous dissipation accumulated up to times[k].  alpha_transported
+    is the volume-fraction diagnostic's own transported fraction at the last
     snapshot and alpha_clamps its clamp count, both None when the run does
     not track it.  forcing is the manufactured solution that forced the
     run, None for an unforced run.
@@ -476,6 +477,7 @@ class Trajectory:
     forcing: object | None
     times: list[float]
     energies: list[float]
+    masses: list[tuple[float, float]]
     diss_cum: list[float]
     alpha_transported: np.ndarray | None
     dt_history: np.ndarray
@@ -492,17 +494,17 @@ class Trajectory:
         return self.forcing is not None
 
 
-def _discard(state: FieldState, derived: DerivedFields) -> None:
+def _discard(der: DerivedFields) -> None:
     """The snapshot consumer of a run whose caller reads only its scalars."""
 
 
-def _derive_at(state: FieldState, exps, z0, step: int, dt: float | None) -> DerivedFields:
-    """derive(state, exps, z0) for run, which reaches state before the step
-    numbered step, the last step taken having size dt."""
+def _derive_at(state: FieldState, exps, z0, dt_hist) -> DerivedFields:
+    """derive(state, exps, z0) for run, which reaches state after steps of
+    the sizes dt_hist."""
     try:
         return derive(state, exps, z0=z0)
     except closure.CellError as exc:
-        exc.at(state.t, step, dt)
+        exc.at(state.t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
         raise
 
 
@@ -512,13 +514,13 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     initial is the configuration's initial state when the caller has already
     built it (validation does), so a restart file is not read again.
 
-    The run calls on_snapshot(state, derived) once per snapshot, as it
-    records it, with the derived fields it made for that state: warm-started
-    like every closure solve of the run, they equal a cold derive bit for
-    bit where the closure has a closed form (gamma = 2 or 1) and to within
-    the closure tolerance otherwise.  The first snapshot hands over the
-    initial state object itself.  The run keeps neither and returns only
-    the scalar series and counters.
+    The run calls on_snapshot(der) once per snapshot, as it records it, with
+    the snapshot's one record, a DerivedFields timed at the snapshot:
+    warm-started like every closure solve of the run, its fields equal a
+    cold derive bit for bit where the closure has a closed form (gamma = 2
+    or 1) and to within the closure tolerance otherwise.  The run keeps no
+    other form of the snapshot's state and returns only the scalar series
+    and counters.
 
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
@@ -536,15 +538,17 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     grid = cfg.grid()
     exps = cfg.exponents()
     sol = cfg.manufactured() if cfg.mms_enabled else None
-    state = cfg.initial_state(grid) if initial is None else initial
     track = cfg.track_alpha
 
     ws = _Workspace(grid, cfg, exps)
     W = ws.W
-    der = _derive_at(state, exps, None, 1, None)  # of the state W is loaded from next
-    t = state.t
+    # the record W is loaded from next, from here on the state's one form
+    der = _derive_at(cfg.initial_state(grid) if initial is None else initial, exps, None, ())
+    del initial
+    t = der.t
     times: list[float] = []
     energies: list[float] = []
+    masses: list[tuple[float, float]] = []
     diss: list[float] = []
     cum = 0.0
     dt_hist: list[float] = []
@@ -564,7 +568,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
                 )
             try:
                 if der is not None:  # the step starts from a snapshot
-                    _load(ws, state, der)
+                    _load(ws, der)
                     Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
                     der = None
                 else:  # from the state of the last step
@@ -596,18 +600,20 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             iters_max = max(iters_max, iters0, iters1)
             wave_max = max(wave_max, speed_max)
         if der is None:  # stepped since the last snapshot
-            state = FieldState(t, U=W.U.copy())
-            der = _derive_at(state, exps, z_prev, len(dt_hist) + 1, dt_hist[-1])
+            # the record holds a copy of the state, which is bound nowhere
+            der = _derive_at(FieldState(t, U=W.U.copy()), exps, z_prev, dt_hist)
         times.append(t)
-        energies.append(total_energy(der, grid, exps))
+        energies.append(total_energy(der, grid))
+        masses.append(total_mass(der, grid))
         diss.append(cum)
-        on_snapshot(state, der)
+        on_snapshot(der)
 
     return Trajectory(
         grid=grid,
         forcing=sol,
         times=times,
         energies=energies,
+        masses=masses,
         diss_cum=diss,
         alpha_transported=a_diag,
         dt_history=np.asarray(dt_hist),

@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from . import thermo
-from .closure import ExponentPair
 from .fields import DerivedFields, Grid1D
 from .solver import Trajectory, run, velocity_face_gradient
 
@@ -96,11 +95,10 @@ def relative_entropy(
     state_a: DerivedFields,
     state_b: DerivedFields,
     grid: Grid1D,
-    exps: ExponentPair,
     nu_eff: float = 0.0,
-    t: float = 0.0,
 ) -> RelativeEntropyRow:
-    """Relative energy of state_a against the reference state_b.
+    """Relative energy of the record state_a against the reference record
+    state_b, at state_a's time, with state_a's exponents.
 
     Both states must share the grid and the reference must be vacuum-free.
     D is the viscous dissipation rate of the velocity gap, nu_eff * int
@@ -110,7 +108,7 @@ def relative_entropy(
         raise GridMismatchError(f"cell counts differ: {state_a.n} vs {state_b.n}")
     if state_b.vacuum.any():
         raise VacuumReferenceError("reference state has vacuum cells")
-    dx = grid.dx
+    dx, exps = grid.dx, state_a.exps
     du = state_a.u - state_b.u
     e_kin = float(0.5 * np.sum(state_a.rho * du * du) * dx)
     dal = state_a.alpha - state_b.alpha
@@ -123,7 +121,7 @@ def relative_entropy(
     g = velocity_face_gradient(du, grid)
     g_sq = np.sum(g * g)
     return RelativeEntropyRow(
-        t=t,
+        t=state_a.t,
         E_kin=e_kin,
         E_alpha=e_alpha,
         E_breg_plus=e_bp,
@@ -270,14 +268,13 @@ def coercivity_check(
     state_a: DerivedFields,
     state_b: DerivedFields,
     grid: Grid1D,
-    exps: ExponentPair,
     c_star: float,
     c_star_upper: float,
 ) -> CoercivityReport:
     """Largest constant with E_reduced >= C * (quadratic-on-essential + energy-on-residual).
 
     row is the relative energy of state_a against state_b, as
-    relative_entropy gives it; its E_reduced does not depend on nu_eff or t.
+    relative_entropy gives it; its E_reduced does not depend on nu_eff.
     The essential set collects cells where both phase densities of state_a
     lie in the window [c_star, c_star_upper], which needs 0 < c_star <
     c_star_upper; there the comparison functional is the weighted quadratic
@@ -299,7 +296,7 @@ def coercivity_check(
     heavy = (
         1.0
         + state_a.alpha * state_a.p  # p = rho_plus**gamma_plus
-        + (1.0 - state_a.alpha) * np.power(state_a.rho_minus, exps.gamma_minus)
+        + (1.0 - state_a.alpha) * np.power(state_a.rho_minus, state_a.exps.gamma_minus)
     )
     i_res = float(np.sum(np.where(ess, 0.0, heavy)) * dx)
     denom = i_ess + i_res
@@ -354,7 +351,7 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
     errors = {"R": [], "Q": [], "u": []}
     last = []  # the level's latest snapshot record
 
-    def keep_last(state, der) -> None:
+    def keep_last(der) -> None:
         last[:] = (der,)
 
     base_n = cfg.n
@@ -366,8 +363,7 @@ def convergence_study(cfg, levels: int) -> ConvergenceReport:
         grid = traj.grid
         sol = traj.forcing
         (der,) = last
-        t = traj.times[-1]
-        x = grid.x
+        x, t = grid.x, der.t
         errors["R"].append(_l2_error(der.R, sol.R(x, t), grid.dx))
         errors["Q"].append(_l2_error(der.Q, sol.Q(x, t), grid.dx))
         errors["u"].append(_l2_error(der.u, sol.u(x, t), grid.dx))

@@ -53,17 +53,11 @@ def spy_calls(monkeypatch):
 @pytest.fixture(scope="session")
 def run_collecting():
     """run_collecting(cfg, initial=None) runs cfg through solver.run and
-    returns (trajectory, snapshot states, the derived fields the run handed
-    on with them)."""
+    returns (trajectory, the snapshot records the run handed on)."""
     from bifluid import solver
 
     def run(cfg, initial=None):
-        states, derived = [], []
-
-        def collect(state, der):
-            states.append(state)
-            derived.append(der)
-
-        return solver.run(cfg, initial, on_snapshot=collect), states, derived
+        records = []
+        return solver.run(cfg, initial, on_snapshot=records.append), records
 
     return run

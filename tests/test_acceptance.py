@@ -160,7 +160,7 @@ def bump_run(run_collecting):
         u_init=ProfileSpec(preset="uniform", value=0.0),
     )
     t0 = time.perf_counter()
-    traj, states, _ = run_collecting(cfg)
+    traj, states = run_collecting(cfg)
     return traj, states, time.perf_counter() - t0
 
 
@@ -242,7 +242,7 @@ def _smooth_cfg(n, **kw):
 def test_criterion_6_alpha_evolution_consistency(run_collecting):
     gaps = []
     for n in (32, 64, 128, 256):
-        traj, _, derived = run_collecting(_smooth_cfg(n, track_alpha=True, n_snapshots=2))
+        traj, derived = run_collecting(_smooth_cfg(n, track_alpha=True, n_snapshots=2))
         a_transport = traj.alpha_transported
         a_closure = derived[-1].alpha
         gaps.append(float(np.sum(np.abs(a_transport - a_closure)) * traj.grid.dx))
@@ -254,11 +254,10 @@ def test_criterion_6_alpha_evolution_consistency(run_collecting):
 
 
 def _rows(traj, cfg, derived_a, derived_b):
-    """Relative energy of each snapshot pair, with the run's nu_eff and times."""
-    exps, nu_eff = cfg.exponents(), cfg.nu_eff
+    """Relative energy of each snapshot pair, with the run's nu_eff."""
     return [
-        relative_entropy(da, db, traj.grid, exps, nu_eff=nu_eff, t=t)
-        for da, db, t in zip(derived_a, derived_b, traj.times, strict=True)
+        relative_entropy(da, db, traj.grid, nu_eff=cfg.nu_eff)
+        for da, db in zip(derived_a, derived_b, strict=True)
     ]
 
 
@@ -268,12 +267,12 @@ def fine_reference(run_collecting):
 
 
 def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
-    _, states_f, _ = fine_reference
+    _, states_f = fine_reference
     max_es = []
     for nc in (32, 64, 128, 256):  # three coarse-grid doublings
         cfg = _smooth_cfg(nc)
         exps = cfg.exponents()
-        tc, _, da = run_collecting(cfg)
+        tc, da = run_collecting(cfg)
         factor = 512 // nc
         states_b = [restrict(s, factor) for s in states_f]
         db = [derive(s, exps) for s in states_b]
@@ -282,11 +281,11 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
     decreasing = all(a > b for a, b in zip(max_es, max_es[1:]))
 
     # quadratic response to initial-data perturbations of size eps, eps/2, eps/4
-    _, _, db = run_collecting(_smooth_cfg(128))
+    _, db = run_collecting(_smooth_cfg(128))
     peaks = []
     for eps in (0.08, 0.04, 0.02):
         cfg = _smooth_cfg(128, perturb_epsilon=eps, perturb_seed=SEED, perturb_modes=3)
-        ta, _, da = run_collecting(cfg)
+        ta, da = run_collecting(cfg)
         rows = _rows(ta, cfg, da, db)
         peaks.append(max(r.E_total for r in rows))
     ratios = [peaks[0] / peaks[1], peaks[1] / peaks[2]]
@@ -306,10 +305,10 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
 def _velocity_pair(run_collecting, n):
     # same masses, velocity amplitudes 0.25 vs 0.2: the fraction gap starts
     # at zero and is generated by the run, which exercises the fitted term
-    ta, _, da = run_collecting(
+    ta, da = run_collecting(
         _smooth_cfg(n, u_init=ProfileSpec(preset="sine", base=0.0, amplitude=0.25))
     )
-    _, _, db = run_collecting(_smooth_cfg(n))
+    _, db = run_collecting(_smooth_cfg(n))
     return ta, da, db
 
 
@@ -349,8 +348,8 @@ def test_criterion_9_coercivity_constant():
         pr = 0.05 * np.sin(2 * np.pi * k1 * x + rng.uniform(0, 2 * np.pi))
         pq = 0.05 * np.cos(2 * np.pi * k2 * x + rng.uniform(0, 2 * np.pi))
         da = derive(FieldState(0.0, Rb + pr, Qb + pq, np.zeros(n)), exps)
-        row = relative_entropy(da, ref, grid, exps)
-        rep = coercivity_check(row, da, ref, grid, exps, c_star=0.5, c_star_upper=8.0)
+        row = relative_entropy(da, ref, grid)
+        rep = coercivity_check(row, da, ref, grid, c_star=0.5, c_star_upper=8.0)
         assert rep.n_res == 0  # perturbations stay inside the window
         cs.append(rep.C_lb)
     positive = all(0.0 < c < math.inf for c in cs)
@@ -398,7 +397,8 @@ def test_criterion_10_determinism(tmp_path):
         identical = identical and b1 == b2
 
     out_cmp = str(tmp_path / "cmp")
-    assert main(["compare", "--config", str(cfg_path), "--out", out_cmp, "--ref-mode", "twin"]) == 0
+    argv = ["compare", "--config", str(cfg_path), "--config-b", str(cfg_path), "--out", out_cmp]
+    assert main(argv + ["--ref-mode", "twin"]) == 0
     payload = json.loads(Path(os.path.join(out_cmp, "verify.json")).read_text())
     at_floor = payload["gronwall"]["at_noise_floor"]
     max_e = payload["gronwall"]["max_E"]

@@ -100,6 +100,8 @@ def test_cli_exit_code_contract(command, n, bc, mms, changes):
         argv = [command, "--config", path, "--out", out]
         if command == "mms":
             argv += ["--levels", "3"]
+        if command == "compare":  # a twin of itself
+            argv += ["--config-b", path]
         err = io.StringIO()
         with (
             mock.patch.object(solver, "MAX_STEPS", STEP_BUDGET),

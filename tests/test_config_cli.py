@@ -30,6 +30,13 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def _argv(command, config, *rest):
+    """The argv of command on the config file config; a compare takes it as
+    both of its configs, a twin of itself."""
+    argv = [command, "--config", config, *rest]
+    return argv + ["--config-b", config] if command == "compare" else argv
+
+
 # parsing and validation -------------------------------------------------------
 
 
@@ -491,7 +498,7 @@ def test_cli_closure_overflow_is_runtime_failure(capsys):
 def test_cli_compare_twin_noise_floor(tmp_path):
     path = write(tmp_path, "run.ini", RUN_CFG)
     out = str(tmp_path / "cmp")
-    assert main(["compare", "--config", path, "--out", out, "--ref-mode", "twin"]) == 0
+    assert main(_argv("compare", path, "--out", out, "--ref-mode", "twin")) == 0
     rows = Path(os.path.join(out, "re_report.csv")).read_text().splitlines()
     assert rows[0] == "t,E_kin,E_alpha,E_breg_plus,E_breg_minus,E_total,D"
     for line in rows[1:]:
@@ -507,7 +514,7 @@ def test_cli_compare_outputs_reproducible(tmp_path):
     outs = []
     for name in ("c1", "c2"):
         out = str(tmp_path / name)
-        assert main(["compare", "--config", path, "--out", out, "--ref-mode", "twin"]) == 0
+        assert main(_argv("compare", path, "--out", out, "--ref-mode", "twin")) == 0
         outs.append(out)
     for rel in ("re_report.csv", "verify.json", os.path.join("run_a", "report.json")):
         b1 = Path(os.path.join(outs[0], rel)).read_bytes()
@@ -516,30 +523,33 @@ def test_cli_compare_outputs_reproducible(tmp_path):
 
 
 def _spy_snapshot_derives(monkeypatch):
-    """Derive calls per state id: (per run of cli.run, the (state, derived)
-    pairs it handed its snapshot consumer and the derives made inside that
-    consumer; all derives of the process)."""
+    """Derive calls per state id: (per run of cli.run, the records it handed
+    its snapshot consumer and the derives made inside that consumer; all
+    derives of the process; the state each record was derived from, by the
+    record's id)."""
     from collections import Counter
 
     from bifluid import fields, solver
 
-    runs, active, every = [], [], Counter()
+    runs, active, every, source = [], [], Counter(), {}
     real_derive, real_run = fields.derive, cli.run
 
     def spy_derive(state, *args, **kwargs):
         every[id(state)] += 1
         if active:
             active[-1][id(state)] += 1
-        return real_derive(state, *args, **kwargs)
+        der = real_derive(state, *args, **kwargs)
+        source[id(der)] = state  # kept, so no later state takes its id
+        return der
 
     def spy_run(cfg, *args, on_snapshot, **kwargs):
         snaps, inside = [], Counter()
 
-        def consumer(state, der):
-            snaps.append((state, der))
+        def consumer(der):
+            snaps.append(der)
             active.append(inside)
             try:
-                on_snapshot(state, der)
+                on_snapshot(der)
             finally:
                 active.pop()
 
@@ -549,18 +559,20 @@ def _spy_snapshot_derives(monkeypatch):
     for module in (fields, solver, cli):
         monkeypatch.setattr(module, "derive", spy_derive)
     monkeypatch.setattr(cli, "run", spy_run)
-    return runs, every
+    return runs, every, source
 
 
 def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeypatch):
-    runs, every = _spy_snapshot_derives(monkeypatch)
+    runs, every, source = _spy_snapshot_derives(monkeypatch)
     path = write(tmp_path, "run.ini", RUN_CFG)
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
     (snaps, counts), = runs
     assert len(snaps) == 3
     assert counts == {}  # the CSVs and energies read the run's own derived fields
-    assert [every[id(s)] for s, _ in snaps] == [1, 1, 1]  # each derived once, in the run
-    assert all(d.V[:3].tobytes() == s.U.tobytes() for s, d in snaps)  # of that state
+    states = [source[id(d)] for d in snaps]
+    assert [every[id(s)] for s in states] == [1, 1, 1]  # each derived once, in the run
+    # of that state
+    assert all(d.V[:3].tobytes() == s.U.tobytes() for s, d in zip(states, snaps))
 
 
 def test_cli_run_computes_the_fraction_diagnostic_only_when_asked(tmp_path, spy_calls):
@@ -602,14 +614,14 @@ def _same_dir_bytes(d1, d2):
 def _compare_twin_run_b(tmp_path, monkeypatch, base=RUN_CFG):
     """run_b's snapshots in a twin compare of `base` and the derives made in
     its consumer; checks its bytes against a plain run of the same config."""
-    runs, every = _spy_snapshot_derives(monkeypatch)
+    runs, every, source = _spy_snapshot_derives(monkeypatch)
     a = write(tmp_path, "a.ini", base + "\n[perturbation]\nepsilon = 0.01\n")
     b = write(tmp_path, "b.ini", base)
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "c")]) == 0
     (snaps_a, counts_a), (snaps_b, counts_b) = runs
     assert counts_a == {}  # run_a writes the fields its run derived
     # every snapshot state of both runs is derived once, in its run
-    assert [every[id(s)] for s, _ in snaps_a + snaps_b] == [1] * 6
+    assert [every[id(source[id(d)])] for d in snaps_a + snaps_b] == [1] * 6
     assert main(["run", "--config", b, "--out", str(tmp_path / "plain")]) == 0
     _same_dir_bytes(tmp_path / "c" / "run_b", tmp_path / "plain")
     return snaps_b, counts_b
@@ -647,7 +659,7 @@ def _snapshot_bytes(d):
 def test_cli_run_csvs_equal_a_serial_in_process_write(tmp_path, run_collecting):
     path = write(tmp_path, "run.ini", RUN_CFG.replace("n_snapshots = 3", "n_snapshots = 5"))
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    traj, _, derived = run_collecting(validate_config(Path(path).read_text())[0])
+    traj, derived = run_collecting(validate_config(Path(path).read_text())[0])
     _serial_snapshots(traj, derived, tmp_path / "serial")
     got = _snapshot_bytes(tmp_path / "o")
     assert len(got) == 5 and got == _snapshot_bytes(tmp_path / "serial")
@@ -686,7 +698,7 @@ def test_cli_twin_compare_csvs_equal_a_serial_in_process_write(tmp_path, run_col
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
     for side, text in (("run_a", text_a), ("run_b", PAIR_BASE)):
-        traj, _, derived = run_collecting(validate_config(text)[0])
+        traj, derived = run_collecting(validate_config(text)[0])
         serial = tmp_path / f"serial_{side}"
         _serial_snapshots(traj, derived, serial)
         got = _snapshot_bytes(out / side)
@@ -710,7 +722,7 @@ def test_cli_failed_snapshot_writer_is_a_runtime_failure(tmp_path, monkeypatch, 
     _failing_write_snapshot(monkeypatch)
     path = write(tmp_path, "run.ini", RUN_CFG)
     out = tmp_path / "o"
-    assert main([command, "--config", path, "--out", str(out)]) == 3
+    assert main(_argv(command, path, "--out", str(out))) == 3
     err = capfd.readouterr().err
     assert "Traceback" not in err
     assert "snapshot writer failed: no space left on device" in err
@@ -803,7 +815,7 @@ def test_cli_compare_whose_pair_reduction_fails_stops_run_a_there(tmp_path, monk
     monkeypatch.setattr(verify, "relative_entropy", fail_second)
     path = write(tmp_path, "run.ini", RUN_CFG)
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", path, "--out", str(out)]) == 3
+    assert main(_argv("compare", path, "--out", str(out))) == 3
     assert capfd.readouterr().err == "compare failed: cell counts differ: 32 vs 16\n"
     assert json.loads((out / "failure.json").read_text())["error"] == "GridMismatchError"
     assert len(calls) == 2
@@ -851,13 +863,15 @@ def test_cli_run_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("with_b", [False, True])
 def test_cli_compare_reads_a_from_file_snapshot_once_per_config(tmp_path, monkeypatch, with_b):
+    # with_b: config-b restarts from the file too; otherwise it starts from
+    # the same grid without it
     text, snap, reads = _restart_config(tmp_path, monkeypatch)
+    text_b = text if with_b else text[: text.index("[initial]")]
     argv = ["compare", "--config", write(tmp_path, "a.ini", text), "--out", str(tmp_path / "c")]
-    if with_b:
-        argv += ["--config-b", write(tmp_path, "b.ini", text)]
+    argv += ["--config-b", write(tmp_path, "b.ini", text_b)]
     assert main(argv) == 0
     assert reads == [str(snap)] * (2 if with_b else 1)
-    for side in ("run_a", "run_b"):
+    for side in ("run_a", "run_b") if with_b else ("run_a",):
         assert (tmp_path / "c" / side / "snapshot_0000.csv").read_bytes() == snap.read_bytes()
 
 
@@ -894,37 +908,6 @@ def test_cli_restart_file_of_another_shape_is_a_config_error(tmp_path, capfd, co
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert str(snap) in captured.err
     assert not out.exists()
-
-
-def test_cli_compare_twin_without_config_b_runs_run_b_as_a_twin(tmp_path, monkeypatch):
-    runs = []
-    real_run = cli.run
-
-    def counting_run(cfg, *args, **kwargs):
-        runs.append(cfg)
-        return real_run(cfg, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "run", counting_run)
-    path = write(tmp_path, "run.ini", RUN_CFG)
-    out = tmp_path / "cmp"
-    assert main(["compare", "--config", path, "--out", str(out)]) == 0
-    assert len(runs) == 2
-    # run_b's files are those of a plain run of the same config
-    assert main(["run", "--config", path, "--out", str(tmp_path / "plain")]) == 0
-    _same_dir_bytes(out / "run_b", tmp_path / "plain")
-    _same_dir_bytes(out / "run_a", out / "run_b")
-    # and every output is that of the twin compare naming the config twice
-    named = tmp_path / "named"
-    assert main(["compare", "--config", path, "--config-b", path, "--out", str(named)]) == 0
-
-    def files(root):
-        return {
-            os.path.relpath(os.path.join(folder, name), root): (Path(folder) / name).read_bytes()
-            for folder, _, names in os.walk(root)
-            for name in names
-        }
-
-    assert files(out) == files(named)
 
 
 def test_cli_compare_report_energy_is_the_energy_audit_series(tmp_path):
@@ -997,13 +980,11 @@ def test_cli_twin_compare_reads_run_b_with_its_own_closure_settings(tmp_path, ru
     out = tmp_path / "cmp"
     assert main(["compare", "--config", a, "--config-b", b, "--out", str(out)]) == 0
     cfg_a = validate_config(text_a)[0]
-    traj_a, _, derived_a = run_collecting(cfg_a)
-    _, _, derived_b = run_collecting(validate_config(text_b)[0])
+    traj_a, derived_a = run_collecting(cfg_a)
+    _, derived_b = run_collecting(validate_config(text_b)[0])
     rows = [
-        verify.relative_entropy(
-            da, db, traj_a.grid, cfg_a.exponents(), nu_eff=cfg_a.nu_eff, t=t
-        )
-        for da, db, t in zip(derived_a, derived_b, traj_a.times, strict=True)
+        verify.relative_entropy(da, db, traj_a.grid, nu_eff=cfg_a.nu_eff)
+        for da, db in zip(derived_a, derived_b, strict=True)
     ]
     want = out / "want.csv"
     cli.write_re_report(want, rows)
@@ -1076,7 +1057,7 @@ def test_cli_compare_whose_energy_audit_fails_exits_4_after_every_output(
     monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
     path = write(tmp_path, "inviscid.ini", INVISCID)
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", path, "--out", str(out)]) == 4
+    assert main(_argv("compare", path, "--out", str(out))) == 4
     err = capfd.readouterr().err
     assert "Traceback" not in err
     audit = json.loads((out / "verify.json").read_text())["energy_audit"]
@@ -1217,23 +1198,29 @@ def test_cli_mms_ref_mode_compare(tmp_path):
 
 
 def test_cli_mms_ref_mode_with_a_config_b_is_a_config_error_before_out(tmp_path, capsys, spy_calls):
-    # the exact solution is the reference: a second config would go unread
+    # the exact solution is the reference: a second config would go unread;
+    # a twin is the run of a second config, so it needs one
     runs = spy_calls(solver.run)
     path, other = (write(tmp_path, name, MMS_CFG) for name in ("a.ini", "b.ini"))
     out = tmp_path / "o"
-    argv = ["compare", "--config", path, "--config-b", other, "--ref-mode", "mms"]
-    assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: mms reference mode takes no second config (--config-b)\n"
-    )
-    assert not out.exists() and runs == []
+    cases = [
+        (
+            ["--config-b", other, "--ref-mode", "mms"],
+            "mms reference mode takes no second config (--config-b)",
+        ),
+        (["--ref-mode", "twin"], "twin reference mode needs a second config (--config-b)"),
+    ]
+    for args, message in cases:
+        assert main(["compare", "--config", path, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists() and runs == []
 
 
 def test_cli_mms_ref_mode_compare_removes_the_run_files_of_an_earlier_run_b(tmp_path):
     path = write(tmp_path, "mms.ini", MMS_CFG)
     out = tmp_path / "o"
     argv = ["compare", "--config", path, "--out", str(out)]
-    assert main(argv) == 0  # a twin compare fills run_b
+    assert main(argv + ["--config-b", path]) == 0  # a twin compare fills run_b
     (out / "run_b" / "notes.txt").write_text("not a run file\n")
     assert main(argv + ["--ref-mode", "mms"]) == 0
     assert os.listdir(out / "run_b") == ["notes.txt"]
@@ -1256,29 +1243,26 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
     snapshot series of both sides."""
     from bifluid.fields import derive, restrict, total_energy
 
-    traj_a, _, series_a = run_collecting(cfg_a)
+    traj_a, series_a = run_collecting(cfg_a)
     grid, exps, times = traj_a.grid, cfg_a.exponents(), traj_a.times
 
     if ref_mode == "mms":
         sol = cfg_a.manufactured()
         series_b = [derive(sol.state(grid, t), exps) for t in times]
-        e_scale = total_energy(series_b[0], grid, exps)
+        e_scale = total_energy(series_b[0], grid)
     elif ref_mode == "fine":
-        _, states_b, _ = run_collecting(cfg_b)
-        series_b = [derive(restrict(s, cfg_b.n // cfg_a.n), exps) for s in states_b]
-        e_scale = total_energy(series_b[0], grid, exps)
+        _, records_b = run_collecting(cfg_b)
+        series_b = [derive(restrict(d, cfg_b.n // cfg_a.n), exps) for d in records_b]
+        e_scale = total_energy(series_b[0], grid)
     else:
-        traj_b, _, series_b = run_collecting(cfg_b or cfg_a)
+        traj_b, series_b = run_collecting(cfg_b)
         e_scale = traj_b.energies[0]
     pairs = list(zip(series_a, series_b, strict=True))
     nu_eff = cfg_a.nu_eff
-    rows = [
-        verify.relative_entropy(a, b, grid, exps, nu_eff=nu_eff, t=t)
-        for (a, b), t in zip(pairs, times, strict=True)
-    ]
+    rows = [verify.relative_entropy(a, b, grid, nu_eff=nu_eff) for a, b in pairs]
     window = _ess_window(series_b)
     coer = [
-        verify.coercivity_check(row, a, b, grid, exps, *window)
+        verify.coercivity_check(row, a, b, grid, *window)
         for row, (a, b) in zip(rows, pairs)
     ]
     terms = [fraction_terms(a.alpha, b.alpha, a.u, b.u, grid) for a, b in pairs]
@@ -1308,7 +1292,6 @@ COMPARE_MODES = {
     "twin": (PERTURBED, PAIR_BASE),
     "fine": (PERTURBED, PAIR_BASE.replace("n = 64", "n = 128")),
     "mms": (MMS_CFG.replace("n_snapshots = 2", "n_snapshots = 4"), None),
-    "self-twin": (PERTURBED, None),
 }
 
 
@@ -1321,9 +1304,8 @@ def test_compare_runs_equals_the_audits_of_the_full_series(tmp_path, run_collect
     text_a, text_b = COMPARE_MODES[mode]
     cfg_a = validate_config(text_a)[0]
     cfg_b = validate_config(text_b)[0] if text_b else None
-    ref_mode = "twin" if mode == "self-twin" else mode
-    rows, payload = cli.compare_runs(cfg_a, cfg_b, ref_mode, tmp_path)
-    want_rows, want_payload = _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode)
+    rows, payload = cli.compare_runs(cfg_a, cfg_b, mode, tmp_path)
+    want_rows, want_payload = _compare_oracle(run_collecting, cfg_a, cfg_b, mode)
     assert rows == want_rows
     # exact: _jsonable keeps every finite float and maps inf and nan to None
     assert cli._jsonable(payload) == cli._jsonable(want_payload)
@@ -1482,7 +1464,7 @@ def test_cli_out_that_cannot_be_a_directory_is_a_usage_error(
     afile.write_text("not a directory\n")
     out = afile / "out" if under_file else afile
     cfg = write(tmp_path, "cfg.ini", MMS_CFG if command == "mms" else RUN_CFG)
-    argv = [command, "--config", cfg, "--out", str(out)]
+    argv = _argv(command, cfg, "--out", str(out))
     if command == "mms":
         argv += ["--levels", "3"]
     assert main(argv) == 2
@@ -1493,18 +1475,17 @@ def test_cli_out_that_cannot_be_a_directory_is_a_usage_error(
     assert afile.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("with_b", [False, True], ids=["self_twin", "twin"])
+@pytest.mark.parametrize("ref_mode", ["twin"])
 @pytest.mark.parametrize("side", ["run_a", "run_b"])
 def test_cli_compare_side_that_is_a_file_is_a_usage_error_before_any_solve(
-    tmp_path, capsys, spy_calls, with_b, side
+    tmp_path, capsys, spy_calls, ref_mode, side
 ):
     runs = spy_calls(solver.run)
     out = tmp_path / "cmp"
     out.mkdir()
     (out / side).write_text("not a directory\n")
     argv = ["compare", "--config", write(tmp_path, "a.ini", RUN_CFG), "--out", str(out)]
-    if with_b:
-        argv += ["--config-b", write(tmp_path, "b.ini", RUN_CFG)]
+    argv += ["--config-b", write(tmp_path, "b.ini", RUN_CFG), "--ref-mode", ref_mode]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -1526,7 +1507,7 @@ def test_cli_output_that_cannot_be_written_is_a_runtime_failure(tmp_path, capfd,
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
     cfg = write(tmp_path, "cfg.ini", MMS_CFG if command == "mms" else RUN_CFG)
-    argv = [command, "--config", cfg, "--out", str(out)]
+    argv = _argv(command, cfg, "--out", str(out))
     if command == "mms":
         argv += ["--levels", "3"]
     assert main(argv) == 3
@@ -1553,10 +1534,9 @@ def test_cli_run_whose_failure_json_cannot_be_written_says_so(tmp_path, capfd):
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_cli_success_after_a_failure_removes_its_failure_json(tmp_path, command):
     out = tmp_path / "o"
-    argv = [command, "--out", str(out), "--config"]
-    assert main(argv + [write(tmp_path, "vac.ini", VACUUM_CFG)]) == 3
+    assert main(_argv(command, write(tmp_path, "vac.ini", VACUUM_CFG), "--out", str(out))) == 3
     assert (out / "failure.json").is_file()
-    assert main(argv + [write(tmp_path, "run.ini", RUN_CFG)]) == 0
+    assert main(_argv(command, write(tmp_path, "run.ini", RUN_CFG), "--out", str(out))) == 0
     assert not (out / "failure.json").exists()
 
 
@@ -1577,14 +1557,14 @@ def test_cli_failure_after_a_success_leaves_no_earlier_output(tmp_path, monkeypa
     # step budget before any output
     out = tmp_path / "o"
     text = MMS_CFG if command == "mms" else RUN_CFG
-    argv = [command, "--out", str(out), "--config", write(tmp_path, "ok.ini", text)]
+    argv = _argv(command, write(tmp_path, "ok.ini", text), "--out", str(out))
     if command == "mms":
         argv += ["--levels", "3"]
     assert main(argv) == 0
     if command == "mms":
         monkeypatch.setattr(solver, "MAX_STEPS", 1)
     else:
-        argv[-1] = write(tmp_path, "vac.ini", VACUUM_CFG)
+        argv = _argv(command, write(tmp_path, "vac.ini", VACUUM_CFG), "--out", str(out))
     assert main(argv) == 3
     left = {
         os.path.relpath(os.path.join(folder, name), out)

@@ -159,10 +159,10 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     # starts with none of them and reduces to the same row
     grid = Grid1D(5, 1.0, "noslip")
     own = derive(FieldState(0.0, R + 0.5, Q + 0.25, m), exps)
-    total_energy(own, grid, exps)
-    again = DerivedFields(own.V, exps)
-    assert again.V is own.V and set(vars(again)) == {"V", "exps", "closure_iterations"}
-    rows = [relative_entropy(d, ref, grid, exps, nu_eff=0.3) for ref in (own, again)]
+    total_energy(own, grid)
+    again = dataclasses.replace(own)
+    assert again.V is own.V and set(vars(again)) == {"V", "exps", "t", "closure_iterations"}
+    rows = [relative_entropy(d, ref, grid, nu_eff=0.3) for ref in (own, again)]
     assert rows[0] == rows[1]
 
 
@@ -193,14 +193,14 @@ def test_total_energy_uniform_example():
     g = Grid1D(8, 1.0)
     s = uniform_state(8, 1.0, 2.0, 1.0)
     # kinetic 3/2 + alpha H+ = 0.5 * 4 + (1-alpha) H- = 0.5 * 16
-    assert total_energy(derive(s, EXPS), g, EXPS) == pytest.approx(11.5, rel=1e-12)
+    assert total_energy(derive(s, EXPS), g) == pytest.approx(11.5, rel=1e-12)
 
 
 def test_total_energy_vacuum_and_velocity_sign():
     g = Grid1D(8, 1.0)
-    assert total_energy(derive(uniform_state(8, 0.0, 0.0, 0.0), EXPS), g, EXPS) == 0.0
-    e1 = total_energy(derive(uniform_state(8, 1.0, 2.0, 1.3), EXPS), g, EXPS)
-    e2 = total_energy(derive(uniform_state(8, 1.0, 2.0, -1.3), EXPS), g, EXPS)
+    assert total_energy(derive(uniform_state(8, 0.0, 0.0, 0.0), EXPS), g) == 0.0
+    e1 = total_energy(derive(uniform_state(8, 1.0, 2.0, 1.3), EXPS), g)
+    e2 = total_energy(derive(uniform_state(8, 1.0, 2.0, -1.3), EXPS), g)
     assert e1 == e2
 
 
@@ -212,7 +212,7 @@ def test_total_energy_vacuum_and_velocity_sign():
 @example(R=5e-324, Q=0.0, u=0.0)
 def test_total_energy_nonnegative(R, Q, u):
     g = Grid1D(8, 1.0)
-    assert total_energy(derive(uniform_state(8, R, Q, u), EXPS), g, EXPS) >= 0.0
+    assert total_energy(derive(uniform_state(8, R, Q, u), EXPS), g) >= 0.0
 
 
 # essential window ------------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_default_ess_window(tmp_path):
     cfg = SimConfig(
         n=8, t_end=0.0, r_init=ProfileSpec(value=1.0), q_init=ProfileSpec(value=2.0)
     )
-    _, payload = compare_runs(cfg, None, "twin", tmp_path)
+    _, payload = compare_runs(cfg, cfg, "twin", tmp_path)
     lo, hi = payload["ess_window"]
     assert lo == pytest.approx(1.0)  # half of min(2, 4)
     assert hi == pytest.approx(8.0)  # twice max(2, 4)
@@ -328,7 +328,7 @@ def test_snapshot_bytes_match_reference_on_non_finite_derived_fields(tmp_path):
     g = Grid1D(6, 2.0)
     s = uniform_state(6, 1.0, 2.0, -0.25)
     odd = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308])
-    d = DerivedFields(np.vstack((s.R, s.Q, odd[::-1], odd)), EXPS)
+    d = DerivedFields(np.vstack((s.R, s.Q, odd[::-1], odd)), EXPS, s.t)
     with np.errstate(all="ignore"):  # the computed columns follow the odd m and Z
         _assert_same_bytes(tmp_path, g, d)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -44,11 +45,11 @@ def stable_dt(d, grid, sch, exps=EXPS):
     return compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, exps))[0]
 
 
-def loaded(st, d, grid, sch, exps=EXPS):
+def loaded(d, grid, sch, exps=EXPS):
     """A run's workspace for the scheme sch, its buffer W loaded with the
-    state st and its derived fields d."""
+    record d."""
     ws = solver._Workspace(grid, sch, exps)
-    solver._load(ws, st, d)
+    solver._load(ws, d)
     return ws
 
 
@@ -58,7 +59,7 @@ def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0
     new state and what the step returns: (stage_Z, stage_forcing,
     iterations, dissipation)."""
     d = derived if derived is not None else derive(st, exps)
-    ws = loaded(st, d, grid, sch, exps)
+    ws = loaded(d, grid, sch, exps)
     rep = step(ws, st.t, dt, d.Z, forcing0, forcing)
     return FieldState(st.t + dt, U=ws.W.U.copy()), rep
 
@@ -164,7 +165,7 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     Q = 1.2 + 0.2 * np.cos(2 * np.pi * x)
     st = FieldState(0.0, R, Q, np.zeros(32))
     d = derive(st, EXPS)
-    ws = loaded(st, d, grid, scheme())
+    ws = loaded(d, grid, scheme())
     dU = solver._rhs(ws.W, ws, None)
     assert not dU[:2].any()
     grad_p = (np.roll(d.p, -1) - np.roll(d.p, 1)) / (2 * grid.dx)
@@ -449,12 +450,14 @@ def test_run_snapshots_are_bit_identical_to_per_equation_steps(
     # the run's buffers, ghost fills, admission checks and handed-on stage
     # roots and forcings give the per-equation scheme, step after step
     cfg = base_cfg(bc=bc, integrator=integrator, t_end=0.1, n_snapshots=7, mms_enabled=forced)
-    traj, states, _ = run_collecting(cfg)
+    traj, records = run_collecting(cfg)
     assert traj.n_steps > 60
     want = _ref_snapshots(cfg, traj.dt_history.tolist())
-    assert [s.t for s in states] == [s.t for s in want] == cfg.snapshot_times()
-    for got, ref in zip(states, want, strict=True):
-        assert _same_bits(got.U, ref.U)
+    assert [d.t for d in records] == [s.t for s in want] == cfg.snapshot_times()
+    assert [d.t for d in records] == traj.times
+    for k, (got, ref) in enumerate(zip(records, want, strict=True)):
+        assert _same_bits(got.V[:3], ref.U)
+        assert traj.masses[k] == total_mass(got, traj.grid)
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, NOSLIP])
@@ -464,7 +467,7 @@ def test_ghost_cell_stencils_are_bit_identical_to_reference(bc):
     d = derive(st, EXPS)
     u = d.u
     # the divergence that drives the fraction diagnostic, from a loaded buffer
-    ws = loaded(st, d, grid, scheme())
+    ws = loaded(d, grid, scheme())
     div_u = solver._divergence(ws.W, ws)
     assert _same_bits(div_u, _ref_divergence(u, grid))
     g, g_ref = velocity_face_gradient(u, grid), _ref_velocity_face_gradient(u, grid)
@@ -543,22 +546,22 @@ def base_cfg(**kw):
 
 
 def test_run_zero_t_end_single_snapshot(run_collecting):
-    traj, states, _ = run_collecting(base_cfg(t_end=0.0))
+    traj, states = run_collecting(base_cfg(t_end=0.0))
     assert traj.times == [0.0]
     assert len(states) == 1
     assert traj.n_steps == 0
 
 
 def test_run_snapshot_times_exact(run_collecting):
-    traj, states, _ = run_collecting(base_cfg())
+    traj, states = run_collecting(base_cfg())
     want = [0.02 * i / 2 for i in range(3)]
     assert traj.times == want
     assert [s.t for s in states] == want
 
 
 def test_run_deterministic_repeat(run_collecting):
-    t1, states1, _ = run_collecting(base_cfg())
-    t2, states2, _ = run_collecting(base_cfg())
+    t1, states1 = run_collecting(base_cfg())
+    t2, states2 = run_collecting(base_cfg())
     for s1, s2 in zip(states1, states2):
         assert np.array_equal(s1.R, s2.R)
         assert np.array_equal(s1.Q, s2.Q)
@@ -573,7 +576,7 @@ def test_run_mass_conservation_gaussian_bump(run_collecting):
         q_init=ProfileSpec(preset="gaussian_bump", base=1.0, amplitude=0.3, center=0.4, width=0.12),
         u_init=ProfileSpec(preset="uniform", value=0.0),
     )
-    traj, states, _ = run_collecting(cfg)
+    traj, states = run_collecting(cfg)
     m0 = total_mass(states[0], traj.grid)
     for s in states[1:]:
         m = total_mass(s, traj.grid)
@@ -594,9 +597,9 @@ def test_run_all_vacuum_raises_zero_dt():
 def test_run_tracks_alpha_diagnostic(run_collecting):
     # with t_end = 0 the only snapshot is the initial state, so the
     # transported fraction is the closure fraction it started from
-    traj, states, derived = run_collecting(base_cfg(track_alpha=True, t_end=0.0))
+    traj, derived = run_collecting(base_cfg(track_alpha=True, t_end=0.0))
     assert traj.alpha_transported is not None
-    assert len(derived) == len(states) == 1
+    assert len(derived) == 1
     a0 = derived[0].alpha
     assert np.array_equal(traj.alpha_transported, a0)
 
@@ -615,23 +618,44 @@ def test_run_derives_each_snapshot_state_once(monkeypatch, run_collecting, track
         return made[-1]
 
     monkeypatch.setattr(solver, "derive", spy)
-    traj, states, derived = run_collecting(base_cfg(track_alpha=track))
-    assert traj.n_steps > len(states) == 3
-    assert len(calls) == len(states)
-    assert all(c is s for c, s in zip(calls, states))  # in snapshot order, each once
+    traj, derived = run_collecting(base_cfg(track_alpha=track))
+    assert traj.n_steps > len(derived) == 3
+    assert len(calls) == len(derived)
     assert len(set(map(id, calls))) == len(calls)  # no state is derived twice
-    # the consumer receives the run's own derives of its snapshot states
-    assert len(derived) == len(states)
-    for state, der in zip(states, derived):
-        k = next(i for i, d in enumerate(made) if d is der)
-        assert calls[k] is state
+    # the consumer receives the run's own derives of its snapshot states,
+    # in snapshot order, each once
+    assert all(m is d for m, d in zip(made, derived))
+    for state, der in zip(calls, derived):
+        assert state.t == der.t and _same_bits(state.U, der.V[:3])
     assert (traj.alpha_transported is not None) == track
     assert (traj.alpha_clamps is not None) == track
     # tracking the diagnostic leaves the trajectory bit-identical
     monkeypatch.undo()
-    _, other, _ = run_collecting(base_cfg(track_alpha=not track))
-    for s1, s2 in zip(states, other, strict=True):
-        assert _same_bits(s1.U, s2.U)
+    _, other = run_collecting(base_cfg(track_alpha=not track))
+    for d1, d2 in zip(derived, other, strict=True):
+        assert _same_bits(d1.V[:3], d2.V[:3])
+
+
+def test_run_keeps_no_snapshot_state_while_its_consumer_runs(monkeypatch):
+    # a snapshot leaves the run as its record alone: the FieldState the run
+    # copies out of its buffer to derive the record is gone before the
+    # consumer sees the record
+    built = []
+    real = solver.FieldState
+
+    def spy(*args, **kwargs):
+        state = real(*args, **kwargs)
+        built.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(solver, "FieldState", spy)
+    alive = []
+    traj = run(
+        base_cfg(n_snapshots=4),
+        on_snapshot=lambda der: alive.append(sum(r() is not None for r in built)),
+    )
+    assert len(built) == len(traj.times) - 1 == 3  # one per stepped snapshot
+    assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("gamma_minus", [1.5, 1.4])
@@ -639,11 +663,11 @@ def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
     # the run's derives are warm-started; gamma = 2 has a closed form that
     # ignores the start, other exponents converge to within the tolerance
     cfg = base_cfg(gamma_minus=gamma_minus, n_snapshots=5)
-    traj, states, derived = run_collecting(cfg)
+    traj, derived = run_collecting(cfg)
     exps = cfg.exponents()
-    assert len(derived) == len(states) == 5
-    for state, der in zip(states, derived):
-        cold = derive(state, exps)
+    assert len(derived) == 5
+    for der in derived:
+        cold = derive(FieldState(der.t, U=der.V[:3]), exps)
         if exps.gamma == 2.0:
             for name in ("Z", "p", "u", "alpha", "rho_minus"):
                 assert _same_bits(getattr(der, name), getattr(cold, name)), name
@@ -682,13 +706,14 @@ def test_run_stops_at_the_step_budget_before_stepping_past_it(monkeypatch):
     assert len(calls) == 5
 
 
-def test_run_starts_from_a_given_initial_state(run_collecting):
+def test_run_starts_from_a_given_initial_state(run_collecting, spy_calls):
     cfg = base_cfg()
     initial = cfg.initial_state(cfg.grid())
-    _, states, _ = run_collecting(cfg, initial=initial)
-    assert states[0] is initial
+    derives = spy_calls(solver.derive)
+    _, states = run_collecting(cfg, initial=initial)
+    assert derives[0][0] is initial
     for s1, s2 in zip(states, run_collecting(cfg)[1], strict=True):
-        assert _same_bits(s1.U, s2.U)
+        assert _same_bits(s1.V[:3], s2.V[:3])
 
 
 def test_run_noslip_end_to_end(run_collecting):
@@ -698,7 +723,7 @@ def test_run_noslip_end_to_end(run_collecting):
         r_init=ProfileSpec(preset="gaussian_bump", base=1.0, amplitude=0.4, center=0.5, width=0.1),
         q_init=ProfileSpec(preset="uniform", value=1.0),
     )
-    traj, states, _ = run_collecting(cfg)
+    traj, states = run_collecting(cfg)
     m0 = total_mass(states[0], traj.grid)
     mE = total_mass(states[-1], traj.grid)
     assert mE[0] == pytest.approx(m0[0], rel=1e-13)
@@ -715,7 +740,7 @@ def _run_peak_bytes(snapshots):
     cfg = base_cfg(n=MEMORY_N, t_end=0.002, n_snapshots=snapshots, track_alpha=True)
     tracemalloc.start()
     try:
-        run(cfg, on_snapshot=lambda state, der: None)
+        run(cfg, on_snapshot=lambda der: None)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -783,13 +808,13 @@ def _ref_run(cfg):
 )
 def test_forced_run_is_bit_identical_to_fresh_forcing_every_step(run_collecting, kw):
     cfg = mms_cfg(**kw)
-    traj, got_states, _ = run_collecting(cfg)
+    traj, got_states = run_collecting(cfg)
     states, dts, shifted = _ref_run(cfg)
     assert shifted == ("snaps" in kw)  # a landing that moved t: its successor recomputes
     assert _same_bits(traj.dt_history, np.asarray(dts))
     assert [s.t for s in got_states] == [s.t for s in states]
     for got, want in zip(got_states, states, strict=True):
-        assert _same_bits(got.U, want.U)
+        assert _same_bits(got.V[:3], want.U)
 
 
 def _spy_cell_averages(monkeypatch):
@@ -840,7 +865,7 @@ def test_forced_step_solves_stage_and_faces_in_one_call_as_apart(monkeypatch, bc
     sch = scheme()
     dt = 0.5 * stable_dt(d, grid, sch, NEWTON_EXPS)
     zf0, _ = solve_closure_batch(*sol.face_masses(grid, st.t), NEWTON_EXPS.gamma)
-    ws = loaded(st, d, grid, sch, NEWTON_EXPS)
+    ws = loaded(d, grid, sch, NEWTON_EXPS)
     sizes = _spy_closure_kernel(monkeypatch)
     forcing0 = (sol.cell_averages(grid, st.t, zf0), zf0)
     stage_Z, (forcing1, zf1), iters, _ = step(ws, st.t, dt, d.Z, forcing0, sol)
@@ -902,7 +927,7 @@ def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
     sol = ManufacturedSolution(NEWTON_EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
     d = derive(st, NEWTON_EXPS)
-    ws = loaded(st, d, grid, scheme(), NEWTON_EXPS)
+    ws = loaded(d, grid, scheme(), NEWTON_EXPS)
     Rf, Qf = sol.face_masses(grid, 0.2)
     zf0 = np.full(grid.n + 1, 1e3)  # a poor start, clipped to the bracket
     # the cells' own roots converge at once; from a poor start they cannot

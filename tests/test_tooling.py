@@ -95,7 +95,7 @@ def test_full_trace_covers_the_hot_loop():
     try:
         traj = solver.run(
             SimConfig(n=16, t_end=0.01, n_snapshots=2, track_alpha=True),
-            on_snapshot=lambda state, der: snapshots.append(state.t),
+            on_snapshot=lambda der: snapshots.append(der.t),
         )
     finally:
         tracer.uninstall()
@@ -201,7 +201,10 @@ def test_untraced_work_count_covers_every_run(tmp_path):
             ["compare", "--config", a, "--config-b", b, "--out", str(tmp_path / "cmp")],
             cells["a.ini"] + cells["b.ini"],
         ),
-        (["compare", "--config", a, "--out", str(tmp_path / "self")], 2 * cells["a.ini"]),
+        (
+            ["compare", "--config", a, "--config-b", a, "--out", str(tmp_path / "self")],
+            2 * cells["a.ini"],
+        ),
         (["mms", "--config", str(mms), "--levels", "3"], mms_cells),
     ]
     for argv, want in jobs:
