@@ -46,7 +46,6 @@ from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
     SNAPSHOT_COLUMNS,
     DerivedFields,
-    FieldState,
     derive,
     restrict,
     snapshot_columns,
@@ -365,7 +364,8 @@ def _read_config(path) -> str:
 
 
 def _load_config(path):
-    """The validated config and the initial state its validation built."""
+    """The validated config and the initial state its validation built, a
+    read-only (3, n) array."""
     cfg, warnings, state = validate_config(_read_config(path), with_state=True)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -456,8 +456,8 @@ def compare_runs(
     cfg_b: SimConfig | None,
     ref_mode: str,
     out_dir,
-    initial_a: FieldState | None = None,
-    initial_b: FieldState | None = None,
+    initial_a: np.ndarray | None = None,
+    initial_b: np.ndarray | None = None,
 ):
     """Run the pair, evaluate the relative-energy series, fit the audits.
 
@@ -484,8 +484,9 @@ def compare_runs(
     reference pass or of a pair reduction is raised in the run that meets
     it, which stops at that snapshot and writes no report.json; when the
     reference fails, run_a does not start.
-    initial_a and initial_b are the configs' initial states when the caller
-    has already built them (validation does).
+    initial_a and initial_b are the configs' initial states, as
+    SimConfig.initial_state builds them, when the caller has already built
+    them (validation does).
     """
     _check_pair(cfg_a, cfg_b, ref_mode)
     grid, exps = cfg_a.grid(), cfg_a.exponents()
@@ -513,13 +514,13 @@ def compare_runs(
         if ref_mode == "mms":
             sol = cfg_a.manufactured()
             for t in cfg_a.snapshot_times():
-                keep_reference(derive(sol.state(grid, t), exps))
+                keep_reference(derive(sol.state(grid, t), t, exps))
         else:
             factor = cfg_b.n // cfg_a.n
 
             def keep_run_b(der) -> None:
                 if ref_mode != "twin":
-                    der = derive(restrict(der, factor), exps)
+                    der = derive(restrict(der, factor), der.t, exps)
                 keep_reference(der)
 
             traj_b, _ = _run_into(stack, dir_b, cfg_b, initial_b, keep_run_b)

@@ -25,7 +25,7 @@ wrong finite value.
 ``solve_closure_batch`` validates its arrays (finite, nonnegative) and then
 calls the trusted solver ``_solve_closure``.  Callers whose inputs are finite
 and nonnegative by construction call the trusted solver directly:
-``fields.derive`` (``FieldState`` checks its arrays, and the solver checks
+``fields.derive`` (which checks the state it is given, and the solver checks
 every stage it builds) and the solver's closure of the manufactured
 forcing's face masses, alone or with a stage (checked in
 ``ManufacturedSolution.__post_init__``).  The scalar argument checks and the

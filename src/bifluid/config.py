@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .closure import ExponentPair
-from .fields import NOSLIP, PERIODIC, FieldState, Grid1D, read_snapshot
+from .fields import NOSLIP, PERIODIC, Grid1D, _checked_state, read_snapshot
 from .mms import ManufacturedSolution
 from .solver import SSPRK2
 
@@ -241,22 +241,30 @@ class SimConfig:
             out.append(total / norm)
         return out
 
-    def initial_state(self, grid: Grid1D) -> FieldState:
-        """Initial data on the grid; manufactured runs start on the exact fields."""
-        if self.mms_enabled:
-            return self.manufactured().state(grid, 0.0)
-        snapshots = {}  # one read of a file that R, Q and u share
-        R0 = self.r_init.build(grid, "R", snapshots)
-        Q0 = self.q_init.build(grid, "Q", snapshots)
-        u0 = self.u_init.build(grid, "u", snapshots)
-        if self.perturb_epsilon != 0.0:
-            pr, pq, pu = self._perturbations(grid.x)
-            R0 = R0 + self.perturb_epsilon * pr
-            Q0 = Q0 + self.perturb_epsilon * pq
-            u0 = u0 + self.perturb_epsilon * pu
-        if (R0 < 0.0).any() or (Q0 < 0.0).any():
-            raise ValidationError("initial partial masses must be nonnegative pointwise")
-        return FieldState(t=0.0, R=R0, Q=Q0, m=(R0 + Q0) * u0)
+    def initial_state(self, grid: Grid1D) -> np.ndarray:
+        """Initial data on the grid, at t = 0, as a read-only (3, n) array of
+        R, Q and m; manufactured runs start on the exact fields.  ValueError,
+        as derive gives it, when a value is not finite."""
+        # a value that overflows is left to the check, which names its row
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.mms_enabled:
+                U = self.manufactured().state(grid, 0.0)
+            else:
+                snapshots = {}  # one read of a file that R, Q and u share
+                R0 = self.r_init.build(grid, "R", snapshots)
+                Q0 = self.q_init.build(grid, "Q", snapshots)
+                u0 = self.u_init.build(grid, "u", snapshots)
+                if self.perturb_epsilon != 0.0:
+                    pr, pq, pu = self._perturbations(grid.x)
+                    R0 = R0 + self.perturb_epsilon * pr
+                    Q0 = Q0 + self.perturb_epsilon * pq
+                    u0 = u0 + self.perturb_epsilon * pu
+                if (R0 < 0.0).any() or (Q0 < 0.0).any():
+                    raise ValidationError("initial partial masses must be nonnegative pointwise")
+                U = np.stack((R0, Q0, (R0 + Q0) * u0))
+        U = _checked_state(U)
+        U.setflags(write=False)
+        return U
 
     def snapshot_times(self) -> list[float]:
         if self.t_end == 0.0:
@@ -269,8 +277,9 @@ class SimConfig:
 
     # validation ------------------------------------------------------------
 
-    def validate(self) -> FieldState:
-        """Raise ValidationError on the first bad field; return the initial state."""
+    def validate(self) -> np.ndarray:
+        """Raise ValidationError on the first bad field; return the initial
+        state, the read-only (3, n) array of initial_state."""
 
         def need(cond: bool, field: str, constraint: str):
             if not cond:
@@ -309,7 +318,7 @@ class SimConfig:
         except (ValueError, OSError, MemoryError) as exc:
             raise ValidationError(f"initial data: {exc}") from exc
 
-    def admissibility_warnings(self, state: FieldState) -> list[str]:
+    def admissibility_warnings(self, U: np.ndarray) -> list[str]:
         """Conditions for global weak existence that this config and its
         initial state do not meet.
 
@@ -322,7 +331,7 @@ class SimConfig:
                 f"gamma_plus = {self.gamma_plus:g} < 9/5: outside the weak-existence "
                 "hypothesis on the adiabatic exponents"
             )
-        R0, Q0 = state.R, state.Q
+        R0, Q0 = U[0], U[1]
         unbounded = bool(((R0 == 0.0) & (Q0 > 0.0)).any())
         if unbounded:
             out.append(
@@ -477,8 +486,9 @@ def _convert(raw: str, default):
 
 def validate_config(text: str, *, with_state: bool = False):
     """Parse + validate config text; returns (config, admissibility warnings),
-    plus the initial state it built when with_state is true."""
+    plus the initial state it built, a read-only (3, n) array, when
+    with_state is true."""
     cfg = _parse(text)
-    state = cfg.validate()
-    warnings = cfg.admissibility_warnings(state)
-    return (cfg, warnings, state) if with_state else (cfg, warnings)
+    U = cfg.validate()
+    warnings = cfg.admissibility_warnings(U)
+    return (cfg, warnings, U) if with_state else (cfg, warnings)

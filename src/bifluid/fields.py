@@ -1,12 +1,12 @@
 """1D grid, simulation state, per-cell derived closure fields, diagnostics.
 
-States are immutable snapshots of the conserved unknowns (R, Q, momentum) at
-cell centers, stored as one (3, n) array.  ``derive`` solves the closure
-root Z of a state and records it with the state as one read-only (4, n)
-array, timed: the snapshot record a run hands on; p, u, alpha, rho_minus
-and the vacuum mask are computed when first read.  Integral reductions
-use numpy's deterministic summation, so re-evaluation is bit-identical;
-invariance under index permutation is not promised.
+A state is a (3, n) float array of the conserved unknowns (R, Q, momentum)
+at cell centers, its time passed beside it.  ``derive`` checks it, solves
+its closure root Z and records it with the state as one read-only (4, n)
+array, timed: the snapshot record, the one state type a run hands on; p, u,
+alpha, rho_minus and the vacuum mask are computed when first read.
+Integral reductions use numpy's deterministic summation, so re-evaluation
+is bit-identical; invariance under index permutation is not promised.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "NOSLIP",
     "RHO_FLOOR",
     "Grid1D",
-    "FieldState",
     "DerivedFields",
     "derive",
     "total_mass",
@@ -78,61 +77,24 @@ class Grid1D:
         return self.n if self.bc == PERIODIC else self.n + 1
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class FieldState:
-    """Conserved unknowns at one time: partial masses R, Q and momentum m.
-
-    They are stored as the rows of one read-only (3, n) array U; R, Q and m
-    are row views of it.  Build a state from the three rows, which are
-    copied, or from a stacked U, which is frozen in place without a copy.
-    """
-
-    t: float
-    U: np.ndarray
-
-    def __init__(self, t, R=None, Q=None, m=None, *, U=None):
-        if U is None:
-            rows = [np.asarray(a, dtype=float) for a in (R, Q, m)]
-            if not (rows[0].ndim == 1 and rows[0].shape == rows[1].shape == rows[2].shape):
-                raise ValueError("R, Q, m must be 1D arrays of equal length")
-            U = np.stack(rows)
-        else:
-            U = np.asarray(U, dtype=float)
-            if not (U.ndim == 2 and U.shape[0] == 3):
-                raise ValueError("U must have shape (3, n)")
-        if U.size and not (_finite(U) and np.minimum.reduce(U[:2], axis=None) >= 0.0):
-            if not np.isfinite(U).all():
-                row = int(np.flatnonzero(~np.isfinite(U).all(axis=1))[0])
-                raise ValueError(f"non-finite values in {'RQm'[row]}")
-            raise ValueError("partial masses must be nonnegative")
-        U.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "U", U)
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.U[0]
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.U[1]
-
-    @property
-    def m(self) -> np.ndarray:
-        return self.U[2]
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[1]
-
-
-def _finite(a) -> bool:
-    """True when a holds no NaN and no inf."""
-    # NaN fails both comparisons, so two reductions decide
-    return bool(
-        -math.inf < np.minimum.reduce(a, axis=None)
-        and np.maximum.reduce(a, axis=None) < math.inf
-    )
+def _checked_state(U) -> np.ndarray:
+    """U as a (3, n) float array of R, Q and m; ValueError, naming the first
+    non-finite row, unless every value is finite and both masses are
+    nonnegative."""
+    U = np.asarray(U, dtype=float)
+    if not (U.ndim == 2 and U.shape[0] == 3):
+        raise ValueError("U must have shape (3, n)")
+    # NaN fails every comparison, so three reductions decide
+    if U.size and not (
+        -math.inf < np.minimum.reduce(U, axis=None)
+        and np.maximum.reduce(U, axis=None) < math.inf
+        and np.minimum.reduce(U[:2], axis=None) >= 0.0
+    ):
+        if not np.isfinite(U).all():
+            row = int(np.flatnonzero(~np.isfinite(U).all(axis=1))[0])
+            raise ValueError(f"non-finite values in {'RQm'[row]}")
+        raise ValueError("partial masses must be nonnegative")
+    return U
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,21 +167,25 @@ class DerivedFields:
 
 
 def derive(
-    state: FieldState, exps: closure.ExponentPair, z0: np.ndarray | None = None
+    U, t: float, exps: closure.ExponentPair, z0: np.ndarray | None = None
 ) -> DerivedFields:
-    """The closure root Z of a state, with the state and its t, as one DerivedFields.
+    """The closure root Z of the state U, a (3, n) array of R, Q and m at
+    time t, stacked with U into one DerivedFields.
 
-    z0, the Z of a nearby state, warm-starts the closure iteration.
+    ValueError, naming the first non-finite row, unless U is finite with
+    nonnegative masses.  z0, the Z of a nearby state, warm-starts the
+    closure iteration.
     """
-    Z, iters = closure._solve_closure(state.R, state.Q, exps.gamma, z0)
-    V = np.vstack((state.U, Z))
+    U = _checked_state(U)
+    Z, iters = closure._solve_closure(U[0], U[1], exps.gamma, z0)
+    V = np.vstack((U, Z))
     V.setflags(write=False)
-    return DerivedFields(V, exps, state.t, iters)
+    return DerivedFields(V, exps, t, iters)
 
 
-def total_mass(state: FieldState | DerivedFields, grid: Grid1D) -> tuple[float, float]:
+def total_mass(der: DerivedFields, grid: Grid1D) -> tuple[float, float]:
     """Discrete masses (sum R * dx, sum Q * dx) in a fixed reduction order."""
-    return float(np.sum(state.R) * grid.dx), float(np.sum(state.Q) * grid.dx)
+    return float(np.sum(der.R) * grid.dx), float(np.sum(der.Q) * grid.dx)
 
 
 def total_energy(der: DerivedFields, grid: Grid1D) -> float:
@@ -239,13 +205,12 @@ def total_energy(der: DerivedFields, grid: Grid1D) -> float:
     return float(np.sum(e) * grid.dx)
 
 
-def restrict(state: FieldState | DerivedFields, factor: int) -> FieldState:
-    """Block-average a fine-grid state (or record) onto a grid coarsened by `factor`."""
-    if factor < 1 or state.n % factor != 0:
+def restrict(der: DerivedFields, factor: int) -> np.ndarray:
+    """The state of a fine-grid record, block-averaged row by row onto a
+    grid coarsened by `factor`, as a (3, n // factor) array of R, Q and m."""
+    if factor < 1 or der.n % factor != 0:
         raise ValueError("coarsening factor must divide the cell count")
-    def avg(a):
-        return a.reshape(-1, factor).mean(axis=1)
-    return FieldState(t=state.t, R=avg(state.R), Q=avg(state.Q), m=avg(state.m))
+    return np.stack([row.reshape(-1, factor).mean(axis=1) for row in der.V[:3]])
 
 
 SNAPSHOT_BLOCK_ROWS = 4096  # rows per `%` call; bounds the text held in memory

@@ -53,7 +53,7 @@ import numpy as np
 
 from .closure import ExponentPair
 from .closure import solve_closure_batch  # noqa: F401  (perfbench/tests checks this binding)
-from .fields import FieldState, Grid1D
+from .fields import Grid1D
 
 _GAUSS3_NODES = np.array([-0.5 * math.sqrt(0.6), 0.0, 0.5 * math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -128,9 +128,11 @@ class ManufacturedSolution:
     def m(self, x, t):
         return (self.R(x, t) + self.Q(x, t)) * self.u(x, t)
 
-    def state(self, grid: Grid1D, t: float) -> FieldState:
+    def state(self, grid: Grid1D, t: float) -> np.ndarray:
+        """The exact fields at the cell centers at time t, as a (3, n) array
+        of R, Q and m."""
         x = grid.x
-        return FieldState(t=t, R=self.R(x, t), Q=self.Q(x, t), m=self.m(x, t))
+        return np.stack((self.R(x, t), self.Q(x, t), self.m(x, t)))
 
     # sources ------------------------------------------------------------
 

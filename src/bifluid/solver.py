@@ -22,7 +22,7 @@ NonFiniteStateError); the admitted masses are valid input for the trusted
 closure kernel, which writes p and u into the buffer; one ghost fill (a
 periodic wrap, or no-slip wall factors) then serves every stencil of the
 next stage.  The step size reuses the R + Q of that closure solve.  A step
-builds no FieldState, DerivedFields or report object.
+builds no state array, DerivedFields or report object.
 
 A run records each snapshot once: it derives the state in its buffer
 (warm-started from the stage root) into one timed DerivedFields record and
@@ -62,7 +62,6 @@ from .fields import (
     PERIODIC,
     RHO_FLOOR,
     DerivedFields,
-    FieldState,
     Grid1D,
     derive,
     total_energy,
@@ -498,21 +497,22 @@ def _discard(der: DerivedFields) -> None:
     """The snapshot consumer of a run whose caller reads only its scalars."""
 
 
-def _derive_at(state: FieldState, exps, z0, dt_hist) -> DerivedFields:
-    """derive(state, exps, z0) for run, which reaches state after steps of
-    the sizes dt_hist."""
+def _derive_at(U, t, exps, z0, dt_hist) -> DerivedFields:
+    """derive(U, t, exps, z0) for run, which reaches the state U at t after
+    steps of the sizes dt_hist."""
     try:
-        return derive(state, exps, z0=z0)
+        return derive(U, t, exps, z0=z0)
     except closure.CellError as exc:
-        exc.at(state.t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
+        exc.at(t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
         raise
 
 
-def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Trajectory:
+def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Trajectory:
     """Advance a validated SimConfig from t = 0 to t_end.
 
-    initial is the configuration's initial state when the caller has already
-    built it (validation does), so a restart file is not read again.
+    initial is the configuration's initial state, the (3, n) array of
+    SimConfig.initial_state, when the caller has already built it
+    (validation does), so a restart file is not read again.
 
     The run calls on_snapshot(der) once per snapshot, as it records it, with
     the snapshot's one record, a DerivedFields timed at the snapshot:
@@ -543,7 +543,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
     ws = _Workspace(grid, cfg, exps)
     W = ws.W
     # the record W is loaded from next, from here on the state's one form
-    der = _derive_at(cfg.initial_state(grid) if initial is None else initial, exps, None, ())
+    der = _derive_at(cfg.initial_state(grid) if initial is None else initial, 0.0, exps, None, ())
     del initial
     t = der.t
     times: list[float] = []
@@ -601,7 +601,7 @@ def run(cfg, initial: FieldState | None = None, *, on_snapshot=_discard) -> Traj
             wave_max = max(wave_max, speed_max)
         if der is None:  # stepped since the last snapshot
             # the record holds a copy of the state, which is bound nowhere
-            der = _derive_at(FieldState(t, U=W.U.copy()), exps, z_prev, dt_hist)
+            der = _derive_at(W.U.copy(), t, exps, z_prev, dt_hist)
         times.append(t)
         energies.append(total_energy(der, grid))
         masses.append(total_mass(der, grid))

@@ -274,8 +274,7 @@ def test_criterion_7_weak_strong_stability(fine_reference, run_collecting):
         exps = cfg.exponents()
         tc, da = run_collecting(cfg)
         factor = 512 // nc
-        states_b = [restrict(s, factor) for s in states_f]
-        db = [derive(s, exps) for s in states_b]
+        db = [derive(restrict(s, factor), s.t, exps) for s in states_f]
         rows = _rows(tc, cfg, da, db)
         max_es.append(max(r.E_total for r in rows))
     decreasing = all(a > b for a, b in zip(max_es, max_es[1:]))
@@ -336,18 +335,16 @@ def test_criterion_9_coercivity_constant():
     n = 128
     cfg = _smooth_cfg(n)
     grid, exps = cfg.grid(), cfg.exponents()
-    from bifluid.fields import FieldState
-
     Rb = np.full(n, 1.2)
     Qb = np.full(n, 2.0)
-    ref = derive(FieldState(0.0, Rb, Qb, np.zeros(n)), exps)
+    ref = derive(np.array((Rb, Qb, np.zeros(n))), 0.0, exps)
     x = grid.x
     cs = []
     for _ in range(8):
         k1, k2 = rng.integers(1, 4, 2)
         pr = 0.05 * np.sin(2 * np.pi * k1 * x + rng.uniform(0, 2 * np.pi))
         pq = 0.05 * np.cos(2 * np.pi * k2 * x + rng.uniform(0, 2 * np.pi))
-        da = derive(FieldState(0.0, Rb + pr, Qb + pq, np.zeros(n)), exps)
+        da = derive(np.array((Rb + pr, Qb + pq, np.zeros(n))), 0.0, exps)
         row = relative_entropy(da, ref, grid)
         rep = coercivity_check(row, da, ref, grid, c_star=0.5, c_star_upper=8.0)
         assert rep.n_res == 0  # perturbations stay inside the window

@@ -15,7 +15,7 @@ from bifluid.closure import (
     omega_of_alpha,
     solve_closure_batch,
 )
-from bifluid.fields import FieldState, derive
+from bifluid.fields import derive
 from oracles import VacuumCellError, alpha_partials_batch
 
 GAMMAS = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 4.0]
@@ -257,9 +257,9 @@ def test_solve_overflowing_root_raises(R):
 def test_derive_overflowing_root_raises(R, Q, exps, recwarn):
     # derive solves on the trusted path, which keeps the overflow check;
     # the overflow raises and does not also warn
-    s = FieldState(0.0, [1.0, R], [1.0, Q], [0.0, 0.0])
+    s = np.array(([1.0, R], [1.0, Q], [0.0, 0.0]))
     with pytest.raises(ClosureOverflowError, match=r"cells \[1\]"):
-        derive(s, exps)
+        derive(s, 0.0, exps)
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -279,8 +279,8 @@ def test_only_the_public_solve_validates_its_arrays(monkeypatch):
     with pytest.raises(ValueError):
         solve_closure_batch([1.0, 1.0], [1.0, -1.0], 2.0)
     assert len(checked) == 2
-    # FieldState has checked derive's arrays, so derive solves without a second check
-    derive(FieldState(0.0, [1.0, 2.0], [1.0, 0.5], [0.0, 0.0]), ExponentPair(3.0, 1.4))
+    # derive checks its state itself, so it solves without a second check
+    derive(np.array(([1.0, 2.0], [1.0, 0.5], [0.0, 0.0])), 0.0, ExponentPair(3.0, 1.4))
     assert len(checked) == 2
 
 
@@ -379,7 +379,7 @@ def test_frozen_newton_names_the_same_unconverged_cells(gamma, monkeypatch):
 
 def _recover(R, Q, exps):
     """The derived fields of one cell at rest."""
-    return derive(FieldState(0.0, [R], [Q], [0.0]), exps)
+    return derive(np.array(([R], [Q], [0.0])), 0.0, exps)
 
 
 def test_recover_state_example():

@@ -148,11 +148,11 @@ def test_perturbation_deterministic_and_grid_independent():
     cfg, _ = validate_config(MINIMAL + "\n[perturbation]\nepsilon = 0.05\nseed = 3\n")
     s1 = cfg.initial_state(cfg.grid())
     s2 = cfg.initial_state(cfg.grid())
-    assert np.array_equal(s1.R, s2.R)
+    assert np.array_equal(s1[0], s2[0])
     # same smooth function on a 3x refined grid, where cell centers coincide
     fine = cfg.with_resolution(768)
     sf = fine.initial_state(fine.grid())
-    assert np.allclose(sf.R[1::3], s1.R, rtol=0, atol=1e-12)
+    assert np.allclose(sf[0, 1::3], s1[0], rtol=0, atol=1e-12)
 
 
 # the benchmark's compare_dense seeds, the edges of one and of two 32-bit
@@ -229,7 +229,7 @@ def test_from_file_preset(tmp_path):
     grid = cfg.grid()
     state = cfg.initial_state(grid)
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, grid, snapshot_columns(derive(state, cfg.exponents())))
+    write_snapshot(snap, grid, snapshot_columns(derive(state, 0.0, cfg.exponents())))
     text = (
         MINIMAL
         + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n"
@@ -237,7 +237,7 @@ def test_from_file_preset(tmp_path):
     )
     cfg2, _ = validate_config(text)
     s2 = cfg2.initial_state(cfg2.grid())
-    assert np.array_equal(s2.R, state.R)
+    assert np.array_equal(s2[0], state[0])
 
 
 def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
@@ -247,7 +247,7 @@ def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     state = cfg.initial_state(cfg.grid())
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, cfg.grid(), snapshot_columns(derive(state, cfg.exponents())))
+    write_snapshot(snap, cfg.grid(), snapshot_columns(derive(state, 0.0, cfg.exponents())))
     reads = []
 
     def counting_read(path):
@@ -267,7 +267,7 @@ def test_validate_config_reads_a_from_file_snapshot_once(tmp_path, monkeypatch):
     assert reads == [str(snap)]
     restart = cfg2.initial_state(cfg2.grid())
     assert warnings and warnings == cfg2.admissibility_warnings(restart)
-    assert np.array_equal(restart.U, state.U)
+    assert np.array_equal(restart, state)
 
 
 def test_snapshot_times_and_resolution_helpers():
@@ -331,6 +331,37 @@ def test_cli_negative_perturbation_seed_is_a_config_error(tmp_path, capsys, comm
         argv += ["--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "config error: perturbation.seed: must be nonnegative\n"
+    assert not out.exists()
+
+
+_RESTART_ROWS = "".join(
+    f"{i},{(i + 0.5) / 8!r},{'inf' if i == 3 else 1.0},1,0,1,0.5,1,1,1,0\n" for i in range(8)
+)
+# initial data that is not finite once built, and whose profiles or momentum
+# overflow on the way (numpy warned before the config error was reported)
+NON_FINITE_INITIAL = {
+    "restart-with-inf": ("[initial]\nR_preset = from_file\nR_path = {snap}\n", "R"),
+    "overflowing-momentum": ("[initial]\nR_value = 1e308\nQ_value = 1e308\nu_value = 2\n", "m"),
+    "overflowing-bump": (
+        "[initial]\nR_preset = gaussian_bump\nR_base = 1e308\nR_amplitude = 1e308\n",
+        "R",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INITIAL))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_non_finite_initial_data_is_one_config_error(tmp_path, capsys, command, case):
+    snap = tmp_path / "restart.csv"
+    snap.write_text("i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u\n" + _RESTART_ROWS)
+    initial, row = NON_FINITE_INITIAL[case]
+    text = MINIMAL + "[grid]\nn = 8\n" + initial.format(snap=snap)
+    out = tmp_path / "out"
+    argv = [command, "--config", write(tmp_path, "bad.ini", text)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: initial data: non-finite values in {row}\n"
     assert not out.exists()
 
 
@@ -572,7 +603,7 @@ def test_cli_run_derives_each_snapshot_once_for_csv_and_energy(tmp_path, monkeyp
     states = [source[id(d)] for d in snaps]
     assert [every[id(s)] for s in states] == [1, 1, 1]  # each derived once, in the run
     # of that state
-    assert all(d.V[:3].tobytes() == s.U.tobytes() for s, d in zip(states, snaps))
+    assert all(d.V[:3].tobytes() == s.tobytes() for s, d in zip(states, snaps))
 
 
 def test_cli_run_computes_the_fraction_diagnostic_only_when_asked(tmp_path, spy_calls):
@@ -835,7 +866,7 @@ def _restart_config(tmp_path, monkeypatch):
     cfg, _ = validate_config(MINIMAL + "\n[grid]\nn = 16\n[time]\nt_end = 0.0\n")
     state = cfg.initial_state(cfg.grid())
     snap = tmp_path / "init.csv"
-    write_snapshot(snap, cfg.grid(), snapshot_columns(derive(state, cfg.exponents())))
+    write_snapshot(snap, cfg.grid(), snapshot_columns(derive(state, 0.0, cfg.exponents())))
     reads = []
     real_read = config.read_snapshot
 
@@ -1248,11 +1279,11 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
 
     if ref_mode == "mms":
         sol = cfg_a.manufactured()
-        series_b = [derive(sol.state(grid, t), exps) for t in times]
+        series_b = [derive(sol.state(grid, t), t, exps) for t in times]
         e_scale = total_energy(series_b[0], grid)
     elif ref_mode == "fine":
         _, records_b = run_collecting(cfg_b)
-        series_b = [derive(restrict(d, cfg_b.n // cfg_a.n), exps) for d in records_b]
+        series_b = [derive(restrict(d, cfg_b.n // cfg_a.n), d.t, exps) for d in records_b]
         e_scale = total_energy(series_b[0], grid)
     else:
         traj_b, series_b = run_collecting(cfg_b)

@@ -9,12 +9,11 @@ from hypothesis import example, given, strategies as st
 from bifluid import closure, solver
 from bifluid.cli import compare_runs
 from bifluid.closure import VACUUM_ALPHA, ExponentPair
-from bifluid.config import ProfileSpec, SimConfig
+from bifluid.config import ProfileSpec, SimConfig, ValidationError, validate_config
 from bifluid.fields import (
     RHO_FLOOR,
     SNAPSHOT_BLOCK_ROWS,
     DerivedFields,
-    FieldState,
     Grid1D,
     derive,
     read_snapshot,
@@ -29,10 +28,10 @@ from bifluid.verify import relative_entropy
 EXPS = ExponentPair(3.0, 1.5)
 
 
-def uniform_state(n, R, Q, u, t=0.0):
+def uniform_state(n, R, Q, u):
     Ra = np.full(n, R)
     Qa = np.full(n, Q)
-    return FieldState(t=t, R=Ra, Q=Qa, m=(Ra + Qa) * u)
+    return np.array((Ra, Qa, (Ra + Qa) * u))
 
 
 # grid and state containers ---------------------------------------------------
@@ -50,17 +49,30 @@ def test_grid_validation():
         Grid1D(8, 1.0, bc="reflecting")
 
 
-def test_field_state_validation_and_immutability():
-    s = uniform_state(8, 1.0, 2.0, 0.5)
-    assert s.n == 8
+def test_field_state_validation_and_immutability(tmp_path):
+    # a config's initial state is a read-only (3, n) array
+    _, _, s = validate_config("[grid]\nn = 8\n[initial]\nu_value = 0.5\n", with_state=True)
+    assert s.shape == (3, 8)
     with pytest.raises(ValueError):
-        s.R[0] = 5.0  # arrays are frozen snapshots
+        s[0, 0] = 5.0  # arrays are frozen snapshots
+    # derive checks the state it is given
     with pytest.raises(ValueError):
-        FieldState(0.0, np.ones(8), np.ones(7), np.zeros(8))
-    with pytest.raises(ValueError):
-        FieldState(0.0, -np.ones(8), np.ones(8), np.zeros(8))
-    with pytest.raises(ValueError):
-        FieldState(0.0, np.full(8, np.nan), np.ones(8), np.zeros(8))
+        derive([np.ones(8), np.ones(7), np.zeros(8)], 0.0, EXPS)
+    with pytest.raises(ValueError, match=r"shape \(3, n\)"):
+        derive(np.ones((2, 8)), 0.0, EXPS)
+    with pytest.raises(ValueError, match="partial masses must be nonnegative"):
+        derive(np.array((-np.ones(8), np.ones(8), np.zeros(8))), 0.0, EXPS)
+    with pytest.raises(ValueError, match="non-finite values in R"):
+        derive(np.array((np.full(8, np.nan), np.ones(8), np.zeros(8))), 0.0, EXPS)
+    # and validation checks the initial state before any solve
+    with pytest.raises(ValidationError, match="nonnegative pointwise"):
+        validate_config("[grid]\nn = 8\n[initial]\nR_value = -1.0\n")
+    snap = tmp_path / "nan.csv"
+    rows = "".join(f"{i},0.5,nan,1,0,1,0.5,1,1,1,0\n" for i in range(8))
+    snap.write_text("i,x,R,Q,m,Z,alpha,rho_plus,rho_minus,p,u\n" + rows)
+    text = f"[grid]\nn = 8\n[initial]\nR_preset = from_file\nR_path = {snap}\n"
+    with pytest.raises(ValidationError, match="initial data: non-finite values in R"):
+        validate_config(text)
 
 
 # derive -----------------------------------------------------------------------
@@ -68,7 +80,7 @@ def test_field_state_validation_and_immutability():
 
 def test_derive_uniform_example():
     s = uniform_state(8, 1.0, 2.0, 1.0)
-    d = derive(s, EXPS)
+    d = derive(s, 0.0, EXPS)
     assert np.allclose(d.Z, 2.0, rtol=1e-12)
     assert np.allclose(d.alpha, 0.5, rtol=1e-12)
     assert np.allclose(d.p, 8.0, rtol=1e-12)
@@ -78,7 +90,7 @@ def test_derive_uniform_example():
 
 def test_derive_all_vacuum():
     s = uniform_state(8, 0.0, 0.0, 0.0)
-    d = derive(s, EXPS)
+    d = derive(s, 0.0, EXPS)
     assert d.vacuum.all()
     assert np.all(d.u == 0.0)
     assert np.all(d.Z == 0.0)
@@ -87,24 +99,23 @@ def test_derive_all_vacuum():
 
 def test_derive_locality():
     s = uniform_state(8, 1.0, 2.0, 1.0)
-    R2 = s.R.copy()
-    R2[3] = 1.5
-    s2 = FieldState(s.t, R2, s.Q, s.m)
-    d, d2 = derive(s, EXPS), derive(s2, EXPS)
+    s2 = s.copy()
+    s2[0, 3] = 1.5
+    d, d2 = derive(s, 0.0, EXPS), derive(s2, 0.0, EXPS)
     changed = d.Z != d2.Z
     assert changed[3] and np.count_nonzero(changed) == 1
 
 
 def test_derive_subnormal_pure_phase():
     # Q = 0 must give Z = R exactly, so alpha = 1 even for a subnormal R
-    d = derive(uniform_state(8, 5e-324, 0.0, 0.0), EXPS)
+    d = derive(uniform_state(8, 5e-324, 0.0, 0.0), 0.0, EXPS)
     assert np.all(d.Z == 5e-324)
     assert np.all(d.alpha == 1.0)
 
 
 def test_derive_underflowing_root_gives_pure_minus_phase():
     # gamma = 0.5: Z = Q**2 = 1e-400 underflows to 0 in a cell that is not vacuum
-    d = derive(uniform_state(8, 0.0, 1e-200, 0.0), ExponentPair(1.5, 3.0))
+    d = derive(uniform_state(8, 0.0, 1e-200, 0.0), 0.0, ExponentPair(1.5, 3.0))
     assert np.all(d.Z == 0.0) and not d.vacuum.any()
     assert np.all(d.alpha == 0.0)
 
@@ -114,7 +125,7 @@ def test_derive_gamma_one_scaling():
     exps = ExponentPair(2.0, 2.0)
     s = uniform_state(8, 1.0, 2.0, 0.0)
     s2 = uniform_state(8, 3.0, 6.0, 0.0)
-    assert np.allclose(3.0 * derive(s, exps).Z, derive(s2, exps).Z, rtol=1e-14)
+    assert np.allclose(3.0 * derive(s, 0.0, exps).Z, derive(s2, 0.0, exps).Z, rtol=1e-14)
 
 
 @pytest.mark.parametrize("exps", [EXPS, ExponentPair(3.0, 1.4)])
@@ -124,11 +135,11 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     R = np.array([1.3, 0.0, 5e-324, 0.0, 2.0])
     Q = np.array([0.4, 0.0, 0.0, 2.0, 1e-3])
     m = np.array([0.1, 0.0, -0.0, 0.5, -2.0])
-    s = FieldState(0.0, R, Q, m)
-    d = derive(s, exps)
+    s = np.array((R, Q, m))
+    d = derive(s, 0.0, exps)
     # one read-only (4, n) record: the state's rows, bit for bit, and Z
     assert d.V.shape == (4, 5) and not d.V.flags.writeable
-    assert d.V[:3].tobytes() == s.U.tobytes()
+    assert d.V[:3].tobytes() == s.tobytes()
     assert d.Z.tobytes() == closure._solve_closure(R, Q, exps.gamma)[0].tobytes()
     assert all(a.base is d.V for a in (d.R, d.Q, d.m, d.Z, d.rho_plus))
     vac = (R == 0.0) & (Q == 0.0)
@@ -136,7 +147,7 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     alpha = np.where(vac, VACUUM_ALPHA, R / np.maximum(d.Z, tiny))
     # the run's buffer gets p and u from the closure of its stage
     ws = solver._Workspace(Grid1D(5, 1.0), SimConfig(), exps)
-    ws.W.U[...] = s.U
+    ws.W.U[...] = s
     solver._closure_fields(ws.W, ws, None)
     for got, want in (
         (d.vacuum, vac),
@@ -158,7 +169,7 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     # a reference re-wrapped over the V of a record whose columns were read
     # starts with none of them and reduces to the same row
     grid = Grid1D(5, 1.0, "noslip")
-    own = derive(FieldState(0.0, R + 0.5, Q + 0.25, m), exps)
+    own = derive(np.array((R + 0.5, Q + 0.25, m)), 0.0, exps)
     total_energy(own, grid)
     again = dataclasses.replace(own)
     assert again.V is own.V and set(vars(again)) == {"V", "exps", "t", "closure_iterations"}
@@ -171,7 +182,7 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
 
 def test_total_mass_uniform():
     g = Grid1D(16, 1.0)
-    s = uniform_state(16, 1.0, 2.5, 0.0)
+    s = derive(uniform_state(16, 1.0, 2.5, 0.0), 0.0, EXPS)
     mr, mq = total_mass(s, g)
     assert mr == pytest.approx(1.0, rel=1e-14)
     assert mq == pytest.approx(2.5, rel=1e-14)
@@ -181,8 +192,8 @@ def test_total_mass_linearity_and_reproducibility():
     g = Grid1D(32, 2.0)
     rng = np.random.default_rng(5)
     R = rng.uniform(0.1, 2.0, 32)
-    s = FieldState(0.0, R, R, np.zeros(32))
-    s2 = FieldState(0.0, 2.0 * R, 2.0 * R, np.zeros(32))
+    s = derive(np.array((R, R, np.zeros(32))), 0.0, EXPS)
+    s2 = derive(np.array((2.0 * R, 2.0 * R, np.zeros(32))), 0.0, EXPS)
     mr, _ = total_mass(s, g)
     mr2, _ = total_mass(s2, g)
     assert mr2 == pytest.approx(2.0 * mr, rel=1e-14)
@@ -193,14 +204,14 @@ def test_total_energy_uniform_example():
     g = Grid1D(8, 1.0)
     s = uniform_state(8, 1.0, 2.0, 1.0)
     # kinetic 3/2 + alpha H+ = 0.5 * 4 + (1-alpha) H- = 0.5 * 16
-    assert total_energy(derive(s, EXPS), g) == pytest.approx(11.5, rel=1e-12)
+    assert total_energy(derive(s, 0.0, EXPS), g) == pytest.approx(11.5, rel=1e-12)
 
 
 def test_total_energy_vacuum_and_velocity_sign():
     g = Grid1D(8, 1.0)
-    assert total_energy(derive(uniform_state(8, 0.0, 0.0, 0.0), EXPS), g) == 0.0
-    e1 = total_energy(derive(uniform_state(8, 1.0, 2.0, 1.3), EXPS), g)
-    e2 = total_energy(derive(uniform_state(8, 1.0, 2.0, -1.3), EXPS), g)
+    assert total_energy(derive(uniform_state(8, 0.0, 0.0, 0.0), 0.0, EXPS), g) == 0.0
+    e1 = total_energy(derive(uniform_state(8, 1.0, 2.0, 1.3), 0.0, EXPS), g)
+    e2 = total_energy(derive(uniform_state(8, 1.0, 2.0, -1.3), 0.0, EXPS), g)
     assert e1 == e2
 
 
@@ -212,7 +223,7 @@ def test_total_energy_vacuum_and_velocity_sign():
 @example(R=5e-324, Q=0.0, u=0.0)
 def test_total_energy_nonnegative(R, Q, u):
     g = Grid1D(8, 1.0)
-    assert total_energy(derive(uniform_state(8, R, Q, u), EXPS), g) >= 0.0
+    assert total_energy(derive(uniform_state(8, R, Q, u), 0.0, EXPS), g) >= 0.0
 
 
 # essential window ------------------------------------------------------------------
@@ -235,22 +246,26 @@ def test_default_ess_window(tmp_path):
 
 def test_restrict_block_average():
     R = np.arange(8, dtype=float) + 1.0
-    s = FieldState(0.5, R, 2.0 * R, 3.0 * R)
-    c = restrict(s, 2)
-    assert c.n == 4 and c.t == 0.5
-    assert np.allclose(c.R, [1.5, 3.5, 5.5, 7.5])
-    assert np.allclose(c.Q, 2.0 * c.R)
+    d = derive(np.array((R, 2.0 * R, 3.0 * R)), 0.5, EXPS)
+    c = restrict(d, 2)
+    assert c.shape == (3, 4)
+    assert np.allclose(c[0], [1.5, 3.5, 5.5, 7.5])
+    assert np.allclose(c[1], 2.0 * c[0])
+    # each row is the per-row block average, bit for bit
+    for row, fine in zip(c, d.V[:3]):
+        assert row.tobytes() == fine.reshape(-1, 2).mean(axis=1).tobytes()
     with pytest.raises(ValueError):
-        restrict(s, 3)
+        restrict(d, 3)
 
 
 def test_restrict_preserves_mass():
     g_f = Grid1D(64, 1.0)
     g_c = Grid1D(16, 1.0)
     rng = np.random.default_rng(2)
-    s = FieldState(0.0, rng.uniform(0.5, 2, 64), rng.uniform(0.5, 2, 64), rng.uniform(-1, 1, 64))
-    c = restrict(s, 4)
-    assert total_mass(s, g_f)[0] == pytest.approx(total_mass(c, g_c)[0], rel=1e-14)
+    s = np.array((rng.uniform(0.5, 2, 64), rng.uniform(0.5, 2, 64), rng.uniform(-1, 1, 64)))
+    d = derive(s, 0.0, EXPS)
+    c = derive(restrict(d, 4), 0.0, EXPS)
+    assert total_mass(d, g_f)[0] == pytest.approx(total_mass(c, g_c)[0], rel=1e-14)
 
 
 # snapshots -------------------------------------------------------------------------
@@ -259,14 +274,14 @@ def test_restrict_preserves_mass():
 def test_snapshot_round_trip(tmp_path):
     g = Grid1D(8, 1.0)
     rng = np.random.default_rng(9)
-    s = FieldState(0.0, rng.uniform(0.5, 2, 8), rng.uniform(0.5, 2, 8), rng.uniform(-1, 1, 8))
-    d = derive(s, EXPS)
+    s = np.array((rng.uniform(0.5, 2, 8), rng.uniform(0.5, 2, 8), rng.uniform(-1, 1, 8)))
+    d = derive(s, 0.0, EXPS)
     p = tmp_path / "snap.csv"
     write_snapshot(p, g, snapshot_columns(d))
     data = read_snapshot(p)
-    assert np.array_equal(data["R"], s.R)  # 17 significant digits round-trip exactly
-    assert np.array_equal(data["Q"], s.Q)
-    assert np.array_equal(data["m"], s.m)
+    assert np.array_equal(data["R"], s[0])  # 17 significant digits round-trip exactly
+    assert np.array_equal(data["Q"], s[1])
+    assert np.array_equal(data["m"], s[2])
     assert np.array_equal(data["Z"], d.Z)
     assert np.array_equal(data["u"], d.u)
 
@@ -274,7 +289,7 @@ def test_snapshot_round_trip(tmp_path):
 def test_snapshot_bytes_deterministic(tmp_path):
     g = Grid1D(8, 1.0)
     s = uniform_state(8, 1.0, 2.0, 0.25)
-    d = derive(s, EXPS)
+    d = derive(s, 0.0, EXPS)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_snapshot(p1, g, snapshot_columns(d))
     write_snapshot(p2, g, snapshot_columns(d))
@@ -313,9 +328,9 @@ def test_snapshot_bytes_match_per_cell_reference_on_edge_values(tmp_path):
     R = np.array([5e-324, 1.0, 0.0, 1e300, 2.0, 1e-310, 0.5, 1.0])
     Q = np.array([5e-324, 0.0, 0.0, 1e300, 1.0, 0.0, 1e-300, 3.0])
     m = np.array([-0.0, -0.0, 0.0, 1e300, -1.5, 0.0, -1e-320, 0.1])
-    s = FieldState(0.0, R, Q, m)
+    s = np.array((R, Q, m))
     with np.errstate(over="ignore"):  # Z = O(1e300) overflows Z**2 and Z**3 on first read
-        d = derive(s, EXPS)
+        d = derive(s, 0.0, EXPS)
         assert np.isinf(d.rho_minus[3]) and np.isinf(d.p[3])
     assert d.vacuum[2] and d.alpha[2] == VACUUM_ALPHA == 0.5  # vacuum cell with the sentinel
     assert np.signbit(d.u[0]) and d.Q[0] == 5e-324
@@ -328,7 +343,7 @@ def test_snapshot_bytes_match_reference_on_non_finite_derived_fields(tmp_path):
     g = Grid1D(6, 2.0)
     s = uniform_state(6, 1.0, 2.0, -0.25)
     odd = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308])
-    d = DerivedFields(np.vstack((s.R, s.Q, odd[::-1], odd)), EXPS, s.t)
+    d = DerivedFields(np.vstack((s[:2], odd[::-1], odd)), EXPS, 0.0)
     with np.errstate(all="ignore"):  # the computed columns follow the odd m and Z
         _assert_same_bytes(tmp_path, g, d)
 
@@ -346,25 +361,25 @@ def test_snapshot_bytes_match_reference_on_non_finite_derived_fields(tmp_path):
 )
 def test_snapshot_bytes_match_reference_for_any_state(cells):
     R, Q, m = (np.array(c) for c in zip(*cells))
-    s = FieldState(0.0, R, Q, m)
+    s = np.array((R, Q, m))
     g = Grid1D(len(cells), 3.0)
     # alpha and rho_minus are derived on first read, by the writer
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
-        _assert_same_bytes(Path(tmp), g, derive(s, EXPS))
+        _assert_same_bytes(Path(tmp), g, derive(s, 0.0, EXPS))
 
 
 def test_snapshot_bytes_match_reference_across_row_blocks(tmp_path):
     n = SNAPSHOT_BLOCK_ROWS + 5
     rng = np.random.default_rng(4)
-    s = FieldState(0.0, rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n), rng.uniform(-1, 1, n))
-    _assert_same_bytes(tmp_path, Grid1D(n, 1.0), derive(s, EXPS))
+    s = np.array((rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n), rng.uniform(-1, 1, n)))
+    _assert_same_bytes(tmp_path, Grid1D(n, 1.0), derive(s, 0.0, EXPS))
 
 
 def test_snapshot_template_is_keyed_by_the_whole_grid(tmp_path):
     # same n, different length or bc, written one after the other: a
     # template cached by n alone would repeat the first grid's x column
     s = uniform_state(8, 1.0, 2.0, 0.25)
-    d = derive(s, EXPS)
+    d = derive(s, 0.0, EXPS)
     for g in (Grid1D(8, 1.0), Grid1D(8, 2.5), Grid1D(8, 2.5, "noslip"), Grid1D(8, 1.0)):
         _assert_same_bytes(tmp_path, g, d)
         assert np.array_equal(read_snapshot(tmp_path / "got.csv")["x"], g.x)

@@ -9,7 +9,7 @@ import pytest
 from bifluid import closure, solver
 from bifluid.closure import CLOSURE_TOL, ExponentPair, omega_of_alpha, solve_closure_batch
 from bifluid.config import ProfileSpec, SimConfig, ValidationError, validate_config
-from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive, total_mass
+from bifluid.fields import NOSLIP, PERIODIC, Grid1D, derive, total_mass
 from bifluid.mms import ManufacturedSolution
 from bifluid.solver import (
     NonFiniteStateError,
@@ -33,11 +33,11 @@ def scheme(**kw):
     return SimConfig(**base)
 
 
-def make_state(n, R, Q, u, t=0.0):
+def make_state(n, R, Q, u):
     R = np.asarray(R, float) * np.ones(n)
     Q = np.asarray(Q, float) * np.ones(n)
     u = np.asarray(u, float) * np.ones(n)
-    return FieldState(t=t, R=R, Q=Q, m=(R + Q) * u)
+    return np.array((R, Q, (R + Q) * u))
 
 
 def stable_dt(d, grid, sch, exps=EXPS):
@@ -53,15 +53,15 @@ def loaded(d, grid, sch, exps=EXPS):
     return ws
 
 
-def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0=None):
-    """One solver.step from the state st, in the buffers a run steps (d,
-    the derived fields of st, is derived here when not given); returns the
-    new state and what the step returns: (stage_Z, stage_forcing,
-    iterations, dissipation)."""
-    d = derived if derived is not None else derive(st, exps)
+def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0=None, t=0.0):
+    """One solver.step from the state st at time t, in the buffers a run
+    steps (d, the derived fields of st, is derived here when not given);
+    returns the new state, at t + dt, and what the step returns: (stage_Z,
+    stage_forcing, iterations, dissipation)."""
+    d = derived if derived is not None else derive(st, t, exps)
     ws = loaded(d, grid, sch, exps)
-    rep = step(ws, st.t, dt, d.Z, forcing0, forcing)
-    return FieldState(st.t + dt, U=ws.W.U.copy()), rep
+    rep = step(ws, t, dt, d.Z, forcing0, forcing)
+    return ws.W.U.copy(), rep
 
 
 def sine_state(grid, base=1.5, amp=0.3, uamp=0.2):
@@ -69,7 +69,7 @@ def sine_state(grid, base=1.5, amp=0.3, uamp=0.2):
     R = base + amp * np.sin(2 * np.pi * x / grid.length)
     Q = base - amp * np.cos(2 * np.pi * x / grid.length)
     u = uamp * np.sin(2 * np.pi * x / grid.length)
-    return FieldState(t=0.0, R=R, Q=Q, m=(R + Q) * u)
+    return np.array((R, Q, (R + Q) * u))
 
 
 # scheme config ------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_compute_dt_advective_example():
     # uniform Z = 2, u = 1, gamma+ = 3, dx = 0.01, inviscid, cfl = 0.5
     grid = Grid1D(100, 1.0)
     st = make_state(100, 1.0, 2.0, 1.0)
-    d = derive(st, EXPS)
+    d = derive(st, 0.0, EXPS)
     sch = scheme(mu=0.0, allow_inviscid=True, cfl=0.5)
     want = 0.5 * 0.01 / (1.0 + math.sqrt(12.0))
     assert stable_dt(d, grid, sch) == pytest.approx(want, rel=1e-12)
@@ -110,7 +110,7 @@ def test_compute_dt_advective_example():
 
 def test_compute_dt_cfl_linearity():
     grid = Grid1D(64, 1.0)
-    d = derive(make_state(64, 1.0, 2.0, 0.5), EXPS)
+    d = derive(make_state(64, 1.0, 2.0, 0.5), 0.0, EXPS)
     dt1 = stable_dt(d, grid, scheme(cfl=0.4))
     dt2 = stable_dt(d, grid, scheme(cfl=0.8))
     assert dt2 == pytest.approx(2.0 * dt1, rel=1e-14)
@@ -119,15 +119,15 @@ def test_compute_dt_cfl_linearity():
 def test_compute_dt_viscous_scaling():
     # viscous-dominated bound scales like dx^2
     sch = scheme(mu=5.0)
-    d1 = derive(make_state(64, 1.0, 2.0, 0.0), EXPS)
-    d2 = derive(make_state(128, 1.0, 2.0, 0.0), EXPS)
+    d1 = derive(make_state(64, 1.0, 2.0, 0.0), 0.0, EXPS)
+    d2 = derive(make_state(128, 1.0, 2.0, 0.0), 0.0, EXPS)
     dt1 = stable_dt(d1, Grid1D(64, 1.0), sch)
     dt2 = stable_dt(d2, Grid1D(128, 1.0), sch)
     assert dt1 == pytest.approx(4.0 * dt2, rel=1e-12)
 
 
 def test_compute_dt_vacuum():
-    d = derive(make_state(16, 0.0, 0.0, 0.0), EXPS)
+    d = derive(make_state(16, 0.0, 0.0, 0.0), 0.0, EXPS)
     with pytest.raises(ZeroDtError) as exc:
         stable_dt(d, Grid1D(16, 1.0), scheme())
     assert list(exc.value.cells) == list(range(16))  # every cell is vacuum
@@ -140,9 +140,9 @@ def test_compute_dt_names_the_cells_without_a_stable_step():
     R = np.ones(16)
     R[3] = R[9] = 0.0
     R[5] = 1e160
-    st = FieldState(0.0, R, np.where(R > 0.0, 1.0, 0.0), np.zeros(16))
+    st = np.array((R, np.where(R > 0.0, 1.0, 0.0), np.zeros(16)))
     with np.errstate(over="ignore"), pytest.raises(ZeroDtError, match="no positive") as exc:
-        stable_dt(derive(st, EXPS), Grid1D(16, 1.0), scheme())
+        stable_dt(derive(st, 0.0, EXPS), Grid1D(16, 1.0), scheme())
     assert exc.value.cells == [5]
 
 
@@ -153,9 +153,9 @@ def test_constant_state_is_exact_fixed_point_periodic():
     grid = Grid1D(32, 1.0)
     st = make_state(32, 1.0, 2.0, 0.7)
     new, _ = step_from(st, grid, scheme(), 1e-3)
-    assert np.array_equal(new.R, st.R)
-    assert np.array_equal(new.Q, st.Q)
-    assert np.array_equal(new.m, st.m)
+    assert np.array_equal(new[0], st[0])
+    assert np.array_equal(new[1], st[1])
+    assert np.array_equal(new[2], st[2])
 
 
 def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
@@ -163,8 +163,8 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     x = grid.x
     R = 1.0 + 0.3 * np.sin(2 * np.pi * x)
     Q = 1.2 + 0.2 * np.cos(2 * np.pi * x)
-    st = FieldState(0.0, R, Q, np.zeros(32))
-    d = derive(st, EXPS)
+    st = np.array((R, Q, np.zeros(32)))
+    d = derive(st, 0.0, EXPS)
     ws = loaded(d, grid, scheme())
     dU = solver._rhs(ws.W, ws, None)
     assert not dU[:2].any()
@@ -175,7 +175,7 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
 def test_step_report_fields():
     grid = Grid1D(32, 1.0)
     st = sine_state(grid)
-    d = derive(st, EXPS)
+    d = derive(st, 0.0, EXPS)
     sch = scheme()
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, EXPS))
     assert speed_max == pytest.approx(float(np.max(np.abs(d.u) + np.sqrt(3.0 * d.Z**2))), rel=1e-12)
@@ -192,7 +192,7 @@ def test_positivity_strict_raises_exploratory_clips():
     Q = np.ones(8)
     u = np.zeros(8)
     u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
-    st = FieldState(0.0, R, Q, (R + Q) * u)
+    st = np.array((R, Q, (R + Q) * u))
     # dt far beyond the advective limit empties the cell past zero
     with pytest.raises(PositivityLossError) as exc:
         step_from(st, grid, scheme(), 0.5)
@@ -206,7 +206,7 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
     grid = Grid1D(8, 1.0)
     R, Q, u = np.ones(8), np.ones(8), np.zeros(8)
     u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
-    st = FieldState(0.0, R, Q, (R + Q) * u)
+    st = np.array((R, Q, (R + Q) * u))
     solved = []
     real = solver._closure_fields
 
@@ -243,9 +243,9 @@ def test_stage_blow_up_names_time_and_cells(integrator):
     grid = Grid1D(16, 1.0)
     R, Q, u = np.ones(16), np.ones(16), np.zeros(16)
     u[5] = 1e155
-    st = FieldState(0.25, R, Q, (R + Q) * u)
+    st = np.array((R, Q, (R + Q) * u))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
-        step_from(st, grid, scheme(integrator=integrator), 1e-160)
+        step_from(st, grid, scheme(integrator=integrator), 1e-160, t=0.25)
     assert exc.value.t == 0.25 + 1e-160
     assert exc.value.cells == [5, 6]
     assert exc.value.step is None  # run adds the step number
@@ -255,11 +255,11 @@ def test_conservation_short_run_periodic():
     grid = Grid1D(64, 1.0)
     st = sine_state(grid)
     sch = scheme()
-    masses0 = total_mass(st, grid)
+    masses0 = total_mass(derive(st, 0.0, EXPS), grid)
     for _ in range(50):
-        d = derive(st, EXPS)
+        d = derive(st, 0.0, EXPS)
         st, _ = step_from(st, grid, sch, stable_dt(d, grid, sch), d)
-    mr, mq = total_mass(st, grid)
+    mr, mq = total_mass(derive(st, 0.0, EXPS), grid)
     assert mr == pytest.approx(masses0[0], rel=1e-13)
     assert mq == pytest.approx(masses0[1], rel=1e-13)
 
@@ -268,11 +268,11 @@ def test_conservation_noslip_zero_flux_walls():
     grid = Grid1D(64, 1.0, bc=NOSLIP)
     st = sine_state(grid)
     sch = scheme()
-    masses0 = total_mass(st, grid)
+    masses0 = total_mass(derive(st, 0.0, EXPS), grid)
     for _ in range(50):
-        d = derive(st, EXPS)
+        d = derive(st, 0.0, EXPS)
         st, _ = step_from(st, grid, sch, stable_dt(d, grid, sch), d)
-    mr, mq = total_mass(st, grid)
+    mr, mq = total_mass(derive(st, 0.0, EXPS), grid)
     assert mr == pytest.approx(masses0[0], rel=1e-13)
     assert mq == pytest.approx(masses0[1], rel=1e-13)
 
@@ -285,16 +285,16 @@ def test_translation_equivariance_bitexact():
 
     def advance(state, nsteps):
         for _ in range(nsteps):
-            d = derive(state, EXPS)
+            d = derive(state, 0.0, EXPS)
             state, _ = step_from(state, grid, sch, stable_dt(d, grid, sch), d)
         return state
 
-    shifted = FieldState(0.0, np.roll(st.R, k), np.roll(st.Q, k), np.roll(st.m, k))
+    shifted = np.roll(st, k, axis=1)
     a = advance(shifted, 20)
     b = advance(st, 20)
-    assert np.array_equal(a.R, np.roll(b.R, k))
-    assert np.array_equal(a.Q, np.roll(b.Q, k))
-    assert np.array_equal(a.m, np.roll(b.m, k))
+    assert np.array_equal(a[0], np.roll(b[0], k))
+    assert np.array_equal(a[1], np.roll(b[1], k))
+    assert np.array_equal(a[2], np.roll(b[2], k))
 
 
 # fused stencils against the per-equation formulas ------------------------------
@@ -349,28 +349,29 @@ def _ref_clip(arr):
     return np.where(arr < 0.0, 0.0, arr)
 
 
-def _ref_step(st, grid, sch, sol, dt, flux_sign, zf=None):
-    """One SSPRK2 step of the per-equation scheme forced by sol, if not
-    None, with advection entering with flux_sign; returns (R, Q, m) and the
-    forcing's face roots at the stage time.  zf, the face roots at st.t that
-    a step handed on, is solved cold when None; the stage's face roots are
-    warm-started from it, as the stage's cell roots are from der0.Z."""
-    der0 = derive(st, EXPS)
+def _ref_step(st, t, grid, sch, sol, dt, flux_sign, zf=None):
+    """One SSPRK2 step of the per-equation scheme from the state st at time
+    t, forced by sol, if not None, with advection entering with flux_sign;
+    returns (R, Q, m) and the forcing's face roots at the stage time.  zf,
+    the face roots at t that a step handed on, is solved cold when None; the
+    stage's face roots are warm-started from it, as the stage's cell roots
+    are from der0.Z."""
+    R, Q, m = st
+    der0 = derive(st, t, EXPS)
     forcing0 = forcing1 = zf1 = None
     if sol is not None:
-        zf0 = _ref_face_roots(sol, grid, st.t) if zf is None else zf
-        forcing0 = sol.cell_averages(grid, st.t, zf0)
-    dR, dQ, dm = _ref_rhs(st.R, st.Q, st.m, der0, grid, sch, forcing0, flux_sign)
-    R1, Q1 = _ref_clip(st.R + dt * dR), _ref_clip(st.Q + dt * dQ)
-    m1 = st.m + dt * dm
-    stage = FieldState(st.t + dt, R1, Q1, m1)
-    der1 = derive(stage, EXPS, z0=der0.Z)
+        zf0 = _ref_face_roots(sol, grid, t) if zf is None else zf
+        forcing0 = sol.cell_averages(grid, t, zf0)
+    dR, dQ, dm = _ref_rhs(R, Q, m, der0, grid, sch, forcing0, flux_sign)
+    R1, Q1 = _ref_clip(R + dt * dR), _ref_clip(Q + dt * dQ)
+    m1 = m + dt * dm
+    der1 = derive(np.array((R1, Q1, m1)), t + dt, EXPS, z0=der0.Z)
     if sol is not None:
-        zf1 = _ref_face_roots(sol, grid, stage.t, zf0)
-        forcing1 = sol.cell_averages(grid, stage.t, zf1)
+        zf1 = _ref_face_roots(sol, grid, t + dt, zf0)
+        forcing1 = sol.cell_averages(grid, t + dt, zf1)
     dR1, dQ1, dm1 = _ref_rhs(R1, Q1, m1, der1, grid, sch, forcing1, flux_sign)
-    R2, Q2 = (_ref_clip(0.5 * (a + a1 + dt * da)) for a, a1, da in ((st.R, R1, dR1), (st.Q, Q1, dQ1)))
-    return (R2, Q2, 0.5 * (st.m + m1 + dt * dm1)), zf1
+    R2, Q2 = (_ref_clip(0.5 * (a + a1 + dt * da)) for a, a1, da in ((R, R1, dR1), (Q, Q1, dQ1)))
+    return (R2, Q2, 0.5 * (m + m1 + dt * dm1)), zf1
 
 
 def _tricky_state(grid):
@@ -382,7 +383,7 @@ def _tricky_state(grid):
     u = 0.4 * np.sin(2 * np.pi * x + 3.5)
     u[10:14] = 0.0
     u[20], u[21] = 0.3, -0.3
-    return FieldState(0.0, R, Q, (R + Q) * u)
+    return np.array((R, Q, (R + Q) * u))
 
 
 def _same_bits(a, b):
@@ -405,40 +406,40 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     st = _tricky_state(grid)
     sch = scheme(integrator=integrator)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2) if forced else None
-    d = derive(st, EXPS)
+    d = derive(st, 0.0, EXPS)
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, EXPS))
     dt *= 0.5
     new, (_, _, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
-    (R, Q, m), _ = _ref_step(st, grid, sch, sol, dt, flux_sign)
-    assert _same_bits(new.R, R)
-    assert _same_bits(new.Q, Q)
-    assert _same_bits(new.m, m)
+    (R, Q, m), _ = _ref_step(st, 0.0, grid, sch, sol, dt, flux_sign)
+    assert _same_bits(new[0], R)
+    assert _same_bits(new[1], Q)
+    assert _same_bits(new[2], m)
     g = _ref_velocity_face_gradient(d.u, grid)
     assert dissipation == dt * float(sch.nu_eff * np.sum(g * g) * grid.dx)
     assert speed_max == float(np.max(np.abs(d.u) + np.sqrt(3.0 * np.power(d.Z, 2.0))))
 
 
 def _ref_snapshots(cfg, dts):
-    """The snapshot states of the per-equation scheme stepped from cfg's
-    initial state with the step sizes dts; a step of exactly the time left
-    to a snapshot lands on it.  Each step hands its stage's face roots on
-    to the next, except across a landing that moved t."""
+    """The snapshots of the per-equation scheme stepped from cfg's initial
+    state with the step sizes dts, as (t, state) pairs; a step of exactly
+    the time left to a snapshot lands on it.  Each step hands its stage's
+    face roots on to the next, except across a landing that moved t."""
     grid = cfg.grid()
     sol = cfg.manufactured() if cfg.mms_enabled else None
-    st = cfg.initial_state(grid)
-    states, targets = [st], iter(cfg.snapshot_times()[1:])
+    st, t = cfg.initial_state(grid), 0.0
+    snaps, targets = [(t, st)], iter(cfg.snapshot_times()[1:])
     target = next(targets)
     zf = None
     for dt in dts:
-        (R, Q, m), zf = _ref_step(st, grid, cfg, sol, dt, 1.0, zf)
-        t = st.t + dt
-        if dt == target - st.t and t != target:
-            t, zf = target, None
-        st = FieldState(t, R, Q, m)
+        rows, zf = _ref_step(st, t, grid, cfg, sol, dt, 1.0, zf)
+        t1 = t + dt
+        if dt == target - t and t1 != target:
+            t1, zf = target, None
+        st, t = np.array(rows), t1
         if t == target:
-            states.append(st)
+            snaps.append((t, st))
             target = next(targets, None)
-    return states
+    return snaps
 
 
 @pytest.mark.parametrize("integrator", [solver.SSPRK2])
@@ -453,10 +454,10 @@ def test_run_snapshots_are_bit_identical_to_per_equation_steps(
     traj, records = run_collecting(cfg)
     assert traj.n_steps > 60
     want = _ref_snapshots(cfg, traj.dt_history.tolist())
-    assert [d.t for d in records] == [s.t for s in want] == cfg.snapshot_times()
+    assert [d.t for d in records] == [t for t, _ in want] == cfg.snapshot_times()
     assert [d.t for d in records] == traj.times
-    for k, (got, ref) in enumerate(zip(records, want, strict=True)):
-        assert _same_bits(got.V[:3], ref.U)
+    for k, (got, (_, ref)) in enumerate(zip(records, want, strict=True)):
+        assert _same_bits(got.V[:3], ref)
         assert traj.masses[k] == total_mass(got, traj.grid)
 
 
@@ -464,7 +465,7 @@ def test_run_snapshots_are_bit_identical_to_per_equation_steps(
 def test_ghost_cell_stencils_are_bit_identical_to_reference(bc):
     grid = Grid1D(32, 1.0, bc=bc)
     st = _tricky_state(grid)
-    d = derive(st, EXPS)
+    d = derive(st, 0.0, EXPS)
     u = d.u
     # the divergence that drives the fraction diagnostic, from a loaded buffer
     ws = loaded(d, grid, scheme())
@@ -612,21 +613,21 @@ def test_run_derives_each_snapshot_state_once(monkeypatch, run_collecting, track
     calls, made = [], []
     real = solver.derive
 
-    def spy(state, *args, **kwargs):
-        calls.append(state)
-        made.append(real(state, *args, **kwargs))
+    def spy(U, t, *args, **kwargs):
+        calls.append((U, t))
+        made.append(real(U, t, *args, **kwargs))
         return made[-1]
 
     monkeypatch.setattr(solver, "derive", spy)
     traj, derived = run_collecting(base_cfg(track_alpha=track))
     assert traj.n_steps > len(derived) == 3
     assert len(calls) == len(derived)
-    assert len(set(map(id, calls))) == len(calls)  # no state is derived twice
+    assert len({id(U) for U, _ in calls}) == len(calls)  # no state is derived twice
     # the consumer receives the run's own derives of its snapshot states,
     # in snapshot order, each once
     assert all(m is d for m, d in zip(made, derived))
-    for state, der in zip(calls, derived):
-        assert state.t == der.t and _same_bits(state.U, der.V[:3])
+    for (U, t), der in zip(calls, derived):
+        assert t == der.t and _same_bits(U, der.V[:3])
     assert (traj.alpha_transported is not None) == track
     assert (traj.alpha_clamps is not None) == track
     # tracking the diagnostic leaves the trajectory bit-identical
@@ -637,24 +638,23 @@ def test_run_derives_each_snapshot_state_once(monkeypatch, run_collecting, track
 
 
 def test_run_keeps_no_snapshot_state_while_its_consumer_runs(monkeypatch):
-    # a snapshot leaves the run as its record alone: the FieldState the run
-    # copies out of its buffer to derive the record is gone before the
-    # consumer sees the record
+    # a snapshot leaves the run as its record alone: the state array the
+    # run derives the record from (the initial state, then a copy out of its
+    # buffer) is gone before the consumer sees the record
     built = []
-    real = solver.FieldState
+    real = solver.derive
 
-    def spy(*args, **kwargs):
-        state = real(*args, **kwargs)
-        built.append(weakref.ref(state))
-        return state
+    def spy(U, *args, **kwargs):
+        built.append(weakref.ref(U))
+        return real(U, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "FieldState", spy)
+    monkeypatch.setattr(solver, "derive", spy)
     alive = []
     traj = run(
         base_cfg(n_snapshots=4),
         on_snapshot=lambda der: alive.append(sum(r() is not None for r in built)),
     )
-    assert len(built) == len(traj.times) - 1 == 3  # one per stepped snapshot
+    assert len(built) == len(traj.times) == 4  # one per snapshot
     assert alive == [0, 0, 0, 0]
 
 
@@ -667,7 +667,7 @@ def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
     exps = cfg.exponents()
     assert len(derived) == 5
     for der in derived:
-        cold = derive(FieldState(der.t, U=der.V[:3]), exps)
+        cold = derive(der.V[:3], der.t, exps)
         if exps.gamma == 2.0:
             for name in ("Z", "p", "u", "alpha", "rho_minus"):
                 assert _same_bits(getattr(der, name), getattr(cold, name)), name
@@ -781,26 +781,28 @@ SHIFTING_SNAPS = (0.0, 0.0011, 0.0031, 0.01)
 def _ref_run(cfg):
     """run with every step evaluating its own forcing at its start time from
     the face roots the last step handed on (cold after a landing that moved
-    t); returns (trajectory states, dt history, landings that moved t)."""
+    t); returns (trajectory (t, state) pairs, dt history, landings that
+    moved t)."""
     grid, exps, sol = cfg.grid(), cfg.exponents(), cfg.manufactured()
-    state = cfg.initial_state(grid)
-    states, dts, shifted, z, zf = [state], [], 0, None, None
+    t, state = 0.0, cfg.initial_state(grid)
+    snaps, dts, shifted, z, zf = [(t, state)], [], 0, None, None
     for target in cfg.snapshot_times()[1:]:
-        while state.t < target:
-            d = derive(state, exps, z0=z)
-            remaining = target - state.t
+        while t < target:
+            d = derive(state, t, exps, z0=z)
+            remaining = target - t
             dt = min(stable_dt(d, grid, cfg, exps), remaining)
-            forcing0 = None if zf is None else (sol.cell_averages(grid, state.t, zf), zf)
-            state, rep = step_from(state, grid, cfg, dt, d, sol, exps, forcing0)
+            forcing0 = None if zf is None else (sol.cell_averages(grid, t, zf), zf)
+            state, rep = step_from(state, grid, cfg, dt, d, sol, exps, forcing0, t)
             z, zf = rep[0], rep[1][1]  # the stage's closure roots, cells and faces
             dts.append(dt)
+            t += dt
             if dt == remaining:
-                shifted += state.t != target
-                if state.t != target:
+                shifted += t != target
+                if t != target:
                     zf = None
-                state = dataclasses.replace(state, t=target)
-        states.append(state)
-    return states, dts, shifted
+                t = target
+        snaps.append((t, state))
+    return snaps, dts, shifted
 
 
 @pytest.mark.parametrize(
@@ -812,9 +814,9 @@ def test_forced_run_is_bit_identical_to_fresh_forcing_every_step(run_collecting,
     states, dts, shifted = _ref_run(cfg)
     assert shifted == ("snaps" in kw)  # a landing that moved t: its successor recomputes
     assert _same_bits(traj.dt_history, np.asarray(dts))
-    assert [s.t for s in got_states] == [s.t for s in states]
-    for got, want in zip(got_states, states, strict=True):
-        assert _same_bits(got.V[:3], want.U)
+    assert [s.t for s in got_states] == [t for t, _ in states]
+    for got, (_, want) in zip(got_states, states, strict=True):
+        assert _same_bits(got.V[:3], want)
 
 
 def _spy_cell_averages(monkeypatch):
@@ -860,32 +862,31 @@ NEWTON_EXPS = ExponentPair(3.0, 1.4)  # gamma ~ 2.14: every closure root is a Ne
 def test_forced_step_solves_stage_and_faces_in_one_call_as_apart(monkeypatch, bc):
     grid = Grid1D(32, 1.0, bc=bc)
     sol = ManufacturedSolution(NEWTON_EXPS, nu_eff=0.2)
-    st = sol.state(grid, 0.3)
-    d = derive(st, NEWTON_EXPS)
+    t = 0.3
+    d = derive(sol.state(grid, t), t, NEWTON_EXPS)
     sch = scheme()
     dt = 0.5 * stable_dt(d, grid, sch, NEWTON_EXPS)
-    zf0, _ = solve_closure_batch(*sol.face_masses(grid, st.t), NEWTON_EXPS.gamma)
+    zf0, _ = solve_closure_batch(*sol.face_masses(grid, t), NEWTON_EXPS.gamma)
     ws = loaded(d, grid, sch, NEWTON_EXPS)
     sizes = _spy_closure_kernel(monkeypatch)
-    forcing0 = (sol.cell_averages(grid, st.t, zf0), zf0)
-    stage_Z, (forcing1, zf1), iters, _ = step(ws, st.t, dt, d.Z, forcing0, sol)
+    forcing0 = (sol.cell_averages(grid, t, zf0), zf0)
+    stage_Z, (forcing1, zf1), iters, _ = step(ws, t, dt, d.Z, forcing0, sol)
     assert sizes == [2 * grid.n + 1]  # one kernel call: the n cells and n + 1 faces
     monkeypatch.undo()
     # the stage's roots, pressure and velocity are those of its own solve
-    stage = FieldState(st.t + dt, U=ws.S.U.copy())
-    apart = derive(stage, NEWTON_EXPS, z0=d.Z)
+    apart = derive(ws.S.U.copy(), t + dt, NEWTON_EXPS, z0=d.Z)
     assert _same_bits(stage_Z, apart.Z)
     assert _same_bits(ws.S.p, apart.p) and _same_bits(ws.S.u, apart.u)
     # the face roots are those of their own solve from the handed-on roots,
     # and within the closure tolerance of a cold solve
-    Rf, Qf = sol.face_masses(grid, stage.t)
+    Rf, Qf = sol.face_masses(grid, apart.t)
     warm, warm_iters = solve_closure_batch(Rf, Qf, NEWTON_EXPS.gamma, zf0)
     assert _same_bits(zf1, warm)
     assert iters == max(apart.closure_iterations, warm_iters)
     cold, cold_iters = solve_closure_batch(Rf, Qf, NEWTON_EXPS.gamma)
     assert np.max(np.abs(zf1 - cold) / cold) <= 2.0 * CLOSURE_TOL
     assert warm_iters < cold_iters
-    assert _same_bits(forcing1, sol.cell_averages(grid, stage.t, zf1))
+    assert _same_bits(forcing1, sol.cell_averages(grid, apart.t, zf1))
 
 
 # the benchmark's mms_newton workload, input variant 0, at n = 16
@@ -926,7 +927,7 @@ def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
     grid = Grid1D(16, 1.0)
     sol = ManufacturedSolution(NEWTON_EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
-    d = derive(st, NEWTON_EXPS)
+    d = derive(st, 0.0, NEWTON_EXPS)
     ws = loaded(d, grid, scheme(), NEWTON_EXPS)
     Rf, Qf = sol.face_masses(grid, 0.2)
     zf0 = np.full(grid.n + 1, 1e3)  # a poor start, clipped to the bracket
@@ -937,7 +938,7 @@ def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
         solver._close_with_faces(ws.W, ws, z0, Rf, Qf, zf0)
     with pytest.raises(closure.MaxIterExceededError) as apart:
         if stage_fails:
-            solve_closure_batch(st.R, st.Q, NEWTON_EXPS.gamma, z0)
+            solve_closure_batch(st[0], st[1], NEWTON_EXPS.gamma, z0)
         else:
             solve_closure_batch(Rf, Qf, NEWTON_EXPS.gamma, zf0)
     assert joint.value.cells == apart.value.cells

@@ -6,7 +6,7 @@ import pytest
 
 from bifluid.closure import ExponentPair, solve_closure_batch
 from bifluid.config import ProfileSpec, SimConfig
-from bifluid.fields import NOSLIP, PERIODIC, FieldState, Grid1D, derive
+from bifluid.fields import NOSLIP, PERIODIC, Grid1D, derive
 from bifluid.solver import run
 from bifluid.verify import (
     EmptySeriesError,
@@ -29,11 +29,11 @@ def state(R, Q, u, n=16):
     R = np.asarray(R, float) * np.ones(n)
     Q = np.asarray(Q, float) * np.ones(n)
     u = np.asarray(u, float) * np.ones(n)
-    return FieldState(0.0, R, Q, (R + Q) * u)
+    return np.array((R, Q, (R + Q) * u))
 
 
 def der(R, Q, u, n=16):
-    return derive(state(R, Q, u, n), EXPS)
+    return derive(state(R, Q, u, n), 0.0, EXPS)
 
 
 # relative entropy -----------------------------------------------------------
@@ -122,13 +122,13 @@ def test_quadratic_scaling_in_perturbation_size():
     dR = rng.uniform(-1, 1, n)
     dQ = rng.uniform(-1, 1, n)
     du = rng.uniform(-1, 1, n)
-    ref = derive(FieldState(0.0, base_R, base_Q, (base_R + base_Q) * 0.1), EXPS)
+    ref = derive(np.array((base_R, base_Q, (base_R + base_Q) * 0.1)), 0.0, EXPS)
     ratios = []
     for eps in (1e-2, 5e-3, 2.5e-3):
         R = base_R + eps * dR
         Q = base_Q + eps * dQ
         u = 0.1 + eps * du
-        a = derive(FieldState(0.0, R, Q, (R + Q) * u), EXPS)
+        a = derive(np.array((R, Q, (R + Q) * u)), 0.0, EXPS)
         row = relative_entropy(a, ref, grid)
         ratios.append(row.E_total / eps**2)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
@@ -205,7 +205,7 @@ def test_row_fraction_terms_equal_the_oracle_bit_for_bit(bc):
     Q = 1.2 + 0.3 * np.cos(4 * np.pi * x)
     R[3:6] = Q[3:6] = 0.0
     u = 0.3 * np.sin(np.pi * x) ** 2
-    a = derive(FieldState(0.0, R, Q, (R + Q) * u), EXPS)
+    a = derive(np.array((R, Q, (R + Q) * u)), 0.0, EXPS)
     assert a.vacuum.any()
     b = der(1.1 + 0.2 * np.cos(2 * np.pi * x), 1.3, 0.1 * np.sin(2 * np.pi * x), n)
     row = relative_entropy(a, b, grid, nu_eff=0.05)
@@ -296,7 +296,7 @@ def test_coercivity_window_matches_predicate_exactly():
     rng = np.random.default_rng(11)
     n = 64
     grid = Grid1D(n, 1.0)
-    a = derive(FieldState(0.0, rng.uniform(0.2, 4.0, n), rng.uniform(0.2, 4.0, n), np.zeros(n)), EXPS)
+    a = derive(np.array((rng.uniform(0.2, 4.0, n), rng.uniform(0.2, 4.0, n), np.zeros(n))), 0.0, EXPS)
     b = der(1.2, 2.0, 0.0, n)
     rep = coercivity_check(relative_entropy(a, b, grid), a, b, grid, 0.8, 2.5)
     want = (
