@@ -33,15 +33,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .closure import (
-    VACUUM_ALPHA,
-    CellError,
-    ClosureOverflowError,
-    ExponentPair,
-    MaxIterExceededError,
-    NonFiniteInputError,
-    solve_closure_batch,
-)
+from .closure import CellError, ClosureOverflowError, ExponentPair
 from .config import ParseError, SimConfig, ValidationError, validate_config
 from .fields import (
     SNAPSHOT_COLUMNS,
@@ -52,7 +44,7 @@ from .fields import (
     total_energy,
     write_snapshot,
 )
-from .solver import StepError, Trajectory, run
+from .solver import Trajectory, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,10 +52,7 @@ EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
 RUNTIME_ERRORS = (
-    StepError,  # positivity loss, a non-finite state, no stable step
-    MaxIterExceededError,
-    ClosureOverflowError,
-    NonFiniteInputError,
+    CellError,  # a step (positivity, non-finite state, step size) or closure failure
     verify.GridMismatchError,
     verify.TimeGridMismatchError,
     verify.VacuumReferenceError,
@@ -633,29 +622,25 @@ def cmd_closure(args) -> int:
     rs = np.linspace(args.r_min, args.r_max, args.steps + 1)
     qs = np.linspace(args.q_min, args.q_max, args.steps + 1)
     print("R,Q,Z,alpha,rho_minus,p,vacuum")
-    # one batch solve per block of table cells keeps memory bounded; a block
-    # may end inside a row, which a long row needs
+    # one derive per block of table cells keeps memory bounded; a block may
+    # end inside a row, which a long row needs
     cells = rs.size * qs.size
     for start in range(0, cells, CLOSURE_BATCH_CELLS):
         k = np.arange(start, min(start + CLOSURE_BATCH_CELLS, cells))
         R, Q = rs[k // qs.size], qs[k % qs.size]  # R outer, Q inner
+        d = derive(np.stack((R, Q, np.zeros_like(R))), 0.0, exps)
+        # the record's columns, as the snapshot CSVs print them; rho_minus
+        # and p overflow to inf here, which raises below without a warning
         with np.errstate(over="ignore"):
-            Z, _ = solve_closure_batch(R, Q, exps.gamma)
-            # numpy scalar powers round like Python's float pow, so the table
-            # keeps its digits; they overflow to inf instead of raising
-            rho_minus = [z**exps.gamma for z in Z]
-            p = [z**exps.gamma_plus for z in Z]
+            rho_minus, p = d.rho_minus, d.p
         bad = np.flatnonzero(~np.isfinite(p) | ~np.isfinite(rho_minus))
         if bad.size:
             k = bad[0]
             raise ClosureOverflowError(
                 "rho_minus or p overflows float at R=%.17g, Q=%.17g" % (R[k], Q[k])
             )
-        vacuum = Z == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(vacuum, VACUUM_ALPHA, R / Z)
-        table = np.column_stack((R, Q, Z, alpha, rho_minus, p, vacuum))
-        sys.stdout.write(_CLOSURE_ROW * Z.size % tuple(table.ravel().tolist()))
+        table = np.column_stack((d.R, d.Q, d.Z, d.alpha, rho_minus, p, d.vacuum))
+        sys.stdout.write(_CLOSURE_ROW * d.n % tuple(table.ravel().tolist()))
     return EXIT_OK
 
 

@@ -18,18 +18,18 @@ s = max(R, Q**(1/gamma)), so every input scale from subnormal to near
 overflow becomes an O(1) problem with a closed-form bracket for z.  The
 residual is convex (gamma > 1) or concave (gamma < 1) on that bracket, so
 Newton from any start inside it, including a warm start from the Z of a
-nearby state, converges monotonically after its first step.  A root beyond
-float range raises ``ClosureOverflowError`` instead of returning inf or a
-wrong finite value.
+nearby state, converges monotonically after its first step in exact
+arithmetic (``solve_closure_batch`` says where floats fall short).  A root
+beyond float range raises ``ClosureOverflowError`` instead of returning inf
+or a wrong finite value.
 
-``solve_closure_batch`` validates its arrays (finite, nonnegative) and then
-calls the trusted solver ``_solve_closure``.  Callers whose inputs are finite
-and nonnegative by construction call the trusted solver directly:
-``fields.derive`` (which checks the state it is given, and the solver checks
-every stage it builds) and the solver's closure of the manufactured
-forcing's face masses, alone or with a stage (checked in
-``ManufacturedSolution.__post_init__``).  The scalar argument checks and the
-overflow check run on both paths.
+``solve_closure_batch`` is the one closure kernel.  It checks nothing and
+converts nothing: callers pass 1-D float arrays R and Q of one shape, finite
+and nonnegative, and the gamma of an ``ExponentPair``.  Every caller
+guarantees that: ``fields.derive`` checks the state it is given, the solver
+admits every stage it builds, ``ManufacturedSolution.__post_init__`` bounds
+the forcing's face masses, and the ``closure`` command checks its ranges
+(it solves through ``derive``).  Only the overflow checks run on the path.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ __all__ = [
 
 
 class NonFiniteInputError(ValueError):
-    """An input to the closure is NaN or infinite."""
+    """An adiabatic exponent is NaN or infinite."""
 
 
 class CellError(Exception):
@@ -119,21 +119,6 @@ class ExponentPair:
         return self.gamma_plus / self.gamma_minus
 
 
-def _finite_nonneg(a):
-    # NaN fails both comparisons, so two reductions check finite and >= 0
-    return a.size == 0 or (
-        np.minimum.reduce(a, axis=None) >= 0.0
-        and np.maximum.reduce(a, axis=None) < math.inf
-    )
-
-
-def _validate_inputs(R, Q):
-    if not (_finite_nonneg(R) and _finite_nonneg(Q)):
-        if not (np.isfinite(R).all() and np.isfinite(Q).all()):
-            raise NonFiniteInputError("R and Q must be finite")
-        raise ValueError("R and Q must be nonnegative")
-
-
 def _check_overflow(a, what):
     # a holds no NaN here, so one reduction finds an inf
     if a.size and not np.maximum.reduce(a) < math.inf:
@@ -174,6 +159,12 @@ def _newton(r, q, lo, hi, z, gamma):
 def solve_closure_batch(R, Q, gamma, z0=None):
     """Vectorised closure solve; returns (Z, iterations).
 
+    The one closure kernel, for callers that guarantee its inputs: R and Q
+    1-D float arrays of one shape, finite and nonnegative, and gamma the
+    ratio of an ExponentPair.  Nothing is checked or converted here
+    (derive, the solver's stages and the manufactured forcing's faces are
+    the callers; see the module docstring).
+
     Scaling.  The closure is invariant under Z -> sZ, R -> sR, Q -> s**gamma Q,
     so outside the exact branches below each cell is solved for z = Z / s
     with s = max(R, Q**(1/gamma)), on r = R / s and
@@ -197,7 +188,11 @@ def solve_closure_batch(R, Q, gamma, z0=None):
     the root, after which the iterates approach it monotonically; every
     iterate is clipped to the bracket.  The cold start is the root of the
     second-order Taylor model at z = 1 for gamma > 1, the lower end r + q
-    for gamma < 1.
+    for gamma < 1.  That is convergence in exact arithmetic only, with a
+    step of about z / gamma far from the root: at exponent ratios near 1e4
+    and beyond, the iteration can exceed CLOSURE_MAX_ITER
+    (MaxIterExceededError) and z**(gamma - 1) can overflow.  The roots were
+    checked against mpmath for gamma up to 7.
 
     Warm start.  z0, an array shaped like R (typically the Z of a nearby
     state), replaces the cold start after clipping to the bracket, and the
@@ -214,35 +209,19 @@ def solve_closure_batch(R, Q, gamma, z0=None):
     largest over cells (0 for the exact branches).  The kernel reads
     CLOSURE_TOL and CLOSURE_MAX_ITER when it runs.
     """
-    R = np.asarray(R, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    _validate_inputs(R, Q)
-    if R.shape != Q.shape:
-        R, Q = np.broadcast_arrays(R, Q)
-    return _solve_closure(R, Q, gamma, z0)
-
-
-def _solve_closure(R, Q, gamma, z0=None):
-    """``solve_closure_batch`` on float arrays R, Q of one shape that hold only
-    finite, nonnegative values; the caller guarantees that, nothing checks it."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be a positive finite number")
-    shape = R.shape
-    R, Q = R.ravel(), Q.ravel()
-
     if gamma == 2.0:
         # Z = h + sqrt(h**2 + Q) with h = R/2: hypot neither overflows nor
         # underflows, Z <= R + sqrt(Q) rounds to at most the largest float,
         # and the form R + (... - h) gives Z = R at Q = 0 even where R/2 rounds
         h = 0.5 * R
-        return (R + (np.hypot(h, np.sqrt(Q)) - h)).reshape(shape), 0
+        return R + (np.hypot(h, np.sqrt(Q)) - h), 0
     # every overflow that can occur raises in _check_overflow; np.errstate
     # keeps numpy from also warning of it
     if gamma == 1.0:
         with np.errstate(over="ignore"):
             Z = R + Q
         _check_overflow(Z, "R + Q")
-        return Z.reshape(shape), 0
+        return Z, 0
     if gamma < 1.0:
         with np.errstate(over="ignore"):
             t = np.power(Q, 1.0 / gamma)
@@ -265,8 +244,7 @@ def _solve_closure(R, Q, gamma, z0=None):
     else:
         lo, hi = r + q, np.maximum(2.0 * r, np.exp2(1.0 / gamma) * ts)
     if z0 is not None:
-        z0 = np.ravel(np.asarray(z0, dtype=float)) / s
-        start = np.fmin(np.fmax(z0, lo), hi)
+        start = np.fmin(np.fmax(z0 / s, lo), hi)
     elif gamma > 1.0:
         # root of the second-order Taylor model of f at z = 1, where
         # f = 1 - r - q, f' = gamma - (gamma-1) r and
@@ -287,7 +265,7 @@ def _solve_closure(R, Q, gamma, z0=None):
         Z = s * z
     if vac is not None:
         Z[vac] = 0.0
-    return Z.reshape(shape), iterations
+    return Z, iterations
 
 
 def omega_of_alpha(a, gamma):

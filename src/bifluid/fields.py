@@ -177,7 +177,7 @@ def derive(
     closure iteration.
     """
     U = _checked_state(U)
-    Z, iters = closure._solve_closure(U[0], U[1], exps.gamma, z0)
+    Z, iters = closure.solve_closure_batch(U[0], U[1], exps.gamma, z0)
     V = np.vstack((U, Z))
     V.setflags(write=False)
     return DerivedFields(V, exps, t, iters)

@@ -101,8 +101,9 @@ class ManufacturedSolution:
     e: float = 0.3
 
     def __post_init__(self):
-        # the trusted closure solve of face_masses needs R in [a - |b|, a + |b|]
-        # and Q in [c - |d|, c + |d|] finite and positive; these checks ensure it
+        # the closure kernel checks nothing, so the face_masses R in
+        # [a - |b|, a + |b|] and Q in [c - |d|, c + |d|] must be finite and
+        # positive; these checks ensure it
         if not (math.isfinite(self.a + abs(self.b)) and math.isfinite(self.c + abs(self.d))):
             raise ValueError("manufactured partial masses must stay finite")
         if self.a - abs(self.b) <= 0.0 or self.c - abs(self.d) <= 0.0:

@@ -18,10 +18,10 @@ boundary condition); a step reads these instead of slicing the buffers
 again.  Each stage updates R, Q and m in place and
 admits the result with one per-row minimum and one maximum (zero the
 round-off negatives of the masses, raise PositivityLossError or
-NonFiniteStateError); the admitted masses are valid input for the trusted
-closure kernel, which writes p and u into the buffer; one ghost fill (a
-periodic wrap, or no-slip wall factors) then serves every stencil of the
-next stage.  The step size reuses the R + Q of that closure solve.  A step
+NonFiniteStateError); the admitted masses are valid input for the closure
+kernel, which checks nothing, and its root gives p and u in the buffer; one
+ghost fill (a periodic wrap, or no-slip wall factors) then serves every
+stencil of the next stage.  The step size reuses the R + Q of that closure solve.  A step
 builds no state array, DerivedFields or report object.
 
 A run records each snapshot once: it derives the state in its buffer
@@ -322,11 +322,11 @@ def _closure_fields(b: _Buffer, ws: _Workspace, z0, extra=None):
     """
     R, Q = b.R, b.Q
     if extra is None:
-        Z, iters = closure._solve_closure(R, Q, ws.gamma, z0)
+        Z, iters = closure.solve_closure_batch(R, Q, ws.gamma, z0)
         Zc = Z
     else:
         RQ = np.concatenate((R, extra[0])), np.concatenate((Q, extra[1]))
-        Z, iters = closure._solve_closure(*RQ, ws.gamma, z0)
+        Z, iters = closure.solve_closure_batch(*RQ, ws.gamma, z0)
         Zc = Z[: ws.n]
     np.power(Zc, ws.gamma_plus, out=b.p)
     rho = R + Q
@@ -361,7 +361,7 @@ def _close_with_faces(b: _Buffer, ws: _Workspace, z0, Rf, Qf, zf0):
         Z, _, iters = _closure_fields(b, ws, start, (Rf, Qf))
     except closure.CellError:
         _close(b, ws, z0)
-        closure._solve_closure(Rf, Qf, ws.gamma, zf0)
+        closure.solve_closure_batch(Rf, Qf, ws.gamma, zf0)
         raise
     _fill_ghosts(b, ws)
     n = ws.n
@@ -411,7 +411,7 @@ def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
     """
     W, S, grid = ws.W, ws.S, ws.grid
     if forcing0 is None and forcing is not None:
-        Zf, _ = closure._solve_closure(*forcing.face_masses(grid, t), ws.gamma)
+        Zf, _ = closure.solve_closure_batch(*forcing.face_masses(grid, t), ws.gamma)
         forcing0 = _forcing_level(forcing, grid, t, Zf)
     t1 = t + dt
     dissipation = dt * _dissipation_rate(W, ws)
@@ -419,7 +419,7 @@ def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
     dU = _rhs(W, ws, None if forcing is None else forcing0[0])
     dU *= dt
     np.add(dU, U0, out=U1)
-    # admitted, the stage is valid input for the trusted closure kernel
+    # admitted, the stage is valid input for the closure kernel
     _admit(U1, t1)
     if forcing is None:
         stage_Z, _, iters = _close(S, ws, Z)

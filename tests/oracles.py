@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from bifluid import closure
-from bifluid.closure import _solve_closure, omega_of_alpha, solve_closure_batch
+from bifluid.closure import omega_of_alpha, solve_closure_batch
 from bifluid.fields import PERIODIC, Grid1D
 from bifluid.solver import velocity_face_gradient
 
@@ -109,8 +109,8 @@ def alpha_partials_batch(R, Q, gamma):
         d_alpha_dR = gamma * Z**(gamma-1) * (1-alpha) / (gamma*Q + R*Z**(gamma-1)),
 
     which is the analytic one-sided limit form and stays finite down to
-    alpha -> 0 where the raw denominator underflows.  Inputs that are not
-    finite and nonnegative raise what solve_closure_batch raises.
+    alpha -> 0 where the raw denominator underflows.  R and Q must be finite
+    and nonnegative: the closure kernel does not check them.
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -175,7 +175,7 @@ def gauss3_forcing(sol, grid, t):
 
     # dp/dx = gamma_plus Z**(gamma_plus - 1) dZ/dx, with dZ/dx from
     # differentiating (Z - R) Z**(gamma - 1) = Q
-    Z, _ = _solve_closure(R, Q, g)
+    Z = solve_closure_batch(R.ravel(), Q.ravel(), g)[0].reshape(R.shape)
     zg1 = np.power(Z, g - 1.0)
     dZ_dx = (zg1 * dR_dx + dQ_dx) / (zg1 * (g + (1.0 - g) * R / Z))
     dp_dx = gp * np.power(Z, gp - 1.0) * dZ_dx
@@ -237,7 +237,7 @@ def nodewise_forcing(self, grid, t):
     avg = w[0] * S[:, 0] + w[1] * S[:, 1] + w[2] * S[:, 2]
 
     # p = Z**gamma_plus at the faces, with (Z - R) Z**(gamma-1) = Q
-    Zf, _ = _solve_closure(
+    Zf, _ = solve_closure_batch(
         self.a + self.b * (sin_kf * ct - cos_kf * st),
         self.c + self.d * (cos_kf * ct - sin_kf * st),
         self.exps.gamma,

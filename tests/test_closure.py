@@ -75,12 +75,13 @@ def test_residual_strictly_increasing(R, Q, gamma, lam):
 
 def _root(R, Q, gamma, **kw):
     """Z of one cell."""
-    Z, _ = solve_closure_batch([R], [Q], gamma, **kw)
+    Z, _ = solve_closure_batch(np.array([R]), np.array([Q]), gamma, **kw)
     return float(Z[0])
 
 
 def test_solve_closed_form_examples():
-    Z, iterations = solve_closure_batch([1.0, 0.0, 2.0], [2.0, 4.0, 2.0], 2.0)
+    R, Q = np.array([1.0, 0.0, 2.0]), np.array([2.0, 4.0, 2.0])
+    Z, iterations = solve_closure_batch(R, Q, 2.0)
     assert Z == pytest.approx([2.0, 2.0, 1.0 + math.sqrt(3.0)], rel=1e-12)
     assert iterations == 0  # gamma = 2 is the quadratic formula
     assert _root(0.3, 0.5, 1.0) == pytest.approx(0.8, rel=1e-15)
@@ -92,23 +93,12 @@ def test_solve_special_branches():
     assert _root(0.0, 8.0, 3.0) == pytest.approx(2.0, rel=1e-14)
 
 
-def test_solve_input_validation():
-    with pytest.raises(NonFiniteInputError):
-        solve_closure_batch([float("nan")], [1.0], 2.0)
-    with pytest.raises(NonFiniteInputError):
-        solve_closure_batch([1.0], [float("inf")], 2.0)
-    with pytest.raises(ValueError):
-        solve_closure_batch([-1.0], [1.0], 2.0)
-    with pytest.raises(ValueError):
-        solve_closure_batch([1.0], [1.0], -2.0)
-
-
 def test_solve_iteration_cap(monkeypatch):
     from bifluid import closure
 
     monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
     with pytest.raises(MaxIterExceededError):
-        solve_closure_batch([1.0], [2.0], 1.5)
+        solve_closure_batch(np.array([1.0]), np.array([2.0]), 1.5)
 
 
 def test_solve_reads_the_tolerance_when_called(monkeypatch):
@@ -135,7 +125,7 @@ def test_solve_root_is_bracketed_with_small_residual(R, Q, gamma):
 
 @given(R=positive_masses, Q=positive_masses, gamma=gammas, bump=st.floats(1e-3, 5.0))
 def test_solve_monotone_in_R_and_Q(R, Q, gamma, bump):
-    Z, _ = solve_closure_batch([R, R + bump, R], [Q, Q, Q + bump], gamma)
+    Z, _ = solve_closure_batch(np.array([R, R + bump, R]), np.array([Q, Q, Q + bump]), gamma)
     assert Z[1] >= Z[0] * (1.0 - 1e-10)
     assert Z[2] >= Z[0] * (1.0 - 1e-10)
 
@@ -166,8 +156,8 @@ def test_batch_matches_scalar():
 
 
 def test_solve_deterministic():
-    a = solve_closure_batch([3.7], [1.9], 2.6)
-    b = solve_closure_batch([3.7], [1.9], 2.6)
+    a = solve_closure_batch(np.array([3.7]), np.array([1.9]), 2.6)
+    b = solve_closure_batch(np.array([3.7]), np.array([1.9]), 2.6)
     assert a[0][0] == b[0][0] and a[1] == b[1]
 
 
@@ -194,7 +184,7 @@ def _scaled_bisection_log_root(R, Q, gamma):
 @pytest.mark.parametrize("gamma", [1.3, 2.14])
 def test_solve_huge_R_unit_Q(gamma):
     # the root exceeds R by a relative Q / R**gamma, far below one ulp
-    Z, _ = solve_closure_batch([1e300], [1.0], gamma)
+    Z, _ = solve_closure_batch(np.array([1e300]), np.array([1.0]), gamma)
     assert Z[0] == pytest.approx(1e300, rel=1e-14)
 
 
@@ -210,8 +200,8 @@ def _gamma_two_ulps(Z, R, Q):
 def test_solve_gamma_two_extreme_scales():
     big = np.finfo(float).max
     odd = 3 * np.finfo(float).smallest_subnormal  # its half rounds
-    R = [1e200, 5e-324, 1e-300, 0.0, big, odd, odd]
-    Q = [1.0, 0.0, 1e-300, 1e300, 1e308, 0.0, 5e-324]
+    R = np.array([1e200, 5e-324, 1e-300, 0.0, big, odd, odd])
+    Q = np.array([1.0, 0.0, 1e-300, 1e300, 1e308, 0.0, 5e-324])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no floating-point warning either
         Z, _ = solve_closure_batch(R, Q, 2.0)
@@ -241,9 +231,10 @@ def test_solve_zero_Q_gives_R_exactly(gamma):
 def test_solve_overflowing_root_raises(R):
     # Z >= Q**(1/gamma) = 1e616 is beyond float range
     with pytest.raises(ClosureOverflowError):
-        solve_closure_batch([R], [1e308], 0.5)
+        solve_closure_batch(np.array([R]), np.array([1e308]), 0.5)
     with pytest.raises(ClosureOverflowError):
-        solve_closure_batch([np.finfo(float).max], [np.finfo(float).max], 1.0)
+        big = np.array([np.finfo(float).max])
+        solve_closure_batch(big, big, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -255,33 +246,12 @@ def test_solve_overflowing_root_raises(R):
     ],
 )
 def test_derive_overflowing_root_raises(R, Q, exps, recwarn):
-    # derive solves on the trusted path, which keeps the overflow check;
-    # the overflow raises and does not also warn
+    # derive's closure solve keeps the kernel's overflow check: the
+    # overflow raises and does not also warn
     s = np.array(([1.0, R], [1.0, Q], [0.0, 0.0]))
     with pytest.raises(ClosureOverflowError, match=r"cells \[1\]"):
         derive(s, 0.0, exps)
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
-
-
-def test_only_the_public_solve_validates_its_arrays(monkeypatch):
-    from bifluid import closure
-
-    checked = []
-    real = closure._validate_inputs
-
-    def spy(R, Q):
-        checked.append(R)
-        return real(R, Q)
-
-    monkeypatch.setattr(closure, "_validate_inputs", spy)
-    with pytest.raises(NonFiniteInputError):
-        solve_closure_batch([1.0, float("nan")], [1.0, 1.0], 2.0)
-    with pytest.raises(ValueError):
-        solve_closure_batch([1.0, 1.0], [1.0, -1.0], 2.0)
-    assert len(checked) == 2
-    # derive checks its state itself, so it solves without a second check
-    derive(np.array(([1.0, 2.0], [1.0, 0.5], [0.0, 0.0])), 0.0, ExponentPair(3.0, 1.4))
-    assert len(checked) == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -296,9 +266,9 @@ def test_solve_matches_scaled_bisection_over_float_range(log10_R, log10_Q, gamma
     assume(abs(log_Z - LOG_FLOAT_MAX) > 1e-6)
     if log_Z > LOG_FLOAT_MAX:
         with pytest.raises(ClosureOverflowError):
-            solve_closure_batch([R], [Q], gamma)
+            solve_closure_batch(np.array([R]), np.array([Q]), gamma)
         return
-    Z, _ = solve_closure_batch([R], [Q], gamma)
+    Z, _ = solve_closure_batch(np.array([R]), np.array([Q]), gamma)
     assert abs(math.log(Z[0]) - log_Z) <= 1e-10
 
 
@@ -348,10 +318,10 @@ def test_frozen_newton_is_bit_identical_to_active_set_compaction(gamma, monkeypa
     for _ in range(20):
         R, Q, z0 = _newton_batch(rng, gamma)
         cases += [(R, Q, None), (R, Q, z0)]
-    got = [closure._solve_closure(R, Q, gamma, z0=z0) for R, Q, z0 in cases]
+    got = [solve_closure_batch(R, Q, gamma, z0=z0) for R, Q, z0 in cases]
     monkeypatch.setattr(closure, "_newton", compacting_newton)
     for (R, Q, z0), (Z, iters) in zip(cases, got):
-        Z_ref, iters_ref = closure._solve_closure(R, Q, gamma, z0=z0)
+        Z_ref, iters_ref = solve_closure_batch(R, Q, gamma, z0=z0)
         assert iters == iters_ref > 0
         assert Z.tobytes() == Z_ref.tobytes()
 
@@ -365,11 +335,11 @@ def test_frozen_newton_names_the_same_unconverged_cells(gamma, monkeypatch):
     monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
     for start in (None, z0):
         with pytest.raises(MaxIterExceededError) as frozen:
-            closure._solve_closure(R, Q, gamma, z0=start)
+            solve_closure_batch(R, Q, gamma, z0=start)
         with monkeypatch.context() as m:
             m.setattr(closure, "_newton", compacting_newton)
             with pytest.raises(MaxIterExceededError) as compacted:
-                closure._solve_closure(R, Q, gamma, z0=start)
+                solve_closure_batch(R, Q, gamma, z0=start)
         assert str(frozen.value) == str(compacted.value)
         assert "at cells [" in str(frozen.value)
 

@@ -15,6 +15,7 @@ from bifluid import cli, closure, config, solver, verify
 from bifluid.cli import main
 from bifluid.closure import VACUUM_ALPHA, ExponentPair, solve_closure_batch
 from bifluid.config import ParseError, ValidationError, _uniform_draws, validate_config
+from bifluid.fields import derive
 from oracles import flipped_advection_rhs, fraction_terms
 
 MINIMAL = """
@@ -1366,27 +1367,29 @@ def test_cli_closure_table(capsys):
 
 
 def test_cli_closure_table_degenerate_R_zero(capsys):
-    assert (
-        main(
-            [
-                "closure",
-                "--gamma-plus", "3.0",
-                "--gamma-minus", "1.5",
-                "--r-min", "0.0", "--r-max", "0.0",
-                "--q-min", "0.0", "--q-max", "4.0",
-                "--steps", "2",
-            ]
-        )
-        == 0
-    )
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert len(lines) == 9
-    vac_rows = [l for l in lines if l.endswith(",1")]
-    assert len(vac_rows) == 3  # the Q = 0 rows are flagged vacuum
-    for line in lines:
-        # alpha is zero on the pure-minus rows, the snapshots' sentinel on vacuum
-        want = VACUUM_ALPHA if line in vac_rows else 0.0
-        assert float(line.split(",")[3]) == want
+    # the table prints the snapshot record's columns: a vacuum row is R = Q = 0,
+    # not a row whose root underflows to 0 (gamma = 0.5, Q = 1e-200)
+    cases = [  # (gamma_plus, gamma_minus, q_min, q_max, steps), rows, vacuum rows, Z = 0 rows
+        (("3.0", "1.5", "0.0", "4.0", "2"), 9, 3, 3),  # the Q = 0 rows are vacuum
+        (("1.5", "3.0", "1e-200", "1e-200", "1"), 4, 0, 4),
+    ]
+    for (gp, gm, q_min, q_max, steps), n_rows, n_vacuum, n_zero in cases:
+        argv = [
+            "closure", "--gamma-plus", gp, "--gamma-minus", gm,
+            "--r-min", "0.0", "--r-max", "0.0", "--q-min", q_min, "--q-max", q_max,
+            "--steps", steps,
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == n_rows
+        vac_rows = [l for l in lines if l.endswith(",1")]
+        assert len(vac_rows) == n_vacuum
+        assert sum(float(l.split(",")[2]) == 0.0 for l in lines) == n_zero
+        for line in lines:
+            R, Q, alpha = (float(line.split(",")[j]) for j in (0, 1, 3))
+            assert R == 0.0 and (line in vac_rows) == (Q == 0.0)
+            # alpha is zero on the pure-minus rows, the snapshots' sentinel on vacuum
+            assert alpha == (VACUUM_ALPHA if line in vac_rows else 0.0)
 
 
 @pytest.mark.parametrize("r", ["1e300", "1e200"])
@@ -1409,13 +1412,10 @@ def test_cli_closure_overflowing_pressure_exits_3_without_traceback(r):
 
 
 def _recover_state(R, Q, exps):
-    """(Z, alpha, rho_minus, p, vacuum) of one cell with Python float powers:
-    the digit-for-digit oracle of the closure table."""
-    Z, _ = solve_closure_batch(np.asarray(R, dtype=float), np.asarray(Q, dtype=float), exps.gamma)
-    Z = float(Z)
-    if Z == 0.0:
-        return 0.0, VACUUM_ALPHA, 0.0, 0.0, True
-    return Z, float(R) / Z, Z**exps.gamma, Z**exps.gamma_plus, False
+    """(Z, alpha, rho_minus, p, vacuum) of one cell, the columns of its own
+    snapshot record: the digit-for-digit oracle of the closure table."""
+    d = derive(np.array(([R], [Q], [0.0])), 0.0, exps)
+    return float(d.Z[0]), float(d.alpha[0]), float(d.rho_minus[0]), float(d.p[0]), bool(d.vacuum[0])
 
 
 def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(
@@ -1432,7 +1432,7 @@ def test_cli_closure_table_matches_scalar_recovery_in_any_batch_size(
     batches = spy_calls(solve_closure_batch)
     assert main(argv) == 0
     assert capsys.readouterr().out == table
-    assert [R.size for R, _, _ in batches] == [7] * 17 + [2]  # 121 cells
+    assert [R.size for R, *_ in batches] == [7] * 17 + [2]  # 121 cells
     exps = ExponentPair(3.0, 1.4)
     for line in table.splitlines()[1:]:
         r, q = (float(v) for v in line.split(",")[:2])
@@ -1641,7 +1641,7 @@ def test_cli_allocation_failure_after_validation_is_a_runtime_failure(
         monkeypatch.setattr(cli, "run", refuse)
         argv = ["run", "--config", write(tmp_path, "run.ini", RUN_CFG), "--out", str(out)]
     else:
-        monkeypatch.setattr(cli, "solve_closure_batch", refuse)
+        monkeypatch.setattr(cli, "derive", refuse)
         argv = ["closure", "--gamma-plus", "3", "--gamma-minus", "1.5"]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"{command} failed: {message}\n"

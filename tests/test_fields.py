@@ -140,7 +140,7 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     # one read-only (4, n) record: the state's rows, bit for bit, and Z
     assert d.V.shape == (4, 5) and not d.V.flags.writeable
     assert d.V[:3].tobytes() == s.tobytes()
-    assert d.Z.tobytes() == closure._solve_closure(R, Q, exps.gamma)[0].tobytes()
+    assert d.Z.tobytes() == closure.solve_closure_batch(R, Q, exps.gamma)[0].tobytes()
     assert all(a.base is d.V for a in (d.R, d.Q, d.m, d.Z, d.rho_plus))
     vac = (R == 0.0) & (Q == 0.0)
     tiny = np.finfo(float).smallest_subnormal

@@ -843,15 +843,15 @@ def test_forced_ssprk2_run_evaluates_the_forcing_once_per_time_level(monkeypatch
 
 
 def _spy_closure_kernel(monkeypatch):
-    """The sizes of the batches that closure._solve_closure solves."""
+    """The sizes of the batches that the closure kernel solves."""
     sizes = []
-    real = closure._solve_closure
+    real = closure.solve_closure_batch
 
     def spy(R, *args):
         sizes.append(R.size)
         return real(R, *args)
 
-    monkeypatch.setattr(closure, "_solve_closure", spy)
+    monkeypatch.setattr(closure, "solve_closure_batch", spy)
     return sizes
 
 

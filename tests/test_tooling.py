@@ -29,13 +29,18 @@ def _load_tracing():
     return module
 
 
-def test_every_shipped_and_benchmark_config_validates(monkeypatch):
-    # a removed or renamed config key must fail here, not only in the
-    # benchmark's gate
+def _load_workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_shipped_and_benchmark_config_validates(monkeypatch):
+    # a removed or renamed config key must fail here, not only in the
+    # benchmark's gate
+    workloads = _load_workloads(monkeypatch)
     texts = {path.name: path.read_text() for path in sorted((ROOT / "configs").glob("*.ini"))}
     assert texts
     for name, workload in workloads.WORKLOADS.items():
@@ -107,6 +112,37 @@ def test_full_trace_covers_the_hot_loop():
     # each step's work runs inside one call of each traced per-step function
     for name in ("solver.step", "solver.compute_dt", "solver.alpha_diag"):
         assert tracer.spans[name][0] == traj.n_steps, name
+
+
+def _traced_closure_metrics(cfg, tmp_path):
+    """(steps, layer metrics) of one fully traced run of cfg."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(full=True)
+    try:
+        traj = solver.run(cfg, on_snapshot=lambda der: None)
+    finally:
+        tracer.uninstall()
+    return traj.n_steps, tracing.layer_metrics(tracer, tmp_path)
+
+
+def test_closure_span_sees_every_kernel_call(monkeypatch, tmp_path):
+    # every closure solve of the program goes through the public kernel, the
+    # name the tracer wraps, so the closure metrics count the real solves
+    workloads = _load_workloads(monkeypatch)
+    text = workloads.WORKLOADS["mms_newton"].configs(0)["mms.ini"].replace("n = 128", "n = 16")
+    steps, m = _traced_closure_metrics(validate_config(text)[0], tmp_path)
+    assert steps == 4
+    # 4 joint stage-and-face solves, 1 cold face solve, 3 closes between
+    # steps and 2 derives (one per snapshot)
+    assert m["closure.calls"] == 10
+    assert m["closure.newton_iters"] > 0
+    # unforced at gamma = 2: each step closes its stage and its new state,
+    # and the initial state is derived
+    steps, m = _traced_closure_metrics(SimConfig(n=16, t_end=0.01, n_snapshots=2), tmp_path)
+    assert steps > 0
+    assert m["closure.calls"] == 2 * steps + 1
+    assert m["closure.newton_iters"] == 0
 
 
 def test_full_trace_of_a_twin_compare_derives_each_state_once(tmp_path, spy_calls):
