@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .closure import ExponentPair
+from .closure import EXPONENT_MAX, ExponentPair
 from .fields import NOSLIP, PERIODIC, Grid1D, _checked_state, read_snapshot
 from .mms import ManufacturedSolution
 from .solver import SSPRK2
@@ -285,8 +285,10 @@ class SimConfig:
             if not cond:
                 raise ValidationError(f"{field}: {constraint}")
 
-        need(self.gamma_plus > 1.0, "exponents.gamma_plus", "must be > 1 (Helmholtz potential undefined otherwise)")
-        need(self.gamma_minus > 1.0, "exponents.gamma_minus", "must be > 1 (Helmholtz potential undefined otherwise)")
+        # the Helmholtz potential needs exponents above 1, the closure's checked range at most 100
+        exponent_range = f"must lie in (1, {EXPONENT_MAX:g}]"
+        need(1.0 < self.gamma_plus <= EXPONENT_MAX, "exponents.gamma_plus", exponent_range)
+        need(1.0 < self.gamma_minus <= EXPONENT_MAX, "exponents.gamma_minus", exponent_range)
         need(self.mu >= 0.0, "viscosity.mu", "must be nonnegative")
         need(2.0 * self.mu + 3.0 * self.lam >= 0.0, "viscosity.lambda", "needs 2*mu + 3*lambda >= 0")
         need(self.mu > 0.0 or self.allow_inviscid, "viscosity.mu", "mu = 0 requires verification.allow_inviscid")

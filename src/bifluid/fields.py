@@ -26,6 +26,7 @@ NOSLIP = "noslip"
 BOUNDARY_CONDITIONS = (PERIODIC, NOSLIP)
 RHO_FLOOR = 1e-12  # velocity recovery divides by max(R + Q, RHO_FLOOR)
 _TINY = np.finfo(float).smallest_subnormal
+_HALF_MAX = np.finfo(float).max / 2.0
 
 SNAPSHOT_COLUMNS = ("i", "x", "R", "Q", "m", "Z", "alpha", "rho_plus", "rho_minus", "p", "u")
 
@@ -36,6 +37,7 @@ __all__ = [
     "Grid1D",
     "DerivedFields",
     "derive",
+    "pressure",
     "total_mass",
     "total_energy",
     "restrict",
@@ -103,9 +105,9 @@ class DerivedFields:
     one read-only (4, n) array V, plus the exponents and closure iterations.
 
     derive solves Z only.  R, Q, m, Z and rho_plus = Z are row views of V;
-    p, u, alpha, rho_minus and vacuum are computed on their first read and
-    then kept, so a record built over the V of another starts with none of
-    them.  A vacuum cell's alpha is the sentinel closure.VACUUM_ALPHA.
+    p (see pressure), u, alpha, rho_minus and vacuum are computed on their
+    first read and then kept, so a record built over the V of another starts
+    with none of them.  A vacuum cell's alpha is closure.VACUUM_ALPHA.
     """
 
     V: np.ndarray
@@ -142,7 +144,7 @@ class DerivedFields:
 
     @functools.cached_property
     def p(self) -> np.ndarray:
-        return np.power(self.Z, self.exps.gamma_plus)
+        return pressure(self.Z, self.R, self.Q, self.exps.gamma_plus)
 
     @functools.cached_property
     def u(self) -> np.ndarray:
@@ -164,6 +166,26 @@ class DerivedFields:
     @functools.cached_property
     def rho_minus(self) -> np.ndarray:
         return np.power(self.Z, self.exps.gamma)
+
+
+def pressure(Z, R, Q, gamma_plus: float, out=None) -> np.ndarray:
+    """p = Z**gamma_plus of the closure roots Z of the masses R and Q, into
+    out when given; ClosureOverflowError, naming the cells and the masses of
+    the first, where p overflows, and no numpy warning."""
+    # below (max / 2)**(1/gamma_plus) p is finite, and one reduction of Z says so
+    if not Z.size or np.maximum.reduce(Z) < _HALF_MAX ** (1.0 / gamma_plus):
+        return np.power(Z, gamma_plus, out=out)
+    with np.errstate(over="ignore"):
+        p = np.power(Z, gamma_plus, out=out)
+    if np.maximum.reduce(p) < math.inf:
+        return p
+    bad = np.flatnonzero(np.isinf(p)).tolist()
+    k = bad[0]
+    raise closure.ClosureOverflowError(
+        f"pressure p = Z**gamma_plus overflows float at cells {bad[:8]} "
+        f"(cell {k}: R = {float(R[k])!r}, Q = {float(Q[k])!r})",
+        cells=bad,
+    )
 
 
 def derive(

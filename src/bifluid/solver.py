@@ -19,10 +19,12 @@ again.  Each stage updates R, Q and m in place and
 admits the result with one per-row minimum and one maximum (zero the
 round-off negatives of the masses, raise PositivityLossError or
 NonFiniteStateError); the admitted masses are valid input for the closure
-kernel, which checks nothing, and its root gives p and u in the buffer; one
+kernel, which checks nothing.  One helper closes every state a run steps
+from and every stage: its root gives p and u in the buffer (a p that
+overflows raises ClosureOverflowError, as DerivedFields.p does), and one
 ghost fill (a periodic wrap, or no-slip wall factors) then serves every
-stencil of the next stage.  The step size reuses the R + Q of that closure solve.  A step
-builds no state array, DerivedFields or report object.
+stencil of the next stage.  The step size reuses the R + Q of that closure
+solve.  A step builds no state array, DerivedFields or report object.
 
 A run records each snapshot once: it derives the state in its buffer
 (warm-started from the stage root) into one timed DerivedFields record and
@@ -64,6 +66,7 @@ from .fields import (
     DerivedFields,
     Grid1D,
     derive,
+    pressure,
     total_energy,
     total_mass,
 )
@@ -309,63 +312,40 @@ def _admit(U, t: float) -> None:
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
 
 
-def _closure_fields(b: _Buffer, ws: _Workspace, z0, extra=None):
-    """Z, the mixture density R + Q and the closure iterations of the state
-    in the buffer b, whose values are finite with nonnegative masses, which
-    is not checked here; its pressure and velocity go to the rows p and u of
-    b, with the expressions of DerivedFields.p and DerivedFields.u.
+def _close(b: _Buffer, ws: _Workspace, z0, faces=None):
+    """Solve the closure of the state in the buffer b, warm-started from z0,
+    into its p and u rows, with the expressions of DerivedFields.p and
+    DerivedFields.u, and fill its ghosts; returns (Z, R + Q, iterations).
+    The state's values are finite with nonnegative masses, which is not
+    checked here.
 
-    extra, the masses (R, Q) of further points, finite and nonnegative as
-    well, joins the one closure solve: z0 then holds their warm start after
-    the cells', and Z their roots after the cells'.  R + Q, p and u stay
-    the cells'.
+    faces, (Rf, Qf, zf0), the masses of the n + 1 faces of a manufactured
+    forcing, finite and nonnegative as well, and their warm start, join the
+    one closure solve: Z then holds the faces' roots after the cells', and
+    the iterations are those of the joint solve.  The kernel solves each
+    point on its own, so a failing joint solve is repeated as the cells' and
+    the faces' solves apart: these raise its error for the cells if any of
+    them failed, otherwise for the faces, numbered as faces.
     """
     R, Q = b.R, b.Q
-    if extra is None:
+    if faces is None:
         Z, iters = closure.solve_closure_batch(R, Q, ws.gamma, z0)
-        Zc = Z
     else:
-        RQ = np.concatenate((R, extra[0])), np.concatenate((Q, extra[1]))
-        Z, iters = closure.solve_closure_batch(*RQ, ws.gamma, z0)
-        Zc = Z[: ws.n]
-    np.power(Zc, ws.gamma_plus, out=b.p)
+        Rf, Qf, zf0 = faces
+        RQ = np.concatenate((R, Rf)), np.concatenate((Q, Qf))
+        try:
+            Z, iters = closure.solve_closure_batch(*RQ, ws.gamma, np.concatenate((z0, zf0)))
+        except closure.CellError:
+            closure.solve_closure_batch(R, Q, ws.gamma, z0)
+            closure.solve_closure_batch(Rf, Qf, ws.gamma, zf0)
+            raise
+    pressure(Z[: ws.n], R, Q, ws.gamma_plus, out=b.p)
     rho = R + Q
     u = b.u
     np.maximum(rho, RHO_FLOOR, out=u)
     np.divide(b.m, u, out=u)
-    return Z, rho, iters
-
-
-def _close(b: _Buffer, ws: _Workspace, z0):
-    """Solve the closure of the state in the buffer b, warm-started from z0,
-    into its p and u rows and fill its ghosts; returns (Z, R + Q,
-    iterations)."""
-    Z, rho, iters = _closure_fields(b, ws, z0)
     _fill_ghosts(b, ws)
     return Z, rho, iters
-
-
-def _close_with_faces(b: _Buffer, ws: _Workspace, z0, Rf, Qf, zf0):
-    """_close of the state in the buffer b, with the n + 1 faces of a
-    manufactured forcing, masses Rf and Qf, in the same closure solve,
-    their roots warm-started from zf0; returns (Z, the face roots,
-    iterations), the iterations those of the joint solve.
-
-    The kernel solves each point on its own, so a failing joint solve is
-    repeated as the state's and the faces' solves apart: these raise its
-    error for the state's cells if any of them failed, otherwise for the
-    faces, numbered as faces.
-    """
-    start = np.concatenate((z0, zf0))
-    try:
-        Z, _, iters = _closure_fields(b, ws, start, (Rf, Qf))
-    except closure.CellError:
-        _close(b, ws, z0)
-        closure.solve_closure_batch(Rf, Qf, ws.gamma, zf0)
-        raise
-    _fill_ghosts(b, ws)
-    n = ws.n
-    return Z[:n], Z[n:], iters
 
 
 def _forcing_level(forcing, grid: Grid1D, t: float, Zf):
@@ -426,7 +406,8 @@ def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
         stage_forcing = None
     else:
         Rf, Qf = forcing.face_masses(grid, t1)
-        stage_Z, Zf, iters = _close_with_faces(S, ws, Z, Rf, Qf, forcing0[1])
+        Z1, _, iters = _close(S, ws, Z, (Rf, Qf, forcing0[1]))
+        stage_Z, Zf = Z1[: ws.n], Z1[ws.n :]
         stage_forcing = _forcing_level(forcing, grid, t1, Zf)
     dU = _rhs(S, ws, None if forcing is None else stage_forcing[0])
     dU *= dt
@@ -497,16 +478,6 @@ def _discard(der: DerivedFields) -> None:
     """The snapshot consumer of a run whose caller reads only its scalars."""
 
 
-def _derive_at(U, t, exps, z0, dt_hist) -> DerivedFields:
-    """derive(U, t, exps, z0) for run, which reaches the state U at t after
-    steps of the sizes dt_hist."""
-    try:
-        return derive(U, t, exps, z0=z0)
-    except closure.CellError as exc:
-        exc.at(t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
-        raise
-
-
 def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Trajectory:
     """Advance a validated SimConfig from t = 0 to t_end.
 
@@ -527,13 +498,14 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
     interpolation.  The result is deterministic: identical configurations
     produce bit-identical trajectories.
 
-    A StepError or closure error (closure.CellError) that stops the run
-    records where.  One in a step's update, its stage, forcing or admission,
-    gets the number of that step, its size and the time it steps to.  One in
-    the closure of a state the run has reached (the initial state, a state
-    between steps, a snapshot) or in the size of the next step gets the
-    number of that next step, the size of the last step taken (None before
-    the first) and the state's time.
+    A StepError or closure error (closure.CellError) that stops the run is
+    located by one handler, by three rules; a t known at the raise is
+    kept.  In closing a state the run has reached (the initial state, a
+    state between steps, a snapshot) and sizing the next step: the state's
+    t, the number of the next step and the size of the last (None before
+    the first).  In a step, its stage, forcing or admission: the t + dt it
+    steps to, its number and its size.  In on_snapshot: nowhere, the
+    consumer's error keeps step and dt None.
     """
     grid = cfg.grid()
     exps = cfg.exponents()
@@ -542,10 +514,6 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
 
     ws = _Workspace(grid, cfg, exps)
     W = ws.W
-    # the record W is loaded from next, from here on the state's one form
-    der = _derive_at(cfg.initial_state(grid) if initial is None else initial, 0.0, exps, None, ())
-    del initial
-    t = der.t
     times: list[float] = []
     energies: list[float] = []
     masses: list[tuple[float, float]] = []
@@ -555,18 +523,26 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
     clamps = 0 if track else None
     iters_max = 0
     wave_max = 0.0
-    a_diag = der.alpha.copy() if track else None
-
     z_prev = None
     forcing0 = None  # the forcing at t and its face roots, when a step handed them on
-    for target in cfg.snapshot_times():
-        while t < target:
-            if len(dt_hist) >= MAX_STEPS:
-                raise RuntimeError(
-                    f"step budget of {MAX_STEPS} exhausted at t={t:.6g}, "
-                    f"before step {len(dt_hist) + 1}"
-                )
-            try:
+
+    # where a closure.CellError stops the run, (t, step, dt) as CellError.at
+    # takes it; None leaves the error as it was raised
+    where = (0.0, 1, None)
+    try:
+        # the record W is loaded from next, from here on the state's one form
+        der = derive(cfg.initial_state(grid) if initial is None else initial, 0.0, exps)
+        del initial
+        t = der.t
+        a_diag = der.alpha.copy() if track else None
+        for target in cfg.snapshot_times():
+            while t < target:
+                if len(dt_hist) >= MAX_STEPS:
+                    raise RuntimeError(
+                        f"step budget of {MAX_STEPS} exhausted at t={t:.6g}, "
+                        f"before step {len(dt_hist) + 1}"
+                    )
+                where = (t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
                 if der is not None:  # the step starts from a snapshot
                     _load(ws, der)
                     Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
@@ -574,39 +550,39 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
                 else:  # from the state of the last step
                     Z, rho, iters0 = _close(W, ws, z_prev)
                 dt_stable, speed_max = compute_dt(rho, W.u, Z, ws)
-            except closure.CellError as exc:
-                exc.at(t, len(dt_hist) + 1, dt_hist[-1] if dt_hist else None)
-                raise
-            remaining = target - t
-            landing = dt_stable >= remaining
-            dt = remaining if landing else dt_stable
-            if track:
-                a_diag, cl = alpha_diagnostic_step(
-                    a_diag, W.u, _divergence(W, ws), ws.gamma, dt, grid
-                )
-                clamps += cl
-            try:
+                remaining = target - t
+                landing = dt_stable >= remaining
+                dt = remaining if landing else dt_stable
+                if track:
+                    a_diag, cl = alpha_diagnostic_step(
+                        a_diag, W.u, _divergence(W, ws), ws.gamma, dt, grid
+                    )
+                    clamps += cl
+                where = (t + dt, len(dt_hist) + 1, dt)
                 z_prev, forcing0, iters1, step_diss = step(ws, t, dt, Z, forcing0, sol)
-            except closure.CellError as exc:
-                exc.at(t + dt, len(dt_hist) + 1, dt)
-                raise
-            t1 = t + dt
-            if landing and t1 != target:
-                t1 = target
-                forcing0 = None
-            t = t1
-            cum += step_diss
-            dt_hist.append(dt)
-            iters_max = max(iters_max, iters0, iters1)
-            wave_max = max(wave_max, speed_max)
-        if der is None:  # stepped since the last snapshot
-            # the record holds a copy of the state, which is bound nowhere
-            der = _derive_at(W.U.copy(), t, exps, z_prev, dt_hist)
-        times.append(t)
-        energies.append(total_energy(der, grid))
-        masses.append(total_mass(der, grid))
-        diss.append(cum)
-        on_snapshot(der)
+                t1 = t + dt
+                if landing and t1 != target:
+                    t1 = target
+                    forcing0 = None
+                t = t1
+                cum += step_diss
+                dt_hist.append(dt)
+                iters_max = max(iters_max, iters0, iters1)
+                wave_max = max(wave_max, speed_max)
+            if der is None:  # stepped since the last snapshot
+                where = (t, len(dt_hist) + 1, dt_hist[-1])
+                # the record holds a copy of the state, which is bound nowhere
+                der = derive(W.U.copy(), t, exps, z0=z_prev)
+            times.append(t)
+            energies.append(total_energy(der, grid))
+            masses.append(total_mass(der, grid))
+            diss.append(cum)
+            where = None
+            on_snapshot(der)
+    except closure.CellError as exc:
+        if where is not None:
+            exc.at(*where)
+        raise
 
     return Trajectory(
         grid=grid,

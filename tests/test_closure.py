@@ -4,9 +4,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bifluid.closure import (
+    EXPONENT_MAX,
     VACUUM_ALPHA,
     ClosureOverflowError,
     ExponentPair,
@@ -255,10 +256,15 @@ def test_derive_overflowing_root_raises(R, Q, exps, recwarn):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# at a small gamma, Q**(1/gamma) underflows (R = 1) or is subnormal
+# (R = 1e-300) while the scaled q is not small
+@example(log10_R=0.0, log10_Q=-5.0, gamma=0.01)
+@example(log10_R=-300.0, log10_Q=-3.2, gamma=0.01)
 @given(
     log10_R=st.floats(-300.0, 300.0),
     log10_Q=st.floats(-300.0, 300.0),
-    gamma=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.25, 4.0)),
+    # the ratios that exponents in (1, EXPONENT_MAX] allow, corners included
+    gamma=st.one_of(st.sampled_from([1.0, 2.0, 0.01, 100.0]), st.floats(0.01, 100.0)),
 )
 def test_solve_matches_scaled_bisection_over_float_range(log10_R, log10_Q, gamma):
     R, Q = 10.0**log10_R, 10.0**log10_Q
@@ -268,8 +274,9 @@ def test_solve_matches_scaled_bisection_over_float_range(log10_R, log10_Q, gamma
         with pytest.raises(ClosureOverflowError):
             solve_closure_batch(np.array([R]), np.array([Q]), gamma)
         return
-    Z, _ = solve_closure_batch(np.array([R]), np.array([Q]), gamma)
+    Z, iterations = solve_closure_batch(np.array([R]), np.array([Q]), gamma)
     assert abs(math.log(Z[0]) - log_Z) <= 1e-10
+    assert iterations <= 12  # a cold solve, far below CLOSURE_MAX_ITER
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5, 3.0 / 1.4, 3.0])
@@ -495,4 +502,8 @@ def test_exponent_pair_validation_and_ratio():
         ExponentPair(2.0, 0.9)
     with pytest.raises(NonFiniteInputError):
         ExponentPair(float("nan"), 2.0)
+    assert ExponentPair(EXPONENT_MAX, EXPONENT_MAX).gamma == 1.0
+    for pair in ((1e5, 1.5), (3.0, 100.5)):
+        with pytest.raises(ValueError, match=r"must lie in \(1, 100\]"):
+            ExponentPair(*pair)
 

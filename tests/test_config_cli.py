@@ -317,6 +317,10 @@ def test_cli_validate(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
     bad = write(tmp_path, "bad.ini", "[exponents]\ngamma_plus = 0.5\n")
     assert main(["validate", "--config", bad]) == 2
+    big = write(tmp_path, "big.ini", "[exponents]\ngamma_plus = 1e5\n")
+    capsys.readouterr()
+    assert main(["validate", "--config", big]) == 2
+    assert capsys.readouterr().err == "config error: exponents.gamma_plus: must lie in (1, 100]\n"
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
@@ -509,6 +513,29 @@ def test_cli_run_closure_overflow_writes_located_record(tmp_path, capsys, recwar
         "n_cells": 16,
     }
     assert [str(w.message) for w in recwarn] == []
+
+
+def test_cli_run_pressure_overflow_writes_located_record(tmp_path, capsys):
+    # the root Z = O(1e200) is finite, but p = Z**3 overflows: one named
+    # error at the first snapshot, no numpy warning and no stable-step error
+    text = "[initial]\nR_value = 1e200\nQ_value = 1e200\n[time]\nt_end = 0.001\n"
+    path = write(tmp_path, "pressure.ini", text)
+    out = tmp_path / "fail"
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    message = (
+        "pressure p = Z**gamma_plus overflows float at cells [0, 1, 2, 3, 4, 5, 6, 7] "
+        "(cell 0: R = 1e+200, Q = 1e+200)"
+    )
+    assert capsys.readouterr().err == f"run failed: {message}\n"
+    assert json.loads((out / "failure.json").read_text()) == {
+        "error": "ClosureOverflowError",
+        "message": message,
+        "t": 0.0,
+        "step": 1,
+        "dt": None,
+        "cells": list(range(64)),
+        "n_cells": 256,
+    }
 
 
 def test_failure_record_of_a_closure_error_outside_a_run_has_no_location(tmp_path):
@@ -1406,7 +1433,7 @@ def test_cli_closure_overflowing_pressure_exits_3_without_traceback(r):
     )
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("closure failed: rho_minus or p overflows float")
+    assert proc.stderr.startswith("closure failed: pressure p = Z**gamma_plus overflows float")
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == "R,Q,Z,alpha,rho_minus,p,vacuum\n"
 
@@ -1693,6 +1720,9 @@ def test_cli_rejects_any_integrator_but_ssprk2(tmp_path, capsys):
 def test_cli_closure_table_usage_errors(capsys):
     assert main(["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", "--steps", "0"]) == 2
     assert main(["closure", "--gamma-plus", "1.0", "--gamma-minus", "1.5"]) == 2
+    # an exponent pair beyond the closure's checked range
+    argv = ["closure", "--gamma-plus", "1e5", "--gamma-minus", "1.5", "--r-min", "0.5"]
+    assert main(argv + ["--q-min", "0.5", "--steps", "20"]) == 2
     assert main(["closure", "--gamma-plus", "3.0", "--gamma-minus", "1.5", "--r-min", "-1.0"]) == 2
     for bound in ("--r-min", "--r-max", "--q-min", "--q-max"):
         for value in ("nan", "inf"):

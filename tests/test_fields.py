@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from bifluid import closure, solver
 from bifluid.cli import compare_runs
-from bifluid.closure import VACUUM_ALPHA, ExponentPair
+from bifluid.closure import VACUUM_ALPHA, ClosureOverflowError, ExponentPair
 from bifluid.config import ProfileSpec, SimConfig, ValidationError, validate_config
 from bifluid.fields import (
     RHO_FLOOR,
@@ -148,7 +148,7 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     # the run's buffer gets p and u from the closure of its stage
     ws = solver._Workspace(Grid1D(5, 1.0), SimConfig(), exps)
     ws.W.U[...] = s
-    solver._closure_fields(ws.W, ws, None)
+    solver._close(ws.W, ws, None)
     for got, want in (
         (d.vacuum, vac),
         (d.alpha, alpha),
@@ -327,23 +327,29 @@ def test_snapshot_bytes_match_per_cell_reference_on_edge_values(tmp_path):
     g = Grid1D(8, 1.0, "noslip")
     R = np.array([5e-324, 1.0, 0.0, 1e300, 2.0, 1e-310, 0.5, 1.0])
     Q = np.array([5e-324, 0.0, 0.0, 1e300, 1.0, 0.0, 1e-300, 3.0])
-    m = np.array([-0.0, -0.0, 0.0, 1e300, -1.5, 0.0, -1e-320, 0.1])
+    m = np.array([-0.0, -0.0, 0.0, 1e300, -1.5, 1e300, -1e-320, 0.1])
     s = np.array((R, Q, m))
-    with np.errstate(over="ignore"):  # Z = O(1e300) overflows Z**2 and Z**3 on first read
+    # Z = O(1e300) overflows p = Z**3 on first read, which raises
+    with pytest.raises(ClosureOverflowError, match=r"at cells \[3\] \(cell 3: R = 1e\+300, Q = 1e\+300\)"):
+        derive(s, 0.0, EXPS).p
+    s[:2, 3] = 1e100  # Z = O(1e100): p is finite
+    with np.errstate(over="ignore"):  # u = m / RHO_FLOOR overflows on first read
         d = derive(s, 0.0, EXPS)
-        assert np.isinf(d.rho_minus[3]) and np.isinf(d.p[3])
+        assert np.isinf(d.u[5]) and np.isfinite(d.p).all()
     assert d.vacuum[2] and d.alpha[2] == VACUUM_ALPHA == 0.5  # vacuum cell with the sentinel
     assert np.signbit(d.u[0]) and d.Q[0] == 5e-324
     _assert_same_bytes(tmp_path, g, d)
     text = (tmp_path / "got.csv").read_text()
-    assert ",-0," in text and ",4.9406564584124654e-324," in text and ",inf," in text
+    assert ",-0," in text and ",4.9406564584124654e-324," in text and ",inf\n" in text
 
 
 def test_snapshot_bytes_match_reference_on_non_finite_derived_fields(tmp_path):
     g = Grid1D(6, 2.0)
     s = uniform_state(6, 1.0, 2.0, -0.25)
     odd = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308])
-    d = DerivedFields(np.vstack((s[:2], odd[::-1], odd)), EXPS, 0.0)
+    # Z as small as a float goes, and as large as a finite pressure Z**3 allows
+    Z = np.array([0.0, -0.0, 5e-324, 1e-300, 1e100, 5.6e102])
+    d = DerivedFields(np.vstack((s[:2], odd[::-1], Z)), EXPS, 0.0)
     with np.errstate(all="ignore"):  # the computed columns follow the odd m and Z
         _assert_same_bytes(tmp_path, g, d)
 
@@ -365,7 +371,12 @@ def test_snapshot_bytes_match_reference_for_any_state(cells):
     g = Grid1D(len(cells), 3.0)
     # alpha and rho_minus are derived on first read, by the writer
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
-        _assert_same_bytes(Path(tmp), g, derive(s, 0.0, EXPS))
+        d = derive(s, 0.0, EXPS)
+        if np.isinf(np.power(d.Z, EXPS.gamma_plus)).any():
+            with pytest.raises(ClosureOverflowError):
+                d.p  # a record whose pressure overflows is never written
+            return
+        _assert_same_bytes(Path(tmp), g, d)
 
 
 def test_snapshot_bytes_match_reference_across_row_blocks(tmp_path):

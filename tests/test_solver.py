@@ -208,7 +208,7 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
     u[2], u[4] = -2.0, 2.0  # both faces of cell 3 drain it
     st = np.array((R, Q, (R + Q) * u))
     solved = []
-    real = solver._closure_fields
+    real = solver._close
 
     def spy(b, *args):
         # the stage closure trusts its input: finite, with masses >= 0
@@ -216,10 +216,24 @@ def test_stage_positivity_loss_raises_before_its_closure_solve(monkeypatch):
         solved.append(b)
         return real(b, *args)
 
-    monkeypatch.setattr(solver, "_closure_fields", spy)
+    monkeypatch.setattr(solver, "_close", spy)
     with pytest.raises(PositivityLossError, match=r"t=0\.5 in cells \[3\]"):
         step_from(st, grid, scheme(), 0.5)
     assert solved == []
+
+
+def test_close_raises_where_the_pressure_overflows():
+    # the roots are finite, but p = Z**3 of the 1e300 cell is not; the
+    # cells near the bound take the checked path and stay finite
+    grid = Grid1D(8, 1.0)
+    ws = solver._Workspace(grid, scheme(), EXPS)
+    ws.W.U[...] = make_state(8, 1.0, 2.0, 0.5)
+    ws.W.R[5] = ws.W.Q[5] = 5e102
+    Z, _, _ = solver._close(ws.W, ws, None)
+    assert np.isfinite(ws.W.p).all() and ws.W.p[5] == pytest.approx(Z[5] ** 3, rel=1e-15)
+    ws.W.R[2] = ws.W.Q[2] = 1e300
+    with pytest.raises(closure.ClosureOverflowError, match=r"cells \[2\] \(cell 2: R = 1e\+300"):
+        solver._close(ws.W, ws, None)
 
 
 def test_admit_zeroes_round_off_negatives_and_rejects_the_rest():
@@ -920,6 +934,62 @@ def test_forced_run_solves_the_closure_once_per_stage(monkeypatch):
     assert sizes == [n, n + 1] + [2 * n + 1, n] * 4
 
 
+# MMS_NEWTON_16 calls the closure kernel for the initial derive (call 1),
+# the first step's cold faces (2), then per step the stage with its faces
+# (3, 5, 7, 9) and the state after it (4, 6, 8), the last one the snapshot's
+# derive (10); compute_dt once before each step.  A located error reached
+# the state after k steps ("reached", k) or was taking step k ("step", k).
+@pytest.mark.parametrize(
+    "fails, call, where",
+    [
+        ("kernel", 1, ("reached", 0)),  # the initial derive
+        ("kernel", 4, ("reached", 1)),  # the close between steps
+        ("compute_dt", 3, ("reached", 2)),  # ZeroDtError
+        ("kernel", 2, ("step", 1)),  # the forcing's faces
+        ("kernel", 5, ("step", 2)),  # a stage, with the forcing's faces
+        ("kernel", 10, ("reached", 4)),  # the snapshot's derive
+        ("consumer", 2, None),  # the consumer's own error is not located
+    ],
+)
+def test_run_locates_a_cell_error_where_it_stops(monkeypatch, fails, call, where):
+    cfg, _ = validate_config(MMS_NEWTON_16)
+    dts = run(cfg).dt_history.tolist()
+    ts = [0.0]
+    for dt in dts:
+        ts.append(ts[-1] + dt)
+    ts[-1] = cfg.t_end  # the last step lands on the snapshot
+    calls = []
+
+    def failing(real, error):
+        def spy(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise error("injected", cells=[0])
+            return real(*args, **kwargs)
+
+        return spy
+
+    on_snapshot = solver._discard
+    if fails == "kernel":
+        spy = failing(closure.solve_closure_batch, closure.MaxIterExceededError)
+        monkeypatch.setattr(closure, "solve_closure_batch", spy)
+    elif fails == "compute_dt":
+        monkeypatch.setattr(solver, "compute_dt", failing(solver.compute_dt, ZeroDtError))
+    else:
+        on_snapshot = failing(solver._discard, closure.CellError)
+    with pytest.raises(closure.CellError, match="^injected$") as exc:
+        run(cfg, on_snapshot=on_snapshot)
+    got = (exc.value.t, exc.value.step, exc.value.dt)
+    if where is None:
+        assert got == (None, None, None)
+    elif where[0] == "reached":
+        k = where[1]
+        assert got == (ts[k], k + 1, dts[k - 1] if k else None)
+    else:  # the step's own t + dt, not moved onto the snapshot time
+        k = where[1]
+        assert got == (ts[k - 1] + dts[k - 1], k, dts[k - 1])
+
+
 @pytest.mark.parametrize("stage_fails", [True, False])
 def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
     monkeypatch, stage_fails
@@ -935,7 +1005,7 @@ def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
     z0 = np.full(grid.n, 1e3) if stage_fails else d.Z
     monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
     with pytest.raises(closure.MaxIterExceededError) as joint:
-        solver._close_with_faces(ws.W, ws, z0, Rf, Qf, zf0)
+        solver._close(ws.W, ws, z0, (Rf, Qf, zf0))
     with pytest.raises(closure.MaxIterExceededError) as apart:
         if stage_fails:
             solve_closure_batch(st[0], st[1], NEWTON_EXPS.gamma, z0)
