@@ -135,25 +135,32 @@ def _check_overflow(a, what):
 def _newton(r, q, lo, hi, z, gamma):
     """Newton on the scaled closure for 1-D arrays; returns (z, iterations).
 
-    lo is a scalar or an array like hi.  Converged cells are frozen in
-    place: the whole batch is iterated, but a converged cell keeps its z, so
-    each cell runs the same iteration whatever else is in the batch.
+    lo is a scalar or an array like hi.  The first step is taken without
+    the convergence test, every later iterate is tested; iterations counts
+    the residual evaluations, the untested first one included.  Converged
+    cells are frozen in place: the whole batch is iterated, but a converged
+    cell keeps its z, so each cell runs the same iteration whatever else is
+    in the batch.
     """
     tol_q = CLOSURE_TOL * q
     # the subtraction (z - r) bounds the achievable residual at a few ulps
     # of z**gamma, scaled by the local slope factor (1 + gamma)
     f_floor = 4.0 * (1.0 + gamma) * _EPS
-    for iterations in range(1, CLOSURE_MAX_ITER + 1):
+    zg1 = np.power(z, gamma - 1.0)
+    f = (z - r) * zg1 - q
+    conv, n_conv = None, 0
+    for iterations in range(2, CLOSURE_MAX_ITER + 1):
+        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
+        step = np.minimum(np.maximum(z - f / fp, lo), hi)
+        z = np.where(conv, z, step) if n_conv else step
         zg1 = np.power(z, gamma - 1.0)
         f = (z - r) * zg1 - q
         conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
         n_conv = np.count_nonzero(conv)
         if n_conv == z.size:
             return z, iterations
-        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
-        step = np.minimum(np.maximum(z - f / fp, lo), hi)
-        z = np.where(conv, z, step) if n_conv else step
-    bad = np.flatnonzero(~conv).tolist()
+    # with a cap of 1 no iterate was tested: no cell is known to converge
+    bad = list(range(z.size)) if conv is None else np.flatnonzero(~conv).tolist()
     raise MaxIterExceededError(
         f"closure iteration exceeded {CLOSURE_MAX_ITER} iterations at cells {bad[:8]}",
         cells=bad,
@@ -198,8 +205,9 @@ def solve_closure_batch(R, Q, gamma, z0=None):
     iterations for R and Q from 0 to 1e300 and the roots agree with a
     bisection (tests/test_closure.py).
 
-    Warm start.  z0, an array shaped like R (typically the Z of a nearby
-    state), replaces the cold start after clipping to the bracket, and the
+    Warm start.  z0, an array shaped like R (the Z of a nearby state, or
+    the solver's extrapolation in time of the roots of the last two time
+    levels), replaces the cold start after clipping to the bracket, and the
     cold start is then not computed; a non-finite entry falls back to a
     bracket end.  The exact branches ignore it.
 
@@ -208,10 +216,17 @@ def solve_closure_batch(R, Q, gamma, z0=None):
     evaluation; in unscaled terms |f(Z)| <= CLOSURE_TOL * Q or the same floor
     of Z**gamma.  Since f' >= min(1, gamma) * z**(gamma-1) on the bracket,
     this bounds the relative error of Z by about CLOSURE_TOL / min(1, gamma).
-    A converged cell is frozen in place, so its result does not depend on
-    the other cells of the batch.  The returned iteration count is the
-    largest over cells (0 for the exact branches).  The kernel reads
-    CLOSURE_TOL and CLOSURE_MAX_ITER when it runs.
+    The first Newton step is taken without the test: a start that was
+    moved, cold or warm, almost never passes it.  Every later iterate is
+    tested, so every returned root passes it; a start at the root, where
+    the step is a few ulps at most (zero where f = 0: vacuum, Q = 0, R = 0),
+    converges at the first tested iterate.  A converged cell is frozen in
+    place, so its result does not depend on the other cells of the batch.
+    The returned iteration count is the number of residual evaluations,
+    the untested one included, largest over cells: 2 for a solve that
+    converges after one step, 0 for the exact branches.  CLOSURE_MAX_ITER
+    caps that count, so a cap of 1 tests no iterate and fails every cell.
+    The kernel reads CLOSURE_TOL and CLOSURE_MAX_ITER when it runs.
     """
     if gamma == 2.0:
         # Z = h + sqrt(h**2 + Q) with h = R/2: hypot neither overflows nor

@@ -16,11 +16,18 @@ import math
 import numpy as np
 
 from .closure import EXPONENT_MAX, ExponentPair
-from .fields import NOSLIP, PERIODIC, Grid1D, _checked_state, read_snapshot
+from .fields import NOSLIP, PERIODIC, RHO_FLOOR, Grid1D, _checked_state, read_snapshot
 from .mms import ManufacturedSolution
 from .solver import SSPRK2
 
 PRESETS = ("uniform", "gaussian_bump", "sine", "from_file")
+# the keys of an initial velocity profile, by preset
+_VELOCITY_KEYS = {
+    "uniform": "initial.u_value",
+    "gaussian_bump": "initial.u_base, initial.u_amplitude",
+    "sine": "initial.u_base, initial.u_amplitude",
+    "from_file": "initial.u_path",
+}
 _PERTURB_BLOCK = 64  # perturbation modes summed per block; bounds the tables to 64 x n
 
 __all__ = [
@@ -314,11 +321,24 @@ class SimConfig:
         # building the initial data checks pointwise nonnegativity; a grid
         # too large to allocate is an error of the config too
         try:
-            return self.initial_state(self.grid())
+            grid = self.grid()
+            U = self.initial_state(grid)
         except ValidationError:
             raise
         except (ValueError, OSError, MemoryError) as exc:
             raise ValidationError(f"initial data: {exc}") from exc
+        # the kinetic energy of the initial state, with the expressions of
+        # fields.total_energy, which every run evaluates
+        rho = U[0] + U[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = U[2] / np.maximum(rho, RHO_FLOOR)
+            kinetic = float(np.sum(0.5 * rho * u**2) * grid.dx)
+        need(
+            math.isfinite(kinetic),
+            "mms.e" if self.mms_enabled else _VELOCITY_KEYS[self.u_init.preset],
+            "the initial kinetic energy, of density (R + Q) u**2 / 2, overflows float",
+        )
+        return U
 
     def admissibility_warnings(self, U: np.ndarray) -> list[str]:
         """Conditions for global weak existence that this config and its

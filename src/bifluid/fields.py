@@ -37,6 +37,7 @@ __all__ = [
     "Grid1D",
     "DerivedFields",
     "derive",
+    "finite_pressure_bound",
     "pressure",
     "total_mass",
     "total_energy",
@@ -168,12 +169,27 @@ class DerivedFields:
         return np.power(self.Z, self.exps.gamma)
 
 
-def pressure(Z, R, Q, gamma_plus: float, out=None) -> np.ndarray:
+def finite_pressure_bound(exps: closure.ExponentPair) -> float:
+    """B = (max / 2)**(1 / g) / 2, g the larger exponent: where the masses
+    R and Q lie below B (B > 600 > 1), every p = Z**gamma_plus is finite.
+
+    For gamma >= 1 the closure root is Z <= 2 max(R, Q, 1) < 2 B, so
+    p < (2 B)**gamma_plus <= max / 2; for gamma < 1 it is
+    Z <= max(2 R, (2 Q)**(1/gamma)), so p <= max((2 R)**gamma_plus,
+    (2 Q)**gamma_minus) < max / 2.  Rounding moves Z and p by a few ulps,
+    far less than the factor 2 from max / 2 to the largest float.
+    """
+    return _HALF_MAX ** (1.0 / max(exps.gamma_plus, exps.gamma_minus)) / 2.0
+
+
+def pressure(Z, R, Q, gamma_plus: float, out=None, finite=False) -> np.ndarray:
     """p = Z**gamma_plus of the closure roots Z of the masses R and Q, into
     out when given; ClosureOverflowError, naming the cells and the masses of
-    the first, where p overflows, and no numpy warning."""
+    the first, where p overflows, and no numpy warning.  finite says that
+    the caller knows every p to be finite (its masses lie below
+    finite_pressure_bound): the overflow check is skipped."""
     # below (max / 2)**(1/gamma_plus) p is finite, and one reduction of Z says so
-    if not Z.size or np.maximum.reduce(Z) < _HALF_MAX ** (1.0 / gamma_plus):
+    if finite or not Z.size or np.maximum.reduce(Z) < _HALF_MAX ** (1.0 / gamma_plus):
         return np.power(Z, gamma_plus, out=out)
     with np.errstate(over="ignore"):
         p = np.power(Z, gamma_plus, out=out)

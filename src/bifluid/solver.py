@@ -6,8 +6,14 @@ face velocities, with one donor selection for all three rows; the pressure
 gradient of p = Z**gamma_plus is central; the viscous term nu_eff * u_xx
 (nu_eff = 2 mu + lambda in 1D) is an explicit central second difference.
 The closure is re-solved per cell after every stage, which keeps it inside
-the verification loop; each solve is warm-started from the closure root of
-the previous stage.
+the verification loop.  Each solve is warm-started: a state's from the root
+of the stage before it, a stage's from the roots at t extrapolated to
+t + dt with those of the last time level, Z + r (Z - Z_last) with
+r = dt / dt_last, at most 100.  That start is second order in time, so
+one Newton step from it mostly converges, where from the roots at t it
+took two.  A run's first step, and the step after a landing that moved t,
+start from the roots at t; at gamma = 1 and 2 the kernel reads no start,
+and nothing is extrapolated.
 
 A run steps two ghost-padded (5, n + 2) buffers, the state and its SSPRK2
 stage, with rows R, Q, m, p, u.  It binds them once, in one workspace, with
@@ -21,7 +27,9 @@ round-off negatives of the masses, raise PositivityLossError or
 NonFiniteStateError); the admitted masses are valid input for the closure
 kernel, which checks nothing.  One helper closes every state a run steps
 from and every stage: its root gives p and u in the buffer (a p that
-overflows raises ClosureOverflowError, as DerivedFields.p does), and one
+overflows raises ClosureOverflowError, as DerivedFields.p does; where the
+largest value that admitting the state found lies below
+fields.finite_pressure_bound, p is finite and not checked), and one
 ghost fill (a periodic wrap, or no-slip wall factors) then serves every
 stencil of the next stage.  The step size reuses the R + Q of that closure
 solve.  A step builds no state array, DerivedFields or report object.
@@ -38,12 +46,12 @@ A manufactured forcing is evaluated once per time level: an SSPRK2 step
 hands its stage forcing at t + dt on to the next step, with the closure
 roots at the forcing's n + 1 faces it is made from, as it hands on the
 stage closure root.  A forced stage solves its closure and the forcing's
-face roots at t + dt in one kernel call, each part warm-started from the
-roots handed on; the kernel freezes converged points, so the stage's roots
-are those of its own solve, bit for bit.  A step that lands on a snapshot
-time can end a round-off away from it; t is then set to the snapshot time
-and the next step evaluates the forcing afresh, with a cold face solve, as
-a run's first step does.
+face roots at t + dt in one kernel call, each part warm-started from its
+extrapolated roots; the kernel freezes converged points, so the stage's
+roots are those of its own solve, bit for bit.  A step that lands on a
+snapshot time can end a round-off away from it; t is then set to the
+snapshot time and the next step evaluates the forcing afresh, with a cold
+face solve, as a run's first step does.
 
 When the configuration asks for it (verification.track_alpha), a diagnostic
 evolves the volume fraction by its own non-conservative equation (upwind
@@ -66,6 +74,7 @@ from .fields import (
     DerivedFields,
     Grid1D,
     derive,
+    finite_pressure_bound,
     pressure,
     total_energy,
     total_mass,
@@ -157,6 +166,7 @@ class _Workspace:
         self.dx, self.neg_dx, self.two_dx, self.dx2 = dx, -dx, 2.0 * dx, dx * dx
         self.nu_eff, self.cfl = cfg.nu_eff, cfg.cfl
         self.gamma, self.gamma_plus = exps.gamma, exps.gamma_plus
+        self.mass_bound = finite_pressure_bound(exps)
         self.periodic = grid.bc == PERIODIC
 
 
@@ -286,15 +296,18 @@ def _rhs(b: _Buffer, ws: _Workspace, forcing):
     return dU
 
 
-def _admit(U, t: float) -> None:
+def _admit(U, t: float) -> float:
     """Admit the update U, a (3, n) state at time t, as a valid state: raise
     PositivityLossError for a mass below -POSITIVITY_TOL, zero the round-off
     negatives of the masses, then raise NonFiniteStateError for a NaN or
-    inf.  One per-row minimum and one maximum admit the usual update."""
+    inf.  One per-row minimum and one maximum admit the usual update.
+    Returns the largest value of the admitted U, which bounds its masses
+    for _close."""
     r_min, q_min, m_min = np.minimum.reduce(U, axis=1).tolist()
     if r_min >= 0.0 and q_min >= 0.0 and m_min > -math.inf:
-        if np.maximum.reduce(U, axis=None) < math.inf:
-            return
+        top = float(np.maximum.reduce(U, axis=None))
+        if top < math.inf:
+            return top
     masses = U[:2]
     bad = masses < -POSITIVITY_TOL
     if bad.any():
@@ -310,36 +323,39 @@ def _admit(U, t: float) -> None:
     if not np.isfinite(U).all():
         bad = ~np.isfinite(U).all(axis=0)
         raise NonFiniteStateError(t, np.flatnonzero(bad).tolist())
+    return float(np.maximum.reduce(U, axis=None))
 
 
-def _close(b: _Buffer, ws: _Workspace, z0, faces=None):
+def _close(b: _Buffer, ws: _Workspace, z0, top=math.inf, faces=None):
     """Solve the closure of the state in the buffer b, warm-started from z0,
     into its p and u rows, with the expressions of DerivedFields.p and
     DerivedFields.u, and fill its ghosts; returns (Z, R + Q, iterations).
     The state's values are finite with nonnegative masses, which is not
-    checked here.
+    checked here.  top bounds its masses from above (_admit returns it):
+    below ws.mass_bound every p is finite and its overflow check is skipped.
 
-    faces, (Rf, Qf, zf0), the masses of the n + 1 faces of a manufactured
-    forcing, finite and nonnegative as well, and their warm start, join the
-    one closure solve: Z then holds the faces' roots after the cells', and
-    the iterations are those of the joint solve.  The kernel solves each
-    point on its own, so a failing joint solve is repeated as the cells' and
-    the faces' solves apart: these raise its error for the cells if any of
-    them failed, otherwise for the faces, numbered as faces.
+    faces, (Rf, Qf), the masses of the n + 1 faces of a manufactured
+    forcing, finite and nonnegative as well, join the one closure solve: z0
+    then holds the faces' warm start after the cells', Z the faces' roots
+    after the cells', and the iterations are those of the joint solve.  The
+    kernel solves each point on its own, so a failing joint solve is
+    repeated as the cells' and the faces' solves apart: these raise its
+    error for the cells if any of them failed, otherwise for the faces,
+    numbered as faces.
     """
     R, Q = b.R, b.Q
     if faces is None:
         Z, iters = closure.solve_closure_batch(R, Q, ws.gamma, z0)
     else:
-        Rf, Qf, zf0 = faces
+        Rf, Qf = faces
         RQ = np.concatenate((R, Rf)), np.concatenate((Q, Qf))
         try:
-            Z, iters = closure.solve_closure_batch(*RQ, ws.gamma, np.concatenate((z0, zf0)))
+            Z, iters = closure.solve_closure_batch(*RQ, ws.gamma, z0)
         except closure.CellError:
-            closure.solve_closure_batch(R, Q, ws.gamma, z0)
-            closure.solve_closure_batch(Rf, Qf, ws.gamma, zf0)
+            closure.solve_closure_batch(R, Q, ws.gamma, z0[: ws.n])
+            closure.solve_closure_batch(Rf, Qf, ws.gamma, z0[ws.n :])
             raise
-    pressure(Z[: ws.n], R, Q, ws.gamma_plus, out=b.p)
+    pressure(Z[: ws.n], R, Q, ws.gamma_plus, out=b.p, finite=top < ws.mass_bound)
     rho = R + Q
     u = b.u
     np.maximum(rho, RHO_FLOOR, out=u)
@@ -357,6 +373,27 @@ def _forcing_level(forcing, grid: Grid1D, t: float, Zf):
     return averages, Zf
 
 
+def _cold_forcing(forcing, ws: _Workspace, t: float):
+    """The forcing of a step at time t, as _forcing_level gives it, from a
+    cold solve of its face roots: a run's first step and the step after a
+    landing that moved t start from it."""
+    Zf, _ = closure.solve_closure_batch(*forcing.face_masses(ws.grid, t), ws.gamma)
+    return _forcing_level(forcing, ws.grid, t, Zf)
+
+
+def _extrapolated(Z, Z_last, r: float):
+    """Z + r (Z - Z_last): the warm start at the next time level of the
+    roots Z, finite and nonnegative, whose last level was Z_last, with r in
+    [0, _RATIO_MAX] the ratio of the steps.  It is second order in time,
+    where Z is first order.  A start beyond float range is inf, without a
+    numpy warning; the kernel clips every start into its bracket."""
+    with np.errstate(over="ignore"):
+        z = Z - Z_last
+        z *= r
+        z += Z
+    return z
+
+
 def _load(ws: _Workspace, der: DerivedFields) -> None:
     """Put the record der, state and fields, into the buffer ws.W, ghosts filled."""
     W = ws.W
@@ -366,33 +403,34 @@ def _load(ws: _Workspace, der: DerivedFields) -> None:
     _fill_ghosts(W, ws)
 
 
-def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
+def step(ws: _Workspace, t: float, dt: float, z0, forcing0=None, forcing=None):
     """Advance the state in the buffer ws.W by one SSPRK2 step of size dt,
     in place, with the scheme, grid and exponents the workspace ws holds.
 
     ws.W holds the state at time t with its pressure, velocity and ghosts
-    (_load, _close), Z its closure root; ws.S is the SSPRK2 stage.  On
-    return ws.W holds the new state's R, Q and m, admitted as valid; its
-    other rows and ghosts are the old state's until _close.
+    (_load, _close); ws.S is the SSPRK2 stage.  On return ws.W holds the
+    new state's R, Q and m, admitted as valid; its other rows and ghosts are
+    the old state's until _close.
 
     forcing is the manufactured solution, of the run's exponents, whose cell
     averages force the step, None for an unforced step.  forcing0 is its
-    forcing at t as a step hands it on: the read-only pair (cell averages,
-    face roots).  When not given it is computed with a cold face solve.
-    The stage's closure solve takes the forcing's faces at t + dt with it,
-    warm-started from the face roots at t.
+    forcing at t as a step hands it on, or as _cold_forcing solves it: the
+    read-only pair (cell averages, face roots).  The stage's closure solve
+    takes the forcing's faces at t + dt with it.
 
-    Returns (stage_Z, stage_forcing, iterations, dissipation): stage_Z is
-    the closure root of the stage, the warm start of the new state's
+    z0 is the warm start of the stage's closure solve: the n cells' starts,
+    followed for a forced step by the n + 1 faces'.  They are the roots at
+    t, the state's and forcing0's, or run's extrapolation of them to t + dt.
+
+    Returns (stage_Z, stage_forcing, iterations, dissipation, top): stage_Z
+    is the closure root of the stage, the warm start of the new state's
     closure; stage_forcing the forcing at t + dt in the form of forcing0,
     the forcing of the next step when it starts there (None for an unforced
-    step); iterations those of the stage's closure solve and dissipation
-    the viscous dissipation of the step.
+    step); iterations those of the stage's closure solve, dissipation the
+    viscous dissipation of the step and top the largest value of the new
+    state, for its _close.
     """
     W, S, grid = ws.W, ws.S, ws.grid
-    if forcing0 is None and forcing is not None:
-        Zf, _ = closure.solve_closure_batch(*forcing.face_masses(grid, t), ws.gamma)
-        forcing0 = _forcing_level(forcing, grid, t, Zf)
     t1 = t + dt
     dissipation = dt * _dissipation_rate(W, ws)
     U0, U1 = W.U, S.U
@@ -400,13 +438,13 @@ def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
     dU *= dt
     np.add(dU, U0, out=U1)
     # admitted, the stage is valid input for the closure kernel
-    _admit(U1, t1)
+    top = _admit(U1, t1)
     if forcing is None:
-        stage_Z, _, iters = _close(S, ws, Z)
+        stage_Z, _, iters = _close(S, ws, z0, top)
         stage_forcing = None
     else:
         Rf, Qf = forcing.face_masses(grid, t1)
-        Z1, _, iters = _close(S, ws, Z, (Rf, Qf, forcing0[1]))
+        Z1, _, iters = _close(S, ws, z0, top, (Rf, Qf))
         stage_Z, Zf = Z1[: ws.n], Z1[ws.n :]
         stage_forcing = _forcing_level(forcing, grid, t1, Zf)
     dU = _rhs(S, ws, None if forcing is None else stage_forcing[0])
@@ -414,10 +452,16 @@ def step(ws: _Workspace, t: float, dt: float, Z, forcing0=None, forcing=None):
     U0 += U1
     U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
     U0 *= 0.5
-    _admit(U0, t1)
-    return stage_Z, stage_forcing, iters, dissipation
+    top = _admit(U0, t1)
+    return stage_Z, stage_forcing, iters, dissipation, top
 
 
+# run extrapolates the roots of the last time level by at most this multiple
+# of their change over the last step.  After a short landing step that
+# change is mostly the roots' own error, up to about the closure tolerance
+# relative; 100 times that stays far below a start error from which one
+# Newton step converges.
+_RATIO_MAX = 100.0
 _CLAMP_EPS = 1e-14
 
 
@@ -493,6 +537,10 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
     other form of the snapshot's state and returns only the scalar series
     and counters.
 
+    The run keeps the closure roots of the last time level, cells and
+    faces, and passes step the stage's warm start extrapolated with them
+    (see the module docstring).
+
     Snapshots land exactly on the configured times (the step is shortened to
     hit them), so two runs sharing the snapshot grid can be compared without
     interpolation.  The result is deterministic: identical configurations
@@ -523,8 +571,16 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
     clamps = 0 if track else None
     iters_max = 0
     wave_max = 0.0
-    z_prev = None
+    # the last stage's closure root, and the largest value of the state
+    # its step left, for the close of that state
+    z_prev, top = None, math.inf
     forcing0 = None  # the forcing at t and its face roots, when a step handed them on
+    # the closure roots of the last time level, the cells' followed for a
+    # forced run by the faces', once a step has been taken from it: they
+    # extrapolate the stage's warm start, at a gamma whose kernel reads one
+    # (not 1 or 2)
+    extrapolate = ws.gamma not in (1.0, 2.0)
+    level = None
 
     # where a closure.CellError stops the run, (t, step, dt) as CellError.at
     # takes it; None leaves the error as it was raised
@@ -548,7 +604,7 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
                     Z, rho, iters0 = der.Z, der.rho, der.closure_iterations
                     der = None
                 else:  # from the state of the last step
-                    Z, rho, iters0 = _close(W, ws, z_prev)
+                    Z, rho, iters0 = _close(W, ws, z_prev, top)
                 dt_stable, speed_max = compute_dt(rho, W.u, Z, ws)
                 remaining = target - t
                 landing = dt_stable >= remaining
@@ -559,11 +615,21 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
                     )
                     clamps += cl
                 where = (t + dt, len(dt_hist) + 1, dt)
-                z_prev, forcing0, iters1, step_diss = step(ws, t, dt, Z, forcing0, sol)
+                roots = Z  # at t: the cells', then a forced run's faces'
+                if sol is not None:
+                    if forcing0 is None:
+                        forcing0 = _cold_forcing(sol, ws, t)
+                    roots = np.concatenate((Z, forcing0[1]))
+                z0 = roots
+                if level is not None:
+                    z0 = _extrapolated(roots, level, min(dt / dt_hist[-1], _RATIO_MAX))
+                z_prev, forcing0, iters1, step_diss, top = step(ws, t, dt, z0, forcing0, sol)
+                if extrapolate:
+                    level = roots
                 t1 = t + dt
                 if landing and t1 != target:
                     t1 = target
-                    forcing0 = None
+                    forcing0 = level = None
                 t = t1
                 cum += step_diss
                 dt_hist.append(dt)

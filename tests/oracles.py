@@ -132,12 +132,17 @@ def alpha_partials_batch(R, Q, gamma):
 
 def compacting_newton(r, q, lo, hi, z, gamma):
     """A stand-in for ``closure._newton`` (same arguments and result) that
-    drops converged cells from the active set and iterates the rest."""
-    out = z.copy()
+    takes its first step untested, as the kernel does, then drops converged
+    cells from the active set and iterates the rest."""
+    out = np.empty_like(z)
     act = np.arange(z.size)
     tol_q = closure.CLOSURE_TOL * q
     f_floor = 4.0 * (1.0 + gamma) * closure._EPS
-    for iterations in range(1, closure.CLOSURE_MAX_ITER + 1):
+    zg1 = np.power(z, gamma - 1.0)
+    f = (z - r) * zg1 - q
+    for iterations in range(2, closure.CLOSURE_MAX_ITER + 1):
+        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
+        z = np.minimum(np.maximum(z - f / fp, lo), hi)
         zg1 = np.power(z, gamma - 1.0)
         f = (z - r) * zg1 - q
         conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
@@ -153,8 +158,6 @@ def compacting_newton(r, q, lo, hi, z, gamma):
             )
             if np.ndim(lo):
                 lo = lo[keep]
-        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
-        z = np.minimum(np.maximum(z - f / fp, lo), hi)
     raise closure.MaxIterExceededError(
         f"closure iteration exceeded {closure.CLOSURE_MAX_ITER} iterations at cells {act.tolist()[:8]}"
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from bifluid.closure import (
+    CLOSURE_TOL,
     EXPONENT_MAX,
     VACUUM_ALPHA,
     ClosureOverflowError,
@@ -325,12 +326,32 @@ def test_frozen_newton_is_bit_identical_to_active_set_compaction(gamma, monkeypa
     for _ in range(20):
         R, Q, z0 = _newton_batch(rng, gamma)
         cases += [(R, Q, None), (R, Q, z0)]
+    # a start at the root: the first step is taken untested there too
+    cases.append((R, Q, solve_closure_batch(R, Q, gamma)[0]))
     got = [solve_closure_batch(R, Q, gamma, z0=z0) for R, Q, z0 in cases]
     monkeypatch.setattr(closure, "_newton", compacting_newton)
     for (R, Q, z0), (Z, iters) in zip(cases, got):
         Z_ref, iters_ref = solve_closure_batch(R, Q, gamma, z0=z0)
         assert iters == iters_ref > 0
         assert Z.tobytes() == Z_ref.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.3, 2.14, 3.0, 7.0])
+def test_start_at_the_root_converges_at_the_first_tested_iterate(gamma, monkeypatch):
+    # the untested first step, then one tested iterate: two evaluations,
+    # which a cap of 2 allows; vacuum, Q = 0 and R = 0 stay exact
+    from bifluid import closure
+
+    R, Q, _ = _newton_batch(np.random.default_rng(11), gamma)
+    Z, _ = solve_closure_batch(R, Q, gamma)
+    monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
+    Z_warm, iters = solve_closure_batch(R, Q, gamma, z0=Z)
+    assert iters == 2
+    assert np.all(np.abs(Z_warm - Z) <= 2.0 * CLOSURE_TOL * Z)
+    exact = (R == 0.0) | (Q == 0.0)
+    assert exact.any() and Z_warm[exact].tobytes() == Z[exact].tobytes()
+    assert (Z_warm[(R == 0.0) & (Q == 0.0)] == 0.0).all()
+    assert (Z_warm[Q == 0.0] == R[Q == 0.0]).all()
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.3, 2.14, 3.0, 7.0])

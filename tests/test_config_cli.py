@@ -429,10 +429,11 @@ def test_cli_run_positivity_loss_writes_record(tmp_path, capsys):
 
 
 def test_cli_run_non_finite_state_writes_record(tmp_path, capsys):
-    # the momentum flux (R + Q) u^2 overflows in the first step
+    # the momentum flux difference of (R + Q) u^2 overflows in the first
+    # step; the initial kinetic energy, 16 cells of at most 1.6e307, does not
     text = MINIMAL + (
         "\n[viscosity]\nmu = 0.0\n[grid]\nn = 16\n[time]\nt_end = 1e-150\n"
-        "n_snapshots = 2\n[initial]\nu_preset = sine\nu_amplitude = 1e155\n"
+        "n_snapshots = 2\n[initial]\nu_preset = sine\nu_amplitude = 4e153\n"
         "[verification]\nallow_inviscid = true\n"
     )
     path = write(tmp_path, "blowup.ini", text)
@@ -460,27 +461,29 @@ NEWTON_MMS_CFG = (
 def test_cli_run_closure_iteration_failure_writes_located_record(
     tmp_path, capsys, monkeypatch, capped_from
 ):
-    # the Newton cap drops to one iteration before the run (the cold solve of
-    # the initial state fails) or as step 3 starts (a warm solve of it fails)
+    # the Newton cap drops to two evaluations, the untested first step and
+    # one tested iterate, before the run (the cold solve of the initial
+    # state fails) or as step 3 starts (the warm solve of its stage, from
+    # the extrapolated roots of this coarse grid, fails)
     taken = []
     real_step = solver.step
 
     def spy(ws, t, dt, *args):
         taken.append((t, dt))
         if len(taken) == capped_from:
-            monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
+            monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
         return real_step(ws, t, dt, *args)
 
     monkeypatch.setattr(solver, "step", spy)
     if capped_from == 0:
-        monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
+        monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
     path = write(tmp_path, "newton.ini", NEWTON_MMS_CFG)
     out = str(tmp_path / "fail")
     assert main(["run", "--config", path, "--out", out]) == 3
     assert "Traceback" not in capsys.readouterr().err
     rec = json.loads(Path(os.path.join(out, "failure.json")).read_text())
     assert rec["error"] == "MaxIterExceededError"
-    assert rec["message"].startswith("closure iteration exceeded 1 iterations at cells [")
+    assert rec["message"].startswith("closure iteration exceeded 2 iterations at cells [")
     if capped_from == 0:
         assert (rec["t"], rec["step"], rec["dt"]) == (0.0, 1, None)
     else:
@@ -536,6 +539,32 @@ def test_cli_run_pressure_overflow_writes_located_record(tmp_path, capsys):
         "cells": list(range(64)),
         "n_cells": 256,
     }
+
+
+@pytest.mark.parametrize(
+    "initial, key",
+    [
+        ("u_value = 1e200", "initial.u_value"),
+        ("u_preset = sine\nu_amplitude = 1e154", "initial.u_base, initial.u_amplitude"),
+    ],
+)
+def test_cli_huge_initial_velocity_is_a_config_error(tmp_path, capsys, initial, key):
+    # u**2 of u = 1e200 overflows float, and so does the sum of the sine's
+    # cells, each finite: validation says so before a run meets it in the
+    # energy of its first snapshot
+    text = f"[grid]\nn = 16\n[time]\nt_end = 0.001\n[initial]\n{initial}\n"
+    path = write(tmp_path, "fast.ini", text)
+    out = tmp_path / "fast"
+    message = (
+        f"config error: {key}: the initial kinetic energy, "
+        "of density (R + Q) u**2 / 2, overflows float\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_failure_record_of_a_closure_error_outside_a_run_has_no_location(tmp_path):

@@ -16,6 +16,8 @@ from bifluid.fields import (
     DerivedFields,
     Grid1D,
     derive,
+    finite_pressure_bound,
+    pressure,
     read_snapshot,
     restrict,
     snapshot_columns,
@@ -175,6 +177,24 @@ def test_lazy_derived_fields_equal_the_eager_formulas(exps):
     assert again.V is own.V and set(vars(again)) == {"V", "exps", "t", "closure_iterations"}
     rows = [relative_entropy(d, ref, grid, nu_eff=0.3) for ref in (own, again)]
     assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize(
+    "gamma_plus, gamma_minus",
+    [(3.0, 1.5), (3.0, 1.4), (1.4, 3.0), (2.5, 2.5), (100.0, 1.0001), (1.0001, 100.0), (100.0, 100.0)],
+)
+def test_every_pressure_is_finite_below_the_mass_bound(gamma_plus, gamma_minus):
+    # gamma = 2, > 1, < 1, = 1 and the extremes of the exponent range: with
+    # R and Q up to the largest float below the bound, p stays at most
+    # max / 2 up to rounding, and the unchecked p is the checked one
+    exps = ExponentPair(gamma_plus, gamma_minus)
+    bound = finite_pressure_bound(exps)
+    assert bound > 600.0
+    masses = [0.0, 1e-300, 1.0, 600.0, np.nextafter(bound, 0.0)]
+    R, Q = (a.ravel() for a in np.meshgrid(masses, masses))
+    d = derive(np.array((R, Q, np.zeros(R.size))), 0.0, exps)
+    assert (d.p <= np.finfo(float).max / 2.0 * (1.0 + 1e-12)).all()
+    assert pressure(d.Z, R, Q, gamma_plus, finite=True).tobytes() == d.p.tobytes()
 
 
 # integrals ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from bifluid import closure, solver
 from bifluid.closure import CLOSURE_TOL, ExponentPair, omega_of_alpha, solve_closure_batch
 from bifluid.config import ProfileSpec, SimConfig, ValidationError, validate_config
-from bifluid.fields import NOSLIP, PERIODIC, Grid1D, derive, total_mass
+from bifluid.fields import NOSLIP, PERIODIC, Grid1D, derive, finite_pressure_bound, total_mass
 from bifluid.mms import ManufacturedSolution
 from bifluid.solver import (
     NonFiniteStateError,
@@ -55,12 +55,19 @@ def loaded(d, grid, sch, exps=EXPS):
 
 def step_from(st, grid, sch, dt, derived=None, forcing=None, exps=EXPS, forcing0=None, t=0.0):
     """One solver.step from the state st at time t, in the buffers a run
-    steps (d, the derived fields of st, is derived here when not given);
-    returns the new state, at t + dt, and what the step returns: (stage_Z,
-    stage_forcing, iterations, dissipation)."""
+    steps (d, the derived fields of st, is derived here when not given, and
+    a forced step's forcing0 solved cold, as a run's first step's is; the
+    stage starts from the roots at t); returns the new state, at t + dt,
+    and what the step returns: (stage_Z, stage_forcing, iterations,
+    dissipation, top)."""
     d = derived if derived is not None else derive(st, t, exps)
     ws = loaded(d, grid, sch, exps)
-    rep = step(ws, t, dt, d.Z, forcing0, forcing)
+    z0 = d.Z
+    if forcing is not None:
+        if forcing0 is None:
+            forcing0 = solver._cold_forcing(forcing, ws, t)
+        z0 = np.concatenate((d.Z, forcing0[1]))
+    rep = step(ws, t, dt, z0, forcing0, forcing)
     return ws.W.U.copy(), rep
 
 
@@ -179,10 +186,11 @@ def test_step_report_fields():
     sch = scheme()
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, EXPS))
     assert speed_max == pytest.approx(float(np.max(np.abs(d.u) + np.sqrt(3.0 * d.Z**2))), rel=1e-12)
-    _, (stage_Z, stage_forcing, iters, dissipation) = step_from(st, grid, sch, dt, d)
+    new, (stage_Z, stage_forcing, iters, dissipation, top) = step_from(st, grid, sch, dt, d)
     assert stage_Z.shape == (32,) and stage_forcing is None
     assert iters == 0  # gamma = 2 has a closed form
     assert dissipation >= 0.0
+    assert top == np.max(new)  # the new state's largest value, for its close
 
 
 def test_positivity_strict_raises_exploratory_clips():
@@ -234,6 +242,41 @@ def test_close_raises_where_the_pressure_overflows():
     ws.W.R[2] = ws.W.Q[2] = 1e300
     with pytest.raises(closure.ClosureOverflowError, match=r"cells \[2\] \(cell 2: R = 1e\+300"):
         solver._close(ws.W, ws, None)
+
+
+def test_close_checks_the_pressure_only_above_the_mass_bound(monkeypatch):
+    # the largest value _admit finds, momentum included, decides: a stage
+    # whose momentum is above the bound takes the checked path, with the
+    # same p, though its masses are small
+    checked = []
+    real = solver.pressure
+
+    def spy(*args, finite=False, **kwargs):
+        checked.append(not finite)
+        return real(*args, finite=finite, **kwargs)
+
+    monkeypatch.setattr(solver, "pressure", spy)
+    grid = Grid1D(16, 1.0)
+    bound = finite_pressure_bound(EXPS)
+    st = sine_state(grid)
+    step_from(st, grid, scheme(), 1e-4)
+    assert checked == [False]
+    st[2, 3] = 10.0 * bound  # u = O(1e102)
+    d = derive(st, 0.0, EXPS)
+    ws = loaded(d, grid, scheme())
+    checked.clear()
+    *_, top = step(ws, 0.0, 1e-110, d.Z)
+    assert checked == [True] and top > bound
+    assert ws.S.p.tobytes() == np.power(derive(ws.S.U.copy(), 0.0, EXPS).Z, 3.0).tobytes()
+    # masses above the bound: p is checked, and where it overflows it raises
+    ws.W.U[...] = make_state(16, 1.0, 2.0, 0.5)
+    ws.W.R[5] = ws.W.Q[5] = 2.0 * bound
+    checked.clear()
+    solver._close(ws.W, ws, None, float(np.max(ws.W.U)))
+    assert checked == [True] and np.isfinite(ws.W.p).all()
+    ws.W.R[5] = ws.W.Q[5] = 10.0 * bound
+    with pytest.raises(closure.ClosureOverflowError, match=r"cells \[5\]"):
+        solver._close(ws.W, ws, None, float(np.max(ws.W.U)))
 
 
 def test_admit_zeroes_round_off_negatives_and_rejects_the_rest():
@@ -423,7 +466,7 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     d = derive(st, 0.0, EXPS)
     dt, speed_max = compute_dt(d.rho, d.u, d.Z, solver._Workspace(grid, sch, EXPS))
     dt *= 0.5
-    new, (_, _, _, dissipation) = step_from(st, grid, sch, dt, d, forcing=sol)
+    new, (_, _, _, dissipation, _) = step_from(st, grid, sch, dt, d, forcing=sol)
     (R, Q, m), _ = _ref_step(st, 0.0, grid, sch, sol, dt, flux_sign)
     assert _same_bits(new[0], R)
     assert _same_bits(new[1], Q)
@@ -795,25 +838,36 @@ SHIFTING_SNAPS = (0.0, 0.0011, 0.0031, 0.01)
 def _ref_run(cfg):
     """run with every step evaluating its own forcing at its start time from
     the face roots the last step handed on (cold after a landing that moved
-    t); returns (trajectory (t, state) pairs, dt history, landings that
-    moved t)."""
+    t), and with its stage's closure and face roots warm-started from the
+    roots at its start time extrapolated with those of the last time level
+    (Z + r (Z - Z_last), r = min(dt / dt_last, 100); not extrapolated on the
+    first step and after a landing that moved t); returns (trajectory (t,
+    state) pairs, dt history, landings that moved t)."""
     grid, exps, sol = cfg.grid(), cfg.exponents(), cfg.manufactured()
     t, state = 0.0, cfg.initial_state(grid)
-    snaps, dts, shifted, z, zf = [(t, state)], [], 0, None, None
+    snaps, dts, shifted, z, zf, last = [(t, state)], [], 0, None, None, None
     for target in cfg.snapshot_times()[1:]:
         while t < target:
             d = derive(state, t, exps, z0=z)
             remaining = target - t
             dt = min(stable_dt(d, grid, cfg, exps), remaining)
-            forcing0 = None if zf is None else (sol.cell_averages(grid, t, zf), zf)
-            state, rep = step_from(state, grid, cfg, dt, d, sol, exps, forcing0, t)
+            if zf is None:
+                zf, _ = solve_closure_batch(*sol.face_masses(grid, t), exps.gamma)
+            roots = np.concatenate((d.Z, zf))
+            z0 = roots
+            if last is not None:
+                r = min(dt / dts[-1], solver._RATIO_MAX)
+                z0 = roots + r * (roots - last)
+            ws = loaded(d, grid, cfg, exps)
+            rep = step(ws, t, dt, z0, (sol.cell_averages(grid, t, zf), zf), sol)
+            state, last = ws.W.U.copy(), roots
             z, zf = rep[0], rep[1][1]  # the stage's closure roots, cells and faces
             dts.append(dt)
             t += dt
             if dt == remaining:
                 shifted += t != target
                 if t != target:
-                    zf = None
+                    zf = last = None
                 t = target
         snaps.append((t, state))
     return snaps, dts, shifted
@@ -884,7 +938,8 @@ def test_forced_step_solves_stage_and_faces_in_one_call_as_apart(monkeypatch, bc
     ws = loaded(d, grid, sch, NEWTON_EXPS)
     sizes = _spy_closure_kernel(monkeypatch)
     forcing0 = (sol.cell_averages(grid, t, zf0), zf0)
-    stage_Z, (forcing1, zf1), iters, _ = step(ws, t, dt, d.Z, forcing0, sol)
+    z0 = np.concatenate((d.Z, zf0))
+    stage_Z, (forcing1, zf1), iters, _, _ = step(ws, t, dt, z0, forcing0, sol)
     assert sizes == [2 * grid.n + 1]  # one kernel call: the n cells and n + 1 faces
     monkeypatch.undo()
     # the stage's roots, pressure and velocity are those of its own solve
@@ -932,6 +987,94 @@ def test_forced_run_solves_the_closure_once_per_stage(monkeypatch):
     # solved apart, the stages and forcings took 14 calls
     n = 16
     assert sizes == [n, n + 1] + [2 * n + 1, n] * 4
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [mms_cfg(n=256, t_end=0.05), base_cfg(n=256, gamma_minus=1.4)],
+    ids=["forced", "unforced"],
+)
+def test_stage_solve_with_a_two_level_history_takes_two_evaluations(monkeypatch, cfg):
+    # the stage's warm start extrapolates the roots of the last two time
+    # levels: one untested Newton step and one tested iterate converge.
+    # From the roots at t alone (the first step) the solve takes three.
+    # The iterations are the kernel's, of the one call each step makes
+    kernel, stages = [], []
+    real_kernel, real_step = closure.solve_closure_batch, solver.step
+
+    def kernel_spy(*args):
+        Z, iters = real_kernel(*args)
+        kernel.append(iters)
+        return Z, iters
+
+    def step_spy(ws, t, dt, *args):
+        calls = len(kernel)
+        out = real_step(ws, t, dt, *args)
+        assert len(kernel) == calls + 1
+        stages.append((t, dt, kernel[-1]))
+        return out
+
+    monkeypatch.setattr(closure, "solve_closure_batch", kernel_spy)
+    monkeypatch.setattr(solver, "step", step_spy)
+    run(cfg)
+    iters = [it for _, _, it in stages]
+    # a step has a two-level history unless it is the first or follows a
+    # landing that moved t
+    history = [False] + [t0 + dt0 == t for (t0, dt0, _), (t, _, _) in zip(stages, stages[1:])]
+    assert iters[0] == 3 and not history[0]
+    assert all(it <= 2 for it, h in zip(iters, history) if h)
+    # the step after a landing step, longer than it, is among them
+    assert any(h and stages[k][1] > stages[k - 1][1] for k, h in enumerate(history))
+
+
+def _huge_roots_cfg(gamma_minus, snaps):
+    """An unforced run whose closure roots lie near 1e100, at gamma_plus =
+    1.1: the sound speed is about 1e5 and a step about 5e-7 long."""
+    gamma = 1.1 / gamma_minus
+    return UnevenSnapshots(
+        n=16,
+        gamma_plus=1.1,
+        gamma_minus=gamma_minus,
+        mu=0.1,
+        t_end=snaps[-1],
+        r_init=ProfileSpec(preset="sine", base=5e99, amplitude=1e99),
+        q_init=ProfileSpec(preset="sine", base=5e99**gamma, amplitude=-(1e99**gamma), waves=2.0),
+        u_init=ProfileSpec(preset="sine", base=0.0, amplitude=1e4),
+        snaps=snaps,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma_minus", [1.05, 1.5])
+def test_step_after_a_short_landing_extrapolates_huge_roots_cleanly(
+    monkeypatch, run_collecting, gamma_minus
+):
+    # three full steps, a landing step of 1e-13 on a snapshot, then full
+    # steps about 5e6 times as long, which clamp their extrapolation
+    dts = run(_huge_roots_cfg(gamma_minus, (0.0, 1e-5))).dt_history
+    t3 = (dts[0] + dts[1]) + dts[2]
+    # t_land - t3 is exact (Sterbenz), so t3 + (t_land - t3) is t_land:
+    # the landing keeps t, and the next step extrapolates
+    t_land = t3 + 1e-13
+    cfg = _huge_roots_cfg(gamma_minus, (0.0, t_land, t_land + 1e-5))
+    worst = []
+    real = closure.solve_closure_batch
+
+    def spy(R, Q, gamma, z0=None):
+        Z, iters = real(R, Q, gamma, z0)
+        if z0 is not None:
+            cold, _ = real(R, Q, gamma)
+            worst.append(float(np.max(np.abs(Z - cold) / cold)))
+        return Z, iters
+
+    monkeypatch.setattr(closure, "solve_closure_batch", spy)
+    traj, records = run_collecting(cfg)
+    dts = traj.dt_history
+    assert dts[3] == pytest.approx(1e-13, rel=1e-3) and dts[4] > 1e6 * dts[3]
+    assert traj.times == [0.0, t_land, t_land + 1e-5]
+    assert 1e99 < min(float(np.min(d.Z)) for d in records)
+    assert max(float(np.max(d.Z)) for d in records) < 1e101
+    assert worst and max(worst) <= 2.0 * CLOSURE_TOL
 
 
 # MMS_NEWTON_16 calls the closure kernel for the initial derive (call 1),
@@ -1001,11 +1144,12 @@ def test_joint_closure_error_names_the_stage_cells_first_then_the_faces(
     ws = loaded(d, grid, scheme(), NEWTON_EXPS)
     Rf, Qf = sol.face_masses(grid, 0.2)
     zf0 = np.full(grid.n + 1, 1e3)  # a poor start, clipped to the bracket
-    # the cells' own roots converge at once; from a poor start they cannot
+    # from their own roots the cells converge at the first tested iterate,
+    # the second evaluation; from a poor start they cannot
     z0 = np.full(grid.n, 1e3) if stage_fails else d.Z
-    monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 1)
+    monkeypatch.setattr(closure, "CLOSURE_MAX_ITER", 2)
     with pytest.raises(closure.MaxIterExceededError) as joint:
-        solver._close(ws.W, ws, z0, (Rf, Qf, zf0))
+        solver._close(ws.W, ws, np.concatenate((z0, zf0)), faces=(Rf, Qf))
     with pytest.raises(closure.MaxIterExceededError) as apart:
         if stage_fails:
             solve_closure_batch(st[0], st[1], NEWTON_EXPS.gamma, z0)
@@ -1027,7 +1171,7 @@ def test_handed_on_forcing_is_read_only():
     grid = Grid1D(32, 1.0)
     sol = ManufacturedSolution(EXPS, nu_eff=0.2)
     st = sol.state(grid, 0.0)
-    _, (_, (averages, face_Z), _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
+    _, (_, (averages, face_Z), _, _, _) = step_from(st, grid, scheme(), 1e-4, forcing=sol)
     assert averages.shape == (3, 32) and face_Z.shape == (33,)
     with pytest.raises(ValueError):
         averages[2, 0] += 1.0
