@@ -40,6 +40,7 @@ __all__ = [
     "finite_pressure_bound",
     "pressure",
     "total_mass",
+    "EnergyOverflowError",
     "total_energy",
     "restrict",
     "snapshot_columns",
@@ -226,6 +227,12 @@ def total_mass(der: DerivedFields, grid: Grid1D) -> tuple[float, float]:
     return float(np.sum(der.R) * grid.dx), float(np.sum(der.Q) * grid.dx)
 
 
+class EnergyOverflowError(closure.CellError, OverflowError):
+    """The total energy of a state exceeds the largest float at cells: those
+    whose energy density does, or every cell when each density is finite
+    and only their sum overflows."""
+
+
 def total_energy(der: DerivedFields, grid: Grid1D) -> float:
     """Kinetic plus weighted Helmholtz energy of the mixture, from the record
     der of a state, with its exponents.
@@ -233,14 +240,25 @@ def total_energy(der: DerivedFields, grid: Grid1D) -> float:
     E = sum dx * [ (R+Q) u^2 / 2 + alpha H_plus(rho_plus)
                    + (1-alpha) H_minus(rho_minus) ].
     H_plus(rho_plus) is read from the pressure, p / (gamma_plus - 1).
-    Vacuum cells contribute zero regardless of the alpha sentinel.
+    Vacuum cells contribute zero regardless of the alpha sentinel.  An E
+    that is not finite raises EnergyOverflowError, with no numpy warning.
     """
-    e = (
-        0.5 * (der.R + der.Q) * der.u**2
-        + der.alpha * (der.p / (der.exps.gamma_plus - 1.0))
-        + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, der.exps.gamma_minus)
-    )
-    return float(np.sum(e) * grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = (
+            0.5 * (der.R + der.Q) * der.u**2
+            + der.alpha * (der.p / (der.exps.gamma_plus - 1.0))
+            + (1.0 - der.alpha) * thermo.helmholtz(der.rho_minus, der.exps.gamma_minus)
+        )
+        E = float(np.sum(e) * grid.dx)
+    if math.isfinite(E):
+        return E
+    bad = np.flatnonzero(~np.isfinite(e)).tolist()
+    if bad:
+        message = f"total energy overflows float: the energy density of cells {bad[:8]} does"
+    else:
+        message = "total energy overflows float in the sum of finite cell energies"
+        bad = range(e.size)
+    raise EnergyOverflowError(message, cells=bad)
 
 
 def restrict(der: DerivedFields, factor: int) -> np.ndarray:

@@ -18,12 +18,20 @@ and nothing is extrapolated.
 A run steps two ghost-padded (5, n + 2) buffers, the state and its SSPRK2
 stage, with rows R, Q, m, p, u.  It binds them once, in one workspace, with
 every view of them that the stencils, the closure, the ghost fill, the
-dissipation, the step size and the fraction diagnostic read, and with the
-run's constants (dx, -dx, 2 dx, dx**2, nu_eff, cfl, the exponents and the
-boundary condition); a step reads these instead of slicing the buffers
-again.  Each stage updates R, Q and m in place and
-admits the result with one per-row minimum and one maximum (zero the
-round-off negatives of the masses, raise PositivityLossError or
+dissipation, the step size and the fraction diagnostic read, with the
+face-velocity tile and the time derivative of the upwind stencil, and with
+the run's constants (dx, -dx, 2 dx, dx**2, nu_eff, cfl, the exponents and
+the boundary condition); a step reads these instead of slicing the buffers
+again.  The rows R, Q, m of a buffer, ghosts included, are one contiguous
+(3, n + 2) block: the donor selection, the flux, its difference and the
+division by -dx run on it as one flat lane, whose two dead faces between
+rows have a zero velocity, and the stage updates run on whole blocks.  The
+derivative's ghost columns are -0.0, so the ghost lanes of R, Q and m only
+receive zero increments, or the sum of two edge values that the interior
+adds too, and hold such values until _close fills them again; they raise
+no numpy warning that the interior does not.  Each stage updates R, Q and
+m in place and admits the result with one per-row minimum and one maximum
+(zero the round-off negatives of the masses, raise PositivityLossError or
 NonFiniteStateError); the admitted masses are valid input for the closure
 kernel, which checks nothing.  One helper closes every state a run steps
 from and every stage: its root gives p and u in the buffer (a p that
@@ -136,17 +144,24 @@ class _Buffer:
     that a step reads, sliced once.
 
     U is the state (R, Q, m) and R, Q, m, p, u are the rows, all without
-    ghosts.  Face j sits between buffer cells j and j + 1: left and right
-    are the rows R, Q, m of the cells on either side of every face, u_left
-    and u_right their velocities.  u_prev and u_next (p_prev, p_next) are
-    the velocities (pressures) of the two neighbours of every cell.
+    ghosts.  The rows R, Q, m with their ghosts are one contiguous (3, n + 2)
+    block, which the stencils and the stage updates read as one flat lane:
+    lane_left and lane_right are its values on either side of its 3 (n + 2)
+    - 1 faces, the n + 1 faces of each row and the two dead faces between
+    one row's last ghost and the next row's first.  u_left and u_right are
+    the velocities on either side of every face j, between buffer cells j
+    and j + 1; u_prev and u_next (p_prev, p_next) are the velocities
+    (pressures) of the two neighbours of every cell.  The array starts as
+    zeros, so every lane is finite before its first ghost fill.
     """
 
     def __init__(self, n: int):
-        B = np.empty((5, n + 2))
+        B = np.zeros((5, n + 2))
+        self.block = B[:3]
         self.U = B[:3, 1:-1]
         self.R, self.Q, self.m, self.p, self.u = B[:, 1:-1]
-        self.left, self.right = B[:3, :-1], B[:3, 1:]
+        lane = self.block.reshape(-1)
+        self.lane_left, self.lane_right = lane[:-1], lane[1:]
         ug, pg = B[4], B[3]
         self.u_left, self.u_right = ug[:-1], ug[1:]
         self.u_prev, self.u_next = ug[:-2], ug[2:]
@@ -157,11 +172,32 @@ class _Buffer:
 
 class _Workspace:
     """What the steps of one run read: the state buffer W, its SSPRK2 stage
-    S, and the run's grid, exponents and scheme settings as plain floats."""
+    S, the lanes of _rhs, and the run's grid, exponents and scheme settings
+    as plain floats.
+
+    u_tile is a (3, n + 2) tile of face velocities: _rhs computes the n + 1
+    face velocities of a buffer into u_faces, the start of its first row,
+    and copies them into the other two.  Its column n + 1 stays 0, so
+    u_lane, the tile as one lane over the faces of a buffer's lanes, gives
+    the two dead faces a zero velocity.  flux is the lane of upwind fluxes.
+    dU is the (3, n + 2) time derivative that _rhs returns, dU_faces its
+    lane without its first and last value, dU_ghosts its two ghost columns
+    and dU_cells its interior.
+    """
 
     def __init__(self, grid: Grid1D, cfg, exps):
-        self.grid, self.n = grid, grid.n
-        self.W, self.S = _Buffer(grid.n), _Buffer(grid.n)
+        n = grid.n
+        self.grid, self.n = grid, n
+        self.W, self.S = _Buffer(n), _Buffer(n)
+        self.u_tile = np.zeros((3, n + 2))
+        self.u_faces = self.u_tile[0, :-1]
+        self.u_lane = self.u_tile.reshape(-1)[:-1]
+        self.flux = np.empty(3 * n + 5)
+        self.dU = np.zeros((3, n + 2))
+        self.dU_lane = self.dU.reshape(-1)
+        self.dU_faces = self.dU_lane[1:-1]
+        self.dU_ghosts = self.dU[:, :: n + 1]
+        self.dU_cells = self.dU[:, 1:-1]
         dx = grid.dx
         self.dx, self.neg_dx, self.two_dx, self.dx2 = dx, -dx, 2.0 * dx, dx * dx
         self.nu_eff, self.cfl = cfg.nu_eff, cfg.cfl
@@ -267,24 +303,35 @@ def _divergence(b: _Buffer, ws: _Workspace):
 
 def _rhs(b: _Buffer, ws: _Workspace, forcing):
     """Time derivative of the state (R, Q, m) in the buffer b plus forcing, if
-    any, as a new (3, n) array.
+    any, as the workspace's (3, n + 2) dU, whose ghost columns are -0.0.
 
     One face velocity, one donor selection and one flux difference serve all
-    three rows: first-order upwind transport.  The momentum row adds the
-    central pressure gradient and the viscous term nu_eff * u_xx.  Every
-    expression keeps the operand order of the scheme written one equation at
-    a time, so results are bit-identical to it (tests/test_solver.py); the
-    in-place operations only save temporaries (a *= b is b * a, bit for bit).
+    three rows: first-order upwind transport, stepped on the flat lanes of
+    the buffer's (3, n + 2) block.  A dead face between two rows has a zero
+    velocity, so its flux is a zero; the flux differences it enters land in
+    ghost columns, which are zeroed before the division.  The momentum row
+    adds the central pressure gradient and the viscous term nu_eff * u_xx,
+    and the forcing goes into the interior.  Every interior expression keeps
+    the operand order of the scheme written one equation at a time, so
+    results are bit-identical to it (tests/test_solver.py); the in-place
+    operations only save temporaries (a *= b is b * a, bit for bit).
     """
-    u_face = b.u_left + b.u_right
+    u_face = ws.u_faces
+    np.add(b.u_left, b.u_right, out=u_face)
     u_face *= 0.5
-    flux = np.where(u_face > 0.0, b.left, b.right)
-    flux *= u_face
-    dU = flux[:, 1:] - flux[:, :-1]
-    dU /= ws.neg_dx  # x / (-dx) is -(x / dx), signed zeros included
+    ws.u_tile[1:, :-1] = u_face
+    u_lane = ws.u_lane
+    flux = ws.flux
+    np.copyto(flux, b.lane_right)
+    np.copyto(flux, b.lane_left, where=u_lane > 0.0)
+    flux *= u_lane
+    dU = ws.dU
+    np.subtract(flux[1:], flux[:-1], out=ws.dU_faces)
+    ws.dU_ghosts.fill(0.0)
+    ws.dU_lane /= ws.neg_dx  # x / (-dx) is -(x / dx), signed zeros included
     grad_p = b.p_next - b.p_prev
     grad_p /= ws.two_dx
-    dm = dU[2]
+    dm = ws.dU_cells[2]
     dm -= grad_p
     lap = b.u_next - 2.0 * b.u
     lap += b.u_prev
@@ -292,7 +339,7 @@ def _rhs(b: _Buffer, ws: _Workspace, forcing):
     lap *= ws.nu_eff
     dm += lap
     if forcing is not None:
-        dU += forcing
+        ws.dU_cells += forcing
     return dU
 
 
@@ -408,9 +455,11 @@ def step(ws: _Workspace, t: float, dt: float, z0, forcing0=None, forcing=None):
     in place, with the scheme, grid and exponents the workspace ws holds.
 
     ws.W holds the state at time t with its pressure, velocity and ghosts
-    (_load, _close); ws.S is the SSPRK2 stage.  On return ws.W holds the
-    new state's R, Q and m, admitted as valid; its other rows and ghosts are
-    the old state's until _close.
+    (_load, _close); ws.S is the SSPRK2 stage.  The four stage updates run
+    on whole (3, n + 2) blocks of R, Q and m, ghosts included.  On return
+    ws.W holds the new state's R, Q and m, admitted as valid; its other rows
+    are the old state's, and its ghosts of R, Q and m, updated by zero
+    increments, are no state's, until _close.
 
     forcing is the manufactured solution, of the run's exponents, whose cell
     averages force the step, None for an unforced step.  forcing0 is its
@@ -433,12 +482,12 @@ def step(ws: _Workspace, t: float, dt: float, z0, forcing0=None, forcing=None):
     W, S, grid = ws.W, ws.S, ws.grid
     t1 = t + dt
     dissipation = dt * _dissipation_rate(W, ws)
-    U0, U1 = W.U, S.U
+    U0, U1 = W.block, S.block
     dU = _rhs(W, ws, None if forcing is None else forcing0[0])
     dU *= dt
     np.add(dU, U0, out=U1)
     # admitted, the stage is valid input for the closure kernel
-    top = _admit(U1, t1)
+    top = _admit(S.U, t1)
     if forcing is None:
         stage_Z, _, iters = _close(S, ws, z0, top)
         stage_forcing = None
@@ -452,7 +501,7 @@ def step(ws: _Workspace, t: float, dt: float, z0, forcing0=None, forcing=None):
     U0 += U1
     U0 += dU  # (U0 + U1) + dt dU1 is dt dU1 + (U0 + U1), bit for bit
     U0 *= 0.5
-    top = _admit(U0, t1)
+    top = _admit(W.U, t1)
     return stage_Z, stage_forcing, iters, dissipation, top
 
 
@@ -546,14 +595,14 @@ def run(cfg, initial: np.ndarray | None = None, *, on_snapshot=_discard) -> Traj
     interpolation.  The result is deterministic: identical configurations
     produce bit-identical trajectories.
 
-    A StepError or closure error (closure.CellError) that stops the run is
-    located by one handler, by three rules; a t known at the raise is
-    kept.  In closing a state the run has reached (the initial state, a
-    state between steps, a snapshot) and sizing the next step: the state's
-    t, the number of the next step and the size of the last (None before
-    the first).  In a step, its stage, forcing or admission: the t + dt it
-    steps to, its number and its size.  In on_snapshot: nowhere, the
-    consumer's error keeps step and dt None.
+    A StepError, closure error or EnergyOverflowError (closure.CellError)
+    that stops the run is located by one handler, by three rules; a t known
+    at the raise is kept.  In closing a state the run has reached (the
+    initial state, a state between steps, a snapshot, with its energy) and
+    sizing the next step: the state's t, the number of the next step and
+    the size of the last (None before the first).  In a step, its stage,
+    forcing or admission: the t + dt it steps to, its number and its size.
+    In on_snapshot: nowhere, the consumer's error keeps step and dt None.
     """
     grid = cfg.grid()
     exps = cfg.exponents()

@@ -85,9 +85,13 @@ def flipped_advection_rhs(b, ws, forcing):
     """A stand-in for ``solver._rhs`` (same arguments: a run's buffer of R,
     Q, m, p, u with its row views, the run's workspace, which holds the grid
     and nu_eff, and the forcing) whose advective fluxes enter with the wrong
-    sign."""
-    dU = per_equation_rhs(b.R, b.Q, b.m, b.u, b.p, ws.grid, ws.nu_eff, forcing, flux_sign=-1.0)
-    return np.array(dU)
+    sign.  Like ``_rhs`` it returns a (3, n + 2) array whose ghost columns
+    are -0.0."""
+    dU = np.full((3, ws.n + 2), -0.0)
+    dU[:, 1:-1] = per_equation_rhs(
+        b.R, b.Q, b.m, b.u, b.p, ws.grid, ws.nu_eff, forcing, flux_sign=-1.0
+    )
+    return dU
 
 
 class VacuumCellError(ValueError):

@@ -541,6 +541,29 @@ def test_cli_run_pressure_overflow_writes_located_record(tmp_path, capsys):
     }
 
 
+def test_cli_run_energy_overflow_writes_located_record(tmp_path, capsys):
+    # every p = Z**3 (about 2.7e307) is finite and below the pressure check,
+    # but the sum of the 16 cell energies overflows: one named error at the
+    # first snapshot, located as a closure error is, with no numpy warning
+    text = "[grid]\nn = 16\n[time]\nt_end = 0.001\n[initial]\nR_value = 3e102\nQ_value = 3e102\n"
+    path = write(tmp_path, "energy.ini", text)
+    out = tmp_path / "fail"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", path, "--out", str(out)]) == 3
+    message = "total energy overflows float in the sum of finite cell energies"
+    assert capsys.readouterr().err == f"run failed: {message}\n"
+    assert json.loads((out / "failure.json").read_text()) == {
+        "error": "EnergyOverflowError",
+        "message": message,
+        "t": 0.0,
+        "step": 1,
+        "dt": None,
+        "cells": list(range(16)),
+        "n_cells": 16,
+    }
+
+
 @pytest.mark.parametrize(
     "initial, key",
     [

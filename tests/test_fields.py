@@ -14,6 +14,7 @@ from bifluid.fields import (
     RHO_FLOOR,
     SNAPSHOT_BLOCK_ROWS,
     DerivedFields,
+    EnergyOverflowError,
     Grid1D,
     derive,
     finite_pressure_bound,
@@ -233,6 +234,21 @@ def test_total_energy_vacuum_and_velocity_sign():
     e1 = total_energy(derive(uniform_state(8, 1.0, 2.0, 1.3), 0.0, EXPS), g)
     e2 = total_energy(derive(uniform_state(8, 1.0, 2.0, -1.3), 0.0, EXPS), g)
     assert e1 == e2
+
+
+def test_total_energy_overflow_names_its_cells():
+    # a kinetic density that overflows names its cell; finite densities
+    # whose sum overflows name every cell
+    g = Grid1D(8, 1.0)
+    s = uniform_state(8, 1.0, 1.0, 1.0)
+    s[2, 5] = 1e200
+    with pytest.raises(EnergyOverflowError, match=r"density of cells \[5\] does") as exc:
+        total_energy(derive(s, 0.0, EXPS), g)
+    assert exc.value.cells == [5] and exc.value.step is None
+    big = derive(uniform_state(8, 1e154, 0.0, 1e77), 0.0, ExponentPair(1.5, 1.5))
+    with pytest.raises(EnergyOverflowError, match="sum of finite cell energies") as exc:
+        total_energy(big, g)
+    assert exc.value.cells == range(8)
 
 
 @given(

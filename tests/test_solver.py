@@ -173,7 +173,7 @@ def test_zero_velocity_masses_frozen_momentum_gets_pressure_push():
     st = np.array((R, Q, np.zeros(32)))
     d = derive(st, 0.0, EXPS)
     ws = loaded(d, grid, scheme())
-    dU = solver._rhs(ws.W, ws, None)
+    dU = solver._rhs(ws.W, ws, None)[:, 1:-1]
     assert not dU[:2].any()
     grad_p = (np.roll(d.p, -1) - np.roll(d.p, 1)) / (2 * grid.dx)
     assert np.array_equal(dU[2], -grad_p)
@@ -459,6 +459,23 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     # per-equation scheme with its advection flipped
     if flux_sign < 0.0:
         monkeypatch.setattr(solver, "_rhs", flipped_advection_rhs)
+    # the lane contract: every rhs has ghost columns of -0.0 and its dead
+    # faces a zero velocity, so the stage's ghosts as the first update left
+    # them, before its close fills them, are the state's at t, bit for bit
+    rhs, close = solver._rhs, solver._close
+    rhs_ghosts, stage_ghosts = [], []
+
+    def rhs_spy(b, ws, forcing):
+        dU = rhs(b, ws, forcing)
+        rhs_ghosts.append((dU[:, :: ws.n + 1].copy(), ws.u_tile[:, -1].copy()))
+        return dU
+
+    def close_spy(b, ws, *args):
+        stage_ghosts.append((b.block[:, :: ws.n + 1].copy(), ws.W.block[:, :: ws.n + 1].copy()))
+        return close(b, ws, *args)
+
+    monkeypatch.setattr(solver, "_rhs", rhs_spy)
+    monkeypatch.setattr(solver, "_close", close_spy)
     grid = Grid1D(32, 1.0, bc=bc)
     st = _tricky_state(grid)
     sch = scheme(integrator=integrator)
@@ -474,6 +491,12 @@ def test_fused_step_is_bit_identical_to_per_equation_reference(
     g = _ref_velocity_face_gradient(d.u, grid)
     assert dissipation == dt * float(sch.nu_eff * np.sum(g * g) * grid.dx)
     assert speed_max == float(np.max(np.abs(d.u) + np.sqrt(3.0 * np.power(d.Z, 2.0))))
+    assert len(rhs_ghosts) == 2  # the step's and the stage's
+    for ghosts, dead_faces in rhs_ghosts:
+        assert _same_bits(ghosts, np.full((3, 2), -0.0))
+        assert not dead_faces.any()
+    ((stage, state),) = stage_ghosts
+    assert _same_bits(stage, state)
 
 
 def _ref_snapshots(cfg, dts):
@@ -734,12 +757,16 @@ def test_run_derived_fields_match_a_cold_derive(run_collecting, gamma_minus):
 
 
 def test_run_stage_blow_up_names_the_step():
+    # a velocity spike in cell 32 whose energy is finite, but whose momentum
+    # flux, about 1.4e307, differenced over dx = 1/64 overflows the stage
     cfg = base_cfg(
         mu=0.0,
         allow_inviscid=True,
         t_end=1e-150,
         n_snapshots=2,
-        u_init=ProfileSpec(preset="sine", base=0.0, amplitude=1e155),
+        u_init=ProfileSpec(
+            preset="gaussian_bump", base=0.0, amplitude=3e153, center=32.5 / 64, width=1e-3
+        ),
     )
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
         run(cfg)
