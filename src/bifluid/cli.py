@@ -535,10 +535,7 @@ def compare_runs(
             raise verify.TimeGridMismatchError("snapshot times of the two runs differ")
         times = traj_a.times
 
-        noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
-        fit = verify.gronwall_check(
-            times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
-        )
+        fit = verify.gronwall_check(times, [r.E_total for r in rows], e_scale)
         stab = verify.alpha_stability_check(
             [r.A for r in rows], [r.w for r in rows], times, cfg_a.stability_delta
         )
@@ -547,7 +544,7 @@ def compare_runs(
             "ref_mode": ref_mode,
             "times": times,
             "e_scale": e_scale,
-            "noise_floor": noise_floor,
+            "noise_floor": verify.noise_floor(e_scale),
             "gronwall": dataclasses.asdict(fit),
             "alpha_stability": dataclasses.asdict(stab),
             "ess_window": list(window),

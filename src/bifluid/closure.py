@@ -53,7 +53,6 @@ __all__ = [
     "CLOSURE_MAX_ITER",
     "EXPONENT_MAX",
     "VACUUM_ALPHA",
-    "NonFiniteInputError",
     "CellError",
     "MaxIterExceededError",
     "ClosureOverflowError",
@@ -61,10 +60,6 @@ __all__ = [
     "solve_closure_batch",
     "omega_of_alpha",
 ]
-
-
-class NonFiniteInputError(ValueError):
-    """An adiabatic exponent is NaN or infinite."""
 
 
 class CellError(Exception):
@@ -113,7 +108,7 @@ class ExponentPair:
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma_plus) and math.isfinite(self.gamma_minus)):
-            raise NonFiniteInputError("adiabatic exponents must be finite")
+            raise ValueError("adiabatic exponents must be finite")
         if not (1.0 < self.gamma_plus <= EXPONENT_MAX and 1.0 < self.gamma_minus <= EXPONENT_MAX):
             raise ValueError(f"adiabatic exponents must lie in (1, {EXPONENT_MAX:g}]")
 

@@ -21,12 +21,12 @@ from .mms import ManufacturedSolution
 from .solver import SSPRK2
 
 PRESETS = ("uniform", "gaussian_bump", "sine", "from_file")
-# the keys of an initial velocity profile, by preset
-_VELOCITY_KEYS = {
-    "uniform": "initial.u_value",
-    "gaussian_bump": "initial.u_base, initial.u_amplitude",
-    "sine": "initial.u_base, initial.u_amplitude",
-    "from_file": "initial.u_path",
+# the ProfileSpec fields that set the size of a profile of each preset
+_SIZE_FIELDS = {
+    "uniform": ("value",),
+    "gaussian_bump": ("base", "amplitude"),
+    "sine": ("base", "amplitude"),
+    "from_file": ("path",),
 }
 _PERTURB_BLOCK = 64  # perturbation modes summed per block; bounds the tables to 64 x n
 
@@ -61,16 +61,18 @@ class ProfileSpec:
     waves: float = 1.0
     path: str = ""
 
-    def validate(self, name: str) -> None:
+    def validate(self, section: str, name: str) -> None:
+        """Check the profile whose keys are name_<field> under [section]."""
         if self.preset not in PRESETS:
-            raise ValidationError(f"initial.{name}_preset must be one of {PRESETS}")
+            raise ValidationError(f"{section}.{name}_preset must be one of {PRESETS}")
         if self.preset == "gaussian_bump" and not self.width > 0.0:
-            raise ValidationError(f"initial.{name}_width must be positive")
+            raise ValidationError(f"{section}.{name}_width must be positive")
         if self.preset == "from_file" and not self.path:
-            raise ValidationError(f"initial.{name}_path required for from_file")
+            raise ValidationError(f"{section}.{name}_path required for from_file")
 
-    def build(self, grid: Grid1D, column: str, snapshots: dict) -> np.ndarray:
-        """The profile on the grid; snapshots caches the files read, by path."""
+    def build(self, grid: Grid1D, section: str, name: str, snapshots: dict) -> np.ndarray:
+        """The profile on the grid; name is also the snapshot CSV column that
+        a from_file profile reads, and snapshots caches the files read, by path."""
         x = grid.x
         if self.preset == "uniform":
             return np.full(grid.n, self.value)
@@ -85,10 +87,10 @@ class ProfileSpec:
             )
         if self.path not in snapshots:
             snapshots[self.path] = read_snapshot(self.path)
-        values = snapshots[self.path][column]
+        values = snapshots[self.path][name]
         if values.shape[0] != grid.n:
             raise ValidationError(
-                f"initial.{column}_path has {values.shape[0]} cells, grid has {grid.n}"
+                f"{section}.{name}_path has {values.shape[0]} cells, grid has {grid.n}"
             )
         return values
 
@@ -159,49 +161,50 @@ def _uniform_draws(seed: int, k: int) -> list[float]:
     return out
 
 
-def _default_r():
-    return ProfileSpec(preset="uniform", value=1.0)
-
-
-def _default_q():
-    return ProfileSpec(preset="uniform", value=1.0)
-
-
-def _default_u():
-    return ProfileSpec(preset="uniform", value=0.0)
+def _key(section: str, default, key: str | None = None):
+    """A SimConfig field with its default, set by the INI key `key` of
+    [section], the field's own name when None.  A ProfileSpec field is an
+    initial profile, set by the keys `key`_<ProfileSpec field>: R_preset,
+    R_width and so on; each config gets its own copy of the default."""
+    metadata = {"ini": (section, key)}
+    if isinstance(default, ProfileSpec):
+        return dataclasses.field(
+            default_factory=lambda: dataclasses.replace(default), metadata=metadata
+        )
+    return dataclasses.field(default=default, metadata=metadata)
 
 
 @dataclasses.dataclass
 class SimConfig:
     """Fully-defaulted description of one simulation run."""
 
-    gamma_plus: float = 3.0
-    gamma_minus: float = 1.5
-    mu: float = 0.1
-    lam: float = 0.0
-    n: int = 256
-    length: float = 1.0
-    bc: str = PERIODIC
-    t_end: float = 0.2
-    cfl: float = 0.9
-    integrator: str = SSPRK2
-    n_snapshots: int = 11
-    r_init: ProfileSpec = dataclasses.field(default_factory=_default_r)
-    q_init: ProfileSpec = dataclasses.field(default_factory=_default_q)
-    u_init: ProfileSpec = dataclasses.field(default_factory=_default_u)
-    perturb_epsilon: float = 0.0
-    perturb_seed: int = 0
-    perturb_modes: int = 3
-    track_alpha: bool = False
-    allow_inviscid: bool = False
-    energy_eps: float = 1e-3
-    stability_delta: float = 0.1
-    mms_enabled: bool = False
-    mms_a: float = 1.5
-    mms_b: float = 0.25
-    mms_c: float = 1.5
-    mms_d: float = 0.25
-    mms_e: float = 0.3
+    gamma_plus: float = _key("exponents", 3.0)
+    gamma_minus: float = _key("exponents", 1.5)
+    mu: float = _key("viscosity", 0.1)
+    lam: float = _key("viscosity", 0.0, "lambda")
+    n: int = _key("grid", 256)
+    length: float = _key("grid", 1.0)
+    bc: str = _key("grid", PERIODIC)
+    t_end: float = _key("time", 0.2)
+    cfl: float = _key("time", 0.9)
+    integrator: str = _key("time", SSPRK2)
+    n_snapshots: int = _key("time", 11)
+    r_init: ProfileSpec = _key("initial", ProfileSpec(value=1.0), "R")
+    q_init: ProfileSpec = _key("initial", ProfileSpec(value=1.0), "Q")
+    u_init: ProfileSpec = _key("initial", ProfileSpec(value=0.0), "u")
+    perturb_epsilon: float = _key("perturbation", 0.0, "epsilon")
+    perturb_seed: int = _key("perturbation", 0, "seed")
+    perturb_modes: int = _key("perturbation", 3, "modes")
+    track_alpha: bool = _key("verification", False)
+    allow_inviscid: bool = _key("verification", False)
+    energy_eps: float = _key("verification", 1e-3)
+    stability_delta: float = _key("verification", 0.1)
+    mms_enabled: bool = _key("mms", False, "enabled")
+    mms_a: float = _key("mms", 1.5, "a")
+    mms_b: float = _key("mms", 0.25, "b")
+    mms_c: float = _key("mms", 1.5, "c")
+    mms_d: float = _key("mms", 0.25, "d")
+    mms_e: float = _key("mms", 0.3, "e")
 
     # construction helpers -------------------------------------------------
 
@@ -258,9 +261,10 @@ class SimConfig:
                 U = self.manufactured().state(grid, 0.0)
             else:
                 snapshots = {}  # one read of a file that R, Q and u share
-                R0 = self.r_init.build(grid, "R", snapshots)
-                Q0 = self.q_init.build(grid, "Q", snapshots)
-                u0 = self.u_init.build(grid, "u", snapshots)
+                R0, Q0, u0 = (
+                    getattr(self, field).build(grid, *key, snapshots)
+                    for field, key in _PROFILES.items()
+                )
                 if self.perturb_epsilon != 0.0:
                     pr, pq, pu = self._perturbations(grid.x)
                     R0 = R0 + self.perturb_epsilon * pr
@@ -290,34 +294,38 @@ class SimConfig:
 
         def need(cond: bool, field: str, constraint: str):
             if not cond:
-                raise ValidationError(f"{field}: {constraint}")
+                raise ValidationError(f"{_SPELLING[field]}: {constraint}")
 
         # the Helmholtz potential needs exponents above 1, the closure's checked range at most 100
         exponent_range = f"must lie in (1, {EXPONENT_MAX:g}]"
-        need(1.0 < self.gamma_plus <= EXPONENT_MAX, "exponents.gamma_plus", exponent_range)
-        need(1.0 < self.gamma_minus <= EXPONENT_MAX, "exponents.gamma_minus", exponent_range)
-        need(self.mu >= 0.0, "viscosity.mu", "must be nonnegative")
-        need(2.0 * self.mu + 3.0 * self.lam >= 0.0, "viscosity.lambda", "needs 2*mu + 3*lambda >= 0")
-        need(self.mu > 0.0 or self.allow_inviscid, "viscosity.mu", "mu = 0 requires verification.allow_inviscid")
-        need(self.n >= 4, "grid.n", "must be at least 4")
-        need(self.length > 0.0, "grid.length", "must be positive")
-        need(self.bc in (PERIODIC, NOSLIP), "grid.bc", f"must be '{PERIODIC}' or '{NOSLIP}'")
-        need(self.t_end >= 0.0, "time.t_end", "must be nonnegative")
-        need(0.0 < self.cfl <= 1.0, "time.cfl", "must lie in (0, 1]")
-        need(self.integrator == SSPRK2, "time.integrator", f"must be '{SSPRK2}'")
-        need(self.n_snapshots >= 2 or self.t_end == 0.0, "time.n_snapshots", "need at least 2 snapshots when t_end > 0")
-        need(self.perturb_seed >= 0, "perturbation.seed", "must be nonnegative")
-        need(self.perturb_modes >= 1, "perturbation.modes", "must be at least 1")
+        need(1.0 < self.gamma_plus <= EXPONENT_MAX, "gamma_plus", exponent_range)
+        need(1.0 < self.gamma_minus <= EXPONENT_MAX, "gamma_minus", exponent_range)
+        need(self.mu >= 0.0, "mu", "must be nonnegative")
+        need(2.0 * self.mu + 3.0 * self.lam >= 0.0, "lam", "needs 2*mu + 3*lambda >= 0")
+        need(
+            self.mu > 0.0 or self.allow_inviscid,
+            "mu",
+            f"mu = 0 requires {_SPELLING['allow_inviscid']}",
+        )
+        need(self.n >= 4, "n", "must be at least 4")
+        need(self.length > 0.0, "length", "must be positive")
+        need(self.bc in (PERIODIC, NOSLIP), "bc", f"must be '{PERIODIC}' or '{NOSLIP}'")
+        need(self.t_end >= 0.0, "t_end", "must be nonnegative")
+        need(0.0 < self.cfl <= 1.0, "cfl", "must lie in (0, 1]")
+        need(self.integrator == SSPRK2, "integrator", f"must be '{SSPRK2}'")
+        need(self.n_snapshots >= 2 or self.t_end == 0.0, "n_snapshots", "need at least 2 snapshots when t_end > 0")
+        need(self.perturb_seed >= 0, "perturb_seed", "must be nonnegative")
+        need(self.perturb_modes >= 1, "perturb_modes", "must be at least 1")
         # a mode above n // 2 aliases onto a lower one on the grid
         need(
             self.perturb_epsilon == 0.0 or self.perturb_modes <= self.n // 2,
-            "perturbation.modes",
+            "perturb_modes",
             f"must be at most n // 2 = {self.n // 2} when epsilon != 0",
         )
-        need(self.energy_eps > 0.0, "verification.energy_eps", "must be positive")
-        need(self.stability_delta > 0.0, "verification.stability_delta", "must be positive")
-        for name, spec in (("R", self.r_init), ("Q", self.q_init), ("u", self.u_init)):
-            spec.validate(name)
+        need(self.energy_eps > 0.0, "energy_eps", "must be positive")
+        need(self.stability_delta > 0.0, "stability_delta", "must be positive")
+        for field, key in _PROFILES.items():
+            getattr(self, field).validate(*key)
         # building the initial data checks pointwise nonnegativity; a grid
         # too large to allocate is an error of the config too
         try:
@@ -333,11 +341,14 @@ class SimConfig:
         with np.errstate(over="ignore", invalid="ignore"):
             u = U[2] / np.maximum(rho, RHO_FLOOR)
             kinetic = float(np.sum(0.5 * rho * u**2) * grid.dx)
-        need(
-            math.isfinite(kinetic),
-            "mms.e" if self.mms_enabled else _VELOCITY_KEYS[self.u_init.preset],
-            "the initial kinetic energy, of density (R + Q) u**2 / 2, overflows float",
-        )
+        if not math.isfinite(kinetic):
+            section, name = _PROFILES["u_init"]
+            sizes = _SIZE_FIELDS[self.u_init.preset]
+            keys = ", ".join(f"{section}.{name}_{f}" for f in sizes)
+            raise ValidationError(
+                f"{_SPELLING['mms_e'] if self.mms_enabled else keys}: "
+                "the initial kinetic energy, of density (R + Q) u**2 / 2, overflows float"
+            )
         return U
 
     def admissibility_warnings(self, U: np.ndarray) -> list[str]:
@@ -383,6 +394,30 @@ class SimConfig:
         return out
 
 
+def _key_tables():
+    """The INI keys, from the declarations of SimConfig's fields: each
+    section's keys to the field each sets and, for a key of an initial
+    profile, its ProfileSpec field (None otherwise); each field, not a
+    profile, to its 'section.key'; and each profile field to its section
+    and profile name."""
+    keys, spelling, profiles = {}, {}, {}
+    for f in dataclasses.fields(SimConfig):
+        section, key = f.metadata["ini"]
+        table = keys.setdefault(section, {})
+        if f.default_factory is dataclasses.MISSING:
+            key = key or f.name
+            table[key] = (f.name, None)
+            spelling[f.name] = f"{section}.{key}"
+        else:
+            for g in dataclasses.fields(ProfileSpec):
+                table[f"{key}_{g.name}"] = (f.name, g.name)
+            profiles[f.name] = (section, key)
+    return keys, spelling, profiles
+
+
+_KEYS, _SPELLING, _PROFILES = _key_tables()
+
+
 def _parse(text: str) -> SimConfig:
     """Config text to a SimConfig with defaults filled in, not yet validated."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -393,91 +428,21 @@ def _parse(text: str) -> SimConfig:
         line = getattr(exc, "lineno", None)
         where = f" (line {line})" if line is not None else ""
         raise ParseError(f"config parse failure{where}: {exc}") from exc
-    known = dict(_schema())
     cfg = SimConfig()
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ValidationError(f"unknown config section [{section}]")
-        keys = dict(known[section])
         for key, raw in parser[section].items():
-            if key not in keys:
+            if key not in _KEYS[section]:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
-            attr = keys[key]
+            name, sub = _KEYS[section][key]
+            owner, attr = (cfg, name) if sub is None else (getattr(cfg, name), sub)
             try:
-                value = _convert(raw, _get_attr(cfg, attr))
+                value = _convert(raw, getattr(owner, attr))
             except ValueError as exc:
                 raise ValidationError(f"[{section}] {key}: {exc}") from exc
-            _set_attr(cfg, attr, value)
+            setattr(owner, attr, value)
     return cfg
-
-
-def _schema():
-    profile = lambda field: [
-        (f"{field}_preset", (f"{field.lower()}_init", "preset")),
-        (f"{field}_value", (f"{field.lower()}_init", "value")),
-        (f"{field}_base", (f"{field.lower()}_init", "base")),
-        (f"{field}_amplitude", (f"{field.lower()}_init", "amplitude")),
-        (f"{field}_center", (f"{field.lower()}_init", "center")),
-        (f"{field}_width", (f"{field.lower()}_init", "width")),
-        (f"{field}_waves", (f"{field.lower()}_init", "waves")),
-        (f"{field}_path", (f"{field.lower()}_init", "path")),
-    ]
-    return [
-        ("exponents", [("gamma_plus", "gamma_plus"), ("gamma_minus", "gamma_minus")]),
-        ("viscosity", [("mu", "mu"), ("lambda", "lam")]),
-        ("grid", [("n", "n"), ("length", "length"), ("bc", "bc")]),
-        (
-            "time",
-            [
-                ("t_end", "t_end"),
-                ("cfl", "cfl"),
-                ("integrator", "integrator"),
-                ("n_snapshots", "n_snapshots"),
-            ],
-        ),
-        ("initial", profile("R") + profile("Q") + profile("u")),
-        (
-            "perturbation",
-            [
-                ("epsilon", "perturb_epsilon"),
-                ("seed", "perturb_seed"),
-                ("modes", "perturb_modes"),
-            ],
-        ),
-        (
-            "verification",
-            [
-                ("track_alpha", "track_alpha"),
-                ("allow_inviscid", "allow_inviscid"),
-                ("energy_eps", "energy_eps"),
-                ("stability_delta", "stability_delta"),
-            ],
-        ),
-        (
-            "mms",
-            [
-                ("enabled", "mms_enabled"),
-                ("a", "mms_a"),
-                ("b", "mms_b"),
-                ("c", "mms_c"),
-                ("d", "mms_d"),
-                ("e", "mms_e"),
-            ],
-        ),
-    ]
-
-
-def _get_attr(cfg: SimConfig, attr):
-    if isinstance(attr, tuple):
-        return getattr(getattr(cfg, attr[0]), attr[1])
-    return getattr(cfg, attr)
-
-
-def _set_attr(cfg: SimConfig, attr, value):
-    if isinstance(attr, tuple):
-        setattr(getattr(cfg, attr[0]), attr[1], value)
-    else:
-        setattr(cfg, attr, value)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

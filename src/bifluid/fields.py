@@ -20,13 +20,13 @@ import numpy as np
 
 from . import closure
 from . import thermo
+from .closure import _HALF_MAX
 
 PERIODIC = "periodic"
 NOSLIP = "noslip"
 BOUNDARY_CONDITIONS = (PERIODIC, NOSLIP)
 RHO_FLOOR = 1e-12  # velocity recovery divides by max(R + Q, RHO_FLOOR)
 _TINY = np.finfo(float).smallest_subnormal
-_HALF_MAX = np.finfo(float).max / 2.0
 
 SNAPSHOT_COLUMNS = ("i", "x", "R", "Q", "m", "Z", "alpha", "rho_plus", "rho_minus", "p", "u")
 

@@ -42,6 +42,7 @@ __all__ = [
     "ConvergenceReport",
     "relative_entropy",
     "energy_audit",
+    "noise_floor",
     "gronwall_check",
     "alpha_stability_check",
     "coercivity_check",
@@ -174,23 +175,31 @@ def _ls_slope(x, y) -> float:
     return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
 
 
-def gronwall_check(times, E, e0_floor: float, e_scale: float = 1.0) -> GronwallFit:
-    """Fit empirical constants in E(tau) <= C * E(0) along a series.
+def noise_floor(e_scale: float) -> float:
+    """The relative energy that round-off alone reaches between states of
+    total energy about e_scale, taken as at least 1."""
+    return NOISE_FLOOR_FACTOR * EPS * max(e_scale, 1.0)
 
-    Ratio mode (E(0) >= e0_floor): C_fit is the smallest admissible constant
-    max E(tau) / E(0), and c_exp_fit the least-squares exponential rate of
-    log E against t over samples above the noise floor, in closed form.
-    Identical-data mode (E(0) < e0_floor): only max E(tau) is reported, to
-    be held against a discretisation-error budget.
+
+def gronwall_check(times, E, e_scale: float = 1.0) -> GronwallFit:
+    """Fit empirical constants in E(tau) <= C * E(0) along a series of
+    states of total energy about e_scale.
+
+    Ratio mode (E(0) at least the noise floor of e_scale): C_fit is the
+    smallest admissible constant max E(tau) / E(0), and c_exp_fit the
+    least-squares exponential rate of log E against t over samples above
+    the noise floor, in closed form.  Identical-data mode (E(0) below it):
+    only max E(tau) is reported, to be held against a discretisation-error
+    budget.
     """
     times = np.asarray(times, dtype=float)
     E = np.asarray(E, dtype=float)
     if E.size == 0:
         raise EmptySeriesError("no relative-energy samples")
-    noise = NOISE_FLOOR_FACTOR * EPS * e_scale
+    noise = noise_floor(e_scale)
     max_E = float(np.max(E))
     at_floor = max_E < noise
-    if E[0] < e0_floor:
+    if E[0] < noise:
         return GronwallFit(
             mode="identical", E0=float(E[0]), max_E=max_E, at_noise_floor=at_floor
         )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -84,9 +85,13 @@ def test_cli_tolerances_section_is_a_config_error(tmp_path, capsys):
 def test_every_config_field_has_exactly_one_ini_key():
     # a field that no key sets is a dead knob; a key that sets no field, or
     # a field that two keys set, is one value with two spellings
-    schema = config._schema()
-    keys = [(section, key) for section, items in schema for key, _ in items]
-    targets = [attr for _, items in schema for _, attr in items]
+    table = config._KEYS
+    keys = [(section, key) for section, items in table.items() for key in items]
+    targets = [
+        name if sub is None else (name, sub)
+        for items in table.values()
+        for name, sub in items.values()
+    ]
     defaults = config.SimConfig()
     fields = []  # a ProfileSpec's fields as (profile, field) pairs
     for f in dataclasses.fields(defaults):
@@ -96,6 +101,30 @@ def test_every_config_field_has_exactly_one_ini_key():
             fields.append(f.name)
     assert len(set(keys)) == len(keys) == len(set(targets)) == len(targets) == 48
     assert set(targets) == set(fields) and len(fields) == 48
+
+
+def test_config_setting_every_key_to_its_default_is_the_default_config():
+    defaults = config.SimConfig()
+    lines = []
+    for section, items in config._KEYS.items():
+        lines.append(f"[{section}]")
+        for key, (name, sub) in items.items():
+            value = getattr(defaults, name) if sub is None else getattr(getattr(defaults, name), sub)
+            lines.append(f"{key} = {value}")
+    cfg, _ = validate_config("\n".join(lines) + "\n")
+    assert len(lines) == 48 + len(config._KEYS)
+    assert cfg == defaults
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # the Configuration section names each section's keys on one line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {}
+    for line in readme.split("## Configuration", 1)[1].split("\n## ", 1)[0].splitlines():
+        match = re.fullmatch(r"    \[(\w+)\] +([\w ]+)", line)
+        if match:
+            listed[match[1]] = match[2].split()
+    assert listed == {section: list(items) for section, items in config._KEYS.items()}
 
 
 def test_parse_error_carries_line():
@@ -1378,9 +1407,7 @@ def _compare_oracle(run_collecting, cfg_a, cfg_b, ref_mode):
     ]
     terms = [fraction_terms(a.alpha, b.alpha, a.u, b.u, grid) for a, b in pairs]
     noise_floor = verify.NOISE_FLOOR_FACTOR * verify.EPS * max(e_scale, 1.0)
-    fit = verify.gronwall_check(
-        times, [r.E_total for r in rows], e0_floor=noise_floor, e_scale=max(e_scale, 1.0)
-    )
+    fit = verify.gronwall_check(times, [r.E_total for r in rows], e_scale)
     stab = verify.alpha_stability_check(
         [A for A, _ in terms], [w for _, w in terms], times, cfg_a.stability_delta
     )

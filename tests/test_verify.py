@@ -140,7 +140,7 @@ def test_quadratic_scaling_in_perturbation_size():
 
 def test_gronwall_constant_series():
     times = [0.0, 0.5, 1.0]
-    fit = gronwall_check(times, [2.0, 2.0, 2.0], e0_floor=1e-12)
+    fit = gronwall_check(times, [2.0, 2.0, 2.0])
     assert fit.mode == "ratio"
     assert fit.C_fit == pytest.approx(1.0)
     assert fit.c_exp_fit == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +149,7 @@ def test_gronwall_constant_series():
 def test_gronwall_exponential_series():
     times = np.linspace(0.0, 1.0, 11)
     E = 3.0 * np.exp(2.0 * times)
-    fit = gronwall_check(times, E, e0_floor=1e-12)
+    fit = gronwall_check(times, E)
     assert fit.C_fit == pytest.approx(math.exp(2.0), rel=1e-12)
     assert fit.c_exp_fit == pytest.approx(2.0, rel=1e-9)
 
@@ -163,13 +163,13 @@ def test_gronwall_rate_is_the_least_squares_slope_of_polyfit():
         times = np.sort(rng.uniform(0.0, 2.0, k))
         rate = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 10.0)
         E = np.exp(rng.uniform(-5.0, 5.0) + rate * times + rng.normal(0.0, 0.05, k))
-        fit = gronwall_check(times, E, e0_floor=0.0)
+        fit = gronwall_check(times, E)
         want = np.polyfit(times, np.log(E), 1)[0]
         assert fit.c_exp_fit == pytest.approx(want, rel=1e-12)
 
 
 def test_gronwall_identical_data_mode():
-    fit = gronwall_check([0.0, 1.0], [0.0, 3e-15], e0_floor=1e-10, e_scale=1.0)
+    fit = gronwall_check([0.0, 1.0], [0.0, 3e-15], e_scale=1.0)
     assert fit.mode == "identical"
     assert fit.C_fit is None
     assert fit.max_E == pytest.approx(3e-15)
@@ -178,7 +178,7 @@ def test_gronwall_identical_data_mode():
 
 def test_gronwall_empty_series():
     with pytest.raises(EmptySeriesError):
-        gronwall_check([], [], e0_floor=1e-10)
+        gronwall_check([], [])
 
 
 # alpha stability ----------------------------------------------------------------
