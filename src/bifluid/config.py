@@ -371,16 +371,16 @@ class SimConfig:
                 "initial data has cells with R = 0 < Q: no finite constant bounds "
                 "Q0 <= a * R0, so two-sided data comparability fails"
             )
+        # two-sided comparability a * R0 <= Q0 <= b * R0 with some a > 0:
+        # every live cell has Q0 > 0 (the ratio itself can overflow)
         live = R0 > 0.0
-        a_lo = float(np.min(Q0[live] / R0[live])) if live.any() else 0.0
-        if unbounded:
-            a_lo = 0.0
+        comparable = not unbounded and bool(live.any() and (Q0[live] > 0.0).all())
         gp, gm = self.gamma_plus, self.gamma_minus
 
         def bog(g: float) -> float:
             return min(2.0 * g / 3.0 - 1.0, g / 2.0)
 
-        if a_lo > 0.0:
+        if comparable:
             big_g = max(gp + bog(gp), gm + bog(gm))
             gam_bar = max(gp - gp / gm + 1.0, gm + gm / gp - 1.0)
         else:
@@ -420,7 +420,10 @@ _KEYS, _SPELLING, _PROFILES = _key_tables()
 
 def _parse(text: str) -> SimConfig:
     """Config text to a SimConfig with defaults filled in, not yet validated."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can hold a newline, so no config spells the parser's
+    # default section, whose keys would leak into every other section: a
+    # [DEFAULT] section is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str
     try:
         parser.read_string(text)

@@ -433,7 +433,8 @@ def _extrapolated(Z, Z_last, r: float):
     roots Z, finite and nonnegative, whose last level was Z_last, with r in
     [0, _RATIO_MAX] the ratio of the steps.  It is second order in time,
     where Z is first order.  A start beyond float range is inf, without a
-    numpy warning; the kernel clips every start into its bracket."""
+    numpy warning; the kernel takes any start, and solves a point whose
+    start is not finite in its bracket."""
     with np.errstate(over="ignore"):
         z = Z - Z_last
         z *= r

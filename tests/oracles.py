@@ -134,37 +134,38 @@ def alpha_partials_batch(R, Q, gamma):
     return d_dR, d_dQ, omega_of_alpha(alpha, gamma)
 
 
-def compacting_newton(r, q, lo, hi, z, gamma):
+def compacting_newton(r, q, lo, hi, z, f, fp, gamma, max_iter):
     """A stand-in for ``closure._newton`` (same arguments and result) that
     takes its first step untested, as the kernel does, then drops converged
-    cells from the active set and iterates the rest."""
-    out = np.empty_like(z)
-    act = np.arange(z.size)
+    points from the active set and iterates the rest."""
+    out = np.empty_like(r)
+    act = np.arange(r.size)
     tol_q = closure.CLOSURE_TOL * q
     f_floor = 4.0 * (1.0 + gamma) * closure._EPS
-    zg1 = np.power(z, gamma - 1.0)
-    f = (z - r) * zg1 - q
-    for iterations in range(2, closure.CLOSURE_MAX_ITER + 1):
-        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
-        z = np.minimum(np.maximum(z - f / fp, lo), hi)
+    for iterations in range(2, max_iter + 1):
+        z = np.maximum(z - f / fp, lo)
+        if hi is not None:
+            z = np.minimum(z, hi)
         zg1 = np.power(z, gamma - 1.0)
         f = (z - r) * zg1 - q
         conv = np.abs(f) <= np.maximum(tol_q, f_floor * zg1 * z)
         n_conv = np.count_nonzero(conv)
         if n_conv == z.size:
             out[act] = z
-            return out, iterations
+            return out, iterations, None
+        fp = zg1 * (gamma - (gamma - 1.0) * (r / z))
         if n_conv:
             out[act[conv]] = z[conv]
             keep = ~conv
-            act, z, r, q, hi, tol_q, zg1, f = (
-                a[keep] for a in (act, z, r, q, hi, tol_q, zg1, f)
-            )
+            act, z, r, q, tol_q, f, fp = (a[keep] for a in (act, z, r, q, tol_q, f, fp))
             if np.ndim(lo):
                 lo = lo[keep]
-    raise closure.MaxIterExceededError(
-        f"closure iteration exceeded {closure.CLOSURE_MAX_ITER} iterations at cells {act.tolist()[:8]}"
-    )
+            if hi is not None:
+                hi = hi[keep]
+    out[act] = z
+    stuck = np.zeros(out.size, bool)
+    stuck[act] = True
+    return out, max_iter, stuck
 
 
 def gauss3_forcing(sol, grid, t):

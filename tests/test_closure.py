@@ -335,6 +335,55 @@ def test_frozen_newton_is_bit_identical_to_active_set_compaction(gamma, monkeypa
         assert Z.tobytes() == Z_ref.tobytes()
 
 
+# starts a relative 1e-12 off the root, half and one and a half of it, and
+# a decade above and below it
+WARM_FACTORS = (1.0 - 1e-12, 1.0 + 1e-12, 0.5, 1.5, 10.0, 0.1)
+
+
+@example(log10_R=0.0, log10_Q=-5.0, gamma=0.01)
+@example(log10_R=-300.0, log10_Q=-3.2, gamma=0.01)
+@given(
+    log10_R=st.floats(-300.0, 300.0),
+    log10_Q=st.floats(-300.0, 300.0),
+    gamma=st.one_of(st.sampled_from([1.0, 2.0, 0.01, 100.0]), st.floats(0.01, 100.0)),
+)
+def test_warm_solve_matches_scaled_bisection_over_float_range(log10_R, log10_Q, gamma):
+    # every start gives the root, or ClosureOverflowError for a root beyond
+    # float range, without a numpy warning (pyproject.toml makes one an
+    # error); the starts share one batch, where near ones can take the warm
+    # path beside far ones that fall back, and each must equal its own solve
+    R, Q = 10.0**log10_R, 10.0**log10_Q
+    log_Z = _scaled_bisection_log_root(R, Q, gamma)
+    assume(abs(log_Z - LOG_FLOAT_MAX) > 1e-6)
+    with np.errstate(over="ignore"):  # a start beyond float range is inf
+        z0 = np.exp(log_Z + np.log(WARM_FACTORS))
+    k = z0.size
+    R, Q = np.full(k, R), np.full(k, Q)
+    if log_Z > LOG_FLOAT_MAX:
+        with pytest.raises(ClosureOverflowError):
+            solve_closure_batch(R, Q, gamma, z0=z0)
+        return
+    Z, _ = solve_closure_batch(R, Q, gamma, z0=z0)
+    assert np.max(np.abs(np.log(Z) - log_Z)) <= 1e-10
+    for i in range(k):
+        Zi, _ = solve_closure_batch(R[i : i + 1], Q[i : i + 1], gamma, z0=z0[i : i + 1])
+        assert Zi.tobytes() == Z[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.3, 2.14, 3.0, 7.0])
+def test_warm_started_point_does_not_depend_on_its_batch(gamma):
+    # batches over 12 decades with vacuum and one-phase points and bad
+    # starts: each point solved alone gives its batch value bit for bit,
+    # whichever path it takes
+    rng = np.random.default_rng(int(gamma * 1000))
+    for _ in range(3):
+        R, Q, z0 = _newton_batch(rng, gamma)
+        Z, _ = solve_closure_batch(R, Q, gamma, z0=z0)
+        for i in range(R.size):
+            Zi, _ = solve_closure_batch(R[i : i + 1], Q[i : i + 1], gamma, z0=z0[i : i + 1])
+            assert Zi.tobytes() == Z[i : i + 1].tobytes(), i
+
+
 @pytest.mark.parametrize("gamma", [0.5, 1.3, 2.14, 3.0, 7.0])
 def test_start_at_the_root_converges_at_the_first_tested_iterate(gamma, monkeypatch):
     # the untested first step, then one tested iterate: two evaluations,

@@ -65,6 +65,40 @@ def test_comparability_warning_when_R_vanishes_under_Q():
     assert any("comparability" in w for w in warnings)
 
 
+def test_comparability_needs_no_mass_ratio(tmp_path, capsys):
+    # Q0 / R0 overflows here (1e100 / 1e-300): validate exits 0 without a
+    # numpy warning (pyproject.toml makes one an error) or a traceback
+    text = "[initial]\nR_value = 1e-300\nQ_value = 1e100\n[grid]\nn = 16\n[time]\nt_end = 0.001\n"
+    assert main(["validate", "--config", write(tmp_path, "ratio.ini", text)]) == 0
+    assert capsys.readouterr().err == ""
+    # comparability asks only that every live cell hold some Q: a ratio that
+    # underflows (1e-300 / 1e300) is comparable data, as a ratio of 1 is
+    exps = "[exponents]\ngamma_plus = 1.9\ngamma_minus = 5.0\n"
+    masses = "[initial]\nR_value = {}\nQ_value = {}\n"
+    _, tiny = validate_config(exps + masses.format(1e300, 1e-300))
+    _, unit = validate_config(exps + masses.format(1.0, 1.0))
+    _, none = validate_config(exps + masses.format(1.0, 0.0))
+    assert tiny == unit != none
+    assert any("growth condition" in w for w in none)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nmu = 0.5\n[viscosity]\nlambda = 0.1\n",
+        "[DEFAULT]\nmu = 0.5\nn = 8\n",
+        "[DEFAULT]\nmu = 0.5\n[viscosity]\n[grid]\n",
+    ],
+)
+def test_default_section_is_an_unknown_section(text, tmp_path, capsys):
+    # configparser would merge [DEFAULT]'s keys into every other section,
+    # set mu, ignore both keys, or report mu in [grid]
+    with pytest.raises(ValidationError, match=r"^unknown config section \[DEFAULT\]$"):
+        validate_config(text)
+    assert main(["validate", "--config", write(tmp_path, "default.ini", text)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config section [DEFAULT]\n"
+
+
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ValidationError, match="unknown config section"):
         validate_config(MINIMAL + "\n[turbulence]\nmodel = k-epsilon\n")
